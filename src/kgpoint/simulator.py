@@ -12,6 +12,10 @@ reversible and conserves a shadow of the discrete energy
 whose gradient is exactly the semidiscrete right-hand side.  Boundaries are
 homogeneous Dirichlet on a domain sized so that radiation cannot return
 during an experiment.
+
+One loop, ``_kdk``, steps in place on preallocated buffers; its observer sees
+the live buffers and must copy what it keeps.  H, the energy norm, the local
+seminorms, the metric and the phase fit all evaluate one form, ``_energy_form``.
 """
 
 from __future__ import annotations
@@ -20,10 +24,11 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
-from .model import ModelSpec, force, potential
+from .model import ModelSpec, force, lower_bound_constants, potential
 from .solitary import ConvergedToZero, NoConvergence, SolitaryWave, profile_eval, solve_profile
 
 __all__ = [
@@ -57,14 +62,29 @@ class Grid:
     dx: float
     count: int
     oscillator_nodes: tuple[int, ...]
+    _windows: dict[float, slice] = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    @property
+    @cached_property
     def x(self) -> np.ndarray:
-        return self.x_min + self.dx * np.arange(self.count)
+        """Node coordinates, computed once per grid and read-only."""
+        x = self.x_min + self.dx * np.arange(self.count)
+        x.setflags(write=False)
+        return x
 
     @property
     def x_max(self) -> float:
         return self.x_min + self.dx * (self.count - 1)
+
+    def window(self, R: float) -> slice:
+        """The nodes with |x| <= R, a contiguous run, as a slice cached per radius R > 0."""
+        if R <= 0:
+            raise ValueError("R must be positive")
+        if -R < self.x_min or R > self.x_max:
+            warnings.warn(f"seminorm window [-{R}, {R}] exceeds the grid; clipping", stacklevel=3)
+        if R not in self._windows:
+            inside = np.flatnonzero(np.abs(self.x) <= R)
+            self._windows[R] = slice(int(inside[0]), int(inside[-1]) + 1) if inside.size else slice(0, 0)
+        return self._windows[R]
 
 
 @dataclass(frozen=True)
@@ -93,6 +113,7 @@ class ObserverSeries:
     times: np.ndarray
     energy: np.ndarray
     charge: np.ndarray
+    energy_norm: np.ndarray
     seminorms: dict[float, np.ndarray]
     traces_psi: np.ndarray  # (samples, N)
     traces_pi: np.ndarray
@@ -159,75 +180,123 @@ def build_grid(model: ModelSpec, x_min: float, x_max: float, dx_target: float) -
     return grid
 
 
-def _acceleration(model: ModelSpec, grid: Grid, psi: np.ndarray) -> np.ndarray:
-    # overflow of a runaway field is tolerated here; the steppers detect the
-    # resulting non-finite values and abort with a diagnostic
-    with np.errstate(over="ignore", invalid="ignore"):
-        acc = np.zeros_like(psi)
-        inv_dx2 = 1.0 / grid.dx**2
-        acc[1:-1] = (psi[2:] - 2.0 * psi[1:-1] + psi[:-2]) * inv_dx2
-        acc -= model.mass**2 * psi
-        for osc, i in zip(model.oscillators, grid.oscillator_nodes):
-            acc[i] += force(osc, psi[i]) / grid.dx
-        acc[0] = 0.0
-        acc[-1] = 0.0
-    return acc
-
-
-def _check_cfl(grid: Grid, dt: float):
+def _check_step(grid: Grid, state: FieldState, dt: float):
     if abs(dt) >= grid.dx:
         raise ValueError(f"CFL violated: |dt|={abs(dt)} must be below dx={grid.dx}")
     if dt == 0.0:
         raise ValueError("dt must be nonzero")
-
-
-def _check_shape(grid: Grid, state: FieldState):
     if len(state.psi) != grid.count:
         raise ValueError(f"state has {len(state.psi)} nodes, grid has {grid.count}")
 
 
+def _require_finite(t: float, *fields: np.ndarray):
+    if not all(np.all(np.isfinite(f.view(float))) for f in fields):
+        raise FloatingPointError(f"non-finite field detected at t={t}")
+
+
+def _kdk(model: ModelSpec, grid: Grid, state: FieldState, dt: float, n_steps: int,
+         observe_every: int, observe) -> FieldState:
+    """n_steps kick-drift-kick steps of size dt from state, in place on private buffers.
+
+    observe(k, psi, pi) reads the live buffers at step 0 and every
+    observe_every steps.  A non-finite psi there, or psi or pi at the end,
+    raises FloatingPointError.
+    """
+    psi, pi = np.array(state.psi, dtype=complex), np.array(state.pi, dtype=complex)
+    acc = np.zeros_like(psi)  # the Dirichlet end nodes are never written and stay 0
+    kick, tmp = np.empty_like(psi), np.empty_like(psi)  # kick = (dt/2) acc serves two half kicks
+    lap, mid, acc_mid = tmp[1:-1], psi[1:-1], acc[1:-1]
+    inv_dx2, m2, half_dt = 1.0 / grid.dx**2, model.mass**2, 0.5 * dt
+    sites = list(zip(model.oscillators, grid.oscillator_nodes))
+
+    def accelerate():
+        # acc = ((psi[2:] - 2 psi[1:-1]) + psi[:-2]) / dx^2 - m^2 psi + F_J / dx and
+        # kick = (dt/2) acc, in this order so values match the plain expressions
+        np.multiply(mid, 2.0, out=lap)
+        np.subtract(psi[2:], lap, out=lap)
+        np.add(lap, psi[:-2], out=lap)
+        np.multiply(lap, inv_dx2, out=acc_mid)
+        np.multiply(mid, m2, out=lap)
+        np.subtract(acc_mid, lap, out=acc_mid)
+        for osc, i in sites:
+            acc[i] += force(osc, psi[i]) / grid.dx
+        np.multiply(acc, half_dt, out=kick)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        observe(0, psi, pi)
+        accelerate()
+        for k in range(1, n_steps + 1):
+            np.add(pi, kick, out=pi)
+            np.multiply(pi, dt, out=tmp)
+            np.add(psi, tmp, out=psi)
+            accelerate()
+            np.add(pi, kick, out=pi)
+            if k % observe_every == 0:
+                _require_finite(state.t + k * dt, psi)
+                observe(k, psi, pi)
+    t = state.t + n_steps * dt
+    _require_finite(t, psi, pi)
+    return FieldState(psi, pi, t)
+
+
 def step(model: ModelSpec, grid: Grid, state: FieldState, dt: float) -> FieldState:
     """One kick-drift-kick step; dt < 0 steps backwards (the flow is reversible)."""
-    _check_cfl(grid, dt)
-    _check_shape(grid, state)
-    a = _acceleration(model, grid, state.psi)
-    pi_half = state.pi + 0.5 * dt * a
-    psi_new = state.psi + dt * pi_half
-    pi_new = pi_half + 0.5 * dt * _acceleration(model, grid, psi_new)
-    if not (np.all(np.isfinite(psi_new.view(float))) and np.all(np.isfinite(pi_new.view(float)))):
-        raise FloatingPointError(f"non-finite field detected after step to t={state.t + dt}")
-    return FieldState(psi_new, pi_new, state.t + dt)
+    _check_step(grid, state, dt)
+    return _kdk(model, grid, state, dt, 1, 1, lambda k, psi, pi: None)
+
+
+def _trapezoid_vdot(u: np.ndarray, v: np.ndarray) -> complex:
+    """sum_j w_j conj(u_j) v_j with trapezoid weights: 1/2 at the two end nodes."""
+    return np.vdot(u, v) - 0.5 * (u[0].conjugate() * v[0] + u[-1].conjugate() * v[-1])
+
+
+def _energy_form(model: ModelSpec, grid: Grid, a, b, window=None) -> complex:
+    """sum_nodes dx (conj(pi_a) pi_b + m^2 conj(psi_a) psi_b) + sum_cells conj(dpsi_a) dpsi_b / dx.
+
+    a and b are (psi, pi) pairs.  The sums run over the whole grid with
+    trapezoid node weights, or over the nodes of a ``Grid.window`` and the
+    cells between them.
+    """
+    (a_psi, a_pi), (b_psi, b_pi) = a, b
+    n = slice(None) if window is None else window
+    d_a = np.diff(a_psi[n])
+    cells = np.vdot(d_a, d_a if b_psi is a_psi else np.diff(b_psi[n]))
+    if window is None:
+        nodes = _trapezoid_vdot(a_pi, b_pi) + model.mass**2 * _trapezoid_vdot(a_psi, b_psi)
+    else:
+        nodes = np.vdot(a_pi[n], b_pi[n]) + model.mass**2 * np.vdot(a_psi[n], b_psi[n])
+    return grid.dx * nodes + cells / grid.dx
+
+
+def _energy(model: ModelSpec, grid: Grid, u) -> tuple[float, float]:
+    """(H, energy norm) of a (psi, pi) pair from one evaluation of the full form."""
+    norm2 = float(_energy_form(model, grid, u, u).real)
+    pot = sum(potential(o, u[0][i]) for o, i in zip(model.oscillators, grid.oscillator_nodes))
+    return 0.5 * norm2 + pot, math.sqrt(norm2)
+
+
+def _seminorm(model: ModelSpec, grid: Grid, u, window) -> float:
+    return math.sqrt(float(_energy_form(model, grid, u, u, window).real))
+
+
+def _charge(grid: Grid, u) -> float:
+    return -grid.dx * float(_trapezoid_vdot(*u).imag)
 
 
 def hamiltonian(model: ModelSpec, grid: Grid, state: FieldState) -> float:
     """Discrete energy: trapezoid node terms, forward differences on cells."""
-    w = np.ones(grid.count)
-    w[0] = w[-1] = 0.5
-    dx = grid.dx
     with np.errstate(over="ignore", invalid="ignore"):
-        kin = 0.5 * dx * float(np.sum(w * np.abs(state.pi) ** 2))
-        mass = 0.5 * model.mass**2 * dx * float(np.sum(w * np.abs(state.psi) ** 2))
-        dpsi = np.diff(state.psi)
-        grad = 0.5 * float(np.sum(np.abs(dpsi) ** 2)) / dx
-        pot = sum(potential(o, state.psi[i]) for o, i in zip(model.oscillators, grid.oscillator_nodes))
-        return kin + mass + grad + pot
+        return _energy(model, grid, (state.psi, state.pi))[0]
 
 
 def charge(model: ModelSpec, grid: Grid, state: FieldState) -> float:
     """Q = -integral Im(conj(psi) pi) dx, conserved by the phase symmetry."""
-    w = np.ones(grid.count)
-    w[0] = w[-1] = 0.5
-    return -grid.dx * float(np.sum(w * np.imag(np.conj(state.psi) * state.pi)))
+    return _charge(grid, (state.psi, state.pi))
 
 
 def energy_norm(model: ModelSpec, grid: Grid, state: FieldState) -> float:
     """Full energy norm sqrt(|pi|^2 + |psi'|^2 + m^2 |psi|^2), no potentials."""
-    w = np.ones(grid.count)
-    w[0] = w[-1] = 0.5
-    dx = grid.dx
-    total = dx * float(np.sum(w * (np.abs(state.pi) ** 2 + model.mass**2 * np.abs(state.psi) ** 2)))
-    total += float(np.sum(np.abs(np.diff(state.psi)) ** 2)) / dx
-    return math.sqrt(total)
+    return _seminorm(model, grid, (state.psi, state.pi), None)
 
 
 def apriori_bound(model: ModelSpec, grid: Grid, initial: FieldState) -> float:
@@ -236,8 +305,6 @@ def apriori_bound(model: ModelSpec, grid: Grid, initial: FieldState) -> float:
     With U_J >= A_J - B_J |psi|^2 and sum B_J < m, conservation of H gives
     |Psi(t)|_E^2 <= 2m (H(Psi_0) - sum A_J) / (m - sum B_J).
     """
-    from .model import lower_bound_constants
-
     consts = lower_bound_constants(model)
     h0 = hamiltonian(model, grid, initial)
     m = model.mass
@@ -247,26 +314,15 @@ def apriori_bound(model: ModelSpec, grid: Grid, initial: FieldState) -> float:
 
 def local_seminorm(model: ModelSpec, grid: Grid, state: FieldState, R: float) -> float:
     """Energy seminorm over the window [-R, R] (clipped to the grid with a warning)."""
-    if R <= 0:
-        raise ValueError("R must be positive")
-    if -R < grid.x_min or R > grid.x_max:
-        warnings.warn(f"seminorm window [-{R}, {R}] exceeds the grid; clipping", stacklevel=2)
-    x = grid.x
-    nodes = np.abs(x) <= R
-    dx = grid.dx
-    total = dx * float(np.sum(np.abs(state.pi[nodes]) ** 2 + model.mass**2 * np.abs(state.psi[nodes]) ** 2))
-    cells = nodes[:-1] & nodes[1:]
-    dpsi = np.diff(state.psi)[cells]
-    total += float(np.sum(np.abs(dpsi) ** 2)) / dx
-    return math.sqrt(total)
+    return _seminorm(model, grid, (state.psi, state.pi), grid.window(R))
 
 
 def metric_dist(model: ModelSpec, grid: Grid, a: FieldState, b: FieldState, r_max: int) -> float:
     """Weighted sum 2^-R |A - B|_{E,R} over R = 1..r_max (a metric on states)."""
     if r_max < 1:
         raise ValueError("r_max must be at least 1")
-    diff = FieldState(a.psi - b.psi, a.pi - b.pi, a.t)
-    return sum(0.5**R * local_seminorm(model, grid, diff, float(R)) for R in range(1, r_max + 1))
+    diff = (a.psi - b.psi, a.pi - b.pi)
+    return sum(0.5**R * _seminorm(model, grid, diff, grid.window(float(R))) for R in range(1, r_max + 1))
 
 
 def solitary_state(model: ModelSpec, grid: Grid, wave: SolitaryWave, phase: complex = 1.0 + 0j) -> FieldState:
@@ -280,14 +336,8 @@ def solitary_state(model: ModelSpec, grid: Grid, wave: SolitaryWave, phase: comp
     return FieldState(phi, -1j * wave.omega * phi, 0.0)
 
 
-def perturbed_solitary_state(
-    model: ModelSpec,
-    grid: Grid,
-    wave: SolitaryWave,
-    noise_amplitude: float,
-    seed: int,
-    n_bumps: int = 5,
-) -> FieldState:
+def perturbed_solitary_state(model: ModelSpec, grid: Grid, wave: SolitaryWave, noise_amplitude: float,
+                             seed: int, n_bumps: int = 5) -> FieldState:
     """Solitary state plus seeded smooth noise carrying a fixed energy fraction.
 
     The noise is a sum of complex-amplitude Gaussians (widths >= 10 dx,
@@ -313,72 +363,43 @@ def perturbed_solitary_state(
     return FieldState(base.psi + noise, base.pi, 0.0)
 
 
-def evolve(
-    model: ModelSpec,
-    grid: Grid,
-    state: FieldState,
-    T: float,
-    dt: float,
-    observe_every: int = 1,
-    seminorm_radii: tuple[float, ...] = (),
-    extra_probe_nodes: tuple[int, ...] = (),
-) -> tuple[ObserverSeries, FieldState]:
-    """Run round(T/dt) steps, sampling observers every observe_every steps.
+def evolve(model: ModelSpec, grid: Grid, state: FieldState, T: float, dt: float, observe_every: int = 1,
+           seminorm_radii: tuple[float, ...] = (), extra_probe_nodes: tuple[int, ...] = (),
+           ) -> tuple[ObserverSeries, FieldState]:
+    """Run round(T/|dt|) steps of size dt, sampling observers every observe_every steps.
 
-    Returns the series and the final state.  Samples land at steps
-    0, observe_every, 2*observe_every, ...; the final state is returned even
-    when it does not fall on a sample.  Traces are recorded at the oscillator
-    nodes followed by any extra probe nodes.
+    dt < 0 runs the flow backwards, from t0 to t0 - T.  Returns the series and
+    the final state.  Samples land at steps 0, observe_every,
+    2*observe_every, ...; the final state is returned even when it does not
+    fall on a sample.  Traces are recorded at the oscillator nodes followed
+    by any extra probe nodes.
     """
     if T < 0:
         raise ValueError("T must be nonnegative")
     if observe_every < 1:
         raise ValueError("observe_every must be at least 1")
-    _check_cfl(grid, dt)
-    _check_shape(grid, state)
-    n_steps = int(round(T / dt)) if T > 0 else 0
-
-    times, en, ch = [], [], []
-    semis: dict[float, list[float]] = {float(r): [] for r in seminorm_radii}
-    tr_psi, tr_pi = [], []
+    _check_step(grid, state, dt)
+    n_steps = int(round(T / abs(dt))) if T > 0 else 0
+    windows = {float(r): grid.window(float(r)) for r in seminorm_radii}
     nodes = list(grid.oscillator_nodes) + list(extra_probe_nodes)
+    n = n_steps // observe_every + 1
+    times, energy, charges, norms = np.empty((4, n))
+    seminorms = {r: np.empty(n) for r in windows}
+    traces_psi, traces_pi = np.empty((2, n, len(nodes)), dtype=complex)
 
-    def observe(s: FieldState):
-        times.append(s.t)
-        en.append(hamiltonian(model, grid, s))
-        ch.append(charge(model, grid, s))
-        for r in semis:
-            semis[r].append(local_seminorm(model, grid, s, r))
-        tr_psi.append(s.psi[nodes].copy())
-        tr_pi.append(s.pi[nodes].copy())
+    def observe(k, psi, pi):
+        j = k // observe_every
+        u = (psi, pi)
+        times[j] = state.t + k * dt
+        energy[j], norms[j] = _energy(model, grid, u)
+        charges[j] = _charge(grid, u)
+        for r, window in windows.items():
+            seminorms[r][j] = _seminorm(model, grid, u, window)
+        traces_psi[j] = psi[nodes]
+        traces_pi[j] = pi[nodes]
 
-    psi = np.array(state.psi, dtype=complex)
-    pi = np.array(state.pi, dtype=complex)
-    t0 = state.t
-    observe(state)
-    acc = _acceleration(model, grid, psi)
-    for k in range(1, n_steps + 1):
-        with np.errstate(over="ignore", invalid="ignore"):
-            pi_half = pi + 0.5 * dt * acc
-            psi = psi + dt * pi_half
-            acc = _acceleration(model, grid, psi)
-            pi = pi_half + 0.5 * dt * acc
-        if k % observe_every == 0:
-            if not np.all(np.isfinite(psi.view(float))):
-                raise FloatingPointError(f"non-finite field detected at t={t0 + k * dt}")
-            observe(FieldState(psi, pi, t0 + k * dt))
-    final = FieldState(psi, pi, t0 + n_steps * dt)
-    if not np.all(np.isfinite(psi.view(float))):
-        raise FloatingPointError(f"non-finite field detected at t={final.t}")
-    series = ObserverSeries(
-        times=np.array(times),
-        energy=np.array(en),
-        charge=np.array(ch),
-        seminorms={r: np.array(v) for r, v in semis.items()},
-        traces_psi=np.array(tr_psi),
-        traces_pi=np.array(tr_pi),
-        sample_dt=dt * observe_every,
-    )
+    final = _kdk(model, grid, state, dt, n_steps, observe_every, observe)
+    series = ObserverSeries(times, energy, charges, norms, seminorms, traces_psi, traces_pi, dt * observe_every)
     return series, final
 
 
@@ -391,27 +412,14 @@ class ManifoldDistance:
 
 def _optimal_phase(model: ModelSpec, grid: Grid, state: FieldState, cand: FieldState, window: float) -> complex:
     """Unit phase minimizing |state - e^{i theta} cand|_{E, window} (closed form)."""
-    x = grid.x
-    nodes = np.abs(x) <= window
-    cells = nodes[:-1] & nodes[1:]
-    dx = grid.dx
-    inner = dx * np.sum(np.conj(state.pi[nodes]) * cand.pi[nodes])
-    inner += dx * model.mass**2 * np.sum(np.conj(state.psi[nodes]) * cand.psi[nodes])
-    inner += np.sum(np.conj(np.diff(state.psi)[cells]) * np.diff(cand.psi)[cells]) / dx
+    inner = _energy_form(model, grid, (state.psi, state.pi), (cand.psi, cand.pi), grid.window(window))
     if abs(inner) == 0.0:
         return 1.0 + 0j
     return inner.conjugate() / abs(inner)
 
 
-def dist_to_manifold(
-    model: ModelSpec,
-    grid: Grid,
-    state: FieldState,
-    omega_grid,
-    r_max: int,
-    guess=None,
-    refine_iters: int = 24,
-) -> ManifoldDistance:
+def dist_to_manifold(model: ModelSpec, grid: Grid, state: FieldState, omega_grid, r_max: int,
+                     guess=None, refine_iters: int = 24) -> ManifoldDistance:
     """Metric distance from a state to the solitary manifold.
 
     Scans the frequency grid (warm-starting each profile solve from the
@@ -436,7 +444,6 @@ def dist_to_manifold(
         except (NoConvergence, ConvergedToZero):
             return None
         cand = solitary_state(model, grid, wave)
-        cand = FieldState(cand.psi, cand.pi, state.t)
         phase = _optimal_phase(model, grid, state, cand, float(r_max))
         phased = FieldState(cand.psi * phase, cand.pi * phase, state.t)
         return metric_dist(model, grid, state, phased, r_max), wave
@@ -445,23 +452,17 @@ def dist_to_manifold(
     default_guesses += [[0.7 + 0j] * model.count, [1.0 + 0j] * model.count, [0.3 + 0j] * model.count]
 
     warm = None
-    any_solved = False
     results: dict[float, tuple[float, SolitaryWave]] = {}
     for w in omegas:
         starts = ([warm] if warm is not None else []) + default_guesses
-        hit = None
-        for s in starts:
-            hit = try_omega(w, s)
-            if hit is not None:
-                break
+        hit = next(filter(None, (try_omega(w, s) for s in starts)), None)
         if hit is None:
             continue
-        any_solved = True
         results[w] = hit
         warm = hit[1].amplitudes
         if hit[0] < best.dist:
             best = ManifoldDistance(hit[0], w, hit[1])
-    if not any_solved:
+    if not results:
         raise NoConvergence(omegas[0], float("inf"))
 
     if best.wave is not None and len(omegas) > 1:
@@ -473,10 +474,8 @@ def dist_to_manifold(
             invphi = (math.sqrt(5.0) - 1.0) / 2.0
             a, b = lo, hi
             amps = results[best.best_omega][1].amplitudes
-            c = b - invphi * (b - a)
-            d = a + invphi * (b - a)
-            fc = try_omega(c, amps)
-            fd = try_omega(d, amps)
+            c, d = b - invphi * (b - a), a + invphi * (b - a)
+            fc, fd = try_omega(c, amps), try_omega(d, amps)
             for _ in range(refine_iters):
                 if fc is None or fd is None:
                     break

@@ -122,6 +122,7 @@ def test_simulate_solitary_and_determinism(tmp_path, capsys):
     summary = json.loads(capsys.readouterr().out)
     assert summary["max_energy_drift"] <= 1e-6
     assert summary["bound_violations"] == 0
+    assert summary["bound_checked_samples"] == 11  # 50 steps observed every 5
     assert main(["simulate", "--config", cfg, "--out", str(out_b)]) == 0
     assert (out_a / "observers.csv").read_bytes() == (out_b / "observers.csv").read_bytes()
     assert (out_a / "final_state.csv").read_bytes() == (out_b / "final_state.csv").read_bytes()

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from kgpoint.model import ModelSpec, OscillatorSpec
+from kgpoint.model import ModelSpec, OscillatorSpec, force
 from kgpoint.simulator import (
     FieldState,
     NoCommensurateGrid,
@@ -32,6 +32,37 @@ PAIR = ModelSpec(
 def free_model(positions=(0.0,)):
     """Zero-coefficient oscillators: the free Klein-Gordon field."""
     return ModelSpec(1.0, tuple(OscillatorSpec(p, (0.0, 0.0)) for p in positions))
+
+
+def reference_kdk(model, grid, state, dt, n_steps):
+    """Out-of-place kick-drift-kick: the reference for the in-place stepping loop."""
+
+    def acceleration(psi):
+        acc = np.zeros_like(psi)
+        acc[1:-1] = (psi[2:] - 2.0 * psi[1:-1] + psi[:-2]) * (1.0 / grid.dx**2)
+        acc -= model.mass**2 * psi
+        for osc, i in zip(model.oscillators, grid.oscillator_nodes):
+            acc[i] += force(osc, psi[i]) / grid.dx
+        acc[0] = acc[-1] = 0.0
+        return acc
+
+    psi, pi = state.psi.copy(), state.pi.copy()
+    acc = acceleration(psi)
+    for _ in range(n_steps):
+        pi_half = pi + 0.5 * dt * acc
+        psi = psi + dt * pi_half
+        acc = acceleration(psi)
+        pi = pi_half + 0.5 * dt * acc
+    return psi, pi
+
+
+def mask_seminorm(model, grid, state, R):
+    """Seminorm over [-R, R] from boolean node and cell masks: the reference for Grid.window."""
+    nodes = np.abs(grid.x) <= R
+    cells = nodes[:-1] & nodes[1:]
+    total = grid.dx * np.sum(np.abs(state.pi[nodes]) ** 2 + model.mass**2 * np.abs(state.psi[nodes]) ** 2)
+    total += np.sum(np.abs(np.diff(state.psi)[cells]) ** 2) / grid.dx
+    return math.sqrt(total)
 
 
 def smooth_compact_data(grid, width=1.0):
@@ -236,6 +267,23 @@ def test_local_seminorm_basics():
     assert full == pytest.approx(energy_norm(QUARTIC, grid, state), rel=1e-12)
 
 
+@pytest.mark.parametrize("R", [0.001, 1.0, 2.013, 4.0])
+def test_local_seminorm_matches_mask_reference(R):
+    # off-centre grid; R = 2.013 puts the window edge between nodes, R = 0.001 keeps one node
+    grid = build_grid(PAIR, -4.3, 7.9, 0.02)
+    wave = solve_profile(PAIR, 0.4, [0.7, 0.7])
+    state = perturbed_solitary_state(PAIR, grid, wave, 0.1, seed=8)
+    assert local_seminorm(PAIR, grid, state, R) == pytest.approx(mask_seminorm(PAIR, grid, state, R), rel=1e-13)
+
+
+def test_local_seminorm_empty_window():
+    model = ModelSpec(1.0, (OscillatorSpec(1.0, (0.0, -2.0, 1.0)),))
+    grid = build_grid(model, 0.5, 3.0, 0.05)
+    state = FieldState(np.exp(-grid.x**2).astype(complex), np.ones(grid.count, complex), 0.0)
+    with pytest.warns(UserWarning):
+        assert local_seminorm(model, grid, state, 0.2) == 0.0
+
+
 def test_metric_dist_axioms():
     grid = build_grid(QUARTIC, -10.0, 10.0, 0.05)
     rng = np.random.default_rng(11)
@@ -264,6 +312,51 @@ def test_evolve_zero_duration():
     series, final = evolve(QUARTIC, grid, state, 0.0, 0.02)
     assert len(series.times) == 1
     assert np.array_equal(final.psi, state.psi)
+
+
+def test_evolve_matches_out_of_place_reference():
+    grid = build_grid(PAIR, -6.0, 6.0, 0.02)
+    wave = solve_profile(PAIR, 0.4, [0.7, 0.7])
+    state = perturbed_solitary_state(PAIR, grid, wave, 0.1, seed=3)
+    _, final = evolve(PAIR, grid, state, 9.0, 0.009, observe_every=7)
+    psi, pi = reference_kdk(PAIR, grid, state, 0.009, 1000)
+    assert np.array_equal(final.psi, psi)
+    assert np.array_equal(final.pi, pi)
+
+
+@pytest.mark.parametrize("x_min, x_max", [(-6.0, 6.0), (-4.3, 7.9)])
+def test_observer_series_matches_standalone_functionals(x_min, x_max):
+    grid = build_grid(PAIR, x_min, x_max, 0.02)
+    wave = solve_profile(PAIR, 0.4, [0.7, 0.7])
+    state = perturbed_solitary_state(PAIR, grid, wave, 0.1, seed=6)
+    radii = (1.0, 2.013, 4.0)  # the window edge at 2.013 falls between nodes
+    series, _ = evolve(PAIR, grid, state, 0.45, 0.009, observe_every=10, seminorm_radii=radii)
+    assert len(series.times) == 6
+    s = state
+    for j in range(len(series.times)):
+        for _ in range(10 if j else 0):
+            s = step(PAIR, grid, s, 0.009)
+        assert series.times[j] == pytest.approx(s.t, abs=1e-12)
+        assert series.energy[j] == pytest.approx(hamiltonian(PAIR, grid, s), rel=1e-13)
+        assert series.charge[j] == pytest.approx(charge(PAIR, grid, s), rel=1e-13)
+        assert series.energy_norm[j] == pytest.approx(energy_norm(PAIR, grid, s), rel=1e-13)
+        for r in radii:
+            assert series.seminorms[r][j] == pytest.approx(local_seminorm(PAIR, grid, s, r), rel=1e-13)
+        assert np.array_equal(series.traces_psi[j], s.psi[list(grid.oscillator_nodes)])
+        assert np.array_equal(series.traces_pi[j], s.pi[list(grid.oscillator_nodes)])
+
+
+def test_evolve_forward_then_backward_returns():
+    grid = build_grid(PAIR, -6.0, 6.0, 0.02)
+    wave = solve_profile(PAIR, 0.4, [0.7, 0.7])
+    state = perturbed_solitary_state(PAIR, grid, wave, 0.1, seed=4)
+    _, forward = evolve(PAIR, grid, state, 1.0, 0.01, observe_every=20)
+    series, back = evolve(PAIR, grid, forward, 1.0, -0.01, observe_every=20)
+    assert len(series.times) == 6
+    assert series.times[-1] == back.t
+    assert back.t == pytest.approx(0.0, abs=1e-12)
+    assert np.max(np.abs(back.psi - state.psi)) <= 1e-12
+    assert np.max(np.abs(back.pi - state.pi)) <= 1e-12
 
 
 def test_conservation_drift_halves_with_dt():
@@ -319,6 +412,7 @@ def test_apriori_bound_holds_along_flow():
     series, final = evolve(PAIR, grid, state, 10.0, 0.009, observe_every=100)
     for t_state in (state, final):
         assert energy_norm(PAIR, grid, t_state) <= bound
+    assert np.all(series.energy_norm <= bound)
 
 
 def test_free_field_local_energy_decay():
