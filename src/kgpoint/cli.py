@@ -8,6 +8,10 @@ Commands
     kgpoint spectrum       --trace CSV --windows t0:T[,t0:T...] [--out DIR] [--taper hann|none]
     kgpoint counterexample --kind wide_gap|linear_deg [parameter flags] [--out DIR] [--simulate]
 
+simulate and counterexample --simulate run one runner, which writes
+observers.csv, final_state.csv and summary.json.  A model with no a priori
+energy bound still runs; its summary carries null bound keys.
+
 Exit codes: 0 success, 1 usage or parse failure, 2 domain or assumption
 failure, 3 numerical failure.
 """
@@ -26,7 +30,7 @@ import numpy as np
 
 from . import counterexamples as cx
 from . import io as kio
-from .config import ConfigError, ExperimentConfig, parse_config, parse_windows
+from .config import ConfigError, ExperimentConfig, RunConfig, parse_config, parse_windows
 from .model import UnboundedPotentialError, check_assumptions, lower_bound_constants
 from .simulator import (
     FieldState,
@@ -69,8 +73,9 @@ def cmd_check(args) -> int:
     return EXIT_OK if (report.all_hold and bounded) else EXIT_DOMAIN
 
 
-def _default_guess(cfg: ExperimentConfig):
-    return [0.7 + 0j] * cfg.model.count
+def _default_guess(model) -> list[complex]:
+    """The Newton start for every solitary solve."""
+    return [0.7 + 0j] * model.count
 
 
 def cmd_solve(args) -> int:
@@ -78,7 +83,7 @@ def cmd_solve(args) -> int:
     if cfg.model is None:
         raise ConfigError("solve requires a [model] section")
     out_dir = Path(args.out)
-    guess = _default_guess(cfg)
+    guess = _default_guess(cfg.model)
     try:
         if args.guess:
             guess = [complex(float(v), 0.0) for v in args.guess.split(",")]
@@ -135,34 +140,35 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _counterexample_solution(initial):
-    family = initial.family or initial.params.get("family")
-    p = initial.params
-    if family == "wide_gap":
-        return cx.wide_gap_construct(
-            p.get("mass", 1.0), p.get("l", math.pi), p.get("alpha", 2.0), p.get("beta", -1.0)
-        )
-    if family == "linear_deg":
-        return cx.linear_deg_construct(
-            p.get("mass", 1.0), p.get("l", 1.0), p.get("omega", 0.3), p.get("alpha", 0.0), p.get("beta", 10.0)
-        )
-    raise ConfigError(f"unknown counterexample family {family!r}")
+# each family's constructor and its parameters in call order, with defaults
+_COUNTEREXAMPLES = {
+    "wide_gap": (cx.wide_gap_construct, {"mass": 1.0, "l": math.pi, "alpha": 2.0, "beta": -1.0}),
+    "linear_deg": (cx.linear_deg_construct,
+                   {"mass": 1.0, "l": 1.0, "omega": 0.3, "alpha": 0.0, "beta": 10.0}),
+}
+
+
+def _counterexample_solution(family: str, params: dict):
+    """The exact wave of a family; parameters missing from params take the family defaults."""
+    if family not in _COUNTEREXAMPLES:
+        raise ConfigError(f"unknown counterexample family {family!r}")
+    construct, defaults = _COUNTEREXAMPLES[family]
+    return construct(*(params.get(name, value) for name, value in defaults.items()))
 
 
 def build_initial_state(cfg: ExperimentConfig, grid, model, seed=None) -> FieldState:
+    """The configured initial data on grid; seed is the perturbation seed, used as given."""
     initial = cfg.initial
     if initial is None or initial.kind == "zero":
         z = np.zeros(grid.count, dtype=complex)
         return FieldState(z, z.copy(), 0.0)
     if initial.kind == "solitary":
-        wave = solve_profile(model, initial.omega, _default_guess(cfg) if cfg.model else [0.7] * model.count)
-        return solitary_state(model, grid, wave)
+        return solitary_state(model, grid, solve_profile(model, initial.omega, _default_guess(model)))
     if initial.kind == "perturbed_solitary":
-        wave = solve_profile(model, initial.omega, [0.7 + 0j] * model.count)
-        use_seed = initial.seed if seed is None else seed
-        return perturbed_solitary_state(model, grid, wave, initial.noise_amplitude, use_seed)
+        wave = solve_profile(model, initial.omega, _default_guess(model))
+        return perturbed_solitary_state(model, grid, wave, initial.noise_amplitude, seed)
     if initial.kind == "counterexample":
-        return cx.init_from(_counterexample_solution(initial), grid)
+        return cx.init_from(_counterexample_solution(initial.family, initial.params), grid)
     if initial.kind == "file":
         _, psi, pi = kio.read_state_csv(initial.path)
         if len(psi) != grid.count:
@@ -173,10 +179,48 @@ def build_initial_state(cfg: ExperimentConfig, grid, model, seed=None) -> FieldS
 
 def _resolve_model(cfg: ExperimentConfig):
     if cfg.initial is not None and cfg.initial.kind == "counterexample":
-        return _counterexample_solution(cfg.initial).to_model()
+        return _counterexample_solution(cfg.initial.family, cfg.initial.params).to_model()
     if cfg.model is None:
         raise ConfigError("simulate requires a [model] section or counterexample initial data")
     return cfg.model
+
+
+def _record_run(model, grid, state: FieldState, run: RunConfig, out_dir: Path, seed) -> dict:
+    """Evolve state, write observers.csv, final_state.csv and summary.json; return the summary.
+
+    The a priori bound is a diagnostic here: a model whose potentials admit
+    no bound gets null bound keys and no checked samples.
+    """
+    try:
+        bound = apriori_bound(model, grid, state)
+    except UnboundedPotentialError:
+        bound = None
+    series, final = evolve(
+        model, grid, state, run.T, run.dt,
+        observe_every=run.observe_every, seminorm_radii=run.seminorm_radii,
+    )
+    kio.series_to_csv(series, out_dir / "observers.csv")
+    kio.state_to_csv(grid, final, out_dir / "final_state.csv")
+    h0 = series.energy[0]
+    scale = max(abs(h0), 1.0)
+    steps = int(round(run.T / abs(run.dt)))
+    norm_final = energy_norm(model, grid, final)
+    # the bound is checked at every observer sample, and at the final state when it is not one
+    checked = list(series.energy_norm) + ([norm_final] if steps % run.observe_every else [])
+    summary = {
+        "grid": {"dx": grid.dx, "count": grid.count, "x_min": grid.x_min, "x_max": grid.x_max},
+        "steps": steps,
+        "seed": seed,
+        "max_energy_drift": float(np.max(np.abs(series.energy - h0))) / scale,
+        "max_charge_drift": float(np.max(np.abs(series.charge - series.charge[0]))) / scale,
+        "energy_norm_bound": bound,
+        "energy_norm_initial": energy_norm(model, grid, state),
+        "energy_norm_final": norm_final,
+        "bound_violations": None if bound is None else int(sum(n > bound for n in checked)),
+        "bound_checked_samples": 0 if bound is None else len(checked),
+    }
+    kio.write_json(out_dir / "summary.json", summary)
+    return summary
 
 
 def _run_simulation(cfg: ExperimentConfig, out_dir: Path, seed=None) -> dict:
@@ -184,34 +228,13 @@ def _run_simulation(cfg: ExperimentConfig, out_dir: Path, seed=None) -> dict:
         raise ConfigError("simulate requires [grid] and [run] sections")
     model = _resolve_model(cfg)
     grid = build_grid(model, cfg.grid.x_min, cfg.grid.x_max, cfg.grid.dx_target)
+    # only perturbed solitary data draws from a seed: the --seed flag, else the config's
+    if cfg.initial is None or cfg.initial.kind != "perturbed_solitary":
+        seed = None
+    elif seed is None:
+        seed = cfg.initial.seed
     state = build_initial_state(cfg, grid, model, seed=seed)
-    series, final = evolve(
-        model, grid, state, cfg.run.T, cfg.run.dt,
-        observe_every=cfg.run.observe_every, seminorm_radii=cfg.run.seminorm_radii,
-    )
-    kio.series_to_csv(series, out_dir / "observers.csv")
-    kio.state_to_csv(grid, final, out_dir / "final_state.csv")
-    h0 = series.energy[0]
-    scale = max(abs(h0), 1.0)
-    bound = apriori_bound(model, grid, state)
-    steps = int(round(cfg.run.T / abs(cfg.run.dt)))
-    norm_final = energy_norm(model, grid, final)
-    # the bound is checked at every observer sample, and at the final state when it is not one
-    checked = list(series.energy_norm) + ([norm_final] if steps % cfg.run.observe_every else [])
-    summary = {
-        "grid": {"dx": grid.dx, "count": grid.count, "x_min": grid.x_min, "x_max": grid.x_max},
-        "steps": steps,
-        "seed": seed if seed is not None else (cfg.initial.seed if cfg.initial else None),
-        "max_energy_drift": float(np.max(np.abs(series.energy - h0))) / scale,
-        "max_charge_drift": float(np.max(np.abs(series.charge - series.charge[0]))) / scale,
-        "energy_norm_bound": bound,
-        "energy_norm_initial": energy_norm(model, grid, state),
-        "energy_norm_final": norm_final,
-        "bound_violations": int(sum(n > bound for n in checked)),
-        "bound_checked_samples": len(checked),
-    }
-    kio.write_json(out_dir / "summary.json", summary)
-    return summary
+    return _record_run(model, grid, state, cfg.run, out_dir, seed)
 
 
 def _simulate_worker(config_path: str, out_dir: str, seed):
@@ -263,17 +286,8 @@ def cmd_spectrum(args) -> int:
 
 def cmd_counterexample(args) -> int:
     out_dir = Path(args.out)
-    if args.kind == "wide_gap":
-        sol = cx.wide_gap_construct(args.mass, args.L if args.L is not None else math.pi,
-                                    args.alpha if args.alpha is not None else 2.0,
-                                    args.beta if args.beta is not None else -1.0)
-    elif args.kind == "linear_deg":
-        sol = cx.linear_deg_construct(args.mass, args.L if args.L is not None else 1.0,
-                                      args.omega if args.omega is not None else 0.3,
-                                      args.alpha if args.alpha is not None else 0.0,
-                                      args.beta if args.beta is not None else 10.0)
-    else:
-        raise ConfigError(f"unknown counterexample kind {args.kind!r}")
+    flags = {"mass": args.mass, "l": args.L, "alpha": args.alpha, "beta": args.beta, "omega": args.omega}
+    sol = _counterexample_solution(args.kind, {k: v for k, v in flags.items() if v is not None})
     report = cx.verify_exact(sol)
     params_doc = asdict(sol)
     kio.write_json(out_dir / "params.json", params_doc)
@@ -282,14 +296,9 @@ def cmd_counterexample(args) -> int:
 
     if args.simulate:
         model = sol.to_model()
-        half = args.half_width
-        dx_target = args.dx_target
-        grid = build_grid(model, -half, sol.L + half, dx_target)
-        state = cx.init_from(sol, grid)
-        dt = 0.45 * grid.dx
-        series, final = evolve(model, grid, state, args.T, dt, observe_every=args.observe_every)
-        kio.series_to_csv(series, out_dir / "observers.csv")
-        kio.state_to_csv(grid, final, out_dir / "final_state.csv")
+        grid = build_grid(model, -args.half_width, sol.L + args.half_width, args.dx_target)
+        run = RunConfig(args.T, 0.45 * grid.dx, args.observe_every)
+        _record_run(model, grid, cx.init_from(sol, grid), run, out_dir, None)
     return EXIT_OK
 
 
@@ -328,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("counterexample", help="construct and verify a two-frequency wave")
     p.add_argument("--kind", required=True, choices=("wide_gap", "linear_deg"))
-    p.add_argument("--mass", type=float, default=1.0)
+    p.add_argument("--mass", type=float)
     p.add_argument("--L", type=float)
     p.add_argument("--alpha", type=float)
     p.add_argument("--beta", type=float)

@@ -18,7 +18,6 @@ Schema (see README for a worked example):
     dt = 0.009
     observe_every = 5
     seminorm_radii = 1 2 5          optional, default empty
-    r_max = 5                       optional, default 5
 
     [initial_data]
     kind = solitary | perturbed_solitary | counterexample | file | zero
@@ -31,9 +30,8 @@ Schema (see README for a worked example):
     beta = -1.0
     path = state.csv                file
 
-    [spectral]                      optional
-    windows = 10:20,40:20,70:20     t0:T pairs
-    taper = hann
+Unknown sections and keys are ignored.  A comment takes a line of its own,
+starting with ';' or '#'.
 """
 
 from __future__ import annotations
@@ -49,7 +47,6 @@ __all__ = [
     "GridConfig",
     "RunConfig",
     "InitialDataConfig",
-    "SpectralConfig",
     "ExperimentConfig",
     "parse_config",
     "parse_windows",
@@ -74,7 +71,6 @@ class RunConfig:
     dt: float
     observe_every: int = 1
     seminorm_radii: tuple[float, ...] = ()
-    r_max: int = 5
 
 
 @dataclass(frozen=True)
@@ -89,18 +85,21 @@ class InitialDataConfig:
 
 
 @dataclass(frozen=True)
-class SpectralConfig:
-    windows: tuple[tuple[float, float], ...]
-    taper: str = "hann"
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
     model: ModelSpec | None
     grid: GridConfig | None
     run: RunConfig | None
     initial: InitialDataConfig | None
-    spectral: SpectralConfig | None
+
+
+# the key each initial-data kind cannot do without
+_REQUIRED_INITIAL_KEY = {
+    "solitary": "omega",
+    "perturbed_solitary": "omega",
+    "counterexample": "family",
+    "file": "path",
+    "zero": None,
+}
 
 
 def _floats(text: str) -> tuple[float, ...]:
@@ -175,15 +174,17 @@ def parse_config(path) -> ExperimentConfig:
                 dt=float(s["dt"]),
                 observe_every=int(s.get("observe_every", "1")),
                 seminorm_radii=_floats(s.get("seminorm_radii", "")),
-                r_max=int(s.get("r_max", "5")),
             )
 
         initial = None
         if "initial_data" in cp:
             s = cp["initial_data"]
             kind = s["kind"].strip()
-            if kind not in ("solitary", "perturbed_solitary", "counterexample", "file", "zero"):
+            if kind not in _REQUIRED_INITIAL_KEY:
                 raise ConfigError(f"unknown initial_data kind {kind!r}")
+            required = _REQUIRED_INITIAL_KEY[kind]
+            if required and required not in s:
+                raise ConfigError(f"[initial_data] kind = {kind} needs the key {required!r}")
             params = {
                 k: float(v)
                 for k, v in s.items()
@@ -198,14 +199,9 @@ def parse_config(path) -> ExperimentConfig:
                 params=params,
                 path=s.get("path"),
             )
-
-        spectral = None
-        if "spectral" in cp:
-            s = cp["spectral"]
-            spectral = SpectralConfig(parse_windows(s["windows"]), s.get("taper", "hann").strip())
     except (KeyError, ValueError) as err:
         if isinstance(err, ConfigError):
             raise
         raise ConfigError(f"bad config {path}: {err}") from err
 
-    return ExperimentConfig(model, grid, run, initial, spectral)
+    return ExperimentConfig(model, grid, run, initial)

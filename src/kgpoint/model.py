@@ -18,6 +18,7 @@ gaps) under which single-frequency attraction is expected.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -61,6 +62,11 @@ class OscillatorSpec:
     @property
     def degree(self) -> int:
         return len(self.coefficients) - 1
+
+    @cached_property
+    def slope_coefficients(self) -> tuple[float, ...]:
+        """Coefficients n u_n of u'(s), low degree first."""
+        return _slope(self.coefficients)
 
 
 @dataclass(frozen=True)
@@ -124,25 +130,26 @@ class AssumptionReport:
         return self.a1 and self.a2 and self.a3
 
 
-def potential(osc: OscillatorSpec, psi: complex) -> float:
-    """U(psi) = sum_n u_n |psi|^{2n}."""
-    s = abs(psi) ** 2
+def _slope(coeffs: tuple[float, ...]) -> tuple[float, ...]:
+    return tuple(n * c for n, c in enumerate(coeffs) if n)
+
+
+def _horner(coeffs: tuple[float, ...], s):
+    """sum_n coeffs[n] s^n for a float or elementwise over an array s."""
     acc = 0.0
-    for c in reversed(osc.coefficients):
+    for c in reversed(coeffs):
         acc = acc * s + c
     return acc
 
 
-def _du_ds(osc: OscillatorSpec, s: float) -> float:
-    acc = 0.0
-    for n in range(osc.degree, 0, -1):
-        acc = acc * s + n * osc.coefficients[n]
-    return acc
+def potential(osc: OscillatorSpec, psi: complex) -> float:
+    """U(psi) = sum_n u_n |psi|^{2n}."""
+    return _horner(osc.coefficients, abs(psi) ** 2)
 
 
 def force_ratio(osc: OscillatorSpec, s: float) -> float:
     """alpha(s) with F(psi) = alpha(|psi|^2) psi; alpha = -2 u'(s), real."""
-    return -2.0 * _du_ds(osc, s)
+    return -2.0 * _horner(osc.slope_coefficients, s)
 
 
 def force(osc: OscillatorSpec, psi: complex) -> complex:
@@ -206,43 +213,23 @@ def _poly_minimum_on_halfline(coeffs: tuple[float, ...]) -> float:
     changes on [0, s_max] and bisecting each bracket finds every candidate;
     s = 0 is always a candidate endpoint.
     """
-
-    def u(s):
-        acc = 0.0
-        for c in reversed(coeffs):
-            acc = acc * s + c
-        return acc
-
-    def du(s):
-        acc = 0.0
-        for n in range(len(coeffs) - 1, 0, -1):
-            acc = acc * s + n * coeffs[n]
-        return acc
-
-    top = coeffs[-1]
+    slope = _slope(coeffs)
     # Cauchy bound on the roots of u': beyond it u is increasing.
-    deg = len(coeffs) - 1
-    s_max = 1.0 + max(abs(n * coeffs[n] / (deg * top)) for n in range(1, deg + 1))
-    candidates = [0.0]
+    s_max = 1.0 + max(abs(d / slope[-1]) for d in slope)
     grid = np.linspace(0.0, s_max, 4097)
-    dvals = [du(s) for s in grid]
-    for a, b, fa, fb in zip(grid, grid[1:], dvals, dvals[1:]):
-        if fa == 0.0:
-            candidates.append(a)
-        if fa * fb < 0.0:
-            lo, hi = a, b
-            flo = fa
-            while hi - lo > 1e-12 * max(1.0, hi):
-                mid = 0.5 * (lo + hi)
-                fm = du(mid)
-                if flo * fm <= 0.0:
-                    hi = mid
-                else:
-                    lo, flo = mid, fm
-            candidates.append(0.5 * (lo + hi))
-    if dvals[-1] == 0.0:
-        candidates.append(grid[-1])
-    return min(u(s) for s in candidates)
+    dvals = _horner(slope, grid)
+    candidates = [0.0, *grid[dvals == 0.0]]
+    for i in np.flatnonzero(dvals[:-1] * dvals[1:] < 0.0):
+        lo, hi, flo = grid[i], grid[i + 1], dvals[i]
+        while hi - lo > 1e-12 * max(1.0, hi):
+            mid = 0.5 * (lo + hi)
+            fm = _horner(slope, mid)
+            if flo * fm <= 0.0:
+                hi = mid
+            else:
+                lo, flo = mid, fm
+        candidates.append(0.5 * (lo + hi))
+    return float(min(_horner(coeffs, s) for s in candidates))
 
 
 def _oscillator_lower_bound(osc: OscillatorSpec) -> tuple[float, float]:

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,7 +34,6 @@ T = 1.0
 dt = 0.02
 observe_every = 5
 seminorm_radii = 1 2
-r_max = 3
 """
 
 
@@ -123,6 +123,7 @@ def test_simulate_solitary_and_determinism(tmp_path, capsys):
     assert summary["max_energy_drift"] <= 1e-6
     assert summary["bound_violations"] == 0
     assert summary["bound_checked_samples"] == 11  # 50 steps observed every 5
+    assert summary["seed"] is None  # only perturbed solitary data draws from a seed
     assert main(["simulate", "--config", cfg, "--out", str(out_b)]) == 0
     assert (out_a / "observers.csv").read_bytes() == (out_b / "observers.csv").read_bytes()
     assert (out_a / "final_state.csv").read_bytes() == (out_b / "final_state.csv").read_bytes()
@@ -150,6 +151,7 @@ def test_simulate_seed_sweep(tmp_path, capsys):
     assert main(["simulate", "--config", cfg, "--out", str(out), "--seeds", "3,4", "--parallel", "2"]) == 0
     assert (out / "seed_3" / "observers.csv").exists()
     assert (out / "seed_4" / "observers.csv").exists()
+    assert json.loads(capsys.readouterr().out)["4"]["seed"] == 4
     a = (out / "seed_3" / "observers.csv").read_bytes()
     b = (out / "seed_4" / "observers.csv").read_bytes()
     assert a != b
@@ -197,6 +199,26 @@ beta = -1.0
     assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
     times, trace = read_trace_csv(out / "observers.csv")
     assert np.max(np.abs(trace)) > 0.1  # the fundamental tone is alive at X_1
+
+
+@pytest.mark.parametrize("kind, missing", [
+    ("solitary", "omega"), ("perturbed_solitary", "omega"), ("counterexample", "family"), ("file", "path"),
+])
+def test_simulate_incomplete_initial_data_exits_one(tmp_path, capsys, kind, missing):
+    cfg = write_config(tmp_path, SINGLE_MODEL + RUN_SECTIONS + f"\n[initial_data]\nkind = {kind}\n")
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and repr(missing) in err and err.count("\n") == 1
+
+
+def test_readme_config_parses(tmp_path):
+    from kgpoint.config import parse_config
+
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    text = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    cfg = parse_config(write_config(tmp_path, text))
+    assert cfg.model.count == 2 and cfg.run.seminorm_radii == (1.0, 2.0, 5.0)
+    assert cfg.initial.kind == "perturbed_solitary" and cfg.initial.noise_amplitude == 0.1
 
 
 def test_spectrum_pure_tone(tmp_path, capsys):
@@ -274,6 +296,51 @@ def test_counterexample_simulate_handoff(tmp_path):
     times, trace = read_trace_csv(out / "observers.csv")
     assert len(times) > 10
     assert np.max(np.abs(trace)) > 0.1
+
+
+def _counterexample_config(tmp_path, family, half, T, dx_target):
+    """simulate config equivalent to counterexample --kind family --simulate with these flags."""
+    from kgpoint import build_grid
+    from kgpoint.cli import _counterexample_solution
+
+    sol = _counterexample_solution(family, {})
+    grid = build_grid(sol.to_model(), -half, sol.L + half, dx_target)
+    text = (f"[grid]\nx_min = {-half!r}\nx_max = {sol.L + half!r}\ndx_target = {dx_target!r}\n"
+            f"[run]\nT = {T!r}\ndt = {0.45 * grid.dx!r}\nobserve_every = 5\n"
+            f"[initial_data]\nkind = counterexample\nfamily = {family}\n")
+    return write_config(tmp_path, text, name=f"{family}.ini")
+
+
+def test_counterexample_simulate_matches_simulate(tmp_path, capsys):
+    flags = ["--T", "2.0", "--half-width", "6.0", "--dx-target", "0.05"]
+    out_cx, out_sim = tmp_path / "cx", tmp_path / "sim"
+    assert main(["counterexample", "--kind", "wide_gap", "--simulate", "--out", str(out_cx)] + flags) == 0
+    cfg = _counterexample_config(tmp_path, "wide_gap", 6.0, 2.0, 0.05)
+    assert main(["simulate", "--config", cfg, "--out", str(out_sim)]) == 0
+    capsys.readouterr()
+    for name in ("observers.csv", "final_state.csv", "summary.json"):
+        assert (out_cx / name).read_bytes() == (out_sim / name).read_bytes(), name
+    summary = json.loads((out_cx / "summary.json").read_text())
+    assert summary["bound_violations"] == 0 and summary["bound_checked_samples"] > 0
+    assert summary["max_charge_drift"] <= 1e-12
+    assert summary["seed"] is None
+
+
+@pytest.mark.parametrize("command", ["counterexample", "simulate"])
+def test_linear_deg_run_reports_null_bound(tmp_path, capsys, command):
+    out = tmp_path / "ld"
+    if command == "counterexample":
+        argv = ["counterexample", "--kind", "linear_deg", "--simulate",
+                "--T", "1.0", "--half-width", "4.0", "--dx-target", "0.05"]
+    else:
+        argv = ["simulate", "--config", _counterexample_config(tmp_path, "linear_deg", 4.0, 1.0, 0.05)]
+    # the linear oscillator's potential has no floor, so no a priori bound exists
+    assert main(argv + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["energy_norm_bound"] is None and summary["bound_violations"] is None
+    assert summary["bound_checked_samples"] == 0
+    assert summary["max_charge_drift"] <= 1e-12
 
 
 def test_model_config_round_trip(tmp_path):

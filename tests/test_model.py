@@ -200,3 +200,13 @@ def test_force_ratio_matches_closed_form():
     # alpha(s) = -2 u'(s); for the quartic: 4 - 4 s
     for s in (0.0, 0.25, 1.0, 3.7):
         assert force_ratio(QUARTIC, s) == pytest.approx(4.0 - 4.0 * s, abs=1e-13)
+
+
+@pytest.mark.parametrize("coeffs", [(0.0, -2.0, 1.0), (5.0, -2.0, 1.0), (0.1, -2.0, 1.0 / 3.0),
+                                    (0.0, 3.0, -7.0, 2.0, 0.25), (1.0, -4.0, 6.0, -4.0, 1.0)])
+def test_horner_on_an_array_matches_scalar_calls(coeffs):
+    # the potential floor scans its bracket grid in one array evaluation
+    from kgpoint.model import _horner
+
+    s = np.linspace(0.0, 9.0, 4097)
+    assert np.array_equal(_horner(coeffs, s), [_horner(coeffs, float(v)) for v in s])
