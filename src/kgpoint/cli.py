@@ -149,10 +149,17 @@ _COUNTEREXAMPLES = {
 
 
 def _counterexample_solution(family: str, params: dict):
-    """The exact wave of a family; parameters missing from params take the family defaults."""
+    """The exact wave of a family; parameters missing from params take the family defaults.
+
+    A parameter the family does not take is a ConfigError, not silently dropped.
+    """
     if family not in _COUNTEREXAMPLES:
         raise ConfigError(f"unknown counterexample family {family!r}")
     construct, defaults = _COUNTEREXAMPLES[family]
+    unknown = sorted(set(params) - set(defaults))
+    if unknown:
+        raise ConfigError(f"counterexample family {family!r} takes no parameter {unknown[0]!r}; "
+                          f"its parameters are {', '.join(defaults)}")
     return construct(*(params.get(name, value) for name, value in defaults.items()))
 
 
@@ -185,12 +192,36 @@ def _resolve_model(cfg: ExperimentConfig):
     return cfg.model
 
 
+def _light_cone_margin(model, grid, run: RunConfig) -> float:
+    """Time to spare before radiation can reflect off a wall back into the observed region.
+
+    Radiation moves at unit speed at most.  Leaving the outermost oscillator
+    X_1 it reaches x_min and returns to a, the left end of the hull of the
+    oscillators and [-R, R] for the largest seminorm radius R, after
+    (X_1 - x_min) + (a - x_min); likewise on the right.  The margin is the
+    smaller of the two minus T.
+    """
+    first, last = model.positions[0], model.positions[-1]
+    a, b = first, last
+    if run.seminorm_radii:
+        r = max(run.seminorm_radii)
+        a, b = min(a, -r), max(b, r)
+    left = (first - grid.x_min) + (a - grid.x_min)
+    right = (grid.x_max - last) + (grid.x_max - b)
+    return min(left, right) - run.T
+
+
 def _record_run(model, grid, state: FieldState, run: RunConfig, out_dir: Path, seed) -> dict:
     """Evolve state, write observers.csv, final_state.csv and summary.json; return the summary.
 
     The a priori bound is a diagnostic here: a model whose potentials admit
-    no bound gets null bound keys and no checked samples.
+    no bound gets null bound keys and no checked samples.  A negative
+    light-cone margin is reported with a warning on stderr.
     """
+    margin = _light_cone_margin(model, grid, run)
+    if margin < 0:
+        print(f"warning: light-cone margin {margin:.6g} < 0: radiation reflected off a wall "
+              f"reaches the observed region before T = {run.T:g}", file=sys.stderr)
     try:
         bound = apriori_bound(model, grid, state)
     except UnboundedPotentialError:
@@ -218,6 +249,7 @@ def _record_run(model, grid, state: FieldState, run: RunConfig, out_dir: Path, s
         "energy_norm_final": norm_final,
         "bound_violations": None if bound is None else int(sum(n > bound for n in checked)),
         "bound_checked_samples": 0 if bound is None else len(checked),
+        "light_cone_margin": margin,
     }
     kio.write_json(out_dir / "summary.json", summary)
     return summary

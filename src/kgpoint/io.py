@@ -1,13 +1,20 @@
-"""CSV and JSON writers with full-precision floats.
+"""CSV and JSON writers with full-precision floats, and the CSV readers.
 
 All floats are printed with 17 significant digits so every emitted value
 round-trips exactly through text, making runs reproducible across tools.
+
+Byte contract: ``write_csv`` writes the bytes of ``csv.writer`` fed with
+``fmt`` of every value (integers in decimal, other numbers as ``%.17g``,
+CRLF line ends), but formats a whole row with one ``%`` string instead of
+a call per value.  The readers parse with ``np.loadtxt`` to the values
+``float()`` gives, and reject a row whose length differs from the header's.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -28,19 +35,32 @@ __all__ = [
 
 
 def fmt(value) -> str:
+    """The CSV text of one value: an integer in decimal, any other number as ``%.17g``."""
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return format(float(value), ".17g")
 
 
+def _row_format(row) -> str:
+    """The ``%`` format of one row: ``fmt``'s text for each value, comma-separated, CRLF-ended."""
+    return ",".join("%d" if isinstance(v, (int, np.integer)) else "%.17g" for v in row) + "\r\n"
+
+
 def write_csv(path, header, rows):
+    """Header, then one line per row; rows is an iterable of number sequences or a 2-d array.
+
+    An array shares one format among all its rows, the fast path for the
+    column stacks below.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([fmt(v) for v in row])
+        csv.writer(fh).writerow(header)
+        if isinstance(rows, np.ndarray):
+            line = _row_format(rows[0]) if len(rows) else ""
+            fh.writelines(line % tuple(row) for row in rows.tolist())
+        else:
+            fh.writelines(_row_format(row) % tuple(row) for row in rows)
 
 
 def write_json(path, obj):
@@ -56,44 +76,52 @@ def series_to_csv(series: ObserverSeries, path):
     n_osc = series.traces_psi.shape[1] if series.traces_psi.size else 0
     header = ["t", "H", "Q"]
     header += [f"seminorm_R{r:g}" for r in radii]
+    columns = [series.times, series.energy, series.charge] + [series.seminorms[r] for r in radii]
     for j in range(n_osc):
         header += [f"psi{j + 1}_re", f"psi{j + 1}_im", f"pi{j + 1}_re", f"pi{j + 1}_im"]
-
-    def rows():
-        for i in range(len(series.times)):
-            row = [series.times[i], series.energy[i], series.charge[i]]
-            row += [series.seminorms[r][i] for r in radii]
-            for j in range(n_osc):
-                zp, zq = series.traces_psi[i, j], series.traces_pi[i, j]
-                row += [zp.real, zp.imag, zq.real, zq.imag]
-            yield row
-
-    write_csv(path, header, rows())
+        zp, zq = series.traces_psi[:, j], series.traces_pi[:, j]
+        columns += [zp.real, zp.imag, zq.real, zq.imag]
+    write_csv(path, header, np.column_stack(columns))
 
 
 def state_to_csv(grid: Grid, state: FieldState, path):
-    x = grid.x
-    rows = (
-        (x[i], state.psi[i].real, state.psi[i].imag, state.pi[i].real, state.pi[i].imag)
-        for i in range(grid.count)
-    )
-    write_csv(path, ["x", "psi_re", "psi_im", "pi_re", "pi_im"], rows)
+    columns = (grid.x, state.psi.real, state.psi.imag, state.pi.real, state.pi.imag)
+    write_csv(path, ["x", "psi_re", "psi_im", "pi_re", "pi_im"], np.column_stack(columns))
 
 
 def spectrum_to_csv(estimate: SpectrumEstimate, path):
-    rows = zip(estimate.freqs, estimate.magnitudes)
-    write_csv(path, ["freq", "magnitude"], rows)
+    write_csv(path, ["freq", "magnitude"], np.column_stack((estimate.freqs, estimate.magnitudes)))
 
 
 def _read_columns(path) -> dict[str, np.ndarray]:
+    """The columns of a CSV by header name; a malformed file raises ValueError with a one-line reason."""
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        cols: list[list[float]] = [[] for _ in header]
-        for row in reader:
-            for c, v in zip(cols, row):
-                c.append(float(v))
-    return {name: np.array(col) for name, col in zip(header, cols)}
+        header = next(csv.reader(fh), None)
+        if header is None:
+            raise ValueError(f"CSV {path} is empty")
+        with warnings.catch_warnings():
+            # a header-only file is an empty table, not a problem
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            try:
+                data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+            except ValueError as err:
+                raise ValueError(f"CSV {path}: {str(err).split(';')[0]}") from None
+    if not data.size:
+        data = np.empty((0, len(header)))
+    elif data.shape[1] != len(header):
+        raise ValueError(f"CSV {path}: rows have {data.shape[1]} values, the header names {len(header)}")
+    return dict(zip(header, data.T))
+
+
+def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """re + i im with both parts exactly as given.
+
+    re + 1j * im would turn a -0.0 real part into 0.0, and an infinite
+    imaginary part into a NaN real part.
+    """
+    z = np.empty(len(re), dtype=complex)
+    z.real, z.imag = re, im
+    return z
 
 
 def read_trace_csv(path, re_col: str = "psi1_re", im_col: str = "psi1_im"):
@@ -101,7 +129,7 @@ def read_trace_csv(path, re_col: str = "psi1_re", im_col: str = "psi1_im"):
     cols = _read_columns(path)
     if "t" not in cols or re_col not in cols or im_col not in cols:
         raise ValueError(f"trace CSV must have columns 't', '{re_col}', '{im_col}'")
-    return cols["t"], cols[re_col] + 1j * cols[im_col]
+    return cols["t"], _complex(cols[re_col], cols[im_col])
 
 
 def read_state_csv(path):
@@ -110,4 +138,4 @@ def read_state_csv(path):
     for name in ("x", "psi_re", "psi_im", "pi_re", "pi_im"):
         if name not in cols:
             raise ValueError(f"state CSV missing column '{name}'")
-    return cols["x"], cols["psi_re"] + 1j * cols["psi_im"], cols["pi_re"] + 1j * cols["pi_im"]
+    return cols["x"], _complex(cols["psi_re"], cols["psi_im"]), _complex(cols["pi_re"], cols["pi_im"])

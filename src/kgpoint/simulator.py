@@ -14,8 +14,13 @@ homogeneous Dirichlet on a domain sized so that radiation cannot return
 during an experiment.
 
 One loop, ``_kdk``, steps in place on preallocated buffers; its observer sees
-the live buffers and must copy what it keeps.  H, the energy norm, the local
-seminorms, the metric and the phase fit all evaluate one form, ``_energy_form``.
+the live buffers and must copy what it keeps.  The loop works on float64
+views of the complex buffers, so scaling by a real number is a real multiply,
+and one scratch buffer serves the half kicks, the drift and the Laplacian.
+H, the energy norm, the local seminorms, the metric and the phase fit all
+evaluate one form, ``_energy_form``; the observer of ``evolve`` takes the cell
+differences once per sample, and the whole grid and every seminorm window
+read their cell terms from that one buffer.
 """
 
 from __future__ import annotations
@@ -201,11 +206,19 @@ def _kdk(model: ModelSpec, grid: Grid, state: FieldState, dt: float, n_steps: in
     observe(k, psi, pi) reads the live buffers at step 0 and every
     observe_every steps.  A non-finite psi there, or psi or pi at the end,
     raises FloatingPointError.
+
+    The arithmetic runs on float64 views of the complex buffers (real and
+    imaginary parts interleaved, so the stencil neighbours sit 2 floats away).
+    numpy multiplies a complex array by a real scalar as a full complex
+    product; the view does one real multiply per float, with the same values
+    up to the sign of an exact zero.  ``kick`` holds (dt/2) acc, and between
+    its two uses it also serves as the drift and Laplacian scratch.
     """
     psi, pi = np.array(state.psi, dtype=complex), np.array(state.pi, dtype=complex)
     acc = np.zeros_like(psi)  # the Dirichlet end nodes are never written and stay 0
-    kick, tmp = np.empty_like(psi), np.empty_like(psi)  # kick = (dt/2) acc serves two half kicks
-    lap, mid, acc_mid = tmp[1:-1], psi[1:-1], acc[1:-1]
+    kick = np.empty_like(psi)
+    p, q, a, kr = psi.view(float), pi.view(float), acc.view(float), kick.view(float)
+    lap, mid, acc_mid = kr[2:-2], p[2:-2], a[2:-2]
     inv_dx2, m2, half_dt = 1.0 / grid.dx**2, model.mass**2, 0.5 * dt
     sites = list(zip(model.oscillators, grid.oscillator_nodes))
 
@@ -213,24 +226,24 @@ def _kdk(model: ModelSpec, grid: Grid, state: FieldState, dt: float, n_steps: in
         # acc = ((psi[2:] - 2 psi[1:-1]) + psi[:-2]) / dx^2 - m^2 psi + F_J / dx and
         # kick = (dt/2) acc, in this order so values match the plain expressions
         np.multiply(mid, 2.0, out=lap)
-        np.subtract(psi[2:], lap, out=lap)
-        np.add(lap, psi[:-2], out=lap)
+        np.subtract(p[4:], lap, out=lap)
+        np.add(lap, p[:-4], out=lap)
         np.multiply(lap, inv_dx2, out=acc_mid)
         np.multiply(mid, m2, out=lap)
         np.subtract(acc_mid, lap, out=acc_mid)
         for osc, i in sites:
             acc[i] += force(osc, psi[i]) / grid.dx
-        np.multiply(acc, half_dt, out=kick)
+        np.multiply(a, half_dt, out=kr)
 
     with np.errstate(over="ignore", invalid="ignore"):
         observe(0, psi, pi)
         accelerate()
         for k in range(1, n_steps + 1):
-            np.add(pi, kick, out=pi)
-            np.multiply(pi, dt, out=tmp)
-            np.add(psi, tmp, out=psi)
+            np.add(q, kr, out=q)
+            np.multiply(q, dt, out=kr)
+            np.add(p, kr, out=p)
             accelerate()
-            np.add(pi, kick, out=pi)
+            np.add(q, kr, out=q)
             if k % observe_every == 0:
                 _require_finite(state.t + k * dt, psi)
                 observe(k, psi, pi)
@@ -250,16 +263,20 @@ def _trapezoid_vdot(u: np.ndarray, v: np.ndarray) -> complex:
     return np.vdot(u, v) - 0.5 * (u[0].conjugate() * v[0] + u[-1].conjugate() * v[-1])
 
 
-def _energy_form(model: ModelSpec, grid: Grid, a, b, window=None) -> complex:
+def _energy_form(model: ModelSpec, grid: Grid, a, b, window=None, d_a=None) -> complex:
     """sum_nodes dx (conj(pi_a) pi_b + m^2 conj(psi_a) psi_b) + sum_cells conj(dpsi_a) dpsi_b / dx.
 
     a and b are (psi, pi) pairs.  The sums run over the whole grid with
     trapezoid node weights, or over the nodes of a ``Grid.window`` and the
-    cells between them.
+    cells between them.  d_a, when given, holds psi_a[1:] - psi_a[:-1] over
+    the whole grid; a window's cells are then a slice of it.
     """
     (a_psi, a_pi), (b_psi, b_pi) = a, b
     n = slice(None) if window is None else window
-    d_a = np.diff(a_psi[n])
+    if d_a is None:
+        d_a = np.diff(a_psi[n])
+    elif window is not None:
+        d_a = d_a[n.start:max(n.stop - 1, n.start)]
     cells = np.vdot(d_a, d_a if b_psi is a_psi else np.diff(b_psi[n]))
     if window is None:
         nodes = _trapezoid_vdot(a_pi, b_pi) + model.mass**2 * _trapezoid_vdot(a_psi, b_psi)
@@ -268,15 +285,15 @@ def _energy_form(model: ModelSpec, grid: Grid, a, b, window=None) -> complex:
     return grid.dx * nodes + cells / grid.dx
 
 
-def _energy(model: ModelSpec, grid: Grid, u) -> tuple[float, float]:
+def _energy(model: ModelSpec, grid: Grid, u, d=None) -> tuple[float, float]:
     """(H, energy norm) of a (psi, pi) pair from one evaluation of the full form."""
-    norm2 = float(_energy_form(model, grid, u, u).real)
+    norm2 = float(_energy_form(model, grid, u, u, None, d).real)
     pot = sum(potential(o, u[0][i]) for o, i in zip(model.oscillators, grid.oscillator_nodes))
     return 0.5 * norm2 + pot, math.sqrt(norm2)
 
 
-def _seminorm(model: ModelSpec, grid: Grid, u, window) -> float:
-    return math.sqrt(float(_energy_form(model, grid, u, u, window).real))
+def _seminorm(model: ModelSpec, grid: Grid, u, window, d=None) -> float:
+    return math.sqrt(float(_energy_form(model, grid, u, u, window, d).real))
 
 
 def _charge(grid: Grid, u) -> float:
@@ -381,20 +398,22 @@ def evolve(model: ModelSpec, grid: Grid, state: FieldState, T: float, dt: float,
     _check_step(grid, state, dt)
     n_steps = int(round(T / abs(dt))) if T > 0 else 0
     windows = {float(r): grid.window(float(r)) for r in seminorm_radii}
-    nodes = list(grid.oscillator_nodes) + list(extra_probe_nodes)
+    nodes = np.array(grid.oscillator_nodes + tuple(extra_probe_nodes), dtype=np.intp)
     n = n_steps // observe_every + 1
     times, energy, charges, norms = np.empty((4, n))
     seminorms = {r: np.empty(n) for r in windows}
     traces_psi, traces_pi = np.empty((2, n, len(nodes)), dtype=complex)
+    d = np.empty(grid.count - 1, dtype=complex)  # the cell differences of one sample
 
     def observe(k, psi, pi):
         j = k // observe_every
         u = (psi, pi)
+        np.subtract(psi[1:], psi[:-1], out=d)
         times[j] = state.t + k * dt
-        energy[j], norms[j] = _energy(model, grid, u)
+        energy[j], norms[j] = _energy(model, grid, u, d)
         charges[j] = _charge(grid, u)
         for r, window in windows.items():
-            seminorms[r][j] = _seminorm(model, grid, u, window)
+            seminorms[r][j] = _seminorm(model, grid, u, window, d)
         traces_psi[j] = psi[nodes]
         traces_pi[j] = pi[nodes]
 

@@ -363,3 +363,59 @@ def test_csv_json_round_trip_precision(tmp_path):
     times, trace = read_trace_csv(path)
     assert list(times) == values
     assert list(trace.real) == values
+
+
+def test_counterexample_rejects_parameter_the_family_does_not_take(tmp_path, capsys):
+    out = tmp_path / "wg"
+    assert main(["counterexample", "--kind", "wide_gap", "--omega", "5", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert "'omega'" in err and "mass, l, alpha, beta" in err
+    assert not out.exists()
+
+
+def test_counterexample_linear_deg_takes_omega(tmp_path, capsys):
+    out = tmp_path / "ld"
+    assert main(["counterexample", "--kind", "linear_deg", "--omega", "0.25", "--out", str(out)]) == 0
+    assert json.loads(capsys.readouterr().out)["params"]["omega"] == 0.25
+
+
+@pytest.mark.parametrize("extra, key", [("omega = 0.3\n", "omega"), ("gamma = 1.0\n", "gamma")])
+def test_counterexample_config_rejects_unknown_parameter(tmp_path, capsys, extra, key):
+    text = RUN_SECTIONS + f"\n[initial_data]\nkind = counterexample\nfamily = wide_gap\n{extra}"
+    assert main(["simulate", "--config", write_config(tmp_path, text), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and repr(key) in err and err.count("\n") == 1
+
+
+def test_light_cone_margin_of_readme_and_wide_gap_runs(tmp_path):
+    from kgpoint import build_grid
+    from kgpoint.cli import _counterexample_solution, _light_cone_margin
+    from kgpoint.config import RunConfig, parse_config
+
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    cfg = parse_config(write_config(tmp_path, readme.split("```ini\n", 1)[1].split("```", 1)[0]))
+    grid = build_grid(cfg.model, cfg.grid.x_min, cfg.grid.x_max, cfg.grid.dx_target)
+    # right wall: (50 - 0.2) + (50 - 5) - 90
+    assert _light_cone_margin(cfg.model, grid, cfg.run) == pytest.approx(4.8, abs=1e-9)
+    sol = _counterexample_solution("wide_gap", {})
+    model = sol.to_model()
+    grid = build_grid(model, -30.0, sol.L + 30.0, 0.02)  # counterexample --simulate defaults
+    margin = _light_cone_margin(model, grid, RunConfig(60.0, 0.45 * grid.dx, 5))
+    assert 0.0 < margin < 0.02
+
+
+def test_simulate_reports_light_cone_margin(tmp_path, capsys):
+    cfg = write_config(tmp_path, SINGLE_MODEL + RUN_SECTIONS + "\n[initial_data]\nkind = solitary\nomega = 0.5\n")
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "ok")]) == 0
+    assert capsys.readouterr().err == ""
+    summary = json.loads((tmp_path / "ok" / "summary.json").read_text())
+    assert summary["light_cone_margin"] == pytest.approx((8 - 0) + (8 - 2) - 1.0)  # [-8, 8], R = 2, T = 1
+
+
+def test_short_domain_warns_of_reflection_and_still_runs(tmp_path, capsys):
+    text = SINGLE_MODEL + RUN_SECTIONS.replace("T = 1.0", "T = 20.0") + "\n[initial_data]\nkind = zero\n"
+    assert main(["simulate", "--config", write_config(tmp_path, text), "--out", str(tmp_path / "out")]) == 0
+    err = capsys.readouterr().err
+    assert err.startswith("warning: light-cone margin -6 < 0") and err.count("\n") == 1
+    assert json.loads((tmp_path / "out" / "summary.json").read_text())["light_cone_margin"] == pytest.approx(-6.0)

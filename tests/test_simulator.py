@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kgpoint.model import ModelSpec, OscillatorSpec, force
 from kgpoint.simulator import (
@@ -26,6 +28,13 @@ QUARTIC = ModelSpec(1.0, (OscillatorSpec(0.0, (0.0, -2.0, 1.0)),))
 PAIR = ModelSpec(
     1.0,
     (OscillatorSpec(0.0, (0.0, -2.0, 1.0)), OscillatorSpec(0.2, (0.0, -2.0, 1.0))),
+)
+
+
+TRIPLE = ModelSpec(
+    1.0,
+    (OscillatorSpec(-0.3, (0.0, -2.0, 1.0)), OscillatorSpec(0.2, (0.0, -1.0, 0.0, 0.5)),
+     OscillatorSpec(0.5, (0.1, -2.0, 1.0))),
 )
 
 
@@ -54,6 +63,13 @@ def reference_kdk(model, grid, state, dt, n_steps):
         acc = acceleration(psi)
         pi = pi_half + 0.5 * dt * acc
     return psi, pi
+
+
+def gaussian_data(grid, amplitude, center, width, omega):
+    """psi a Gaussian bump, pi = -i omega psi: charge omega |psi|^2 > 0, smooth on the grid."""
+    psi = amplitude * np.exp(-((grid.x - center) ** 2) / (2.0 * width**2))
+    psi[0] = psi[-1] = 0.0
+    return FieldState(psi, -1j * omega * psi, 0.0)
 
 
 def mask_seminorm(model, grid, state, R):
@@ -322,6 +338,46 @@ def test_evolve_matches_out_of_place_reference():
     psi, pi = reference_kdk(PAIR, grid, state, 0.009, 1000)
     assert np.array_equal(final.psi, psi)
     assert np.array_equal(final.pi, pi)
+
+
+@pytest.mark.parametrize("model, dt", [(QUARTIC, 0.009), (TRIPLE, 0.009), (PAIR, -0.009), (TRIPLE, -0.013)],
+                         ids=["one", "three", "pair-backward", "three-backward"])
+def test_evolve_matches_out_of_place_reference_bit_for_bit(model, dt):
+    grid = build_grid(model, -6.0, 6.0, 0.02)
+    state = gaussian_data(grid, 0.8 * np.exp(0.3j), 0.1, 0.7, 0.4)
+    _, final = evolve(model, grid, state, 1000 * abs(dt), dt, observe_every=7)
+    psi, pi = reference_kdk(model, grid, state, dt, 1000)
+    assert final.t == pytest.approx(1000 * dt, rel=1e-12)
+    # the float64 views of the complex buffers agree bit for bit, signed zeros included
+    assert np.array_equal(final.psi.view(np.int64), psi.view(np.int64))
+    assert np.array_equal(final.pi.view(np.int64), pi.view(np.int64))
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(
+    gaps=st.lists(st.sampled_from([0.1, 0.2, 0.3, 0.5]), max_size=2),
+    coefficients=st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(0.1, 2.0), st.floats(0.0, 0.5)),
+                       min_size=3, max_size=3),
+    amplitude=st.floats(0.1, 1.0),
+    phase=st.floats(0.0, 2.0 * math.pi),
+    width=st.floats(0.5, 1.5),
+    omega=st.floats(0.3, 0.9),
+)
+def test_invariants_over_random_bounded_below_models(gaps, coefficients, amplitude, phase, width, omega):
+    # U_J(z) = c1 z + c2 z^2 + c3 z^3 with c2 > 0, c3 >= 0: bounded below in z = |psi|^2
+    positions = np.cumsum([0.0] + gaps)
+    model = ModelSpec(1.0, tuple(OscillatorSpec(float(p), (0.0, c1, c2, c3))
+                                 for p, (c1, c2, c3) in zip(positions, coefficients)))
+    grid = build_grid(model, -8.0, 9.0, 0.05)
+    state = gaussian_data(grid, amplitude * np.exp(1j * phase), float(positions[-1]) / 2, width, omega)
+    drifts = {}
+    for dt, every in ((0.02, 5), (0.01, 10)):  # the same sample times
+        series, _ = evolve(model, grid, state, 4.0, dt, observe_every=every)
+        charge_drift = np.max(np.abs(series.charge - series.charge[0]))
+        assert charge_drift <= 1e-12 * abs(series.charge[0])
+        drifts[dt] = np.max(np.abs(series.energy - series.energy[0]))
+    # kick-drift-kick: energy error O(dt^2), so halving dt divides the drift by about 4
+    assert drifts[0.02] >= 3.0 * drifts[0.01]
 
 
 @pytest.mark.parametrize("x_min, x_max", [(-6.0, 6.0), (-4.3, 7.9)])
