@@ -34,7 +34,6 @@ from .config import ConfigError, ExperimentConfig, RunConfig, parse_config, pars
 from .model import UnboundedPotentialError, check_assumptions, lower_bound_constants
 from .simulator import (
     FieldState,
-    NoCommensurateGrid,
     apriori_bound,
     build_grid,
     energy_norm,
@@ -395,10 +394,6 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except (cx.GapTooSmall, cx.NoSolution, cx.Degenerate, NoCommensurateGrid,
-            UnboundedPotentialError) as err:
-        print(f"domain error: {err}", file=sys.stderr)
-        return EXIT_DOMAIN
     except ValueError as err:
         print(f"domain error: {err}", file=sys.stderr)
         return EXIT_DOMAIN

@@ -13,7 +13,8 @@ fundamental tone sin(omega t) with sin(3 omega t):
 Amplitudes come from matching the derivative jump at each oscillator
 harmonic by harmonic via sin^3 t = (3 sin t - sin 3t)/4.  The verifier
 recomputes the jump residuals from closed-form one-sided derivatives, never
-from numerical differentiation, so a wrong parameter shows up directly.
+from numerical differentiation, with the forces of ``to_model()``, the model
+the simulator steps, so a wrong parameter or oscillator law shows up directly.
 
 Note on the linear-degeneration tail: for x > L the high harmonic is taken
 with amplitude C / sinh(kappa3 L), the choice consistent with the four
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelSpec, OscillatorSpec
+from .model import ModelSpec, OscillatorSpec, force
 from .simulator import FieldState, Grid
 
 __all__ = [
@@ -67,8 +68,20 @@ def _cubic_oscillator(position: float, alpha: float, beta: float) -> OscillatorS
     return OscillatorSpec(position, (0.0, -alpha / 2.0, -beta / 4.0))
 
 
+class _TwoFrequencyWave:
+    """What both families share: oscillators at 0 and L, fundamental frequency omega."""
+
+    @property
+    def positions(self) -> tuple[float, float]:
+        return (0.0, self.L)
+
+    @property
+    def period(self) -> float:
+        return 2.0 * math.pi / self.omega
+
+
 @dataclass(frozen=True)
-class WideGapParams:
+class WideGapParams(_TwoFrequencyWave):
     m: float
     L: float
     alpha: float
@@ -79,14 +92,6 @@ class WideGapParams:
     A: float
     B: float
 
-    @property
-    def positions(self) -> tuple[float, float]:
-        return (0.0, self.L)
-
-    @property
-    def period(self) -> float:
-        return 2.0 * math.pi / self.omega
-
     def to_model(self) -> ModelSpec:
         return ModelSpec(self.m, (
             _cubic_oscillator(0.0, self.alpha, self.beta),
@@ -95,10 +100,6 @@ class WideGapParams:
 
     def eval(self, x, t):
         return wide_gap_eval(self, x, t)
-
-    def value_at(self, j: int, t):
-        t = np.asarray(t, dtype=float)
-        return self.A * (1.0 + math.exp(-self.kappa * self.L)) * np.sin(self.omega * t)
 
     def one_sided_derivatives(self, j: int, t):
         """(psi'(X_j - 0, t), psi'(X_j + 0, t)) in closed form."""
@@ -114,9 +115,6 @@ class WideGapParams:
         else:
             raise IndexError(j)
         return left, right
-
-    def oscillator_force(self, j: int, value):
-        return self.alpha * value + self.beta * value**3
 
     def equation_residuals(self) -> dict[str, float]:
         E = math.exp(-self.kappa * self.L)
@@ -176,7 +174,7 @@ def wide_gap_eval(params: WideGapParams, x, t):
 
 
 @dataclass(frozen=True)
-class LinearDegParams:
+class LinearDegParams(_TwoFrequencyWave):
     m: float
     L: float
     omega: float
@@ -189,14 +187,6 @@ class LinearDegParams:
     B: float
     C: float
 
-    @property
-    def positions(self) -> tuple[float, float]:
-        return (0.0, self.L)
-
-    @property
-    def period(self) -> float:
-        return 2.0 * math.pi / self.omega
-
     def to_model(self) -> ModelSpec:
         return ModelSpec(self.m, (
             _cubic_oscillator(0.0, self.alpha, self.beta),
@@ -205,17 +195,6 @@ class LinearDegParams:
 
     def eval(self, x, t):
         return linear_deg_eval(self, x, t)
-
-    def value_at(self, j: int, t):
-        t = np.asarray(t, dtype=float)
-        p = self
-        if j == 0:
-            return (p.A + p.B) * np.sin(p.omega * t)
-        if j == 1:
-            # interface value from the interior branch
-            base = p.A * math.exp(-p.kappa * p.L) + p.B * math.exp(p.kappa * p.L)
-            return base * np.sin(p.omega * t) + p.C * math.sinh(p.kappa3 * p.L) * np.sin(3.0 * p.omega * t)
-        raise IndexError(j)
 
     def one_sided_derivatives(self, j: int, t):
         t = np.asarray(t, dtype=float)
@@ -231,11 +210,6 @@ class LinearDegParams:
         else:
             raise IndexError(j)
         return left, right
-
-    def oscillator_force(self, j: int, value):
-        if j == 0:
-            return self.alpha * value + self.beta * value**3
-        return self.gamma * value
 
     def equation_residuals(self) -> dict[str, float]:
         p = self
@@ -323,27 +297,28 @@ class VerificationReport:
         }
 
 
-def verify_exact(solution, time_samples=50, probe_offset: float = 1e-7) -> VerificationReport:
+def verify_exact(solution, time_samples: int = 50) -> VerificationReport:
     """Check the derivative-jump conditions of an exact two-frequency wave.
 
-    At each sampled time the residual -psi'(X_j+0) + psi'(X_j-0) - F_j(psi(X_j))
-    is evaluated from the closed-form one-sided derivatives.  The report also
+    At time_samples times over one period the residual
+    -psi'(X_j+0) + psi'(X_j-0) - F_j(psi(X_j)) is evaluated from the
+    closed-form one-sided derivatives, psi(X_j) from ``solution.eval`` and F_j
+    the force of oscillator j of ``solution.to_model()``.  The report also
     carries the coefficient-equation and parameter-identity residuals and the
-    measured value gap across each oscillator (a construction diagnostic).
+    value gap across each oscillator, measured at X_j -+ 1e-7 (a construction
+    diagnostic).
     """
-    if np.isscalar(time_samples):
-        ts = np.linspace(0.0, solution.period, int(time_samples), endpoint=False)
-    else:
-        ts = np.asarray(time_samples, dtype=float)
+    ts = np.linspace(0.0, solution.period, time_samples, endpoint=False)
     jumps: dict[int, float] = {}
     gaps: dict[int, float] = {}
-    for j, pos in enumerate(solution.positions):
+    for j, osc in enumerate(solution.to_model().oscillators):
+        pos = osc.position
         left, right = solution.one_sided_derivatives(j, ts)
-        value = solution.value_at(j, ts)
-        residual = -right + left - solution.oscillator_force(j, value)
+        value, _ = solution.eval(pos, ts)
+        residual = -right + left - force(osc, value)
         jumps[j] = float(np.max(np.abs(residual)))
-        below, _ = solution.eval(pos - probe_offset, ts)
-        above, _ = solution.eval(pos + probe_offset, ts)
+        below, _ = solution.eval(pos - 1e-7, ts)
+        above, _ = solution.eval(pos + 1e-7, ts)
         gaps[j] = float(np.max(np.abs(above - below)))
     return VerificationReport(
         max_jump_residual=max(jumps.values()),

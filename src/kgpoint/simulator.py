@@ -125,14 +125,6 @@ class ObserverSeries:
     sample_dt: float = field(default=0.0)
 
 
-def _rational_gcd(values: list[Fraction]) -> Fraction:
-    acc = values[0]
-    for v in values[1:]:
-        acc = Fraction(math.gcd(acc.numerator * v.denominator, v.numerator * acc.denominator),
-                       acc.denominator * v.denominator)
-    return acc
-
-
 def build_grid(model: ModelSpec, x_min: float, x_max: float, dx_target: float) -> Grid:
     """Choose dx <= dx_target dividing all oscillator gaps, anchored at X_1.
 
@@ -155,7 +147,8 @@ def build_grid(model: ModelSpec, x_min: float, x_max: float, dx_target: float) -
             if abs(float(f) - g) > 1e-12 * max(1.0, abs(g)):
                 raise NoCommensurateGrid(f"gap {g} has no rational reconstruction at 1e-12")
             fracs.append(f)
-        g_all = _rational_gcd(fracs)
+        den = math.lcm(*(f.denominator for f in fracs))
+        g_all = Fraction(math.gcd(*(f.numerator * (den // f.denominator) for f in fracs)), den)
         if g_all < Fraction(dx_target).limit_denominator(10**12) / 10**6:
             raise NoCommensurateGrid(
                 f"gap gcd {float(g_all):g} is more than 1e6 times finer than dx_target {dx_target:g}"
@@ -192,6 +185,9 @@ def _check_step(grid: Grid, state: FieldState, dt: float):
         raise ValueError("dt must be nonzero")
     if len(state.psi) != grid.count:
         raise ValueError(f"state has {len(state.psi)} nodes, grid has {grid.count}")
+    for i in (0, grid.count - 1):
+        if state.psi[i] != 0 or state.pi[i] != 0:
+            raise ValueError(f"Dirichlet end node {i} must be 0, has psi={state.psi[i]:g}, pi={state.pi[i]:g}")
 
 
 def _require_finite(t: float, *fields: np.ndarray):
@@ -354,10 +350,10 @@ def solitary_state(model: ModelSpec, grid: Grid, wave: SolitaryWave, phase: comp
 
 
 def perturbed_solitary_state(model: ModelSpec, grid: Grid, wave: SolitaryWave, noise_amplitude: float,
-                             seed: int, n_bumps: int = 5) -> FieldState:
+                             seed: int) -> FieldState:
     """Solitary state plus seeded smooth noise carrying a fixed energy fraction.
 
-    The noise is a sum of complex-amplitude Gaussians (widths >= 10 dx,
+    The noise is a sum of five complex-amplitude Gaussians (widths >= 10 dx,
     centers near the oscillators) added to psi and scaled so its own energy
     norm squared is noise_amplitude times that of the solitary state.
     """
@@ -366,7 +362,7 @@ def perturbed_solitary_state(model: ModelSpec, grid: Grid, wave: SolitaryWave, n
     x = grid.x
     lo, hi = model.positions[0] - 2.0, model.positions[-1] + 2.0
     noise = np.zeros(grid.count, dtype=complex)
-    for _ in range(n_bumps):
+    for _ in range(5):
         center = rng.uniform(lo, hi)
         width = rng.uniform(10.0, 25.0) * grid.dx
         amp = rng.normal() + 1j * rng.normal()
@@ -437,13 +433,13 @@ def _optimal_phase(model: ModelSpec, grid: Grid, state: FieldState, cand: FieldS
     return inner.conjugate() / abs(inner)
 
 
-def dist_to_manifold(model: ModelSpec, grid: Grid, state: FieldState, omega_grid, r_max: int,
-                     guess=None, refine_iters: int = 24) -> ManifoldDistance:
+def dist_to_manifold(model: ModelSpec, grid: Grid, state: FieldState, omega_grid,
+                     r_max: int) -> ManifoldDistance:
     """Metric distance from a state to the solitary manifold.
 
     Scans the frequency grid (warm-starting each profile solve from the
     previous one), optimizes the global phase in closed form per candidate,
-    then refines around the best grid point by golden-section search.  The
+    then refines around the best grid point by 24 golden-section steps.  The
     zero wave is always a candidate.  Frequencies where the solve fails are
     skipped; it is an error only if every frequency fails.
     """
@@ -467,8 +463,8 @@ def dist_to_manifold(model: ModelSpec, grid: Grid, state: FieldState, omega_grid
         phased = FieldState(cand.psi * phase, cand.pi * phase, state.t)
         return metric_dist(model, grid, state, phased, r_max), wave
 
-    default_guesses = [guess] if guess is not None else []
-    default_guesses += [[0.7 + 0j] * model.count, [1.0 + 0j] * model.count, [0.3 + 0j] * model.count]
+    # fallback Newton starts after the warm start, for models with several branches
+    default_guesses = [[0.7 + 0j] * model.count, [1.0 + 0j] * model.count, [0.3 + 0j] * model.count]
 
     warm = None
     results: dict[float, tuple[float, SolitaryWave]] = {}
@@ -495,7 +491,7 @@ def dist_to_manifold(model: ModelSpec, grid: Grid, state: FieldState, omega_grid
             amps = results[best.best_omega][1].amplitudes
             c, d = b - invphi * (b - a), a + invphi * (b - a)
             fc, fd = try_omega(c, amps), try_omega(d, amps)
-            for _ in range(refine_iters):
+            for _ in range(24):
                 if fc is None or fd is None:
                     break
                 if fc[0] < fd[0]:

@@ -71,13 +71,12 @@ def time_spectrum(
     T: float,
     taper: str = "hann",
     trace_t0: float = 0.0,
-    band_halfwidth_bins: float = 2.0,
 ) -> SpectrumEstimate:
     """Magnitude spectrum of one window of a uniformly sampled trace.
 
     The dominant frequency is the magnitude peak refined by three-point
     quadratic interpolation; the band-mass ratio is the |G|^2 mass outside
-    dominant +- band_halfwidth_bins * (2 pi / T) divided by the total.
+    dominant +- two bins of 2 pi / T divided by the total.
     """
     trace = np.asarray(trace, dtype=complex)
     if taper not in ("none", "hann"):
@@ -107,7 +106,7 @@ def time_spectrum(
             delta = 0.5 * (ym1 - yp1) / denom
             dominant += float(np.clip(delta, -0.5, 0.5)) * bin_width
 
-    halfwidth = band_halfwidth_bins * 2.0 * np.pi / t_actual
+    halfwidth = 2.0 * 2.0 * np.pi / t_actual
     in_band = np.abs(freqs - dominant) <= halfwidth
     ratio = 1.0 - float(np.sum(power[in_band])) / total
     ratio = min(max(ratio, 0.0), 1.0)

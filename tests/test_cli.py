@@ -175,6 +175,23 @@ def test_simulate_file_round_trip(tmp_path):
     assert len(x) == len(x2)
 
 
+def test_simulate_rejects_state_file_with_nonzero_walls(tmp_path, capsys):
+    # the walls are homogeneous Dirichlet: a state that is not 0 there is refused, not run
+    from kgpoint import build_grid
+    from kgpoint.model import ModelSpec, OscillatorSpec
+
+    grid = build_grid(ModelSpec(1.0, (OscillatorSpec(0.0, (0, -2, 1)),)), -8.0, 8.0, 0.05)
+    zero = np.zeros(grid.count)
+    pi = zero.copy()
+    pi[0], pi[-1] = 0.3, -0.2
+    state = tmp_path / "state.csv"
+    write_csv(state, ["x", "psi_re", "psi_im", "pi_re", "pi_im"], np.column_stack((grid.x, zero, zero, pi, zero)))
+    cfg = write_config(tmp_path, SINGLE_MODEL + RUN_SECTIONS + f"\n[initial_data]\nkind = file\npath = {state}\n")
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("domain error:") and "end node 0 " in err and err.count("\n") == 1
+
+
 def test_simulate_counterexample_config(tmp_path):
     text = f"""
 [grid]
@@ -341,6 +358,16 @@ def test_linear_deg_run_reports_null_bound(tmp_path, capsys, command):
     assert summary["energy_norm_bound"] is None and summary["bound_violations"] is None
     assert summary["bound_checked_samples"] == 0
     assert summary["max_charge_drift"] <= 1e-12
+
+
+def test_linear_deg_default_family_blows_up_in_the_simulator(tmp_path, capsys):
+    # at its defaults gamma = 3.22 > 2m, so the linear oscillator alone carries
+    # a bound state growing at rate sqrt(gamma^2/4 - m^2) = 1.26
+    argv = ["counterexample", "--kind", "linear_deg", "--simulate",
+            "--T", "2", "--half-width", "6", "--dx-target", "0.05", "--out", str(tmp_path / "ld")]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure:") and " t=" in err and err.count("\n") == 1
 
 
 def test_model_config_round_trip(tmp_path):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from kgpoint import counterexamples
 from kgpoint.counterexamples import (
     GapTooSmall,
     NoSolution,
@@ -52,6 +53,17 @@ def test_wide_gap_sensitivity_to_amplitude(wide_gap):
     bad = replace(wide_gap, A=1.01 * wide_gap.A)
     report = verify_exact(bad, time_samples=50)
     assert report.max_jump_residual > 1e-6
+
+
+@pytest.mark.parametrize("family", ["wide_gap", "lin_deg"])
+def test_verifier_checks_the_simulated_model(family, request, monkeypatch):
+    # the forces come from to_model(), so a sign slip in the cubic law of the
+    # model the simulator steps must break the jump conditions
+    solution = request.getfixturevalue(family)
+    cubic = counterexamples._cubic_oscillator
+    monkeypatch.setattr(counterexamples, "_cubic_oscillator",
+                        lambda position, alpha, beta: cubic(position, alpha, -beta))
+    assert verify_exact(solution, time_samples=50).max_jump_residual > 1e-6
 
 
 def test_wide_gap_gap_too_small():

@@ -167,6 +167,19 @@ def test_step_rejects_mismatched_state():
         step(QUARTIC, grid, short, 0.02)
 
 
+@pytest.mark.parametrize("name, end", [("psi", 0), ("pi", -1)])
+def test_nonzero_dirichlet_end_node_is_rejected(name, end):
+    grid = build_grid(QUARTIC, -5.0, 5.0, 0.05)
+    fields = {"psi": np.zeros(grid.count, complex), "pi": np.zeros(grid.count, complex)}
+    fields[name][end] = 0.3
+    state = FieldState(fields["psi"], fields["pi"], 0.0)
+    node = f"end node {end % grid.count} "
+    with pytest.raises(ValueError, match=node):
+        step(QUARTIC, grid, state, 0.02)
+    with pytest.raises(ValueError, match=node):
+        evolve(QUARTIC, grid, state, 1.0, 0.02)
+
+
 def test_non_finite_field_aborts_with_diagnostic():
     # a huge nodal value overflows the cubic force and must be caught, not looped on
     grid = build_grid(QUARTIC, -5.0, 5.0, 0.05)
