@@ -41,7 +41,8 @@ from .simulator import (
     perturbed_solitary_state,
     solitary_state,
 )
-from .solitary import ConvergedToZero, NoConvergence, amplitude_residual, continue_branch, solve_profile
+from .solitary import (_NEWTON_STARTS, ConvergedToZero, NoConvergence, amplitude_residual, continue_branch,
+                       solve_profile)
 from .spectral import time_spectrum
 
 EXIT_OK = 0
@@ -73,8 +74,8 @@ def cmd_check(args) -> int:
 
 
 def _default_guess(model) -> list[complex]:
-    """The Newton start for every solitary solve."""
-    return [0.7 + 0j] * model.count
+    """The Newton start for every solitary solve: the first of the shared starts."""
+    return [_NEWTON_STARTS[0] + 0j] * model.count
 
 
 def cmd_solve(args) -> int:
@@ -296,6 +297,8 @@ def cmd_spectrum(args) -> int:
     times, trace = kio.read_trace_csv(args.trace, re_col=args.re_col, im_col=args.im_col)
     if len(times) < 2:
         raise ConfigError("trace is too short")
+    if times[1] < times[0]:  # a backward run: take the samples in increasing time
+        times, trace = times[::-1], trace[::-1]
     sample_dt = float(times[1] - times[0])
     out_dir = Path(args.out)
     summary = []

@@ -68,6 +68,11 @@ class OscillatorSpec:
         """Coefficients n u_n of u'(s), low degree first."""
         return _slope(self.coefficients)
 
+    @cached_property
+    def _curvature_coefficients(self) -> tuple[float, ...]:
+        """Coefficients n (n - 1) u_n of u''(s), low degree first; empty at degree 1."""
+        return tuple(n * (n - 1) * c for n, c in enumerate(self.coefficients) if n > 1)
+
 
 @dataclass(frozen=True)
 class ModelSpec:

@@ -34,7 +34,7 @@ from functools import cached_property
 import numpy as np
 
 from .model import ModelSpec, force, lower_bound_constants, potential
-from .solitary import ConvergedToZero, NoConvergence, SolitaryWave, profile_eval, solve_profile
+from .solitary import _NEWTON_STARTS, ConvergedToZero, NoConvergence, SolitaryWave, profile_eval, solve_profile
 
 __all__ = [
     "Grid",
@@ -55,6 +55,8 @@ __all__ = [
     "perturbed_solitary_state",
     "dist_to_manifold",
 ]
+
+_NOISE_WIDTH_UNIT = 0.02  # perturbed_solitary_state's noise widths are 10 to 25 of it, whatever the dx
 
 
 class NoCommensurateGrid(ValueError):
@@ -254,36 +256,26 @@ def step(model: ModelSpec, grid: Grid, state: FieldState, dt: float) -> FieldSta
     return _kdk(model, grid, state, dt, 1, 1, lambda k, psi, pi: None)
 
 
-def _trapezoid_vdot(u: np.ndarray, v: np.ndarray) -> complex:
-    """sum_j w_j conj(u_j) v_j with trapezoid weights: 1/2 at the two end nodes."""
-    return np.vdot(u, v) - 0.5 * (u[0].conjugate() * v[0] + u[-1].conjugate() * v[-1])
-
-
-def _energy_form(model: ModelSpec, grid: Grid, a, b, window=None, d_a=None) -> complex:
+def _energy_form(model: ModelSpec, grid: Grid, a, b, window=slice(None), d_a=None) -> complex:
     """sum_nodes dx (conj(pi_a) pi_b + m^2 conj(psi_a) psi_b) + sum_cells conj(dpsi_a) dpsi_b / dx.
 
-    a and b are (psi, pi) pairs.  The sums run over the whole grid with
-    trapezoid node weights, or over the nodes of a ``Grid.window`` and the
-    cells between them.  d_a, when given, holds psi_a[1:] - psi_a[:-1] over
-    the whole grid; a window's cells are then a slice of it.
+    a and b are (psi, pi) pairs, 0 at the Dirichlet end nodes as in every
+    state ``step`` and ``evolve`` accept.  The sums run over the nodes of a
+    ``Grid.window``, by default the whole grid (where these plain sums are the
+    trapezoid rule), and the cells between them.  d_a, when given, holds
+    psi_a[j + 1] - psi_a[j] at every node j, 0 at the last; the cells of a
+    window are then the entries at its nodes but the last.
     """
     (a_psi, a_pi), (b_psi, b_pi) = a, b
-    n = slice(None) if window is None else window
-    if d_a is None:
-        d_a = np.diff(a_psi[n])
-    elif window is not None:
-        d_a = d_a[n.start:max(n.stop - 1, n.start)]
-    cells = np.vdot(d_a, d_a if b_psi is a_psi else np.diff(b_psi[n]))
-    if window is None:
-        nodes = _trapezoid_vdot(a_pi, b_pi) + model.mass**2 * _trapezoid_vdot(a_psi, b_psi)
-    else:
-        nodes = np.vdot(a_pi[n], b_pi[n]) + model.mass**2 * np.vdot(a_psi[n], b_psi[n])
+    d_a = np.diff(a_psi[window]) if d_a is None else d_a[window][:-1]
+    cells = np.vdot(d_a, d_a if b_psi is a_psi else np.diff(b_psi[window]))
+    nodes = np.vdot(a_pi[window], b_pi[window]) + model.mass**2 * np.vdot(a_psi[window], b_psi[window])
     return grid.dx * nodes + cells / grid.dx
 
 
 def _energy(model: ModelSpec, grid: Grid, u, d=None) -> tuple[float, float]:
     """(H, energy norm) of a (psi, pi) pair from one evaluation of the full form."""
-    norm2 = float(_energy_form(model, grid, u, u, None, d).real)
+    norm2 = float(_energy_form(model, grid, u, u, d_a=d).real)
     pot = sum(potential(o, u[0][i]) for o, i in zip(model.oscillators, grid.oscillator_nodes))
     return 0.5 * norm2 + pot, math.sqrt(norm2)
 
@@ -293,23 +285,23 @@ def _seminorm(model: ModelSpec, grid: Grid, u, window, d=None) -> float:
 
 
 def _charge(grid: Grid, u) -> float:
-    return -grid.dx * float(_trapezoid_vdot(*u).imag)
+    return -grid.dx * float(np.vdot(*u).imag)
 
 
 def hamiltonian(model: ModelSpec, grid: Grid, state: FieldState) -> float:
-    """Discrete energy: trapezoid node terms, forward differences on cells."""
+    """Discrete energy: node terms, forward differences on cells; psi, pi 0 at the end nodes."""
     with np.errstate(over="ignore", invalid="ignore"):
         return _energy(model, grid, (state.psi, state.pi))[0]
 
 
 def charge(model: ModelSpec, grid: Grid, state: FieldState) -> float:
-    """Q = -integral Im(conj(psi) pi) dx, conserved by the phase symmetry."""
+    """Q = -integral Im(conj(psi) pi) dx (psi, pi 0 at the end nodes), conserved by the phase symmetry."""
     return _charge(grid, (state.psi, state.pi))
 
 
 def energy_norm(model: ModelSpec, grid: Grid, state: FieldState) -> float:
-    """Full energy norm sqrt(|pi|^2 + |psi'|^2 + m^2 |psi|^2), no potentials."""
-    return _seminorm(model, grid, (state.psi, state.pi), None)
+    """Full energy norm sqrt(|pi|^2 + |psi'|^2 + m^2 |psi|^2), no potentials; psi, pi 0 at the end nodes."""
+    return _seminorm(model, grid, (state.psi, state.pi), slice(None))
 
 
 def apriori_bound(model: ModelSpec, grid: Grid, initial: FieldState) -> float:
@@ -353,9 +345,10 @@ def perturbed_solitary_state(model: ModelSpec, grid: Grid, wave: SolitaryWave, n
                              seed: int) -> FieldState:
     """Solitary state plus seeded smooth noise carrying a fixed energy fraction.
 
-    The noise is a sum of five complex-amplitude Gaussians (widths >= 10 dx,
-    centers near the oscillators) added to psi and scaled so its own energy
-    norm squared is noise_amplitude times that of the solitary state.
+    The noise is a sum of five complex-amplitude Gaussians (widths 10 to 25
+    times 0.02 in units of x, on any grid; centers near the oscillators) added
+    to psi and scaled so its own energy norm squared is noise_amplitude times
+    that of the solitary state.
     """
     base = solitary_state(model, grid, wave)
     rng = np.random.default_rng(seed)
@@ -364,7 +357,7 @@ def perturbed_solitary_state(model: ModelSpec, grid: Grid, wave: SolitaryWave, n
     noise = np.zeros(grid.count, dtype=complex)
     for _ in range(5):
         center = rng.uniform(lo, hi)
-        width = rng.uniform(10.0, 25.0) * grid.dx
+        width = rng.uniform(10.0, 25.0) * _NOISE_WIDTH_UNIT
         amp = rng.normal() + 1j * rng.normal()
         noise += amp * np.exp(-((x - center) ** 2) / (2.0 * width**2))
     noise[0] = noise[-1] = 0.0
@@ -399,12 +392,12 @@ def evolve(model: ModelSpec, grid: Grid, state: FieldState, T: float, dt: float,
     times, energy, charges, norms = np.empty((4, n))
     seminorms = {r: np.empty(n) for r in windows}
     traces_psi, traces_pi = np.empty((2, n, len(nodes)), dtype=complex)
-    d = np.empty(grid.count - 1, dtype=complex)  # the cell differences of one sample
+    d = np.zeros(grid.count, dtype=complex)  # the cell differences of one sample, at their left nodes
 
     def observe(k, psi, pi):
         j = k // observe_every
         u = (psi, pi)
-        np.subtract(psi[1:], psi[:-1], out=d)
+        np.subtract(psi[1:], psi[:-1], out=d[:-1])
         times[j] = state.t + k * dt
         energy[j], norms[j] = _energy(model, grid, u, d)
         charges[j] = _charge(grid, u)
@@ -464,31 +457,31 @@ def dist_to_manifold(model: ModelSpec, grid: Grid, state: FieldState, omega_grid
         return metric_dist(model, grid, state, phased, r_max), wave
 
     # fallback Newton starts after the warm start, for models with several branches
-    default_guesses = [[0.7 + 0j] * model.count, [1.0 + 0j] * model.count, [0.3 + 0j] * model.count]
+    default_guesses = [[s + 0j] * model.count for s in _NEWTON_STARTS]
 
     warm = None
-    results: dict[float, tuple[float, SolitaryWave]] = {}
+    solved: set[float] = set()
     for w in omegas:
         starts = ([warm] if warm is not None else []) + default_guesses
         hit = next(filter(None, (try_omega(w, s) for s in starts)), None)
         if hit is None:
             continue
-        results[w] = hit
+        solved.add(w)
         warm = hit[1].amplitudes
         if hit[0] < best.dist:
             best = ManifoldDistance(hit[0], w, hit[1])
-    if not results:
+    if not solved:
         raise NoConvergence(omegas[0], float("inf"))
 
     if best.wave is not None and len(omegas) > 1:
-        solved = sorted(results)
-        idx = solved.index(best.best_omega)
-        lo = solved[max(idx - 1, 0)]
-        hi = solved[min(idx + 1, len(solved) - 1)]
+        ordered = sorted(solved)
+        idx = ordered.index(best.best_omega)
+        lo = ordered[max(idx - 1, 0)]
+        hi = ordered[min(idx + 1, len(ordered) - 1)]
         if hi > lo:
             invphi = (math.sqrt(5.0) - 1.0) / 2.0
             a, b = lo, hi
-            amps = results[best.best_omega][1].amplitudes
+            amps = best.wave.amplitudes
             c, d = b - invphi * (b - a), a + invphi * (b - a)
             fc, fd = try_omega(c, amps), try_omega(d, amps)
             for _ in range(24):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelSpec, force, force_ratio
+from .model import ModelSpec, _horner, force_ratio
 
 __all__ = [
     "SolitaryWave",
@@ -35,6 +35,9 @@ __all__ = [
 RESIDUAL_TOL = 1e-11
 ZERO_BRANCH_TOL = 1e-9
 MAX_ITER = 100
+# Newton starts in the order tried, each the same amplitude at every oscillator: the CLI
+# solves from the first; dist_to_manifold falls back on all of them after its warm start
+_NEWTON_STARTS = (0.7, 1.0, 0.3)
 
 
 class NoConvergence(RuntimeError):
@@ -93,13 +96,7 @@ def amplitude_residual(model: ModelSpec, wave: SolitaryWave) -> np.ndarray:
     """Real/imaginary parts of 2 kappa C_J - F_J(phi(X_J)), interleaved per J."""
     kap = kappa(model, wave.omega)
     c = np.asarray(wave.amplitudes, dtype=complex)
-    values = _coupling_matrix(model, kap) @ c
-    out = np.empty(2 * model.count)
-    for j, osc in enumerate(model.oscillators):
-        r = 2.0 * kap * c[j] - force(osc, values[j])
-        out[2 * j] = r.real
-        out[2 * j + 1] = r.imag
-    return out
+    return _residual_and_jacobian(model, kap, c, _coupling_matrix(model, kap))[0]
 
 
 def _residual_and_jacobian(model: ModelSpec, kap: float, c: np.ndarray, coupling: np.ndarray):
@@ -111,33 +108,32 @@ def _residual_and_jacobian(model: ModelSpec, kap: float, c: np.ndarray, coupling
     n = model.count
     with np.errstate(over="ignore", invalid="ignore"):
         values = coupling @ c
-        res = np.empty(2 * n)
-        jac = np.zeros((2 * n, 2 * n))
-        for j, osc in enumerate(model.oscillators):
-            psi = values[j]
-            u, v = psi.real, psi.imag
-            s = u * u + v * v
-            a = force_ratio(osc, s)
-            # d alpha / ds, closed form for the polynomial coefficients
-            da = 0.0
-            for k in range(osc.degree, 1, -1):
-                da = da * s + k * (k - 1) * osc.coefficients[k]
-            da *= -2.0
-            r = 2.0 * kap * c[j] - a * psi
-            res[2 * j] = r.real
-            res[2 * j + 1] = r.imag
-            # dF/d(Re psi, Im psi) for F = alpha(|psi|^2) psi
-            fuu = a + 2.0 * u * u * da
-            fuv = 2.0 * u * v * da
-            fvv = a + 2.0 * v * v * da
-            for k in range(n):
-                e = coupling[j, k]
-                jac[2 * j, 2 * k] = -fuu * e
-                jac[2 * j, 2 * k + 1] = -fuv * e
-                jac[2 * j + 1, 2 * k] = -fuv * e
-                jac[2 * j + 1, 2 * k + 1] = -fvv * e
-            jac[2 * j, 2 * j] += 2.0 * kap
-            jac[2 * j + 1, 2 * j + 1] += 2.0 * kap
+    # the loop runs on Python floats: numpy's arithmetic, bit for bit, without the cost of
+    # numpy scalars; overflow gives inf silently here too
+    rows, values, c = coupling.tolist(), values.tolist(), c.tolist()
+    res = np.empty(2 * n)
+    jac = np.zeros((2 * n, 2 * n))
+    for j, osc in enumerate(model.oscillators):
+        psi = values[j]
+        u, v = psi.real, psi.imag
+        s = u * u + v * v
+        a = force_ratio(osc, s)
+        da = -2.0 * _horner(osc._curvature_coefficients, s)  # d alpha / ds = -2 u''(s)
+        r = 2.0 * kap * c[j] - a * psi
+        res[2 * j] = r.real
+        res[2 * j + 1] = r.imag
+        # dF/d(Re psi, Im psi) for F = alpha(|psi|^2) psi
+        fuu = a + 2.0 * u * u * da
+        fuv = 2.0 * u * v * da
+        fvv = a + 2.0 * v * v * da
+        for k in range(n):
+            e = rows[j][k]
+            jac[2 * j, 2 * k] = -fuu * e
+            jac[2 * j, 2 * k + 1] = -fuv * e
+            jac[2 * j + 1, 2 * k] = -fuv * e
+            jac[2 * j + 1, 2 * k + 1] = -fvv * e
+        jac[2 * j, 2 * j] += 2.0 * kap
+        jac[2 * j + 1, 2 * j + 1] += 2.0 * kap
     return res, jac
 
 
@@ -150,6 +146,13 @@ def _gauge_rotate(amps: np.ndarray) -> np.ndarray:
             rotated[idx] = abs(amps[idx])
             return rotated
     return amps
+
+
+def _gauged(res: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The residual with its second entry, Im of equation 1, replaced by the gauge Im C_1."""
+    g = res.copy()
+    g[1] = c[0].imag
+    return g
 
 
 def _zero_wave(model: ModelSpec, omega: float) -> SolitaryWave:
@@ -179,16 +182,11 @@ def solve_profile(model: ModelSpec, omega: float, guess) -> SolitaryWave:
     kap = kappa(model, omega)
     coupling = _coupling_matrix(model, kap)
 
-    def gauged(res):
-        g = res.copy()
-        g[1] = c[0].imag
-        return g
-
     res, jac = _residual_and_jacobian(model, kap, c, coupling)
     for _ in range(MAX_ITER):
         if np.max(np.abs(res)) <= RESIDUAL_TOL:
             break
-        g = gauged(res)
+        g = _gauged(res, c)
         jg = jac.copy()
         jg[1, :] = 0.0
         jg[1, 1] = 1.0
@@ -202,9 +200,7 @@ def solve_profile(model: ModelSpec, omega: float, guess) -> SolitaryWave:
         for _ in range(8):
             c_try = c + scale * step
             res_try, jac_try = _residual_and_jacobian(model, kap, c_try, coupling)
-            g_try = res_try.copy()
-            g_try[1] = c_try[0].imag
-            if np.max(np.abs(g_try)) < norm_old:
+            if np.max(np.abs(_gauged(res_try, c_try))) < norm_old:
                 break
             scale *= 0.5
         c, res, jac = c_try, res_try, jac_try
@@ -213,7 +209,7 @@ def solve_profile(model: ModelSpec, omega: float, guess) -> SolitaryWave:
 
     c = _gauge_rotate(c)
     wave = SolitaryWave(float(omega), kap, tuple(c))
-    final = np.max(np.abs(amplitude_residual(model, wave)))
+    final = np.max(np.abs(_residual_and_jacobian(model, kap, c, coupling)[0]))
     if final > RESIDUAL_TOL:
         raise NoConvergence(omega, float(final))
     if np.max(np.abs(c)) <= ZERO_BRANCH_TOL:

@@ -254,6 +254,32 @@ def test_spectrum_pure_tone(tmp_path, capsys):
     assert (out / "spectrum_0.csv").exists() and (out / "spectrum_1.csv").exists()
 
 
+def test_spectrum_of_a_backward_run(tmp_path, capsys):
+    # simulate with dt < 0 writes decreasing times; spectrum takes the samples in increasing time
+    run = RUN_SECTIONS.replace("T = 1.0", "T = 12.0").replace("dt = 0.02", "dt = -0.02")
+    cfg = write_config(tmp_path, SINGLE_MODEL + run + "\n[initial_data]\nkind = solitary\nomega = 0.5\n")
+    out = tmp_path / "back"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    times, _ = read_trace_csv(out / "observers.csv")
+    assert times[0] == 0.0 and times[-1] == pytest.approx(-12.0)
+    capsys.readouterr()
+    assert main(["spectrum", "--trace", str(out / "observers.csv"), "--windows=-11:10", "--out", str(out)]) == 0
+    (entry,) = json.loads(capsys.readouterr().out)
+    assert entry["t0"] == -11.0 and abs(entry["dominant"] - 0.5) <= 0.1 * 2 * math.pi / 10.0  # a tenth of a bin
+
+    # the same samples written in increasing time give the same spectrum, bit for bit
+    dt = 0.05
+    t = -np.arange(4000) * dt
+    trace = np.exp(-1j * 0.5 * t)
+    for name, order in (("down", slice(None)), ("up", slice(None, None, -1))):
+        write_csv(tmp_path / f"{name}.csv", ["t", "psi1_re", "psi1_im"],
+                  zip(t[order], trace.real[order], trace.imag[order]))
+        assert main(["spectrum", "--trace", str(tmp_path / f"{name}.csv"), "--windows=-150:80",
+                     "--out", str(tmp_path / name)]) == 0
+    capsys.readouterr()
+    assert (tmp_path / "down" / "spectrum_0.csv").read_bytes() == (tmp_path / "up" / "spectrum_0.csv").read_bytes()
+
+
 def test_spectrum_two_tone_reports_both_peaks(tmp_path, capsys):
     dt = 0.05
     t = np.arange(4000) * dt

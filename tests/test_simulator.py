@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kgpoint.model import ModelSpec, OscillatorSpec, force
+from kgpoint.counterexamples import init_from, wide_gap_construct
+from kgpoint.model import ModelSpec, OscillatorSpec, force, potential
 from kgpoint.simulator import (
     FieldState,
     NoCommensurateGrid,
@@ -279,6 +280,51 @@ def test_charge_examples():
 
     conj = FieldState(np.conj(state.psi), np.conj(state.pi), 0.0)
     assert charge(QUARTIC, grid, conj) == pytest.approx(-charge(QUARTIC, grid, state), abs=1e-15)
+
+
+def trapezoid_functionals(model, grid, state):
+    """(H, Q, energy norm) with trapezoid node weights, 1/2 at the two end nodes: the whole-grid reference."""
+
+    def trapezoid_vdot(u, v):
+        return np.vdot(u, v) - 0.5 * (u[0].conjugate() * v[0] + u[-1].conjugate() * v[-1])
+
+    psi, pi = state.psi, state.pi
+    d = np.diff(psi)
+    nodes = trapezoid_vdot(pi, pi) + model.mass**2 * trapezoid_vdot(psi, psi)
+    norm2 = float((grid.dx * nodes + np.vdot(d, d) / grid.dx).real)
+    pot = sum(potential(o, psi[i]) for o, i in zip(model.oscillators, grid.oscillator_nodes))
+    return 0.5 * norm2 + pot, -grid.dx * float(trapezoid_vdot(psi, pi).imag), math.sqrt(norm2)
+
+
+def test_whole_grid_functionals_equal_the_trapezoid_rule_bit_for_bit():
+    # on states that are 0 at the Dirichlet end nodes, plain node sums are the trapezoid rule
+    grid = build_grid(PAIR, -12.0, 12.0, 0.02)
+    wave = solve_profile(PAIR, 0.4, [0.7, 0.7])
+    sol = wide_gap_construct(1.0, math.pi, 2.0, -1.0)
+    gap_model = sol.to_model()
+    gap_grid = build_grid(gap_model, -8.0, sol.L + 8.0, 0.02)
+    cases = [(PAIR, grid, solitary_state(PAIR, grid, wave, np.exp(0.3j))),
+             (PAIR, grid, perturbed_solitary_state(PAIR, grid, wave, 0.1, seed=3)),
+             (gap_model, gap_grid, init_from(sol, gap_grid))]
+    for model, g, state in cases:
+        # the observer of evolve reads the same form from its buffer of cell differences
+        series, final = evolve(model, g, state, 10 * 0.009, 0.009, observe_every=10)
+        for j, s in ((0, state), (1, final)):
+            expected = trapezoid_functionals(model, g, s)
+            assert (hamiltonian(model, g, s), charge(model, g, s), energy_norm(model, g, s)) == expected
+            assert (series.energy[j], series.charge[j], series.energy_norm[j]) == expected
+
+
+def test_perturbed_state_does_not_change_with_the_grid():
+    # the README pair at omega = 0.4, seed 1: the noise widths are lengths in x, not multiples of dx
+    wave = solve_profile(PAIR, 0.4, [0.7, 0.7])
+    coarse, fine = (build_grid(PAIR, -15.0, 15.0, dx) for dx in (0.02, 0.01))
+    a = perturbed_solitary_state(PAIR, coarse, wave, 0.1, seed=1)
+    b = perturbed_solitary_state(PAIR, fine, wave, 0.1, seed=1)
+    assert np.allclose(fine.x[::2], coarse.x, rtol=0.0, atol=1e-12)
+    peak = np.max(np.abs(a.psi))
+    assert np.max(np.abs(b.psi[::2] - a.psi)) <= 1e-3 * peak
+    assert np.max(np.abs(b.pi[::2] - a.pi)) <= 1e-3 * np.max(np.abs(a.pi))
 
 
 def test_local_seminorm_basics():

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from kgpoint.model import ModelSpec, OscillatorSpec, force
+from kgpoint.model import ModelSpec, OscillatorSpec, _horner, force
 from kgpoint.solitary import (
+    _coupling_matrix,
+    _residual_and_jacobian,
     ConvergedToZero,
     NoConvergence,
     SolitaryWave,
@@ -163,3 +165,76 @@ def test_wave_json_round_trip():
     wave = solve_profile(PAIR_MODEL, 0.4, [0.7, 0.7])
     again = SolitaryWave.from_json_dict(wave.to_json_dict())
     assert again == wave
+
+
+def inline_curvature(coefficients, s):
+    """d alpha / ds = -2 u''(s) as a loop over n (n - 1) u_n: the reference for the cached Horner form."""
+    da = 0.0
+    for k in range(len(coefficients) - 1, 1, -1):
+        da = da * s + k * (k - 1) * coefficients[k]
+    da *= -2.0
+    return da
+
+
+@pytest.mark.parametrize("degree", range(1, 7))
+def test_curvature_horner_matches_the_inline_loop(degree):
+    rng = np.random.default_rng(degree)
+    for _ in range(20):
+        osc = OscillatorSpec(0.0, tuple(rng.normal(size=degree + 1) * rng.choice([0.1, 1.0, 30.0])))
+        for s in rng.uniform(0.0, 4.0, size=10):
+            new = -2.0 * _horner(osc._curvature_coefficients, s)
+            old = inline_curvature(osc.coefficients, s)
+            assert new == old and np.signbit(new) == np.signbit(old)
+    if degree == 1:
+        assert osc._curvature_coefficients == ()
+        assert np.signbit(-2.0 * _horner(osc._curvature_coefficients, 0.5))  # -0.0, as the loop gave
+
+
+def numpy_scalar_residual_and_jacobian(model, kap, c, coupling):
+    """The Newton residual and Jacobian on numpy scalars: the reference for the Python-float loop."""
+    n = model.count
+    values = coupling @ c
+    res = np.empty(2 * n)
+    jac = np.zeros((2 * n, 2 * n))
+    for j, osc in enumerate(model.oscillators):
+        psi = values[j]
+        u, v = psi.real, psi.imag
+        s = u * u + v * v
+        a = -2.0 * _horner(osc.slope_coefficients, s)
+        da = inline_curvature(osc.coefficients, s)
+        r = 2.0 * kap * c[j] - a * psi
+        res[2 * j], res[2 * j + 1] = r.real, r.imag
+        fuu, fuv, fvv = a + 2.0 * u * u * da, 2.0 * u * v * da, a + 2.0 * v * v * da
+        for k in range(n):
+            e = coupling[j, k]
+            jac[2 * j:2 * j + 2, 2 * k:2 * k + 2] = [[-fuu * e, -fuv * e], [-fuv * e, -fvv * e]]
+        jac[2 * j, 2 * j] += 2.0 * kap
+        jac[2 * j + 1, 2 * j + 1] += 2.0 * kap
+    return res, jac
+
+
+def test_residual_and_jacobian_match_the_numpy_scalar_loop():
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        n = int(rng.integers(1, 5))
+        positions = np.cumsum(rng.uniform(0.1, 1.0, size=n))
+        model = ModelSpec(1.0, tuple(OscillatorSpec(float(x), tuple(rng.normal(size=int(rng.integers(2, 8)))))
+                                     for x in positions))
+        kap = float(rng.uniform(0.0, 1.0))
+        coupling = _coupling_matrix(model, kap)
+        # 1e150 makes runaway iterates: overflow to inf and nan, which the caller must see
+        c = (rng.normal(size=n) + 1j * rng.normal(size=n)) * rng.choice([1e-3, 1.0, 1e3, 1e150])
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = numpy_scalar_residual_and_jacobian(model, kap, c, coupling)
+        for got, want in zip(_residual_and_jacobian(model, kap, c, coupling), expected):
+            assert np.array_equal(got, want, equal_nan=True)
+            finite = np.isfinite(want)
+            assert np.array_equal(np.signbit(got[finite]), np.signbit(want[finite]))
+
+
+@pytest.mark.parametrize("model, omega", [(QUARTIC_MODEL, 0.5), (PAIR_MODEL, 0.4), (PAIR_MODEL, -0.9)])
+def test_amplitude_residual_is_the_newton_residual(model, omega):
+    wave = solve_profile(model, omega, [0.7] * model.count)
+    c = np.asarray(wave.amplitudes, dtype=complex)
+    res, _ = _residual_and_jacobian(model, wave.kappa, c, _coupling_matrix(model, wave.kappa))
+    assert np.array_equal(amplitude_residual(model, wave), res)
