@@ -20,7 +20,9 @@ and one scratch buffer serves the half kicks, the drift and the Laplacian.
 H, the energy norm, the local seminorms, the metric and the phase fit all
 evaluate one form, ``_energy_form``; the observer of ``evolve`` takes the cell
 differences once per sample, and the whole grid and every seminorm window
-read their cell terms from that one buffer.
+read their cell terms from that one buffer.  The metric reads only the nodes
+with |x| <= r_max, so it, the phase fit and the manifold distance's candidate
+waves are evaluated there alone, its radii sharing one such buffer.
 """
 
 from __future__ import annotations
@@ -185,6 +187,11 @@ def _check_step(grid: Grid, state: FieldState, dt: float):
         raise ValueError(f"CFL violated: |dt|={abs(dt)} must be below dx={grid.dx}")
     if dt == 0.0:
         raise ValueError("dt must be nonzero")
+    _check_state(grid, state)
+
+
+def _check_state(grid: Grid, state: FieldState):
+    """A state on grid is 0 at both Dirichlet end nodes, where plain node sums are the trapezoid rule."""
     if len(state.psi) != grid.count:
         raise ValueError(f"state has {len(state.psi)} nodes, grid has {grid.count}")
     for i in (0, grid.count - 1):
@@ -259,10 +266,10 @@ def step(model: ModelSpec, grid: Grid, state: FieldState, dt: float) -> FieldSta
 def _energy_form(model: ModelSpec, grid: Grid, a, b, window=slice(None), d_a=None) -> complex:
     """sum_nodes dx (conj(pi_a) pi_b + m^2 conj(psi_a) psi_b) + sum_cells conj(dpsi_a) dpsi_b / dx.
 
-    a and b are (psi, pi) pairs, 0 at the Dirichlet end nodes as in every
-    state ``step`` and ``evolve`` accept.  The sums run over the nodes of a
-    ``Grid.window``, by default the whole grid (where these plain sums are the
-    trapezoid rule), and the cells between them.  d_a, when given, holds
+    a and b are (psi, pi) pairs on the whole grid, 0 at its Dirichlet end
+    nodes (where plain sums are the trapezoid rule), or on one window's nodes.
+    The sums run over the nodes of ``window``, a slice of those arrays, by
+    default all of them, and the cells between them.  d_a, when given, holds
     psi_a[j + 1] - psi_a[j] at every node j, 0 at the last; the cells of a
     window are then the entries at its nodes but the last.
     """
@@ -289,18 +296,21 @@ def _charge(grid: Grid, u) -> float:
 
 
 def hamiltonian(model: ModelSpec, grid: Grid, state: FieldState) -> float:
-    """Discrete energy: node terms, forward differences on cells; psi, pi 0 at the end nodes."""
+    """Discrete energy: node terms, forward differences on cells; psi, pi must be 0 at the end nodes."""
+    _check_state(grid, state)
     with np.errstate(over="ignore", invalid="ignore"):
         return _energy(model, grid, (state.psi, state.pi))[0]
 
 
 def charge(model: ModelSpec, grid: Grid, state: FieldState) -> float:
-    """Q = -integral Im(conj(psi) pi) dx (psi, pi 0 at the end nodes), conserved by the phase symmetry."""
+    """Q = -integral Im(conj(psi) pi) dx, conserved by the phase symmetry; psi, pi must be 0 at the end nodes."""
+    _check_state(grid, state)
     return _charge(grid, (state.psi, state.pi))
 
 
 def energy_norm(model: ModelSpec, grid: Grid, state: FieldState) -> float:
-    """Full energy norm sqrt(|pi|^2 + |psi'|^2 + m^2 |psi|^2), no potentials; psi, pi 0 at the end nodes."""
+    """Full energy norm sqrt(|pi|^2 + |psi'|^2 + m^2 |psi|^2), no potentials; psi, pi must be 0 at the end nodes."""
+    _check_state(grid, state)
     return _seminorm(model, grid, (state.psi, state.pi), slice(None))
 
 
@@ -322,12 +332,36 @@ def local_seminorm(model: ModelSpec, grid: Grid, state: FieldState, R: float) ->
     return _seminorm(model, grid, (state.psi, state.pi), grid.window(R))
 
 
-def metric_dist(model: ModelSpec, grid: Grid, a: FieldState, b: FieldState, r_max: int) -> float:
-    """Weighted sum 2^-R |A - B|_{E,R} over R = 1..r_max (a metric on states)."""
+def _metric_windows(grid: Grid, r_max: int) -> tuple[slice, list[slice]]:
+    """The window of radius r_max and, as slices of its nodes, those of radii 1..r_max; a clipped one warns."""
     if r_max < 1:
         raise ValueError("r_max must be at least 1")
-    diff = (a.psi - b.psi, a.pi - b.pi)
-    return sum(0.5**R * _seminorm(model, grid, diff, grid.window(float(R))) for R in range(1, r_max + 1))
+    windows = [grid.window(float(R)) for R in range(1, r_max + 1)]
+    outer = windows[-1]
+    # every window lies inside the outer one; an empty slice stays empty when shifted
+    return outer, [slice(w.start - outer.start, w.stop - outer.start) for w in windows]
+
+
+def _metric(model: ModelSpec, grid: Grid, u, windows: list[slice]) -> float:
+    """sum 2^-R |u|_{E,R} over R = 1..r_max, u a (psi, pi) pair on the nodes of the outer window."""
+    d = np.zeros_like(u[0])  # every radius reads its cells from this one difference buffer
+    np.subtract(u[0][1:], u[0][:-1], out=d[:-1])
+    return sum(0.5**R * _seminorm(model, grid, u, w, d) for R, w in enumerate(windows, 1))
+
+
+def metric_dist(model: ModelSpec, grid: Grid, a: FieldState, b: FieldState, r_max: int) -> float:
+    """Weighted sum 2^-R |A - B|_{E,R} over R = 1..r_max (a metric on states)."""
+    outer, windows = _metric_windows(grid, r_max)
+    return _metric(model, grid, (a.psi[outer] - b.psi[outer], a.pi[outer] - b.pi[outer]), windows)
+
+
+def _solitary_sample(model: ModelSpec, grid: Grid, wave: SolitaryWave, window: slice = slice(None),
+                     phase: complex = 1.0 + 0j) -> tuple[np.ndarray, np.ndarray]:
+    """(phi, -i omega phi) rotated by a unit phase at the nodes of a window, 0 at the Dirichlet end nodes."""
+    phi = profile_eval(model, wave, grid.x[window]) * phase
+    start, stop, _ = window.indices(grid.count)
+    phi[[i - start for i in (0, grid.count - 1) if start <= i < stop]] = 0.0
+    return phi, -1j * wave.omega * phi
 
 
 def solitary_state(model: ModelSpec, grid: Grid, wave: SolitaryWave, phase: complex = 1.0 + 0j) -> FieldState:
@@ -336,9 +370,7 @@ def solitary_state(model: ModelSpec, grid: Grid, wave: SolitaryWave, phase: comp
     The Dirichlet nodes are zeroed exactly (the profile tail there is below
     roundoff on any adequately sized domain) so they stay zero under the flow.
     """
-    phi = profile_eval(model, wave, grid.x) * phase
-    phi[0] = phi[-1] = 0.0
-    return FieldState(phi, -1j * wave.omega * phi, 0.0)
+    return FieldState(*_solitary_sample(model, grid, wave, phase=phase), 0.0)
 
 
 def perturbed_solitary_state(model: ModelSpec, grid: Grid, wave: SolitaryWave, noise_amplitude: float,
@@ -418,12 +450,13 @@ class ManifoldDistance:
     wave: SolitaryWave | None
 
 
-def _optimal_phase(model: ModelSpec, grid: Grid, state: FieldState, cand: FieldState, window: float) -> complex:
-    """Unit phase minimizing |state - e^{i theta} cand|_{E, window} (closed form)."""
-    inner = _energy_form(model, grid, (state.psi, state.pi), (cand.psi, cand.pi), grid.window(window))
-    if abs(inner) == 0.0:
-        return 1.0 + 0j
-    return inner.conjugate() / abs(inner)
+def _candidate_dist(model: ModelSpec, grid: Grid, u, wave: SolitaryWave, outer: slice, windows: list[slice]) -> float:
+    """Metric distance from u, a (psi, pi) pair on the nodes of the outer window, to the closest phase of a wave."""
+    psi, pi = _solitary_sample(model, grid, wave, outer)
+    # the unit phase minimizing |u - e^{i theta} (psi, pi)|_E, in closed form
+    inner = _energy_form(model, grid, u, (psi, pi))
+    phase = inner.conjugate() / abs(inner) if abs(inner) != 0.0 else 1.0 + 0j
+    return _metric(model, grid, (u[0] - psi * phase, u[1] - pi * phase), windows)
 
 
 def dist_to_manifold(model: ModelSpec, grid: Grid, state: FieldState, omega_grid,
@@ -432,7 +465,8 @@ def dist_to_manifold(model: ModelSpec, grid: Grid, state: FieldState, omega_grid
 
     Scans the frequency grid (warm-starting each profile solve from the
     previous one), optimizes the global phase in closed form per candidate,
-    then refines around the best grid point by 24 golden-section steps.  The
+    then refines around the best grid point by 24 golden-section steps.
+    Candidates are sampled on the metric's window [-r_max, r_max] only.  The
     zero wave is always a candidate.  Frequencies where the solve fails are
     skipped; it is an error only if every frequency fails.
     """
@@ -443,18 +477,16 @@ def dist_to_manifold(model: ModelSpec, grid: Grid, state: FieldState, omega_grid
     if any(abs(w) >= m for w in omegas):
         raise ValueError("omega_grid must lie strictly inside (-m, m)")
 
-    zero = FieldState(np.zeros(grid.count, complex), np.zeros(grid.count, complex), state.t)
-    best = ManifoldDistance(metric_dist(model, grid, state, zero, r_max), float("nan"), None)
+    outer, windows = _metric_windows(grid, r_max)
+    u = (state.psi[outer], state.pi[outer])
+    best = ManifoldDistance(_metric(model, grid, u, windows), float("nan"), None)  # the zero wave
 
     def try_omega(w: float, start) -> tuple[float, SolitaryWave] | None:
         try:
             wave = solve_profile(model, w, start)
         except (NoConvergence, ConvergedToZero):
             return None
-        cand = solitary_state(model, grid, wave)
-        phase = _optimal_phase(model, grid, state, cand, float(r_max))
-        phased = FieldState(cand.psi * phase, cand.pi * phase, state.t)
-        return metric_dist(model, grid, state, phased, r_max), wave
+        return _candidate_dist(model, grid, u, wave, outer, windows), wave
 
     # fallback Newton starts after the warm start, for models with several branches
     default_guesses = [[s + 0j] * model.count for s in _NEWTON_STARTS]

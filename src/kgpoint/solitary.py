@@ -105,14 +105,12 @@ def _residual_and_jacobian(model: ModelSpec, kap: float, c: np.ndarray, coupling
     Overflow from runaway iterates is tolerated here; the caller detects the
     resulting non-finite residuals and reports NoConvergence.
     """
-    n = model.count
     with np.errstate(over="ignore", invalid="ignore"):
         values = coupling @ c
-    # the loop runs on Python floats: numpy's arithmetic, bit for bit, without the cost of
-    # numpy scalars; overflow gives inf silently here too
+    # the loop runs on Python floats and lists: numpy's arithmetic, bit for bit, without the
+    # cost of numpy scalars and item writes; overflow gives inf silently here too
     rows, values, c = coupling.tolist(), values.tolist(), c.tolist()
-    res = np.empty(2 * n)
-    jac = np.zeros((2 * n, 2 * n))
+    res, jac = [], []
     for j, osc in enumerate(model.oscillators):
         psi = values[j]
         u, v = psi.real, psi.imag
@@ -120,21 +118,19 @@ def _residual_and_jacobian(model: ModelSpec, kap: float, c: np.ndarray, coupling
         a = force_ratio(osc, s)
         da = -2.0 * _horner(osc._curvature_coefficients, s)  # d alpha / ds = -2 u''(s)
         r = 2.0 * kap * c[j] - a * psi
-        res[2 * j] = r.real
-        res[2 * j + 1] = r.imag
+        res += (r.real, r.imag)
         # dF/d(Re psi, Im psi) for F = alpha(|psi|^2) psi
         fuu = a + 2.0 * u * u * da
         fuv = 2.0 * u * v * da
         fvv = a + 2.0 * v * v * da
-        for k in range(n):
-            e = rows[j][k]
-            jac[2 * j, 2 * k] = -fuu * e
-            jac[2 * j, 2 * k + 1] = -fuv * e
-            jac[2 * j + 1, 2 * k] = -fuv * e
-            jac[2 * j + 1, 2 * k + 1] = -fvv * e
-        jac[2 * j, 2 * j] += 2.0 * kap
-        jac[2 * j + 1, 2 * j + 1] += 2.0 * kap
-    return res, jac
+        row_u, row_v = [], []  # Jacobian rows 2j and 2j + 1
+        for e in rows[j]:
+            row_u += (-fuu * e, -fuv * e)
+            row_v += (-fuv * e, -fvv * e)
+        row_u[2 * j] += 2.0 * kap
+        row_v[2 * j + 1] += 2.0 * kap
+        jac += (row_u, row_v)
+    return np.array(res), np.array(jac)
 
 
 def _gauge_rotate(amps: np.ndarray) -> np.ndarray:
@@ -146,6 +142,18 @@ def _gauge_rotate(amps: np.ndarray) -> np.ndarray:
             rotated[idx] = abs(amps[idx])
             return rotated
     return amps
+
+
+def _sup_norm(x: np.ndarray) -> float:
+    """max |x_i| as np.max(np.abs(x)) gives it, nan when any entry is nan; a Python loop, for short x."""
+    top = 0.0
+    for v in x.tolist():
+        v = abs(v)
+        if not v <= top:  # larger, or nan
+            if v != v:
+                return v
+            top = v
+    return top
 
 
 def _gauged(res: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -184,7 +192,7 @@ def solve_profile(model: ModelSpec, omega: float, guess) -> SolitaryWave:
 
     res, jac = _residual_and_jacobian(model, kap, c, coupling)
     for _ in range(MAX_ITER):
-        if np.max(np.abs(res)) <= RESIDUAL_TOL:
+        if _sup_norm(res) <= RESIDUAL_TOL:
             break
         g = _gauged(res, c)
         jg = jac.copy()
@@ -193,25 +201,25 @@ def solve_profile(model: ModelSpec, omega: float, guess) -> SolitaryWave:
         try:
             delta = np.linalg.solve(jg, -g)
         except np.linalg.LinAlgError:
-            raise NoConvergence(omega, float(np.max(np.abs(res))))
+            raise NoConvergence(omega, _sup_norm(res))
         step = delta[0::2] + 1j * delta[1::2]
-        norm_old = np.max(np.abs(g))
+        norm_old = _sup_norm(g)
         scale = 1.0
         for _ in range(8):
             c_try = c + scale * step
             res_try, jac_try = _residual_and_jacobian(model, kap, c_try, coupling)
-            if np.max(np.abs(_gauged(res_try, c_try))) < norm_old:
+            if _sup_norm(_gauged(res_try, c_try)) < norm_old:
                 break
             scale *= 0.5
         c, res, jac = c_try, res_try, jac_try
     else:
-        raise NoConvergence(omega, float(np.max(np.abs(res))))
+        raise NoConvergence(omega, _sup_norm(res))
 
     c = _gauge_rotate(c)
     wave = SolitaryWave(float(omega), kap, tuple(c))
-    final = np.max(np.abs(_residual_and_jacobian(model, kap, c, coupling)[0]))
+    final = _sup_norm(_residual_and_jacobian(model, kap, c, coupling)[0])
     if final > RESIDUAL_TOL:
-        raise NoConvergence(omega, float(final))
+        raise NoConvergence(omega, final)
     if np.max(np.abs(c)) <= ZERO_BRANCH_TOL:
         raise ConvergedToZero(_zero_wave(model, omega))
     return wave

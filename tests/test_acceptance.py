@@ -125,29 +125,30 @@ def free_decay_run():
     }
 
 
-@pytest.fixture(scope="module")
-def attraction_run():
-    start = time.time()
+def attraction_experiment(dx, dt, observe_every):
+    """The criterion-6 run on the grid of spacing dx: its figures, and what the bound check reads."""
     wave = kg.solve_profile(PAIR, 0.4, [0.7, 0.7])
-    grid = kg.build_grid(PAIR, -50.0, 50.0, 0.02)
+    grid = kg.build_grid(PAIR, -50.0, 50.0, dx)
     state0 = kg.perturbed_solitary_state(PAIR, grid, wave, 0.1, seed=ATTRACTION_SEED)
     omegas = np.linspace(0.1, 0.8, 15)
-    series1, state10 = kg.evolve(PAIR, grid, state0, 10.0, 0.009, observe_every=5)
+    series1, state10 = kg.evolve(PAIR, grid, state0, 10.0, dt, observe_every=observe_every)
     d10 = kg.dist_to_manifold(PAIR, grid, state10, omegas, 5)
-    series2, state90 = kg.evolve(PAIR, grid, state10, 80.0, 0.009, observe_every=5)
+    series2, state90 = kg.evolve(PAIR, grid, state10, 80.0, dt, observe_every=observe_every)
     d90 = kg.dist_to_manifold(PAIR, grid, state90, omegas, 5)
     trace = series2.traces_psi[:, 0]
     estimates = [
         kg.time_spectrum(trace, series2.sample_dt, t0, 20.0, trace_t0=10.0)
         for t0 in (10.0, 40.0, 70.0)
     ]
+    return {"d10": d10, "d90": d90, "estimates": estimates}, (grid, state0, series1, series2)
+
+
+@pytest.fixture(scope="module")
+def attraction_run():
+    start = time.time()
+    figures, (grid, state0, series1, series2) = attraction_experiment(0.02, 0.009, 5)
     record_bound_check("attraction", PAIR, grid, state0, series1, series2)
-    return {
-        "d10": d10,
-        "d90": d90,
-        "estimates": estimates,
-        "elapsed": time.time() - start,
-    }
+    return {**figures, "elapsed": time.time() - start}
 
 
 @pytest.fixture(scope="module")
@@ -379,3 +380,23 @@ def test_criterion_11_gradient_consistency_of_forces():
     elapsed = time.time() - start
     ok = worst <= 1e-6 and elapsed < 2.0
     report(11, "gradient consistency of forces", ok, f"max relative error {worst:.2e} (tol 1e-6), {elapsed:.2f}s")
+
+
+# ------------------------------------------------------------ refinement
+
+
+def test_attraction_figures_converge_under_refinement(attraction_run):
+    # the criterion-6 run again at half the dx and dt, sampled every 0.045 like the coarse run
+    start = time.time()
+    fine, _ = attraction_experiment(0.01, 0.0045, 10)
+    pairs = list(zip(attraction_run["estimates"], fine["estimates"]))
+    freq_gap = max(abs(f.dominant - c.dominant) / abs(c.dominant) for c, f in pairs)
+    band_gap = max(abs(f.band_mass_ratio - c.band_mass_ratio) / c.band_mass_ratio for c, f in pairs)
+    r_coarse, r_fine = (run["d90"].dist / run["d10"].dist for run in (attraction_run, fine))
+    print(
+        f"\n[refinement] dx 0.02 -> 0.01: dominant frequencies agree to {freq_gap:.1e} (tol 1e-5), "
+        f"band ratios to {band_gap:.1e} (tol 1e-4); dist ratio {r_coarse:.3f} -> {r_fine:.3f}, "
+        f"first-order Richardson estimate 2 r(0.01) - r(0.02) = {2.0 * r_fine - r_coarse:.3f}, "
+        f"{time.time() - start:.1f}s"
+    )
+    assert freq_gap <= 1e-5 and band_gap <= 1e-4

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from kgpoint.model import ModelSpec, OscillatorSpec, force, potential
 from kgpoint.simulator import (
     FieldState,
     NoCommensurateGrid,
+    _candidate_dist,
+    _metric_windows,
     apriori_bound,
     build_grid,
     charge,
@@ -181,6 +184,18 @@ def test_nonzero_dirichlet_end_node_is_rejected(name, end):
         evolve(QUARTIC, grid, state, 1.0, 0.02)
 
 
+@pytest.mark.parametrize("functional", [hamiltonian, charge, energy_norm, apriori_bound])
+def test_whole_grid_functionals_refuse_nonzero_walls(functional):
+    # plain node sums are the trapezoid rule only for states that are 0 at the Dirichlet end nodes
+    grid = build_grid(QUARTIC, -5.0, 5.0, 0.05)
+    for name, end in (("psi", 0), ("pi", -1)):
+        fields = {"psi": np.zeros(grid.count, complex), "pi": np.zeros(grid.count, complex)}
+        fields[name][end] = 0.3
+        state = FieldState(fields["psi"], fields["pi"], 0.0)
+        with pytest.raises(ValueError, match=f"Dirichlet end node {end % grid.count} must be 0"):
+            functional(QUARTIC, grid, state)
+
+
 def test_non_finite_field_aborts_with_diagnostic():
     # a huge nodal value overflows the cubic force and must be caught, not looped on
     grid = build_grid(QUARTIC, -5.0, 5.0, 0.05)
@@ -268,9 +283,9 @@ def test_hamiltonian_solitary_closed_form():
 
 def test_charge_examples():
     grid = build_grid(QUARTIC, -20.0, 20.0, 0.01)
-    real_state = FieldState(
-        np.exp(-grid.x**2).astype(complex), np.cos(grid.x).astype(complex), 0.0
-    )
+    psi, pi = np.exp(-grid.x**2).astype(complex), np.cos(grid.x).astype(complex)
+    psi[0] = psi[-1] = pi[0] = pi[-1] = 0.0  # the Dirichlet end nodes
+    real_state = FieldState(psi, pi, 0.0)
     assert charge(QUARTIC, grid, real_state) == pytest.approx(0.0, abs=1e-14)
 
     wave = solve_profile(QUARTIC, 0.5, [0.7])
@@ -366,6 +381,7 @@ def test_metric_dist_axioms():
     def random_state():
         psi = rng.normal(size=grid.count) * np.exp(-grid.x**2 / 4.0)
         pi = rng.normal(size=grid.count) * np.exp(-grid.x**2 / 4.0)
+        psi[0] = psi[-1] = pi[0] = pi[-1] = 0.0  # the Dirichlet end nodes
         return FieldState(psi.astype(complex), pi.astype(complex), 0.0)
 
     a, b, c = random_state(), random_state(), random_state()
@@ -375,6 +391,72 @@ def test_metric_dist_axioms():
     assert dab <= metric_dist(QUARTIC, grid, a, c, 5) + metric_dist(QUARTIC, grid, c, b, 5) + 1e-12
     diff = FieldState(a.psi - b.psi, a.pi - b.pi, 0.0)
     assert dab <= energy_norm(QUARTIC, grid, diff) + 1e-12
+
+
+def full_grid_candidate_dist(model, grid, state, wave, r_max):
+    """A candidate's distance as the whole-grid path computes it: the reference for the window path.
+
+    The solitary state on the whole grid, the closed-form phase fit on the
+    r_max window, the phased state, then sum 2^-R local_seminorm of the
+    difference.
+    """
+    cand = solitary_state(model, grid, wave)
+    w = grid.window(float(r_max))
+    cells = np.vdot(np.diff(state.psi[w]), np.diff(cand.psi[w]))
+    nodes = np.vdot(state.pi[w], cand.pi[w]) + model.mass**2 * np.vdot(state.psi[w], cand.psi[w])
+    inner = grid.dx * nodes + cells / grid.dx
+    phase = 1.0 + 0j if abs(inner) == 0.0 else inner.conjugate() / abs(inner)
+    phased = FieldState(cand.psi * phase, cand.pi * phase, state.t)
+    return full_grid_metric(model, grid, state, phased, r_max)
+
+
+def full_grid_metric(model, grid, a, b, r_max):
+    diff = FieldState(a.psi - b.psi, a.pi - b.pi, a.t)
+    return sum(0.5**R * local_seminorm(model, grid, diff, float(R)) for R in range(1, r_max + 1))
+
+
+# centred, off-centre, and clipped by the r_max = 5 window (which then holds both end nodes)
+METRIC_GRIDS = [(-50.0, 50.0), (-30.0, 12.0), (-4.3, 4.1)]
+
+
+@pytest.mark.parametrize("x_min, x_max", METRIC_GRIDS)
+def test_window_candidates_equal_the_full_grid_path_bit_for_bit(x_min, x_max):
+    grid = build_grid(PAIR, x_min, x_max, 0.02)
+    state = perturbed_solitary_state(PAIR, grid, solve_profile(PAIR, 0.4, [0.7, 0.7]), 0.1, seed=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the clipped grid warns of its r_max window
+        outer, windows = _metric_windows(grid, 5)
+        u = (state.psi[outer], state.pi[outer])
+        for omega in np.linspace(0.1, 0.8, 15):
+            wave = solve_profile(PAIR, float(omega), [0.7, 0.7])
+            assert _candidate_dist(PAIR, grid, u, wave, outer, windows) == full_grid_candidate_dist(
+                PAIR, grid, state, wave, 5)
+
+
+@pytest.mark.parametrize("x_min, x_max", METRIC_GRIDS)
+def test_metric_dist_equals_the_full_grid_sum_bit_for_bit(x_min, x_max):
+    grid = build_grid(PAIR, x_min, x_max, 0.02)
+    wave = solve_profile(PAIR, 0.4, [0.7, 0.7])
+    a = perturbed_solitary_state(PAIR, grid, wave, 0.1, seed=1)
+    b = solitary_state(PAIR, grid, wave, np.exp(0.7j))
+    zero = FieldState(np.zeros(grid.count, complex), np.zeros(grid.count, complex), 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for r_max in (1, 3, 5):
+            for x, y in ((a, b), (b, a), (a, zero)):
+                assert metric_dist(PAIR, grid, x, y, r_max) == full_grid_metric(PAIR, grid, x, y, r_max)
+
+
+def test_clipped_radius_warns_once_per_call():
+    # on [-4.3, 4.1] only the radius 5 window exceeds the grid
+    grid = build_grid(PAIR, -4.3, 4.1, 0.02)
+    state = perturbed_solitary_state(PAIR, grid, solve_profile(PAIR, 0.4, [0.7, 0.7]), 0.1, seed=1)
+    for call in (lambda: dist_to_manifold(PAIR, grid, state, np.linspace(0.1, 0.8, 15), 5),
+                 lambda: metric_dist(PAIR, grid, state, state, 5)):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            call()
+        assert [str(w.message) for w in caught] == ["seminorm window [-5.0, 5.0] exceeds the grid; clipping"]
 
 
 # ---------------------------------------------------------------- evolution

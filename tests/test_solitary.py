@@ -5,6 +5,7 @@ from kgpoint.model import ModelSpec, OscillatorSpec, _horner, force
 from kgpoint.solitary import (
     _coupling_matrix,
     _residual_and_jacobian,
+    _sup_norm,
     ConvergedToZero,
     NoConvergence,
     SolitaryWave,
@@ -230,6 +231,22 @@ def test_residual_and_jacobian_match_the_numpy_scalar_loop():
             assert np.array_equal(got, want, equal_nan=True)
             finite = np.isfinite(want)
             assert np.array_equal(np.signbit(got[finite]), np.signbit(want[finite]))
+
+
+def test_sup_norm_matches_numpy_bit_for_bit():
+    rng = np.random.default_rng(7)
+    cases = [np.array([-0.0, -0.0]), np.array([0.0, -0.0, 0.0, -0.0]),
+             np.array([np.inf, np.nan]), np.array([np.nan, -np.inf]), np.array([1.0, -np.inf, np.nan, 2.0])]
+    for n in (2, 4, 6, 8):
+        x = rng.normal(size=n) * rng.choice([1e-12, 1.0, 1e300], size=n)
+        cases.append(x)
+        for i in range(n):
+            for special in (np.nan, -np.nan, np.inf, -np.inf, -0.0):
+                y = x.copy()
+                y[i] = special
+                cases.append(y)
+    for x in cases:
+        assert np.float64(_sup_norm(x)).tobytes() == np.max(np.abs(x)).tobytes(), x
 
 
 @pytest.mark.parametrize("model, omega", [(QUARTIC_MODEL, 0.5), (PAIR_MODEL, 0.4), (PAIR_MODEL, -0.9)])
