@@ -12,8 +12,8 @@ simulate and counterexample --simulate run one runner, which writes
 observers.csv, final_state.csv and summary.json.  A model with no a priori
 energy bound still runs; its summary carries null bound keys.
 
-Exit codes: 0 success, 1 usage or parse failure, 2 domain or assumption
-failure, 3 numerical failure.
+Exit codes: 0 success, 1 usage, parse or unreadable-file failure, 2 domain
+or assumption failure, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -88,7 +88,7 @@ def cmd_solve(args) -> int:
         if args.guess:
             guess = [complex(float(v), 0.0) for v in args.guess.split(",")]
         omega_range = None
-        if args.omega_range:
+        if args.omega_range is not None:
             a, b, step = (float(v) for v in args.omega_range.split(":"))
             omega_range = (a, b, step)
     except ValueError as err:
@@ -122,8 +122,6 @@ def cmd_solve(args) -> int:
         kio.write_json(out_dir / "branch_summary.json", summary)
         return EXIT_NUMERICAL if failed_at is not None else EXIT_OK
 
-    if args.omega is None:
-        raise ConfigError("solve needs --omega or --omega-range")
     try:
         wave = solve_profile(cfg.model, args.omega, guess)
         zero = False
@@ -346,8 +344,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="solve solitary-wave profiles")
     p.add_argument("--config", required=True)
-    p.add_argument("--omega", type=float)
-    p.add_argument("--omega-range", dest="omega_range")
+    omega = p.add_mutually_exclusive_group(required=True)
+    omega.add_argument("--omega", type=float)
+    omega.add_argument("--omega-range", dest="omega_range")
     p.add_argument("--guess")
     p.add_argument("--out", default="out")
     p.set_defaults(func=cmd_solve)
@@ -355,8 +354,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="evolve a configured experiment")
     p.add_argument("--config", required=True)
     p.add_argument("--out", default="out")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--seeds", help="comma-separated seed sweep")
+    seed = p.add_mutually_exclusive_group()
+    seed.add_argument("--seed", type=int)
+    seed.add_argument("--seeds", help="comma-separated seed sweep")
     p.add_argument("--parallel", type=int, default=1)
     p.set_defaults(func=cmd_simulate)
 
@@ -396,6 +396,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as err:
+        print(f"file error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except ValueError as err:
         print(f"domain error: {err}", file=sys.stderr)

@@ -185,11 +185,12 @@ def parse_config(path) -> ExperimentConfig:
             required = _REQUIRED_INITIAL_KEY[kind]
             if required and required not in s:
                 raise ConfigError(f"[initial_data] kind = {kind} needs the key {required!r}")
+            # only a counterexample reads params; any other kind ignores keys it does not know
             params = {
                 k: float(v)
                 for k, v in s.items()
                 if k not in ("kind", "family", "path", "seed")
-            }
+            } if kind == "counterexample" else {}
             initial = InitialDataConfig(
                 kind=kind,
                 omega=float(s["omega"]) if "omega" in s else None,

@@ -58,6 +58,8 @@ class OscillatorSpec:
         object.__setattr__(self, "position", float(self.position))
         if len(self.coefficients) < 2:
             raise ValueError("oscillator potential needs degree >= 1 in |psi|^2")
+        if not np.isfinite((self.position, *self.coefficients)).all():
+            raise ValueError("oscillator position and coefficients must be finite")
 
     @property
     def degree(self) -> int:
@@ -83,8 +85,8 @@ class ModelSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "oscillators", tuple(self.oscillators))
-        if self.mass <= 0:
-            raise ValueError("mass must be positive")
+        if not 0 < self.mass < np.inf:
+            raise ValueError("mass must be positive and finite")
         if not self.oscillators:
             raise ValueError("at least one oscillator required")
         pos = self.positions
@@ -213,28 +215,13 @@ def check_assumptions(model: ModelSpec) -> AssumptionReport:
 def _poly_minimum_on_halfline(coeffs: tuple[float, ...]) -> float:
     """Minimum of sum_n c_n s^n over s >= 0 for a polynomial with c_top > 0.
 
-    Local minima of the polynomial occur only where its derivative changes
-    sign from negative to positive, so bracketing the derivative's sign
-    changes on [0, s_max] and bisecting each bracket finds every candidate;
-    s = 0 is always a candidate endpoint.
+    The minimum sits at s = 0 or at a positive real root of the derivative.
+    Every root is taken at its real part (a real root comes back with at
+    most a roundoff imaginary part); any other point of s >= 0 can only
+    raise the minimum, so no tolerance is needed.
     """
-    slope = _slope(coeffs)
-    # Cauchy bound on the roots of u': beyond it u is increasing.
-    s_max = 1.0 + max(abs(d / slope[-1]) for d in slope)
-    grid = np.linspace(0.0, s_max, 4097)
-    dvals = _horner(slope, grid)
-    candidates = [0.0, *grid[dvals == 0.0]]
-    for i in np.flatnonzero(dvals[:-1] * dvals[1:] < 0.0):
-        lo, hi, flo = grid[i], grid[i + 1], dvals[i]
-        while hi - lo > 1e-12 * max(1.0, hi):
-            mid = 0.5 * (lo + hi)
-            fm = _horner(slope, mid)
-            if flo * fm <= 0.0:
-                hi = mid
-            else:
-                lo, flo = mid, fm
-        candidates.append(0.5 * (lo + hi))
-    return float(min(_horner(coeffs, s) for s in candidates))
+    roots = np.roots(_slope(coeffs)[::-1]).real
+    return float(min(_horner(coeffs, s) for s in (0.0, *roots[roots > 0.0].tolist())))
 
 
 def _oscillator_lower_bound(osc: OscillatorSpec) -> tuple[float, float]:

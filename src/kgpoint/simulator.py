@@ -28,6 +28,8 @@ waves are evaluated there alone, its radii sharing one such buffer.
 from __future__ import annotations
 
 import math
+import os
+import sys
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -58,6 +60,7 @@ __all__ = [
     "dist_to_manifold",
 ]
 
+_PACKAGE_DIR = os.path.dirname(__file__) + os.sep
 _NOISE_WIDTH_UNIT = 0.02  # perturbed_solitary_state's noise widths are 10 to 25 of it, whatever the dx
 
 
@@ -71,7 +74,6 @@ class Grid:
     dx: float
     count: int
     oscillator_nodes: tuple[int, ...]
-    _windows: dict[float, slice] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
     def x(self) -> np.ndarray:
@@ -85,15 +87,16 @@ class Grid:
         return self.x_min + self.dx * (self.count - 1)
 
     def window(self, R: float) -> slice:
-        """The nodes with |x| <= R, a contiguous run, as a slice cached per radius R > 0."""
-        if R <= 0:
+        """The nodes with |x| <= R, a contiguous run of the sorted x, as a slice; R must be positive."""
+        if not R > 0:  # a nan radius too
             raise ValueError("R must be positive")
         if -R < self.x_min or R > self.x_max:
-            warnings.warn(f"seminorm window [-{R}, {R}] exceeds the grid; clipping", stacklevel=3)
-        if R not in self._windows:
-            inside = np.flatnonzero(np.abs(self.x) <= R)
-            self._windows[R] = slice(int(inside[0]), int(inside[-1]) + 1) if inside.size else slice(0, 0)
-        return self._windows[R]
+            # the warning names the first caller outside this package, however deep the call
+            frame, level = sys._getframe(1), 2
+            while frame is not None and frame.f_code.co_filename.startswith(_PACKAGE_DIR):
+                frame, level = frame.f_back, level + 1
+            warnings.warn(f"seminorm window [-{R}, {R}] exceeds the grid; clipping", stacklevel=level)
+        return slice(int(np.searchsorted(self.x, -R, "left")), int(np.searchsorted(self.x, R, "right")))
 
 
 @dataclass(frozen=True)

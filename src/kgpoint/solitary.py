@@ -135,11 +135,10 @@ def _residual_and_jacobian(model: ModelSpec, kap: float, c: np.ndarray, coupling
 
 def _gauge_rotate(amps: np.ndarray) -> np.ndarray:
     """Rotate the common phase so the first nonzero amplitude is real >= 0."""
-    for c in amps:
+    for idx, c in enumerate(amps):
         if abs(c) > 0.0:
             rotated = amps * (c.conjugate() / abs(c))
-            idx = np.argmax(np.abs(amps) > 0.0)
-            rotated[idx] = abs(amps[idx])
+            rotated[idx] = abs(c)
             return rotated
     return amps
 

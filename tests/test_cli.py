@@ -67,6 +67,50 @@ def test_check_unbounded_potential_exits_two(tmp_path, capsys):
     assert "error" in report["lower_bounds"]
 
 
+QUARTIC_WELL = """
+[model]
+mass = 1.0
+positions = 0.0
+coefficients_1 = 0 0 -2 1 1e-4
+
+[grid]
+x_min = -20
+x_max = 20
+dx_target = 0.02
+
+[run]
+T = 2
+dt = 0.009
+observe_every = 5
+
+[initial_data]
+kind = solitary
+omega = 0.866
+"""
+
+
+def test_badly_scaled_well_floor_bounds_its_solitary_wave(tmp_path, capsys):
+    # the well of u = -2 s^2 + s^3 + 1e-4 s^4 at s = 4/3 sets the floor; the exact wave stays below the bound
+    cfg = write_config(tmp_path, QUARTIC_WELL)
+    assert main(["check", "--config", cfg]) == 0
+    assert json.loads(capsys.readouterr().out)["lower_bounds"]["A"][0] <= -1.18
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["bound_checked_samples"] == 46
+    assert summary["bound_violations"] == 0
+    assert summary["energy_norm_initial"] < summary["energy_norm_bound"]
+
+
+@pytest.mark.parametrize("line", ["mass = nan", "positions = inf", "coefficients_1 = 0 nan 1"])
+def test_check_non_finite_model_data_exits_one(tmp_path, capsys, line):
+    key = line.split(" = ")[0]
+    text = "\n".join(line if row.startswith(key + " ") else row for row in SINGLE_MODEL.splitlines())
+    assert main(["check", "--config", write_config(tmp_path, text)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error:") and captured.err.count("\n") == 1
+
+
 def test_check_malformed_config_exits_one(tmp_path):
     cfg = write_config(tmp_path, "[model]\nmass = not_a_number\n")
     assert main(["check", "--config", cfg]) == 1
@@ -155,6 +199,55 @@ def test_simulate_seed_sweep(tmp_path, capsys):
     a = (out / "seed_3" / "observers.csv").read_bytes()
     b = (out / "seed_4" / "observers.csv").read_bytes()
     assert a != b
+    # the serial loop writes the same bytes as the worker pool
+    serial = tmp_path / "serial"
+    assert main(["simulate", "--config", cfg, "--out", str(serial), "--seeds", "3,4", "--parallel", "1"]) == 0
+    for name in ("seed_3/observers.csv", "seed_4/final_state.csv", "seed_4/summary.json"):
+        assert (serial / name).read_bytes() == (out / name).read_bytes()
+
+
+def test_simulate_seed_defaults_to_the_config_seed(tmp_path, capsys):
+    text = (
+        SINGLE_MODEL
+        + RUN_SECTIONS
+        + "\n[initial_data]\nkind = perturbed_solitary\nomega = 0.5\nnoise_amplitude = 0.1\nseed = 6\n"
+    )
+    cfg = write_config(tmp_path, text)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "config")]) == 0
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "flag"), "--seed", "6"]) == 0
+    for name in ("observers.csv", "final_state.csv", "summary.json"):
+        assert (tmp_path / "config" / name).read_bytes() == (tmp_path / "flag" / name).read_bytes()
+    assert json.loads((tmp_path / "config" / "summary.json").read_text())["seed"] == 6
+
+
+def test_simulate_zero_data_ignores_unknown_initial_data_keys(tmp_path):
+    cfg = write_config(tmp_path, SINGLE_MODEL + RUN_SECTIONS + "\n[initial_data]\nkind = zero\nnote = hello\n")
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--omega", "0.5", "--omega-range", "0:0.2:0.1"],
+    ["solve"],
+    ["simulate", "--seed", "5", "--seeds", "1,2"],
+], ids=["solve both", "solve neither", "simulate both"])
+def test_exclusive_flags_exit_one(tmp_path, capsys, argv):
+    cfg = write_config(tmp_path, SINGLE_MODEL + RUN_SECTIONS + "\n[initial_data]\nkind = zero\n")
+    out = tmp_path / "out"
+    assert main(argv[:1] + ["--config", cfg, "--out", str(out)] + argv[1:]) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["trace", "state"])
+def test_missing_input_file_is_one_line(tmp_path, capsys, source):
+    missing = tmp_path / "nope.csv"
+    if source == "trace":
+        argv = ["spectrum", "--trace", str(missing), "--windows", "0:1"]
+    else:
+        text = SINGLE_MODEL + RUN_SECTIONS + f"\n[initial_data]\nkind = file\npath = {missing}\n"
+        argv = ["simulate", "--config", write_config(tmp_path, text)]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "nope.csv" in err
 
 
 def test_simulate_file_round_trip(tmp_path):

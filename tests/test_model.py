@@ -180,20 +180,35 @@ def test_lower_bound_unbounded_potential():
 
 
 def test_lower_bound_certificate():
-    # U(s) - (A - B s) >= -1e-12 out to beyond the last critical point
+    # U(s) - (A - B s) >= -1e-12 out to beyond the last critical point, and finely on [0, 3],
+    # where the two badly scaled quartics have their wells (floors -1.18487 and -57.92)
     rng = np.random.default_rng(7)
+    cases = []
     for _ in range(40):
         deg = rng.integers(1, 5)
         coeffs = list(rng.uniform(-3, 3, size=deg + 1))
         coeffs[-1] = abs(coeffs[-1]) + 0.1
+        cases.append(coeffs)
+    cases += [[0.0, 0.0, -2.0, 1.0, 1e-4], [0.0, 2.0, -400.0, 400.0, 0.002]]
+    for coeffs in cases:
         osc = OscillatorSpec(0.0, tuple(coeffs))
         consts = lower_bound_constants(ModelSpec(1.0, (osc,)))
         s_max = 1.0 + max(abs(c / coeffs[-1]) for c in coeffs) * 2.0
-        s = np.linspace(0.0, s_max, 2000)
+        s = np.concatenate([np.linspace(0.0, s_max, 2000), np.linspace(0.0, 3.0, 3001)])
         u = np.zeros_like(s)
         for c in reversed(coeffs):
             u = u * s + c
         assert np.min(u - (consts.A[0] - consts.B[0] * s)) >= -1e-12
+
+
+@pytest.mark.parametrize("mass, position, coefficients", [
+    (1.0, 0.0, (0.0, float("nan"), 1.0)), (1.0, 0.0, (0.0, -2.0, float("inf"))),
+    (1.0, float("-inf"), (0.0, -2.0, 1.0)), (float("nan"), 0.0, (0.0, -2.0, 1.0)),
+    (float("inf"), 0.0, (0.0, -2.0, 1.0)),
+], ids=["nan coefficient", "inf coefficient", "inf position", "nan mass", "inf mass"])
+def test_model_data_must_be_finite(mass, position, coefficients):
+    with pytest.raises(ValueError, match="finite"):
+        ModelSpec(mass, (OscillatorSpec(position, coefficients),))
 
 
 def test_force_ratio_matches_closed_form():

@@ -26,7 +26,7 @@ from kgpoint.simulator import (
     solitary_state,
     step,
 )
-from kgpoint.solitary import profile_eval, solve_profile
+from kgpoint.solitary import NoConvergence, profile_eval, solve_profile
 
 QUARTIC = ModelSpec(1.0, (OscillatorSpec(0.0, (0.0, -2.0, 1.0)),))
 PAIR = ModelSpec(
@@ -457,6 +457,42 @@ def test_clipped_radius_warns_once_per_call():
             warnings.simplefilter("always")
             call()
         assert [str(w.message) for w in caught] == ["seminorm window [-5.0, 5.0] exceeds the grid; clipping"]
+
+
+@pytest.mark.parametrize("call", ["local_seminorm", "metric_dist", "dist_to_manifold", "evolve"])
+def test_clipped_radius_warning_names_the_caller(call):
+    grid = build_grid(PAIR, -4.3, 4.1, 0.02)
+    state = perturbed_solitary_state(PAIR, grid, solve_profile(PAIR, 0.4, [0.7, 0.7]), 0.1, seed=1)
+    calls = {
+        "local_seminorm": lambda: local_seminorm(PAIR, grid, state, 5.0),
+        "metric_dist": lambda: metric_dist(PAIR, grid, state, state, 5),
+        "dist_to_manifold": lambda: dist_to_manifold(PAIR, grid, state, [0.4], 5),
+        "evolve": lambda: evolve(PAIR, grid, state, 0.0, 0.009, seminorm_radii=(5.0,)),
+    }
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        calls[call]()
+    assert [w.filename for w in caught] == [__file__]
+
+
+@pytest.mark.parametrize("R", [0.0, -1.0, float("nan")])
+def test_window_refuses_a_radius_that_is_not_positive(R):
+    with pytest.raises(ValueError, match="R must be positive"):
+        build_grid(QUARTIC, -5.0, 5.0, 0.05).window(R)
+
+
+def test_dist_to_manifold_skips_failed_frequencies_and_fails_when_all_do():
+    # the solitary branch of u = -0.8 s + s^2 exists only for |omega| > 0.6
+    model = ModelSpec(1.0, (OscillatorSpec(0.0, (0.0, -0.8, 1.0)),))
+    grid = build_grid(model, -20.0, 20.0, 0.02)
+    state = perturbed_solitary_state(model, grid, solve_profile(model, 0.7, [0.7]), 0.05, seed=3)
+    zero = FieldState(np.zeros(grid.count), np.zeros(grid.count), 0.0)
+    found = dist_to_manifold(model, grid, state, np.linspace(0.1, 0.8, 15), 5)
+    assert found.best_omega == pytest.approx(0.6932, abs=1e-4)
+    assert found.dist == pytest.approx(0.0542, abs=1e-4)
+    assert found.dist < metric_dist(model, grid, state, zero, 5) == pytest.approx(0.3009, abs=1e-4)
+    with pytest.raises(NoConvergence):
+        dist_to_manifold(model, grid, state, np.linspace(0.1, 0.5, 5), 5)
 
 
 # ---------------------------------------------------------------- evolution
