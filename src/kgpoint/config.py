@@ -185,17 +185,18 @@ def parse_config(path) -> ExperimentConfig:
             required = _REQUIRED_INITIAL_KEY[kind]
             if required and required not in s:
                 raise ConfigError(f"[initial_data] kind = {kind} needs the key {required!r}")
-            # only a counterexample reads params; any other kind ignores keys it does not know
+            # each kind converts only the keys it reads and ignores the others
             params = {
                 k: float(v)
                 for k, v in s.items()
                 if k not in ("kind", "family", "path", "seed")
             } if kind == "counterexample" else {}
+            perturbed = kind == "perturbed_solitary"
             initial = InitialDataConfig(
                 kind=kind,
-                omega=float(s["omega"]) if "omega" in s else None,
-                noise_amplitude=float(s.get("noise_amplitude", "0")),
-                seed=int(s.get("seed", "0")),
+                omega=float(s["omega"]) if kind in ("solitary", "perturbed_solitary") else None,
+                noise_amplitude=float(s.get("noise_amplitude", "0")) if perturbed else 0.0,
+                seed=int(s.get("seed", "0")) if perturbed else 0,
                 family=s.get("family"),
                 params=params,
                 path=s.get("path"),

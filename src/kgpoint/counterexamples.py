@@ -46,6 +46,7 @@ __all__ = [
     "linear_deg_eval",
     "verify_exact",
     "init_from",
+    "wall_clip",
 ]
 
 
@@ -346,3 +347,14 @@ def init_from(solution, grid: Grid) -> FieldState:
     psi[0] = psi[-1] = 0.0
     pi[0] = pi[-1] = 0.0
     return FieldState(psi, pi, 0.0)
+
+
+def wall_clip(solution, grid: Grid) -> float:
+    """What init_from drops, relative to the wave's peak.
+
+    The largest |psi| or |pi| of the wave at t = 0 on the two Dirichlet end
+    nodes, over the largest on the grid (0 for a zero wave).
+    """
+    psi, pi = (np.abs(np.asarray(f)) for f in solution.eval(grid.x, 0.0))
+    peak = max(psi.max(), pi.max())
+    return float(max(psi[0], psi[-1], pi[0], pi[-1]) / peak) if peak > 0 else 0.0

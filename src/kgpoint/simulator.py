@@ -13,10 +13,10 @@ whose gradient is exactly the semidiscrete right-hand side.  Boundaries are
 homogeneous Dirichlet on a domain sized so that radiation cannot return
 during an experiment.
 
-One loop, ``_kdk``, steps in place on preallocated buffers; its observer sees
-the live buffers and must copy what it keeps.  The loop works on float64
-views of the complex buffers, so scaling by a real number is a real multiply,
-and one scratch buffer serves the half kicks, the drift and the Laplacian.
+One loop, ``_kdk``, steps in place on four buffers cut from one block at fixed
+offsets; its observer sees the live buffers and must copy what it keeps.  With
+the mass term in the stencil diagonal and the half kick dt/2 acc one pre-scaled
+stencil on float64 views of the complex buffers, a step is 8 array passes.
 H, the energy norm, the local seminorms, the metric and the phase fit all
 evaluate one form, ``_energy_form``; the observer of ``evolve`` takes the cell
 differences once per sample, and the whole grid and every seminorm window
@@ -211,50 +211,49 @@ def _kdk(model: ModelSpec, grid: Grid, state: FieldState, dt: float, n_steps: in
          observe_every: int, observe) -> FieldState:
     """n_steps kick-drift-kick steps of size dt from state, in place on private buffers.
 
-    observe(k, psi, pi) reads the live buffers at step 0 and every
-    observe_every steps.  A non-finite psi there, or psi or pi at the end,
-    raises FloatingPointError.
+    observe(k, psi, pi, scratch) reads the live buffers at step 0 and every
+    observe_every steps and may overwrite scratch, a free buffer like psi.  A
+    non-finite psi there, or psi or pi at the end, raises FloatingPointError.
 
-    The arithmetic runs on float64 views of the complex buffers (real and
-    imaginary parts interleaved, so the stencil neighbours sit 2 floats away).
-    numpy multiplies a complex array by a real scalar as a full complex
-    product; the view does one real multiply per float, with the same values
-    up to the sign of an exact zero.  ``kick`` holds (dt/2) acc, and between
-    its two uses it also serves as the drift and Laplacian scratch.
+    A step is 8 passes over float64 views of the complex buffers (stencil
+    neighbours sit 2 floats apart): pi += kick; drift = dt pi; psi += drift;
+    kick = ((psi[+1] - c psi) + psi[-1]) dt/(2 dx^2), c = 2 + m^2 dx^2, in 4,
+    plus F_J dt/(2 dx) at the oscillator nodes; pi += kick.  It reads (psi, pi)
+    alone, so a restart continues bit for bit.  A real multiply per float is
+    numpy's complex-by-real product up to the sign of an exact zero.  The four
+    buffers are slices of one page-aligned block, 1 KB apart modulo 4 KB
+    whatever the heap held before, so their streams alias in the cache alike.
     """
-    psi, pi = np.array(state.psi, dtype=complex), np.array(state.pi, dtype=complex)
-    acc = np.zeros_like(psi)  # the Dirichlet end nodes are never written and stay 0
-    kick = np.empty_like(psi)
-    p, q, a, kr = psi.view(float), pi.view(float), acc.view(float), kick.view(float)
-    lap, mid, acc_mid = kr[2:-2], p[2:-2], a[2:-2]
-    inv_dx2, m2, half_dt = 1.0 / grid.dx**2, model.mass**2, 0.5 * dt
+    stride = -(-16 * grid.count // 4096) * 4096 + 1024  # bytes from one buffer to the next
+    raw = np.empty(4 * stride + 4096, dtype=np.uint8)
+    start = -raw.ctypes.data % 4096
+    psi, pi, kick, drift = (raw[start + j * stride:][:16 * grid.count].view(complex) for j in range(4))
+    psi[:], pi[:], kick[0], kick[-1] = state.psi, state.pi, 0.0, 0.0  # kick's end nodes stay 0
+    p, q, kr, dr = psi.view(float), pi.view(float), kick.view(float), drift.view(float)
+    mid, lap = p[2:-2], kr[2:-2]
+    c, scale, force_scale = 2.0 + model.mass**2 * grid.dx**2, 0.5 * dt / grid.dx**2, 0.5 * dt / grid.dx
     sites = list(zip(model.oscillators, grid.oscillator_nodes))
 
-    def accelerate():
-        # acc = ((psi[2:] - 2 psi[1:-1]) + psi[:-2]) / dx^2 - m^2 psi + F_J / dx and
-        # kick = (dt/2) acc, in this order so values match the plain expressions
-        np.multiply(mid, 2.0, out=lap)
+    def half_kick():
+        np.multiply(mid, c, out=lap)
         np.subtract(p[4:], lap, out=lap)
         np.add(lap, p[:-4], out=lap)
-        np.multiply(lap, inv_dx2, out=acc_mid)
-        np.multiply(mid, m2, out=lap)
-        np.subtract(acc_mid, lap, out=acc_mid)
+        np.multiply(lap, scale, out=lap)
         for osc, i in sites:
-            acc[i] += force(osc, psi[i]) / grid.dx
-        np.multiply(a, half_dt, out=kr)
+            kick[i] += force(osc, psi[i]) * force_scale
 
     with np.errstate(over="ignore", invalid="ignore"):
-        observe(0, psi, pi)
-        accelerate()
+        observe(0, psi, pi, drift)
+        half_kick()
         for k in range(1, n_steps + 1):
             np.add(q, kr, out=q)
-            np.multiply(q, dt, out=kr)
-            np.add(p, kr, out=p)
-            accelerate()
+            np.multiply(q, dt, out=dr)
+            np.add(p, dr, out=p)
+            half_kick()
             np.add(q, kr, out=q)
             if k % observe_every == 0:
                 _require_finite(state.t + k * dt, psi)
-                observe(k, psi, pi)
+                observe(k, psi, pi, drift)
     t = state.t + n_steps * dt
     _require_finite(t, psi, pi)
     return FieldState(psi, pi, t)
@@ -263,7 +262,7 @@ def _kdk(model: ModelSpec, grid: Grid, state: FieldState, dt: float, n_steps: in
 def step(model: ModelSpec, grid: Grid, state: FieldState, dt: float) -> FieldState:
     """One kick-drift-kick step; dt < 0 steps backwards (the flow is reversible)."""
     _check_step(grid, state, dt)
-    return _kdk(model, grid, state, dt, 1, 1, lambda k, psi, pi: None)
+    return _kdk(model, grid, state, dt, 1, 1, lambda k, psi, pi, scratch: None)
 
 
 def _energy_form(model: ModelSpec, grid: Grid, a, b, window=slice(None), d_a=None) -> complex:
@@ -273,8 +272,8 @@ def _energy_form(model: ModelSpec, grid: Grid, a, b, window=slice(None), d_a=Non
     nodes (where plain sums are the trapezoid rule), or on one window's nodes.
     The sums run over the nodes of ``window``, a slice of those arrays, by
     default all of them, and the cells between them.  d_a, when given, holds
-    psi_a[j + 1] - psi_a[j] at every node j, 0 at the last; the cells of a
-    window are then the entries at its nodes but the last.
+    psi_a[j + 1] - psi_a[j] at every node j but the last, whose entry is never
+    read; the cells of a window are then the entries at its nodes but the last.
     """
     (a_psi, a_pi), (b_psi, b_pi) = a, b
     d_a = np.diff(a_psi[window]) if d_a is None else d_a[window][:-1]
@@ -427,12 +426,11 @@ def evolve(model: ModelSpec, grid: Grid, state: FieldState, T: float, dt: float,
     times, energy, charges, norms = np.empty((4, n))
     seminorms = {r: np.empty(n) for r in windows}
     traces_psi, traces_pi = np.empty((2, n, len(nodes)), dtype=complex)
-    d = np.zeros(grid.count, dtype=complex)  # the cell differences of one sample, at their left nodes
 
-    def observe(k, psi, pi):
+    def observe(k, psi, pi, d):
         j = k // observe_every
         u = (psi, pi)
-        np.subtract(psi[1:], psi[:-1], out=d[:-1])
+        np.subtract(psi[1:], psi[:-1], out=d[:-1])  # the cell differences, at their left nodes
         times[j] = state.t + k * dt
         energy[j], norms[j] = _energy(model, grid, u, d)
         charges[j] = _charge(grid, u)

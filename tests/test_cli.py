@@ -221,8 +221,31 @@ def test_simulate_seed_defaults_to_the_config_seed(tmp_path, capsys):
 
 
 def test_simulate_zero_data_ignores_unknown_initial_data_keys(tmp_path):
-    cfg = write_config(tmp_path, SINGLE_MODEL + RUN_SECTIONS + "\n[initial_data]\nkind = zero\nnote = hello\n")
+    text = SINGLE_MODEL + RUN_SECTIONS + "\n[initial_data]\nkind = zero\nnote = hello\nomega = abc\n"
+    cfg = write_config(tmp_path, text)
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.parametrize("key", ["seed = abc", "noise_amplitude = lots"])
+@pytest.mark.parametrize("kind, code", [("solitary", 0), ("perturbed_solitary", 1)])
+def test_only_perturbed_data_converts_its_seed_and_noise_keys(tmp_path, capsys, key, kind, code):
+    text = SINGLE_MODEL + RUN_SECTIONS + f"\n[initial_data]\nkind = {kind}\nomega = 0.5\n{key}\n"
+    assert main(["simulate", "--config", write_config(tmp_path, text), "--out", str(tmp_path / "out")]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err.startswith("config error:") and err.count("\n") == 1
+    else:
+        assert err == ""
+
+
+@pytest.mark.filterwarnings("default::UserWarning")  # the filter a command-line user runs under
+def test_cli_prints_the_clip_warning_as_one_line(tmp_path, capsys):
+    text = SINGLE_MODEL + RUN_SECTIONS.replace("seminorm_radii = 1 2", "seminorm_radii = 1 2 60")
+    cfg = write_config(tmp_path, text + "\n[initial_data]\nkind = zero\n")
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[0].startswith("warning: light-cone margin")  # R = 60 reaches past both walls
+    assert lines[1:] == ["warning: seminorm window [-60.0, 60.0] exceeds the grid; clipping"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -432,6 +455,22 @@ def test_counterexample_simulate_handoff(tmp_path):
     times, trace = read_trace_csv(out / "observers.csv")
     assert len(times) > 10
     assert np.max(np.abs(trace)) > 0.1
+
+
+@pytest.mark.parametrize("half, warns", [(6.0, True), (30.0, False)])
+def test_counterexample_reports_what_the_walls_cut(tmp_path, capsys, half, warns):
+    out = tmp_path / "wg"
+    argv = ["counterexample", "--kind", "wide_gap", "--simulate", "--T", "2.0", "--half-width", repr(half),
+            "--dx-target", "0.05", "--out", str(out)]
+    assert main(argv) == 0
+    err = capsys.readouterr().err
+    clip = json.loads((out / "verification.json").read_text())["initial_wall_clip"]
+    assert json.loads((out / "summary.json").read_text())["initial_wall_clip"] == clip
+    if warns:  # pi is about 1.6e-3 at both walls, against a peak of 0.317
+        assert 4e-3 <= clip <= 6e-3
+        assert err.startswith("warning: the walls cut 0.00") and "above 1e-06" in err and err.count("\n") == 1
+    else:
+        assert clip <= 1e-10 and err == ""
 
 
 def _counterexample_config(tmp_path, family, half, T, dx_target):
