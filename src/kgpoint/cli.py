@@ -42,8 +42,7 @@ from .simulator import (
     perturbed_solitary_state,
     solitary_state,
 )
-from .solitary import (_NEWTON_STARTS, ConvergedToZero, NoConvergence, amplitude_residual, continue_branch,
-                       solve_profile)
+from .solitary import _NEWTON_STARTS, ConvergedToZero, NoConvergence, continue_branch, profile_eval, solve_profile
 from .spectral import time_spectrum
 
 EXIT_OK = 0
@@ -51,7 +50,7 @@ EXIT_USAGE = 1
 EXIT_DOMAIN = 2
 EXIT_NUMERICAL = 3
 
-# init_from may drop this much of the wave's peak at the walls before a run warns: a thousandth of
+# the walls may cut this much of an exact wave's peak from the initial data before a run warns: a thousandth of
 # the 1e-3-level trace errors of the discretization at dx = 0.02
 WALL_CLIP_WARN = 1e-6
 
@@ -115,7 +114,7 @@ def cmd_solve(args) -> int:
             row = [w.omega, w.kappa]
             for c in w.amplitudes:
                 row += [c.real, c.imag]
-            row.append(float(np.max(np.abs(amplitude_residual(cfg.model, w)))))
+            row.append(w.residual_max)
             rows.append(row)
         kio.write_csv(out_dir / "branch.csv", header, rows)
         summary = {
@@ -137,7 +136,7 @@ def cmd_solve(args) -> int:
         return EXIT_NUMERICAL
     doc = wave.to_json_dict()
     doc["zero_branch"] = zero
-    doc["residual_max"] = float(np.max(np.abs(amplitude_residual(cfg.model, wave))))
+    doc["residual_max"] = wave.residual_max
     _print_json(doc)
     kio.write_json(out_dir / "wave.json", doc)
     return EXIT_OK
@@ -166,25 +165,29 @@ def _counterexample_solution(family: str, params: dict):
     return construct(*(params.get(name, value) for name, value in defaults.items()))
 
 
-def build_initial_state(cfg: ExperimentConfig, grid, model, seed=None) -> FieldState:
+def build_initial_state(cfg: ExperimentConfig, grid, model, seed=None) -> tuple[FieldState, float | None]:
     """The configured initial data on grid, but for a counterexample's exact wave (see _run_simulation).
 
-    seed is the perturbation seed, used as given.
+    Returns the state and, for solitary and perturbed solitary data, what
+    the walls cut from the solitary wave as cx.wall_clip defines it (None
+    for other data).  seed is the perturbation seed, used as given.
     """
     initial = cfg.initial
     if initial is None or initial.kind == "zero":
         z = np.zeros(grid.count, dtype=complex)
-        return FieldState(z, z.copy(), 0.0)
-    if initial.kind == "solitary":
-        return solitary_state(model, grid, solve_profile(model, initial.omega, _default_guess(model)))
-    if initial.kind == "perturbed_solitary":
+        return FieldState(z, z.copy(), 0.0), None
+    if initial.kind in ("solitary", "perturbed_solitary"):
         wave = solve_profile(model, initial.omega, _default_guess(model))
-        return perturbed_solitary_state(model, grid, wave, initial.noise_amplitude, seed)
+        phi = np.abs(profile_eval(model, wave, grid.x))  # |pi| = |omega| |psi|, so psi alone decides the ratio
+        clip = float(max(phi[0], phi[-1]) / phi.max())
+        if initial.kind == "solitary":
+            return solitary_state(model, grid, wave), clip
+        return perturbed_solitary_state(model, grid, wave, initial.noise_amplitude, seed), clip
     if initial.kind == "file":
         _, psi, pi = kio.read_state_csv(initial.path)
         if len(psi) != grid.count:
             raise ConfigError(f"state file has {len(psi)} nodes, grid has {grid.count}")
-        return FieldState(psi, pi, 0.0)
+        return FieldState(psi, pi, 0.0), None
     raise ConfigError(f"unknown initial data kind {initial.kind!r}")
 
 
@@ -214,8 +217,8 @@ def _record_run(model, grid, state: FieldState, run: RunConfig, out_dir: Path, s
     The a priori bound is a diagnostic here: a model whose potentials admit
     no bound gets null bound keys and no checked samples.  A negative
     light-cone margin is reported with a warning on stderr before the run,
-    and a wall_clip (what init_from dropped of an exact wave) above
-    WALL_CLIP_WARN with one after it.
+    and a wall_clip (what the walls cut from a counterexample's or a
+    solitary wave) above WALL_CLIP_WARN with one after it.
     """
     margin = _light_cone_margin(model, grid, run)
     if margin < 0:
@@ -276,8 +279,8 @@ def _run_simulation(cfg: ExperimentConfig, out_dir: Path, seed=None) -> dict:
         seed = None
     elif seed is None:
         seed = initial.seed
-    state = build_initial_state(cfg, grid, model, seed=seed)
-    return _record_run(model, grid, state, cfg.run, out_dir, seed)
+    state, wall_clip = build_initial_state(cfg, grid, model, seed=seed)
+    return _record_run(model, grid, state, cfg.run, out_dir, seed, wall_clip)
 
 
 def _warning_line(message, category, filename, lineno, file=None, line=None):

@@ -62,6 +62,9 @@ __all__ = [
 
 _PACKAGE_DIR = os.path.dirname(__file__) + os.sep
 _NOISE_WIDTH_UNIT = 0.02  # perturbed_solitary_state's noise widths are 10 to 25 of it, whatever the dx
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # the bracket's shrink per golden-section step
+_GOLDEN_FRACTION = 1.0 - _INVPHI  # Brent's golden-section step, as a fraction of the larger part
+_SQRT_EPS = math.sqrt(np.finfo(float).eps)  # Brent's relative resolution floor
 
 
 class NoCommensurateGrid(ValueError):
@@ -369,8 +372,8 @@ def _solitary_sample(model: ModelSpec, grid: Grid, wave: SolitaryWave, window: s
 def solitary_state(model: ModelSpec, grid: Grid, wave: SolitaryWave, phase: complex = 1.0 + 0j) -> FieldState:
     """Sample (phi, -i omega phi), optionally rotated by a unit phase.
 
-    The Dirichlet nodes are zeroed exactly (the profile tail there is below
-    roundoff on any adequately sized domain) so they stay zero under the flow.
+    The Dirichlet nodes are zeroed exactly so they stay zero under the flow;
+    a simulate run reports what that cuts as initial_wall_clip.
     """
     return FieldState(*_solitary_sample(model, grid, wave, phase=phase), 0.0)
 
@@ -460,13 +463,67 @@ def _candidate_dist(model: ModelSpec, grid: Grid, u, wave: SolitaryWave, outer: 
     return _metric(model, grid, (u[0] - psi * phase, u[1] - pi * phase), windows)
 
 
+def _brent_minimize(f, a: float, b: float, x: float, fx: float, tol: float) -> None:
+    """Brent's minimization of f over [a, b] from x, f(x) = fx, until x is within 2 tol of both ends.
+
+    Each step fits a parabola through the three best points so far and takes
+    its vertex, or, where the parabola is not trusted, a golden-section step
+    into the larger part of the bracket (R. P. Brent, Algorithms for
+    Minimization without Derivatives, 1973, ch. 5; tol gains sqrt(eps)|x| at
+    each step against roundoff).  f(u) returns None to end the search; the
+    caller keeps the points it likes.
+    """
+    v = w = x
+    fv = fw = fx
+    d = e = 0.0
+    while True:
+        m = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(x) + tol / 3.0
+        tol2 = 2.0 * tol1
+        if abs(x - m) <= tol2 - 0.5 * (b - a):
+            return
+        p = q = r = 0.0
+        if abs(e) > tol1:  # the parabola through (v, fv), (w, fw), (x, fx): its vertex is x + p / q
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, d
+        if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):  # a shrinking step inside (a, b)
+            d = p / q
+            if (x + d) - a < tol2 or b - (x + d) < tol2:
+                d = tol1 if x < m else -tol1
+        else:
+            e = (a if x >= m else b) - x
+            d = _GOLDEN_FRACTION * e
+        u = x + (d if abs(d) >= tol1 else math.copysign(tol1, d))
+        fu = f(u)
+        if fu is None:
+            return
+        if fu <= fx:
+            a, b = (a, x) if u < x else (x, b)
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            a, b = (u, b) if u < x else (a, u)
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+
+
 def dist_to_manifold(model: ModelSpec, grid: Grid, state: FieldState, omega_grid,
                      r_max: int) -> ManifoldDistance:
     """Metric distance from a state to the solitary manifold.
 
     Scans the frequency grid (warm-starting each profile solve from the
     previous one), optimizes the global phase in closed form per candidate,
-    then refines around the best grid point by 24 golden-section steps.
+    then refines between the best grid point's solved neighbours by Brent's
+    method, to the frequency resolution (hi - lo) ((sqrt 5 - 1)/2)^24 of 24
+    golden-section steps; each refinement solve starts from the amplitudes
+    of the nearest solved frequency, and a failed one ends the refinement.
     Candidates are sampled on the metric's window [-r_max, r_max] only.  The
     zero wave is always a candidate.  Frequencies where the solve fails are
     skipped; it is an error only if every frequency fails.
@@ -493,42 +550,32 @@ def dist_to_manifold(model: ModelSpec, grid: Grid, state: FieldState, omega_grid
     default_guesses = [[s + 0j] * model.count for s in _NEWTON_STARTS]
 
     warm = None
-    solved: set[float] = set()
+    solved: dict[float, tuple[complex, ...]] = {}  # amplitudes by frequency, the refinement's warm starts
     for w in omegas:
         starts = ([warm] if warm is not None else []) + default_guesses
         hit = next(filter(None, (try_omega(w, s) for s in starts)), None)
         if hit is None:
             continue
-        solved.add(w)
-        warm = hit[1].amplitudes
+        warm = solved[w] = hit[1].amplitudes
         if hit[0] < best.dist:
             best = ManifoldDistance(hit[0], w, hit[1])
     if not solved:
         raise NoConvergence(omegas[0], float("inf"))
 
-    if best.wave is not None and len(omegas) > 1:
-        ordered = sorted(solved)
+    ordered = sorted(solved)
+    if best.wave is not None and len(ordered) > 1:
         idx = ordered.index(best.best_omega)
-        lo = ordered[max(idx - 1, 0)]
-        hi = ordered[min(idx + 1, len(ordered) - 1)]
-        if hi > lo:
-            invphi = (math.sqrt(5.0) - 1.0) / 2.0
-            a, b = lo, hi
-            amps = best.wave.amplitudes
-            c, d = b - invphi * (b - a), a + invphi * (b - a)
-            fc, fd = try_omega(c, amps), try_omega(d, amps)
-            for _ in range(24):
-                if fc is None or fd is None:
-                    break
-                if fc[0] < fd[0]:
-                    b, d, fd = d, c, fc
-                    c = b - invphi * (b - a)
-                    fc = try_omega(c, amps)
-                else:
-                    a, c, fc = c, d, fd
-                    d = a + invphi * (b - a)
-                    fd = try_omega(d, amps)
-            for f, w in ((fc, c), (fd, d)):
-                if f is not None and f[0] < best.dist:
-                    best = ManifoldDistance(f[0], w, f[1])
+        lo, hi = ordered[max(idx - 1, 0)], ordered[min(idx + 1, len(ordered) - 1)]
+
+        def refine(w: float) -> float | None:
+            nonlocal best
+            hit = try_omega(w, solved[min(solved, key=lambda s: abs(s - w))])
+            if hit is None:
+                return None
+            solved[w] = hit[1].amplitudes
+            if hit[0] < best.dist:
+                best = ManifoldDistance(hit[0], w, hit[1])
+            return hit[0]
+
+        _brent_minimize(refine, lo, hi, best.best_omega, best.dist, (hi - lo) * _INVPHI**24)
     return best

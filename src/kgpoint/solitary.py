@@ -15,7 +15,7 @@ common phase rotation, which would otherwise make the Jacobian singular).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -60,11 +60,16 @@ class ConvergedToZero(RuntimeError):
 
 @dataclass(frozen=True)
 class SolitaryWave:
-    """Frequency, decay rate and pinned amplitudes of one profile."""
+    """Frequency, decay rate and pinned amplitudes of one profile.
+
+    residual_max is max |amplitude_residual| at these amplitudes, as the
+    solve that returned the wave evaluated it; None for a wave made otherwise.
+    """
 
     omega: float
     kappa: float
     amplitudes: tuple[complex, ...]
+    residual_max: float | None = field(default=None, compare=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -92,6 +97,7 @@ def _coupling_matrix(model: ModelSpec, kap: float) -> np.ndarray:
     return np.exp(-kap * np.abs(pos[:, None] - pos[None, :]))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # huge amplitudes overflow to non-finite entries
 def amplitude_residual(model: ModelSpec, wave: SolitaryWave) -> np.ndarray:
     """Real/imaginary parts of 2 kappa C_J - F_J(phi(X_J)), interleaved per J."""
     kap = kappa(model, wave.omega)
@@ -102,11 +108,11 @@ def amplitude_residual(model: ModelSpec, wave: SolitaryWave) -> np.ndarray:
 def _residual_and_jacobian(model: ModelSpec, kap: float, c: np.ndarray, coupling: np.ndarray):
     """Residual of the amplitude system and its Jacobian in 2N real unknowns.
 
-    Overflow from runaway iterates is tolerated here; the caller detects the
-    resulting non-finite residuals and reports NoConvergence.
+    Overflow from runaway iterates gives non-finite residuals, which the
+    caller detects and reports as NoConvergence; the caller ignores the
+    overflow in np.errstate, entered once per solve.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = coupling @ c
+    values = coupling @ c
     # the loop runs on Python floats and lists: numpy's arithmetic, bit for bit, without the
     # cost of numpy scalars and item writes; overflow gives inf silently here too
     rows, values, c = coupling.tolist(), values.tolist(), c.tolist()
@@ -163,9 +169,11 @@ def _gauged(res: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 
 def _zero_wave(model: ModelSpec, omega: float) -> SolitaryWave:
-    return SolitaryWave(float(omega), kappa(model, omega), (0j,) * model.count)
+    # zero amplitudes solve 2 kappa C - alpha(0) C = 0 exactly
+    return SolitaryWave(float(omega), kappa(model, omega), (0j,) * model.count, 0.0)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # once per solve: runaway iterates overflow, see below
 def solve_profile(model: ModelSpec, omega: float, guess) -> SolitaryWave:
     """Newton-solve the amplitude system at fixed frequency.
 
@@ -215,13 +223,12 @@ def solve_profile(model: ModelSpec, omega: float, guess) -> SolitaryWave:
         raise NoConvergence(omega, _sup_norm(res))
 
     c = _gauge_rotate(c)
-    wave = SolitaryWave(float(omega), kap, tuple(c))
     final = _sup_norm(_residual_and_jacobian(model, kap, c, coupling)[0])
     if final > RESIDUAL_TOL:
         raise NoConvergence(omega, final)
     if np.max(np.abs(c)) <= ZERO_BRANCH_TOL:
         raise ConvergedToZero(_zero_wave(model, omega))
-    return wave
+    return SolitaryWave(float(omega), kap, tuple(c), final)
 
 
 def profile_eval(model: ModelSpec, wave: SolitaryWave, x):

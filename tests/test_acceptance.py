@@ -140,15 +140,15 @@ def attraction_experiment(dx, dt, observe_every):
         kg.time_spectrum(trace, series2.sample_dt, t0, 20.0, trace_t0=10.0)
         for t0 in (10.0, 40.0, 70.0)
     ]
-    return {"d10": d10, "d90": d90, "estimates": estimates}, (grid, state0, series1, series2)
+    return {"d10": d10, "d90": d90, "estimates": estimates}, (grid, state0, state10, state90, series1, series2)
 
 
 @pytest.fixture(scope="module")
 def attraction_run():
     start = time.time()
-    figures, (grid, state0, series1, series2) = attraction_experiment(0.02, 0.009, 5)
+    figures, (grid, state0, state10, state90, series1, series2) = attraction_experiment(0.02, 0.009, 5)
     record_bound_check("attraction", PAIR, grid, state0, series1, series2)
-    return {**figures, "elapsed": time.time() - start}
+    return {**figures, "grid": grid, "states": {"d10": state10, "d90": state90}, "elapsed": time.time() - start}
 
 
 @pytest.fixture(scope="module")
@@ -383,6 +383,24 @@ def test_criterion_11_gradient_consistency_of_forces():
 
 
 # ------------------------------------------------------------ refinement
+
+
+def test_manifold_refinement_solves_on_the_criterion_6_datum(attraction_run, monkeypatch):
+    # the frequency scan is 15 solves; the golden-section refinement added 26 more
+    from kgpoint import simulator
+
+    solves = []
+
+    def counted(*args):
+        solves.append(args[1])
+        return kg.solve_profile(*args)
+
+    monkeypatch.setattr(simulator, "solve_profile", counted)
+    for key, state in attraction_run["states"].items():
+        solves.clear()
+        again = kg.dist_to_manifold(PAIR, attraction_run["grid"], state, np.linspace(0.1, 0.8, 15), 5)
+        print(f"\n[refinement] {key}: {len(solves)} profile solves (<= 28)")
+        assert again == attraction_run[key] and len(solves) <= 28
 
 
 def test_attraction_figures_converge_under_refinement(attraction_run):

@@ -37,6 +37,11 @@ seminorm_radii = 1 2
 """
 
 
+# what the walls at +-8 cut from the omega = 0.5 wave of SINGLE_MODEL, exp(-8 kappa), kappa = sqrt(0.75)
+SOLITARY_CLIP_WARNING = ("warning: the walls cut 0.00098 of the exact wave's peak from the initial data "
+                         "(above 1e-06); widen the domain\n")
+
+
 def write_config(tmp_path, text, name="exp.ini"):
     path = tmp_path / name
     path.write_text(text)
@@ -126,6 +131,27 @@ def test_solve_single_omega(tmp_path, capsys):
     assert doc["residual_max"] <= 1e-11
     saved = json.loads((out / "wave.json").read_text())
     assert saved == doc
+
+
+def test_solve_reports_the_residual_of_every_stored_wave(tmp_path, capsys):
+    from kgpoint.config import parse_config
+    from kgpoint.solitary import SolitaryWave, amplitude_residual
+
+    cfg = write_config(tmp_path, BASE_MODEL)
+    model = parse_config(cfg).model
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--omega-range", "0:0.95:0.05", "--out", str(out)]) == 0
+    lines = (out / "branch.csv").read_text().strip().splitlines()
+    assert len(lines) == 21
+    for line in lines[1:]:
+        omega, kap, c1r, c1i, c2r, c2i, residual = (float(v) for v in line.split(","))
+        wave = SolitaryWave(omega, kap, (complex(c1r, c1i), complex(c2r, c2i)))
+        assert residual == float(np.max(np.abs(amplitude_residual(model, wave))))
+    for argv in (["--omega", "0.5"], ["--omega", "1.0"], ["--omega", "0.3", "--guess", "0,0"]):  # zero waves too
+        assert main(["solve", "--config", cfg, "--out", str(out)] + argv) == 0
+        doc = json.loads((out / "wave.json").read_text())
+        wave = SolitaryWave.from_json_dict(doc)
+        assert doc["residual_max"] == float(np.max(np.abs(amplitude_residual(model, wave))))
 
 
 def test_solve_branch_monotone_kappa(tmp_path, capsys):
@@ -235,7 +261,7 @@ def test_only_perturbed_data_converts_its_seed_and_noise_keys(tmp_path, capsys, 
     if code:
         assert err.startswith("config error:") and err.count("\n") == 1
     else:
-        assert err == ""
+        assert err == SOLITARY_CLIP_WARNING
 
 
 @pytest.mark.filterwarnings("default::UserWarning")  # the filter a command-line user runs under
@@ -573,6 +599,26 @@ def test_counterexample_config_rejects_unknown_parameter(tmp_path, capsys, extra
     assert err.startswith("config error:") and repr(key) in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("kind", ["solitary", "perturbed_solitary"])
+def test_solitary_data_reports_what_the_walls_cut(tmp_path, capsys, kind):
+    text = SINGLE_MODEL + RUN_SECTIONS + f"\n[initial_data]\nkind = {kind}\nomega = 0.5\nnoise_amplitude = 0.1\n"
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", write_config(tmp_path, text), "--out", str(out), "--seed", "1"]) == 0
+    # the wave peaks at the oscillator, x = 0, and decays as exp(-kappa |x|)
+    clip = json.loads((out / "summary.json").read_text())["initial_wall_clip"]
+    assert clip == pytest.approx(math.exp(-8.0 * math.sqrt(0.75)), rel=1e-12)
+    assert capsys.readouterr().err == SOLITARY_CLIP_WARNING
+
+
+def test_readme_attraction_config_cuts_nothing_from_its_wave(tmp_path, capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    text = readme.split("```ini\n", 1)[1].split("```", 1)[0].replace("T = 90", "T = 0.09")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", write_config(tmp_path, text), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert json.loads((out / "summary.json").read_text())["initial_wall_clip"] <= 1e-15
+
+
 def test_light_cone_margin_of_readme_and_wide_gap_runs(tmp_path):
     from kgpoint import build_grid
     from kgpoint.cli import _counterexample_solution, _light_cone_margin
@@ -593,7 +639,7 @@ def test_light_cone_margin_of_readme_and_wide_gap_runs(tmp_path):
 def test_simulate_reports_light_cone_margin(tmp_path, capsys):
     cfg = write_config(tmp_path, SINGLE_MODEL + RUN_SECTIONS + "\n[initial_data]\nkind = solitary\nomega = 0.5\n")
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "ok")]) == 0
-    assert capsys.readouterr().err == ""
+    assert capsys.readouterr().err == SOLITARY_CLIP_WARNING  # no light-cone warning
     summary = json.loads((tmp_path / "ok" / "summary.json").read_text())
     assert summary["light_cone_margin"] == pytest.approx((8 - 0) + (8 - 2) - 1.0)  # [-8, 8], R = 2, T = 1
 

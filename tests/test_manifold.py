@@ -1,0 +1,185 @@
+"""The manifold distance's frequency refinement against the golden-section search it replaced."""
+
+import math
+
+import numpy as np
+import pytest
+
+from kgpoint import simulator
+from kgpoint.model import ModelSpec, OscillatorSpec
+from kgpoint.simulator import (
+    FieldState,
+    ManifoldDistance,
+    _candidate_dist,
+    _metric,
+    _metric_windows,
+    build_grid,
+    dist_to_manifold,
+    perturbed_solitary_state,
+    solitary_state,
+)
+from kgpoint.solitary import _NEWTON_STARTS, ConvergedToZero, NoConvergence, solve_profile
+
+PAIR = ModelSpec(
+    1.0,
+    (OscillatorSpec(0.0, (0.0, -2.0, 1.0)), OscillatorSpec(0.2, (0.0, -2.0, 1.0))),
+)
+OMEGAS = np.linspace(0.1, 0.8, 15)
+
+
+def golden_section_dist(model, grid, state, omega_grid, r_max):
+    """dist_to_manifold as it was before Brent's method: the same scan, then 24 golden-section steps.
+
+    Every refinement solve starts from the best scan point's amplitudes.
+    """
+    omegas = [float(w) for w in omega_grid]
+    outer, windows = _metric_windows(grid, r_max)
+    u = (state.psi[outer], state.pi[outer])
+    best = ManifoldDistance(_metric(model, grid, u, windows), float("nan"), None)
+
+    def try_omega(w, start):
+        try:
+            wave = solve_profile(model, w, start)
+        except (NoConvergence, ConvergedToZero):
+            return None
+        return _candidate_dist(model, grid, u, wave, outer, windows), wave
+
+    default_guesses = [[s + 0j] * model.count for s in _NEWTON_STARTS]
+    warm = None
+    solved = set()
+    for w in omegas:
+        starts = ([warm] if warm is not None else []) + default_guesses
+        hit = next(filter(None, (try_omega(w, s) for s in starts)), None)
+        if hit is None:
+            continue
+        solved.add(w)
+        warm = hit[1].amplitudes
+        if hit[0] < best.dist:
+            best = ManifoldDistance(hit[0], w, hit[1])
+    if best.wave is not None and len(omegas) > 1:
+        ordered = sorted(solved)
+        idx = ordered.index(best.best_omega)
+        lo = ordered[max(idx - 1, 0)]
+        hi = ordered[min(idx + 1, len(ordered) - 1)]
+        if hi > lo:
+            invphi = (math.sqrt(5.0) - 1.0) / 2.0
+            a, b = lo, hi
+            amps = best.wave.amplitudes
+            c, d = b - invphi * (b - a), a + invphi * (b - a)
+            fc, fd = try_omega(c, amps), try_omega(d, amps)
+            for _ in range(24):
+                if fc is None or fd is None:
+                    break
+                if fc[0] < fd[0]:
+                    b, d, fd = d, c, fc
+                    c = b - invphi * (b - a)
+                    fc = try_omega(c, amps)
+                else:
+                    a, c, fc = c, d, fd
+                    d = a + invphi * (b - a)
+                    fd = try_omega(d, amps)
+            for f, w in ((fc, c), (fd, d)):
+                if f is not None and f[0] < best.dist:
+                    best = ManifoldDistance(f[0], w, f[1])
+    return best
+
+
+def benchmark_states(seed, count):
+    """Perturbed solitary states drawn as the manifold_scan benchmark draws them."""
+    grid = build_grid(PAIR, -50.0, 50.0, 0.02)
+    rng = np.random.default_rng(seed)
+    states = []
+    for _ in range(count):
+        wave = solve_profile(PAIR, float(rng.uniform(0.15, 0.75)), [0.7, 0.7])
+        states.append(perturbed_solitary_state(PAIR, grid, wave, float(rng.uniform(0.02, 0.2)),
+                                               int(rng.integers(1, 2**31))))
+    return grid, states
+
+
+def assert_matches_reference(grid, state, omegas):
+    new = dist_to_manifold(PAIR, grid, state, omegas, 5)
+    ref = golden_section_dist(PAIR, grid, state, omegas, 5)
+    assert new.dist <= ref.dist * (1.0 + 1e-12)
+    assert abs(new.best_omega - ref.best_omega) <= 2e-6
+    return new
+
+
+@pytest.fixture
+def solve_log(monkeypatch):
+    """The frequencies of every profile solve dist_to_manifold makes, in order."""
+    log = []
+
+    def logged(model, omega, guess):
+        log.append(omega)
+        return solve_profile(model, omega, guess)
+
+    monkeypatch.setattr(simulator, "solve_profile", logged)
+    return log
+
+
+def test_refinement_matches_the_golden_section_reference():
+    # the benchmark's default seed; the bound sits at the noise of the reference's own readings,
+    # whose solves stop anywhere below the 1e-11 residual tolerance (see CHANGES.md)
+    grid, states = benchmark_states(1, 12)
+    for state in states:
+        assert_matches_reference(grid, state, OMEGAS)
+
+
+def scan_only(monkeypatch, grid, state, omegas):
+    """dist_to_manifold with every refinement solve failing: the best scan point."""
+    def scan_solves_only(model, omega, guess):
+        if omega not in omegas:
+            raise NoConvergence(omega, 1.0)
+        return solve_profile(model, omega, guess)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(simulator, "solve_profile", scan_solves_only)
+        return dist_to_manifold(PAIR, grid, state, omegas, 5)
+
+
+@pytest.mark.parametrize("omega, end", [(0.25, 0.3), (0.65, 0.6)], ids=["first", "last"])
+def test_refinement_from_a_best_scan_point_at_an_end_of_the_grid(monkeypatch, omega, end):
+    # a wave just outside the scanned range: the closest scanned frequency is the end nearest to it
+    grid = build_grid(PAIR, -10.0, 10.0, 0.02)
+    state = solitary_state(PAIR, grid, solve_profile(PAIR, omega, [0.7, 0.7]))
+    omegas = np.linspace(0.3, 0.6, 7)
+    scanned = scan_only(monkeypatch, grid, state, omegas)
+    assert scanned.best_omega == end
+    found = assert_matches_reference(grid, state, omegas)
+    assert abs(found.best_omega - end) <= 0.05 and found.dist <= scanned.dist
+
+
+def test_a_failed_refinement_solve_ends_the_refinement(monkeypatch):
+    grid, (state,) = benchmark_states(1, 1)
+    scanned = scan_only(monkeypatch, grid, state, OMEGAS)
+    log = []
+
+    def failing_fourth(model, omega, guess):
+        log.append(omega)
+        if omega not in OMEGAS and sum(w not in OMEGAS for w in log) == 4:
+            raise NoConvergence(omega, 1.0)
+        return solve_profile(model, omega, guess)
+
+    monkeypatch.setattr(simulator, "solve_profile", failing_fourth)
+    found = dist_to_manifold(PAIR, grid, state, OMEGAS, 5)
+    refined = [w for w in log if w not in OMEGAS]
+    assert len(refined) == 4  # nothing is solved after the failed fourth refinement solve
+    assert found.dist <= scanned.dist
+    assert found.best_omega in refined[:3] or found.best_omega == scanned.best_omega
+
+
+def test_a_one_frequency_grid_is_not_refined(solve_log):
+    grid, (state,) = benchmark_states(1, 1)
+    found = dist_to_manifold(PAIR, grid, state, [0.4], 5)
+    assert solve_log == [0.4] and found.best_omega == 0.4
+    outer, windows = _metric_windows(grid, 5)
+    u = (state.psi[outer], state.pi[outer])
+    assert found.dist == _candidate_dist(PAIR, grid, u, found.wave, outer, windows)
+
+
+def test_the_zero_state_is_not_refined(solve_log):
+    grid = build_grid(PAIR, -10.0, 10.0, 0.05)
+    zero = FieldState(np.zeros(grid.count, complex), np.zeros(grid.count, complex), 0.0)
+    found = dist_to_manifold(PAIR, grid, zero, OMEGAS, 5)
+    assert found.dist == 0.0 and math.isnan(found.best_omega)
+    assert solve_log == list(OMEGAS)  # the scan alone, one solve a frequency

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -255,3 +257,14 @@ def test_amplitude_residual_is_the_newton_residual(model, omega):
     c = np.asarray(wave.amplitudes, dtype=complex)
     res, _ = _residual_and_jacobian(model, wave.kappa, c, _coupling_matrix(model, wave.kappa))
     assert np.array_equal(amplitude_residual(model, wave), res)
+    assert wave.residual_max == float(np.max(np.abs(res)))  # what the solve found at its last amplitudes
+
+
+def test_overflowing_amplitudes_give_non_finite_residuals_without_a_warning():
+    # at 1.7e308 the coupling product overflows; the solver and amplitude_residual ignore it
+    wave = SolitaryWave(0.4, kappa(PAIR_MODEL, 0.4), (1.7e308 + 0j,) * 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not np.any(np.isfinite(amplitude_residual(PAIR_MODEL, wave)))
+        with pytest.raises(NoConvergence):
+            solve_profile(PAIR_MODEL, 0.4, [1.7e308] * 2)
