@@ -87,7 +87,7 @@ class SolitaryWave:
 def kappa(model: ModelSpec, omega: float) -> float:
     """Decay rate sqrt(m^2 - omega^2); only defined inside the band |omega| <= m."""
     m = model.mass
-    if abs(omega) > m:
+    if not abs(omega) <= m:  # a nan too
         raise ValueError(f"|omega|={abs(omega)} exceeds the mass {m}")
     return float(np.sqrt(max(m * m - omega * omega, 0.0)))
 
@@ -185,7 +185,7 @@ def solve_profile(model: ModelSpec, omega: float, guess) -> SolitaryWave:
     is returned directly.
     """
     m = model.mass
-    if abs(omega) > m:
+    if not abs(omega) <= m:  # a nan too
         raise ValueError(f"|omega|={abs(omega)} exceeds the mass {m}")
     if abs(omega) == m:
         return _zero_wave(model, omega)
@@ -252,7 +252,7 @@ def continue_branch(model: ModelSpec, omega_start: float, omega_end: float, step
     m = model.mass
     if not (abs(omega_start) < m and abs(omega_end) < m):
         raise ValueError("both endpoint frequencies must lie strictly inside (-m, m)")
-    if step <= 0:
+    if not step > 0:  # a nan too
         raise ValueError("step must be positive")
     span = omega_end - omega_start
     direction = 1.0 if span >= 0 else -1.0

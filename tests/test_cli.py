@@ -172,6 +172,16 @@ def test_solve_no_convergence_exit_three(tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("argv, reason", [
+    (["--omega", "nan"], "|omega|=nan exceeds the mass 1.0"),
+    (["--omega-range", "0:0.5:nan"], "step must be positive"),
+], ids=["omega", "step"])
+def test_solve_nan_frequency_or_step_exits_two(tmp_path, capsys, argv, reason):
+    cfg = write_config(tmp_path, SINGLE_MODEL)
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")] + argv) == 2
+    assert capsys.readouterr().err == f"domain error: {reason}\n"
+
+
 def test_solve_branch_failure_reports_last_good(tmp_path, capsys):
     cfg = write_config(tmp_path, SINGLE_MODEL)
     out = tmp_path / "out"

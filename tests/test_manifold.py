@@ -183,3 +183,107 @@ def test_the_zero_state_is_not_refined(solve_log):
     found = dist_to_manifold(PAIR, grid, zero, OMEGAS, 5)
     assert found.dist == 0.0 and math.isnan(found.best_omega)
     assert solve_log == list(OMEGAS)  # the scan alone, one solve a frequency
+
+
+# ------------------------------------------------------------ the cached frequency scan
+
+OTHER = ModelSpec(
+    1.0,
+    (OscillatorSpec(0.0, (0.0, -1.5, 1.0)), OscillatorSpec(0.2, (0.0, -2.5, 1.0))),
+)
+
+
+def cold(model, grid, state, omegas, r_max):
+    """dist_to_manifold with no scan cached: every solve of the scan made afresh."""
+    simulator._frequency_scan.cache_clear()
+    return dist_to_manifold(model, grid, state, omegas, r_max)
+
+
+def test_warm_calls_equal_cold_calls_bit_for_bit():
+    grid, states = benchmark_states(1, 12)
+    expected = [cold(PAIR, grid, state, OMEGAS, 5) for state in states]
+    assert [dist_to_manifold(PAIR, grid, state, OMEGAS, 5) for state in states] == expected
+
+
+def test_interleaved_keys_keep_their_cold_results():
+    grids = [build_grid(PAIR, -10.0, 10.0, 0.02), build_grid(PAIR, -8.0, 9.0, 0.04)]
+    wave = solve_profile(PAIR, 0.45, [0.7, 0.7])
+    states = [perturbed_solitary_state(PAIR, grid, wave, 0.1, seed=3) for grid in grids]
+    calls = [(model, grid, state, omegas, r_max)
+             for model in (PAIR, OTHER)
+             for grid, state in zip(grids, states)
+             for omegas in (OMEGAS, np.linspace(0.2, 0.7, 6))
+             for r_max in (3, 5)]  # 16 keys, twice the cache's size
+    expected = [cold(*call) for call in calls]
+    order = np.random.default_rng(7).permutation(np.tile(np.arange(len(calls)), 3))
+    for i in order:
+        assert dist_to_manifold(*calls[i]) == expected[i]
+
+
+def test_equal_models_share_one_entry_and_the_cache_stays_bounded():
+    grid, (state,) = benchmark_states(1, 1)
+    twin = ModelSpec(1.0, tuple(OscillatorSpec(o.position, o.coefficients) for o in PAIR.oscillators))
+    assert twin is not PAIR
+    expected = cold(PAIR, grid, state, OMEGAS, 5)
+    assert dist_to_manifold(twin, grid, state, OMEGAS, 5) == expected
+    info = simulator._frequency_scan.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+    # -0.0 and 0.0 are different frequency grids: the best frequency keeps the sign it was given
+    at_rest = solitary_state(PAIR, grid, solve_profile(PAIR, 0.0, [0.7, 0.7]))
+    for omega in (0.0, -0.0, 0.0):
+        found = dist_to_manifold(PAIR, grid, at_rest, [omega], 5)
+        assert math.copysign(1.0, found.best_omega) == math.copysign(1.0, omega)
+    assert simulator._frequency_scan.cache_info().currsize == 3
+    for k in range(10):
+        dist_to_manifold(PAIR, grid, state, [0.2 + 0.05 * k], 5)
+        info = simulator._frequency_scan.cache_info()
+        assert info.currsize <= info.maxsize == 8
+    assert info.currsize == 8
+
+
+def test_the_scan_warm_starts_each_solve_from_the_last_solved_wave(monkeypatch):
+    # any other chain of starts moves candidate distances by about 1e-12 (see CHANGES.md)
+    grid, (state,) = benchmark_states(1, 1)
+    calls = []
+
+    def logged(model, omega, guess):
+        wave = solve_profile(model, omega, guess)
+        calls.append((tuple(guess), wave.amplitudes))
+        return wave
+
+    monkeypatch.setattr(simulator, "solve_profile", logged)
+    dist_to_manifold(PAIR, grid, state, OMEGAS, 5)
+    scan = calls[:len(OMEGAS)]
+    assert scan[0][0] == (_NEWTON_STARTS[0] + 0j,) * PAIR.count
+    assert all(guess == previous for (guess, _), (_, previous) in zip(scan[1:], scan))
+
+
+def test_a_warm_call_solves_only_its_refinement(solve_log):
+    grid, (state,) = benchmark_states(1, 1)
+    first = dist_to_manifold(PAIR, grid, state, OMEGAS, 5)
+    scan, refinement = solve_log[:len(OMEGAS)], solve_log[len(OMEGAS):]
+    assert scan == list(OMEGAS) and refinement and not set(refinement) & set(OMEGAS)
+    solve_log.clear()
+    assert dist_to_manifold(PAIR, grid, state, OMEGAS, 5) == first
+    assert solve_log == refinement
+
+
+def test_a_patched_solver_neither_sees_nor_leaves_cached_scans(monkeypatch):
+    grid, (state,) = benchmark_states(1, 1)
+    expected = cold(PAIR, grid, state, OMEGAS, 5)  # the real solver's scan is now cached
+    log = []
+
+    def every_other(model, omega, guess):
+        log.append(omega)
+        if omega in OMEGAS[::2]:
+            raise NoConvergence(omega, 1.0)
+        return solve_profile(model, omega, guess)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(simulator, "solve_profile", every_other)
+        patched = dist_to_manifold(PAIR, grid, state, OMEGAS, 5)
+    assert set(OMEGAS) <= set(log)  # it solved the scan itself
+    assert patched.best_omega not in OMEGAS[::2]
+    misses = simulator._frequency_scan.cache_info().misses
+    assert dist_to_manifold(PAIR, grid, state, OMEGAS, 5) == expected
+    assert simulator._frequency_scan.cache_info().misses == misses  # the real solver's scan, kept as it was

@@ -757,6 +757,14 @@ def test_dist_to_manifold_zero_state():
     assert math.isnan(result.best_omega)
 
 
+@pytest.mark.parametrize("omegas", [[0.3, math.nan], [0.3, 1.0], [-1.0, 0.3]], ids=["nan", "m", "-m"])
+def test_dist_to_manifold_refuses_a_frequency_outside_the_open_band(omegas):
+    grid = build_grid(QUARTIC, -10.0, 10.0, 0.05)
+    zero = FieldState(np.zeros(grid.count, complex), np.zeros(grid.count, complex), 0.0)
+    with pytest.raises(ValueError, match=r"strictly inside \(-m, m\)"):
+        dist_to_manifold(QUARTIC, grid, zero, omegas, 5)
+
+
 def test_dist_to_manifold_phase_invariant():
     grid = build_grid(QUARTIC, -15.0, 15.0, 0.02)
     wave = solve_profile(QUARTIC, 0.5, [0.7])

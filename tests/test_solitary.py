@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -37,6 +38,17 @@ def test_kappa_examples():
     assert kappa(QUARTIC_MODEL, 0.6) == pytest.approx(0.8, abs=1e-15)
     with pytest.raises(ValueError):
         kappa(QUARTIC_MODEL, 1.0001)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: kappa(QUARTIC_MODEL, math.nan), "exceeds the mass"),
+    (lambda: solve_profile(QUARTIC_MODEL, math.nan, [0.7]), "exceeds the mass"),
+    (lambda: continue_branch(QUARTIC_MODEL, 0.1, 0.5, math.nan, [0.7]), "step must be positive"),
+    (lambda: continue_branch(QUARTIC_MODEL, math.nan, 0.5, 0.1, [0.7]), "strictly inside"),
+], ids=["kappa", "solve_profile", "continue_branch-step", "continue_branch-endpoint"])
+def test_a_nan_frequency_or_step_is_a_domain_error(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_amplitude_residual_zero_wave():
