@@ -15,6 +15,7 @@ common phase rotation, which would otherwise make the Jacobian singular).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -101,22 +102,23 @@ def _coupling_matrix(model: ModelSpec, kap: float) -> np.ndarray:
 def amplitude_residual(model: ModelSpec, wave: SolitaryWave) -> np.ndarray:
     """Real/imaginary parts of 2 kappa C_J - F_J(phi(X_J)), interleaved per J."""
     kap = kappa(model, wave.omega)
-    c = np.asarray(wave.amplitudes, dtype=complex)
-    return _residual_and_jacobian(model, kap, c, _coupling_matrix(model, kap))[0]
+    c = [complex(z) for z in wave.amplitudes]
+    return np.array(_residual(model, kap, c, _coupling_matrix(model, kap))[0])
 
 
-def _residual_and_jacobian(model: ModelSpec, kap: float, c: np.ndarray, coupling: np.ndarray):
-    """Residual of the amplitude system and its Jacobian in 2N real unknowns.
+def _residual(model: ModelSpec, kap: float, c: list, coupling: np.ndarray):
+    """Residual of the amplitude system at c, a list of Python complex, and its slopes.
 
+    Returns the 2N residual entries, Re and Im interleaved per J, and per J the
+    entries (fuu, fuv, fvv) of dF/d(Re psi, Im psi), which _jacobian assembles.
     Overflow from runaway iterates gives non-finite residuals, which the
-    caller detects and reports as NoConvergence; the caller ignores the
-    overflow in np.errstate, entered once per solve.
+    solver detects and reports as NoConvergence; callers ignore the overflow
+    in np.errstate, entered once per solve.
     """
-    values = coupling @ c
-    # the loop runs on Python floats and lists: numpy's arithmetic, bit for bit, without the
-    # cost of numpy scalars and item writes; overflow gives inf silently here too
-    rows, values, c = coupling.tolist(), values.tolist(), c.tolist()
-    res, jac = [], []
+    # the loop runs on Python floats: numpy's arithmetic, bit for bit, without the cost of
+    # numpy scalars; overflow gives inf silently here too
+    values = (coupling @ c).tolist()
+    res, slopes = [], []
     for j, osc in enumerate(model.oscillators):
         psi = values[j]
         u, v = psi.real, psi.imag
@@ -126,9 +128,14 @@ def _residual_and_jacobian(model: ModelSpec, kap: float, c: np.ndarray, coupling
         r = 2.0 * kap * c[j] - a * psi
         res += (r.real, r.imag)
         # dF/d(Re psi, Im psi) for F = alpha(|psi|^2) psi
-        fuu = a + 2.0 * u * u * da
-        fuv = 2.0 * u * v * da
-        fvv = a + 2.0 * v * v * da
+        slopes.append((a + 2.0 * u * u * da, 2.0 * u * v * da, a + 2.0 * v * v * da))
+    return res, slopes
+
+
+def _jacobian(kap: float, rows: list, slopes: list) -> list:
+    """Jacobian of the residual in the 2N real unknowns, as lists; rows is coupling.tolist()."""
+    jac = []
+    for j, (fuu, fuv, fvv) in enumerate(slopes):
         row_u, row_v = [], []  # Jacobian rows 2j and 2j + 1
         for e in rows[j]:
             row_u += (-fuu * e, -fuv * e)
@@ -136,23 +143,28 @@ def _residual_and_jacobian(model: ModelSpec, kap: float, c: np.ndarray, coupling
         row_u[2 * j] += 2.0 * kap
         row_v[2 * j + 1] += 2.0 * kap
         jac += (row_u, row_v)
-    return np.array(res), np.array(jac)
+    return jac
 
 
-def _gauge_rotate(amps: np.ndarray) -> np.ndarray:
-    """Rotate the common phase so the first nonzero amplitude is real >= 0."""
+def _gauge_rotate(amps) -> list:
+    """Rotate the common phase so the first nonzero amplitude is real >= 0; a list of Python complex.
+
+    The rotation stays on numpy: its complex quotient and (fused) product
+    are not those of Python's complex arithmetic.
+    """
+    amps = np.asarray(amps, dtype=complex)
     for idx, c in enumerate(amps):
         if abs(c) > 0.0:
             rotated = amps * (c.conjugate() / abs(c))
             rotated[idx] = abs(c)
-            return rotated
-    return amps
+            return rotated.tolist()
+    return amps.tolist()
 
 
-def _sup_norm(x: np.ndarray) -> float:
+def _sup_norm(x) -> float:
     """max |x_i| as np.max(np.abs(x)) gives it, nan when any entry is nan; a Python loop, for short x."""
     top = 0.0
-    for v in x.tolist():
+    for v in x:
         v = abs(v)
         if not v <= top:  # larger, or nan
             if v != v:
@@ -161,7 +173,7 @@ def _sup_norm(x: np.ndarray) -> float:
     return top
 
 
-def _gauged(res: np.ndarray, c: np.ndarray) -> np.ndarray:
+def _gauged(res: list, c: list) -> list:
     """The residual with its second entry, Im of equation 1, replaced by the gauge Im C_1."""
     g = res.copy()
     g[1] = c[0].imag
@@ -179,10 +191,14 @@ def solve_profile(model: ModelSpec, omega: float, guess) -> SolitaryWave:
 
     The phase gauge Im C_1 = 0 replaces the corresponding residual equation;
     on residual increase the step is halved up to 8 times.  Raises
-    NoConvergence after 100 iterations and ConvergedToZero when the iteration
-    lands on the zero branch (|C| <= 1e-9), so callers can tell the trivial
-    wave from a genuine one.  At omega = +-m only the zero wave decays, and it
-    is returned directly.
+    NoConvergence after 100 iterations, or as soon as an iterate's residual is
+    not finite, and ConvergedToZero when the iteration lands on the zero
+    branch (|C| <= 1e-9), so callers can tell the trivial wave from a genuine
+    one.  A guess that is not finite is a ValueError.  At omega = +-m only the
+    zero wave decays, and it is returned directly.
+
+    The iteration runs on Python floats and complex numbers; numpy does the
+    coupling product, the linear solve and the gauge rotation.
     """
     m = model.mass
     if not abs(omega) <= m:  # a nan too
@@ -193,40 +209,50 @@ def solve_profile(model: ModelSpec, omega: float, guess) -> SolitaryWave:
     c = np.asarray(list(guess), dtype=complex)
     if c.shape != (n,):
         raise ValueError(f"guess must have length {n}")
+    if not np.isfinite(c).all():
+        raise ValueError("guess must be finite")
     c = _gauge_rotate(c)
     kap = kappa(model, omega)
     coupling = _coupling_matrix(model, kap)
+    rows = coupling.tolist()
+    gauge_row = [0.0] * (2 * n)  # Im C_1 = 0 in place of Jacobian row 1
+    gauge_row[1] = 1.0
 
-    res, jac = _residual_and_jacobian(model, kap, c, coupling)
+    res, slopes = _residual(model, kap, c, coupling)
     for _ in range(MAX_ITER):
-        if _sup_norm(res) <= RESIDUAL_TOL:
+        norm = _sup_norm(res)
+        if norm <= RESIDUAL_TOL:
             break
+        if not math.isfinite(norm):  # an overflowed iterate never recovers
+            raise NoConvergence(omega, norm)
         g = _gauged(res, c)
-        jg = jac.copy()
-        jg[1, :] = 0.0
-        jg[1, 1] = 1.0
+        jac = _jacobian(kap, rows, slopes)
+        jac[1] = gauge_row
         try:
-            delta = np.linalg.solve(jg, -g)
+            delta = np.linalg.solve(jac, [-x for x in g]).tolist()
         except np.linalg.LinAlgError:
-            raise NoConvergence(omega, _sup_norm(res))
-        step = delta[0::2] + 1j * delta[1::2]
+            raise NoConvergence(omega, norm)
+        # delta[0::2] + 1j * delta[1::2] as numpy forms it, signed zeros included
+        step = [(dr + 0.0 * di, 0.0 + di) for dr, di in zip(delta[0::2], delta[1::2])]
         norm_old = _sup_norm(g)
         scale = 1.0
         for _ in range(8):
-            c_try = c + scale * step
-            res_try, jac_try = _residual_and_jacobian(model, kap, c_try, coupling)
+            # c + scale * step, numpy's product with the complex (scale, 0) written out
+            c_try = [complex(z.real + (scale * sr - 0.0 * si), z.imag + (scale * si + 0.0 * sr))
+                     for z, (sr, si) in zip(c, step)]
+            res_try, slopes_try = _residual(model, kap, c_try, coupling)
             if _sup_norm(_gauged(res_try, c_try)) < norm_old:
                 break
             scale *= 0.5
-        c, res, jac = c_try, res_try, jac_try
+        c, res, slopes = c_try, res_try, slopes_try
     else:
         raise NoConvergence(omega, _sup_norm(res))
 
     c = _gauge_rotate(c)
-    final = _sup_norm(_residual_and_jacobian(model, kap, c, coupling)[0])
+    final = _sup_norm(_residual(model, kap, c, coupling)[0])
     if final > RESIDUAL_TOL:
         raise NoConvergence(omega, final)
-    if np.max(np.abs(c)) <= ZERO_BRANCH_TOL:
+    if max(map(abs, c)) <= ZERO_BRANCH_TOL:
         raise ConvergedToZero(_zero_wave(model, omega))
     return SolitaryWave(float(omega), kap, tuple(c), final)
 
@@ -242,12 +268,26 @@ def profile_eval(model: ModelSpec, wave: SolitaryWave, x):
     return out
 
 
-def continue_branch(model: ModelSpec, omega_start: float, omega_end: float, step: float, guess) -> list[SolitaryWave]:
-    """Natural-parameter continuation: march omega, warm-starting each solve.
+def _solve_from(model: ModelSpec, omega: float, starts) -> SolitaryWave:
+    """solve_profile from the first start that neither fails nor collapses; the last one's failure propagates."""
+    for start in starts[:-1]:
+        try:
+            return solve_profile(model, omega, start)
+        except (NoConvergence, ConvergedToZero):
+            pass
+    return solve_profile(model, omega, starts[-1])
 
-    Stops at the last good frequency when the branch collapses to zero;
-    propagates NoConvergence (with the partial branch attached) when Newton
-    fails outright.
+
+def continue_branch(model: ModelSpec, omega_start: float, omega_end: float, step: float, guess) -> list[SolitaryWave]:
+    """Natural-parameter continuation: march omega with a secant predictor and Newton corrector.
+
+    Once two points are solved, each solve starts on the line through the
+    last two solved amplitudes, C_k + r (C_k - C_{k-1}) with
+    r = (omega - omega_k) / (omega_k - omega_{k-1}); when that start fails or
+    collapses it is retried from the last solved amplitudes, so the branch
+    ends where a plain warm start ends it.  Stops at the last good frequency
+    when the branch collapses to zero; propagates NoConvergence (with the
+    partial branch attached) when Newton fails outright.
     """
     m = model.mass
     if not (abs(omega_start) < m and abs(omega_end) < m):
@@ -261,8 +301,13 @@ def continue_branch(model: ModelSpec, omega_start: float, omega_end: float, step
     waves: list[SolitaryWave] = []
     current = list(guess)
     for w in omegas:
+        starts = [current]
+        if len(waves) >= 2:
+            prev, last = waves[-2], waves[-1]
+            r = (w - last.omega) / (last.omega - prev.omega)
+            starts.insert(0, [b + r * (b - a) for a, b in zip(prev.amplitudes, last.amplitudes)])
         try:
-            wave = solve_profile(model, w, current)
+            wave = _solve_from(model, w, starts)
         except ConvergedToZero:
             break
         except NoConvergence as err:

@@ -182,6 +182,17 @@ def test_solve_nan_frequency_or_step_exits_two(tmp_path, capsys, argv, reason):
     assert capsys.readouterr().err == f"domain error: {reason}\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["--omega", "0.4", "--guess", "nan,nan"],
+    ["--omega", "0.4", "--guess", "0.7,inf"],
+    ["--omega-range", "0:0.5:0.1", "--guess", "nan,0.7"],
+], ids=["nan", "inf", "branch"])
+def test_solve_non_finite_guess_exits_two(tmp_path, capsys, argv):
+    cfg = write_config(tmp_path, BASE_MODEL)
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")] + argv) == 2
+    assert capsys.readouterr().err == "domain error: guess must be finite\n"
+
+
 def test_solve_branch_failure_reports_last_good(tmp_path, capsys):
     cfg = write_config(tmp_path, SINGLE_MODEL)
     out = tmp_path / "out"

@@ -4,10 +4,15 @@ import warnings
 import numpy as np
 import pytest
 
+from kgpoint import solitary
 from kgpoint.model import ModelSpec, OscillatorSpec, _horner, force
 from kgpoint.solitary import (
+    MAX_ITER,
+    RESIDUAL_TOL,
+    ZERO_BRANCH_TOL,
     _coupling_matrix,
-    _residual_and_jacobian,
+    _jacobian,
+    _residual,
     _sup_norm,
     ConvergedToZero,
     NoConvergence,
@@ -228,6 +233,12 @@ def numpy_scalar_residual_and_jacobian(model, kap, c, coupling):
     return res, jac
 
 
+def residual_and_jacobian(model, kap, c, coupling):
+    """The solver's residual and Jacobian, composed from its two halves, as arrays."""
+    res, slopes = _residual(model, kap, c.tolist(), coupling)
+    return np.array(res), np.array(_jacobian(kap, coupling.tolist(), slopes))
+
+
 def test_residual_and_jacobian_match_the_numpy_scalar_loop():
     rng = np.random.default_rng(5)
     for _ in range(300):
@@ -241,7 +252,7 @@ def test_residual_and_jacobian_match_the_numpy_scalar_loop():
         c = (rng.normal(size=n) + 1j * rng.normal(size=n)) * rng.choice([1e-3, 1.0, 1e3, 1e150])
         with np.errstate(over="ignore", invalid="ignore"):
             expected = numpy_scalar_residual_and_jacobian(model, kap, c, coupling)
-        for got, want in zip(_residual_and_jacobian(model, kap, c, coupling), expected):
+        for got, want in zip(residual_and_jacobian(model, kap, c, coupling), expected):
             assert np.array_equal(got, want, equal_nan=True)
             finite = np.isfinite(want)
             assert np.array_equal(np.signbit(got[finite]), np.signbit(want[finite]))
@@ -267,7 +278,7 @@ def test_sup_norm_matches_numpy_bit_for_bit():
 def test_amplitude_residual_is_the_newton_residual(model, omega):
     wave = solve_profile(model, omega, [0.7] * model.count)
     c = np.asarray(wave.amplitudes, dtype=complex)
-    res, _ = _residual_and_jacobian(model, wave.kappa, c, _coupling_matrix(model, wave.kappa))
+    res, _ = residual_and_jacobian(model, wave.kappa, c, _coupling_matrix(model, wave.kappa))
     assert np.array_equal(amplitude_residual(model, wave), res)
     assert wave.residual_max == float(np.max(np.abs(res)))  # what the solve found at its last amplitudes
 
@@ -280,3 +291,240 @@ def test_overflowing_amplitudes_give_non_finite_residuals_without_a_warning():
         assert not np.any(np.isfinite(amplitude_residual(PAIR_MODEL, wave)))
         with pytest.raises(NoConvergence):
             solve_profile(PAIR_MODEL, 0.4, [1.7e308] * 2)
+
+
+def reference_gauge_rotate(amps):
+    """The phase gauge on a complex array: the first nonzero amplitude becomes real >= 0."""
+    for idx, c in enumerate(amps):
+        if abs(c) > 0.0:
+            rotated = amps * (c.conjugate() / abs(c))
+            rotated[idx] = abs(c)
+            return rotated
+    return amps
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def reference_solve_profile(model, omega, guess):
+    """Out-of-place transcription of the array-based damped Newton loop, its reference bit for bit.
+
+    Complex amplitude arrays, the residual and Jacobian of the numpy-scalar
+    loop, a copied Jacobian with its gauge row, the step delta[0::2] +
+    1j delta[1::2] and trial iterates c + scale * step; an iterate with a
+    non-finite residual fails at once.
+    """
+    m = model.mass
+    if not abs(omega) <= m:
+        raise ValueError(f"|omega|={abs(omega)} exceeds the mass {m}")
+    if abs(omega) == m:
+        return SolitaryWave(float(omega), kappa(model, omega), (0j,) * model.count, 0.0)
+    c = np.asarray(list(guess), dtype=complex)
+    if c.shape != (model.count,):
+        raise ValueError(f"guess must have length {model.count}")
+    if not np.all(np.isfinite(c)):
+        raise ValueError("guess must be finite")
+    c = reference_gauge_rotate(c)
+    kap = kappa(model, omega)
+    coupling = _coupling_matrix(model, kap)
+
+    def gauged(res, c):
+        g = res.copy()
+        g[1] = c[0].imag
+        return g
+
+    def sup(x):
+        return float(np.max(np.abs(x)))
+
+    res, jac = numpy_scalar_residual_and_jacobian(model, kap, c, coupling)
+    for _ in range(MAX_ITER):
+        if sup(res) <= RESIDUAL_TOL:
+            break
+        if not np.isfinite(sup(res)):
+            raise NoConvergence(omega, sup(res))
+        g = gauged(res, c)
+        jg = jac.copy()
+        jg[1, :] = 0.0
+        jg[1, 1] = 1.0
+        try:
+            delta = np.linalg.solve(jg, -g)
+        except np.linalg.LinAlgError:
+            raise NoConvergence(omega, sup(res))
+        step = delta[0::2] + 1j * delta[1::2]
+        norm_old = sup(g)
+        scale = 1.0
+        for _ in range(8):
+            c_try = c + scale * step
+            res_try, jac_try = numpy_scalar_residual_and_jacobian(model, kap, c_try, coupling)
+            if sup(gauged(res_try, c_try)) < norm_old:
+                break
+            scale *= 0.5
+        c, res, jac = c_try, res_try, jac_try
+    else:
+        raise NoConvergence(omega, sup(res))
+    c = reference_gauge_rotate(c)
+    final = sup(numpy_scalar_residual_and_jacobian(model, kap, c, coupling)[0])
+    if final > RESIDUAL_TOL:
+        raise NoConvergence(omega, final)
+    if np.max(np.abs(c)) <= ZERO_BRANCH_TOL:
+        raise ConvergedToZero(SolitaryWave(float(omega), kap, (0j,) * model.count, 0.0))
+    return SolitaryWave(float(omega), kap, tuple(c), final)
+
+
+def _outcome(solve, model, omega, guess):
+    try:
+        return solve(model, omega, guess)
+    except (NoConvergence, ConvergedToZero, ValueError) as err:
+        return type(err)
+
+
+def _bits(wave):
+    """The wave's float64 words: amplitudes, kappa and residual_max, signed zeros included."""
+    amps = np.asarray(wave.amplitudes, dtype=complex).view(np.float64)
+    return np.concatenate([amps, [wave.kappa, wave.residual_max]]).view(np.int64).tolist()
+
+
+def test_solve_profile_matches_the_array_newton_loop_bit_for_bit():
+    rng = np.random.default_rng(12)
+    outcomes = {}
+    for case in range(360):
+        n = int(rng.integers(1, 5))
+        positions = np.cumsum(rng.uniform(0.05, 1.0, size=n))
+        if rng.random() < 0.6:  # focusing quartic wells: solitary waves exist
+            coefficients = [(0.0, -float(rng.uniform(0.5, 3.0)), float(rng.uniform(0.3, 2.0))) for _ in range(n)]
+        else:
+            coefficients = [tuple(rng.normal(size=int(rng.integers(2, 6)))) for _ in range(n)]
+        model = ModelSpec(1.0, tuple(OscillatorSpec(float(x), cs) for x, cs in zip(positions, coefficients)))
+        omega = float(rng.choice([rng.uniform(-0.99, 0.99), 0.0, 1.0])) if case % 10 == 0 \
+            else float(rng.uniform(-0.99, 0.99))
+        kind = rng.choice(["real", "complex", "zero", "1e150", "1.7e308"], p=[0.4, 0.3, 0.1, 0.1, 0.1])
+        if kind == "real":
+            guess = list(rng.uniform(0.1, 1.5, size=n))
+        elif kind == "complex":
+            guess = list((rng.normal(size=n) + 1j * rng.normal(size=n)) * rng.choice([0.3, 1.0, 3.0]))
+        elif kind == "zero":
+            guess = [0.0] * n
+        else:
+            big = float(kind)
+            guess = [big * complex(*rng.choice([(1.0, 0.0), (0.6, 0.8), (-1.0, 0.0)])) for _ in range(n)]
+        got = _outcome(solve_profile, model, omega, guess)
+        want = _outcome(reference_solve_profile, model, omega, guess)
+        if isinstance(want, SolitaryWave):
+            assert isinstance(got, SolitaryWave), (case, got)
+            assert got == want and got.residual_max == want.residual_max, case
+            assert _bits(got) == _bits(want), case
+            outcomes["wave"] = outcomes.get("wave", 0) + 1
+        else:
+            assert got is want, (case, got, want)
+            outcomes[want.__name__] = outcomes.get(want.__name__, 0) + 1
+    # every path is exercised: solved waves, collapses and failures
+    assert outcomes["wave"] >= 100 and outcomes["ConvergedToZero"] >= 10 and outcomes["NoConvergence"] >= 30, outcomes
+
+
+@pytest.mark.parametrize("guess", [[math.nan], [math.inf], [complex(0.7, math.nan)], [complex(-math.inf, 0.0)]],
+                         ids=["nan", "inf", "nan-imaginary", "minus-inf"])
+def test_solve_profile_refuses_a_non_finite_guess(guess):
+    with pytest.raises(ValueError, match="guess must be finite"):
+        solve_profile(QUARTIC_MODEL, 0.4, guess)
+
+
+def test_a_non_finite_residual_fails_at_once(monkeypatch):
+    # 1.7e308 is finite, but its coupling sum overflows: the first residual is not finite
+    evaluations = []
+
+    def counted(*args):
+        evaluations.append(args[2])
+        return _residual(*args)
+
+    monkeypatch.setattr(solitary, "_residual", counted)
+    with pytest.raises(NoConvergence) as info:
+        solve_profile(PAIR_MODEL, 0.4, [1.7e308] * 2)
+    assert len(evaluations) == 1 and not math.isfinite(info.value.residual)
+
+
+def plain_warm_start_branch(model, omegas, guess, solve=solve_profile):
+    """Continuation from the warm start alone: each solve starts at the last solved amplitudes."""
+    waves, current = [], list(guess)
+    for w in omegas:
+        try:
+            wave = solve(model, w, current)
+        except ConvergedToZero:
+            return waves, None
+        except NoConvergence:
+            return waves, w
+        waves.append(wave)
+        current = wave.amplitudes
+    return waves, None
+
+
+def branch_outcome(model, a, b, step, guess):
+    try:
+        return continue_branch(model, a, b, step, guess), None
+    except NoConvergence as err:
+        return err.waves, err.omega
+
+
+def branch_omegas(a, b, step):
+    k_max = int(np.floor(abs(b - a) / step + 1e-12))
+    return [a + (1.0 if b >= a else -1.0) * step * k for k in range(k_max + 1)]
+
+
+COLLAPSE_MODEL = ModelSpec(1.0, (OscillatorSpec(0.0, (0.0, -0.5, 1.0)),))
+
+
+@pytest.mark.parametrize("failure", [NoConvergence, ConvergedToZero])
+@pytest.mark.parametrize("model, a, b, guess, fail_from", [
+    (PAIR_MODEL, 0.0, 0.95, [0.7, 0.7], None),
+    (PAIR_MODEL, 0.0, 0.95, [0.7, 0.7], 0.5),  # from omega = 0.5 on every start fails
+    (COLLAPSE_MODEL, 0.95, 0.5, [0.2], None),
+], ids=["readme", "readme-fails", "collapse"])
+def test_a_failing_secant_start_falls_back_on_the_plain_warm_start(monkeypatch, failure, model, a, b, guess,
+                                                                   fail_from):
+    solved = []
+
+    def plain_starts_only(model, omega, start):
+        if fail_from is not None and omega >= fail_from:
+            raise NoConvergence(omega, 1.0)
+        if solved and list(start) != list(solved[-1].amplitudes):  # the secant start
+            if failure is NoConvergence:
+                raise NoConvergence(omega, 1.0)
+            raise ConvergedToZero(solitary._zero_wave(model, omega))
+        wave = solve_profile(model, omega, start)
+        solved.append(wave)
+        return wave
+
+    want_waves, want_failed = plain_warm_start_branch(model, branch_omegas(a, b, 0.01), guess, plain_starts_only)
+    solved.clear()
+    monkeypatch.setattr(solitary, "solve_profile", plain_starts_only)
+    got_waves, got_failed = branch_outcome(model, a, b, 0.01, guess)
+    assert got_failed == want_failed and (got_failed is None) == (fail_from is None)
+    assert [w.omega for w in got_waves] == [w.omega for w in want_waves]
+    assert [_bits(w) for w in got_waves] == [_bits(w) for w in want_waves]
+    assert len(got_waves) >= 3  # the secant start was tried
+
+
+@pytest.mark.parametrize("model, a, b, guess", [
+    (PAIR_MODEL, 0.0, 0.95, [0.7, 0.7]),  # the README model
+    (COLLAPSE_MODEL, 0.95, 0.5, [0.2]),
+], ids=["readme", "collapse"])
+def test_secant_branch_agrees_with_the_plain_warm_start_branch(model, a, b, guess):
+    omegas = branch_omegas(a, b, 0.001)
+    want, want_failed = plain_warm_start_branch(model, omegas, guess)
+    got, got_failed = branch_outcome(model, a, b, 0.001, guess)
+    assert got_failed is None and want_failed is None
+    assert len(got) == len(want) and len(want) >= 80
+    assert [w.omega for w in got] == [w.omega for w in want]
+    assert all(w.residual_max <= RESIDUAL_TOL for w in got)
+    diff = max(abs(x - y) for u, v in zip(got, want) for x, y in zip(u.amplitudes, v.amplitudes))
+    assert diff <= 1e-9
+
+
+def test_secant_start_costs_at_most_3_1_residual_evaluations_per_point(monkeypatch):
+    count = [0]
+
+    def counted(*args):
+        count[0] += 1
+        return _residual(*args)
+
+    monkeypatch.setattr(solitary, "_residual", counted)
+    waves = continue_branch(PAIR_MODEL, 0.0, 0.95, 0.001, [0.7, 0.7])
+    assert len(waves) == 951
+    assert count[0] / len(waves) <= 3.1
