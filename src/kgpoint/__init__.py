@@ -47,7 +47,6 @@ from .spectral import (
     SupportBounds,
     band_mass,
     in_band_check,
-    spectrum_series,
     support_bounds,
     time_spectrum,
     titchmarsh_check,

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import counterexamples as cx
 from . import io as kio
-from .config import ConfigError, ExperimentConfig, RunConfig, parse_config, parse_windows
+from .config import ConfigError, ExperimentConfig, GridConfig, InitialDataConfig, RunConfig, parse_config, parse_windows
 from .model import UnboundedPotentialError, check_assumptions, lower_bound_constants
 from .simulator import (
     FieldState,
@@ -42,7 +42,7 @@ from .simulator import (
     perturbed_solitary_state,
     solitary_state,
 )
-from .solitary import _NEWTON_STARTS, ConvergedToZero, NoConvergence, continue_branch, profile_eval, solve_profile
+from .solitary import ConvergedToZero, NoConvergence, _newton_starts, continue_branch, profile_eval, solve_profile
 from .spectral import time_spectrum
 
 EXIT_OK = 0
@@ -77,17 +77,12 @@ def cmd_check(args) -> int:
     return EXIT_OK if (report.all_hold and bounded) else EXIT_DOMAIN
 
 
-def _default_guess(model) -> list[complex]:
-    """The Newton start for every solitary solve: the first of the shared starts."""
-    return [_NEWTON_STARTS[0] + 0j] * model.count
-
-
 def cmd_solve(args) -> int:
     cfg = parse_config(args.config)
     if cfg.model is None:
         raise ConfigError("solve requires a [model] section")
     out_dir = Path(args.out)
-    guess = _default_guess(cfg.model)
+    guess = _newton_starts(cfg.model)[0]
     try:
         if args.guess:
             guess = [complex(float(v), 0.0) for v in args.guess.split(",")]
@@ -165,21 +160,24 @@ def _counterexample_solution(family: str, params: dict):
     return construct(*(params.get(name, value) for name, value in defaults.items()))
 
 
-def build_initial_state(cfg: ExperimentConfig, grid, model, seed=None) -> tuple[FieldState, float | None]:
-    """The configured initial data on grid, but for a counterexample's exact wave (see _run_simulation).
+def build_initial_state(cfg: ExperimentConfig, grid, model, seed=None,
+                        solution=None) -> tuple[FieldState, float | None]:
+    """The configured initial data on grid; solution is a counterexample's exact wave, which brings the model.
 
-    Returns the state and, for solitary and perturbed solitary data, what
-    the walls cut from the solitary wave as cx.wall_clip defines it (None
-    for other data).  seed is the perturbation seed, used as given.
+    Returns the state and, for counterexample, solitary and perturbed
+    solitary data, what the walls cut from the exact wave as cx.wall_clip
+    defines it (None for other data).  seed is the perturbation seed, used as given.
     """
     initial = cfg.initial
     if initial is None or initial.kind == "zero":
         z = np.zeros(grid.count, dtype=complex)
         return FieldState(z, z.copy(), 0.0), None
+    if initial.kind == "counterexample":
+        return cx.init_from(solution, grid), cx.wall_clip(*solution.eval(grid.x, 0.0))
     if initial.kind in ("solitary", "perturbed_solitary"):
-        wave = solve_profile(model, initial.omega, _default_guess(model))
-        phi = np.abs(profile_eval(model, wave, grid.x))  # |pi| = |omega| |psi|, so psi alone decides the ratio
-        clip = float(max(phi[0], phi[-1]) / phi.max())
+        wave = solve_profile(model, initial.omega, _newton_starts(model)[0])
+        phi = profile_eval(model, wave, grid.x)
+        clip = cx.wall_clip(phi, -1j * wave.omega * phi)
         if initial.kind == "solitary":
             return solitary_state(model, grid, wave), clip
         return perturbed_solitary_state(model, grid, wave, initial.noise_amplitude, seed), clip
@@ -211,7 +209,7 @@ def _light_cone_margin(model, grid, run: RunConfig) -> float:
 
 
 def _record_run(model, grid, state: FieldState, run: RunConfig, out_dir: Path, seed,
-                wall_clip: float | None = None) -> dict:
+                wall_clip: float | None) -> dict:
     """Evolve state, write observers.csv, final_state.csv and summary.json; return the summary.
 
     The a priori bound is a diagnostic here: a model whose potentials admit
@@ -271,15 +269,12 @@ def _run_simulation(cfg: ExperimentConfig, out_dir: Path, seed=None) -> dict:
     if model is None:
         raise ConfigError("simulate requires a [model] section or counterexample initial data")
     grid = build_grid(model, cfg.grid.x_min, cfg.grid.x_max, cfg.grid.dx_target)
-    if solution is not None:
-        return _record_run(model, grid, cx.init_from(solution, grid), cfg.run, out_dir, None,
-                           cx.wall_clip(solution, grid))
     # only perturbed solitary data draws from a seed: the --seed flag, else the config's
     if initial is None or initial.kind != "perturbed_solitary":
         seed = None
     elif seed is None:
         seed = initial.seed
-    state, wall_clip = build_initial_state(cfg, grid, model, seed=seed)
+    state, wall_clip = build_initial_state(cfg, grid, model, seed, solution)
     return _record_run(model, grid, state, cfg.run, out_dir, seed, wall_clip)
 
 
@@ -295,10 +290,17 @@ def _simulate_worker(config_path: str, out_dir: str, seed):
 
 
 def cmd_simulate(args) -> int:
+    if args.parallel < 1:
+        raise ConfigError(f"--parallel must be at least 1, got {args.parallel}")
     cfg = parse_config(args.config)
     out_dir = Path(args.out)
     if args.seeds:
-        seeds = [int(s) for s in args.seeds.split(",")]
+        try:
+            seeds = [int(s) for s in args.seeds.split(",")]
+        except ValueError as err:
+            raise ConfigError(f"bad --seeds {args.seeds!r}: {err}") from err
+        if len(set(seeds)) < len(seeds):  # two jobs would write one seed_N directory at once
+            raise ConfigError(f"--seeds repeats a seed: {args.seeds}")
         jobs = [(args.config, str(out_dir / f"seed_{s}"), s) for s in seeds]
         if args.parallel > 1:
             with ProcessPoolExecutor(max_workers=args.parallel) as pool:
@@ -320,6 +322,11 @@ def cmd_spectrum(args) -> int:
     if times[1] < times[0]:  # a backward run: take the samples in increasing time
         times, trace = times[::-1], trace[::-1]
     sample_dt = float(times[1] - times[0])
+    # the stored times of a uniform trace, each rounded once or twice, space alike to 2 ulps of the largest |t|
+    spread = float(np.max(np.abs(np.diff(times) - sample_dt)))
+    if not (sample_dt > 0 and spread <= 4 * np.spacing(np.max(np.abs(times)))):
+        raise ValueError(f"trace times are not uniformly spaced: a spacing differs from the first, "
+                         f"{sample_dt:.17g}, by {spread:.3g}")
     out_dir = Path(args.out)
     summary = []
     for i, (t0, T) in enumerate(windows):
@@ -341,20 +348,21 @@ def cmd_spectrum(args) -> int:
 def cmd_counterexample(args) -> int:
     out_dir = Path(args.out)
     flags = {"mass": args.mass, "l": args.L, "alpha": args.alpha, "beta": args.beta, "omega": args.omega}
-    sol = _counterexample_solution(args.kind, {k: v for k, v in flags.items() if v is not None})
+    params = {k: v for k, v in flags.items() if v is not None}
+    sol = _counterexample_solution(args.kind, params)
     verification = cx.verify_exact(sol).to_json_dict()
-    if args.simulate:
-        model = sol.to_model()
-        grid = build_grid(model, -args.half_width, sol.L + args.half_width, args.dx_target)
-        verification["initial_wall_clip"] = cx.wall_clip(sol, grid)
+    if args.simulate:  # the experiment the flags describe (dt = 0.45 dx on its grid), built before any output
+        grid = GridConfig(-args.half_width, sol.L + args.half_width, args.dx_target)
+        dx = build_grid(sol.to_model(), grid.x_min, grid.x_max, grid.dx_target).dx
+        cfg = ExperimentConfig(None, grid, RunConfig(args.T, 0.45 * dx, args.observe_every),
+                               InitialDataConfig("counterexample", family=args.kind, params=params))
     params_doc = asdict(sol)
     kio.write_json(out_dir / "params.json", params_doc)
     kio.write_json(out_dir / "verification.json", verification)
     _print_json({"params": params_doc, "verification": verification})
 
     if args.simulate:
-        run = RunConfig(args.T, 0.45 * grid.dx, args.observe_every)
-        _record_run(model, grid, cx.init_from(sol, grid), run, out_dir, None, verification["initial_wall_clip"])
+        _run_simulation(cfg, out_dir)
     return EXIT_OK
 
 

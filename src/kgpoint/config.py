@@ -113,9 +113,11 @@ def parse_windows(text: str) -> tuple[tuple[float, float], ...]:
         if not item:
             continue
         parts = item.split(":")
-        if len(parts) != 2:
-            raise ConfigError(f"window {item!r} is not of the form t0:T")
-        out.append((float(parts[0]), float(parts[1])))
+        try:
+            t0, T = (float(p) for p in parts)
+        except ValueError as err:
+            raise ConfigError(f"window {item!r} is not of the form t0:T") from err
+        out.append((t0, T))
     if not out:
         raise ConfigError("empty window list")
     return tuple(out)

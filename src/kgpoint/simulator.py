@@ -45,7 +45,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import ModelSpec, force, lower_bound_constants, potential
-from .solitary import _NEWTON_STARTS, ConvergedToZero, NoConvergence, SolitaryWave, profile_eval, solve_profile
+from .solitary import ConvergedToZero, NoConvergence, SolitaryWave, _newton_starts, profile_eval, solve_profile
 
 __all__ = [
     "Grid",
@@ -277,42 +277,37 @@ def step(model: ModelSpec, grid: Grid, state: FieldState, dt: float) -> FieldSta
 
 def _cell_differences(psi: np.ndarray) -> np.ndarray:
     """psi[j + 1] - psi[j] at every node j but the last, whose entry is 0 and never read."""
-    d = np.zeros_like(psi)
+    d = np.empty_like(psi)  # not zeros_like: filling the whole buffer costs as much as the differences
+    d[-1:] = 0.0  # a slice, so an empty window has nothing to set
     np.subtract(psi[1:], psi[:-1], out=d[:-1])
     return d
 
 
-def _energy_form(model: ModelSpec, grid: Grid, a, b, window=slice(None), d_a=None, d_b=None) -> complex:
+def _energy_form(model: ModelSpec, grid: Grid, a, b, d_a, d_b, window=slice(None)) -> complex:
     """sum_nodes dx (conj(pi_a) pi_b + m^2 conj(psi_a) psi_b) + sum_cells conj(dpsi_a) dpsi_b / dx.
 
     a and b are (psi, pi) pairs on the whole grid, 0 at its Dirichlet end
     nodes (where plain sums are the trapezoid rule), or on one window's nodes.
     The sums run over the nodes of ``window``, a slice of those arrays, by
-    default all of them, and the cells between them.  d_a and d_b, when given,
-    hold the cell differences of psi_a and psi_b as ``_cell_differences``
-    lays them out; the cells of a window are then the entries at its nodes
-    but the last.
+    default all of them, and the cells between them.  d_a and d_b hold the
+    cell differences of psi_a and psi_b as ``_cell_differences`` lays them
+    out; the cells of a window are the entries at its nodes but the last.
     """
     (a_psi, a_pi), (b_psi, b_pi) = a, b
-    d_a = np.diff(a_psi[window]) if d_a is None else d_a[window][:-1]
-    if b_psi is a_psi:
-        d_b = d_a
-    else:
-        d_b = np.diff(b_psi[window]) if d_b is None else d_b[window][:-1]
-    cells = np.vdot(d_a, d_b)
+    cells = np.vdot(d_a[window][:-1], d_b[window][:-1])
     nodes = np.vdot(a_pi[window], b_pi[window]) + model.mass**2 * np.vdot(a_psi[window], b_psi[window])
     return grid.dx * nodes + cells / grid.dx
 
 
-def _energy(model: ModelSpec, grid: Grid, u, d=None) -> tuple[float, float]:
-    """(H, energy norm) of a (psi, pi) pair from one evaluation of the full form."""
-    norm2 = float(_energy_form(model, grid, u, u, d_a=d).real)
+def _energy(model: ModelSpec, grid: Grid, u, d) -> tuple[float, float]:
+    """(H, energy norm) of a (psi, pi) pair, d its cell differences, from one evaluation of the full form."""
+    norm2 = float(_energy_form(model, grid, u, u, d, d).real)
     pot = sum(potential(o, u[0][i]) for o, i in zip(model.oscillators, grid.oscillator_nodes))
     return 0.5 * norm2 + pot, math.sqrt(norm2)
 
 
-def _seminorm(model: ModelSpec, grid: Grid, u, window, d=None) -> float:
-    return math.sqrt(float(_energy_form(model, grid, u, u, window, d).real))
+def _seminorm(model: ModelSpec, grid: Grid, u, window, d) -> float:
+    return math.sqrt(float(_energy_form(model, grid, u, u, d, d, window).real))
 
 
 def _charge(grid: Grid, u) -> float:
@@ -323,7 +318,7 @@ def hamiltonian(model: ModelSpec, grid: Grid, state: FieldState) -> float:
     """Discrete energy: node terms, forward differences on cells; psi, pi must be 0 at the end nodes."""
     _check_state(grid, state)
     with np.errstate(over="ignore", invalid="ignore"):
-        return _energy(model, grid, (state.psi, state.pi))[0]
+        return _energy(model, grid, (state.psi, state.pi), _cell_differences(state.psi))[0]
 
 
 def charge(model: ModelSpec, grid: Grid, state: FieldState) -> float:
@@ -335,7 +330,7 @@ def charge(model: ModelSpec, grid: Grid, state: FieldState) -> float:
 def energy_norm(model: ModelSpec, grid: Grid, state: FieldState) -> float:
     """Full energy norm sqrt(|pi|^2 + |psi'|^2 + m^2 |psi|^2), no potentials; psi, pi must be 0 at the end nodes."""
     _check_state(grid, state)
-    return _seminorm(model, grid, (state.psi, state.pi), slice(None))
+    return _seminorm(model, grid, (state.psi, state.pi), slice(None), _cell_differences(state.psi))
 
 
 def apriori_bound(model: ModelSpec, grid: Grid, initial: FieldState) -> float:
@@ -353,7 +348,7 @@ def apriori_bound(model: ModelSpec, grid: Grid, initial: FieldState) -> float:
 
 def local_seminorm(model: ModelSpec, grid: Grid, state: FieldState, R: float) -> float:
     """Energy seminorm over the window [-R, R] (clipped to the grid with a warning)."""
-    return _seminorm(model, grid, (state.psi, state.pi), grid.window(R))
+    return _seminorm(model, grid, (state.psi, state.pi), grid.window(R), _cell_differences(state.psi))
 
 
 def _metric_windows(grid: Grid, r_max: int) -> tuple[slice, list[slice]]:
@@ -498,7 +493,7 @@ def _phase_fit_dist(model: ModelSpec, grid: Grid, u, d_u: np.ndarray, candidate:
     """
     psi, pi = candidate.psi, candidate.pi
     # the unit phase minimizing |u - e^{i theta} (psi, pi)|_E, in closed form
-    inner = _energy_form(model, grid, u, (psi, pi), d_a=d_u, d_b=candidate.d)
+    inner = _energy_form(model, grid, u, (psi, pi), d_u, candidate.d)
     phase = inner.conjugate() / abs(inner) if abs(inner) != 0.0 else 1.0 + 0j
     return _metric(model, grid, (u[0] - psi * phase, u[1] - pi * phase), windows)
 
@@ -579,7 +574,7 @@ def _frequency_scan(model: ModelSpec, grid: Grid, omega_bits: bytes, outer: tupl
     all fail is skipped.  Any other chain of starts would move candidate
     distances by about 1e-12, so results would depend on the cache's state.
     """
-    default_guesses = [[s + 0j] * model.count for s in _NEWTON_STARTS]  # for models with several branches
+    default_guesses = _newton_starts(model)  # for models with several branches
     scan, warm = [], None
     for w in np.frombuffer(omega_bits).tolist():
         starts = ([warm] if warm is not None else []) + default_guesses

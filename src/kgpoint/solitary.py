@@ -41,6 +41,11 @@ MAX_ITER = 100
 _NEWTON_STARTS = (0.7, 1.0, 0.3)
 
 
+def _newton_starts(model: ModelSpec) -> list[list[complex]]:
+    """The shared Newton starts as guesses for model, in the order tried."""
+    return [[s + 0j] * model.count for s in _NEWTON_STARTS]
+
+
 class NoConvergence(RuntimeError):
     """Newton failed; carries the frequency and any partial branch."""
 

@@ -14,7 +14,6 @@ endpoint products do not vanish (for exact or generic entries they cannot).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +22,6 @@ __all__ = [
     "SpectrumEstimate",
     "SupportBounds",
     "time_spectrum",
-    "spectrum_series",
     "in_band_check",
     "band_mass",
     "support_bounds",
@@ -119,18 +117,6 @@ def band_mass(estimate: SpectrumEstimate, center: float, halfwidth: float | None
         halfwidth = 2.0 * estimate.bin_width
     sel = np.abs(estimate.freqs - center) <= halfwidth
     return float(np.sum(estimate.magnitudes[sel] ** 2))
-
-
-def spectrum_series(trace, sample_dt: float, windows, taper: str = "hann", trace_t0: float = 0.0):
-    """Estimates for a list of (t0, T) windows; failed windows yield None."""
-    out: list[SpectrumEstimate | None] = []
-    for t0, T in windows:
-        try:
-            out.append(time_spectrum(trace, sample_dt, t0, T, taper=taper, trace_t0=trace_t0))
-        except ValueError as err:
-            warnings.warn(f"window ({t0}, {T}) skipped: {err}", stacklevel=2)
-            out.append(None)
-    return out
 
 
 def in_band_check(estimate: SpectrumEstimate, m: float) -> bool:

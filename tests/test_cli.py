@@ -253,6 +253,23 @@ def test_simulate_seed_sweep(tmp_path, capsys):
         assert (serial / name).read_bytes() == (out / name).read_bytes()
 
 
+@pytest.mark.parametrize("argv, reason", [
+    (["--seeds", "1,x"], "bad --seeds '1,x'"),
+    (["--seeds", "1,1", "--parallel", "2"], "--seeds repeats a seed: 1,1"),
+    (["--seeds", "2,1,02"], "--seeds repeats a seed: 2,1,02"),
+    (["--parallel", "0"], "--parallel must be at least 1"),
+    (["--seeds", "1,2", "--parallel", "-1"], "--parallel must be at least 1"),
+], ids=["malformed seed", "repeated seed in parallel", "repeated seed in series", "no workers",
+        "negative workers"])
+def test_simulate_rejects_bad_seed_flags(tmp_path, capsys, argv, reason):
+    text = SINGLE_MODEL + RUN_SECTIONS + "\n[initial_data]\nkind = perturbed_solitary\nomega = 0.5\n"
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", write_config(tmp_path, text), "--out", str(out)] + argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"config error: {reason}") and captured.err.count("\n") == 1
+    assert captured.out == "" and not out.exists()
+
+
 def test_simulate_seed_defaults_to_the_config_seed(tmp_path, capsys):
     text = (
         SINGLE_MODEL
@@ -468,6 +485,57 @@ def test_spectrum_short_window_exit_two(tmp_path):
     assert main(["spectrum", "--trace", str(path), "--windows", "0:1", "--out", str(tmp_path / "s")]) == 2
 
 
+def test_spectrum_malformed_window_exits_one(tmp_path, capsys):
+    out = tmp_path / "spec"
+    for windows in ("x:3", "1:2:3", "5"):
+        assert main(["spectrum", "--trace", str(tmp_path / "trace.csv"), "--windows", windows,
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"config error: window {windows!r} is not of the form t0:T\n"
+    assert not out.exists()
+
+
+def _spectrum_of(tmp_path, capsys, times, windows="50:20"):
+    """spectrum's exit code and stderr on a unit tone sampled at times."""
+    times = np.asarray(times)
+    trace = np.exp(-1j * 0.366 * times)
+    write_csv(tmp_path / "trace.csv", ["t", "psi1_re", "psi1_im"],
+              np.column_stack([times, trace.real, trace.imag]))
+    code = main(["spectrum", "--trace", str(tmp_path / "trace.csv"), "--windows", windows,
+                 "--out", str(tmp_path / "spec")])
+    return code, capsys.readouterr().err
+
+
+def _observer_times(t0, dt, observe_every, T):
+    """The sample times evolve writes, t0 + k dt at every observe_every-th step k."""
+    return [t0 + k * dt for k in range(0, int(round(T / dt)) + 1, observe_every)]
+
+
+@pytest.mark.parametrize("case", ["dropped samples", "one dropped sample", "restart join"])
+def test_spectrum_rejects_non_uniform_trace(tmp_path, capsys, case):
+    uniform = _observer_times(0.0, 0.009, 5, 120.0)
+    if case == "dropped samples":  # every other sample of the first 500 is missing: 0.09, then 0.045 apart
+        times = uniform[0:1000:2] + uniform[1000:]
+    elif case == "one dropped sample":
+        times = uniform[:1500] + uniform[1501:]
+    else:  # two observer files run back to back: the second repeats the sample where the first ended
+        times = _observer_times(0.0, 0.009, 5, 60.0) + _observer_times(60.0, 0.009, 5, 60.0)
+    code, err = _spectrum_of(tmp_path, capsys, times)
+    assert code == 2
+    assert err.startswith("domain error: trace times are not uniformly spaced") and err.count("\n") == 1
+    assert not (tmp_path / "spec").exists()
+
+
+def test_spectrum_accepts_a_long_uniform_trace(tmp_path, capsys):
+    # 222 223 samples to T = 1e4: the spacings differ by up to 1.7e-12, a unit in the last place of 1e4
+    times = _observer_times(0.0, 0.009, 5, 1e4)
+    assert np.ptp(np.diff(times)) > 0
+    code, err = _spectrum_of(tmp_path, capsys, times, windows="9000:200")
+    assert code == 0 and err == ""
+    (entry,) = json.loads((tmp_path / "spec" / "spectrum_summary.json").read_text())
+    assert abs(entry["dominant"] - 0.366) <= 0.1 * 2 * math.pi / 200.0
+
+
 def test_counterexample_wide_gap(tmp_path, capsys):
     out = tmp_path / "wg"
     assert main(["counterexample", "--kind", "wide_gap", "--out", str(out)]) == 0
@@ -511,8 +579,7 @@ def test_counterexample_reports_what_the_walls_cut(tmp_path, capsys, half, warns
             "--dx-target", "0.05", "--out", str(out)]
     assert main(argv) == 0
     err = capsys.readouterr().err
-    clip = json.loads((out / "verification.json").read_text())["initial_wall_clip"]
-    assert json.loads((out / "summary.json").read_text())["initial_wall_clip"] == clip
+    clip = json.loads((out / "summary.json").read_text())["initial_wall_clip"]
     if warns:  # pi is about 1.6e-3 at both walls, against a peak of 0.317
         assert 4e-3 <= clip <= 6e-3
         assert err.startswith("warning: the walls cut 0.00") and "above 1e-06" in err and err.count("\n") == 1

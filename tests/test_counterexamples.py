@@ -11,6 +11,7 @@ from kgpoint.counterexamples import (
     linear_deg_construct,
     linear_deg_eval,
     verify_exact,
+    wall_clip,
     wide_gap_construct,
     wide_gap_eval,
 )
@@ -236,6 +237,13 @@ def test_init_from_misaligned_grid(wide_gap):
     shifted = linear_deg_construct(1.0, 1.0, 0.3, 0.0, 10.0)
     with pytest.raises(ValueError):
         init_from(shifted, other)  # oscillator at 1.0 is not on a pi-anchored grid
+
+
+def test_wall_clip_takes_the_larger_of_psi_and_pi():
+    # the end nodes' largest |psi| or |pi| over the largest anywhere, whichever field holds them
+    assert wall_clip([0.1, 1.0, 0.0], [0.0, -2.0, 0.3j]) == pytest.approx(0.15, rel=1e-15)
+    assert wall_clip([0.4, 2.0, 0.0], [0.0, 1.0, 0.1]) == pytest.approx(0.2, rel=1e-15)
+    assert wall_clip(np.zeros(3), np.zeros(3)) == 0.0
 
 
 def test_simulated_wide_gap_tracks_exact_trace(wide_gap):

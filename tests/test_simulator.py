@@ -397,6 +397,10 @@ def test_local_seminorm_empty_window():
     state = FieldState(np.exp(-grid.x**2).astype(complex), np.ones(grid.count, complex), 0.0)
     with pytest.warns(UserWarning):
         assert local_seminorm(model, grid, state, 0.2) == 0.0
+    far = build_grid(ModelSpec(1.0, (OscillatorSpec(10.0, (0.0, -2.0, 1.0)),)), 5.0, 15.0, 0.05)
+    ones = FieldState(np.ones(far.count, complex), np.ones(far.count, complex), 0.0)
+    with pytest.warns(UserWarning):  # no node has |x| <= 1, so every window of the metric is empty
+        assert metric_dist(model, far, ones, ones, 1) == 0.0
 
 
 def test_metric_dist_axioms():

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from kgpoint.spectral import (
     band_mass,
     in_band_check,
-    spectrum_series,
     support_bounds,
     time_spectrum,
     titchmarsh_check,
@@ -82,7 +81,7 @@ def test_shift_covariance():
 
 def test_spectrum_series_stationary_tone():
     trace = tone(0.5, n=4000)
-    ests = spectrum_series(trace, DT, [(0.0, 60.0), (50.0, 60.0), (120.0, 60.0)])
+    ests = [time_spectrum(trace, DT, t0, 60.0) for t0 in (0.0, 50.0, 120.0)]
     doms = [e.dominant for e in ests]
     bin_slack = 2 * np.pi / 60.0
     assert max(doms) - min(doms) <= bin_slack
@@ -91,19 +90,9 @@ def test_spectrum_series_stationary_tone():
 def test_spectrum_series_decaying_second_tone():
     t = np.arange(6000) * DT
     trace = np.exp(-1j * 0.5 * t) + np.exp(-t / 20.0) * np.exp(-1j * 1.8 * t)
-    windows = [(0.0, 60.0), (80.0, 60.0), (160.0, 60.0)]
-    ests = spectrum_series(trace, DT, windows)
+    ests = [time_spectrum(trace, DT, t0, 60.0) for t0 in (0.0, 80.0, 160.0)]
     ratios = [e.band_mass_ratio for e in ests]
     assert ratios[0] > ratios[1] > ratios[2]
-
-
-def test_spectrum_series_singleton_and_errors():
-    trace = tone(0.5, n=1000)
-    ests = spectrum_series(trace, DT, [(0.0, 30.0)])
-    assert len(ests) == 1 and ests[0] is not None
-    with pytest.warns(UserWarning):
-        ests = spectrum_series(trace, DT, [(0.0, 30.0), (49.0, 30.0)])
-    assert ests[0] is not None and ests[1] is None
 
 
 def test_in_band_check_examples():
