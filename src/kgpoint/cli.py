@@ -104,13 +104,9 @@ def cmd_solve(args) -> int:
         for j in range(cfg.model.count):
             header += [f"C{j + 1}_re", f"C{j + 1}_im"]
         header.append("residual_max")
-        rows = []
-        for w in waves:
-            row = [w.omega, w.kappa]
-            for c in w.amplitudes:
-                row += [c.real, c.imag]
-            row.append(w.residual_max)
-            rows.append(row)
+        # one float64 array, so that write_csv formats every row with one row format
+        rows = np.array([[w.omega, w.kappa, *(p for c in w.amplitudes for p in (c.real, c.imag)), w.residual_max]
+                         for w in waves], dtype=float).reshape(-1, len(header))
         kio.write_csv(out_dir / "branch.csv", header, rows)
         summary = {
             "solved": len(waves),

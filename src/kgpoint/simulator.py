@@ -420,15 +420,13 @@ def perturbed_solitary_state(model: ModelSpec, grid: Grid, wave: SolitaryWave, n
 
 
 def evolve(model: ModelSpec, grid: Grid, state: FieldState, T: float, dt: float, observe_every: int = 1,
-           seminorm_radii: tuple[float, ...] = (), extra_probe_nodes: tuple[int, ...] = (),
-           ) -> tuple[ObserverSeries, FieldState]:
+           seminorm_radii: tuple[float, ...] = ()) -> tuple[ObserverSeries, FieldState]:
     """Run round(T/|dt|) steps of size dt, sampling observers every observe_every steps.
 
     dt < 0 runs the flow backwards, from t0 to t0 - T.  Returns the series and
     the final state.  Samples land at steps 0, observe_every,
     2*observe_every, ...; the final state is returned even when it does not
-    fall on a sample.  Traces are recorded at the oscillator nodes followed
-    by any extra probe nodes.
+    fall on a sample.  Traces are recorded at the oscillator nodes.
     """
     if T < 0:
         raise ValueError("T must be nonnegative")
@@ -437,7 +435,7 @@ def evolve(model: ModelSpec, grid: Grid, state: FieldState, T: float, dt: float,
     _check_step(grid, state, dt)
     n_steps = int(round(T / abs(dt))) if T > 0 else 0
     windows = {float(r): grid.window(float(r)) for r in seminorm_radii}
-    nodes = np.array(grid.oscillator_nodes + tuple(extra_probe_nodes), dtype=np.intp)
+    nodes = np.array(grid.oscillator_nodes, dtype=np.intp)
     n = n_steps // observe_every + 1
     times, energy, charges, norms = np.empty((4, n))
     seminorms = {r: np.empty(n) for r in windows}

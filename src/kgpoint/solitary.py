@@ -15,6 +15,7 @@ common phase rotation, which would otherwise make the Jacobian singular).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -95,15 +96,15 @@ def kappa(model: ModelSpec, omega: float) -> float:
     m = model.mass
     if not abs(omega) <= m:  # a nan too
         raise ValueError(f"|omega|={abs(omega)} exceeds the mass {m}")
-    return float(np.sqrt(max(m * m - omega * omega, 0.0)))
+    return math.sqrt(max(m * m - omega * omega, 0.0))
 
 
-def _coupling_matrix(model: ModelSpec, kap: float) -> np.ndarray:
-    pos = np.asarray(model.positions)
-    return np.exp(-kap * np.abs(pos[:, None] - pos[None, :]))
+def _coupling_matrix(model: ModelSpec, kap: float) -> list[list[float]]:
+    """The rows exp(-kappa |X_J - X_K|), K = 1..N, as lists of floats."""
+    pos = model.positions
+    return [[math.exp(-kap * abs(xj - xk)) for xk in pos] for xj in pos]
 
 
-@np.errstate(over="ignore", invalid="ignore")  # huge amplitudes overflow to non-finite entries
 def amplitude_residual(model: ModelSpec, wave: SolitaryWave) -> np.ndarray:
     """Real/imaginary parts of 2 kappa C_J - F_J(phi(X_J)), interleaved per J."""
     kap = kappa(model, wave.omega)
@@ -111,38 +112,40 @@ def amplitude_residual(model: ModelSpec, wave: SolitaryWave) -> np.ndarray:
     return np.array(_residual(model, kap, c, _coupling_matrix(model, kap))[0])
 
 
-def _residual(model: ModelSpec, kap: float, c: list, coupling: np.ndarray):
+def _residual(model: ModelSpec, kap: float, c: list, coupling: list):
     """Residual of the amplitude system at c, a list of Python complex, and its slopes.
 
     Returns the 2N residual entries, Re and Im interleaved per J, and per J the
     entries (fuu, fuv, fvv) of dF/d(Re psi, Im psi), which _jacobian assembles.
-    Overflow from runaway iterates gives non-finite residuals, which the
-    solver detects and reports as NoConvergence; callers ignore the overflow
-    in np.errstate, entered once per solve.
+    The arithmetic is on Python floats, Re and Im apart: psi_J is the sum
+    over K of coupling[J][K] C_K, accumulated from 0.0 left to right.
+    Overflow from runaway iterates gives inf and nan silently; the solver
+    detects the non-finite residual and reports NoConvergence.
     """
-    # the loop runs on Python floats: numpy's arithmetic, bit for bit, without the cost of
-    # numpy scalars; overflow gives inf silently here too
-    values = (coupling @ c).tolist()
+    cr = [z.real for z in c]
+    ci = [z.imag for z in c]
+    k2 = 2.0 * kap
     res, slopes = [], []
-    for j, osc in enumerate(model.oscillators):
-        psi = values[j]
-        u, v = psi.real, psi.imag
+    for osc, row, xr, xi in zip(model.oscillators, coupling, cr, ci):
+        u = v = 0.0
+        for e, zr, zi in zip(row, cr, ci):
+            u += e * zr
+            v += e * zi
         s = u * u + v * v
         a = force_ratio(osc, s)
         da = -2.0 * _horner(osc._curvature_coefficients, s)  # d alpha / ds = -2 u''(s)
-        r = 2.0 * kap * c[j] - a * psi
-        res += (r.real, r.imag)
+        res += (k2 * xr - a * u, k2 * xi - a * v)
         # dF/d(Re psi, Im psi) for F = alpha(|psi|^2) psi
         slopes.append((a + 2.0 * u * u * da, 2.0 * u * v * da, a + 2.0 * v * v * da))
     return res, slopes
 
 
-def _jacobian(kap: float, rows: list, slopes: list) -> list:
-    """Jacobian of the residual in the 2N real unknowns, as lists; rows is coupling.tolist()."""
+def _jacobian(kap: float, coupling: list, slopes: list) -> list:
+    """Jacobian of the residual in the 2N real unknowns, as a list of row lists."""
     jac = []
     for j, (fuu, fuv, fvv) in enumerate(slopes):
         row_u, row_v = [], []  # Jacobian rows 2j and 2j + 1
-        for e in rows[j]:
+        for e in coupling[j]:
             row_u += (-fuu * e, -fuv * e)
             row_v += (-fuv * e, -fvv * e)
         row_u[2 * j] += 2.0 * kap
@@ -151,19 +154,64 @@ def _jacobian(kap: float, rows: list, slopes: list) -> list:
     return jac
 
 
-def _gauge_rotate(amps) -> list:
+def _solve_linear(a: list, b: list) -> list:
+    """x with a x = b, by Gaussian elimination with partial pivoting on Python floats.
+
+    a is a list of row lists; a and b are overwritten.  The pivot is the
+    first entry of largest modulus in its column.  An exactly zero pivot,
+    where LAPACK's dgesv reports a singular matrix, raises ZeroDivisionError.
+    """
+    n = len(b)
+    for k in range(n):
+        p, top = k, abs(a[k][k])
+        for i in range(k + 1, n):
+            v = abs(a[i][k])
+            if v > top:
+                p, top = i, v
+        if top == 0.0:
+            raise ZeroDivisionError("singular matrix")
+        a[k], a[p] = a[p], a[k]
+        b[k], b[p] = b[p], b[k]
+        pivot_row, pivot, bk = a[k], a[k][k], b[k]
+        for i in range(k + 1, n):
+            row = a[i]
+            f = row[k] / pivot
+            for j in range(k + 1, n):
+                row[j] -= f * pivot_row[j]
+            b[i] -= f * bk
+    x = [0.0] * n
+    for k in range(n - 1, -1, -1):
+        row, acc = a[k], b[k]
+        for j in range(k + 1, n):
+            acc -= row[j] * x[j]
+        x[k] = acc / row[k]
+    return x
+
+
+def _modulus(z: complex) -> float:
+    """|z| as abs gives it, but inf where the modulus overflows and abs raises OverflowError."""
+    try:
+        return abs(z)
+    except OverflowError:
+        return math.inf
+
+
+def _gauge_rotate(amps: list) -> list:
     """Rotate the common phase so the first nonzero amplitude is real >= 0; a list of Python complex.
 
-    The rotation stays on numpy: its complex quotient and (fused) product
-    are not those of Python's complex arithmetic.
+    Each amplitude is multiplied, in Python complex arithmetic, by
+    conj(c) / |c| of that first amplitude c, which itself becomes |c|.  A
+    modulus that overflows is inf: the rotated amplitudes are then not
+    finite and the solve fails with NoConvergence.
     """
-    amps = np.asarray(amps, dtype=complex)
     for idx, c in enumerate(amps):
-        if abs(c) > 0.0:
-            rotated = amps * (c.conjugate() / abs(c))
-            rotated[idx] = abs(c)
-            return rotated.tolist()
-    return amps.tolist()
+        r = _modulus(c)
+        if r > 0.0:
+            f = complex(c.real / r, -c.imag / r)
+            rotated = [z * f for z in amps]
+            rotated[idx] = complex(r)
+            return rotated
+    return list(amps)
 
 
 def _sup_norm(x) -> float:
@@ -190,20 +238,22 @@ def _zero_wave(model: ModelSpec, omega: float) -> SolitaryWave:
     return SolitaryWave(float(omega), kappa(model, omega), (0j,) * model.count, 0.0)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # once per solve: runaway iterates overflow, see below
 def solve_profile(model: ModelSpec, omega: float, guess) -> SolitaryWave:
     """Newton-solve the amplitude system at fixed frequency.
 
     The phase gauge Im C_1 = 0 replaces the corresponding residual equation;
     on residual increase the step is halved up to 8 times.  Raises
-    NoConvergence after 100 iterations, or as soon as an iterate's residual is
-    not finite, and ConvergedToZero when the iteration lands on the zero
-    branch (|C| <= 1e-9), so callers can tell the trivial wave from a genuine
-    one.  A guess that is not finite is a ValueError.  At omega = +-m only the
+    NoConvergence after 100 iterations, as soon as an iterate's residual is
+    not finite, or when the gauged Jacobian has an exactly zero pivot, and
+    ConvergedToZero when the iteration lands on the zero branch
+    (|C| <= 1e-9), so callers can tell the trivial wave from a genuine one.
+    A guess that is not finite is a ValueError.  At omega = +-m only the
     zero wave decays, and it is returned directly.
 
-    The iteration runs on Python floats and complex numbers; numpy does the
-    coupling product, the linear solve and the gauge rotation.
+    The whole solve runs on Python floats and complex numbers, with no numpy
+    call: the coupling from math.exp, the coupling product as a Python sum,
+    the gauged linear system by Gaussian elimination with partial pivoting
+    (_solve_linear) and the gauge rotation in Python complex arithmetic.
     """
     m = model.mass
     if not abs(omega) <= m:  # a nan too
@@ -211,17 +261,14 @@ def solve_profile(model: ModelSpec, omega: float, guess) -> SolitaryWave:
     if abs(omega) == m:
         return _zero_wave(model, omega)
     n = model.count
-    c = np.asarray(list(guess), dtype=complex)
-    if c.shape != (n,):
+    c = [complex(z) for z in guess]
+    if len(c) != n:
         raise ValueError(f"guess must have length {n}")
-    if not np.isfinite(c).all():
+    if not all(map(cmath.isfinite, c)):
         raise ValueError("guess must be finite")
     c = _gauge_rotate(c)
     kap = kappa(model, omega)
     coupling = _coupling_matrix(model, kap)
-    rows = coupling.tolist()
-    gauge_row = [0.0] * (2 * n)  # Im C_1 = 0 in place of Jacobian row 1
-    gauge_row[1] = 1.0
 
     res, slopes = _residual(model, kap, c, coupling)
     for _ in range(MAX_ITER):
@@ -231,20 +278,18 @@ def solve_profile(model: ModelSpec, omega: float, guess) -> SolitaryWave:
         if not math.isfinite(norm):  # an overflowed iterate never recovers
             raise NoConvergence(omega, norm)
         g = _gauged(res, c)
-        jac = _jacobian(kap, rows, slopes)
-        jac[1] = gauge_row
+        jac = _jacobian(kap, coupling, slopes)
+        jac[1] = [0.0] * (2 * n)  # Im C_1 = 0 in place of Jacobian row 1
+        jac[1][1] = 1.0
         try:
-            delta = np.linalg.solve(jac, [-x for x in g]).tolist()
-        except np.linalg.LinAlgError:
+            delta = _solve_linear(jac, [-x for x in g])
+        except ZeroDivisionError:
             raise NoConvergence(omega, norm)
-        # delta[0::2] + 1j * delta[1::2] as numpy forms it, signed zeros included
-        step = [(dr + 0.0 * di, 0.0 + di) for dr, di in zip(delta[0::2], delta[1::2])]
+        step = list(zip(delta[0::2], delta[1::2]))
         norm_old = _sup_norm(g)
         scale = 1.0
         for _ in range(8):
-            # c + scale * step, numpy's product with the complex (scale, 0) written out
-            c_try = [complex(z.real + (scale * sr - 0.0 * si), z.imag + (scale * si + 0.0 * sr))
-                     for z, (sr, si) in zip(c, step)]
+            c_try = [complex(z.real + scale * dr, z.imag + scale * di) for z, (dr, di) in zip(c, step)]
             res_try, slopes_try = _residual(model, kap, c_try, coupling)
             if _sup_norm(_gauged(res_try, c_try)) < norm_old:
                 break
@@ -257,7 +302,7 @@ def solve_profile(model: ModelSpec, omega: float, guess) -> SolitaryWave:
     final = _sup_norm(_residual(model, kap, c, coupling)[0])
     if final > RESIDUAL_TOL:
         raise NoConvergence(omega, final)
-    if max(map(abs, c)) <= ZERO_BRANCH_TOL:
+    if max(map(_modulus, c)) <= ZERO_BRANCH_TOL:
         raise ConvergedToZero(_zero_wave(model, omega))
     return SolitaryWave(float(omega), kap, tuple(c), final)
 
@@ -301,11 +346,11 @@ def continue_branch(model: ModelSpec, omega_start: float, omega_end: float, step
         raise ValueError("step must be positive")
     span = omega_end - omega_start
     direction = 1.0 if span >= 0 else -1.0
-    k_max = int(np.floor(abs(span) / step + 1e-12))
-    omegas = [omega_start + direction * step * k for k in range(k_max + 1)]
+    k_max = math.floor(abs(span) / step + 1e-12)
     waves: list[SolitaryWave] = []
     current = list(guess)
-    for w in omegas:
+    for k in range(k_max + 1):
+        w = omega_start + direction * step * k  # formed as reached: a fine range is never held as a list
         starts = [current]
         if len(waves) >= 2:
             prev, last = waves[-2], waves[-1]

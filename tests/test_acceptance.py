@@ -159,12 +159,16 @@ def wide_gap_run():
     grid = kg.build_grid(model, -35.0, sol.L + 35.0, 0.02)
     state = kg.init_from(sol, grid)
     midpoint = int(round((sol.L / 2.0 - grid.x_min) / grid.dx))
-    series, _ = kg.evolve(
-        model, grid, state, 60.0, 0.45 * grid.dx, observe_every=4, extra_probe_nodes=(midpoint,)
-    )
+    dt = 0.45 * grid.dx
+    series, _ = kg.evolve(model, grid, state, 60.0, dt, observe_every=4)
     record_bound_check("wide gap", model, grid, state, series)
     sim_x1 = series.traces_psi[:, 0].real
-    sim_mid = series.traces_psi[:, 2].real
+    # the midpoint trace at the same samples: a restart every 4 steps continues the run bit for bit
+    sim_mid, restart = np.empty(len(series.times)), state
+    for j in range(len(sim_mid)):
+        if j:
+            _, restart = kg.evolve(model, grid, restart, 4 * dt, dt, observe_every=4)
+        sim_mid[j] = restart.psi[midpoint].real
     exact_x1 = kg.wide_gap_eval(sol, 0.0, series.times)[0]
     exact_mid = kg.wide_gap_eval(sol, float(grid.x[midpoint]), series.times)[0]
 
