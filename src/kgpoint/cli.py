@@ -65,10 +65,9 @@ def cmd_check(args) -> int:
     if cfg.model is None:
         raise ConfigError("check requires a [model] section")
     report = check_assumptions(cfg.model)
-    out = {"a1": report.a1, "a2": report.a2, "a3": report.a3, "details": report.details}
+    out = asdict(report)
     try:
-        consts = lower_bound_constants(cfg.model)
-        out["lower_bounds"] = {"A": list(consts.A), "B": list(consts.B)}
+        out["lower_bounds"] = asdict(lower_bound_constants(cfg.model))
         bounded = True
     except UnboundedPotentialError as err:
         out["lower_bounds"] = {"error": str(err)}
@@ -86,15 +85,12 @@ def cmd_solve(args) -> int:
     try:
         if args.guess:
             guess = [complex(float(v), 0.0) for v in args.guess.split(",")]
-        omega_range = None
         if args.omega_range is not None:
             a, b, step = (float(v) for v in args.omega_range.split(":"))
-            omega_range = (a, b, step)
     except ValueError as err:
         raise ConfigError(f"bad solve arguments: {err}") from err
 
-    if omega_range:
-        a, b, step = omega_range
+    if args.omega_range is not None:
         try:
             waves = continue_branch(cfg.model, a, b, step, guess)
             failed_at = None
@@ -156,8 +152,8 @@ def _counterexample_solution(family: str, params: dict):
     return construct(*(params.get(name, value) for name, value in defaults.items()))
 
 
-def build_initial_state(cfg: ExperimentConfig, grid, model, seed=None,
-                        solution=None) -> tuple[FieldState, float | None]:
+def build_initial_state(cfg: ExperimentConfig, grid, model, seed,
+                        solution) -> tuple[FieldState, float | None]:
     """The configured initial data on grid; solution is a counterexample's exact wave, which brings the model.
 
     Returns the state and, for counterexample, solitary and perturbed
@@ -178,9 +174,12 @@ def build_initial_state(cfg: ExperimentConfig, grid, model, seed=None,
             return solitary_state(model, grid, wave), clip
         return perturbed_solitary_state(model, grid, wave, initial.noise_amplitude, seed), clip
     if initial.kind == "file":
-        _, psi, pi = kio.read_state_csv(initial.path)
+        x, psi, pi = kio.read_state_csv(initial.path)
         if len(psi) != grid.count:
             raise ConfigError(f"state file has {len(psi)} nodes, grid has {grid.count}")
+        offset = float(np.max(np.abs(x - grid.x)))
+        if not offset <= 1e-9 * grid.dx:  # a nan too
+            raise ConfigError(f"state file's x column is {offset:.3g} off the grid's nodes (dx = {grid.dx:g})")
         return FieldState(psi, pi, 0.0), None
     raise ConfigError(f"unknown initial data kind {initial.kind!r}")
 
@@ -346,7 +345,7 @@ def cmd_counterexample(args) -> int:
     flags = {"mass": args.mass, "l": args.L, "alpha": args.alpha, "beta": args.beta, "omega": args.omega}
     params = {k: v for k, v in flags.items() if v is not None}
     sol = _counterexample_solution(args.kind, params)
-    verification = cx.verify_exact(sol).to_json_dict()
+    verification = asdict(cx.verify_exact(sol))
     if args.simulate:  # the experiment the flags describe (dt = 0.45 dx on its grid), built before any output
         grid = GridConfig(-args.half_width, sol.L + args.half_width, args.dx_target)
         dx = build_grid(sol.to_model(), grid.x_min, grid.x_max, grid.dx_target).dx

@@ -3,8 +3,8 @@
 Schema (see README for a worked example):
 
     [model]                         required unless the initial data is a
-    mass = 1.0                      counterexample (which brings its model)
-    positions = 0.0 0.2
+    mass = 1.0                      counterexample, and refused beside one
+    positions = 0.0 0.2             (its family brings its model)
     coefficients_1 = 0 -2 1         one entry per oscillator, low degree first
     coefficients_2 = 0 -2 1
 
@@ -207,5 +207,7 @@ def parse_config(path) -> ExperimentConfig:
         if isinstance(err, ConfigError):
             raise
         raise ConfigError(f"bad config {path}: {err}") from err
+    if model is not None and initial is not None and initial.kind == "counterexample":
+        raise ConfigError("[model] is not read beside kind = counterexample, whose family brings its model")
 
     return ExperimentConfig(model, grid, run, initial)

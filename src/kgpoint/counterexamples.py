@@ -288,20 +288,11 @@ class VerificationReport:
     identity_residuals: dict[str, float]
     continuity_gap: dict[int, float]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "max_jump_residual": self.max_jump_residual,
-            "jump_residuals": {str(k): v for k, v in self.jump_residuals.items()},
-            "equation_residuals": dict(self.equation_residuals),
-            "identity_residuals": dict(self.identity_residuals),
-            "continuity_gap": {str(k): v for k, v in self.continuity_gap.items()},
-        }
 
-
-def verify_exact(solution, time_samples: int = 50) -> VerificationReport:
+def verify_exact(solution) -> VerificationReport:
     """Check the derivative-jump conditions of an exact two-frequency wave.
 
-    At time_samples times over one period the residual
+    At 50 times over one period the residual
     -psi'(X_j+0) + psi'(X_j-0) - F_j(psi(X_j)) is evaluated from the
     closed-form one-sided derivatives, psi(X_j) from ``solution.eval`` and F_j
     the force of oscillator j of ``solution.to_model()``.  The report also
@@ -309,7 +300,7 @@ def verify_exact(solution, time_samples: int = 50) -> VerificationReport:
     value gap across each oscillator, measured at X_j -+ 1e-7 (a construction
     diagnostic).
     """
-    ts = np.linspace(0.0, solution.period, time_samples, endpoint=False)
+    ts = np.linspace(0.0, solution.period, 50, endpoint=False)
     jumps: dict[int, float] = {}
     gaps: dict[int, float] = {}
     for j, osc in enumerate(solution.to_model().oscillators):

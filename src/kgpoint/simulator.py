@@ -37,7 +37,7 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import NamedTuple
@@ -139,7 +139,7 @@ class ObserverSeries:
     seminorms: dict[float, np.ndarray]
     traces_psi: np.ndarray  # (samples, N)
     traces_pi: np.ndarray
-    sample_dt: float = field(default=0.0)
+    sample_dt: float
 
 
 def build_grid(model: ModelSpec, x_min: float, x_max: float, dx_target: float) -> Grid:
@@ -196,7 +196,7 @@ def build_grid(model: ModelSpec, x_min: float, x_max: float, dx_target: float) -
 
 
 def _check_step(grid: Grid, state: FieldState, dt: float):
-    if abs(dt) >= grid.dx:
+    if not abs(dt) < grid.dx:  # a nan too
         raise ValueError(f"CFL violated: |dt|={abs(dt)} must be below dx={grid.dx}")
     if dt == 0.0:
         raise ValueError("dt must be nonzero")
@@ -428,12 +428,12 @@ def evolve(model: ModelSpec, grid: Grid, state: FieldState, T: float, dt: float,
     2*observe_every, ...; the final state is returned even when it does not
     fall on a sample.  Traces are recorded at the oscillator nodes.
     """
-    if T < 0:
-        raise ValueError("T must be nonnegative")
+    if not 0 <= T < math.inf:  # a nan too
+        raise ValueError(f"T must be finite and nonnegative, got {T}")
     if observe_every < 1:
         raise ValueError("observe_every must be at least 1")
     _check_step(grid, state, dt)
-    n_steps = int(round(T / abs(dt))) if T > 0 else 0
+    n_steps = int(round(T / abs(dt)))
     windows = {float(r): grid.window(float(r)) for r in seminorm_radii}
     nodes = np.array(grid.oscillator_nodes, dtype=np.intp)
     n = n_steps // observe_every + 1
@@ -468,19 +468,18 @@ class ManifoldDistance:
 class _Candidate(NamedTuple):
     """A solved wave sampled on the nodes of the metric's outer window, with the cell differences of psi."""
 
-    omega: float
     wave: SolitaryWave
     psi: np.ndarray
     pi: np.ndarray
     d: np.ndarray
 
 
-def _candidate(model: ModelSpec, grid: Grid, omega: float, wave: SolitaryWave, outer: slice) -> _Candidate:
+def _candidate(model: ModelSpec, grid: Grid, wave: SolitaryWave, outer: slice) -> _Candidate:
     psi, pi = _solitary_sample(model, grid, wave, outer)
     d = _cell_differences(psi)
     for array in (psi, pi, d):
         array.setflags(write=False)
-    return _Candidate(omega, wave, psi, pi, d)
+    return _Candidate(wave, psi, pi, d)
 
 
 def _phase_fit_dist(model: ModelSpec, grid: Grid, u, d_u: np.ndarray, candidate: _Candidate,
@@ -498,7 +497,7 @@ def _phase_fit_dist(model: ModelSpec, grid: Grid, u, d_u: np.ndarray, candidate:
 
 def _candidate_dist(model: ModelSpec, grid: Grid, u, wave: SolitaryWave, outer: slice, windows: list[slice]) -> float:
     """Metric distance from u, a (psi, pi) pair on the nodes of the outer window, to the closest phase of a wave."""
-    candidate = _candidate(model, grid, wave.omega, wave, outer)
+    candidate = _candidate(model, grid, wave, outer)
     return _phase_fit_dist(model, grid, u, _cell_differences(u[0]), candidate, windows)
 
 
@@ -579,7 +578,7 @@ def _frequency_scan(model: ModelSpec, grid: Grid, omega_bits: bytes, outer: tupl
         wave = next(filter(None, (_try_solve(solve, model, w, s) for s in starts)), None)
         if wave is not None:
             warm = wave.amplitudes
-            scan.append(_candidate(model, grid, w, wave, slice(*outer)))
+            scan.append(_candidate(model, grid, wave, slice(*outer)))
     return tuple(scan)
 
 
@@ -620,10 +619,10 @@ def dist_to_manifold(model: ModelSpec, grid: Grid, state: FieldState, omega_grid
 
     solved: dict[float, tuple[complex, ...]] = {}  # amplitudes by frequency, the refinement's warm starts
     for candidate in scan:
-        solved[candidate.omega] = candidate.wave.amplitudes
+        solved[candidate.wave.omega] = candidate.wave.amplitudes
         dist = _phase_fit_dist(model, grid, u, d_u, candidate, windows)
         if dist < best.dist:
-            best = ManifoldDistance(dist, candidate.omega, candidate.wave)
+            best = ManifoldDistance(dist, candidate.wave.omega, candidate.wave)
 
     ordered = sorted(solved)
     if best.wave is not None and len(ordered) > 1:
@@ -636,7 +635,7 @@ def dist_to_manifold(model: ModelSpec, grid: Grid, state: FieldState, omega_grid
             if wave is None:
                 return None
             solved[w] = wave.amplitudes
-            dist = _phase_fit_dist(model, grid, u, d_u, _candidate(model, grid, w, wave, outer), windows)
+            dist = _phase_fit_dist(model, grid, u, d_u, _candidate(model, grid, wave, outer), windows)
             if dist < best.dist:
                 best = ManifoldDistance(dist, w, wave)
             return dist

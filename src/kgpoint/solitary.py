@@ -255,10 +255,8 @@ def solve_profile(model: ModelSpec, omega: float, guess) -> SolitaryWave:
     the gauged linear system by Gaussian elimination with partial pivoting
     (_solve_linear) and the gauge rotation in Python complex arithmetic.
     """
-    m = model.mass
-    if not abs(omega) <= m:  # a nan too
-        raise ValueError(f"|omega|={abs(omega)} exceeds the mass {m}")
-    if abs(omega) == m:
+    kap = kappa(model, omega)  # refuses a frequency outside the band first
+    if abs(omega) == model.mass:
         return _zero_wave(model, omega)
     n = model.count
     c = [complex(z) for z in guess]
@@ -267,7 +265,6 @@ def solve_profile(model: ModelSpec, omega: float, guess) -> SolitaryWave:
     if not all(map(cmath.isfinite, c)):
         raise ValueError("guess must be finite")
     c = _gauge_rotate(c)
-    kap = kappa(model, omega)
     coupling = _coupling_matrix(model, kap)
 
     res, slopes = _residual(model, kap, c, coupling)
@@ -337,13 +334,17 @@ def continue_branch(model: ModelSpec, omega_start: float, omega_end: float, step
     collapses it is retried from the last solved amplitudes, so the branch
     ends where a plain warm start ends it.  Stops at the last good frequency
     when the branch collapses to zero; propagates NoConvergence (with the
-    partial branch attached) when Newton fails outright.
+    partial branch attached) when Newton fails outright.  A step at or below
+    4 ulps of the larger endpoint modulus is a ValueError, before any solve.
     """
     m = model.mass
     if not (abs(omega_start) < m and abs(omega_end) < m):
         raise ValueError("both endpoint frequencies must lie strictly inside (-m, m)")
     if not step > 0:  # a nan too
         raise ValueError("step must be positive")
+    floor = 4 * math.ulp(max(abs(omega_start), abs(omega_end)))
+    if step <= floor:  # above it every formed frequency advances, and the count is finite
+        raise ValueError(f"step {step:g} is at or below 4 ulps of the larger endpoint, {floor:g}")
     span = omega_end - omega_start
     direction = 1.0 if span >= 0 else -1.0
     k_max = math.floor(abs(span) / step + 1e-12)

@@ -111,11 +111,9 @@ def time_spectrum(
     return SpectrumEstimate(t0, t_actual, freqs, mags, dominant, ratio, bin_width)
 
 
-def band_mass(estimate: SpectrumEstimate, center: float, halfwidth: float | None = None) -> float:
-    """|G|^2 mass within |freq - center| <= halfwidth (default two bins)."""
-    if halfwidth is None:
-        halfwidth = 2.0 * estimate.bin_width
-    sel = np.abs(estimate.freqs - center) <= halfwidth
+def band_mass(estimate: SpectrumEstimate, center: float) -> float:
+    """|G|^2 mass within two bins of center, |freq - center| <= 2 bin_width."""
+    sel = np.abs(estimate.freqs - center) <= 2.0 * estimate.bin_width
     return float(np.sum(estimate.magnitudes[sel] ** 2))
 
 

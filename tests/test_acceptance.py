@@ -275,7 +275,7 @@ def test_criterion_6_attraction_property(attraction_run):
 
 def test_criterion_7_wide_gap_counterexample(wide_gap_run):
     sol = wide_gap_run["sol"]
-    verification = kg.verify_exact(sol, time_samples=50)
+    verification = kg.verify_exact(sol)
     r_sim, r_exact, est_x1 = wide_gap_run["x1"]
     # at X_1 the interior harmonic vanishes identically (sin(k3 X_1) = 0), so
     # both ratios sit at the window leakage floor; the factor-2 comparison
@@ -305,7 +305,7 @@ def test_criterion_7_wide_gap_counterexample(wide_gap_run):
 def test_criterion_8_linear_degeneration_counterexample():
     start = time.time()
     sol = kg.linear_deg_construct(1.0, 1.0, 0.3, 0.0, 10.0)
-    rep = kg.verify_exact(sol, time_samples=50)
+    rep = kg.verify_exact(sol)
     eq_worst = max(abs(v) for v in rep.equation_residuals.values())
     elapsed = time.time() - start
     ok = eq_worst <= 1e-12 and rep.max_jump_residual <= 1e-10 and elapsed < 1.0

@@ -182,6 +182,16 @@ def test_solve_nan_frequency_or_step_exits_two(tmp_path, capsys, argv, reason):
     assert capsys.readouterr().err == f"domain error: {reason}\n"
 
 
+@pytest.mark.parametrize("span", ["0:0.5:1e-320", "0.4:0.5:1e-20"], ids=["subnormal", "repeats"])
+def test_solve_step_below_the_float_spacing_exits_two(tmp_path, capsys, span):
+    cfg = write_config(tmp_path, SINGLE_MODEL)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--omega-range", span, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("domain error: step ") and "4 ulps" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["--omega", "0.4", "--guess", "nan,nan"],
     ["--omega", "0.4", "--guess", "0.7,inf"],
@@ -353,6 +363,41 @@ def test_simulate_file_round_trip(tmp_path):
     x, psi, pi = read_state_csv(out / "final_state.csv")
     x2, psi2, pi2 = read_state_csv(out2 / "final_state.csv")
     assert len(x) == len(x2)
+
+
+def test_simulate_rejects_state_file_from_another_grid(tmp_path, capsys):
+    # same node count, shifted domain: the wave would sit off the oscillators
+    text = SINGLE_MODEL + RUN_SECTIONS + "\n[initial_data]\nkind = solitary\nomega = 0.5\n"
+    first = tmp_path / "first"
+    assert main(["simulate", "--config", write_config(tmp_path, text), "--out", str(first)]) == 0
+    shifted = RUN_SECTIONS.replace("x_min = -8", "x_min = -7").replace("x_max = 8", "x_max = 9")
+    text2 = SINGLE_MODEL + shifted + f"\n[initial_data]\nkind = file\npath = {first / 'final_state.csv'}\n"
+    out = tmp_path / "second"
+    capsys.readouterr()
+    assert main(["simulate", "--config", write_config(tmp_path, text2, "exp2.ini"), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: state file's x column is 1 off") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("T, dt", [("nan", "0.02"), ("inf", "0.02"), ("1.0", "nan")], ids=["T-nan", "T-inf", "dt-nan"])
+def test_simulate_refuses_a_non_finite_duration_or_step_before_writing(tmp_path, capsys, T, dt):
+    run = RUN_SECTIONS.replace("T = 1.0", f"T = {T}").replace("dt = 0.02", f"dt = {dt}")
+    cfg = write_config(tmp_path, SINGLE_MODEL + run + "\n[initial_data]\nkind = zero\n")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+    # T = inf also warns, truly, that the light cone reaches the walls first
+    assert capsys.readouterr().err.splitlines()[-1].startswith("domain error: ")
+    assert not out.exists()
+
+
+def test_simulate_rejects_a_model_beside_counterexample_data(tmp_path, capsys):
+    text = BASE_MODEL + RUN_SECTIONS + "\n[initial_data]\nkind = counterexample\nfamily = wide_gap\n"
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", write_config(tmp_path, text), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: [model]") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_simulate_rejects_state_file_with_nonzero_walls(tmp_path, capsys):

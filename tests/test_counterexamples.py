@@ -42,7 +42,7 @@ def test_wide_gap_parameter_values(wide_gap):
 
 
 def test_wide_gap_equations_and_jumps(wide_gap):
-    report = verify_exact(wide_gap, time_samples=50)
+    report = verify_exact(wide_gap)
     assert report.max_jump_residual <= 1e-10
     assert all(abs(v) <= 1e-12 for v in report.equation_residuals.values())
     assert all(abs(v) <= 1e-12 for v in report.identity_residuals.values())
@@ -52,7 +52,7 @@ def test_wide_gap_sensitivity_to_amplitude(wide_gap):
     from dataclasses import replace
 
     bad = replace(wide_gap, A=1.01 * wide_gap.A)
-    report = verify_exact(bad, time_samples=50)
+    report = verify_exact(bad)
     assert report.max_jump_residual > 1e-6
 
 
@@ -64,7 +64,7 @@ def test_verifier_checks_the_simulated_model(family, request, monkeypatch):
     cubic = counterexamples._cubic_oscillator
     monkeypatch.setattr(counterexamples, "_cubic_oscillator",
                         lambda position, alpha, beta: cubic(position, alpha, -beta))
-    assert verify_exact(solution, time_samples=50).max_jump_residual > 1e-6
+    assert verify_exact(solution).max_jump_residual > 1e-6
 
 
 def test_wide_gap_gap_too_small():
@@ -138,7 +138,7 @@ def test_linear_deg_parameter_chain(lin_deg):
 
 
 def test_linear_deg_equations_and_jumps(lin_deg):
-    report = verify_exact(lin_deg, time_samples=50)
+    report = verify_exact(lin_deg)
     assert all(abs(v) <= 1e-12 for v in report.equation_residuals.values())
     assert report.max_jump_residual <= 1e-10
 

@@ -536,6 +536,16 @@ def test_evolve_zero_duration():
     assert np.array_equal(final.psi, state.psi)
 
 
+@pytest.mark.parametrize("T, dt, message", [
+    (math.nan, 0.02, "T must be finite"), (math.inf, 0.02, "T must be finite"), (1.0, math.nan, "CFL"),
+], ids=["T-nan", "T-inf", "dt-nan"])
+def test_evolve_refuses_a_non_finite_duration_or_step(T, dt, message):
+    grid = build_grid(QUARTIC, -5.0, 5.0, 0.05)
+    zero = FieldState(np.zeros(grid.count, complex), np.zeros(grid.count, complex), 0.0)
+    with pytest.raises(ValueError, match=message):
+        evolve(QUARTIC, grid, zero, T, dt)
+
+
 def test_evolve_matches_out_of_place_reference():
     grid = build_grid(PAIR, -6.0, 6.0, 0.02)
     wave = solve_profile(PAIR, 0.4, [0.7, 0.7])

@@ -58,6 +58,21 @@ def test_a_nan_frequency_or_step_is_a_domain_error(call, message):
         call()
 
 
+@pytest.mark.parametrize("start, end, step", [(0.0, 0.5, 1e-320), (0.4, 0.5, 1e-20)], ids=["subnormal", "repeats"])
+def test_a_step_below_the_float_spacing_is_refused_before_any_solve(monkeypatch, start, end, step):
+    # below 4 ulps of the larger endpoint, frequencies would repeat or their count overflow
+    monkeypatch.setattr(solitary, "solve_profile", lambda *args: pytest.fail("solved"))
+    with pytest.raises(ValueError, match="at or below 4 ulps"):
+        continue_branch(QUARTIC_MODEL, start, end, step, [0.7])
+
+
+def test_a_step_just_above_the_floor_advances_every_frequency():
+    step = 4 * math.ulp(0.5) * 1.5
+    waves = continue_branch(QUARTIC_MODEL, 0.5 - 8 * step, 0.5, step, [0.7])
+    omegas = [w.omega for w in waves]
+    assert len(omegas) >= 8 and all(a < b for a, b in zip(omegas, omegas[1:]))
+
+
 def test_amplitude_residual_zero_wave():
     wave = SolitaryWave(0.37, kappa(QUARTIC_MODEL, 0.37), (0j,))
     assert np.all(amplitude_residual(QUARTIC_MODEL, wave) == 0.0)
