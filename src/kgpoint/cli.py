@@ -35,6 +35,7 @@ from .config import ConfigError, ExperimentConfig, GridConfig, InitialDataConfig
 from .model import UnboundedPotentialError, check_assumptions, lower_bound_constants
 from .simulator import (
     FieldState,
+    _check_run,
     apriori_bound,
     build_grid,
     energy_norm,
@@ -203,7 +204,7 @@ def _light_cone_margin(model, grid, run: RunConfig) -> float:
     return min(left, right) - run.T
 
 
-def _record_run(model, grid, state: FieldState, run: RunConfig, out_dir: Path, seed,
+def _record_run(run: RunConfig, out_dir: Path, model, grid, state: FieldState, seed,
                 wall_clip: float | None) -> dict:
     """Evolve state, write observers.csv, final_state.csv and summary.json; return the summary.
 
@@ -254,7 +255,8 @@ def _record_run(model, grid, state: FieldState, run: RunConfig, out_dir: Path, s
     return summary
 
 
-def _run_simulation(cfg: ExperimentConfig, out_dir: Path, seed=None) -> dict:
+def _prepare_run(cfg: ExperimentConfig, seed=None) -> tuple:
+    """(model, grid, initial state, seed, wall clip) of a configured run; a run evolve would refuse fails first."""
     if cfg.grid is None or cfg.run is None:
         raise ConfigError("simulate requires [grid] and [run] sections")
     initial, solution = cfg.initial, None
@@ -264,13 +266,18 @@ def _run_simulation(cfg: ExperimentConfig, out_dir: Path, seed=None) -> dict:
     if model is None:
         raise ConfigError("simulate requires a [model] section or counterexample initial data")
     grid = build_grid(model, cfg.grid.x_min, cfg.grid.x_max, cfg.grid.dx_target)
+    _check_run(grid, cfg.run.dt, cfg.run.T, cfg.run.observe_every)
     # only perturbed solitary data draws from a seed: the --seed flag, else the config's
     if initial is None or initial.kind != "perturbed_solitary":
         seed = None
     elif seed is None:
         seed = initial.seed
     state, wall_clip = build_initial_state(cfg, grid, model, seed, solution)
-    return _record_run(model, grid, state, cfg.run, out_dir, seed, wall_clip)
+    return model, grid, state, seed, wall_clip
+
+
+def _run_simulation(cfg: ExperimentConfig, out_dir: Path, seed=None) -> dict:
+    return _record_run(cfg.run, out_dir, *_prepare_run(cfg, seed))
 
 
 def _warning_line(message, category, filename, lineno, file=None, line=None):
@@ -349,15 +356,16 @@ def cmd_counterexample(args) -> int:
     if args.simulate:  # the experiment the flags describe (dt = 0.45 dx on its grid), built before any output
         grid = GridConfig(-args.half_width, sol.L + args.half_width, args.dx_target)
         dx = build_grid(sol.to_model(), grid.x_min, grid.x_max, grid.dx_target).dx
-        cfg = ExperimentConfig(None, grid, RunConfig(args.T, 0.45 * dx, args.observe_every),
-                               InitialDataConfig("counterexample", family=args.kind, params=params))
+        run = RunConfig(args.T, 0.45 * dx, args.observe_every)
+        prepared = _prepare_run(ExperimentConfig(None, grid, run, InitialDataConfig(
+            "counterexample", family=args.kind, params=params)))
     params_doc = asdict(sol)
     kio.write_json(out_dir / "params.json", params_doc)
     kio.write_json(out_dir / "verification.json", verification)
     _print_json({"params": params_doc, "verification": verification})
 
     if args.simulate:
-        _run_simulation(cfg, out_dir)
+        _record_run(run, out_dir, *prepared)
     return EXIT_OK
 
 

@@ -14,15 +14,18 @@ homogeneous Dirichlet on a domain sized so that radiation cannot return
 during an experiment.
 
 One loop, ``_kdk``, steps in place on four buffers cut from one block at fixed
-offsets; its observer sees the live buffers and must copy what it keeps.  With
-the mass term in the stencil diagonal and the half kick dt/2 acc one pre-scaled
-stencil on float64 views of the complex buffers, a step is 8 array passes.
-H, the energy norm, the local seminorms, the metric and the phase fit all
-evaluate one form, ``_energy_form``; the observer of ``evolve`` takes the cell
-differences once per sample, and the whole grid and every seminorm window
-read their cell terms from that one buffer.  The metric reads only the nodes
-with |x| <= r_max, so it, the phase fit and the manifold distance's candidate
-waves are evaluated there alone, its radii sharing one such buffer.
+offsets; its observer is bound to the live buffers once per run and must copy
+what it keeps.  With the mass term in the stencil diagonal and the half kick
+dt/2 acc one pre-scaled stencil on float64 views of the complex buffers, a
+step is 8 array passes.  H, the energy norm, the local seminorms, the metric
+and the phase fit all evaluate one form, ``_energy_form``, on arrays their
+callers cut; the observer of ``evolve`` cuts its views once per run and takes
+the cell differences once per sample, and the whole grid and every seminorm
+window read their cell terms from that one buffer.  The squared energy norm a
+sample returns doubles as the check that the field is finite.  The metric
+reads only the nodes with |x| <= r_max, so it, the phase fit and the manifold
+distance's candidate waves are evaluated there alone, its radii sharing one
+such buffer.
 
 No state enters the manifold distance's frequency scan, so its solved waves,
 sampled on that window with their cell differences, are kept in a memo of
@@ -195,12 +198,16 @@ def build_grid(model: ModelSpec, x_min: float, x_max: float, dx_target: float) -
     return grid
 
 
-def _check_step(grid: Grid, state: FieldState, dt: float):
+def _check_run(grid: Grid, dt: float, T: float = 0.0, observe_every: int = 1):
+    """Refuse a run of duration T in steps of dt, sampled every observe_every steps, before it starts."""
+    if not 0 <= T < math.inf:  # a nan too
+        raise ValueError(f"T must be finite and nonnegative, got {T}")
+    if observe_every < 1:
+        raise ValueError("observe_every must be at least 1")
     if not abs(dt) < grid.dx:  # a nan too
         raise ValueError(f"CFL violated: |dt|={abs(dt)} must be below dx={grid.dx}")
     if dt == 0.0:
         raise ValueError("dt must be nonzero")
-    _check_state(grid, state)
 
 
 def _check_state(grid: Grid, state: FieldState):
@@ -218,12 +225,16 @@ def _require_finite(t: float, *fields: np.ndarray):
 
 
 def _kdk(model: ModelSpec, grid: Grid, state: FieldState, dt: float, n_steps: int,
-         observe_every: int, observe) -> FieldState:
+         observe_every: int = 1, bind=None) -> FieldState:
     """n_steps kick-drift-kick steps of size dt from state, in place on private buffers.
 
-    observe(k, psi, pi, scratch) reads the live buffers at step 0 and every
-    observe_every steps and may overwrite scratch, a free buffer like psi.  A
-    non-finite psi there, or psi or pi at the end, raises FloatingPointError.
+    bind(psi, pi, scratch), if given, is called once with the live buffers,
+    scratch a free buffer like psi, and returns observe(k).  That samples them
+    at step 0 and every observe_every steps, may overwrite scratch, and
+    returns the squared energy norm of (psi, pi).  The norm is finite only if
+    every psi and pi is, so psi is checked at a sample past step 0 only when
+    it is not; a non-finite psi there, or psi or pi at the end, raises
+    FloatingPointError, and a finite field whose energy overflows runs on.
 
     A step is 8 passes over float64 views of the complex buffers (stencil
     neighbours sit 2 floats apart): pi += kick; drift = dt pi; psi += drift;
@@ -240,20 +251,22 @@ def _kdk(model: ModelSpec, grid: Grid, state: FieldState, dt: float, n_steps: in
     psi, pi, kick, drift = (raw[start + j * stride:][:16 * grid.count].view(complex) for j in range(4))
     psi[:], pi[:], kick[0], kick[-1] = state.psi, state.pi, 0.0, 0.0  # kick's end nodes stay 0
     p, q, kr, dr = psi.view(float), pi.view(float), kick.view(float), drift.view(float)
-    mid, lap = p[2:-2], kr[2:-2]
+    mid, right, left, lap = p[2:-2], p[4:], p[:-4], kr[2:-2]
     c, scale, force_scale = 2.0 + model.mass**2 * grid.dx**2, 0.5 * dt / grid.dx**2, 0.5 * dt / grid.dx
     sites = list(zip(model.oscillators, grid.oscillator_nodes))
 
     def half_kick():
         np.multiply(mid, c, out=lap)
-        np.subtract(p[4:], lap, out=lap)
-        np.add(lap, p[:-4], out=lap)
+        np.subtract(right, lap, out=lap)
+        np.add(lap, left, out=lap)
         np.multiply(lap, scale, out=lap)
         for osc, i in sites:
             kick[i] += force(osc, psi[i]) * force_scale
 
     with np.errstate(over="ignore", invalid="ignore"):
-        observe(0, psi, pi, drift)
+        observe = None if bind is None else bind(psi, pi, drift)
+        if observe is not None:
+            observe(0)
         half_kick()
         for k in range(1, n_steps + 1):
             np.add(q, kr, out=q)
@@ -261,9 +274,8 @@ def _kdk(model: ModelSpec, grid: Grid, state: FieldState, dt: float, n_steps: in
             np.add(p, dr, out=p)
             half_kick()
             np.add(q, kr, out=q)
-            if k % observe_every == 0:
+            if observe is not None and k % observe_every == 0 and not math.isfinite(observe(k)):
                 _require_finite(state.t + k * dt, psi)
-                observe(k, psi, pi, drift)
     t = state.t + n_steps * dt
     _require_finite(t, psi, pi)
     return FieldState(psi, pi, t)
@@ -271,8 +283,9 @@ def _kdk(model: ModelSpec, grid: Grid, state: FieldState, dt: float, n_steps: in
 
 def step(model: ModelSpec, grid: Grid, state: FieldState, dt: float) -> FieldState:
     """One kick-drift-kick step; dt < 0 steps backwards (the flow is reversible)."""
-    _check_step(grid, state, dt)
-    return _kdk(model, grid, state, dt, 1, 1, lambda k, psi, pi, scratch: None)
+    _check_run(grid, dt)
+    _check_state(grid, state)
+    return _kdk(model, grid, state, dt, 1)
 
 
 def _cell_differences(psi: np.ndarray) -> np.ndarray:
@@ -283,31 +296,34 @@ def _cell_differences(psi: np.ndarray) -> np.ndarray:
     return d
 
 
-def _energy_form(model: ModelSpec, grid: Grid, a, b, d_a, d_b, window=slice(None)) -> complex:
+def _window_view(psi: np.ndarray, pi: np.ndarray, d: np.ndarray, window: slice = slice(None)):
+    """The (psi, pi, cells) views of a window's nodes; d holds psi's cell differences as _cell_differences has them."""
+    return psi[window], pi[window], d[window][:-1]
+
+
+def _energy_form(model: ModelSpec, grid: Grid, a, b) -> complex:
     """sum_nodes dx (conj(pi_a) pi_b + m^2 conj(psi_a) psi_b) + sum_cells conj(dpsi_a) dpsi_b / dx.
 
-    a and b are (psi, pi) pairs on the whole grid, 0 at its Dirichlet end
-    nodes (where plain sums are the trapezoid rule), or on one window's nodes.
-    The sums run over the nodes of ``window``, a slice of those arrays, by
-    default all of them, and the cells between them.  d_a and d_b hold the
-    cell differences of psi_a and psi_b as ``_cell_differences`` lays them
-    out; the cells of a window are the entries at its nodes but the last.
+    a and b are (psi, pi, cells) triples on the same nodes: the whole grid, 0
+    at its Dirichlet end nodes (where plain sums are the trapezoid rule), or
+    one window; cells holds psi[j + 1] - psi[j] at each of those nodes j but
+    the last.  Callers cut the arrays, with ``_window_view``.
     """
-    (a_psi, a_pi), (b_psi, b_pi) = a, b
-    cells = np.vdot(d_a[window][:-1], d_b[window][:-1])
-    nodes = np.vdot(a_pi[window], b_pi[window]) + model.mass**2 * np.vdot(a_psi[window], b_psi[window])
+    (a_psi, a_pi, a_d), (b_psi, b_pi, b_d) = a, b
+    cells = np.vdot(a_d, b_d)
+    nodes = np.vdot(a_pi, b_pi) + model.mass**2 * np.vdot(a_psi, b_psi)
     return grid.dx * nodes + cells / grid.dx
 
 
-def _energy(model: ModelSpec, grid: Grid, u, d) -> tuple[float, float]:
-    """(H, energy norm) of a (psi, pi) pair, d its cell differences, from one evaluation of the full form."""
-    norm2 = float(_energy_form(model, grid, u, u, d, d).real)
-    pot = sum(potential(o, u[0][i]) for o, i in zip(model.oscillators, grid.oscillator_nodes))
-    return 0.5 * norm2 + pot, math.sqrt(norm2)
+def _energy(model: ModelSpec, grid: Grid, v) -> tuple[float, float]:
+    """(H, squared energy norm) of a (psi, pi, cells) triple on the whole grid, from one evaluation of the form."""
+    norm2 = float(_energy_form(model, grid, v, v).real)
+    pot = sum(potential(o, v[0][i]) for o, i in zip(model.oscillators, grid.oscillator_nodes))
+    return 0.5 * norm2 + pot, norm2
 
 
-def _seminorm(model: ModelSpec, grid: Grid, u, window, d) -> float:
-    return math.sqrt(float(_energy_form(model, grid, u, u, d, d, window).real))
+def _seminorm(model: ModelSpec, grid: Grid, v) -> float:
+    return math.sqrt(float(_energy_form(model, grid, v, v).real))
 
 
 def _charge(grid: Grid, u) -> float:
@@ -318,7 +334,7 @@ def hamiltonian(model: ModelSpec, grid: Grid, state: FieldState) -> float:
     """Discrete energy: node terms, forward differences on cells; psi, pi must be 0 at the end nodes."""
     _check_state(grid, state)
     with np.errstate(over="ignore", invalid="ignore"):
-        return _energy(model, grid, (state.psi, state.pi), _cell_differences(state.psi))[0]
+        return _energy(model, grid, _window_view(state.psi, state.pi, _cell_differences(state.psi)))[0]
 
 
 def charge(model: ModelSpec, grid: Grid, state: FieldState) -> float:
@@ -330,7 +346,7 @@ def charge(model: ModelSpec, grid: Grid, state: FieldState) -> float:
 def energy_norm(model: ModelSpec, grid: Grid, state: FieldState) -> float:
     """Full energy norm sqrt(|pi|^2 + |psi'|^2 + m^2 |psi|^2), no potentials; psi, pi must be 0 at the end nodes."""
     _check_state(grid, state)
-    return _seminorm(model, grid, (state.psi, state.pi), slice(None), _cell_differences(state.psi))
+    return _seminorm(model, grid, _window_view(state.psi, state.pi, _cell_differences(state.psi)))
 
 
 def apriori_bound(model: ModelSpec, grid: Grid, initial: FieldState) -> float:
@@ -348,7 +364,7 @@ def apriori_bound(model: ModelSpec, grid: Grid, initial: FieldState) -> float:
 
 def local_seminorm(model: ModelSpec, grid: Grid, state: FieldState, R: float) -> float:
     """Energy seminorm over the window [-R, R] (clipped to the grid with a warning)."""
-    return _seminorm(model, grid, (state.psi, state.pi), grid.window(R), _cell_differences(state.psi))
+    return _seminorm(model, grid, _window_view(state.psi, state.pi, _cell_differences(state.psi), grid.window(R)))
 
 
 def _metric_windows(grid: Grid, r_max: int) -> tuple[slice, list[slice]]:
@@ -364,7 +380,7 @@ def _metric_windows(grid: Grid, r_max: int) -> tuple[slice, list[slice]]:
 def _metric(model: ModelSpec, grid: Grid, u, windows: list[slice]) -> float:
     """sum 2^-R |u|_{E,R} over R = 1..r_max, u a (psi, pi) pair on the nodes of the outer window."""
     d = _cell_differences(u[0])  # every radius reads its cells from this one difference buffer
-    return sum(0.5**R * _seminorm(model, grid, u, w, d) for R, w in enumerate(windows, 1))
+    return sum(0.5**R * _seminorm(model, grid, _window_view(*u, d, w)) for R, w in enumerate(windows, 1))
 
 
 def metric_dist(model: ModelSpec, grid: Grid, a: FieldState, b: FieldState, r_max: int) -> float:
@@ -428,11 +444,8 @@ def evolve(model: ModelSpec, grid: Grid, state: FieldState, T: float, dt: float,
     2*observe_every, ...; the final state is returned even when it does not
     fall on a sample.  Traces are recorded at the oscillator nodes.
     """
-    if not 0 <= T < math.inf:  # a nan too
-        raise ValueError(f"T must be finite and nonnegative, got {T}")
-    if observe_every < 1:
-        raise ValueError("observe_every must be at least 1")
-    _check_step(grid, state, dt)
+    _check_run(grid, dt, T, observe_every)
+    _check_state(grid, state)
     n_steps = int(round(T / abs(dt)))
     windows = {float(r): grid.window(float(r)) for r in seminorm_radii}
     nodes = np.array(grid.oscillator_nodes, dtype=np.intp)
@@ -441,19 +454,29 @@ def evolve(model: ModelSpec, grid: Grid, state: FieldState, T: float, dt: float,
     seminorms = {r: np.empty(n) for r in windows}
     traces_psi, traces_pi = np.empty((2, n, len(nodes)), dtype=complex)
 
-    def observe(k, psi, pi, d):
-        j = k // observe_every
-        u = (psi, pi)
-        np.subtract(psi[1:], psi[:-1], out=d[:-1])  # the cell differences, at their left nodes
-        times[j] = state.t + k * dt
-        energy[j], norms[j] = _energy(model, grid, u, d)
-        charges[j] = _charge(grid, u)
-        for r, window in windows.items():
-            seminorms[r][j] = _seminorm(model, grid, u, window, d)
-        traces_psi[j] = psi[nodes]
-        traces_pi[j] = pi[nodes]
+    def bind(psi, pi, d):
+        # every view a sample reads, cut once per run; d takes the cell differences, at their left nodes
+        p, dp = psi.view(float), d.view(float)
+        right, left, cells = p[2:], p[:-2], dp[:-2]  # float views: the complex subtraction's bits, cheaper
+        whole = _window_view(psi, pi, d)
+        views = [(seminorms[r], _window_view(psi, pi, d, window)) for r, window in windows.items()]
 
-    final = _kdk(model, grid, state, dt, n_steps, observe_every, observe)
+        def observe(k):
+            j = k // observe_every
+            np.subtract(right, left, out=cells)
+            times[j] = state.t + k * dt
+            energy[j], norm2 = _energy(model, grid, whole)
+            norms[j] = math.sqrt(norm2)
+            charges[j] = _charge(grid, (psi, pi))
+            for column, v in views:
+                column[j] = _seminorm(model, grid, v)
+            traces_psi[j] = psi[nodes]
+            traces_pi[j] = pi[nodes]
+            return norm2
+
+        return observe
+
+    final = _kdk(model, grid, state, dt, n_steps, observe_every, bind)
     series = ObserverSeries(times, energy, charges, norms, seminorms, traces_psi, traces_pi, dt * observe_every)
     return series, final
 
@@ -466,39 +489,38 @@ class ManifoldDistance:
 
 
 class _Candidate(NamedTuple):
-    """A solved wave sampled on the nodes of the metric's outer window, with the cell differences of psi."""
+    """A solved wave sampled on the nodes of the metric's outer window, with the differences of psi on its cells."""
 
     wave: SolitaryWave
     psi: np.ndarray
     pi: np.ndarray
-    d: np.ndarray
+    cells: np.ndarray
 
 
 def _candidate(model: ModelSpec, grid: Grid, wave: SolitaryWave, outer: slice) -> _Candidate:
     psi, pi = _solitary_sample(model, grid, wave, outer)
-    d = _cell_differences(psi)
-    for array in (psi, pi, d):
+    _, _, cells = _window_view(psi, pi, _cell_differences(psi))
+    for array in (psi, pi, cells):
         array.setflags(write=False)
-    return _Candidate(wave, psi, pi, d)
+    return _Candidate(wave, psi, pi, cells)
 
 
-def _phase_fit_dist(model: ModelSpec, grid: Grid, u, d_u: np.ndarray, candidate: _Candidate,
-                    windows: list[slice]) -> float:
-    """Metric distance from u, a (psi, pi) pair on the outer window, to the closest phase of a candidate.
+def _phase_fit_dist(model: ModelSpec, grid: Grid, v, candidate: _Candidate, windows: list[slice]) -> float:
+    """Metric distance from v, a (psi, pi, cells) triple on the outer window, to the closest phase of a candidate.
 
-    d_u holds the cell differences of u's psi, taken once for all candidates.
+    v's cells are taken once for all candidates.
     """
     psi, pi = candidate.psi, candidate.pi
     # the unit phase minimizing |u - e^{i theta} (psi, pi)|_E, in closed form
-    inner = _energy_form(model, grid, u, (psi, pi), d_u, candidate.d)
+    inner = _energy_form(model, grid, v, (psi, pi, candidate.cells))
     phase = inner.conjugate() / abs(inner) if abs(inner) != 0.0 else 1.0 + 0j
-    return _metric(model, grid, (u[0] - psi * phase, u[1] - pi * phase), windows)
+    return _metric(model, grid, (v[0] - psi * phase, v[1] - pi * phase), windows)
 
 
 def _candidate_dist(model: ModelSpec, grid: Grid, u, wave: SolitaryWave, outer: slice, windows: list[slice]) -> float:
     """Metric distance from u, a (psi, pi) pair on the nodes of the outer window, to the closest phase of a wave."""
     candidate = _candidate(model, grid, wave, outer)
-    return _phase_fit_dist(model, grid, u, _cell_differences(u[0]), candidate, windows)
+    return _phase_fit_dist(model, grid, _window_view(*u, _cell_differences(u[0])), candidate, windows)
 
 
 def _brent_minimize(f, a: float, b: float, x: float, fx: float, tol: float) -> None:
@@ -611,7 +633,7 @@ def dist_to_manifold(model: ModelSpec, grid: Grid, state: FieldState, omega_grid
 
     outer, windows = _metric_windows(grid, r_max)
     u = (state.psi[outer], state.pi[outer])
-    d_u = _cell_differences(u[0])
+    v = _window_view(*u, _cell_differences(u[0]))  # the phase fits' triple, cut once for every candidate
     best = ManifoldDistance(_metric(model, grid, u, windows), float("nan"), None)  # the zero wave
     scan = _frequency_scan(model, grid, np.array(omegas).tobytes(), (outer.start, outer.stop), solve_profile)
     if not scan:
@@ -620,7 +642,7 @@ def dist_to_manifold(model: ModelSpec, grid: Grid, state: FieldState, omega_grid
     solved: dict[float, tuple[complex, ...]] = {}  # amplitudes by frequency, the refinement's warm starts
     for candidate in scan:
         solved[candidate.wave.omega] = candidate.wave.amplitudes
-        dist = _phase_fit_dist(model, grid, u, d_u, candidate, windows)
+        dist = _phase_fit_dist(model, grid, v, candidate, windows)
         if dist < best.dist:
             best = ManifoldDistance(dist, candidate.wave.omega, candidate.wave)
 
@@ -635,7 +657,7 @@ def dist_to_manifold(model: ModelSpec, grid: Grid, state: FieldState, omega_grid
             if wave is None:
                 return None
             solved[w] = wave.amplitudes
-            dist = _phase_fit_dist(model, grid, u, d_u, _candidate(model, grid, wave, outer), windows)
+            dist = _phase_fit_dist(model, grid, v, _candidate(model, grid, wave, outer), windows)
             if dist < best.dist:
                 best = ManifoldDistance(dist, w, wave)
             return dist

@@ -380,15 +380,24 @@ def test_simulate_rejects_state_file_from_another_grid(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("T, dt", [("nan", "0.02"), ("inf", "0.02"), ("1.0", "nan")], ids=["T-nan", "T-inf", "dt-nan"])
-def test_simulate_refuses_a_non_finite_duration_or_step_before_writing(tmp_path, capsys, T, dt):
-    run = RUN_SECTIONS.replace("T = 1.0", f"T = {T}").replace("dt = 0.02", f"dt = {dt}")
-    cfg = write_config(tmp_path, SINGLE_MODEL + run + "\n[initial_data]\nkind = zero\n")
+def _assert_refused_before_output(capsys, out):
+    """Exit 2 already asserted: one line on stderr, nothing on stdout, no file in out."""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("domain error: ") and captured.err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("line, value", [
+    ("T = 1.0", "T = nan"), ("T = 1.0", "T = inf"), ("dt = 0.02", "dt = nan"), ("dt = 0.02", "dt = 0"),
+    ("dt = 0.02", "dt = 0.05"), ("observe_every = 5", "observe_every = 0"),
+], ids=["T-nan", "T-inf", "dt-nan", "dt-zero", "dt-cfl", "observe-every-0"])
+def test_simulate_refuses_a_non_finite_duration_or_step_before_writing(tmp_path, capsys, line, value):
+    cfg = write_config(tmp_path, SINGLE_MODEL + RUN_SECTIONS.replace(line, value) + "\n[initial_data]\nkind = zero\n")
     out = tmp_path / "out"
     assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
-    # T = inf also warns, truly, that the light cone reaches the walls first
-    assert capsys.readouterr().err.splitlines()[-1].startswith("domain error: ")
-    assert not out.exists()
+    # T = inf is refused before the light-cone margin, -inf, is reported
+    _assert_refused_before_output(capsys, out)
 
 
 def test_simulate_rejects_a_model_beside_counterexample_data(tmp_path, capsys):
@@ -615,6 +624,16 @@ def test_counterexample_simulate_handoff(tmp_path):
     times, trace = read_trace_csv(out / "observers.csv")
     assert len(times) > 10
     assert np.max(np.abs(trace)) > 0.1
+
+
+@pytest.mark.parametrize("flags", [["--T", "nan"], ["--T", "-1"], ["--T", "inf"], ["--observe-every", "0"]],
+                         ids=["T-nan", "T-negative", "T-inf", "observe-every-0"])
+def test_counterexample_simulate_refuses_a_run_before_writing(tmp_path, capsys, flags):
+    out = tmp_path / "wg"
+    argv = ["counterexample", "--kind", "wide_gap", "--simulate", "--half-width", "6.0", "--dx-target", "0.05",
+            "--out", str(out)]
+    assert main(argv + flags) == 2
+    _assert_refused_before_output(capsys, out)
 
 
 @pytest.mark.parametrize("half, warns", [(6.0, True), (30.0, False)])
