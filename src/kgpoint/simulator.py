@@ -456,9 +456,9 @@ def evolve(model: ModelSpec, grid: Grid, state: FieldState, T: float, dt: float,
 
     def bind(psi, pi, d):
         # every view a sample reads, cut once per run; d takes the cell differences, at their left nodes
-        p, dp = psi.view(float), d.view(float)
-        right, left, cells = p[2:], p[:-2], dp[:-2]  # float views: the complex subtraction's bits, cheaper
+        right, left = psi[1:], psi[:-1]
         whole = _window_view(psi, pi, d)
+        cells = whole[2]
         views = [(seminorms[r], _window_view(psi, pi, d, window)) for r, window in windows.items()]
 
         def observe(k):
