@@ -36,7 +36,7 @@ from .model import UnboundedPotentialError, check_assumptions, lower_bound_const
 from .simulator import (
     FieldState,
     _check_run,
-    apriori_bound,
+    _energy_norm_bound,
     build_grid,
     energy_norm,
     evolve,
@@ -218,22 +218,22 @@ def _record_run(run: RunConfig, out_dir: Path, model, grid, state: FieldState, s
     if margin < 0:
         print(f"warning: light-cone margin {margin:.6g} < 0: radiation reflected off a wall "
               f"reaches the observed region before T = {run.T:g}", file=sys.stderr)
-    try:
-        bound = apriori_bound(model, grid, state)
-    except UnboundedPotentialError:
-        bound = None
     series, final = evolve(
         model, grid, state, run.T, run.dt,
         observe_every=run.observe_every, seminorm_radii=run.seminorm_radii,
     )
     kio.series_to_csv(series, out_dir / "observers.csv")
     kio.state_to_csv(grid, final, out_dir / "final_state.csv")
-    h0 = series.energy[0]
+    # sample 0 is the initial state, and the last sample is the final state when steps is a multiple of
+    # observe_every; the bound is checked at every sample, and at the final state when it is not one
+    h0 = float(series.energy[0])
+    try:
+        bound = _energy_norm_bound(model, h0)
+    except UnboundedPotentialError:
+        bound = None
     scale = max(abs(h0), 1.0)
     steps = int(round(run.T / abs(run.dt)))
-    norm_final = energy_norm(model, grid, final)
-    # the bound is checked at every observer sample, and at the final state when it is not one
-    checked = list(series.energy_norm) + ([norm_final] if steps % run.observe_every else [])
+    checked = list(series.energy_norm) + ([energy_norm(model, grid, final)] if steps % run.observe_every else [])
     summary = {
         "grid": {"dx": grid.dx, "count": grid.count, "x_min": grid.x_min, "x_max": grid.x_max},
         "steps": steps,
@@ -241,8 +241,8 @@ def _record_run(run: RunConfig, out_dir: Path, model, grid, state: FieldState, s
         "max_energy_drift": float(np.max(np.abs(series.energy - h0))) / scale,
         "max_charge_drift": float(np.max(np.abs(series.charge - series.charge[0]))) / scale,
         "energy_norm_bound": bound,
-        "energy_norm_initial": energy_norm(model, grid, state),
-        "energy_norm_final": norm_final,
+        "energy_norm_initial": checked[0],
+        "energy_norm_final": checked[-1],
         "bound_violations": None if bound is None else int(sum(n > bound for n in checked)),
         "bound_checked_samples": 0 if bound is None else len(checked),
         "light_cone_margin": margin,
@@ -437,7 +437,7 @@ def main(argv=None) -> int:
     except OSError as err:
         print(f"file error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except ValueError as err:
+    except (ValueError, MemoryError) as err:  # numpy refuses an array too large to hold with one or the other
         print(f"domain error: {err}", file=sys.stderr)
         return EXIT_DOMAIN
     except (NoConvergence, FloatingPointError) as err:

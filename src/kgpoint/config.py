@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import configparser
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from .model import ModelSpec, OscillatorSpec
 
@@ -151,12 +150,11 @@ def _parse_model(section) -> ModelSpec:
 
 
 def parse_config(path) -> ExperimentConfig:
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file {path} does not exist")
+    """The experiment a config file describes; a file that cannot be opened raises OSError."""
     cp = configparser.ConfigParser()
     try:
-        cp.read(path)
+        with open(path) as fh:
+            cp.read_file(fh)
     except configparser.Error as err:
         raise ConfigError(f"cannot parse {path}: {err}") from err
 

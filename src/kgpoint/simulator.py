@@ -154,6 +154,9 @@ def build_grid(model: ModelSpec, x_min: float, x_max: float, dx_target: float) -
     when the gaps have no common divisor within a factor 10^6 of the target
     (irrational gap ratios at this resolution).
     """
+    for name, value in (("x_min", x_min), ("x_max", x_max), ("dx_target", dx_target)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     pos = model.positions
     if not (x_min < pos[0] and x_max > pos[-1]):
         raise ValueError("domain must strictly contain all oscillator positions")
@@ -355,8 +358,12 @@ def apriori_bound(model: ModelSpec, grid: Grid, initial: FieldState) -> float:
     With U_J >= A_J - B_J |psi|^2 and sum B_J < m, conservation of H gives
     |Psi(t)|_E^2 <= 2m (H(Psi_0) - sum A_J) / (m - sum B_J).
     """
+    return _energy_norm_bound(model, hamiltonian(model, grid, initial))
+
+
+def _energy_norm_bound(model: ModelSpec, h0: float) -> float:
+    """apriori_bound of any initial state whose energy is h0."""
     consts = lower_bound_constants(model)
-    h0 = hamiltonian(model, grid, initial)
     m = model.mass
     val = 2.0 * m * (h0 - sum(consts.A)) / (m - sum(consts.B))
     return math.sqrt(max(val, 0.0))

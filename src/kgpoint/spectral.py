@@ -14,7 +14,7 @@ endpoint products do not vanish (for exact or generic entries they cannot).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -53,8 +53,11 @@ class SupportBounds:
 
 
 def _window_slice(n_total: int, sample_dt: float, t0: float, T: float, trace_t0: float):
-    i0 = int(round((t0 - trace_t0) / sample_dt))
-    count = int(np.floor(T / sample_dt + 1e-9)) + 1
+    start, span = (t0 - trace_t0) / sample_dt, T / sample_dt
+    if not (np.isfinite(start) and np.isfinite(span)):
+        raise ValueError(f"window {t0}:{T} is not a finite span of the trace")
+    i0 = int(round(start))
+    count = int(np.floor(span + 1e-9)) + 1
     if i0 < 0 or i0 + count > n_total:
         raise ValueError(f"window [{t0}, {t0 + T}] falls outside the trace")
     if count < MIN_WINDOW_SAMPLES:
@@ -73,8 +76,8 @@ def time_spectrum(
     """Magnitude spectrum of one window of a uniformly sampled trace.
 
     The dominant frequency is the magnitude peak refined by three-point
-    quadratic interpolation; the band-mass ratio is the |G|^2 mass outside
-    dominant +- two bins of 2 pi / T divided by the total.
+    quadratic interpolation; the band-mass ratio is the share of the |G|^2
+    mass outside band_mass's band around it.
     """
     trace = np.asarray(trace, dtype=complex)
     if taper not in ("none", "hann"):
@@ -90,8 +93,7 @@ def time_spectrum(
     t_actual = (count - 1) * sample_dt
     bin_width = 2.0 * np.pi / (count * sample_dt)
 
-    power = mags**2
-    total = float(np.sum(power))
+    total = float(np.sum(mags**2))
     if total == 0.0:
         return SpectrumEstimate(t0, t_actual, freqs, mags, float("nan"), 0.0, bin_width)
 
@@ -104,25 +106,22 @@ def time_spectrum(
             delta = 0.5 * (ym1 - yp1) / denom
             dominant += float(np.clip(delta, -0.5, 0.5)) * bin_width
 
-    halfwidth = 2.0 * 2.0 * np.pi / t_actual
-    in_band = np.abs(freqs - dominant) <= halfwidth
-    ratio = 1.0 - float(np.sum(power[in_band])) / total
-    ratio = min(max(ratio, 0.0), 1.0)
-    return SpectrumEstimate(t0, t_actual, freqs, mags, dominant, ratio, bin_width)
+    estimate = SpectrumEstimate(t0, t_actual, freqs, mags, dominant, 0.0, bin_width)
+    ratio = 1.0 - band_mass(estimate, dominant) / total
+    return replace(estimate, band_mass_ratio=min(max(ratio, 0.0), 1.0))
 
 
 def band_mass(estimate: SpectrumEstimate, center: float) -> float:
-    """|G|^2 mass within two bins of center, |freq - center| <= 2 bin_width."""
+    """|G|^2 mass within two FFT bins of center, |freq - center| <= 2 bin_width."""
     sel = np.abs(estimate.freqs - center) <= 2.0 * estimate.bin_width
     return float(np.sum(estimate.magnitudes[sel] ** 2))
 
 
 def in_band_check(estimate: SpectrumEstimate, m: float) -> bool:
-    """True when the dominant frequency sits inside [-m, m] up to one bin."""
+    """True when the dominant frequency sits inside [-m, m] up to one FFT bin, bin_width."""
     if not estimate.has_dominant:
         raise ValueError("estimate has no defined dominant frequency")
-    slack = 2.0 * np.pi / estimate.T
-    return abs(estimate.dominant) <= m + slack
+    return abs(estimate.dominant) <= m + estimate.bin_width
 
 
 def support_bounds(seq) -> SupportBounds | None:

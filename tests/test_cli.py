@@ -122,6 +122,19 @@ def test_check_malformed_config_exits_one(tmp_path):
     assert main(["check", "--config", str(tmp_path / "missing.ini")]) == 1
 
 
+@pytest.mark.parametrize("command", ["check", "solve", "simulate"])
+def test_unreadable_config_is_one_file_error_line(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    flags = {"check": [], "solve": ["--omega", "0.4", "--out", str(out)], "simulate": ["--out", str(out)]}[command]
+    for config in (tmp_path, tmp_path / "missing.ini"):  # a directory reads as no file, not as an empty one
+        assert main([command, "--config", str(config), *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("file error: ") and captured.err.count("\n") == 1
+        assert repr(str(config)) in captured.err
+    assert not out.exists()
+
+
 def test_solve_single_omega(tmp_path, capsys):
     cfg = write_config(tmp_path, SINGLE_MODEL)
     out = tmp_path / "out"
@@ -390,14 +403,34 @@ def _assert_refused_before_output(capsys, out):
 
 @pytest.mark.parametrize("line, value", [
     ("T = 1.0", "T = nan"), ("T = 1.0", "T = inf"), ("dt = 0.02", "dt = nan"), ("dt = 0.02", "dt = 0"),
-    ("dt = 0.02", "dt = 0.05"), ("observe_every = 5", "observe_every = 0"),
-], ids=["T-nan", "T-inf", "dt-nan", "dt-zero", "dt-cfl", "observe-every-0"])
+    ("dt = 0.02", "dt = 0.05"), ("observe_every = 5", "observe_every = 0"), ("x_min = -8", "x_min = -inf"),
+    ("x_max = 8", "x_max = inf"), ("dx_target = 0.05", "dx_target = inf"), ("dx_target = 0.05", "dx_target = nan"),
+], ids=["T-nan", "T-inf", "dt-nan", "dt-zero", "dt-cfl", "observe-every-0", "x_min-inf", "x_max-inf",
+        "dx_target-inf", "dx_target-nan"])
 def test_simulate_refuses_a_non_finite_duration_or_step_before_writing(tmp_path, capsys, line, value):
     cfg = write_config(tmp_path, SINGLE_MODEL + RUN_SECTIONS.replace(line, value) + "\n[initial_data]\nkind = zero\n")
     out = tmp_path / "out"
     assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
     # T = inf is refused before the light-cone margin, -inf, is reported
     _assert_refused_before_output(capsys, out)
+
+
+# 1.4 EiB of node positions, 280 PiB of observer samples: beyond any address space, so numpy refuses them at
+# once without touching memory
+@pytest.mark.parametrize("line, value, warnings", [
+    ("x_max = 8", "x_max = 1e16", []),  # the grid is built before anything is reported
+    ("T = 1.0", "T = 1e15", ["warning: light-cone margin -1e+15 < 0"]),
+], ids=["grid", "samples"])
+def test_simulate_too_large_to_hold_is_a_domain_error(tmp_path, capsys, line, value, warnings):
+    cfg = write_config(tmp_path, SINGLE_MODEL + RUN_SECTIONS.replace(line, value) + "\n[initial_data]\nkind = zero\n")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    *first, last = captured.err.splitlines()
+    assert last.startswith("domain error: ") and "Traceback" not in captured.err
+    assert len(first) == len(warnings) and all(f.startswith(w) for f, w in zip(first, warnings))
+    assert not (out / "observers.csv").exists()
 
 
 def test_simulate_rejects_a_model_beside_counterexample_data(tmp_path, capsys):
@@ -555,7 +588,7 @@ def _spectrum_of(tmp_path, capsys, times, windows="50:20"):
     trace = np.exp(-1j * 0.366 * times)
     write_csv(tmp_path / "trace.csv", ["t", "psi1_re", "psi1_im"],
               np.column_stack([times, trace.real, trace.imag]))
-    code = main(["spectrum", "--trace", str(tmp_path / "trace.csv"), "--windows", windows,
+    code = main(["spectrum", "--trace", str(tmp_path / "trace.csv"), f"--windows={windows}",
                  "--out", str(tmp_path / "spec")])
     return code, capsys.readouterr().err
 
@@ -588,6 +621,15 @@ def test_spectrum_accepts_a_long_uniform_trace(tmp_path, capsys):
     assert code == 0 and err == ""
     (entry,) = json.loads((tmp_path / "spec" / "spectrum_summary.json").read_text())
     assert abs(entry["dominant"] - 0.366) <= 0.1 * 2 * math.pi / 200.0
+
+
+@pytest.mark.parametrize("windows", ["0:inf", "inf:10", "-inf:5", "nan:10", "1:nan", "1e308:10"])
+def test_spectrum_refuses_a_window_that_is_not_a_finite_span(tmp_path, capsys, windows):
+    code, err = _spectrum_of(tmp_path, capsys, _observer_times(0.0, 0.009, 5, 60.0), windows=windows)
+    assert code == 2
+    t0, T = (float(v) for v in windows.split(":"))
+    assert err == f"domain error: window {t0}:{T} is not a finite span of the trace\n"
+    assert not (tmp_path / "spec").exists()
 
 
 def test_counterexample_wide_gap(tmp_path, capsys):
@@ -626,8 +668,9 @@ def test_counterexample_simulate_handoff(tmp_path):
     assert np.max(np.abs(trace)) > 0.1
 
 
-@pytest.mark.parametrize("flags", [["--T", "nan"], ["--T", "-1"], ["--T", "inf"], ["--observe-every", "0"]],
-                         ids=["T-nan", "T-negative", "T-inf", "observe-every-0"])
+@pytest.mark.parametrize("flags", [["--T", "nan"], ["--T", "-1"], ["--T", "inf"], ["--observe-every", "0"],
+                                   ["--half-width", "inf"]],
+                         ids=["T-nan", "T-negative", "T-inf", "observe-every-0", "half-width-inf"])
 def test_counterexample_simulate_refuses_a_run_before_writing(tmp_path, capsys, flags):
     out = tmp_path / "wg"
     argv = ["counterexample", "--kind", "wide_gap", "--simulate", "--half-width", "6.0", "--dx-target", "0.05",
@@ -694,6 +737,39 @@ def test_linear_deg_run_reports_null_bound(tmp_path, capsys, command):
     assert summary["energy_norm_bound"] is None and summary["bound_violations"] is None
     assert summary["bound_checked_samples"] == 0
     assert summary["max_charge_drift"] <= 1e-12
+
+
+# 50 steps end on their 11th sample (observe_every = 5); 33 steps end after their 7th
+@pytest.mark.parametrize("dt, samples, final_evaluations", [(0.02, 11, 0), (0.03, 7, 1)],
+                         ids=["final-sampled", "final-unsampled"])
+def test_record_reads_the_energy_figures_from_the_observer_series(tmp_path, monkeypatch, dt, samples,
+                                                                  final_evaluations):
+    from kgpoint import cli, simulator
+    from kgpoint.config import parse_config
+
+    text = (BASE_MODEL + RUN_SECTIONS.replace("dt = 0.02", f"dt = {dt}")
+            + "\n[initial_data]\nkind = perturbed_solitary\nomega = 0.4\nnoise_amplitude = 0.1\nseed = 3\n")
+    cfg = parse_config(write_config(tmp_path, text))
+    model, grid, state, seed, clip = cli._prepare_run(cfg)
+    calls = []
+
+    def counted(function):
+        def wrapper(*args):
+            calls.append(function.__name__)
+            return function(*args)
+        return wrapper
+
+    monkeypatch.setattr(cli, "energy_norm", counted(simulator.energy_norm))
+    monkeypatch.setattr(simulator, "hamiltonian", counted(simulator.hamiltonian))
+    summary = cli._record_run(cfg.run, tmp_path / "out", model, grid, state, seed, clip)
+    assert calls == ["energy_norm"] * final_evaluations  # no whole-grid evaluation outside evolve but this one
+    monkeypatch.undo()
+    x, psi, pi = read_state_csv(tmp_path / "out" / "final_state.csv")
+    final = simulator.FieldState(psi, pi, 0.0)
+    assert summary["energy_norm_bound"] == simulator.apriori_bound(model, grid, state)
+    assert summary["energy_norm_initial"] == simulator.energy_norm(model, grid, state)
+    assert summary["energy_norm_final"] == simulator.energy_norm(model, grid, final)
+    assert summary["bound_checked_samples"] == samples + final_evaluations
 
 
 def test_linear_deg_default_family_blows_up_in_the_simulator(tmp_path, capsys):

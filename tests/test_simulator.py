@@ -171,6 +171,15 @@ def test_build_grid_domain_validation():
         build_grid(QUARTIC, 0.0, 10.0, 0.01)
 
 
+@pytest.mark.parametrize("name, bounds", [
+    ("x_min", (-np.inf, 10.0, 0.01)), ("x_min", (np.nan, 10.0, 0.01)), ("x_max", (-10.0, np.inf, 0.01)),
+    ("dx_target", (-10.0, 10.0, np.inf)), ("dx_target", (-10.0, 10.0, np.nan)),
+], ids=["x_min-inf", "x_min-nan", "x_max-inf", "dx_target-inf", "dx_target-nan"])
+def test_build_grid_refuses_a_non_finite_bound_or_step(name, bounds):
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got "):
+        build_grid(QUARTIC, *bounds)
+
+
 # ---------------------------------------------------------------- stepping
 
 

@@ -61,6 +61,26 @@ def test_window_validation():
         time_spectrum(tone(0.5), DT, 0.0, 20.0, taper="blackman")
 
 
+def test_band_mass_ratio_is_the_share_outside_band_mass():
+    t = np.arange(2000) * DT
+    trace = np.exp(-0.5j * t) + 0.3 * np.exp(-t / 30.0) * np.exp(-1.7j * t) + 0.05 * np.exp(0.9j * t)
+    rng = np.random.default_rng(7)
+    windows = [(10.0, 12.0)]
+    for _ in range(100):
+        T = rng.uniform(3.2, 50.0)
+        windows.append((rng.uniform(0.0, 99.0 - T), T))
+    for t0, T in windows:
+        for taper in ("hann", "none"):
+            est = time_spectrum(trace, DT, t0, T, taper=taper)
+            share = 1.0 - band_mass(est, est.dominant) / np.sum(est.magnitudes**2)
+            assert est.band_mass_ratio == min(max(share, 0.0), 1.0)
+    # on 10:12 one frequency lies beyond two bins of the dominant line but within 2 (2 pi / T), T = (n - 1) dt,
+    # so a band of that width would give another ratio
+    est = time_spectrum(trace, DT, 10.0, 12.0)
+    offsets = np.abs(est.freqs - est.dominant)
+    assert np.sum((offsets > 2.0 * est.bin_width) & (offsets <= 4.0 * np.pi / est.T)) == 1
+
+
 def test_parseval_untapered():
     rng = np.random.default_rng(1)
     trace = rng.normal(size=1024) + 1j * rng.normal(size=1024)
