@@ -37,6 +37,7 @@ from .simulator import (
     FieldState,
     _check_run,
     _energy_norm_bound,
+    _sample_arrays,
     build_grid,
     energy_norm,
     evolve,
@@ -256,7 +257,11 @@ def _record_run(run: RunConfig, out_dir: Path, model, grid, state: FieldState, s
 
 
 def _prepare_run(cfg: ExperimentConfig, seed=None) -> tuple:
-    """(model, grid, initial state, seed, wall clip) of a configured run; a run evolve would refuse fails first."""
+    """(model, grid, initial state, seed, wall clip) of a configured run; a run evolve would refuse fails first.
+
+    A run too large to hold is refused here too, before anything is printed:
+    its sample arrays are allocated once, untouched, and dropped.
+    """
     if cfg.grid is None or cfg.run is None:
         raise ConfigError("simulate requires [grid] and [run] sections")
     initial, solution = cfg.initial, None
@@ -266,7 +271,8 @@ def _prepare_run(cfg: ExperimentConfig, seed=None) -> tuple:
     if model is None:
         raise ConfigError("simulate requires a [model] section or counterexample initial data")
     grid = build_grid(model, cfg.grid.x_min, cfg.grid.x_max, cfg.grid.dx_target)
-    _check_run(grid, cfg.run.dt, cfg.run.T, cfg.run.observe_every)
+    steps = _check_run(grid, cfg.run.dt, cfg.run.T, cfg.run.observe_every)
+    _sample_arrays(steps, cfg.run.observe_every, cfg.run.seminorm_radii, model.count)
     # only perturbed solitary data draws from a seed: the --seed flag, else the config's
     if initial is None or initial.kind != "perturbed_solitary":
         seed = None
@@ -330,9 +336,11 @@ def cmd_spectrum(args) -> int:
         raise ValueError(f"trace times are not uniformly spaced: a spacing differs from the first, "
                          f"{sample_dt:.17g}, by {spread:.3g}")
     out_dir = Path(args.out)
+    # every window is sliced and checked before the first file is written
+    estimates = [time_spectrum(trace, sample_dt, t0, T, taper=args.taper, trace_t0=float(times[0]))
+                 for t0, T in windows]
     summary = []
-    for i, (t0, T) in enumerate(windows):
-        est = time_spectrum(trace, sample_dt, t0, T, taper=args.taper, trace_t0=float(times[0]))
+    for i, est in enumerate(estimates):
         kio.spectrum_to_csv(est, out_dir / f"spectrum_{i}.csv")
         summary.append(
             {

@@ -150,11 +150,21 @@ def _parse_model(section) -> ModelSpec:
 
 
 def parse_config(path) -> ExperimentConfig:
-    """The experiment a config file describes; a file that cannot be opened raises OSError."""
+    """The experiment a config file describes; a file that cannot be opened raises OSError.
+
+    A file configparser cannot read is one ConfigError line, which counts its
+    malformed lines and quotes the first.
+    """
     cp = configparser.ConfigParser()
     try:
         with open(path) as fh:
             cp.read_file(fh)
+    except configparser.MissingSectionHeaderError as err:
+        raise ConfigError(f"cannot parse {path}: line {err.lineno}: {err.line!r} comes before any [section]") from err
+    except configparser.ParsingError as err:
+        (lineno, line), count = err.errors[0], len(err.errors)
+        raise ConfigError(f"cannot parse {path}: {count} malformed line{'s' * (count > 1)}, "
+                          f"first line {lineno}: {line}") from err
     except configparser.Error as err:
         raise ConfigError(f"cannot parse {path}: {err}") from err
 

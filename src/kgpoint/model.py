@@ -17,6 +17,7 @@ gaps) under which single-frequency attraction is expected.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -149,9 +150,29 @@ def _horner(coeffs: tuple[float, ...], s):
     return acc
 
 
+def _at_node(horner: tuple[float, ...], z, force: bool = False):
+    """p(|z|^2) = sum_n c_n |z|^{2n}, the c_n in horner highest degree first; -2 p(|z|^2) z if force.
+
+    With an oscillator's coefficients this is U(z), with its slope
+    coefficients F(z): ``potential``, ``force``, the stepping loop and the
+    observer evaluate both here, one call per node.  z is a Python or numpy
+    scalar or a numpy array.  Where |z|^2 overflows (|z| above about 1.3e154)
+    Python floats raise OverflowError and numpy gives inf; s is inf for both,
+    so their bits agree, nan included.  The sum is _horner's, written out.
+    """
+    try:
+        s = abs(z) ** 2
+    except OverflowError:
+        s = math.inf
+    p = 0.0
+    for c in horner:
+        p = p * s + c
+    return -2.0 * p * z if force else p
+
+
 def potential(osc: OscillatorSpec, psi: complex) -> float:
     """U(psi) = sum_n u_n |psi|^{2n}."""
-    return _horner(osc.coefficients, abs(psi) ** 2)
+    return _at_node(osc.coefficients[::-1], psi)
 
 
 def force_ratio(osc: OscillatorSpec, s: float) -> float:
@@ -161,7 +182,7 @@ def force_ratio(osc: OscillatorSpec, s: float) -> float:
 
 def force(osc: OscillatorSpec, psi: complex) -> complex:
     """F(psi) = -2 u'(|psi|^2) psi, the negative gradient of U in (Re, Im)."""
-    return force_ratio(osc, abs(psi) ** 2) * psi
+    return _at_node(osc.slope_coefficients[::-1], psi, True)
 
 
 def derived_bounds(model: ModelSpec) -> DerivedBounds:

@@ -17,10 +17,13 @@ One loop, ``_kdk``, steps in place on four buffers cut from one block at fixed
 offsets; its observer is bound to the live buffers once per run and must copy
 what it keeps.  With the mass term in the stencil diagonal and the half kick
 dt/2 acc one pre-scaled stencil on float64 views of the complex buffers, a
-step is 8 array passes.  H, the energy norm, the local seminorms, the metric
-and the phase fit all evaluate one form, ``_energy_form``, on arrays their
-callers cut; the observer of ``evolve`` cuts its views once per run and takes
-the cell differences once per sample, and the whole grid and every seminorm
+step is 8 array passes.  At each oscillator node a half kick, like an
+observer sample, reads psi as a Python complex and makes one call,
+``model._at_node``, which keeps numpy's bits.  H, the energy norm, the local
+seminorms, the metric and the phase fit all evaluate one form,
+``_energy_form``, on arrays their callers cut; the observer of ``evolve``
+cuts its views and binds the form's constants once per run and takes the
+cell differences once per sample, and the whole grid and every seminorm
 window read their cell terms from that one buffer.  The squared energy norm a
 sample returns doubles as the check that the field is finite.  The metric
 reads only the nodes with |x| <= r_max, so it, the phase fit and the manifold
@@ -47,7 +50,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import ModelSpec, force, lower_bound_constants, potential
+from .model import ModelSpec, _at_node, lower_bound_constants, potential
 from .solitary import ConvergedToZero, NoConvergence, SolitaryWave, _newton_starts, profile_eval, solve_profile
 
 __all__ = [
@@ -201,8 +204,8 @@ def build_grid(model: ModelSpec, x_min: float, x_max: float, dx_target: float) -
     return grid
 
 
-def _check_run(grid: Grid, dt: float, T: float = 0.0, observe_every: int = 1):
-    """Refuse a run of duration T in steps of dt, sampled every observe_every steps, before it starts."""
+def _check_run(grid: Grid, dt: float, T: float = 0.0, observe_every: int = 1) -> int:
+    """Refuse, before it starts, a run of duration T in steps of dt sampled every observe_every; return its steps."""
     if not 0 <= T < math.inf:  # a nan too
         raise ValueError(f"T must be finite and nonnegative, got {T}")
     if observe_every < 1:
@@ -211,6 +214,19 @@ def _check_run(grid: Grid, dt: float, T: float = 0.0, observe_every: int = 1):
         raise ValueError(f"CFL violated: |dt|={abs(dt)} must be below dx={grid.dx}")
     if dt == 0.0:
         raise ValueError("dt must be nonzero")
+    return int(round(T / abs(dt)))
+
+
+def _sample_arrays(n_steps: int, observe_every: int, radii, traced: int) -> tuple:
+    """Times, H, Q, energy norm, {radius: seminorm} and the psi and pi traces at traced nodes, a row per sample.
+
+    numpy refuses a run too large to hold here, with MemoryError or ValueError.
+    """
+    n = n_steps // observe_every + 1
+    times, energy, charges, norms = np.empty((4, n))
+    seminorms = {float(r): np.empty(n) for r in radii}
+    traces_psi, traces_pi = np.empty((2, n, traced), dtype=complex)
+    return times, energy, charges, norms, seminorms, traces_psi, traces_pi
 
 
 def _check_state(grid: Grid, state: FieldState):
@@ -247,6 +263,14 @@ def _kdk(model: ModelSpec, grid: Grid, state: FieldState, dt: float, n_steps: in
     numpy's complex-by-real product up to the sign of an exact zero.  The four
     buffers are slices of one page-aligned block, 1 KB apart modulo 4 KB
     whatever the heap held before, so their streams alias in the cache alike.
+
+    The ufuncs and the passes' scalars, as 0-d arrays (cheaper per call than
+    Python floats), are bound once per run.  At each oscillator node a half
+    kick reads psi with ``item`` and makes one call of ``model._at_node`` on
+    Python scalars: numpy's operations in numpy's order.  Where |psi|^2
+    overflows (|psi| above about 1.3e154) the force is nan, as on numpy
+    scalars, and the run raises FloatingPointError at a later sample or at
+    the end.
     """
     stride = -(-16 * grid.count // 4096) * 4096 + 1024  # bytes from one buffer to the next
     raw = np.empty(4 * stride + 4096, dtype=np.uint8)
@@ -255,16 +279,18 @@ def _kdk(model: ModelSpec, grid: Grid, state: FieldState, dt: float, n_steps: in
     psi[:], pi[:], kick[0], kick[-1] = state.psi, state.pi, 0.0, 0.0  # kick's end nodes stay 0
     p, q, kr, dr = psi.view(float), pi.view(float), kick.view(float), drift.view(float)
     mid, right, left, lap = p[2:-2], p[4:], p[:-4], kr[2:-2]
-    c, scale, force_scale = 2.0 + model.mass**2 * grid.dx**2, 0.5 * dt / grid.dx**2, 0.5 * dt / grid.dx
-    sites = list(zip(model.oscillators, grid.oscillator_nodes))
+    c, scale, dt0 = (np.array(v) for v in (2.0 + model.mass**2 * grid.dx**2, 0.5 * dt / grid.dx**2, dt))
+    force_scale = 0.5 * dt / grid.dx
+    sites = [(i, o.slope_coefficients[::-1]) for o, i in zip(model.oscillators, grid.oscillator_nodes)]
+    add, multiply, subtract, psi_at = np.add, np.multiply, np.subtract, psi.item
 
     def half_kick():
-        np.multiply(mid, c, out=lap)
-        np.subtract(right, lap, out=lap)
-        np.add(lap, left, out=lap)
-        np.multiply(lap, scale, out=lap)
-        for osc, i in sites:
-            kick[i] += force(osc, psi[i]) * force_scale
+        multiply(mid, c, lap)
+        subtract(right, lap, lap)
+        add(lap, left, lap)
+        multiply(lap, scale, lap)
+        for i, slope in sites:
+            kick[i] += _at_node(slope, psi_at(i), True) * force_scale
 
     with np.errstate(over="ignore", invalid="ignore"):
         observe = None if bind is None else bind(psi, pi, drift)
@@ -272,11 +298,11 @@ def _kdk(model: ModelSpec, grid: Grid, state: FieldState, dt: float, n_steps: in
             observe(0)
         half_kick()
         for k in range(1, n_steps + 1):
-            np.add(q, kr, out=q)
-            np.multiply(q, dt, out=dr)
-            np.add(p, dr, out=p)
+            add(q, kr, q)
+            multiply(q, dt0, dr)
+            add(p, dr, p)
             half_kick()
-            np.add(q, kr, out=q)
+            add(q, kr, q)
             if observe is not None and k % observe_every == 0 and not math.isfinite(observe(k)):
                 _require_finite(state.t + k * dt, psi)
     t = state.t + n_steps * dt
@@ -304,7 +330,7 @@ def _window_view(psi: np.ndarray, pi: np.ndarray, d: np.ndarray, window: slice =
     return psi[window], pi[window], d[window][:-1]
 
 
-def _energy_form(model: ModelSpec, grid: Grid, a, b) -> complex:
+def _energy_form(m2: float, dx: float, a, b) -> complex:
     """sum_nodes dx (conj(pi_a) pi_b + m^2 conj(psi_a) psi_b) + sum_cells conj(dpsi_a) dpsi_b / dx.
 
     a and b are (psi, pi, cells) triples on the same nodes: the whole grid, 0
@@ -314,19 +340,12 @@ def _energy_form(model: ModelSpec, grid: Grid, a, b) -> complex:
     """
     (a_psi, a_pi, a_d), (b_psi, b_pi, b_d) = a, b
     cells = np.vdot(a_d, b_d)
-    nodes = np.vdot(a_pi, b_pi) + model.mass**2 * np.vdot(a_psi, b_psi)
-    return grid.dx * nodes + cells / grid.dx
-
-
-def _energy(model: ModelSpec, grid: Grid, v) -> tuple[float, float]:
-    """(H, squared energy norm) of a (psi, pi, cells) triple on the whole grid, from one evaluation of the form."""
-    norm2 = float(_energy_form(model, grid, v, v).real)
-    pot = sum(potential(o, v[0][i]) for o, i in zip(model.oscillators, grid.oscillator_nodes))
-    return 0.5 * norm2 + pot, norm2
+    nodes = np.vdot(a_pi, b_pi) + m2 * np.vdot(a_psi, b_psi)
+    return dx * nodes + cells / dx
 
 
 def _seminorm(model: ModelSpec, grid: Grid, v) -> float:
-    return math.sqrt(float(_energy_form(model, grid, v, v).real))
+    return math.sqrt(float(_energy_form(model.mass**2, grid.dx, v, v).real))
 
 
 def _charge(grid: Grid, u) -> float:
@@ -337,7 +356,9 @@ def hamiltonian(model: ModelSpec, grid: Grid, state: FieldState) -> float:
     """Discrete energy: node terms, forward differences on cells; psi, pi must be 0 at the end nodes."""
     _check_state(grid, state)
     with np.errstate(over="ignore", invalid="ignore"):
-        return _energy(model, grid, _window_view(state.psi, state.pi, _cell_differences(state.psi)))[0]
+        v = _window_view(state.psi, state.pi, _cell_differences(state.psi))
+        norm2 = float(_energy_form(model.mass**2, grid.dx, v, v).real)
+    return 0.5 * norm2 + sum(potential(o, state.psi.item(i)) for o, i in zip(model.oscillators, grid.oscillator_nodes))
 
 
 def charge(model: ModelSpec, grid: Grid, state: FieldState) -> float:
@@ -451,32 +472,32 @@ def evolve(model: ModelSpec, grid: Grid, state: FieldState, T: float, dt: float,
     2*observe_every, ...; the final state is returned even when it does not
     fall on a sample.  Traces are recorded at the oscillator nodes.
     """
-    _check_run(grid, dt, T, observe_every)
+    n_steps = _check_run(grid, dt, T, observe_every)
     _check_state(grid, state)
-    n_steps = int(round(T / abs(dt)))
     windows = {float(r): grid.window(float(r)) for r in seminorm_radii}
     nodes = np.array(grid.oscillator_nodes, dtype=np.intp)
-    n = n_steps // observe_every + 1
-    times, energy, charges, norms = np.empty((4, n))
-    seminorms = {r: np.empty(n) for r in windows}
-    traces_psi, traces_pi = np.empty((2, n, len(nodes)), dtype=complex)
+    times, energy, charges, norms, seminorms, traces_psi, traces_pi = _sample_arrays(
+        n_steps, observe_every, windows, len(nodes))
 
     def bind(psi, pi, d):
-        # every view a sample reads, cut once per run; d takes the cell differences, at their left nodes
+        # every view and constant a sample reads, bound once per run; d takes the cell differences, at their left nodes
         right, left = psi[1:], psi[:-1]
         whole = _window_view(psi, pi, d)
         cells = whole[2]
         views = [(seminorms[r], _window_view(psi, pi, d, window)) for r, window in windows.items()]
+        m2, dx, form, sqrt, subtract, psi_at = model.mass**2, grid.dx, _energy_form, math.sqrt, np.subtract, psi.item
+        sites = [(i, o.coefficients[::-1]) for o, i in zip(model.oscillators, grid.oscillator_nodes)]
 
         def observe(k):
             j = k // observe_every
-            np.subtract(right, left, out=cells)
+            subtract(right, left, cells)
             times[j] = state.t + k * dt
-            energy[j], norm2 = _energy(model, grid, whole)
-            norms[j] = math.sqrt(norm2)
+            norm2 = float(form(m2, dx, whole, whole).real)
+            energy[j] = 0.5 * norm2 + sum(_at_node(u, psi_at(i)) for i, u in sites)
+            norms[j] = sqrt(norm2)
             charges[j] = _charge(grid, (psi, pi))
             for column, v in views:
-                column[j] = _seminorm(model, grid, v)
+                column[j] = sqrt(float(form(m2, dx, v, v).real))
             traces_psi[j] = psi[nodes]
             traces_pi[j] = pi[nodes]
             return norm2
@@ -519,7 +540,7 @@ def _phase_fit_dist(model: ModelSpec, grid: Grid, v, candidate: _Candidate, wind
     """
     psi, pi = candidate.psi, candidate.pi
     # the unit phase minimizing |u - e^{i theta} (psi, pi)|_E, in closed form
-    inner = _energy_form(model, grid, v, (psi, pi, candidate.cells))
+    inner = _energy_form(model.mass**2, grid.dx, v, (psi, pi, candidate.cells))
     phase = inner.conjugate() / abs(inner) if abs(inner) != 0.0 else 1.0 + 0j
     return _metric(model, grid, (v[0] - psi * phase, v[1] - pi * phase), windows)
 

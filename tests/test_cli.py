@@ -122,6 +122,23 @@ def test_check_malformed_config_exits_one(tmp_path):
     assert main(["check", "--config", str(tmp_path / "missing.ini")]) == 1
 
 
+@pytest.mark.parametrize("command", ["check", "simulate"])
+@pytest.mark.parametrize("text, reason", [
+    ("[model]\nmass 1\n[[x\n", "2 malformed lines, first line 2: 'mass 1\\n'"),
+    ("[model]\nmass 1\n", "1 malformed line, first line 2: 'mass 1\\n'"),
+    ("mass = 1\n[model]\n", "line 1: 'mass = 1\\n' comes before any [section]"),
+], ids=["two bad lines", "one bad line", "no section"])
+def test_unparsable_config_is_one_config_error_line(tmp_path, capsys, command, text, reason):
+    # configparser's own messages give each malformed line a line of its own
+    cfg = write_config(tmp_path, text)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, *(["--out", str(out)] if command == "simulate" else [])]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: cannot parse {cfg}: {reason}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["check", "solve", "simulate"])
 def test_unreadable_config_is_one_file_error_line(tmp_path, capsys, command):
     out = tmp_path / "out"
@@ -419,7 +436,7 @@ def test_simulate_refuses_a_non_finite_duration_or_step_before_writing(tmp_path,
 # once without touching memory
 @pytest.mark.parametrize("line, value, warnings", [
     ("x_max = 8", "x_max = 1e16", []),  # the grid is built before anything is reported
-    ("T = 1.0", "T = 1e15", ["warning: light-cone margin -1e+15 < 0"]),
+    ("T = 1.0", "T = 1e15", []),  # and so are the sample arrays, before the light-cone margin's warning
 ], ids=["grid", "samples"])
 def test_simulate_too_large_to_hold_is_a_domain_error(tmp_path, capsys, line, value, warnings):
     cfg = write_config(tmp_path, SINGLE_MODEL + RUN_SECTIONS.replace(line, value) + "\n[initial_data]\nkind = zero\n")
@@ -630,6 +647,14 @@ def test_spectrum_refuses_a_window_that_is_not_a_finite_span(tmp_path, capsys, w
     t0, T = (float(v) for v in windows.split(":"))
     assert err == f"domain error: window {t0}:{T} is not a finite span of the trace\n"
     assert not (tmp_path / "spec").exists()
+
+
+def test_spectrum_checks_every_window_before_writing_any(tmp_path, capsys):
+    # the first window is good: a spectrum that wrote as it went would leave spectrum_0.csv behind
+    code, err = _spectrum_of(tmp_path, capsys, _observer_times(0.0, 0.009, 5, 60.0), windows="10:20,0:inf")
+    assert code == 2
+    assert err == "domain error: window 0.0:inf is not a finite span of the trace\n"
+    assert not (tmp_path / "spec").exists() or not any((tmp_path / "spec").iterdir())
 
 
 def test_counterexample_wide_gap(tmp_path, capsys):

@@ -12,6 +12,7 @@ from kgpoint.simulator import (
     FieldState,
     NoCommensurateGrid,
     _candidate_dist,
+    _kdk,
     _metric_windows,
     apriori_bound,
     build_grid,
@@ -251,6 +252,50 @@ def test_finite_field_with_overflowing_energy_runs_on():
     assert len(series.times) == 11
     assert np.all(np.isfinite(final.psi)) and np.all(np.isfinite(final.pi))
     assert not np.any(np.isfinite(series.energy)) and not np.any(np.isfinite(series.energy_norm))
+
+
+@pytest.mark.parametrize("model", [QUARTIC, PAIR], ids=["quartic", "pair"])
+@pytest.mark.parametrize("modulus", [1e160, 1e200])
+def test_stepping_keeps_the_reference_bits_where_a_node_force_overflows(model, modulus):
+    # |psi|^2 at the first oscillator node overflows, which raises OverflowError on the Python scalars the loop
+    # reads and gives inf on the numpy scalars reference_kdk reads; the field then turns nan node by node
+    grid = build_grid(model, -1.0, 1.2, 0.05)
+    psi = np.zeros(grid.count, complex)
+    psi[grid.oscillator_nodes[0]] = modulus * np.exp(0.3j)
+    state = FieldState(psi, 0.5j * psi, 0.0)
+    buffers = []
+
+    def bind(psi, pi, scratch):
+        buffers.extend((psi, pi))
+        return lambda k: 0.0  # no sample flags the field: the loop runs to the end, which raises
+
+    with pytest.raises(FloatingPointError):
+        _kdk(model, grid, state, 0.02, 6, 1, bind)
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = reference_kdk(model, grid, state, 0.02, 6)
+    assert not np.all(np.isfinite(expected[1]))
+    for got, want in zip(buffers, expected):
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_observer_energy_equals_hamiltonian_where_node_moduli_approach_overflow():
+    # the observer and hamiltonian evaluate the potentials on Python scalars, the trapezoid reference on numpy's
+    grid = build_grid(PAIR, -1.0, 1.2, 0.05)
+    finite = 0
+    for modulus in (1e76, 1e77, 1e100, 1e150, 1e154, 1.4e154, 1e160, 1e200):
+        psi = np.zeros(grid.count, complex)
+        psi[list(grid.oscillator_nodes)] = modulus * np.exp(0.3j), 0.5
+        state = FieldState(psi, np.zeros(grid.count, complex), 0.0)
+        series, _ = evolve(PAIR, grid, state, 0.0, 0.02)
+        with np.errstate(over="ignore", invalid="ignore"):
+            reference = trapezoid_functionals(PAIR, grid, state)[0]
+        h = hamiltonian(PAIR, grid, state)
+        if math.isfinite(series.energy[0]):
+            finite += 1
+            assert series.energy[0] == h == reference
+        else:
+            assert not math.isfinite(h) and not math.isfinite(reference)
+    assert 0 < finite < 8
 
 
 def _solitary_error(dx, dt, T=10.0):
