@@ -271,7 +271,7 @@ def _prepare_run(cfg: ExperimentConfig, seed=None) -> tuple:
     if model is None:
         raise ConfigError("simulate requires a [model] section or counterexample initial data")
     grid = build_grid(model, cfg.grid.x_min, cfg.grid.x_max, cfg.grid.dx_target)
-    steps = _check_run(grid, cfg.run.dt, cfg.run.T, cfg.run.observe_every)
+    steps = _check_run(model, grid, cfg.run.dt, cfg.run.T, cfg.run.observe_every)
     _sample_arrays(steps, cfg.run.observe_every, cfg.run.seminorm_radii, model.count)
     # only perturbed solitary data draws from a seed: the --seed flag, else the config's
     if initial is None or initial.kind != "perturbed_solitary":

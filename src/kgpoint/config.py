@@ -155,7 +155,7 @@ def parse_config(path) -> ExperimentConfig:
     A file configparser cannot read is one ConfigError line, which counts its
     malformed lines and quotes the first.
     """
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(interpolation=None)  # a % in a value is read as it stands
     try:
         with open(path) as fh:
             cp.read_file(fh)

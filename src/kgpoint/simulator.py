@@ -15,20 +15,20 @@ during an experiment.
 
 One loop, ``_kdk``, steps in place on four buffers cut from one block at fixed
 offsets; its observer is bound to the live buffers once per run and must copy
-what it keeps.  With the mass term in the stencil diagonal and the half kick
-dt/2 acc one pre-scaled stencil on float64 views of the complex buffers, a
-step is 8 array passes.  At each oscillator node a half kick, like an
-observer sample, reads psi as a Python complex and makes one call,
-``model._at_node``, which keeps numpy's bits.  H, the energy norm, the local
-seminorms, the metric and the phase fit all evaluate one form,
-``_energy_form``, on arrays their callers cut; the observer of ``evolve``
-cuts its views and binds the form's constants once per run and takes the
-cell differences once per sample, and the whole grid and every seminorm
-window read their cell terms from that one buffer.  The squared energy norm a
-sample returns doubles as the check that the field is finite.  The metric
-reads only the nodes with |x| <= r_max, so it, the phase fit and the manifold
-distance's candidate waves are evaluated there alone, its radii sharing one
-such buffer.
+what it keeps.  The mass term sits in the stencil diagonal and the half kick
+dt/2 acc is one pre-scaled stencil; the field passes (kicks, drift, stencil)
+run in a small C library, ``_passes.c``, compiled on first use and cached, one
+call per step, each float's arithmetic numpy's bit for bit.  At each oscillator
+node a half kick, like an observer sample, reads psi as a Python complex and
+makes one call, ``model._at_node``, which keeps numpy's bits.  H, the energy
+norm, the local seminorms, the metric and the phase fit all evaluate one form,
+``_energy_form``, on arrays their callers cut; the observer of ``evolve`` cuts
+its views and binds the form's constants once per run and takes the cell
+differences once per sample, and the whole grid and every seminorm window read
+their cell terms from that one buffer.  The squared energy norm a sample
+returns doubles as the check that the field is finite.  The metric reads only
+the nodes with |x| <= r_max, so it, the phase fit and the manifold distance's
+candidate waves are evaluated there alone, its radii sharing one such buffer.
 
 No state enters the manifold distance's frequency scan, so its solved waves,
 sampled on that window with their cell differences, are kept in a memo of
@@ -204,14 +204,22 @@ def build_grid(model: ModelSpec, x_min: float, x_max: float, dx_target: float) -
     return grid
 
 
-def _check_run(grid: Grid, dt: float, T: float = 0.0, observe_every: int = 1) -> int:
-    """Refuse, before it starts, a run of duration T in steps of dt sampled every observe_every; return its steps."""
+def _check_run(model: ModelSpec, grid: Grid, dt: float, T: float = 0.0, observe_every: int = 1) -> int:
+    """Refuse, before it starts, a run of duration T in steps of dt sampled every observe_every; return its steps.
+
+    The step must satisfy the leapfrog stability (CFL) condition of the
+    massive lattice field, |dt| < 2/sqrt(m^2 + 4/dx^2), which lies below dx
+    whenever m > 0.  The oscillator nodes can lower this limit: their force
+    derivatives add to the stencil's diagonal, so a step just under it may
+    still grow at a node.
+    """
     if not 0 <= T < math.inf:  # a nan too
         raise ValueError(f"T must be finite and nonnegative, got {T}")
     if observe_every < 1:
         raise ValueError("observe_every must be at least 1")
-    if not abs(dt) < grid.dx:  # a nan too
-        raise ValueError(f"CFL violated: |dt|={abs(dt)} must be below dx={grid.dx}")
+    limit = 2.0 / math.sqrt(model.mass**2 + 4.0 / grid.dx**2)
+    if not abs(dt) < limit:  # a nan too
+        raise ValueError(f"CFL violated: |dt|={abs(dt)} must be below 2/sqrt(m^2 + 4/dx^2)={limit} (dx={grid.dx})")
     if dt == 0.0:
         raise ValueError("dt must be nonzero")
     return int(round(T / abs(dt)))
@@ -255,56 +263,59 @@ def _kdk(model: ModelSpec, grid: Grid, state: FieldState, dt: float, n_steps: in
     it is not; a non-finite psi there, or psi or pi at the end, raises
     FloatingPointError, and a finite field whose energy overflows runs on.
 
-    A step is 8 passes over float64 views of the complex buffers (stencil
-    neighbours sit 2 floats apart): pi += kick; drift = dt pi; psi += drift;
-    kick = ((psi[+1] - c psi) + psi[-1]) dt/(2 dx^2), c = 2 + m^2 dx^2, in 4,
-    plus F_J dt/(2 dx) at the oscillator nodes; pi += kick.  It reads (psi, pi)
-    alone, so a restart continues bit for bit.  A real multiply per float is
-    numpy's complex-by-real product up to the sign of an exact zero.  The four
-    buffers are slices of one page-aligned block, 1 KB apart modulo 4 KB
-    whatever the heap held before, so their streams alias in the cache alike.
+    A step is pi += kick; psi += pi dt; kick = ((psi[+1] - c psi) + psi[-1])
+    dt/(2 dx^2), c = 2 + m^2 dx^2, plus F_J dt/(2 dx) at the oscillator nodes;
+    pi += kick.  It reads (psi, pi) alone, so a restart continues bit for bit.
+    The field passes run in the compiled ``_passes`` library, on float64 views
+    of the complex buffers (a real multiply per float is numpy's complex-by-real
+    product up to the sign of an exact zero), one call per step: the second
+    half kick is deferred into the next step's call unless a sample or the end
+    of the run comes first.  The four buffers are slices of one page-aligned
+    block, 1 KB apart modulo 4 KB whatever the heap held before, so their
+    streams alias in the cache alike.
 
-    The ufuncs and the passes' scalars, as 0-d arrays (cheaper per call than
-    Python floats), are bound once per run.  At each oscillator node a half
-    kick reads psi with ``item`` and makes one call of ``model._at_node`` on
-    Python scalars: numpy's operations in numpy's order.  Where |psi|^2
-    overflows (|psi| above about 1.3e154) the force is nan, as on numpy
-    scalars, and the run raises FloatingPointError at a later sample or at
-    the end.
+    Between calls, at each oscillator node, a half kick reads psi with
+    ``item`` and makes one call of ``model._at_node`` on Python scalars:
+    numpy's operations in numpy's order.  Where |psi|^2 overflows (|psi| above
+    about 1.3e154) the force is nan, as on numpy scalars, and the run raises
+    FloatingPointError at a later sample or at the end.  A library that cannot
+    be built raises OSError before the first step.
     """
+    from . import _passes  # on the first step, so importing the package loads no compiler machinery
+
     stride = -(-16 * grid.count // 4096) * 4096 + 1024  # bytes from one buffer to the next
     raw = np.empty(4 * stride + 4096, dtype=np.uint8)
     start = -raw.ctypes.data % 4096
-    psi, pi, kick, drift = (raw[start + j * stride:][:16 * grid.count].view(complex) for j in range(4))
+    psi, pi, kick, scratch = (raw[start + j * stride:][:16 * grid.count].view(complex) for j in range(4))
     psi[:], pi[:], kick[0], kick[-1] = state.psi, state.pi, 0.0, 0.0  # kick's end nodes stay 0
-    p, q, kr, dr = psi.view(float), pi.view(float), kick.view(float), drift.view(float)
-    mid, right, left, lap = p[2:-2], p[4:], p[:-4], kr[2:-2]
-    c, scale, dt0 = (np.array(v) for v in (2.0 + model.mass**2 * grid.dx**2, 0.5 * dt / grid.dx**2, dt))
+    stencil, kick_pi, steps = _passes.bind(psi, pi, kick, dt, 2.0 + model.mass**2 * grid.dx**2,
+                                           0.5 * dt / grid.dx**2)
     force_scale = 0.5 * dt / grid.dx
     sites = [(i, o.slope_coefficients[::-1]) for o, i in zip(model.oscillators, grid.oscillator_nodes)]
-    add, multiply, subtract, psi_at = np.add, np.multiply, np.subtract, psi.item
+    psi_at = psi.item
 
-    def half_kick():
-        multiply(mid, c, lap)
-        subtract(right, lap, lap)
-        add(lap, left, lap)
-        multiply(lap, scale, lap)
+    def node_forces():
         for i, slope in sites:
             kick[i] += _at_node(slope, psi_at(i), True) * force_scale
 
     with np.errstate(over="ignore", invalid="ignore"):
-        observe = None if bind is None else bind(psi, pi, drift)
+        observe = None if bind is None else bind(psi, pi, scratch)
         if observe is not None:
             observe(0)
-        half_kick()
+        stencil()
+        node_forces()
+        kicks = 1  # the half kicks the next step applies: 2 while the last step's second one is deferred
         for k in range(1, n_steps + 1):
-            add(q, kr, q)
-            multiply(q, dt0, dr)
-            add(p, dr, p)
-            half_kick()
-            add(q, kr, q)
-            if observe is not None and k % observe_every == 0 and not math.isfinite(observe(k)):
-                _require_finite(state.t + k * dt, psi)
+            steps[kicks]()
+            node_forces()
+            kicks = 2
+            if observe is not None and k % observe_every == 0:
+                kick_pi()
+                kicks = 1
+                if not math.isfinite(observe(k)):
+                    _require_finite(state.t + k * dt, psi)
+        if kicks == 2:
+            kick_pi()
     t = state.t + n_steps * dt
     _require_finite(t, psi, pi)
     return FieldState(psi, pi, t)
@@ -312,7 +323,7 @@ def _kdk(model: ModelSpec, grid: Grid, state: FieldState, dt: float, n_steps: in
 
 def step(model: ModelSpec, grid: Grid, state: FieldState, dt: float) -> FieldState:
     """One kick-drift-kick step; dt < 0 steps backwards (the flow is reversible)."""
-    _check_run(grid, dt)
+    _check_run(model, grid, dt)
     _check_state(grid, state)
     return _kdk(model, grid, state, dt, 1)
 
@@ -472,7 +483,7 @@ def evolve(model: ModelSpec, grid: Grid, state: FieldState, T: float, dt: float,
     2*observe_every, ...; the final state is returned even when it does not
     fall on a sample.  Traces are recorded at the oscillator nodes.
     """
-    n_steps = _check_run(grid, dt, T, observe_every)
+    n_steps = _check_run(model, grid, dt, T, observe_every)
     _check_state(grid, state)
     windows = {float(r): grid.window(float(r)) for r in seminorm_radii}
     nodes = np.array(grid.oscillator_nodes, dtype=np.intp)

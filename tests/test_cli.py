@@ -37,6 +37,15 @@ seminorm_radii = 1 2
 """
 
 
+PERTURBED_DATA = """
+[initial_data]
+kind = perturbed_solitary
+omega = 0.4
+noise_amplitude = 0.1
+seed = 3
+"""
+
+
 # what the walls at +-8 cut from the omega = 0.5 wave of SINGLE_MODEL, exp(-8 kappa), kappa = sqrt(0.75)
 SOLITARY_CLIP_WARNING = ("warning: the walls cut 0.00098 of the exact wave's peak from the initial data "
                          "(above 1e-06); widen the domain\n")
@@ -136,6 +145,24 @@ def test_unparsable_config_is_one_config_error_line(tmp_path, capsys, command, t
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"config error: cannot parse {cfg}: {reason}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["check", "simulate"])
+@pytest.mark.parametrize("line, value, reason", [
+    ("T = 1.0", "T = 9%", "could not convert string to float: '9%'"),
+    ("seed = 3", "seed = %(x)s", "invalid literal for int() with base 10: '%(x)s'"),
+], ids=["percent", "interpolation"])
+def test_percent_in_a_config_value_is_one_config_error_line(tmp_path, capsys, command, line, value, reason):
+    # values are read as they stand: configparser's interpolation would raise its own errors on a %
+    text = BASE_MODEL + RUN_SECTIONS + PERTURBED_DATA
+    assert text.count(line + "\n") == 1
+    cfg = write_config(tmp_path, text.replace(line + "\n", value + "\n"))
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, *(["--out", str(out)] if command == "simulate" else [])]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: bad config {cfg}: {reason}\n"
     assert not out.exists()
 
 
@@ -420,10 +447,11 @@ def _assert_refused_before_output(capsys, out):
 
 @pytest.mark.parametrize("line, value", [
     ("T = 1.0", "T = nan"), ("T = 1.0", "T = inf"), ("dt = 0.02", "dt = nan"), ("dt = 0.02", "dt = 0"),
-    ("dt = 0.02", "dt = 0.05"), ("observe_every = 5", "observe_every = 0"), ("x_min = -8", "x_min = -inf"),
-    ("x_max = 8", "x_max = inf"), ("dx_target = 0.05", "dx_target = inf"), ("dx_target = 0.05", "dx_target = nan"),
-], ids=["T-nan", "T-inf", "dt-nan", "dt-zero", "dt-cfl", "observe-every-0", "x_min-inf", "x_max-inf",
-        "dx_target-inf", "dx_target-nan"])
+    ("dt = 0.02", "dt = 0.05"), ("dt = 0.02", "dt = 0.04999"), ("observe_every = 5", "observe_every = 0"),
+    ("x_min = -8", "x_min = -inf"), ("x_max = 8", "x_max = inf"), ("dx_target = 0.05", "dx_target = inf"),
+    ("dx_target = 0.05", "dx_target = nan"),
+], ids=["T-nan", "T-inf", "dt-nan", "dt-zero", "dt-cfl", "dt-massive-cfl", "observe-every-0", "x_min-inf",
+        "x_max-inf", "dx_target-inf", "dx_target-nan"])
 def test_simulate_refuses_a_non_finite_duration_or_step_before_writing(tmp_path, capsys, line, value):
     cfg = write_config(tmp_path, SINGLE_MODEL + RUN_SECTIONS.replace(line, value) + "\n[initial_data]\nkind = zero\n")
     out = tmp_path / "out"

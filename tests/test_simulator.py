@@ -199,6 +199,29 @@ def test_step_cfl_guard():
         step(QUARTIC, grid, zero, 0.05)
 
 
+# steps below dx that the massive lattice field does not admit: each lies midway between the limit
+# 2/sqrt(m^2 + 4/dx^2) and dx; run on a zero-force oscillator, a staggered seed of amplitude 1e-6 grew to 6.4e4
+# in 2000 steps at the first, and the field went non-finite at t = 56.8 at the second
+@pytest.mark.parametrize("mass, dx, dt", [(1.0, 0.02, 0.0199995), (10.0, 0.1, 0.0947)], ids=["m1", "m10"])
+def test_steps_beyond_the_massive_cfl_limit_are_refused(mass, dx, dt):
+    model = ModelSpec(mass, (OscillatorSpec(0.0, (0.0, 0.0)),))
+    grid = build_grid(model, -1.0, 1.0, dx)
+    assert grid.dx == dx
+    limit = 2.0 / math.sqrt(mass**2 + 4.0 / dx**2)
+    assert limit < dt < dx
+    zero = FieldState(np.zeros(grid.count, complex), np.zeros(grid.count, complex), 0.0)
+    for refused in (dt, -dt, limit):
+        with pytest.raises(ValueError, match="CFL"):
+            step(model, grid, zero, refused)
+        with pytest.raises(ValueError, match="CFL"):
+            evolve(model, grid, zero, 1.0, refused)
+    below = math.nextafter(limit, 0.0)
+    for accepted in (below, -below):
+        assert step(model, grid, zero, accepted).t == accepted
+        series, _ = evolve(model, grid, zero, 10 * below, accepted)
+        assert len(series.times) == 11
+
+
 def test_step_rejects_mismatched_state():
     grid = build_grid(QUARTIC, -5.0, 5.0, 0.05)
     short = FieldState(np.zeros(7, complex), np.zeros(7, complex), 0.0)
@@ -623,17 +646,45 @@ def test_evolve_matches_out_of_place_reference():
     assert np.array_equal(final.pi.view(np.int64), pi.view(np.int64))
 
 
-@pytest.mark.parametrize("model, dt", [(QUARTIC, 0.009), (TRIPLE, 0.009), (PAIR, -0.009), (TRIPLE, -0.013)],
-                         ids=["one", "three", "pair-backward", "three-backward"])
-def test_evolve_matches_out_of_place_reference_bit_for_bit(model, dt):
-    grid = build_grid(model, -6.0, 6.0, 0.02)
+def _edge_bounds(count, dx=0.25):
+    """Bounds on which build_grid gives QUARTIC exactly count nodes, its oscillator at node (count - 1) // 2."""
+    left = (count - 1) // 2
+    return -dx * left, dx * (count - 1 - left), dx
+
+
+# the kernel's passes run over 2 count floats, the stencil over 2 count - 4: 3 nodes is the smallest grid
+# build_grid allows, and the counts around it put each pass below, at and above the 2-float SSE2 vector and
+# its unrolled multiples
+EDGE_COUNTS = (3, 4, 5, 6, 7, 17)
+
+
+@pytest.mark.parametrize("model, dt, bounds", [
+    (QUARTIC, 0.009, (-6.0, 6.0, 0.02)), (TRIPLE, 0.009, (-6.0, 6.0, 0.02)), (PAIR, -0.009, (-6.0, 6.0, 0.02)),
+    (TRIPLE, -0.013, (-6.0, 6.0, 0.02)),
+    *[(QUARTIC, dt, _edge_bounds(count)) for count in EDGE_COUNTS for dt in (0.1, -0.1)],
+], ids=["one", "three", "pair-backward", "three-backward",
+        *[f"nodes{count}-{way}" for count in EDGE_COUNTS for way in ("forward", "backward")]])
+def test_evolve_matches_out_of_place_reference_bit_for_bit(model, dt, bounds):
+    grid = build_grid(model, *bounds)
     state = gaussian_data(grid, 0.8 * np.exp(0.3j), 0.1, 0.7, 0.4)
+    # observe_every = 7 does not divide 1000, so the last step's second half kick is applied after the loop
     _, final = evolve(model, grid, state, 1000 * abs(dt), dt, observe_every=7)
     psi, pi = reference_kdk(model, grid, state, dt, 1000)
     assert final.t == pytest.approx(1000 * dt, rel=1e-12)
     # the float64 views of the complex buffers agree bit for bit, signed zeros included
     assert np.array_equal(final.psi.view(np.int64), psi.view(np.int64))
     assert np.array_equal(final.pi.view(np.int64), pi.view(np.int64))
+    # step runs the loop with no observer
+    stepped = step(model, grid, state, dt)
+    psi, pi = reference_kdk(model, grid, state, dt, 1)
+    assert np.array_equal(stepped.psi.view(np.int64), psi.view(np.int64))
+    assert np.array_equal(stepped.pi.view(np.int64), pi.view(np.int64))
+
+
+def test_edge_bounds_give_the_node_counts():
+    for count in EDGE_COUNTS:
+        grid = build_grid(QUARTIC, *_edge_bounds(count))
+        assert grid.count == count and grid.dx == 0.25
 
 
 @pytest.mark.parametrize("model, dt, perturbed", [(PAIR, 0.009, True), (QUARTIC, 0.009, False),
