@@ -16,19 +16,21 @@ during an experiment.
 One loop, ``_kdk``, steps in place on four buffers cut from one block at fixed
 offsets; its observer is bound to the live buffers once per run and must copy
 what it keeps.  The mass term sits in the stencil diagonal and the half kick
-dt/2 acc is one pre-scaled stencil; the field passes (kicks, drift, stencil)
-run in a small C library, ``_passes.c``, compiled on first use and cached, one
-call per step, each float's arithmetic numpy's bit for bit.  At each oscillator
-node a half kick, like an observer sample, reads psi as a Python complex and
-makes one call, ``model._at_node``, which keeps numpy's bits.  H, the energy
-norm, the local seminorms, the metric and the phase fit all evaluate one form,
-``_energy_form``, on arrays their callers cut; the observer of ``evolve`` cuts
-its views and binds the form's constants once per run and takes the cell
-differences once per sample, and the whole grid and every seminorm window read
-their cell terms from that one buffer.  The squared energy norm a sample
-returns doubles as the check that the field is finite.  The metric reads only
-the nodes with |x| <= r_max, so it, the phase fit and the manifold distance's
-candidate waves are evaluated there alone, its radii sharing one such buffer.
+dt/2 acc is one pre-scaled stencil.  The steps run in a small C library,
+``_passes.c``, compiled on first use and cached: one call per sample interval,
+or per run when nothing observes, each step one fused sweep over the field
+and then the oscillator nodes' forces, each float's arithmetic numpy's bit for
+bit.  An observer sample reads psi at each oscillator node as a Python complex
+and makes one call, ``model._at_node``, for its potential, which keeps numpy's
+bits.  H, the energy norm, the local seminorms, the metric and the phase fit
+all evaluate one form, ``_energy_form``, on arrays their callers cut; the
+observer of ``evolve`` cuts its views and binds the form's constants once per
+run and takes the cell differences once per sample, and the whole grid and
+every seminorm window read their cell terms from that one buffer.  The
+squared energy norm a sample returns doubles as the check that the field is
+finite.  The metric reads only the nodes with |x| <= r_max, so it, the phase
+fit and the manifold distance's candidate waves are evaluated there alone, its
+radii sharing one such buffer.
 
 No state enters the manifold distance's frequency scan, so its solved waves,
 sampled on that window with their cell differences, are kept in a memo of
@@ -266,20 +268,22 @@ def _kdk(model: ModelSpec, grid: Grid, state: FieldState, dt: float, n_steps: in
     A step is pi += kick; psi += pi dt; kick = ((psi[+1] - c psi) + psi[-1])
     dt/(2 dx^2), c = 2 + m^2 dx^2, plus F_J dt/(2 dx) at the oscillator nodes;
     pi += kick.  It reads (psi, pi) alone, so a restart continues bit for bit.
-    The field passes run in the compiled ``_passes`` library, on float64 views
-    of the complex buffers (a real multiply per float is numpy's complex-by-real
-    product up to the sign of an exact zero), one call per step: the second
-    half kick is deferred into the next step's call unless a sample or the end
-    of the run comes first.  The four buffers are slices of one page-aligned
-    block, 1 KB apart modulo 4 KB whatever the heap held before, so their
-    streams alias in the cache alike.
+    The steps run in the compiled ``_passes`` library, on float64 views of the
+    complex buffers (a real multiply per float is numpy's complex-by-real
+    product up to the sign of an exact zero), one call per sample interval of
+    observe_every steps, and one for the whole run when nothing observes.  In
+    a call, each step is one sweep, which applies the last step's second half
+    kick with this one's first, drifts and takes the stencil, and then the node
+    forces; the call applies its last step's second half kick before it
+    returns, so a sample sees the stepped field.  The four buffers are slices
+    of one page-aligned block, 1 KB apart modulo 4 KB whatever the heap held
+    before, so their streams alias in the cache alike.
 
-    Between calls, at each oscillator node, a half kick reads psi with
-    ``item`` and makes one call of ``model._at_node`` on Python scalars:
-    numpy's operations in numpy's order.  Where |psi|^2 overflows (|psi| above
-    about 1.3e154) the force is nan, as on numpy scalars, and the run raises
-    FloatingPointError at a later sample or at the end.  A library that cannot
-    be built raises OSError before the first step.
+    The node forces are ``model._at_node``'s arithmetic on numpy's scalars,
+    transcribed to C: |psi|^2 as libm's pow(hypot(re, im), 2).  Where |psi|^2
+    overflows (|psi| above about 1.3e154) the force is nan, as on numpy
+    scalars, and the run raises FloatingPointError at a later sample or at the
+    end.  A library that cannot be built raises OSError before the first step.
     """
     from . import _passes  # on the first step, so importing the package loads no compiler machinery
 
@@ -288,34 +292,20 @@ def _kdk(model: ModelSpec, grid: Grid, state: FieldState, dt: float, n_steps: in
     start = -raw.ctypes.data % 4096
     psi, pi, kick, scratch = (raw[start + j * stride:][:16 * grid.count].view(complex) for j in range(4))
     psi[:], pi[:], kick[0], kick[-1] = state.psi, state.pi, 0.0, 0.0  # kick's end nodes stay 0
-    stencil, kick_pi, steps = _passes.bind(psi, pi, kick, dt, 2.0 + model.mass**2 * grid.dx**2,
-                                           0.5 * dt / grid.dx**2)
-    force_scale = 0.5 * dt / grid.dx
-    sites = [(i, o.slope_coefficients[::-1]) for o, i in zip(model.oscillators, grid.oscillator_nodes)]
-    psi_at = psi.item
-
-    def node_forces():
-        for i, slope in sites:
-            kick[i] += _at_node(slope, psi_at(i), True) * force_scale
-
+    run = _passes.bind(psi, pi, kick, dt, 2.0 + model.mass**2 * grid.dx**2, 0.5 * dt / grid.dx**2,
+                       grid.oscillator_nodes, [o.slope_coefficients for o in model.oscillators], 0.5 * dt / grid.dx)
     with np.errstate(over="ignore", invalid="ignore"):
         observe = None if bind is None else bind(psi, pi, scratch)
-        if observe is not None:
+        if observe is None:
+            run(0, n_steps)
+        else:
             observe(0)
-        stencil()
-        node_forces()
-        kicks = 1  # the half kicks the next step applies: 2 while the last step's second one is deferred
-        for k in range(1, n_steps + 1):
-            steps[kicks]()
-            node_forces()
-            kicks = 2
-            if observe is not None and k % observe_every == 0:
-                kick_pi()
-                kicks = 1
+            for k in range(observe_every, n_steps + 1, observe_every):
+                run(k > observe_every, observe_every)
                 if not math.isfinite(observe(k)):
                     _require_finite(state.t + k * dt, psi)
-        if kicks == 2:
-            kick_pi()
+            if n_steps % observe_every:
+                run(n_steps >= observe_every, n_steps % observe_every)
     t = state.t + n_steps * dt
     _require_finite(t, psi, pi)
     return FieldState(psi, pi, t)

@@ -231,16 +231,13 @@ def _bits(x):
     return np.array([x]).view(np.int64).tolist()
 
 
-def test_force_and_potential_give_numpy_bits_on_python_scalars():
+def test_force_and_potential_give_numpy_bits_on_python_scalars(node_values):
     # Python's abs(complex) and float ** 2 raise OverflowError where numpy returns inf: |psi|^2 overflows above
     # about 1.34e154, and abs itself at both parts 1.5e308; both kinds of scalar must give the same bits.  Over
     # 3000 moduli |psi| * |psi| rounds apart from |psi| ** 2 a few times, which the references would catch.
     from kgpoint.model import _horner
 
-    rng = np.random.default_rng(20)
-    moduli = np.concatenate([10.0 ** rng.uniform(-3.0, 3.0, 3000), 10.0 ** rng.uniform(153.8, 154.4, 200),
-                             [1e160, 1e200, 1e308]])
-    values = [*(moduli * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, moduli.size))), np.complex128(1.5e308 + 1.5e308j)]
+    values = node_values
     oscillators = [QUARTIC, OscillatorSpec(0.0, (0.1, -1.0, 0.0, 0.5)), OscillatorSpec(0.0, (0.3, 1.5))]
     finite = 0
     with np.errstate(over="ignore", invalid="ignore"):

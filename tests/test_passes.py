@@ -1,10 +1,13 @@
+import gc
 import os
 import subprocess
 
+import numpy as np
 import pytest
 
 from kgpoint import _passes
 from kgpoint.cli import main
+from kgpoint.model import ModelSpec, OscillatorSpec
 
 CONFIG = """
 [model]
@@ -85,3 +88,46 @@ def test_a_warm_cache_loads_without_compiling(cold_cache, compiler_calls):
     _passes.library.cache_clear()
     _passes.library()
     assert len(compiler_calls) == 1 and os.listdir(cold_cache) == built
+
+
+def _buffers(count):
+    return [np.zeros(count, complex) for _ in range(3)]
+
+
+@pytest.mark.parametrize("nodes, slopes, message", [
+    ((0,), ((-2.0, 2.0),), "must lie in 1 ... 5"), ((6,), ((-2.0, 2.0),), "must lie in 1 ... 5"),
+    ((-1,), ((-2.0, 2.0),), "must lie in 1 ... 5"), ((2, 7), ((-2.0, 2.0), (1.0,)), "must lie in 1 ... 5"),
+    ((3,), ((),), "at least one slope coefficient"), ((2, 4), ((1.0,), ()), "at least one slope coefficient"),
+    ((3,), (), "1 oscillator nodes but 0 slope"),
+], ids=["first-node", "last-node", "negative", "past-the-end", "no-coefficient", "second-empty", "unpaired"])
+def test_bind_refuses_a_site_outside_the_grid_or_an_empty_slope(nodes, slopes, message):
+    # the kernel reads and writes the node of each site and reads each site's coefficients, with no bounds check
+    with pytest.raises(ValueError, match=message):
+        _passes.bind(*_buffers(7), 0.1, 2.0, 1.0, nodes, slopes, 1.0)
+
+
+def test_bind_refuses_fewer_than_three_nodes():
+    with pytest.raises(ValueError, match="at least 3 nodes"):
+        _passes.bind(*_buffers(2), 0.1, 2.0, 1.0, (), (), 1.0)
+
+
+def test_the_bound_call_keeps_its_arrays_alive():
+    # bind makes the site, coefficient-count and coefficient arrays it passes; only the call holds them
+    from kgpoint.simulator import FieldState, build_grid, step
+
+    model = ModelSpec(1.0, (OscillatorSpec(0.0, (0.0, -2.0, 1.0)), OscillatorSpec(0.5, (0.1, -1.0, 0.0, 0.5))))
+    grid = build_grid(model, -1.0, 1.5, 0.05)
+    psi = np.exp(-grid.x**2) * np.exp(0.3j)
+    psi[[0, -1]] = 0.0
+    state = FieldState(psi, 0.5j * psi, 0.0)
+    expected = step(model, grid, state, 0.02)
+    dx = grid.dx
+    psi, pi, kick = np.array(state.psi), np.array(state.pi), np.zeros(grid.count, complex)
+    run = _passes.bind(psi, pi, kick, 0.02, 2.0 + dx**2, 0.01 / dx**2, list(grid.oscillator_nodes),
+                       [list(o.slope_coefficients) for o in model.oscillators], 0.01 / dx)
+    gc.collect()
+    litter = [np.full(n, 10**6, dtype=dtype) for n in (2, 5) for dtype in (np.intp, np.intc, float) for _ in range(50)]
+    run(0, 1)
+    assert len(litter) == 300
+    assert np.array_equal(psi.view(np.int64), expected.psi.view(np.int64))
+    assert np.array_equal(pi.view(np.int64), expected.pi.view(np.int64))

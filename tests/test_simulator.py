@@ -301,6 +301,46 @@ def test_stepping_keeps_the_reference_bits_where_a_node_force_overflows(model, m
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
+def _kdk_buffers(model, grid, state, dt, n_steps, observe_every):
+    """The final (psi, pi) buffers of _kdk with an observer that samples nothing, non-finite ones included."""
+    buffers = []
+
+    def bind(psi, pi, scratch):
+        buffers.extend((psi, pi))
+        return lambda k: 0.0
+
+    try:
+        _kdk(model, grid, state, dt, n_steps, observe_every, bind)
+    except FloatingPointError:
+        pass
+    return buffers
+
+
+def test_a_step_squares_node_moduli_with_libm_pow(node_values):
+    # a compiler folds pow(x, 2.0) into x * x, which rounds apart from numpy's |z| ** 2 at the values picked
+    # here: one step from each, and from each where |z|^2 overflows, must keep reference_kdk's bits.  The
+    # node values hold 2 such moduli, both small enough that the force's constant term absorbs the
+    # difference; the 10 among 20000 moduli from 1 to 1e150 are added, where |z|^2 dominates the force.
+    rng = np.random.default_rng(21)
+    large = 10.0 ** rng.uniform(0.0, 150.0, 20000) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 20000))
+    with np.errstate(over="ignore"):
+        apart = [z for z in (*node_values, *large) if abs(z) ** 2 != abs(z) * abs(z)]
+        overflowing = [z for z in node_values if np.isinf(abs(z) ** 2)]
+    assert len(apart) > 10 and len(overflowing) > 50
+    for osc in (OscillatorSpec(0.0, (0.0, -2.0, 1.0)), OscillatorSpec(0.0, (0.1, -1.0, 0.0, 0.5)),
+                OscillatorSpec(0.0, (0.3, 1.5))):
+        model = ModelSpec(1.0, (osc,))
+        grid = build_grid(model, *_edge_bounds(5))
+        for z in (*apart, *overflowing):
+            psi = np.zeros(grid.count, complex)
+            psi[grid.oscillator_nodes[0]] = z
+            state = FieldState(psi, 0.5j * psi, 0.0)
+            with np.errstate(over="ignore", invalid="ignore"):
+                expected = reference_kdk(model, grid, state, 0.1, 1)
+            for got, want in zip(_kdk_buffers(model, grid, state, 0.1, 1, 1), expected):
+                assert np.array_equal(got.view(np.int64), want.view(np.int64)), (osc, z)
+
+
 def test_observer_energy_equals_hamiltonian_where_node_moduli_approach_overflow():
     # the observer and hamiltonian evaluate the potentials on Python scalars, the trapezoid reference on numpy's
     grid = build_grid(PAIR, -1.0, 1.2, 0.05)
@@ -705,6 +745,56 @@ def test_evolve_agrees_with_the_textbook_kick_drift_kick(model, dt, perturbed):
     # peak at worst over these cases, and 1e-10 lies 5e7 times below the tightest accuracy tolerance
     # a test puts on a simulated field or trace (5e-3, criterion 2)
     assert gap <= 1e-10 * peak
+
+
+def _same_bits(a, b):
+    return np.array_equal(np.asarray(a).view(np.int64), np.asarray(b).view(np.int64))
+
+
+# the kernel runs a sample interval per call: intervals of 1 and 4 steps, one interval of all 1000 steps, and
+# 1000 steps with no sample after step 0; then runs of one step and of none
+@pytest.mark.parametrize("observe_every", [1, 4, 1000, 1001])
+@pytest.mark.parametrize("n_steps", [0, 1, 1000])
+@pytest.mark.parametrize("dt", [0.009, -0.013], ids=["forward", "backward"])
+def test_sample_cadence_keeps_the_reference_bits(observe_every, n_steps, dt):
+    grid = build_grid(TRIPLE, -6.0, 6.0, 0.02)
+    state = gaussian_data(grid, 0.8 * np.exp(0.3j), 0.1, 0.7, 0.4)
+    series, final = evolve(TRIPLE, grid, state, n_steps * abs(dt), dt, observe_every=observe_every)
+    assert len(series.times) == n_steps // observe_every + 1
+    nodes = list(grid.oscillator_nodes)
+    psi, pi = state.psi, state.pi
+    for j in range(len(series.times)):
+        if j:  # the reference reads (psi, pi) alone, so it continues from the last sample bit for bit
+            psi, pi = reference_kdk(TRIPLE, grid, FieldState(psi, pi, 0.0), dt, observe_every)
+        assert _same_bits(series.traces_psi[j], psi[nodes]) and _same_bits(series.traces_pi[j], pi[nodes])
+    psi, pi = reference_kdk(TRIPLE, grid, state, dt, n_steps)
+    assert _same_bits(final.psi, psi) and _same_bits(final.pi, pi)
+
+
+def test_a_run_makes_one_kernel_call_per_sample_interval(monkeypatch):
+    from kgpoint import _passes
+
+    calls, bind = [], _passes.bind
+
+    def counted(*args):
+        run = bind(*args)
+
+        def counted_run(primed, steps):
+            calls.append((primed, steps))
+            run(primed, steps)
+
+        return counted_run
+
+    monkeypatch.setattr(_passes, "bind", counted)
+    grid = build_grid(PAIR, -6.0, 6.0, 0.02)
+    state = gaussian_data(grid, 0.8 * np.exp(0.3j), 0.1, 0.7, 0.4)
+    _, final = evolve(PAIR, grid, state, 1000 * 0.009, 0.009, observe_every=7)
+    # 142 intervals of 7 steps and the 6-step tail; only the first call computes the kick it starts from
+    assert [steps for _, steps in calls] == [7] * 142 + [6]
+    assert [bool(primed) for primed, _ in calls] == [False] + [True] * 142
+    calls.clear()
+    assert _same_bits(step(PAIR, grid, final, 0.009).psi, reference_kdk(PAIR, grid, final, 0.009, 1)[0])
+    assert calls == [(0, 1)]  # nothing observes: one call for the whole run
 
 
 @pytest.mark.parametrize("dt", [0.009, -0.009], ids=["forward", "backward"])
