@@ -1,14 +1,17 @@
-"""The stepping loop, compiled from ``_passes.c`` on first use and loaded with ctypes.
+"""The compiled passes, built from ``_passes.c`` on first use and loaded with ctypes: the stepping loop and
+the Newton solve of the solitary amplitude system.
 
 The library is built by Python's own C compiler (sysconfig's ``CC``) with
 ``-O3 -ffp-contract=off -lm``: no fused multiply-add and no reassociation, so
-each step keeps numpy's bits, and no ``-march``, so a cached build runs on
-any CPU of its architecture.  It is cached in ``$XDG_CACHE_HOME/kgpoint``
-(by default ``~/.cache/kgpoint``), or where that is not writable in a
-private directory under the temp directory, named by the SHA-256 of the
-source and the compile command.  A build is compiled to a temporary name
-and renamed into place, so processes that build at once do not race.  A
-build that fails raises OSError with a one-line reason.
+each step keeps numpy's bits and each solve the bits of the Python-float
+Newton loop it transcribes, and no ``-march``, so a cached build runs on any
+CPU of its architecture.  It is cached in ``$XDG_CACHE_HOME/kgpoint`` (by
+default ``~/.cache/kgpoint``), or where that is not writable in a private
+directory under the temp directory, named by the SHA-256 of the source and
+the compile command.  A build is compiled to a temporary name and renamed
+into place, so processes that build at once do not race.  A build that fails
+raises OSError with a one-line reason.  Loading a cached build imports no
+``subprocess``.
 """
 
 from __future__ import annotations
@@ -17,25 +20,48 @@ import ctypes
 import hashlib
 import os
 import shlex
-import subprocess
 import sysconfig
 import tempfile
 from functools import cache, partial
+from itertools import chain
 
 import numpy as np
 
 SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_passes.c")
 _FLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
 _LIBS = ("-lm",)  # after the source, or a linker that drops unneeded libraries drops libm
-_POINTER, _SIZE, _DOUBLE = ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_double
-_RUN = (_POINTER, _POINTER, _POINTER, _SIZE, _DOUBLE, _DOUBLE, _DOUBLE,
-        _SIZE, _POINTER, _POINTER, _POINTER, _DOUBLE, ctypes.c_int, _SIZE)
+_POINTER, _SIZE, _DOUBLE, _INT = ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_double, ctypes.c_int
+
+
+class _Field(ctypes.Structure):
+    """struct kgp_field: one run's buffers and constants."""
+
+    _fields_ = [("p", _POINTER), ("q", _POINTER), ("k", _POINTER), ("n", _SIZE), ("dt", _DOUBLE),
+                ("c", _DOUBLE), ("scale", _DOUBLE), ("nsites", _SIZE), ("sites", _POINTER), ("ncoef", _POINTER),
+                ("coef", _POINTER), ("force_scale", _DOUBLE)]
+
+
+class _Model(ctypes.Structure):
+    """struct kgp_model: one model's amplitude system and the Newton loop's limits."""
+
+    _fields_ = [("n", _SIZE), ("nslope", _POINTER), ("slope", _POINTER), ("ncurv", _POINTER), ("curv", _POINTER),
+                ("max_iter", ctypes.c_long), ("tol", _DOUBLE), ("zero_tol", _DOUBLE)]
+
+
+_ENTRIES = {  # name: (argtypes, restype)
+    "kgp_run": ((ctypes.POINTER(_Field), _INT, _SIZE), None),
+    "kgp_solve": ((ctypes.POINTER(_Model), _POINTER, _DOUBLE, _POINTER, _POINTER), _INT),
+    "kgp_residual": ((ctypes.POINTER(_Model), _POINTER, _DOUBLE, _POINTER, _POINTER, _POINTER), None),
+    "kgp_jacobian": ((_SIZE, _POINTER, _DOUBLE, _POINTER, _POINTER), None),
+    "kgp_solve_linear": ((_SIZE, _POINTER, _POINTER, _POINTER), _INT),
+    "kgp_sup_norm": ((_POINTER, _SIZE), _DOUBLE),
+}
 
 
 def _compile_command() -> list[str]:
     cc = sysconfig.get_config_var("CC")
     if not cc:
-        raise OSError("cannot build the stepping kernel: Python's build names no C compiler (sysconfig CC)")
+        raise OSError("cannot build the compiled passes: Python's build names no C compiler (sysconfig CC)")
     return shlex.split(cc) + list(_FLAGS)
 
 
@@ -51,11 +77,13 @@ def _cache_dir() -> str:
         info = os.stat(path)
         if os.access(path, os.W_OK) and info.st_uid == os.getuid() and not info.st_mode & 0o022:
             return path
-    raise OSError(f"cannot build the stepping kernel: no private writable cache directory under {base} "
+    raise OSError(f"cannot build the compiled passes: no private writable cache directory under {base} "
                   f"or {tempfile.gettempdir()}")
 
 
 def _build(command: list[str], path: str):
+    import subprocess  # here alone, so that loading a cached build does not import it
+
     fd, building = tempfile.mkstemp(suffix=".so.partial", dir=os.path.dirname(path))
     os.close(fd)
     try:
@@ -63,10 +91,10 @@ def _build(command: list[str], path: str):
             done = subprocess.run([*command, "-o", building, SOURCE, *_LIBS], capture_output=True, text=True,
                                   errors="replace")
         except OSError as err:
-            raise OSError(f"cannot build the stepping kernel: {command[0]}: {err.strerror or err}") from err
+            raise OSError(f"cannot build the compiled passes: {command[0]}: {err.strerror or err}") from err
         if done.returncode != 0:
             reason = next((line for line in done.stderr.splitlines() if line.strip()), "no message")
-            raise OSError(f"cannot build the stepping kernel: {command[0]} exited {done.returncode}: {reason}")
+            raise OSError(f"cannot build the compiled passes: {command[0]} exited {done.returncode}: {reason}")
         os.replace(building, path)
     finally:
         if os.path.exists(building):
@@ -75,7 +103,7 @@ def _build(command: list[str], path: str):
 
 @cache
 def library() -> ctypes.CDLL:
-    """The compiled loop, built into the cache unless a build of this source and command is there."""
+    """The compiled passes, built into the cache unless a build of this source and command is there."""
     command = _compile_command()
     with open(SOURCE, "rb") as fh:
         digest = hashlib.sha256(fh.read() + b"\0" + shlex.join([*command, *_LIBS]).encode())
@@ -83,13 +111,15 @@ def library() -> ctypes.CDLL:
     if not os.path.exists(path):
         _build(command, path)
     lib = ctypes.CDLL(path)
-    lib.kgp_run.argtypes, lib.kgp_run.restype = _RUN, None
+    for name, (argtypes, restype) in _ENTRIES.items():
+        entry = getattr(lib, name)
+        entry.argtypes, entry.restype = argtypes, restype
     return lib
 
 
 def bind(psi: np.ndarray, pi: np.ndarray, kick: np.ndarray, dt: float, c: float, scale: float,
          nodes, slopes, force_scale: float):
-    """The loop over three complex buffers of one length, as one call with its C arguments converted once.
+    """The loop over three complex buffers of one length, as one call on one block of its fixed arguments.
 
     kick's end nodes must be 0.  nodes are the oscillator nodes, each in 1 ...
     count - 2, and slopes their slope coefficients, low degree first; the
@@ -116,7 +146,62 @@ def bind(psi: np.ndarray, pi: np.ndarray, kick: np.ndarray, dt: float, c: float,
     ncoef = np.array([len(u) for u in slopes], dtype=np.intc)
     coef = np.array([v for u in slopes for v in reversed(u)], dtype=float)  # highest degree first
     lib = library()
-    # data_as pointers hold a reference to their array
-    p, q, k, sites_p, ncoef_p, coef_p = (a.ctypes.data_as(_POINTER) for a in (psi, pi, kick, sites, ncoef, coef))
-    return partial(lib.kgp_run, p, q, k, _SIZE(2 * count), _DOUBLE(dt), _DOUBLE(c), _DOUBLE(scale),
-                   _SIZE(sites.size), sites_p, ncoef_p, coef_p, _DOUBLE(force_scale))
+    field = _Field(psi.ctypes.data, pi.ctypes.data, kick.ctypes.data, 2 * count, dt, c, scale, sites.size,
+                   sites.ctypes.data, ncoef.ctypes.data, coef.ctypes.data, force_scale)
+    field.arrays = (psi, pi, kick, sites, ncoef, coef)  # the block points into them; the call holds the block
+    return partial(lib.kgp_run, ctypes.pointer(field))
+
+
+def _packed(lists):
+    """The coefficient counts and the coefficients, highest degree first, of per-oscillator lists."""
+    return (_INT * len(lists))(*map(len, lists)), (_DOUBLE * sum(map(len, lists)))(*(v for u in lists for v in u[::-1]))
+
+
+class Solver:
+    """One model's amplitude system in the compiled library, its coefficient block packed once.
+
+    slopes and curvatures are per oscillator the coefficients of u'(s) (at
+    least one) and of u''(s), low degree first; max_iter, tol and zero_tol
+    are the Newton loop's iteration cap, residual tolerance and zero-branch
+    bound.  Amplitudes go in and out as lists of Python complex, and the
+    coupling as the n rows exp(-kappa |X_J - X_K|).
+    """
+
+    SOLVED, ZERO, FAILED = 0, 1, 2  # kgp_solve's statuses
+
+    def __init__(self, slopes, curvatures, max_iter: int, tol: float, zero_tol: float):
+        n = len(slopes)
+        if n < 1 or len(curvatures) != n or not all(map(len, slopes)):
+            raise ValueError("the amplitude system needs per oscillator a list of at least one slope coefficient "
+                             "and a list of curvature coefficients")
+        self.n, self.lib = n, library()
+        block = _Model(n, 0, 0, 0, 0, max_iter, tol, zero_tol)
+        block.arrays = (*_packed(slopes), *_packed(curvatures))  # the block points into them and holds them
+        block.nslope, block.slope, block.ncurv, block.curv = map(ctypes.addressof, block.arrays)
+        self.block = ctypes.pointer(block)
+        self.coupling_t, self.amps_t = _DOUBLE * (n * n), _DOUBLE * (2 * n)
+
+    def _arrays(self, coupling, amps):
+        if len(amps) != self.n:  # a coupling of the wrong length is refused or padded with zeros by ctypes
+            raise ValueError(f"the amplitude system has {self.n} oscillators, not {len(amps)}")
+        parts = [p for z in amps for p in (z.real, z.imag)]
+        return self.coupling_t(*chain.from_iterable(coupling)), self.amps_t(*parts)
+
+    def solve(self, coupling, k2: float, amps) -> tuple[int, float, tuple[complex, ...]]:
+        """The damped Newton solve from the finite amps at k2 = 2 kappa > 0: (status, residual sup-norm, amplitudes).
+
+        The status is SOLVED, ZERO or FAILED; the amplitudes are the solved ones if SOLVED.
+        """
+        coupling, c = self._arrays(coupling, amps)
+        norm = _DOUBLE()
+        status = self.lib.kgp_solve(self.block, coupling, k2, c, ctypes.byref(norm))
+        if status < 0:
+            raise MemoryError("no memory for the amplitude system's Newton solve")
+        return status, norm.value, tuple(map(complex, c[0::2], c[1::2]))
+
+    def residual(self, coupling, k2: float, amps) -> list[float]:
+        """Re and Im of 2 kappa C_J - F_J(psi_J), interleaved per J, at k2 = 2 kappa."""
+        coupling, c = self._arrays(coupling, amps)
+        res = self.amps_t()
+        self.lib.kgp_residual(self.block, coupling, k2, c, res, (_DOUBLE * (3 * self.n))())
+        return res[:]

@@ -95,9 +95,9 @@ def cmd_solve(args) -> int:
     if args.omega_range is not None:
         try:
             waves = continue_branch(cfg.model, a, b, step, guess)
-            failed_at = None
+            failed_at, collapsed_at = None, waves.collapsed_at
         except NoConvergence as err:
-            waves, failed_at = err.waves, err.omega
+            waves, failed_at, collapsed_at = err.waves, err.omega, None
         header = ["omega", "kappa"]
         for j in range(cfg.model.count):
             header += [f"C{j + 1}_re", f"C{j + 1}_im"]
@@ -110,9 +110,13 @@ def cmd_solve(args) -> int:
             "solved": len(waves),
             "last_good_omega": waves[-1].omega if waves else None,
             "failed_at": failed_at,
+            "collapsed_at": collapsed_at,
         }
         _print_json(summary)
         kio.write_json(out_dir / "branch_summary.json", summary)
+        if collapsed_at is not None:  # a branch cut short by the zero wave, told apart from one that ran its range
+            print(f"warning: the branch collapsed to the zero wave at omega={collapsed_at!r} after "
+                  f"{len(waves)} solved points", file=sys.stderr)
         return EXIT_NUMERICAL if failed_at is not None else EXIT_OK
 
     try:

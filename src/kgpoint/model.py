@@ -94,8 +94,9 @@ class ModelSpec:
         if any(b <= a for a, b in zip(pos, pos[1:])):
             raise ValueError("oscillator positions must be strictly increasing")
 
-    @property
+    @cached_property
     def positions(self) -> tuple[float, ...]:
+        """The oscillator positions, made once: every profile solve reads them for its coupling."""
         return tuple(o.position for o in self.oscillators)
 
     @property

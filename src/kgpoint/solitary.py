@@ -11,6 +11,9 @@ and the complex amplitudes C_J solve the derivative-jump system
 The solver is a damped Newton iteration in the 2N real amplitude components
 with the global phase fixed by Im C_1 = 0 (the system is invariant under a
 common phase rotation, which would otherwise make the Jacobian singular).
+It runs in the compiled library (``kgp_solve`` in ``_passes.c``, which also
+holds the stepping loop); this module checks the arguments, forms the
+coupling, and makes the waves and the exceptions.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import ModelSpec, _horner, force_ratio
+from .model import ModelSpec
 
 __all__ = [
     "SolitaryWave",
@@ -105,132 +108,33 @@ def _coupling_matrix(model: ModelSpec, kap: float) -> list[list[float]]:
     return [[math.exp(-kap * abs(xj - xk)) for xk in pos] for xj in pos]
 
 
+_bound = (None, None)  # the model last solved and its compiled amplitude system
+
+
+def _solver(model: ModelSpec):
+    """The model's amplitude system in the compiled library, its coefficients packed once per model object.
+
+    Kept for the model last asked for, by identity: a branch, a manifold scan
+    and a CLI command each solve one model object, and an equal model's hash
+    and comparison would cost a tenth of a solve.
+    """
+    global _bound
+    bound = _bound  # one read, so that another thread's swap cannot pair this model with its system
+    if bound[0] is not model:
+        from . import _passes  # on the first solve, so importing the package loads no compiler machinery
+
+        oscillators = model.oscillators
+        bound = _bound = (model, _passes.Solver([o.slope_coefficients for o in oscillators],
+                                                [o._curvature_coefficients for o in oscillators],
+                                                MAX_ITER, RESIDUAL_TOL, ZERO_BRANCH_TOL))
+    return bound[1]
+
+
 def amplitude_residual(model: ModelSpec, wave: SolitaryWave) -> np.ndarray:
-    """Real/imaginary parts of 2 kappa C_J - F_J(phi(X_J)), interleaved per J."""
+    """Real/imaginary parts of 2 kappa C_J - F_J(phi(X_J)), interleaved per J: the solve's own residual."""
     kap = kappa(model, wave.omega)
     c = [complex(z) for z in wave.amplitudes]
-    return np.array(_residual(model, kap, c, _coupling_matrix(model, kap))[0])
-
-
-def _residual(model: ModelSpec, kap: float, c: list, coupling: list):
-    """Residual of the amplitude system at c, a list of Python complex, and its slopes.
-
-    Returns the 2N residual entries, Re and Im interleaved per J, and per J the
-    entries (fuu, fuv, fvv) of dF/d(Re psi, Im psi), which _jacobian assembles.
-    The arithmetic is on Python floats, Re and Im apart: psi_J is the sum
-    over K of coupling[J][K] C_K, accumulated from 0.0 left to right.
-    Overflow from runaway iterates gives inf and nan silently; the solver
-    detects the non-finite residual and reports NoConvergence.
-    """
-    cr = [z.real for z in c]
-    ci = [z.imag for z in c]
-    k2 = 2.0 * kap
-    res, slopes = [], []
-    for osc, row, xr, xi in zip(model.oscillators, coupling, cr, ci):
-        u = v = 0.0
-        for e, zr, zi in zip(row, cr, ci):
-            u += e * zr
-            v += e * zi
-        s = u * u + v * v
-        a = force_ratio(osc, s)
-        da = -2.0 * _horner(osc._curvature_coefficients, s)  # d alpha / ds = -2 u''(s)
-        res += (k2 * xr - a * u, k2 * xi - a * v)
-        # dF/d(Re psi, Im psi) for F = alpha(|psi|^2) psi
-        slopes.append((a + 2.0 * u * u * da, 2.0 * u * v * da, a + 2.0 * v * v * da))
-    return res, slopes
-
-
-def _jacobian(kap: float, coupling: list, slopes: list) -> list:
-    """Jacobian of the residual in the 2N real unknowns, as a list of row lists."""
-    jac = []
-    for j, (fuu, fuv, fvv) in enumerate(slopes):
-        row_u, row_v = [], []  # Jacobian rows 2j and 2j + 1
-        for e in coupling[j]:
-            row_u += (-fuu * e, -fuv * e)
-            row_v += (-fuv * e, -fvv * e)
-        row_u[2 * j] += 2.0 * kap
-        row_v[2 * j + 1] += 2.0 * kap
-        jac += (row_u, row_v)
-    return jac
-
-
-def _solve_linear(a: list, b: list) -> list:
-    """x with a x = b, by Gaussian elimination with partial pivoting on Python floats.
-
-    a is a list of row lists; a and b are overwritten.  The pivot is the
-    first entry of largest modulus in its column.  An exactly zero pivot,
-    where LAPACK's dgesv reports a singular matrix, raises ZeroDivisionError.
-    """
-    n = len(b)
-    for k in range(n):
-        p, top = k, abs(a[k][k])
-        for i in range(k + 1, n):
-            v = abs(a[i][k])
-            if v > top:
-                p, top = i, v
-        if top == 0.0:
-            raise ZeroDivisionError("singular matrix")
-        a[k], a[p] = a[p], a[k]
-        b[k], b[p] = b[p], b[k]
-        pivot_row, pivot, bk = a[k], a[k][k], b[k]
-        for i in range(k + 1, n):
-            row = a[i]
-            f = row[k] / pivot
-            for j in range(k + 1, n):
-                row[j] -= f * pivot_row[j]
-            b[i] -= f * bk
-    x = [0.0] * n
-    for k in range(n - 1, -1, -1):
-        row, acc = a[k], b[k]
-        for j in range(k + 1, n):
-            acc -= row[j] * x[j]
-        x[k] = acc / row[k]
-    return x
-
-
-def _modulus(z: complex) -> float:
-    """|z| as abs gives it, but inf where the modulus overflows and abs raises OverflowError."""
-    try:
-        return abs(z)
-    except OverflowError:
-        return math.inf
-
-
-def _gauge_rotate(amps: list) -> list:
-    """Rotate the common phase so the first nonzero amplitude is real >= 0; a list of Python complex.
-
-    Each amplitude is multiplied, in Python complex arithmetic, by
-    conj(c) / |c| of that first amplitude c, which itself becomes |c|.  A
-    modulus that overflows is inf: the rotated amplitudes are then not
-    finite and the solve fails with NoConvergence.
-    """
-    for idx, c in enumerate(amps):
-        r = _modulus(c)
-        if r > 0.0:
-            f = complex(c.real / r, -c.imag / r)
-            rotated = [z * f for z in amps]
-            rotated[idx] = complex(r)
-            return rotated
-    return list(amps)
-
-
-def _sup_norm(x) -> float:
-    """max |x_i| as np.max(np.abs(x)) gives it, nan when any entry is nan; a Python loop, for short x."""
-    top = 0.0
-    for v in x:
-        v = abs(v)
-        if not v <= top:  # larger, or nan
-            if v != v:
-                return v
-            top = v
-    return top
-
-
-def _gauged(res: list, c: list) -> list:
-    """The residual with its second entry, Im of equation 1, replaced by the gauge Im C_1."""
-    g = res.copy()
-    g[1] = c[0].imag
-    return g
+    return np.array(_solver(model).residual(_coupling_matrix(model, kap), 2.0 * kap, c))
 
 
 def _zero_wave(model: ModelSpec, omega: float) -> SolitaryWave:
@@ -250,10 +154,11 @@ def solve_profile(model: ModelSpec, omega: float, guess) -> SolitaryWave:
     A guess that is not finite is a ValueError.  At omega = +-m only the
     zero wave decays, and it is returned directly.
 
-    The whole solve runs on Python floats and complex numbers, with no numpy
-    call: the coupling from math.exp, the coupling product as a Python sum,
-    the gauged linear system by Gaussian elimination with partial pivoting
-    (_solve_linear) and the gauge rotation in Python complex arithmetic.
+    The solve runs in the compiled library (kgp_solve in _passes.c), with no
+    numpy call: the coupling from math.exp goes in as the rows of floats, and
+    the Newton loop, the gauged linear system by Gaussian elimination with
+    partial pivoting and the gauge rotations run there, operation for
+    operation those of the Python-float loop they replaced, bit for bit.
     """
     kap = kappa(model, omega)  # refuses a frequency outside the band first
     if abs(omega) == model.mass:
@@ -264,44 +169,13 @@ def solve_profile(model: ModelSpec, omega: float, guess) -> SolitaryWave:
         raise ValueError(f"guess must have length {n}")
     if not all(map(cmath.isfinite, c)):
         raise ValueError("guess must be finite")
-    c = _gauge_rotate(c)
-    coupling = _coupling_matrix(model, kap)
-
-    res, slopes = _residual(model, kap, c, coupling)
-    for _ in range(MAX_ITER):
-        norm = _sup_norm(res)
-        if norm <= RESIDUAL_TOL:
-            break
-        if not math.isfinite(norm):  # an overflowed iterate never recovers
-            raise NoConvergence(omega, norm)
-        g = _gauged(res, c)
-        jac = _jacobian(kap, coupling, slopes)
-        jac[1] = [0.0] * (2 * n)  # Im C_1 = 0 in place of Jacobian row 1
-        jac[1][1] = 1.0
-        try:
-            delta = _solve_linear(jac, [-x for x in g])
-        except ZeroDivisionError:
-            raise NoConvergence(omega, norm)
-        step = list(zip(delta[0::2], delta[1::2]))
-        norm_old = _sup_norm(g)
-        scale = 1.0
-        for _ in range(8):
-            c_try = [complex(z.real + scale * dr, z.imag + scale * di) for z, (dr, di) in zip(c, step)]
-            res_try, slopes_try = _residual(model, kap, c_try, coupling)
-            if _sup_norm(_gauged(res_try, c_try)) < norm_old:
-                break
-            scale *= 0.5
-        c, res, slopes = c_try, res_try, slopes_try
-    else:
-        raise NoConvergence(omega, _sup_norm(res))
-
-    c = _gauge_rotate(c)
-    final = _sup_norm(_residual(model, kap, c, coupling)[0])
-    if final > RESIDUAL_TOL:
+    solver = _solver(model)
+    status, final, amps = solver.solve(_coupling_matrix(model, kap), 2.0 * kap, c)
+    if status == solver.FAILED:
         raise NoConvergence(omega, final)
-    if max(map(_modulus, c)) <= ZERO_BRANCH_TOL:
+    if status == solver.ZERO:
         raise ConvergedToZero(_zero_wave(model, omega))
-    return SolitaryWave(float(omega), kap, tuple(c), final)
+    return SolitaryWave(float(omega), kap, amps, final)
 
 
 def profile_eval(model: ModelSpec, wave: SolitaryWave, x):
@@ -315,6 +189,16 @@ def profile_eval(model: ModelSpec, wave: SolitaryWave, x):
     return out
 
 
+class Branch(list):
+    """The solved waves of a branch, in frequency order.
+
+    collapsed_at is the frequency where the branch collapsed to the zero
+    wave, or None when it did not.
+    """
+
+    collapsed_at: float | None = None
+
+
 def _solve_from(model: ModelSpec, omega: float, starts) -> SolitaryWave:
     """solve_profile from the first start that neither fails nor collapses; the last one's failure propagates."""
     for start in starts[:-1]:
@@ -325,7 +209,7 @@ def _solve_from(model: ModelSpec, omega: float, starts) -> SolitaryWave:
     return solve_profile(model, omega, starts[-1])
 
 
-def continue_branch(model: ModelSpec, omega_start: float, omega_end: float, step: float, guess) -> list[SolitaryWave]:
+def continue_branch(model: ModelSpec, omega_start: float, omega_end: float, step: float, guess) -> Branch:
     """Natural-parameter continuation: march omega with a secant predictor and Newton corrector.
 
     Once two points are solved, each solve starts on the line through the
@@ -333,7 +217,8 @@ def continue_branch(model: ModelSpec, omega_start: float, omega_end: float, step
     r = (omega - omega_k) / (omega_k - omega_{k-1}); when that start fails or
     collapses it is retried from the last solved amplitudes, so the branch
     ends where a plain warm start ends it.  Stops at the last good frequency
-    when the branch collapses to zero; propagates NoConvergence (with the
+    when the branch collapses to zero, and names the frequency that collapsed
+    in the returned Branch's collapsed_at; propagates NoConvergence (with the
     partial branch attached) when Newton fails outright.  A step at or below
     4 ulps of the larger endpoint modulus is a ValueError, before any solve.
     """
@@ -348,7 +233,7 @@ def continue_branch(model: ModelSpec, omega_start: float, omega_end: float, step
     span = omega_end - omega_start
     direction = 1.0 if span >= 0 else -1.0
     k_max = math.floor(abs(span) / step + 1e-12)
-    waves: list[SolitaryWave] = []
+    waves = Branch()
     current = list(guess)
     for k in range(k_max + 1):
         w = omega_start + direction * step * k  # formed as reached: a fine range is never held as a list
@@ -360,6 +245,7 @@ def continue_branch(model: ModelSpec, omega_start: float, omega_end: float, step
         try:
             wave = _solve_from(model, w, starts)
         except ConvergedToZero:
+            waves.collapsed_at = w
             break
         except NoConvergence as err:
             raise NoConvergence(w, err.residual, waves) from err

@@ -23,6 +23,14 @@ positions = 0.0
 coefficients_1 = 0 -2 1
 """
 
+# alpha(s) = 1 - 4 s: marching down from the band edge, the branch collapses to zero near omega = sqrt(3)/2
+COLLAPSE_MODEL = """
+[model]
+mass = 1.0
+positions = 0.0
+coefficients_1 = 0 -0.5 1
+"""
+
 RUN_SECTIONS = """
 [grid]
 x_min = -8
@@ -270,6 +278,28 @@ def test_solve_branch_failure_reports_last_good(tmp_path, capsys):
     assert summary["failed_at"] == 0.0
     assert summary["solved"] == 0
     assert (out / "branch.csv").exists()
+
+
+@pytest.mark.parametrize("model, flags, solved, collapsed_at", [
+    (BASE_MODEL, ["--omega-range", "0:0.95:0.01", "--guess", "0,0"], 0, 0.0),
+    (COLLAPSE_MODEL, ["--omega-range", "0.95:0.5:0.01", "--guess", "0.2"], 9, 0.95 - 0.01 * 9),
+    (COLLAPSE_MODEL, ["--omega-range", "0.95:0.9:0.01", "--guess", "0.2"], 6, None),
+], ids=["first-point", "midway", "none"])
+def test_a_collapsed_branch_is_named_and_warned(tmp_path, capsys, model, flags, solved, collapsed_at):
+    # a branch cut short by the zero wave exits 0, as before, but says where it collapsed
+    cfg = write_config(tmp_path, model)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, *flags, "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    summary = json.loads(captured.out)
+    assert summary == json.loads((out / "branch_summary.json").read_text())
+    assert summary["solved"] == solved and summary["collapsed_at"] == collapsed_at and summary["failed_at"] is None
+    assert len((out / "branch.csv").read_text().splitlines()) == solved + 1
+    if collapsed_at is None:
+        assert captured.err == ""
+    else:
+        assert captured.err == (f"warning: the branch collapsed to the zero wave at omega={collapsed_at!r} "
+                                f"after {solved} solved points\n")
 
 
 def test_simulate_solitary_and_determinism(tmp_path, capsys):

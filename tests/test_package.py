@@ -1,5 +1,7 @@
 import inspect
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import kgpoint
@@ -23,7 +25,33 @@ def test_the_namespace_is_the_modules_public_lists():
 
 
 def test_the_kernel_source_ships_as_package_data():
-    # the stepping loop compiles _passes.c on first use, so an installed package must carry it
+    # the stepping loop and the profile solve compile _passes.c on first use, so an installed package must carry it
     pyproject = tomllib.loads((Path(__file__).parents[1] / "pyproject.toml").read_text())
     assert os.path.dirname(_passes.SOURCE) == os.path.dirname(kgpoint.__file__)
     assert os.path.basename(_passes.SOURCE) in pyproject["tool"]["setuptools"]["package-data"]["kgpoint"]
+
+
+IMPORT_FACTS = """
+import sys
+import numpy
+numpy_loads_ctypes = "ctypes" in sys.modules  # numpy 2's numpy._core._internal imports it
+import kgpoint
+loaded = [name for name in sys.modules if name.startswith("kgpoint")]
+assert "kgpoint._passes" not in loaded, loaded
+assert ("ctypes" in sys.modules) == numpy_loads_ctypes
+assert not any("ctypes" in vars(sys.modules[name]) for name in loaded)
+assert "subprocess" not in sys.modules
+model = kgpoint.ModelSpec(1.0, (kgpoint.OscillatorSpec(0.0, (0.0, -2.0, 1.0)),))
+kgpoint.solve_profile(model, 0.5, [0.7])  # loads the library from the warm cache
+assert "kgpoint._passes" in sys.modules
+assert "subprocess" not in sys.modules
+"""
+
+
+def test_importing_the_package_loads_no_library_and_a_warm_load_no_subprocess():
+    # a setup that solves one profile pays for the library's load, but never for the compiler machinery
+    _passes.library()  # the cache is warm
+    src = str(Path(kgpoint.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run([sys.executable, "-c", IMPORT_FACTS], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr

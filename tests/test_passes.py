@@ -58,12 +58,12 @@ def compiler_calls(monkeypatch):
         calls.append(args)
         return run(*args, **kwargs)
 
-    monkeypatch.setattr(_passes.subprocess, "run", counted)
+    monkeypatch.setattr(subprocess, "run", counted)
     return calls
 
 
 def test_a_failed_build_raises_one_line_oserror_and_leaves_nothing(cold_cache, broken_compiler):
-    with pytest.raises(OSError, match="^cannot build the stepping kernel: ") as err:
+    with pytest.raises(OSError, match="^cannot build the compiled passes: ") as err:
         _passes.library()
     assert "\n" not in str(err.value)
     assert os.listdir(cold_cache) == []  # no library, and no partial one
@@ -76,7 +76,19 @@ def test_a_failed_build_is_one_file_error_line_before_any_output(cold_cache, bro
     assert main(["simulate", "--config", str(config), "--out", str(out)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("file error: cannot build the stepping kernel: ") and captured.err.count("\n") == 1
+    assert captured.err.startswith("file error: cannot build the compiled passes: ") and captured.err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [["--omega", "0.5"], ["--omega-range", "0:0.95:0.01"]], ids=["omega", "omega-range"])
+def test_a_failed_build_fails_a_solve_with_one_file_error_line(cold_cache, broken_compiler, tmp_path, capsys, flags):
+    config = tmp_path / "run.ini"
+    config.write_text(CONFIG)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(config), *flags, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("file error: cannot build the compiled passes: ") and captured.err.count("\n") == 1
     assert not out.exists()
 
 

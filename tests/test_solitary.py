@@ -1,3 +1,4 @@
+import ctypes
 import math
 import tracemalloc
 import warnings
@@ -5,17 +6,13 @@ import warnings
 import numpy as np
 import pytest
 
-from kgpoint import solitary
+from kgpoint import _passes, solitary
 from kgpoint.model import ModelSpec, OscillatorSpec, _horner, force
 from kgpoint.solitary import (
     MAX_ITER,
     RESIDUAL_TOL,
     ZERO_BRANCH_TOL,
     _coupling_matrix,
-    _jacobian,
-    _residual,
-    _solve_linear,
-    _sup_norm,
     ConvergedToZero,
     NoConvergence,
     SolitaryWave,
@@ -31,6 +28,47 @@ PAIR_MODEL = ModelSpec(
     1.0,
     (OscillatorSpec(0.0, (0.0, -2.0, 1.0)), OscillatorSpec(0.2, (0.0, -2.0, 1.0))),
 )
+
+
+def doubles(values):
+    values = list(values)
+    return (ctypes.c_double * len(values))(*values)
+
+
+def residual_evaluations():
+    """The library's count of residual evaluations, made by solves and by amplitude_residual alike."""
+    return ctypes.c_long.in_dll(_passes.library(), "kgp_residuals").value
+
+
+def compiled_residual(model, kap, c, coupling):
+    """The compiled residual at c, a list of Python complex, and per J its slopes (fuu, fuv, fvv)."""
+    n = model.count
+    res, slopes = doubles([0.0] * (2 * n)), doubles([0.0] * (3 * n))
+    _passes.library().kgp_residual(solitary._solver(model).block, doubles(e for row in coupling for e in row),
+                                   2.0 * kap, doubles(p for z in c for p in (z.real, z.imag)), res, slopes)
+    return res[:], [tuple(slopes[3 * j:3 * j + 3]) for j in range(n)]
+
+
+def compiled_jacobian(kap, coupling, slopes):
+    """The compiled Jacobian, as a list of row lists."""
+    w = 2 * len(coupling)
+    jac = doubles([0.0] * (w * w))
+    _passes.library().kgp_jacobian(len(coupling), doubles(e for row in coupling for e in row), 2.0 * kap,
+                                   doubles(v for abc in slopes for v in abc), jac)
+    return [jac[i * w:(i + 1) * w] for i in range(w)]
+
+
+def compiled_solve_linear(a, b):
+    """The compiled elimination on copies of a (a list of row lists) and b; a zero pivot raises ZeroDivisionError."""
+    x = doubles([0.0] * len(b))
+    if _passes.library().kgp_solve_linear(len(b), doubles(e for row in a for e in row), doubles(b), x):
+        raise ZeroDivisionError("singular matrix")
+    return x[:]
+
+
+def compiled_sup_norm(x):
+    """The compiled sup-norm of the floats x."""
+    return _passes.library().kgp_sup_norm(doubles(x), len(x))
 
 
 def closed_form_amp_sq(omega):
@@ -163,7 +201,7 @@ def test_weak_stationarity_derivative_jump():
 
 def test_continue_branch_matches_closed_form():
     waves = continue_branch(QUARTIC_MODEL, 0.0, 0.9, 0.1, [0.7])
-    assert len(waves) == 10
+    assert len(waves) == 10 and waves.collapsed_at is None
     for w in waves:
         assert abs(w.amplitudes[0]) ** 2 == pytest.approx(closed_form_amp_sq(w.omega), abs=1e-10)
 
@@ -188,6 +226,7 @@ def test_continue_branch_stops_at_collapse():
     assert waves, "branch should exist near the band edge"
     last = waves[-1]
     assert last.omega > 0.85
+    assert waves.collapsed_at == 0.95 - 0.05 * len(waves)  # the frequency after the last solved one
     for w in waves:
         expected = (1.0 - 2.0 * w.kappa) / 4.0
         assert abs(w.amplitudes[0]) ** 2 == pytest.approx(expected, abs=1e-9)
@@ -275,8 +314,8 @@ def numpy_scalar_residual_and_jacobian(model, kap, c, coupling, values=None):
 
 def residual_and_jacobian(model, kap, c, coupling):
     """The solver's residual and Jacobian, composed from its two halves, as arrays."""
-    res, slopes = _residual(model, kap, [complex(z) for z in c], coupling)
-    return np.array(res), np.array(_jacobian(kap, coupling, slopes))
+    res, slopes = compiled_residual(model, kap, [complex(z) for z in c], coupling)
+    return np.array(res), np.array(compiled_jacobian(kap, coupling, slopes))
 
 
 def test_residual_and_jacobian_match_the_numpy_scalar_loop():
@@ -311,7 +350,7 @@ def test_sup_norm_matches_numpy_bit_for_bit():
                 y[i] = special
                 cases.append(y)
     for x in cases:
-        assert np.float64(_sup_norm(x)).tobytes() == np.max(np.abs(x)).tobytes(), x
+        assert np.float64(compiled_sup_norm(x)).tobytes() == np.max(np.abs(x)).tobytes(), x
 
 
 @pytest.mark.parametrize("model, omega", [(QUARTIC_MODEL, 0.5), (PAIR_MODEL, 0.4), (PAIR_MODEL, -0.9)])
@@ -369,23 +408,45 @@ def test_elimination_matches_numpy_solve_on_gauged_systems(n):
         slopes = [tuple(rng.normal(size=3) * rng.choice([0.1, 1.0, 10.0])) for _ in range(n)]
         if case % 3 == 0 and n > 1:  # fuu_1 = 2 kappa: Jacobian entry (0, 0) is exactly 0 and a row swap is forced
             slopes[0] = (2.0 * kap, *slopes[0][1:])
-        jac = _jacobian(kap, _coupling_matrix(model, kap), slopes)
+        jac = compiled_jacobian(kap, _coupling_matrix(model, kap), slopes)
         jac[1] = [0.0] * (2 * n)
         jac[1][1] = 1.0
         if case % 3 == 0 and n > 1:
             assert jac[0][0] == 0.0
         b = list(rng.normal(size=2 * n))
         want = np.linalg.solve(jac, b)
-        got = _solve_linear([row.copy() for row in jac], b.copy())
+        got = compiled_solve_linear([row.copy() for row in jac], b.copy())
         assert np.max(np.abs(np.array(got) - want)) <= system_tolerance(np.array(jac), want), (n, case)
 
 
 def test_elimination_swaps_rows_and_refuses_a_singular_matrix():
-    assert _solve_linear([[0.0, 2.0], [3.0, 0.0]], [4.0, 6.0]) == [2.0, 2.0]
+    assert compiled_solve_linear([[0.0, 2.0], [3.0, 0.0]], [4.0, 6.0]) == [2.0, 2.0]
     with pytest.raises(ZeroDivisionError):
-        _solve_linear([[0.0, 1.0], [0.0, 2.0]], [1.0, 1.0])
+        compiled_solve_linear([[0.0, 1.0], [0.0, 2.0]], [1.0, 1.0])
     with pytest.raises(ZeroDivisionError):
-        _solve_linear([[1.0, 2.0], [2.0, 4.0]], [1.0, 1.0])
+        compiled_solve_linear([[1.0, 2.0], [2.0, 4.0]], [1.0, 1.0])
+
+
+def test_elimination_matches_the_python_float_reference_bit_for_bit():
+    # ties in a pivot column must pick the first largest entry, as the Python-float loop did
+    rng = np.random.default_rng(44)
+    for case in range(400):
+        w = 2 * int(rng.integers(1, 5))
+        a = rng.normal(size=(w, w)) * rng.choice([1e-3, 1.0, 1e3])
+        if case % 2 and w > 1:
+            k = int(rng.integers(0, w - 1))
+            a[int(rng.integers(k + 1, w)), k] = -a[k, k] if rng.random() < 0.5 else a[k, k]
+        b = list(rng.normal(size=w))
+        want = reference_solve_linear(a.tolist(), b)
+        assert np.array_equal(np.array(compiled_solve_linear(a.tolist(), b)).view(np.int64),
+                              np.array(want).view(np.int64)), case
+
+
+def test_a_converged_start_evaluates_the_residual_at_the_start_and_at_the_returned_amplitudes():
+    wave = solve_profile(PAIR_MODEL, 0.4, [0.7, 0.7])
+    before = residual_evaluations()
+    assert solve_profile(PAIR_MODEL, 0.4, wave.amplitudes) == wave
+    assert residual_evaluations() - before == 2
 
 
 def test_an_exactly_singular_newton_system_is_no_convergence():
@@ -691,18 +752,12 @@ def test_solve_profile_refuses_a_non_finite_guess(guess):
         solve_profile(QUARTIC_MODEL, 0.4, guess)
 
 
-def test_a_non_finite_residual_fails_at_once(monkeypatch):
+def test_a_non_finite_residual_fails_at_once():
     # 1.7e308 is finite, but its coupling sum overflows: the first residual is not finite
-    evaluations = []
-
-    def counted(*args):
-        evaluations.append(args[2])
-        return _residual(*args)
-
-    monkeypatch.setattr(solitary, "_residual", counted)
+    before = residual_evaluations()
     with pytest.raises(NoConvergence) as info:
         solve_profile(PAIR_MODEL, 0.4, [1.7e308] * 2)
-    assert len(evaluations) == 1 and not math.isfinite(info.value.residual)
+    assert residual_evaluations() - before == 1 and not math.isfinite(info.value.residual)
 
 
 def plain_warm_start_branch(model, omegas, guess, solve=solve_profile):
@@ -782,14 +837,8 @@ def test_secant_branch_agrees_with_the_plain_warm_start_branch(model, a, b, gues
     assert diff <= 1e-9
 
 
-def test_secant_start_costs_at_most_3_1_residual_evaluations_per_point(monkeypatch):
-    count = [0]
-
-    def counted(*args):
-        count[0] += 1
-        return _residual(*args)
-
-    monkeypatch.setattr(solitary, "_residual", counted)
+def test_secant_start_costs_at_most_3_1_residual_evaluations_per_point():
+    before = residual_evaluations()
     waves = continue_branch(PAIR_MODEL, 0.0, 0.95, 0.001, [0.7, 0.7])
     assert len(waves) == 951
-    assert count[0] / len(waves) <= 3.1
+    assert (residual_evaluations() - before) / len(waves) <= 3.1
