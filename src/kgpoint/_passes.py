@@ -1,11 +1,16 @@
-"""The compiled passes, built from ``_passes.c`` on first use and loaded with ctypes: the stepping loop and
-the Newton solve of the solitary amplitude system.
+"""The compiled passes, built from ``_passes.c`` on first use and loaded with ctypes: the stepping loop, the
+energy form behind every observer, and the Newton solve of the solitary amplitude system.
 
 The library is built by Python's own C compiler (sysconfig's ``CC``) with
 ``-O3 -ffp-contract=off -lm``: no fused multiply-add and no reassociation, so
 each step keeps numpy's bits and each solve the bits of the Python-float
 Newton loop it transcribes, and no ``-march``, so a cached build runs on any
-CPU of its architecture.  It is cached in ``$XDG_CACHE_HOME/kgpoint`` (by
+CPU of its architecture.  The energy form sums in one fixed order of its own
+(``form_sums`` in the source), so H, Q, the energy norm, the seminorms, the
+metric and the phase fit have the same bits whatever the CPU or BLAS.  Two
+entries evaluate it, each bound once to its arrays: ``observer``, a whole
+observer sample, and ``Metric``, the metric distance to phase-fitted
+candidate waves.  The library is cached in ``$XDG_CACHE_HOME/kgpoint`` (by
 default ``~/.cache/kgpoint``), or where that is not writable in a private
 directory under the temp directory, named by the SHA-256 of the source and
 the compile command.  A build is compiled to a temporary name and renamed
@@ -48,8 +53,32 @@ class _Model(ctypes.Structure):
                 ("max_iter", ctypes.c_long), ("tol", _DOUBLE), ("zero_tol", _DOUBLE)]
 
 
+class _Observer(ctypes.Structure):
+    """struct kgp_observer: one observer's state, constants, potentials, windows and series."""
+
+    _fields_ = [("p", _POINTER), ("q", _POINTER), ("n", _SIZE), ("m2", _DOUBLE), ("dx", _DOUBLE), ("every", _SIZE),
+                ("t0", _DOUBLE), ("dt", _DOUBLE), ("nsites", _SIZE), ("sites", _POINTER), ("ncoef", _POINTER),
+                ("coef", _POINTER), ("nwindows", _SIZE), ("windows", _POINTER), ("rows", _SIZE),
+                ("series", _POINTER), ("traces", _POINTER)]
+
+
+class _Metric(ctypes.Structure):
+    """struct kgp_metric: one state on the metric's outer window, its windows and its scratch."""
+
+    _fields_ = [("p", _POINTER), ("q", _POINTER), ("n", _SIZE), ("m2", _DOUBLE), ("dx", _DOUBLE),
+                ("dp", _POINTER), ("dq", _POINTER), ("r_max", _SIZE), ("windows", _POINTER)]
+
+
+class _Wave(ctypes.Structure):
+    """struct kgp_wave: a candidate wave on a metric's outer window."""
+
+    _fields_ = [("p", _POINTER), ("q", _POINTER), ("n", _SIZE)]
+
+
 _ENTRIES = {  # name: (argtypes, restype)
     "kgp_run": ((ctypes.POINTER(_Field), _INT, _SIZE), None),
+    "kgp_sample": ((ctypes.POINTER(_Observer), _SIZE), _DOUBLE),
+    "kgp_fit_dist": ((ctypes.POINTER(_Metric), ctypes.POINTER(_Wave)), _DOUBLE),
     "kgp_solve": ((ctypes.POINTER(_Model), _POINTER, _DOUBLE, _POINTER, _POINTER), _INT),
     "kgp_residual": ((ctypes.POINTER(_Model), _POINTER, _DOUBLE, _POINTER, _POINTER, _POINTER), None),
     "kgp_jacobian": ((_SIZE, _POINTER, _DOUBLE, _POINTER, _POINTER), None),
@@ -150,6 +179,92 @@ def bind(psi: np.ndarray, pi: np.ndarray, kick: np.ndarray, dt: float, c: float,
                    sites.ctypes.data, ncoef.ctypes.data, coef.ctypes.data, force_scale)
     field.arrays = (psi, pi, kick, sites, ncoef, coef)  # the block points into them; the call holds the block
     return partial(lib.kgp_run, ctypes.pointer(field))
+
+
+def _pair(psi: np.ndarray, pi: np.ndarray) -> int:
+    """The length of a (psi, pi) pair of contiguous 1-d complex arrays of one length; ValueError otherwise."""
+    for a in (psi, pi):
+        if a.dtype != complex or a.ndim != 1 or not a.flags.c_contiguous or a.shape != psi.shape:
+            raise ValueError("the energy form needs psi and pi as contiguous 1-d complex arrays of one length")
+    return psi.size
+
+
+def _ranges(windows, count: int):
+    """(start, stop) node windows as one flat ctypes array; ValueError unless 0 <= start <= stop <= count."""
+    if not all(0 <= start <= stop <= count for start, stop in windows):
+        raise ValueError(f"windows {list(windows)} must lie within the {count} nodes")
+    return (_SIZE * (2 * len(windows)))(*(i for w in windows for i in w))
+
+
+def _block(a: np.ndarray, dtype, shape) -> int:
+    if a.dtype != dtype or a.shape != shape or not a.flags.c_contiguous or not a.flags.writeable:
+        raise ValueError(f"the series needs a writable contiguous {np.dtype(dtype)} block of shape {shape}")
+    return a.ctypes.data
+
+
+def observer(psi: np.ndarray, pi: np.ndarray, m2: float, dx: float, nodes, potentials, windows, series, traces,
+             every: int = 1, t0: float = 0.0, dt: float = 0.0):
+    """One observer sample of (psi, pi) as one call on one block of its fixed arguments.
+
+    nodes are the oscillator nodes and potentials their coefficients, low
+    degree first; windows are (start, stop) node ranges.  series holds a
+    column per observable, a row per sample: t, H, Q, the energy norm and
+    each window's seminorm; traces the rows of psi and of pi at the nodes,
+    shape (2, rows, len(nodes)).  Returns sample(k), which writes row
+    k // every, that at time t0 + k dt, and returns the squared energy norm;
+    k // every must be a row.  The call keeps every array it points into alive.
+    """
+    count = _pair(psi, pi)
+    if len(nodes) != len(potentials):
+        raise ValueError(f"{len(nodes)} oscillator nodes but {len(potentials)} potentials")
+    if not all(0 <= i < count for i in nodes):
+        raise ValueError(f"oscillator nodes {tuple(nodes)} must lie in 0 ... {count - 1}")
+    if every < 1:
+        raise ValueError("every must be at least 1")
+    rows = series.shape[-1]
+    blocks = _block(series, float, (4 + len(windows), rows)), _block(traces, complex, (2, rows, len(nodes)))
+    sites, ranges = (_SIZE * len(nodes))(*nodes), _ranges(windows, count)
+    ncoef, coef = _packed(potentials)
+    block = _Observer(psi.ctypes.data, pi.ctypes.data, count, m2, dx, every, t0, dt, len(nodes),
+                      ctypes.addressof(sites), ctypes.addressof(ncoef), ctypes.addressof(coef), len(windows),
+                      ctypes.addressof(ranges), rows, *blocks)
+    block.arrays = (psi, pi, sites, ncoef, coef, ranges, series, traces)  # the block points into them
+    return partial(library().kgp_sample, ctypes.pointer(block))
+
+
+class Wave:
+    """A candidate wave (psi, pi) on a metric's outer window, bound once for every distance to it."""
+
+    def __init__(self, psi: np.ndarray, pi: np.ndarray):
+        self.n = _pair(psi, pi)
+        block = _Wave(psi.ctypes.data, pi.ctypes.data, self.n)
+        block.arrays = (psi, pi)
+        self.block = ctypes.pointer(block)
+
+
+class Metric:
+    """The metric sum 2^-R |.|_{E,R} over R = 1 ... r_max of one state (psi, pi) on the outer window's nodes.
+
+    windows are the (start, stop) nodes of radius 1 ... r_max within the
+    outer window.  dist(wave) is the metric distance to the closest phase of
+    a Wave on the same nodes, and dist() the state's own metric.
+    """
+
+    def __init__(self, psi: np.ndarray, pi: np.ndarray, m2: float, dx: float, windows):
+        self.n = _pair(psi, pi)
+        ranges = _ranges(windows, self.n)
+        scratch = np.empty((2, self.n), dtype=complex)
+        block = _Metric(psi.ctypes.data, pi.ctypes.data, self.n, m2, dx, scratch[0].ctypes.data,
+                        scratch[1].ctypes.data, len(windows), ctypes.addressof(ranges))
+        block.arrays = (psi, pi, ranges, scratch)
+        self.block, self.fit = ctypes.pointer(block), library().kgp_fit_dist
+
+    def dist(self, wave: Wave | None = None) -> float:
+        if wave is None:
+            return self.fit(self.block, None)
+        if wave.n != self.n:
+            raise ValueError(f"a wave on {wave.n} nodes, the metric's window has {self.n}")
+        return self.fit(self.block, wave.block)
 
 
 def _packed(lists):

@@ -13,30 +13,33 @@ whose gradient is exactly the semidiscrete right-hand side.  Boundaries are
 homogeneous Dirichlet on a domain sized so that radiation cannot return
 during an experiment.
 
-One loop, ``_kdk``, steps in place on four buffers cut from one block at fixed
+One loop, ``_kdk``, steps in place on three buffers cut from one block at fixed
 offsets; its observer is bound to the live buffers once per run and must copy
 what it keeps.  The mass term sits in the stencil diagonal and the half kick
 dt/2 acc is one pre-scaled stencil.  The steps run in a small C library,
 ``_passes.c``, compiled on first use and cached: one call per sample interval,
 or per run when nothing observes, each step one fused sweep over the field
 and then the oscillator nodes' forces, each float's arithmetic numpy's bit for
-bit.  An observer sample reads psi at each oscillator node as a Python complex
-and makes one call, ``model._at_node``, for its potential, which keeps numpy's
-bits.  H, the energy norm, the local seminorms, the metric and the phase fit
-all evaluate one form, ``_energy_form``, on arrays their callers cut; the
-observer of ``evolve`` cuts its views and binds the form's constants once per
-run and takes the cell differences once per sample, and the whole grid and
-every seminorm window read their cell terms from that one buffer.  The
-squared energy norm a sample returns doubles as the check that the field is
-finite.  The metric reads only the nodes with |x| <= r_max, so it, the phase
-fit and the manifold distance's candidate waves are evaluated there alone, its
-radii sharing one such buffer.
+bit.
+
+H, Q, the energy norm, the local seminorms, the metric and the phase fit all
+evaluate one energy form, in the same library and in one fixed order of its
+own, so their bits depend on neither the CPU nor a BLAS.  Two entries reach
+it, each bound once to its arrays.  An observer sample is one call: it writes
+a whole row of the series (t, H, Q, the energy norm, each seminorm and the
+traces), the potentials ``model._at_node``'s at each oscillator node, and
+``hamiltonian``, ``charge``, ``energy_norm`` and ``local_seminorm`` are such a
+sample of one row.  The squared energy norm a sample returns doubles as the
+check that the field is finite.  The metric reads only the nodes with
+|x| <= r_max, so it, the phase fit and the manifold distance's candidate waves
+are evaluated there alone; a phase-fit distance is one call, on the state's
+metric and a candidate both bound once.
 
 No state enters the manifold distance's frequency scan, so its solved waves,
-sampled on that window with their cell differences, are kept in a memo of
-the 8 most recent (model, grid, frequency bits, window, solver) keys: a call
-on a kept key makes about 7 profile solves, its refinement, against about 22
-cold, with the same result bit for bit.
+sampled on that window and bound for the phase fit, are kept in a memo of the
+8 most recent (model, grid, frequency bits, window, solver) keys: a call on a
+kept key makes about 7 profile solves, its refinement, against about 22 cold,
+with the same result bit for bit.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import ModelSpec, _at_node, lower_bound_constants, potential
+from .model import ModelSpec, lower_bound_constants
 from .solitary import ConvergedToZero, NoConvergence, SolitaryWave, _newton_starts, profile_eval, solve_profile
 
 __all__ = [
@@ -227,16 +230,14 @@ def _check_run(model: ModelSpec, grid: Grid, dt: float, T: float = 0.0, observe_
     return int(round(T / abs(dt)))
 
 
-def _sample_arrays(n_steps: int, observe_every: int, radii, traced: int) -> tuple:
-    """Times, H, Q, energy norm, {radius: seminorm} and the psi and pi traces at traced nodes, a row per sample.
+def _sample_arrays(n_steps: int, observe_every: int, radii, traced: int) -> tuple[np.ndarray, np.ndarray]:
+    """A run's series, a row per sample: the columns t, H, Q, the energy norm and each radius' seminorm as one block,
+    and the psi and pi traces at the traced nodes as another, of shape (2, samples, traced).
 
     numpy refuses a run too large to hold here, with MemoryError or ValueError.
     """
     n = n_steps // observe_every + 1
-    times, energy, charges, norms = np.empty((4, n))
-    seminorms = {float(r): np.empty(n) for r in radii}
-    traces_psi, traces_pi = np.empty((2, n, traced), dtype=complex)
-    return times, energy, charges, norms, seminorms, traces_psi, traces_pi
+    return np.empty((4 + len(radii), n)), np.empty((2, n, traced), dtype=complex)
 
 
 def _check_state(grid: Grid, state: FieldState):
@@ -257,10 +258,9 @@ def _kdk(model: ModelSpec, grid: Grid, state: FieldState, dt: float, n_steps: in
          observe_every: int = 1, bind=None) -> FieldState:
     """n_steps kick-drift-kick steps of size dt from state, in place on private buffers.
 
-    bind(psi, pi, scratch), if given, is called once with the live buffers,
-    scratch a free buffer like psi, and returns observe(k).  That samples them
-    at step 0 and every observe_every steps, may overwrite scratch, and
-    returns the squared energy norm of (psi, pi).  The norm is finite only if
+    bind(psi, pi), if given, is called once with the live buffers and returns
+    observe(k).  That samples them at step 0 and every observe_every steps
+    and returns the squared energy norm of (psi, pi).  The norm is finite only if
     every psi and pi is, so psi is checked at a sample past step 0 only when
     it is not; a non-finite psi there, or psi or pi at the end, raises
     FloatingPointError, and a finite field whose energy overflows runs on.
@@ -275,7 +275,7 @@ def _kdk(model: ModelSpec, grid: Grid, state: FieldState, dt: float, n_steps: in
     a call, each step is one sweep, which applies the last step's second half
     kick with this one's first, drifts and takes the stencil, and then the node
     forces; the call applies its last step's second half kick before it
-    returns, so a sample sees the stepped field.  The four buffers are slices
+    returns, so a sample sees the stepped field.  The three buffers are slices
     of one page-aligned block, 1 KB apart modulo 4 KB whatever the heap held
     before, so their streams alias in the cache alike.
 
@@ -288,24 +288,23 @@ def _kdk(model: ModelSpec, grid: Grid, state: FieldState, dt: float, n_steps: in
     from . import _passes  # on the first step, so importing the package loads no compiler machinery
 
     stride = -(-16 * grid.count // 4096) * 4096 + 1024  # bytes from one buffer to the next
-    raw = np.empty(4 * stride + 4096, dtype=np.uint8)
+    raw = np.empty(3 * stride + 4096, dtype=np.uint8)
     start = -raw.ctypes.data % 4096
-    psi, pi, kick, scratch = (raw[start + j * stride:][:16 * grid.count].view(complex) for j in range(4))
+    psi, pi, kick = (raw[start + j * stride:][:16 * grid.count].view(complex) for j in range(3))
     psi[:], pi[:], kick[0], kick[-1] = state.psi, state.pi, 0.0, 0.0  # kick's end nodes stay 0
     run = _passes.bind(psi, pi, kick, dt, 2.0 + model.mass**2 * grid.dx**2, 0.5 * dt / grid.dx**2,
                        grid.oscillator_nodes, [o.slope_coefficients for o in model.oscillators], 0.5 * dt / grid.dx)
-    with np.errstate(over="ignore", invalid="ignore"):
-        observe = None if bind is None else bind(psi, pi, scratch)
-        if observe is None:
-            run(0, n_steps)
-        else:
-            observe(0)
-            for k in range(observe_every, n_steps + 1, observe_every):
-                run(k > observe_every, observe_every)
-                if not math.isfinite(observe(k)):
-                    _require_finite(state.t + k * dt, psi)
-            if n_steps % observe_every:
-                run(n_steps >= observe_every, n_steps % observe_every)
+    observe = None if bind is None else bind(psi, pi)
+    if observe is None:
+        run(0, n_steps)
+    else:
+        observe(0)
+        for k in range(observe_every, n_steps + 1, observe_every):
+            run(k > observe_every, observe_every)
+            if not math.isfinite(observe(k)):
+                _require_finite(state.t + k * dt, psi)
+        if n_steps % observe_every:
+            run(n_steps >= observe_every, n_steps % observe_every)
     t = state.t + n_steps * dt
     _require_finite(t, psi, pi)
     return FieldState(psi, pi, t)
@@ -318,60 +317,43 @@ def step(model: ModelSpec, grid: Grid, state: FieldState, dt: float) -> FieldSta
     return _kdk(model, grid, state, dt, 1)
 
 
-def _cell_differences(psi: np.ndarray) -> np.ndarray:
-    """psi[j + 1] - psi[j] at every node j but the last, whose entry is 0 and never read."""
-    d = np.empty_like(psi)  # not zeros_like: filling the whole buffer costs as much as the differences
-    d[-1:] = 0.0  # a slice, so an empty window has nothing to set
-    np.subtract(psi[1:], psi[:-1], out=d[:-1])
-    return d
+def _observer(model: ModelSpec, grid: Grid, psi: np.ndarray, pi: np.ndarray, series: tuple, windows: dict,
+              every: int = 1, t0: float = 0.0, dt: float = 0.0):
+    """The compiled observer sample bound to (psi, pi): observe(k) writes row k // every of series and returns |.|_E^2.
 
-
-def _window_view(psi: np.ndarray, pi: np.ndarray, d: np.ndarray, window: slice = slice(None)):
-    """The (psi, pi, cells) views of a window's nodes; d holds psi's cell differences as _cell_differences has them."""
-    return psi[window], pi[window], d[window][:-1]
-
-
-def _energy_form(m2: float, dx: float, a, b) -> complex:
-    """sum_nodes dx (conj(pi_a) pi_b + m^2 conj(psi_a) psi_b) + sum_cells conj(dpsi_a) dpsi_b / dx.
-
-    a and b are (psi, pi, cells) triples on the same nodes: the whole grid, 0
-    at its Dirichlet end nodes (where plain sums are the trapezoid rule), or
-    one window; cells holds psi[j + 1] - psi[j] at each of those nodes j but
-    the last.  Callers cut the arrays, with ``_window_view``.
+    series is _sample_arrays' pair and windows maps its seminorm radii to their node slices.
     """
-    (a_psi, a_pi, a_d), (b_psi, b_pi, b_d) = a, b
-    cells = np.vdot(a_d, b_d)
-    nodes = np.vdot(a_pi, b_pi) + m2 * np.vdot(a_psi, b_psi)
-    return dx * nodes + cells / dx
+    from . import _passes
+
+    return _passes.observer(psi, pi, model.mass**2, grid.dx, grid.oscillator_nodes,
+                            [o.coefficients for o in model.oscillators], [(w.start, w.stop) for w in windows.values()],
+                            *series, every, t0, dt)
 
 
-def _seminorm(model: ModelSpec, grid: Grid, v) -> float:
-    return math.sqrt(float(_energy_form(model.mass**2, grid.dx, v, v).real))
-
-
-def _charge(grid: Grid, u) -> float:
-    return -grid.dx * float(np.vdot(*u).imag)
+def _functionals(model: ModelSpec, grid: Grid, state: FieldState, windows: dict | None = None) -> list[float]:
+    """[t, H, Q, energy norm, the seminorm of each window] of a state: one observer sample, of one row."""
+    windows = windows or {}
+    series = _sample_arrays(0, 1, windows, len(grid.oscillator_nodes))
+    _observer(model, grid, state.psi, state.pi, series, windows)(0)
+    return series[0][:, 0].tolist()
 
 
 def hamiltonian(model: ModelSpec, grid: Grid, state: FieldState) -> float:
     """Discrete energy: node terms, forward differences on cells; psi, pi must be 0 at the end nodes."""
     _check_state(grid, state)
-    with np.errstate(over="ignore", invalid="ignore"):
-        v = _window_view(state.psi, state.pi, _cell_differences(state.psi))
-        norm2 = float(_energy_form(model.mass**2, grid.dx, v, v).real)
-    return 0.5 * norm2 + sum(potential(o, state.psi.item(i)) for o, i in zip(model.oscillators, grid.oscillator_nodes))
+    return _functionals(model, grid, state)[1]
 
 
 def charge(model: ModelSpec, grid: Grid, state: FieldState) -> float:
     """Q = -integral Im(conj(psi) pi) dx, conserved by the phase symmetry; psi, pi must be 0 at the end nodes."""
     _check_state(grid, state)
-    return _charge(grid, (state.psi, state.pi))
+    return _functionals(model, grid, state)[2]
 
 
 def energy_norm(model: ModelSpec, grid: Grid, state: FieldState) -> float:
     """Full energy norm sqrt(|pi|^2 + |psi'|^2 + m^2 |psi|^2), no potentials; psi, pi must be 0 at the end nodes."""
     _check_state(grid, state)
-    return _seminorm(model, grid, _window_view(state.psi, state.pi, _cell_differences(state.psi)))
+    return _functionals(model, grid, state)[3]
 
 
 def apriori_bound(model: ModelSpec, grid: Grid, initial: FieldState) -> float:
@@ -393,7 +375,7 @@ def _energy_norm_bound(model: ModelSpec, h0: float) -> float:
 
 def local_seminorm(model: ModelSpec, grid: Grid, state: FieldState, R: float) -> float:
     """Energy seminorm over the window [-R, R] (clipped to the grid with a warning)."""
-    return _seminorm(model, grid, _window_view(state.psi, state.pi, _cell_differences(state.psi), grid.window(R)))
+    return _functionals(model, grid, state, {R: grid.window(R)})[4]
 
 
 def _metric_windows(grid: Grid, r_max: int) -> tuple[slice, list[slice]]:
@@ -406,10 +388,16 @@ def _metric_windows(grid: Grid, r_max: int) -> tuple[slice, list[slice]]:
     return outer, [slice(w.start - outer.start, w.stop - outer.start) for w in windows]
 
 
+def _bound_metric(model: ModelSpec, grid: Grid, u, windows: list[slice]):
+    """The compiled metric of u, a (psi, pi) pair on the nodes of the outer window, and its phase-fit distances."""
+    from . import _passes
+
+    return _passes.Metric(*u, model.mass**2, grid.dx, [(w.start, w.stop) for w in windows])
+
+
 def _metric(model: ModelSpec, grid: Grid, u, windows: list[slice]) -> float:
-    """sum 2^-R |u|_{E,R} over R = 1..r_max, u a (psi, pi) pair on the nodes of the outer window."""
-    d = _cell_differences(u[0])  # every radius reads its cells from this one difference buffer
-    return sum(0.5**R * _seminorm(model, grid, _window_view(*u, d, w)) for R, w in enumerate(windows, 1))
+    """sum 2^-R |u|_{E,R} over R = 1..r_max, left to right, u a (psi, pi) pair on the nodes of the outer window."""
+    return _bound_metric(model, grid, u, windows).dist()
 
 
 def metric_dist(model: ModelSpec, grid: Grid, a: FieldState, b: FieldState, r_max: int) -> float:
@@ -476,38 +464,15 @@ def evolve(model: ModelSpec, grid: Grid, state: FieldState, T: float, dt: float,
     n_steps = _check_run(model, grid, dt, T, observe_every)
     _check_state(grid, state)
     windows = {float(r): grid.window(float(r)) for r in seminorm_radii}
-    nodes = np.array(grid.oscillator_nodes, dtype=np.intp)
-    times, energy, charges, norms, seminorms, traces_psi, traces_pi = _sample_arrays(
-        n_steps, observe_every, windows, len(nodes))
+    series = _sample_arrays(n_steps, observe_every, windows, len(grid.oscillator_nodes))
 
-    def bind(psi, pi, d):
-        # every view and constant a sample reads, bound once per run; d takes the cell differences, at their left nodes
-        right, left = psi[1:], psi[:-1]
-        whole = _window_view(psi, pi, d)
-        cells = whole[2]
-        views = [(seminorms[r], _window_view(psi, pi, d, window)) for r, window in windows.items()]
-        m2, dx, form, sqrt, subtract, psi_at = model.mass**2, grid.dx, _energy_form, math.sqrt, np.subtract, psi.item
-        sites = [(i, o.coefficients[::-1]) for o, i in zip(model.oscillators, grid.oscillator_nodes)]
-
-        def observe(k):
-            j = k // observe_every
-            subtract(right, left, cells)
-            times[j] = state.t + k * dt
-            norm2 = float(form(m2, dx, whole, whole).real)
-            energy[j] = 0.5 * norm2 + sum(_at_node(u, psi_at(i)) for i, u in sites)
-            norms[j] = sqrt(norm2)
-            charges[j] = _charge(grid, (psi, pi))
-            for column, v in views:
-                column[j] = sqrt(float(form(m2, dx, v, v).real))
-            traces_psi[j] = psi[nodes]
-            traces_pi[j] = pi[nodes]
-            return norm2
-
-        return observe
+    def bind(psi, pi):
+        return _observer(model, grid, psi, pi, series, windows, observe_every, state.t, dt)
 
     final = _kdk(model, grid, state, dt, n_steps, observe_every, bind)
-    series = ObserverSeries(times, energy, charges, norms, seminorms, traces_psi, traces_pi, dt * observe_every)
-    return series, final
+    (times, energy, charges, norms, *seminorms), traces = series
+    return ObserverSeries(times, energy, charges, norms, dict(zip(windows, seminorms)), *traces,
+                          dt * observe_every), final
 
 
 @dataclass(frozen=True)
@@ -518,38 +483,27 @@ class ManifoldDistance:
 
 
 class _Candidate(NamedTuple):
-    """A solved wave sampled on the nodes of the metric's outer window, with the differences of psi on its cells."""
+    """A solved wave and its sample on the nodes of the metric's outer window, bound for the phase fit."""
 
     wave: SolitaryWave
-    psi: np.ndarray
-    pi: np.ndarray
-    cells: np.ndarray
+    sample: object  # a _passes.Wave
 
 
 def _candidate(model: ModelSpec, grid: Grid, wave: SolitaryWave, outer: slice) -> _Candidate:
+    from . import _passes
+
     psi, pi = _solitary_sample(model, grid, wave, outer)
-    _, _, cells = _window_view(psi, pi, _cell_differences(psi))
-    for array in (psi, pi, cells):
+    for array in (psi, pi):
         array.setflags(write=False)
-    return _Candidate(wave, psi, pi, cells)
-
-
-def _phase_fit_dist(model: ModelSpec, grid: Grid, v, candidate: _Candidate, windows: list[slice]) -> float:
-    """Metric distance from v, a (psi, pi, cells) triple on the outer window, to the closest phase of a candidate.
-
-    v's cells are taken once for all candidates.
-    """
-    psi, pi = candidate.psi, candidate.pi
-    # the unit phase minimizing |u - e^{i theta} (psi, pi)|_E, in closed form
-    inner = _energy_form(model.mass**2, grid.dx, v, (psi, pi, candidate.cells))
-    phase = inner.conjugate() / abs(inner) if abs(inner) != 0.0 else 1.0 + 0j
-    return _metric(model, grid, (v[0] - psi * phase, v[1] - pi * phase), windows)
+    return _Candidate(wave, _passes.Wave(psi, pi))
 
 
 def _candidate_dist(model: ModelSpec, grid: Grid, u, wave: SolitaryWave, outer: slice, windows: list[slice]) -> float:
-    """Metric distance from u, a (psi, pi) pair on the nodes of the outer window, to the closest phase of a wave."""
-    candidate = _candidate(model, grid, wave, outer)
-    return _phase_fit_dist(model, grid, _window_view(*u, _cell_differences(u[0])), candidate, windows)
+    """Metric distance from u, a (psi, pi) pair on the nodes of the outer window, to the closest phase of a wave.
+
+    The phase is the unit minimizing |u - e^{i theta} (psi, pi)|_E, in closed form.
+    """
+    return _bound_metric(model, grid, u, windows).dist(_candidate(model, grid, wave, outer).sample)
 
 
 def _brent_minimize(f, a: float, b: float, x: float, fx: float, tol: float) -> None:
@@ -661,9 +615,8 @@ def dist_to_manifold(model: ModelSpec, grid: Grid, state: FieldState, omega_grid
         raise ValueError("omega_grid must lie strictly inside (-m, m)")
 
     outer, windows = _metric_windows(grid, r_max)
-    u = (state.psi[outer], state.pi[outer])
-    v = _window_view(*u, _cell_differences(u[0]))  # the phase fits' triple, cut once for every candidate
-    best = ManifoldDistance(_metric(model, grid, u, windows), float("nan"), None)  # the zero wave
+    metric = _bound_metric(model, grid, (state.psi[outer], state.pi[outer]), windows)
+    best = ManifoldDistance(metric.dist(), float("nan"), None)  # the zero wave
     scan = _frequency_scan(model, grid, np.array(omegas).tobytes(), (outer.start, outer.stop), solve_profile)
     if not scan:
         raise NoConvergence(omegas[0], float("inf"))
@@ -671,7 +624,7 @@ def dist_to_manifold(model: ModelSpec, grid: Grid, state: FieldState, omega_grid
     solved: dict[float, tuple[complex, ...]] = {}  # amplitudes by frequency, the refinement's warm starts
     for candidate in scan:
         solved[candidate.wave.omega] = candidate.wave.amplitudes
-        dist = _phase_fit_dist(model, grid, v, candidate, windows)
+        dist = metric.dist(candidate.sample)
         if dist < best.dist:
             best = ManifoldDistance(dist, candidate.wave.omega, candidate.wave)
 
@@ -686,7 +639,7 @@ def dist_to_manifold(model: ModelSpec, grid: Grid, state: FieldState, omega_grid
             if wave is None:
                 return None
             solved[w] = wave.amplitudes
-            dist = _phase_fit_dist(model, grid, v, _candidate(model, grid, wave, outer), windows)
+            dist = metric.dist(_candidate(model, grid, wave, outer).sample)
             if dist < best.dist:
                 best = ManifoldDistance(dist, w, wave)
             return dist

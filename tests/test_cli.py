@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import platform
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -961,3 +965,37 @@ def test_short_domain_warns_of_reflection_and_still_runs(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("warning: light-cone margin -6 < 0") and err.count("\n") == 1
     assert json.loads((tmp_path / "out" / "summary.json").read_text())["light_cone_margin"] == pytest.approx(-6.0)
+
+
+def _numpy_blas_is_openblas():
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # a numpy whose show_config has no dicts mode
+        return False
+    return "openblas" in str(blas.get("name", "")).lower()
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"), reason="OpenBLAS core types are x86-64's")
+@pytest.mark.skipif(not _numpy_blas_is_openblas(), reason="numpy's BLAS is not OpenBLAS")
+def test_outputs_do_not_depend_on_the_openblas_kernel(tmp_path):
+    # the README run on [-10, 10] to T = 2: its initial noise is scaled by an energy norm and its observers are
+    # energy forms, which once summed with np.vdot and so took the bits of whichever kernel OpenBLAS picked
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    text = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    for line, shrunk in (("x_min = -50", "x_min = -10"), ("x_max = 50", "x_max = 10"), ("T = 90", "T = 2")):
+        assert text.count(line + "\n") == 1
+        text = text.replace(line + "\n", shrunk + "\n")
+    config = write_config(tmp_path, text)
+    src = str(Path(__file__).parents[1] / "src")
+    outputs = {}
+    for core in (None, "NEHALEM", "PRESCOTT"):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        if core:
+            env["OPENBLAS_CORETYPE"] = core
+        out = tmp_path / (core or "default")
+        done = subprocess.run([sys.executable, "-m", "kgpoint", "simulate", "--config", config, "--out", str(out)],
+                              env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        outputs[core] = [(out / name).read_bytes() for name in ("final_state.csv", "observers.csv")]
+    assert outputs["NEHALEM"] == outputs[None] and outputs["PRESCOTT"] == outputs[None]

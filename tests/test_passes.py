@@ -143,3 +143,45 @@ def test_the_bound_call_keeps_its_arrays_alive():
     assert len(litter) == 300
     assert np.array_equal(psi.view(np.int64), expected.psi.view(np.int64))
     assert np.array_equal(pi.view(np.int64), expected.pi.view(np.int64))
+
+
+def _series(rows, windows=0, traced=0):
+    return np.zeros((4 + windows, rows)), np.zeros((2, rows, traced), complex)
+
+
+@pytest.mark.parametrize("window", [(0, 8), (-1, 3), (5, 4), (7, 8)], ids=["past-the-end", "negative", "reversed",
+                                                                        "beyond"])
+def test_the_form_binders_refuse_a_window_outside_the_nodes(window):
+    # the form reads every node of each window, with no bounds check
+    psi, pi, _ = _buffers(7)
+    with pytest.raises(ValueError, match="must lie within the 7 nodes"):
+        _passes.observer(psi, pi, 1.0, 0.1, (), (), [window], *_series(1, windows=1))
+    with pytest.raises(ValueError, match="must lie within the 7 nodes"):
+        _passes.Metric(psi, pi, 1.0, 0.1, [(0, 7), window])
+
+
+def test_the_form_binders_refuse_arrays_of_unequal_length():
+    psi, pi = np.zeros(7, complex), np.zeros(6, complex)
+    message = "psi and pi as contiguous 1-d complex arrays of one length"
+    for bind in (lambda: _passes.observer(psi, pi, 1.0, 0.1, (), (), [], *_series(1)),
+                 lambda: _passes.Metric(psi, pi, 1.0, 0.1, [(0, 6)]), lambda: _passes.Wave(psi, pi),
+                 lambda: _passes.Wave(psi, np.zeros(7)), lambda: _passes.Wave(psi, np.zeros(14, complex)[::2])):
+        with pytest.raises(ValueError, match=message):
+            bind()
+    metric = _passes.Metric(psi, psi, 1.0, 0.1, [(0, 7)])
+    with pytest.raises(ValueError, match="a wave on 6 nodes, the metric's window has 7"):
+        metric.dist(_passes.Wave(pi, pi))
+    # the series: a column per observable and window, a trace per oscillator node, the same rows in both
+    series, traces = _series(3, windows=1, traced=1)
+    for blocks in ((series[:4], traces), (series, traces[:, :2]), (series, traces[:, :, :0]),
+                   (series, traces.real.copy()), (series[:, ::2], traces[:, ::2])):
+        with pytest.raises(ValueError, match="the series needs a writable contiguous"):
+            _passes.observer(psi, psi, 1.0, 0.1, (3,), ((0.0, 1.0),), [(0, 7)], *blocks)
+
+
+def test_the_observer_binder_refuses_a_node_outside_the_state():
+    psi, pi, _ = _buffers(7)
+    with pytest.raises(ValueError, match=r"must lie in 0 ... 6"):
+        _passes.observer(psi, pi, 1.0, 0.1, (7,), ((0.0, 1.0),), [], *_series(1, traced=1))
+    with pytest.raises(ValueError, match="1 oscillator nodes but 0 potentials"):
+        _passes.observer(psi, pi, 1.0, 0.1, (3,), (), [], *_series(1, traced=1))

@@ -288,7 +288,7 @@ def test_stepping_keeps_the_reference_bits_where_a_node_force_overflows(model, m
     state = FieldState(psi, 0.5j * psi, 0.0)
     buffers = []
 
-    def bind(psi, pi, scratch):
+    def bind(psi, pi):
         buffers.extend((psi, pi))
         return lambda k: 0.0  # no sample flags the field: the loop runs to the end, which raises
 
@@ -305,7 +305,7 @@ def _kdk_buffers(model, grid, state, dt, n_steps, observe_every):
     """The final (psi, pi) buffers of _kdk with an observer that samples nothing, non-finite ones included."""
     buffers = []
 
-    def bind(psi, pi, scratch):
+    def bind(psi, pi):
         buffers.extend((psi, pi))
         return lambda k: 0.0
 
@@ -452,18 +452,69 @@ def test_charge_examples():
     assert charge(QUARTIC, grid, conj) == pytest.approx(-charge(QUARTIC, grid, state), abs=1e-15)
 
 
+def fixed_order_lanes(terms):
+    """The two lanes of a sum of (lane 0, lane 1) terms in the energy form's fixed order, on Python floats.
+
+    Term i adds into accumulator i mod 4, lane by lane, each accumulator from
+    0.0; the accumulators combine as ((s0 + s1) + (s2 + s3)).
+    """
+    acc = [[0.0, 0.0] for _ in range(4)]
+    for i, (l0, l1) in enumerate(terms):
+        s = acc[i % 4]
+        s[0] = s[0] + l0
+        s[1] = s[1] + l1
+    return tuple((acc[0][k] + acc[1][k]) + (acc[2][k] + acc[3][k]) for k in (0, 1))
+
+
+def fixed_order_dot(a, b, weights=None):
+    """(Re, Im) of sum_i w_i conj(a_i) b_i in the fixed order: Re is lane 0 + lane 1 of (Re Re, Im Im), Im is
+    lane 0 - lane 1 of (Re Im, Im Re); a weight multiplies each lane's product."""
+    a, b = np.asarray(a).tolist(), np.asarray(b).tolist()
+    w = [1.0] * len(a) if weights is None else weights
+    re = fixed_order_lanes((c * (x.real * y.real), c * (x.imag * y.imag)) for c, x, y in zip(w, a, b))
+    im = fixed_order_lanes((c * (x.real * y.imag), c * (x.imag * y.real)) for c, x, y in zip(w, a, b))
+    return re[0] + re[1], im[0] - im[1]
+
+
+def fixed_order_form(m2, dx, a, b, weights=None):
+    """(Re, Im) of the energy form of two (psi, pi) pairs on the same nodes, transcribed from the compiled form."""
+    (a_psi, a_pi), (b_psi, b_pi) = a, b
+    pi_sum, psi_sum = fixed_order_dot(a_pi, b_pi, weights), fixed_order_dot(a_psi, b_psi, weights)
+    cells = fixed_order_dot(np.diff(a_psi), np.diff(b_psi))
+    return tuple(dx * (p + m2 * q) + c / dx for p, q, c in zip(pi_sum, psi_sum, cells))
+
+
+def fixed_order_seminorm(model, grid, psi, pi):
+    return math.sqrt(fixed_order_form(model.mass**2, grid.dx, (psi, pi), (psi, pi))[0])
+
+
+def left_to_right(terms):
+    total = 0.0
+    for term in terms:
+        total = total + term
+    return total
+
+
 def trapezoid_functionals(model, grid, state):
-    """(H, Q, energy norm) with trapezoid node weights, 1/2 at the two end nodes: the whole-grid reference."""
+    """(H, Q, energy norm) with trapezoid node weights, 1/2 at the two end nodes: the whole-grid reference.
 
-    def trapezoid_vdot(u, v):
-        return np.vdot(u, v) - 0.5 * (u[0].conjugate() * v[0] + u[-1].conjugate() * v[-1])
+    Each sum is the compiled form's fixed order transcribed to Python floats,
+    and the potentials are summed left to right from 0.0.
+    """
+    psi, pi = state.psi, state.pi
+    weights = [0.5] + [1.0] * (grid.count - 2) + [0.5]
+    norm2 = fixed_order_form(model.mass**2, grid.dx, (psi, pi), (psi, pi), weights)[0]
+    pot = left_to_right(potential(o, psi[i]) for o, i in zip(model.oscillators, grid.oscillator_nodes))
+    return 0.5 * norm2 + pot, -grid.dx * fixed_order_dot(psi, pi, weights)[1], math.sqrt(norm2)
 
+
+def vdot_functionals(model, grid, state):
+    """(H, Q, energy norm) by np.vdot, whose order is the BLAS kernel's: the second reference, to roundoff."""
     psi, pi = state.psi, state.pi
     d = np.diff(psi)
-    nodes = trapezoid_vdot(pi, pi) + model.mass**2 * trapezoid_vdot(psi, psi)
-    norm2 = float((grid.dx * nodes + np.vdot(d, d) / grid.dx).real)
-    pot = sum(potential(o, psi[i]) for o, i in zip(model.oscillators, grid.oscillator_nodes))
-    return 0.5 * norm2 + pot, -grid.dx * float(trapezoid_vdot(psi, pi).imag), math.sqrt(norm2)
+    norm2 = float((grid.dx * (np.vdot(pi, pi) + model.mass**2 * np.vdot(psi, psi)) + np.vdot(d, d) / grid.dx).real)
+    pot = left_to_right(potential(o, psi[i]) for o, i in zip(model.oscillators, grid.oscillator_nodes))
+    return 0.5 * norm2 + pot, -grid.dx * float(np.vdot(psi, pi).imag), math.sqrt(norm2)
 
 
 def test_whole_grid_functionals_equal_the_trapezoid_rule_bit_for_bit():
@@ -483,6 +534,10 @@ def test_whole_grid_functionals_equal_the_trapezoid_rule_bit_for_bit():
             expected = trapezoid_functionals(model, g, s)
             assert (hamiltonian(model, g, s), charge(model, g, s), energy_norm(model, g, s)) == expected
             assert (series.energy[j], series.charge[j], series.energy_norm[j]) == expected
+            h, q, norm = vdot_functionals(model, g, s)
+            assert energy_norm(model, g, s) == pytest.approx(norm, rel=1e-13, abs=0.0)
+            assert hamiltonian(model, g, s) == pytest.approx(h, rel=0.0, abs=1e-13 * norm**2)
+            assert charge(model, g, s) == pytest.approx(q, rel=0.0, abs=1e-13 * norm**2)
 
 
 def test_perturbed_state_does_not_change_with_the_grid():
@@ -556,9 +611,20 @@ def full_grid_candidate_dist(model, grid, state, wave, r_max):
     """A candidate's distance as the whole-grid path computes it: the reference for the window path.
 
     The solitary state on the whole grid, the closed-form phase fit on the
-    r_max window, the phased state, then sum 2^-R local_seminorm of the
-    difference.
+    r_max window, the phased state, then sum 2^-R |.|_{E,R} of the
+    difference; every form is the fixed order transcribed to Python floats.
     """
+    cand = solitary_state(model, grid, wave)
+    w = grid.window(float(r_max))
+    zr, zi = fixed_order_form(model.mass**2, grid.dx, (state.psi[w], state.pi[w]), (cand.psi[w], cand.pi[w]))
+    r = math.hypot(zr, zi)
+    phase = complex(zr / r, -zi / r) if r != 0.0 else 1.0 + 0j
+    phased = FieldState(cand.psi * phase, cand.pi * phase, state.t)
+    return full_grid_metric(model, grid, state, phased, r_max, fixed_order_seminorm)
+
+
+def vdot_candidate_dist(model, grid, state, wave, r_max):
+    """The same with np.vdot, whose order is the BLAS kernel's, and numpy's phase: the second reference."""
     cand = solitary_state(model, grid, wave)
     w = grid.window(float(r_max))
     cells = np.vdot(np.diff(state.psi[w]), np.diff(cand.psi[w]))
@@ -566,12 +632,29 @@ def full_grid_candidate_dist(model, grid, state, wave, r_max):
     inner = grid.dx * nodes + cells / grid.dx
     phase = 1.0 + 0j if abs(inner) == 0.0 else inner.conjugate() / abs(inner)
     phased = FieldState(cand.psi * phase, cand.pi * phase, state.t)
-    return full_grid_metric(model, grid, state, phased, r_max)
+
+    def vdot_seminorm(model, grid, psi, pi):
+        d = np.diff(psi)
+        nodes = np.vdot(pi, pi) + model.mass**2 * np.vdot(psi, psi)
+        return math.sqrt(float((grid.dx * nodes + np.vdot(d, d) / grid.dx).real))
+
+    return full_grid_metric(model, grid, state, phased, r_max, vdot_seminorm)
 
 
-def full_grid_metric(model, grid, a, b, r_max):
+def full_grid_metric(model, grid, a, b, r_max, seminorm=None):
+    """sum 2^-R |a - b|_{E,R} left to right from 0.0, the difference taken on the whole grid.
+
+    Each seminorm is local_seminorm's, or seminorm(model, grid, psi, pi)'s on the window's nodes.
+    """
     diff = FieldState(a.psi - b.psi, a.pi - b.pi, a.t)
-    return sum(0.5**R * local_seminorm(model, grid, diff, float(R)) for R in range(1, r_max + 1))
+    terms = []
+    for R in range(1, r_max + 1):
+        if seminorm is None:
+            terms.append(0.5**R * local_seminorm(model, grid, diff, float(R)))
+        else:
+            w = grid.window(float(R))
+            terms.append(0.5**R * seminorm(model, grid, diff.psi[w], diff.pi[w]))
+    return left_to_right(terms)
 
 
 # centred, off-centre, and clipped by the r_max = 5 window (which then holds both end nodes)
@@ -588,8 +671,9 @@ def test_window_candidates_equal_the_full_grid_path_bit_for_bit(x_min, x_max):
         u = (state.psi[outer], state.pi[outer])
         for omega in np.linspace(0.1, 0.8, 15):
             wave = solve_profile(PAIR, float(omega), [0.7, 0.7])
-            assert _candidate_dist(PAIR, grid, u, wave, outer, windows) == full_grid_candidate_dist(
-                PAIR, grid, state, wave, 5)
+            dist = _candidate_dist(PAIR, grid, u, wave, outer, windows)
+            assert dist == full_grid_candidate_dist(PAIR, grid, state, wave, 5)
+            assert dist == pytest.approx(vdot_candidate_dist(PAIR, grid, state, wave, 5), rel=1e-13, abs=0.0)
 
 
 @pytest.mark.parametrize("x_min, x_max", METRIC_GRIDS)
@@ -604,6 +688,100 @@ def test_metric_dist_equals_the_full_grid_sum_bit_for_bit(x_min, x_max):
         for r_max in (1, 3, 5):
             for x, y in ((a, b), (b, a), (a, zero)):
                 assert metric_dist(PAIR, grid, x, y, r_max) == full_grid_metric(PAIR, grid, x, y, r_max)
+
+
+@pytest.mark.parametrize("length", range(10))
+def test_the_compiled_form_keeps_the_fixed_order_on_every_lane_tail(length):
+    # 0 to 9 nodes: after the last whole group of four, 0 to 3 nodes (and one cell fewer) fill the accumulators
+    from kgpoint import _passes
+
+    rng = np.random.default_rng(40 + length)
+    count, m2, dx = 23, 1.3, 0.05
+    psi, pi, wave_psi, wave_pi = (rng.normal(size=count) + 1j * rng.normal(size=count) for _ in range(4))
+    def one_row(windows):  # the columns t, H, Q, the energy norm and a seminorm per window; traces of no node
+        return np.zeros((4 + len(windows), 1)), np.zeros((2, 1, 0), complex)
+
+    # the whole-state sums, the charge's among them, on the nodes alone
+    u = (psi[:length], pi[:length])
+    series, traces = one_row([])
+    norm2 = _passes.observer(*u, m2, dx, (), (), [], series, traces)(0)
+    reference = fixed_order_form(m2, dx, u, u)[0]
+    assert norm2 == reference and series[1, 0] == 0.5 * reference and series[3, 0] == math.sqrt(reference)
+    assert series[2, 0] == -dx * fixed_order_dot(*u)[1]
+
+    # seminorm windows of the nodes within a larger state; the first and the last hold an end node
+    windows = [(start, start + length) for start in (0, 1, 6, count - length)]
+    series, traces = one_row(windows)
+    _passes.observer(psi, pi, m2, dx, (), (), windows, series, traces)(0)
+    for (start, stop), value in zip(windows, series[4:, 0]):
+        v = (psi[start:stop], pi[start:stop])
+        assert value == math.sqrt(fixed_order_form(m2, dx, v, v)[0])
+
+    # the metric of the nodes and its phase fit to a wave on them, whose inner product sums the Im lanes too
+    radii = [(0, length), (length // 2, length), (0, 0)]
+    metric = _passes.Metric(*u, m2, dx, radii)
+    w = (wave_psi[:length], wave_pi[:length])
+    zr, zi = fixed_order_form(m2, dx, u, w)
+    r = math.hypot(zr, zi)
+    phase = complex(zr / r, -zi / r) if r != 0.0 else 1.0 + 0j
+    for wave, (d_psi, d_pi) in ((None, u), (_passes.Wave(*w), (u[0] - w[0] * phase, u[1] - w[1] * phase))):
+        expected = left_to_right(0.5**R * math.sqrt(fixed_order_form(m2, dx, (d_psi[a:b], d_pi[a:b]),
+                                                                     (d_psi[a:b], d_pi[a:b]))[0])
+                                 for R, (a, b) in enumerate(radii, 1))
+        assert metric.dist(wave) == expected
+
+
+def test_the_compiled_form_keeps_the_fixed_order_on_clipped_and_edge_windows():
+    wave = solve_profile(PAIR, 0.4, [0.7, 0.7])
+    # R = 2.013 puts the window edge between nodes; R = 50 clips to the whole grid, both end nodes included
+    grid = build_grid(PAIR, -4.3, 7.9, 0.02)
+    state = perturbed_solitary_state(PAIR, grid, wave, 0.1, seed=8)
+    ones = FieldState(np.ones(grid.count, complex), np.exp(1j * grid.x), 0.0)  # nonzero at both end nodes
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for s in (state, ones):
+            for R in (2.013, 50.0):
+                w = grid.window(R)
+                assert local_seminorm(PAIR, grid, s, R) == fixed_order_seminorm(PAIR, grid, s.psi[w], s.pi[w])
+        # on [-4.3, 4.1] the r_max = 5 window is clipped to the whole grid
+        grid = build_grid(PAIR, -4.3, 4.1, 0.02)
+        a = perturbed_solitary_state(PAIR, grid, wave, 0.1, seed=1)
+        b = solitary_state(PAIR, grid, wave, np.exp(0.7j))
+        assert grid.window(5.0) == slice(0, grid.count)
+        assert metric_dist(PAIR, grid, a, b, 5) == full_grid_metric(PAIR, grid, a, b, 5, fixed_order_seminorm)
+
+
+def test_the_potentials_and_the_metric_sum_left_to_right_where_a_compensated_sum_differs():
+    # Python 3.12's sum() compensates its float sums, which 3.10 and 3.11 do not: the observer, hamiltonian and
+    # the metric sum left to right on every version, so they agree with each other and with this reference
+    model = ModelSpec(1.0, (OscillatorSpec(-0.3, (2.0**53, -2.0, 1.0)), OscillatorSpec(0.2, (1.0, -1.0, 0.0, 0.5)),
+                            OscillatorSpec(0.5, (-(2.0**53), -2.0, 1.0))))
+    grid = build_grid(model, -6.0, 6.0, 0.02)
+    psi = np.array(gaussian_data(grid, 0.8 * np.exp(0.3j), 0.1, 0.7, 0.4).psi)
+    psi[list(grid.oscillator_nodes)] = 0.0  # each potential is its constant term: 2^53, 1 and -2^53
+    state = FieldState(psi, 0.4j * psi, 0.0)
+    potentials = [potential(o, psi[i]) for o, i in zip(model.oscillators, grid.oscillator_nodes)]
+    assert math.fsum(potentials) != left_to_right(potentials)
+    h = trapezoid_functionals(model, grid, state)[0]
+    series, _ = evolve(model, grid, state, 0.0, 0.009)
+    assert series.energy[0] == hamiltonian(model, grid, state) == h
+
+    rng = np.random.default_rng(50)
+
+    def random_state():
+        psi = (rng.normal(size=grid.count) + 1j * rng.normal(size=grid.count)) * np.exp(-grid.x**2 / 8.0)
+        psi[[0, -1]] = 0.0
+        return FieldState(psi, np.roll(psi, 3) * 0.5j, 0.0)
+
+    for _ in range(100):
+        a, b = random_state(), random_state()
+        diff = FieldState(a.psi - b.psi, a.pi - b.pi, 0.0)
+        terms = [0.5**R * local_seminorm(model, grid, diff, float(R)) for R in range(1, 6)]
+        if math.fsum(terms) != left_to_right(terms):
+            break
+    assert math.fsum(terms) != left_to_right(terms)
+    assert metric_dist(model, grid, a, b, 5) == left_to_right(terms)
+    assert metric_dist(model, grid, a, b, 5) == full_grid_metric(model, grid, a, b, 5, fixed_order_seminorm)
 
 
 def test_clipped_radius_warns_once_per_call():
