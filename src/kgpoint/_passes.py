@@ -1,5 +1,6 @@
 """The compiled passes, built from ``_passes.c`` on first use and loaded with ctypes: the stepping loop, the
-energy form behind every observer, and the Newton solve of the solitary amplitude system.
+energy form behind every observer, the Newton solve of the solitary amplitude system, and the CSV text of
+float64 rows.
 
 The library is built by Python's own C compiler (sysconfig's ``CC``) with
 ``-O3 -ffp-contract=off -lm``: no fused multiply-add and no reassociation, so
@@ -10,13 +11,15 @@ CPU of its architecture.  The energy form sums in one fixed order of its own
 metric and the phase fit have the same bits whatever the CPU or BLAS.  Two
 entries evaluate it, each bound once to its arrays: ``observer``, a whole
 observer sample, and ``Metric``, the metric distance to phase-fitted
-candidate waves.  The library is cached in ``$XDG_CACHE_HOME/kgpoint`` (by
-default ``~/.cache/kgpoint``), or where that is not writable in a private
-directory under the temp directory, named by the SHA-256 of the source and
-the compile command.  A build is compiled to a temporary name and renamed
-into place, so processes that build at once do not race.  A build that fails
-raises OSError with a one-line reason.  Loading a cached build imports no
-``subprocess``.
+candidate waves.  ``csv_writer`` prints float64 rows as Python's ``'%.17g'``,
+by integer arithmetic on a table of powers of ten (``_powers_of_ten``), built
+with Python ints on the first float write.  The library is cached in
+``$XDG_CACHE_HOME/kgpoint`` (by default ``~/.cache/kgpoint``), or where that
+is not writable in a private directory under the temp directory, named by the
+SHA-256 of the source and the compile command.  A build is compiled to a
+temporary name and renamed into place, so processes that build at once do not
+race.  A build that fails raises OSError with a one-line reason.  Loading a
+cached build imports no ``subprocess``.
 """
 
 from __future__ import annotations
@@ -75,6 +78,12 @@ class _Wave(ctypes.Structure):
     _fields_ = [("p", _POINTER), ("q", _POINTER), ("n", _SIZE)]
 
 
+class _Pow10(ctypes.Structure):
+    """struct kgp_pow10: 10^k as t 2^exp2 <= 10^k < (t + 1) 2^exp2, t = hi 2^64 + lo with 2^127 <= t < 2^128."""
+
+    _fields_ = [("hi", ctypes.c_uint64), ("lo", ctypes.c_uint64), ("exp2", ctypes.c_int64)]
+
+
 _ENTRIES = {  # name: (argtypes, restype)
     "kgp_run": ((ctypes.POINTER(_Field), _INT, _SIZE), None),
     "kgp_sample": ((ctypes.POINTER(_Observer), _SIZE), _DOUBLE),
@@ -84,7 +93,11 @@ _ENTRIES = {  # name: (argtypes, restype)
     "kgp_jacobian": ((_SIZE, _POINTER, _DOUBLE, _POINTER, _POINTER), None),
     "kgp_solve_linear": ((_SIZE, _POINTER, _POINTER, _POINTER), _INT),
     "kgp_sup_norm": ((_POINTER, _SIZE), _DOUBLE),
+    "kgp_format_rows": ((_POINTER, _SIZE, _SIZE, _POINTER, _POINTER), _SIZE),
 }
+POW10_K = range(-292, 341)  # the powers of ten that 17-digit printing of a float64 multiplies by
+_VALUE_BYTES, _ROW_BYTES = 25, 2  # kgp_format_rows's room for a value and for a row's line end
+_BLOCK_BYTES = 1 << 16  # the buffer a block of rows is formatted into
 
 
 def _compile_command() -> list[str]:
@@ -320,3 +333,44 @@ class Solver:
         res = self.amps_t()
         self.lib.kgp_residual(self.block, coupling, k2, c, res, (_DOUBLE * (3 * self.n))())
         return res[:]
+
+
+@cache
+def _powers_of_ten():
+    """struct kgp_pow10 of 10^k for each k of POW10_K, in order, from exact Python ints."""
+
+    def entry(k):
+        power = 10**abs(k)
+        if k >= 0:
+            exp2 = power.bit_length() - 128
+            t = power >> exp2 if exp2 >= 0 else power << -exp2
+        else:  # 2^-exp2 / 10^-k lies in (2^127, 2^128)
+            exp2 = -127 - power.bit_length()
+            t = (1 << -exp2) // power
+        return t >> 64, t & (2**64 - 1), exp2
+
+    return (_Pow10 * len(POW10_K))(*map(entry, POW10_K))
+
+
+def csv_writer(rows: np.ndarray):
+    """write(fh), which writes the 2-d float64 rows to the binary file fh as CSV lines: each value as Python's
+    '%.17g' ('nan' for a NaN of either sign), comma-separated, each row CRLF-ended.
+
+    The library is loaded, and on the first call the table of powers of ten
+    built, before write is returned.  write formats blocks of rows into one
+    buffer of about _BLOCK_BYTES, so its memory does not grow with the rows.
+    """
+    if rows.dtype != float or rows.ndim != 2:
+        raise ValueError(f"the CSV formatter needs a 2-d float64 array, not {rows.ndim}-d {rows.dtype}")
+    entry, table = library().kgp_format_rows, _powers_of_ten()
+    cols = rows.shape[1]
+    block = max(1, _BLOCK_BYTES // (cols * _VALUE_BYTES + _ROW_BYTES))
+
+    def write(fh):
+        pow10 = ctypes.addressof(table) - POW10_K.start * ctypes.sizeof(_Pow10)  # the entry of 10^0
+        buffer = np.empty(block * (cols * _VALUE_BYTES + _ROW_BYTES), dtype=np.uint8)
+        for start in range(0, len(rows), block):
+            part = np.ascontiguousarray(rows[start:start + block])
+            fh.write(buffer[:entry(part.ctypes.data, len(part), cols, pow10, buffer.ctypes.data)])
+
+    return write

@@ -102,7 +102,7 @@ def cmd_solve(args) -> int:
         for j in range(cfg.model.count):
             header += [f"C{j + 1}_re", f"C{j + 1}_im"]
         header.append("residual_max")
-        # one float64 array, so that write_csv formats every row with one row format
+        # one float64 array, so that write_csv formats it in the compiled library
         rows = np.array([[w.omega, w.kappa, *(p for c in w.amplitudes for p in (c.real, c.imag)), w.residual_max]
                          for w in waves], dtype=float).reshape(-1, len(header))
         kio.write_csv(out_dir / "branch.csv", header, rows)
@@ -264,7 +264,8 @@ def _prepare_run(cfg: ExperimentConfig, seed=None) -> tuple:
     """(model, grid, initial state, seed, wall clip) of a configured run; a run evolve would refuse fails first.
 
     A run too large to hold is refused here too, before anything is printed:
-    its sample arrays are allocated once, untouched, and dropped.
+    its sample arrays are allocated once, untouched, and dropped.  So is a run
+    whose compiled library, which steps it and writes its CSVs, cannot be built.
     """
     if cfg.grid is None or cfg.run is None:
         raise ConfigError("simulate requires [grid] and [run] sections")
@@ -277,6 +278,9 @@ def _prepare_run(cfg: ExperimentConfig, seed=None) -> tuple:
     grid = build_grid(model, cfg.grid.x_min, cfg.grid.x_max, cfg.grid.dx_target)
     steps = _check_run(model, grid, cfg.run.dt, cfg.run.T, cfg.run.observe_every)
     _sample_arrays(steps, cfg.run.observe_every, cfg.run.seminorm_radii, model.count)
+    from . import _passes  # here, so that importing the command line loads no library
+
+    _passes.library()
     # only perturbed solitary data draws from a seed: the --seed flag, else the config's
     if initial is None or initial.kind != "perturbed_solitary":
         seed = None

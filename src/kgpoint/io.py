@@ -5,9 +5,12 @@ round-trips exactly through text, making runs reproducible across tools.
 
 Byte contract: ``write_csv`` writes the bytes of ``csv.writer`` fed with
 ``fmt`` of every value (integers in decimal, other numbers as ``%.17g``,
-CRLF line ends), but formats a whole row with one ``%`` string instead of
-a call per value.  The readers parse with ``np.loadtxt`` to the values
-``float()`` gives, and reject a row whose length differs from the header's.
+CRLF line ends).  The rows of a 2-d float64 array are formatted in the
+compiled library (``_passes.csv_writer``), which loads before the file or its
+directory is made; other rows one at a time, each with one ``%`` string
+instead of a call per value.  The readers parse with ``np.loadtxt`` to the
+values ``float()`` gives, and reject a row whose length differs from the
+header's.
 """
 
 from __future__ import annotations
@@ -49,18 +52,24 @@ def _row_format(row) -> str:
 def write_csv(path, header, rows):
     """Header, then one line per row; rows is an iterable of number sequences or a 2-d array.
 
-    An array shares one format among all its rows, the fast path for the
-    column stacks below.
+    A 2-d float64 array, such as the column stacks below, is formatted in the
+    compiled library; a library that cannot be built raises OSError before
+    anything is written.
     """
     path = Path(path)
+    write_floats = None
+    if isinstance(rows, np.ndarray) and rows.dtype == float and rows.ndim == 2:
+        from . import _passes  # on the first float write, so importing io loads no library
+
+        write_floats = _passes.csv_writer(rows)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(header)
-        if isinstance(rows, np.ndarray):
-            line = _row_format(rows[0]) if len(rows) else ""
-            fh.writelines(line % tuple(row) for row in rows.tolist())
-        else:
+        if write_floats is None:
             fh.writelines(_row_format(row) % tuple(row) for row in rows)
+        else:
+            fh.flush()
+            write_floats(fh.buffer)
 
 
 def write_json(path, obj):

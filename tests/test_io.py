@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from kgpoint import _passes
 from kgpoint.cli import main
 from kgpoint.io import fmt, read_state_csv, read_trace_csv, write_csv
 
@@ -91,3 +94,77 @@ def test_ragged_state_file_is_rejected(tmp_path):
     path.write_bytes(b"x,psi_re,psi_im,pi_re,pi_im\r\n0,1,0,0,0\r\n0.1,1,0,0\r\n")
     with pytest.raises(ValueError, match="columns changed"):
         read_state_csv(path)
+
+
+def compiled_text(values) -> list[str]:
+    """Each value's text from the compiled formatter, formatted as rows of up to five values."""
+    flat = np.asarray(values, dtype=float).ravel()
+    rows = np.concatenate([flat, np.zeros(-len(flat) % 5)]).reshape(-1, 5)
+    buf = io.BytesIO()
+    _passes.csv_writer(rows)(buf)
+    return buf.getvalue().decode().replace("\r\n", ",").split(",")[:len(flat)]
+
+
+def mismatches(values) -> list[tuple[str, str]]:
+    values = np.asarray(values, dtype=float).ravel()
+    expected = ["%.17g" % v for v in values.tolist()]
+    return [(got, want) for got, want in zip(compiled_text(values), expected) if got != want]
+
+
+def test_formatter_matches_python_on_random_bit_patterns():
+    # both signs, every exponent, subnormals (1 in 2048) and NaN payloads alike
+    bits = np.random.default_rng(25).integers(0, 2**64, size=2**20, dtype=np.uint64)
+    assert mismatches(bits.view(np.float64)) == []
+
+
+def test_formatter_matches_python_on_powers_of_two_and_ten():
+    twos = [math.ldexp(1.0, e) for e in range(-1074, 1024)]
+    tens = [float(f"1e{k}") for k in range(-323, 309)]  # every power of ten that rounds to a nonzero float
+    neighbours = np.concatenate([np.nextafter(tens, 0.0), np.nextafter(tens, math.inf)])
+    assert mismatches(twos + [-v for v in twos]) == []
+    assert mismatches(tens + list(neighbours)) == []
+
+
+def test_formatter_matches_python_on_integers_and_quarter_steps():
+    assert mismatches(np.arange(-10**5, 10**5 + 1)) == []
+    # 17 digits of 2^50 + j / 4 end at the tenths: each .25 and .75 is an exact tie, rounded half to even,
+    # which the integer digits cannot tell from a value next to it and leave to the exact fallback
+    quarters = 2.0**50 + np.arange(4 * 10**4) / 4
+    assert mismatches(quarters) == [] and mismatches(-quarters) == []
+    assert compiled_text([1234567890123456.75, 1125899906842624.25]) == ["1234567890123456.8", "1125899906842624.2"]
+
+
+def test_formatter_prints_signed_zeros_infinities_and_every_nan_as_python():
+    negative_nan = -np.abs(np.float64(math.nan))
+    assert np.signbit(negative_nan)
+    values = [0.0, -0.0, math.inf, -math.inf, math.nan, negative_nan, 5e-324, -5e-324, 1.7976931348623157e308]
+    assert compiled_text(values) == ["0", "-0", "inf", "-inf", "nan", "nan", "4.9406564584124654e-324",
+                                     "-4.9406564584124654e-324", "1.7976931348623157e+308"]
+
+
+@given(st.lists(st.floats(), min_size=1, max_size=40))
+def test_formatter_matches_python_on_any_floats(values):
+    assert mismatches(values) == []
+
+
+def test_the_power_table_is_ten_to_each_k():
+    table = _passes._powers_of_ten()
+    assert len(table) == len(_passes.POW10_K)
+    for k, entry in zip(_passes.POW10_K, table):
+        t = entry.hi << 64 | entry.lo
+        assert 2**127 <= t < 2**128, k
+        # t 2^exp2 <= 10^k < (t + 1) 2^exp2, each power written as a fraction of integers and cross-multiplied
+        ten, ten_den = (10**k, 1) if k >= 0 else (1, 10**-k)
+        two, two_den = (2**entry.exp2, 1) if entry.exp2 >= 0 else (1, 2**-entry.exp2)
+        assert t * two * ten_den <= ten * two_den < (t + 1) * two * ten_den, k
+
+
+def test_write_csv_formats_a_float_array_in_blocks_whatever_its_layout(tmp_path):
+    # more rows than one block holds, a Fortran-ordered and a strided array, and rows of no values
+    rng = np.random.default_rng(7)
+    rows = rng.normal(size=(5000, 3)) * 10.0 ** rng.integers(-30, 30, size=(5000, 3))
+    path = tmp_path / "blocks.csv"
+    for array in (rows, np.asfortranarray(rows), rows[::-2, ::2], np.empty((3, 0))):
+        header = [f"c{j}" for j in range(array.shape[1])]
+        write_csv(path, header, array)
+        assert path.read_bytes() == reference_bytes(header, array)

@@ -36,8 +36,9 @@ import sys
 import numpy
 numpy_loads_ctypes = "ctypes" in sys.modules  # numpy 2's numpy._core._internal imports it
 import kgpoint
+import kgpoint.io
 loaded = [name for name in sys.modules if name.startswith("kgpoint")]
-assert "kgpoint._passes" not in loaded, loaded
+assert "kgpoint.io" in loaded and "kgpoint._passes" not in loaded, loaded
 assert ("ctypes" in sys.modules) == numpy_loads_ctypes
 assert not any("ctypes" in vars(sys.modules[name]) for name in loaded)
 assert "subprocess" not in sys.modules
@@ -45,13 +46,42 @@ model = kgpoint.ModelSpec(1.0, (kgpoint.OscillatorSpec(0.0, (0.0, -2.0, 1.0)),))
 kgpoint.solve_profile(model, 0.5, [0.7])  # loads the library from the warm cache
 assert "kgpoint._passes" in sys.modules
 assert "subprocess" not in sys.modules
+from kgpoint import _passes
+assert _passes._powers_of_ten.cache_info().currsize == 0  # the power table waits for the first float write
+import tempfile
+with tempfile.TemporaryDirectory() as tmp:
+    kgpoint.io.write_csv(tmp + "/ints.csv", ["n"], [[1], [2]])
+    assert _passes._powers_of_ten.cache_info().currsize == 0
+    kgpoint.io.write_csv(tmp + "/floats.csv", ["x"], numpy.ones((2, 1)))
+    assert _passes._powers_of_ten.cache_info().currsize == 1
+"""
+
+# the command line's process pool imports subprocess through multiprocessing, so it is checked on its own
+CLI_IMPORT_FACTS = """
+import sys
+import numpy
+numpy_loads_ctypes = "ctypes" in sys.modules
+import kgpoint.cli
+loaded = [name for name in sys.modules if name.startswith("kgpoint")]
+assert "kgpoint.io" in loaded and "kgpoint._passes" not in loaded, loaded
+assert ("ctypes" in sys.modules) == numpy_loads_ctypes
+assert not any("ctypes" in vars(sys.modules[name]) for name in loaded)
 """
 
 
 def test_importing_the_package_loads_no_library_and_a_warm_load_no_subprocess():
-    # a setup that solves one profile pays for the library's load, but never for the compiler machinery
+    # a setup that solves one profile pays for the library's load, but never for the compiler machinery, and
+    # the table of powers of ten is built on the first float write, outside any setup
     _passes.library()  # the cache is warm
+    _run_fresh(IMPORT_FACTS)
+
+
+def test_importing_the_command_line_loads_no_library():
+    _run_fresh(CLI_IMPORT_FACTS)
+
+
+def _run_fresh(script):
     src = str(Path(kgpoint.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    done = subprocess.run([sys.executable, "-c", IMPORT_FACTS], env=env, capture_output=True, text=True)
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr

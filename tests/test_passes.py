@@ -1,4 +1,5 @@
 import gc
+import math
 import os
 import subprocess
 
@@ -69,11 +70,28 @@ def test_a_failed_build_raises_one_line_oserror_and_leaves_nothing(cold_cache, b
     assert os.listdir(cold_cache) == []  # no library, and no partial one
 
 
-def test_a_failed_build_is_one_file_error_line_before_any_output(cold_cache, broken_compiler, tmp_path, capsys):
-    config = tmp_path / "run.ini"
-    config.write_text(CONFIG)
+def _tone(tmp_path):
+    """A stored trace of 200 samples, which a spectrum reads before it writes."""
+    path = tmp_path / "tone.csv"
+    t = [0.05 * k for k in range(200)]
+    path.write_text("t,psi1_re,psi1_im\n" + "".join(f"{a!r},{math.cos(a)!r},{math.sin(a)!r}\n" for a in t))
+    return path
+
+
+COMMANDS = {  # each writes a CSV through the compiled library
+    "simulate": lambda tmp_path: ["simulate", "--config", str(tmp_path / "run.ini")],
+    "counterexample": lambda tmp_path: ["counterexample", "--kind", "wide_gap", "--simulate", "--T", "0.5",
+                                        "--half-width", "6", "--dx-target", "0.05"],
+    "spectrum": lambda tmp_path: ["spectrum", "--trace", str(_tone(tmp_path)), "--windows", "0:8"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_a_failed_build_is_one_file_error_line_before_any_output(cold_cache, broken_compiler, tmp_path, capsys,
+                                                                 command):
+    (tmp_path / "run.ini").write_text(CONFIG)
     out = tmp_path / "out"
-    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 1
+    assert main([*COMMANDS[command](tmp_path), "--out", str(out)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("file error: cannot build the compiled passes: ") and captured.err.count("\n") == 1
