@@ -87,17 +87,27 @@ static inline void sweep(double *restrict p, double *restrict q, double *restric
         stencil(p, k, j, c, scale);
 }
 
+/* One model's oscillators, packed once and shared by the steps, the samples and the solves: n oscillators,
+ * and per oscillator the count of the coefficients of its potential u(s), of u'(s) (at least 1) and of
+ * u''(s) (0 at degree 1), each list one oscillator after another, highest degree first */
+struct kgp_model {
+    ptrdiff_t n;
+    const int *ncoef;
+    const double *coef;
+    const int *nslope;
+    const double *slope;
+    const int *ncurv;
+    const double *curv;
+};
+
 /* run's arguments but the last two, fixed for a run: the buffers p (psi), q (pi) and k (the kick), n floats
- * each; the stencil's c and scale; and per oscillator site its node, the count of its slope coefficients,
- * and those coefficients one site after another, highest degree first */
+ * each; the stencil's c and scale; the model and the node of each of its oscillators */
 struct kgp_field {
     double *p, *q, *k;
     ptrdiff_t n;
     double dt, c, scale;
-    ptrdiff_t nsites;
+    const struct kgp_model *model;
     const ptrdiff_t *sites;
-    const int *ncoef;
-    const double *coef;
     double force_scale;
 };
 
@@ -135,8 +145,8 @@ static __attribute__((noinline)) void run(double *restrict p, double *restrict q
 /* steps kick-drift-kick steps of the field f (run's) */
 void kgp_run(const struct kgp_field *f, int primed, ptrdiff_t steps)
 {
-    run(f->p, f->q, f->k, f->n, f->dt, f->c, f->scale, f->nsites, f->sites, f->ncoef, f->coef, f->force_scale, primed,
-        steps);
+    run(f->p, f->q, f->k, f->n, f->dt, f->c, f->scale, f->model->n, f->sites, f->model->nslope, f->model->slope,
+        f->force_scale, primed, steps);
 }
 
 /* Two doubles as one value, lane by lane (gcc's and clang's vector extension) */
@@ -242,20 +252,18 @@ static inline double seminorm(const double *p, const double *q, ptrdiff_t len, d
 }
 
 /* One observer's fixed arguments: the state p (psi) and q (pi), n nodes; the form's m2 and dx; row k / every
- * of the series at step k, at time t0 + k dt; per oscillator site its node, the count of its potential's
- * coefficients and those coefficients one site after another, highest degree first; the seminorm windows as
- * (start, stop) node pairs; and the series of rows samples: its columns t, H, Q, the energy norm and each
- * window's seminorm one after another, then the traces, rows of nsites complex values, p's and then q's. */
+ * of the series at step k, at time t0 + k dt; the model and the node of each of its oscillators; the seminorm
+ * windows as (start, stop) node pairs; and the series of rows samples: its columns t, H, Q, the energy norm
+ * and each window's seminorm one after another, then the traces, rows of a complex value per oscillator, p's
+ * and then q's. */
 struct kgp_observer {
     const double *p, *q;
     ptrdiff_t n;
     double m2, dx;
     ptrdiff_t every;
     double t0, dt;
-    ptrdiff_t nsites;
+    const struct kgp_model *model;
     const ptrdiff_t *sites;
-    const int *ncoef;
-    const double *coef;
     ptrdiff_t nwindows;
     const ptrdiff_t *windows;
     ptrdiff_t rows;
@@ -268,18 +276,19 @@ struct kgp_observer {
  * only if the whole state is. */
 double kgp_sample(const struct kgp_observer *o, ptrdiff_t k)
 {
+    const struct kgp_model *m = o->model;
     const ptrdiff_t row = k / o->every, rows = o->rows;
-    double *column = o->series + row, *trace_p = o->traces + 2 * row * o->nsites;
-    double *trace_q = trace_p + 2 * rows * o->nsites;
+    double *column = o->series + row, *trace_p = o->traces + 2 * row * m->n;
+    double *trace_q = trace_p + 2 * rows * m->n;
     double re[SUMS], im[SUMS];
     form_sums(o->p, o->q, o->p, o->q, o->n, 0, 1, re, im);
     const double norm2 = form_value(re, o->m2, o->dx);
     double u = 0.0;
-    const double *coef = o->coef;
-    for (ptrdiff_t i = 0; i < o->nsites; i++) {
+    const double *coef = m->coef;
+    for (ptrdiff_t i = 0; i < m->n; i++) {
         const ptrdiff_t j = 2 * o->sites[i];
-        u = u + horner(coef, o->ncoef[i], libm_pow(hypot(o->p[j], o->p[j + 1]), 2.0));
-        coef += o->ncoef[i];
+        u = u + horner(coef, m->ncoef[i], libm_pow(hypot(o->p[j], o->p[j + 1]), 2.0));
+        coef += m->ncoef[i];
         memcpy(trace_p + 2 * i, o->p + j, 2 * sizeof(double));
         memcpy(trace_q + 2 * i, o->q + j, 2 * sizeof(double));
     }
@@ -351,19 +360,6 @@ double kgp_fit_dist(const struct kgp_metric *m, const struct kgp_wave *w)
     }
     return metric(m, m->dp, m->dq);
 }
-
-/* The amplitude system of one model, fixed for its solves: n oscillators, and per oscillator the count of
- * its coefficients of u'(s) (at least 1) and of u''(s) (0 at degree 1), each list one oscillator after
- * another, highest degree first; the Newton loop's iteration cap and its two tolerances */
-struct kgp_model {
-    ptrdiff_t n;
-    const int *nslope;
-    const double *slope;
-    const int *ncurv;
-    const double *curv;
-    long max_iter;
-    double tol, zero_tol;
-};
 
 /* residual evaluations made, by the solve and by kgp_residual alike */
 long kgp_residuals;
@@ -512,7 +508,8 @@ static double gauged_norm(ptrdiff_t w, const double *res, const double *c, doubl
 enum { KGP_SOLVED, KGP_ZERO, KGP_FAILED, KGP_NO_MEMORY = -1 };
 
 /* The damped Newton solve of model m's amplitude system from the finite amplitudes c (Re and Im
- * interleaved), k2 = 2 kappa > 0 and coupling the n x n rows exp(-kappa |X_J - X_K|).
+ * interleaved), k2 = 2 kappa > 0 and coupling the n x n rows exp(-kappa |X_J - X_K|), with the iteration
+ * cap max_iter, the residual tolerance tol and the zero-branch bound zero_tol.
  *
  * The phase gauge Im C_1 = 0 replaces residual equation 1 and Jacobian row
  * 1; on residual increase the step is halved up to 8 times.  Returns
@@ -522,7 +519,8 @@ enum { KGP_SOLVED, KGP_ZERO, KGP_FAILED, KGP_NO_MEMORY = -1 };
  * iterate's residual is not finite, at an exactly zero pivot, or when the
  * final residual exceeds tol; and KGP_NO_MEMORY.
  */
-int kgp_solve(const struct kgp_model *m, const double *coupling, double k2, double *c, double *norm_out)
+int kgp_solve(const struct kgp_model *m, const double *coupling, double k2, double *c, long max_iter, double tol,
+              double zero_tol, double *norm_out)
 {
     const ptrdiff_t n = m->n, w = 2 * n;
     double *work = malloc((size_t)(w * w + 7 * w + 6 * n) * sizeof(double));
@@ -537,9 +535,9 @@ int kgp_solve(const struct kgp_model *m, const double *coupling, double k2, doub
     memcpy(cur, c, w * sizeof(double));
     gauge_rotate(n, cur);
     residual(m, coupling, k2, cur, res, slopes);
-    for (it = 0; it < m->max_iter; it++) {
+    for (it = 0; it < max_iter; it++) {
         norm = sup_norm(res, w);
-        if (norm <= m->tol)
+        if (norm <= tol)
             break;
         if (!isfinite(norm)) /* an overflowed iterate never recovers */
             goto done;
@@ -566,7 +564,7 @@ int kgp_solve(const struct kgp_model *m, const double *coupling, double k2, doub
         swap = res, res = res_try, res_try = swap;
         swap = slopes, slopes = slopes_try, slopes_try = swap;
     }
-    if (it == m->max_iter) {
+    if (it == max_iter) {
         norm = sup_norm(res, w);
         goto done;
     }
@@ -574,7 +572,7 @@ int kgp_solve(const struct kgp_model *m, const double *coupling, double k2, doub
     gauge_rotate(n, cur);
     residual(m, coupling, k2, cur, res, slopes);
     norm = sup_norm(res, w);
-    if (norm > m->tol)
+    if (norm > tol)
         goto done;
     memcpy(c, cur, w * sizeof(double));
     double top = hypot(cur[0], cur[1]); /* max of the moduli as Python's max takes it */
@@ -583,7 +581,7 @@ int kgp_solve(const struct kgp_model *m, const double *coupling, double k2, doub
         if (r > top)
             top = r;
     }
-    status = top <= m->zero_tol ? KGP_ZERO : KGP_SOLVED;
+    status = top <= zero_tol ? KGP_ZERO : KGP_SOLVED;
 done:
     *norm_out = norm;
     free(work);

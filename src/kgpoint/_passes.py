@@ -1,6 +1,7 @@
 """The compiled passes, built from ``_passes.c`` on first use and loaded with ctypes: the stepping loop, the
 energy form behind every observer, the Newton solve of the solitary amplitude system, and the CSV text of
-float64 rows.
+float64 rows.  The steps (``bind``), the samples (``observer``) and the solves (``solve``, ``residual``) share one
+block of a model's coefficients, packed once per model object (``model_block``).
 
 The library is built by Python's own C compiler (sysconfig's ``CC``) with
 ``-O3 -ffp-contract=off -lm``: no fused multiply-add and no reassociation, so
@@ -41,28 +42,28 @@ _LIBS = ("-lm",)  # after the source, or a linker that drops unneeded libraries 
 _POINTER, _SIZE, _DOUBLE, _INT = ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_double, ctypes.c_int
 
 
+class _Model(ctypes.Structure):
+    """struct kgp_model: one model's oscillators, the coefficients of u, u' and u'' of each."""
+
+    _fields_ = [("n", _SIZE), ("ncoef", _POINTER), ("coef", _POINTER), ("nslope", _POINTER), ("slope", _POINTER),
+                ("ncurv", _POINTER), ("curv", _POINTER)]
+
+
 class _Field(ctypes.Structure):
-    """struct kgp_field: one run's buffers and constants."""
+    """struct kgp_field: one run's buffers and constants, its model and the model's nodes."""
 
     _fields_ = [("p", _POINTER), ("q", _POINTER), ("k", _POINTER), ("n", _SIZE), ("dt", _DOUBLE),
-                ("c", _DOUBLE), ("scale", _DOUBLE), ("nsites", _SIZE), ("sites", _POINTER), ("ncoef", _POINTER),
-                ("coef", _POINTER), ("force_scale", _DOUBLE)]
-
-
-class _Model(ctypes.Structure):
-    """struct kgp_model: one model's amplitude system and the Newton loop's limits."""
-
-    _fields_ = [("n", _SIZE), ("nslope", _POINTER), ("slope", _POINTER), ("ncurv", _POINTER), ("curv", _POINTER),
-                ("max_iter", ctypes.c_long), ("tol", _DOUBLE), ("zero_tol", _DOUBLE)]
+                ("c", _DOUBLE), ("scale", _DOUBLE), ("model", ctypes.POINTER(_Model)), ("sites", _POINTER),
+                ("force_scale", _DOUBLE)]
 
 
 class _Observer(ctypes.Structure):
-    """struct kgp_observer: one observer's state, constants, potentials, windows and series."""
+    """struct kgp_observer: one observer's state, constants, model and nodes, windows and series."""
 
     _fields_ = [("p", _POINTER), ("q", _POINTER), ("n", _SIZE), ("m2", _DOUBLE), ("dx", _DOUBLE), ("every", _SIZE),
-                ("t0", _DOUBLE), ("dt", _DOUBLE), ("nsites", _SIZE), ("sites", _POINTER), ("ncoef", _POINTER),
-                ("coef", _POINTER), ("nwindows", _SIZE), ("windows", _POINTER), ("rows", _SIZE),
-                ("series", _POINTER), ("traces", _POINTER)]
+                ("t0", _DOUBLE), ("dt", _DOUBLE), ("model", ctypes.POINTER(_Model)), ("sites", _POINTER),
+                ("nwindows", _SIZE), ("windows", _POINTER), ("rows", _SIZE), ("series", _POINTER),
+                ("traces", _POINTER)]
 
 
 class _Metric(ctypes.Structure):
@@ -88,7 +89,8 @@ _ENTRIES = {  # name: (argtypes, restype)
     "kgp_run": ((ctypes.POINTER(_Field), _INT, _SIZE), None),
     "kgp_sample": ((ctypes.POINTER(_Observer), _SIZE), _DOUBLE),
     "kgp_fit_dist": ((ctypes.POINTER(_Metric), ctypes.POINTER(_Wave)), _DOUBLE),
-    "kgp_solve": ((ctypes.POINTER(_Model), _POINTER, _DOUBLE, _POINTER, _POINTER), _INT),
+    "kgp_solve": ((ctypes.POINTER(_Model), _POINTER, _DOUBLE, _POINTER, ctypes.c_long, _DOUBLE, _DOUBLE, _POINTER),
+                  _INT),
     "kgp_residual": ((ctypes.POINTER(_Model), _POINTER, _DOUBLE, _POINTER, _POINTER, _POINTER), None),
     "kgp_jacobian": ((_SIZE, _POINTER, _DOUBLE, _POINTER, _POINTER), None),
     "kgp_solve_linear": ((_SIZE, _POINTER, _POINTER, _POINTER), _INT),
@@ -159,13 +161,50 @@ def library() -> ctypes.CDLL:
     return lib
 
 
-def bind(psi: np.ndarray, pi: np.ndarray, kick: np.ndarray, dt: float, c: float, scale: float,
-         nodes, slopes, force_scale: float):
+def _pack(model):
+    """struct kgp_model of a ModelSpec: of u, u' and u'' the counts and the coefficients, highest degree first."""
+    arrays = []
+    for lists in zip(*((o.coefficients, o.slope_coefficients, o._curvature_coefficients) for o in model.oscillators)):
+        arrays.append((_INT * len(lists))(*map(len, lists)))
+        arrays.append((_DOUBLE * sum(map(len, lists)))(*(v for u in lists for v in u[::-1])))
+    block = _Model(model.count, *map(ctypes.addressof, arrays))
+    block.arrays = arrays  # the block points into them and holds them
+    return ctypes.pointer(block)
+
+
+_last = (None, None)  # the model last packed and its block
+
+
+def model_block(model):
+    """The model's block, which its steps, samples and solves share, packed once per model object.
+
+    Kept for the model last asked for, by identity: a run, a branch, a scan
+    and a command each use one model object, and an equal model's hash and
+    comparison would cost a tenth of a solve.  A bound call holds its block.
+    """
+    global _last
+    last = _last  # one read, so that another thread's swap cannot pair this model with another's block
+    if last[0] is not model:
+        last = _last = (model, _pack(model))
+    return last[1]
+
+
+def _sites(model, nodes, first: int, last: int):
+    """The oscillator nodes as a ctypes array; ValueError unless there is one per oscillator, each in first ... last."""
+    if len(nodes) != model.count:
+        raise ValueError(f"{len(nodes)} oscillator nodes but {model.count} oscillators")
+    if not all(first <= i <= last for i in nodes):
+        raise ValueError(f"oscillator nodes {tuple(nodes)} must lie in {first} ... {last}")
+    return (_SIZE * len(nodes))(*nodes)
+
+
+def bind(psi: np.ndarray, pi: np.ndarray, kick: np.ndarray, dt: float, c: float, scale: float, model, nodes,
+         force_scale: float):
     """The loop over three complex buffers of one length, as one call on one block of its fixed arguments.
 
-    kick's end nodes must be 0.  nodes are the oscillator nodes, each in 1 ...
-    count - 2, and slopes their slope coefficients, low degree first; the
-    force at a node is added to the stencil's kick times force_scale.
+    kick's end nodes must be 0.  nodes are the nodes of model's oscillators,
+    each in 1 ... count - 2; the force at a node is added to the stencil's
+    kick times force_scale.
 
     Returns run(primed, steps), which makes steps kick-drift-kick steps and
     applies the last one's second half kick; kick must hold psi's kick if
@@ -178,19 +217,10 @@ def bind(psi: np.ndarray, pi: np.ndarray, kick: np.ndarray, dt: float, c: float,
     count = psi.size
     if count < 3:
         raise ValueError(f"the loop needs at least 3 nodes, got {count}")
-    if len(nodes) != len(slopes):
-        raise ValueError(f"{len(nodes)} oscillator nodes but {len(slopes)} slope coefficient lists")
-    if not all(1 <= i <= count - 2 for i in nodes):
-        raise ValueError(f"oscillator nodes {tuple(nodes)} must lie in 1 ... {count - 2}")
-    if not all(len(u) for u in slopes):
-        raise ValueError("every oscillator needs at least one slope coefficient")
-    sites = np.array(nodes, dtype=np.intp)
-    ncoef = np.array([len(u) for u in slopes], dtype=np.intc)
-    coef = np.array([v for u in slopes for v in reversed(u)], dtype=float)  # highest degree first
-    lib = library()
-    field = _Field(psi.ctypes.data, pi.ctypes.data, kick.ctypes.data, 2 * count, dt, c, scale, sites.size,
-                   sites.ctypes.data, ncoef.ctypes.data, coef.ctypes.data, force_scale)
-    field.arrays = (psi, pi, kick, sites, ncoef, coef)  # the block points into them; the call holds the block
+    sites, packed, lib = _sites(model, nodes, 1, count - 2), model_block(model), library()
+    field = _Field(psi.ctypes.data, pi.ctypes.data, kick.ctypes.data, 2 * count, dt, c, scale, packed,
+                   ctypes.addressof(sites), force_scale)
+    field.arrays = (psi, pi, kick, packed, sites)  # the block points into them; the call holds the block
     return partial(lib.kgp_run, ctypes.pointer(field))
 
 
@@ -215,33 +245,28 @@ def _block(a: np.ndarray, dtype, shape) -> int:
     return a.ctypes.data
 
 
-def observer(psi: np.ndarray, pi: np.ndarray, m2: float, dx: float, nodes, potentials, windows, series, traces,
+def observer(psi: np.ndarray, pi: np.ndarray, m2: float, dx: float, model, nodes, windows, series, traces,
              every: int = 1, t0: float = 0.0, dt: float = 0.0):
     """One observer sample of (psi, pi) as one call on one block of its fixed arguments.
 
-    nodes are the oscillator nodes and potentials their coefficients, low
-    degree first; windows are (start, stop) node ranges.  series holds a
-    column per observable, a row per sample: t, H, Q, the energy norm and
-    each window's seminorm; traces the rows of psi and of pi at the nodes,
-    shape (2, rows, len(nodes)).  Returns sample(k), which writes row
-    k // every, that at time t0 + k dt, and returns the squared energy norm;
-    k // every must be a row.  The call keeps every array it points into alive.
+    nodes are the nodes of model's oscillators, whose potentials H sums;
+    windows are (start, stop) node ranges.  series holds a column per
+    observable, a row per sample: t, H, Q, the energy norm and each window's
+    seminorm; traces the rows of psi and of pi at the nodes, shape
+    (2, rows, len(nodes)).  Returns sample(k), which writes row k // every,
+    that at time t0 + k dt, and returns the squared energy norm; k // every
+    must be a row.  The call keeps every array it points into alive.
     """
     count = _pair(psi, pi)
-    if len(nodes) != len(potentials):
-        raise ValueError(f"{len(nodes)} oscillator nodes but {len(potentials)} potentials")
-    if not all(0 <= i < count for i in nodes):
-        raise ValueError(f"oscillator nodes {tuple(nodes)} must lie in 0 ... {count - 1}")
+    sites = _sites(model, nodes, 0, count - 1)
     if every < 1:
         raise ValueError("every must be at least 1")
     rows = series.shape[-1]
     blocks = _block(series, float, (4 + len(windows), rows)), _block(traces, complex, (2, rows, len(nodes)))
-    sites, ranges = (_SIZE * len(nodes))(*nodes), _ranges(windows, count)
-    ncoef, coef = _packed(potentials)
-    block = _Observer(psi.ctypes.data, pi.ctypes.data, count, m2, dx, every, t0, dt, len(nodes),
-                      ctypes.addressof(sites), ctypes.addressof(ncoef), ctypes.addressof(coef), len(windows),
-                      ctypes.addressof(ranges), rows, *blocks)
-    block.arrays = (psi, pi, sites, ncoef, coef, ranges, series, traces)  # the block points into them
+    ranges, packed = _ranges(windows, count), model_block(model)
+    block = _Observer(psi.ctypes.data, pi.ctypes.data, count, m2, dx, every, t0, dt, packed, ctypes.addressof(sites),
+                      len(windows), ctypes.addressof(ranges), rows, *blocks)
+    block.arrays = (psi, pi, packed, sites, ranges, series, traces)  # the block points into them
     return partial(library().kgp_sample, ctypes.pointer(block))
 
 
@@ -280,59 +305,41 @@ class Metric:
         return self.fit(self.block, wave.block)
 
 
-def _packed(lists):
-    """The coefficient counts and the coefficients, highest degree first, of per-oscillator lists."""
-    return (_INT * len(lists))(*map(len, lists)), (_DOUBLE * sum(map(len, lists)))(*(v for u in lists for v in u[::-1]))
+SOLVED, ZERO, FAILED = 0, 1, 2  # kgp_solve's statuses
 
 
-class Solver:
-    """One model's amplitude system in the compiled library, its coefficient block packed once.
+def _amplitude_arrays(model, coupling, amps):
+    """model's block, and the coupling rows and the amplitudes (Re and Im interleaved) as ctypes arrays."""
+    n = model.count
+    if len(amps) != n:
+        raise ValueError(f"the amplitude system has {n} oscillators, not {len(amps)}")
+    rows, c = (_DOUBLE * (n * n))(), (_DOUBLE * (2 * n))()  # filled by slice: a wrong length is refused
+    rows[:], c[:] = list(chain.from_iterable(coupling)), [p for z in amps for p in (z.real, z.imag)]
+    return model_block(model), rows, c
 
-    slopes and curvatures are per oscillator the coefficients of u'(s) (at
-    least one) and of u''(s), low degree first; max_iter, tol and zero_tol
-    are the Newton loop's iteration cap, residual tolerance and zero-branch
-    bound.  Amplitudes go in and out as lists of Python complex, and the
-    coupling as the n rows exp(-kappa |X_J - X_K|).
+
+def solve(model, coupling, k2: float, amps, max_iter: int, tol: float,
+          zero_tol: float) -> tuple[int, float, tuple[complex, ...]]:
+    """The damped Newton solve of model's amplitude system from the finite amps at k2 = 2 kappa > 0, with the
+    iteration cap max_iter, the residual tolerance tol and the zero-branch bound zero_tol.
+
+    Amplitudes go in and out as Python complex, the coupling as the n rows exp(-kappa |X_J - X_K|).  Returns
+    (status, residual sup-norm, amplitudes): the status SOLVED, ZERO or FAILED, the amplitudes solved if SOLVED.
     """
+    block, coupling, c = _amplitude_arrays(model, coupling, amps)
+    norm = _DOUBLE()
+    status = library().kgp_solve(block, coupling, k2, c, max_iter, tol, zero_tol, ctypes.byref(norm))
+    if status < 0:
+        raise MemoryError("no memory for the amplitude system's Newton solve")
+    return status, norm.value, tuple(map(complex, c[0::2], c[1::2]))
 
-    SOLVED, ZERO, FAILED = 0, 1, 2  # kgp_solve's statuses
 
-    def __init__(self, slopes, curvatures, max_iter: int, tol: float, zero_tol: float):
-        n = len(slopes)
-        if n < 1 or len(curvatures) != n or not all(map(len, slopes)):
-            raise ValueError("the amplitude system needs per oscillator a list of at least one slope coefficient "
-                             "and a list of curvature coefficients")
-        self.n, self.lib = n, library()
-        block = _Model(n, 0, 0, 0, 0, max_iter, tol, zero_tol)
-        block.arrays = (*_packed(slopes), *_packed(curvatures))  # the block points into them and holds them
-        block.nslope, block.slope, block.ncurv, block.curv = map(ctypes.addressof, block.arrays)
-        self.block = ctypes.pointer(block)
-        self.coupling_t, self.amps_t = _DOUBLE * (n * n), _DOUBLE * (2 * n)
-
-    def _arrays(self, coupling, amps):
-        if len(amps) != self.n:  # a coupling of the wrong length is refused or padded with zeros by ctypes
-            raise ValueError(f"the amplitude system has {self.n} oscillators, not {len(amps)}")
-        parts = [p for z in amps for p in (z.real, z.imag)]
-        return self.coupling_t(*chain.from_iterable(coupling)), self.amps_t(*parts)
-
-    def solve(self, coupling, k2: float, amps) -> tuple[int, float, tuple[complex, ...]]:
-        """The damped Newton solve from the finite amps at k2 = 2 kappa > 0: (status, residual sup-norm, amplitudes).
-
-        The status is SOLVED, ZERO or FAILED; the amplitudes are the solved ones if SOLVED.
-        """
-        coupling, c = self._arrays(coupling, amps)
-        norm = _DOUBLE()
-        status = self.lib.kgp_solve(self.block, coupling, k2, c, ctypes.byref(norm))
-        if status < 0:
-            raise MemoryError("no memory for the amplitude system's Newton solve")
-        return status, norm.value, tuple(map(complex, c[0::2], c[1::2]))
-
-    def residual(self, coupling, k2: float, amps) -> list[float]:
-        """Re and Im of 2 kappa C_J - F_J(psi_J), interleaved per J, at k2 = 2 kappa."""
-        coupling, c = self._arrays(coupling, amps)
-        res = self.amps_t()
-        self.lib.kgp_residual(self.block, coupling, k2, c, res, (_DOUBLE * (3 * self.n))())
-        return res[:]
+def residual(model, coupling, k2: float, amps) -> list[float]:
+    """Re and Im of 2 kappa C_J - F_J(psi_J), interleaved per J, at k2 = 2 kappa: the solve's own residual."""
+    block, coupling, c = _amplitude_arrays(model, coupling, amps)
+    res = (_DOUBLE * len(c))()
+    library().kgp_residual(block, coupling, k2, c, res, (_DOUBLE * (3 * len(amps)))())
+    return res[:]
 
 
 @cache

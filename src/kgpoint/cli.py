@@ -23,7 +23,6 @@ import json
 import math
 import sys
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
 from pathlib import Path
 
@@ -319,6 +318,9 @@ def cmd_simulate(args) -> int:
             raise ConfigError(f"--seeds repeats a seed: {args.seeds}")
         jobs = [(args.config, str(out_dir / f"seed_{s}"), s) for s in seeds]
         if args.parallel > 1:
+            # here alone: the pool's multiprocessing imports logging and subprocess, which no other command needs
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=args.parallel) as pool:
                 summaries = list(pool.map(_simulate_worker, *zip(*jobs)))
         else:

@@ -29,11 +29,11 @@ it, each bound once to its arrays.  An observer sample is one call: it writes
 a whole row of the series (t, H, Q, the energy norm, each seminorm and the
 traces), the potentials ``model._at_node``'s at each oscillator node, and
 ``hamiltonian``, ``charge``, ``energy_norm`` and ``local_seminorm`` are such a
-sample of one row.  The squared energy norm a sample returns doubles as the
-check that the field is finite.  The metric reads only the nodes with
-|x| <= r_max, so it, the phase fit and the manifold distance's candidate waves
-are evaluated there alone; a phase-fit distance is one call, on the state's
-metric and a candidate both bound once.
+sample of one row; it doubles as the check that the field is finite.  The
+steps, the samples and the profile solves share one block of the model's
+coefficients, packed once per model object.  The metric reads only the nodes
+with |x| <= r_max, so it, the phase fit and the manifold distance's candidate
+waves are evaluated there alone, a phase-fit distance in one call.
 
 No state enters the manifold distance's frequency scan, so its solved waves,
 sampled on that window and bound for the phase fit, are kept in a memo of the
@@ -56,7 +56,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import ModelSpec, lower_bound_constants
-from .solitary import ConvergedToZero, NoConvergence, SolitaryWave, _newton_starts, profile_eval, solve_profile
+from .solitary import (ConvergedToZero, NoConvergence, SolitaryWave, _compiled, _newton_starts, profile_eval,
+                       solve_profile)
 
 __all__ = [
     "Grid",
@@ -285,15 +286,13 @@ def _kdk(model: ModelSpec, grid: Grid, state: FieldState, dt: float, n_steps: in
     scalars, and the run raises FloatingPointError at a later sample or at the
     end.  A library that cannot be built raises OSError before the first step.
     """
-    from . import _passes  # on the first step, so importing the package loads no compiler machinery
-
     stride = -(-16 * grid.count // 4096) * 4096 + 1024  # bytes from one buffer to the next
     raw = np.empty(3 * stride + 4096, dtype=np.uint8)
     start = -raw.ctypes.data % 4096
     psi, pi, kick = (raw[start + j * stride:][:16 * grid.count].view(complex) for j in range(3))
     psi[:], pi[:], kick[0], kick[-1] = state.psi, state.pi, 0.0, 0.0  # kick's end nodes stay 0
-    run = _passes.bind(psi, pi, kick, dt, 2.0 + model.mass**2 * grid.dx**2, 0.5 * dt / grid.dx**2,
-                       grid.oscillator_nodes, [o.slope_coefficients for o in model.oscillators], 0.5 * dt / grid.dx)
+    run = _compiled().bind(psi, pi, kick, dt, 2.0 + model.mass**2 * grid.dx**2, 0.5 * dt / grid.dx**2, model,
+                           grid.oscillator_nodes, 0.5 * dt / grid.dx)
     observe = None if bind is None else bind(psi, pi)
     if observe is None:
         run(0, n_steps)
@@ -323,11 +322,8 @@ def _observer(model: ModelSpec, grid: Grid, psi: np.ndarray, pi: np.ndarray, ser
 
     series is _sample_arrays' pair and windows maps its seminorm radii to their node slices.
     """
-    from . import _passes
-
-    return _passes.observer(psi, pi, model.mass**2, grid.dx, grid.oscillator_nodes,
-                            [o.coefficients for o in model.oscillators], [(w.start, w.stop) for w in windows.values()],
-                            *series, every, t0, dt)
+    return _compiled().observer(psi, pi, model.mass**2, grid.dx, model, grid.oscillator_nodes,
+                                [(w.start, w.stop) for w in windows.values()], *series, every, t0, dt)
 
 
 def _functionals(model: ModelSpec, grid: Grid, state: FieldState, windows: dict | None = None) -> list[float]:
@@ -390,9 +386,7 @@ def _metric_windows(grid: Grid, r_max: int) -> tuple[slice, list[slice]]:
 
 def _bound_metric(model: ModelSpec, grid: Grid, u, windows: list[slice]):
     """The compiled metric of u, a (psi, pi) pair on the nodes of the outer window, and its phase-fit distances."""
-    from . import _passes
-
-    return _passes.Metric(*u, model.mass**2, grid.dx, [(w.start, w.stop) for w in windows])
+    return _compiled().Metric(*u, model.mass**2, grid.dx, [(w.start, w.stop) for w in windows])
 
 
 def _metric(model: ModelSpec, grid: Grid, u, windows: list[slice]) -> float:
@@ -490,12 +484,10 @@ class _Candidate(NamedTuple):
 
 
 def _candidate(model: ModelSpec, grid: Grid, wave: SolitaryWave, outer: slice) -> _Candidate:
-    from . import _passes
-
     psi, pi = _solitary_sample(model, grid, wave, outer)
     for array in (psi, pi):
         array.setflags(write=False)
-    return _Candidate(wave, _passes.Wave(psi, pi))
+    return _Candidate(wave, _compiled().Wave(psi, pi))
 
 
 def _candidate_dist(model: ModelSpec, grid: Grid, u, wave: SolitaryWave, outer: slice, windows: list[slice]) -> float:

@@ -12,8 +12,9 @@ The solver is a damped Newton iteration in the 2N real amplitude components
 with the global phase fixed by Im C_1 = 0 (the system is invariant under a
 common phase rotation, which would otherwise make the Jacobian singular).
 It runs in the compiled library (``kgp_solve`` in ``_passes.c``, which also
-holds the stepping loop); this module checks the arguments, forms the
-coupling, and makes the waves and the exceptions.
+holds the stepping loop), on the model's coefficient block that the steps
+and the observers share, packed once per model object; this module checks
+the arguments, forms the coupling, and makes the waves and the exceptions.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -108,33 +110,19 @@ def _coupling_matrix(model: ModelSpec, kap: float) -> list[list[float]]:
     return [[math.exp(-kap * abs(xj - xk)) for xk in pos] for xj in pos]
 
 
-_bound = (None, None)  # the model last solved and its compiled amplitude system
+@cache
+def _compiled():
+    """The compiled passes, imported on first use: not with the package, nor by a relative import per call."""
+    from . import _passes
 
-
-def _solver(model: ModelSpec):
-    """The model's amplitude system in the compiled library, its coefficients packed once per model object.
-
-    Kept for the model last asked for, by identity: a branch, a manifold scan
-    and a CLI command each solve one model object, and an equal model's hash
-    and comparison would cost a tenth of a solve.
-    """
-    global _bound
-    bound = _bound  # one read, so that another thread's swap cannot pair this model with its system
-    if bound[0] is not model:
-        from . import _passes  # on the first solve, so importing the package loads no compiler machinery
-
-        oscillators = model.oscillators
-        bound = _bound = (model, _passes.Solver([o.slope_coefficients for o in oscillators],
-                                                [o._curvature_coefficients for o in oscillators],
-                                                MAX_ITER, RESIDUAL_TOL, ZERO_BRANCH_TOL))
-    return bound[1]
+    return _passes
 
 
 def amplitude_residual(model: ModelSpec, wave: SolitaryWave) -> np.ndarray:
     """Real/imaginary parts of 2 kappa C_J - F_J(phi(X_J)), interleaved per J: the solve's own residual."""
     kap = kappa(model, wave.omega)
     c = [complex(z) for z in wave.amplitudes]
-    return np.array(_solver(model).residual(_coupling_matrix(model, kap), 2.0 * kap, c))
+    return np.array(_compiled().residual(model, _coupling_matrix(model, kap), 2.0 * kap, c))
 
 
 def _zero_wave(model: ModelSpec, omega: float) -> SolitaryWave:
@@ -169,11 +157,12 @@ def solve_profile(model: ModelSpec, omega: float, guess) -> SolitaryWave:
         raise ValueError(f"guess must have length {n}")
     if not all(map(cmath.isfinite, c)):
         raise ValueError("guess must be finite")
-    solver = _solver(model)
-    status, final, amps = solver.solve(_coupling_matrix(model, kap), 2.0 * kap, c)
-    if status == solver.FAILED:
+    compiled = _compiled()
+    status, final, amps = compiled.solve(model, _coupling_matrix(model, kap), 2.0 * kap, c, MAX_ITER, RESIDUAL_TOL,
+                                         ZERO_BRANCH_TOL)
+    if status == compiled.FAILED:
         raise NoConvergence(omega, final)
-    if status == solver.ZERO:
+    if status == compiled.ZERO:
         raise ConvergedToZero(_zero_wave(model, omega))
     return SolitaryWave(float(omega), kap, amps, final)
 

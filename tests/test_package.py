@@ -56,7 +56,8 @@ with tempfile.TemporaryDirectory() as tmp:
     assert _passes._powers_of_ten.cache_info().currsize == 1
 """
 
-# the command line's process pool imports subprocess through multiprocessing, so it is checked on its own
+# the command line loads neither the library nor the process pool, which only simulate --parallel K > 1 imports
+# (its multiprocessing imports logging and subprocess)
 CLI_IMPORT_FACTS = """
 import sys
 import numpy
@@ -66,6 +67,8 @@ loaded = [name for name in sys.modules if name.startswith("kgpoint")]
 assert "kgpoint.io" in loaded and "kgpoint._passes" not in loaded, loaded
 assert ("ctypes" in sys.modules) == numpy_loads_ctypes
 assert not any("ctypes" in vars(sys.modules[name]) for name in loaded)
+pool = [name for name in ("subprocess", "multiprocessing", "concurrent.futures.process") if name in sys.modules]
+assert not pool, pool
 """
 
 

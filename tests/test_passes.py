@@ -1,3 +1,4 @@
+import ctypes
 import gc
 import math
 import os
@@ -120,29 +121,56 @@ def test_a_warm_cache_loads_without_compiling(cold_cache, compiler_calls):
     assert len(compiler_calls) == 1 and os.listdir(cold_cache) == built
 
 
+LAYOUTS = {"kgp_field": _passes._Field, "kgp_model": _passes._Model, "kgp_observer": _passes._Observer,
+           "kgp_metric": _passes._Metric, "kgp_wave": _passes._Wave, "kgp_pow10": _passes._Pow10}
+
+
+def test_the_ctypes_declarations_mirror_the_c_structs(tmp_path):
+    # a field out of order or of another width reads the wrong memory: a probe built from the library's source
+    # with its compile command reports sizeof and each field's offsetof and sizeof, named as ctypes names them
+    terms, expected = [], []
+    for name, declaration in LAYOUTS.items():
+        terms.append(f"sizeof(struct {name})")
+        expected.append(ctypes.sizeof(declaration))
+        for field, _ in declaration._fields_:
+            terms += [f"offsetof(struct {name}, {field})", f"sizeof(((struct {name} *)0)->{field})"]
+            expected += [getattr(declaration, field).offset, getattr(declaration, field).size]
+    probe = tmp_path / "probe.c"
+    probe.write_text(f'#include "{_passes.SOURCE}"\nconst long long kgp_layout[] = {{{", ".join(terms)}}};\n')
+    built = subprocess.run([*_passes._compile_command(), "-o", str(tmp_path / "probe.so"), str(probe), *_passes._LIBS],
+                           capture_output=True, text=True)
+    assert built.returncode == 0, built.stderr
+    layout = (ctypes.c_longlong * len(terms)).in_dll(ctypes.CDLL(str(tmp_path / "probe.so")), "kgp_layout")
+    assert list(zip(terms, layout)) == list(zip(terms, expected))
+
+
 def _buffers(count):
     return [np.zeros(count, complex) for _ in range(3)]
 
 
-@pytest.mark.parametrize("nodes, slopes, message", [
-    ((0,), ((-2.0, 2.0),), "must lie in 1 ... 5"), ((6,), ((-2.0, 2.0),), "must lie in 1 ... 5"),
-    ((-1,), ((-2.0, 2.0),), "must lie in 1 ... 5"), ((2, 7), ((-2.0, 2.0), (1.0,)), "must lie in 1 ... 5"),
-    ((3,), ((),), "at least one slope coefficient"), ((2, 4), ((1.0,), ()), "at least one slope coefficient"),
-    ((3,), (), "1 oscillator nodes but 0 slope"),
-], ids=["first-node", "last-node", "negative", "past-the-end", "no-coefficient", "second-empty", "unpaired"])
-def test_bind_refuses_a_site_outside_the_grid_or_an_empty_slope(nodes, slopes, message):
-    # the kernel reads and writes the node of each site and reads each site's coefficients, with no bounds check
+ONE = ModelSpec(1.0, (OscillatorSpec(0.0, (0.0, -1.0, 1.0)),))
+TWO = ModelSpec(1.0, (OscillatorSpec(0.0, (0.0, -1.0, 1.0)), OscillatorSpec(0.5, (0.0, 1.0))))
+
+
+@pytest.mark.parametrize("model, nodes, message", [
+    (ONE, (0,), "must lie in 1 ... 5"), (ONE, (6,), "must lie in 1 ... 5"), (ONE, (-1,), "must lie in 1 ... 5"),
+    (TWO, (2, 7), "must lie in 1 ... 5"), (TWO, (3,), "1 oscillator nodes but 2 oscillators"),
+], ids=["first-node", "last-node", "negative", "past-the-end", "unpaired"])
+def test_bind_refuses_a_site_outside_the_grid_or_an_empty_slope(model, nodes, message):
+    # the kernel reads and writes the node of each of the model's oscillators, with no bounds check; a ModelSpec
+    # cannot hold an empty slope list
     with pytest.raises(ValueError, match=message):
-        _passes.bind(*_buffers(7), 0.1, 2.0, 1.0, nodes, slopes, 1.0)
+        _passes.bind(*_buffers(7), 0.1, 2.0, 1.0, model, nodes, 1.0)
 
 
 def test_bind_refuses_fewer_than_three_nodes():
     with pytest.raises(ValueError, match="at least 3 nodes"):
-        _passes.bind(*_buffers(2), 0.1, 2.0, 1.0, (), (), 1.0)
+        _passes.bind(*_buffers(2), 0.1, 2.0, 1.0, ONE, (1,), 1.0)
 
 
 def test_the_bound_call_keeps_its_arrays_alive():
-    # bind makes the site, coefficient-count and coefficient arrays it passes; only the call holds them
+    # bind makes the site array it passes and holds the model's block; only the call holds them, and packing
+    # another model in between neither frees nor replaces the block the call was bound to
     from kgpoint.simulator import FieldState, build_grid, step
 
     model = ModelSpec(1.0, (OscillatorSpec(0.0, (0.0, -2.0, 1.0)), OscillatorSpec(0.5, (0.1, -1.0, 0.0, 0.5))))
@@ -153,8 +181,10 @@ def test_the_bound_call_keeps_its_arrays_alive():
     expected = step(model, grid, state, 0.02)
     dx = grid.dx
     psi, pi, kick = np.array(state.psi), np.array(state.pi), np.zeros(grid.count, complex)
-    run = _passes.bind(psi, pi, kick, 0.02, 2.0 + dx**2, 0.01 / dx**2, list(grid.oscillator_nodes),
-                       [list(o.slope_coefficients) for o in model.oscillators], 0.01 / dx)
+    run = _passes.bind(psi, pi, kick, 0.02, 2.0 + dx**2, 0.01 / dx**2, ModelSpec(1.0, model.oscillators),
+                       list(grid.oscillator_nodes), 0.01 / dx)
+    other = ModelSpec(1.0, (OscillatorSpec(0.0, (5.0, 3.0, -7.0)), OscillatorSpec(0.5, (1.0, 9.0))))
+    _passes.model_block(other)
     gc.collect()
     litter = [np.full(n, 10**6, dtype=dtype) for n in (2, 5) for dtype in (np.intp, np.intc, float) for _ in range(50)]
     run(0, 1)
@@ -173,7 +203,7 @@ def test_the_form_binders_refuse_a_window_outside_the_nodes(window):
     # the form reads every node of each window, with no bounds check
     psi, pi, _ = _buffers(7)
     with pytest.raises(ValueError, match="must lie within the 7 nodes"):
-        _passes.observer(psi, pi, 1.0, 0.1, (), (), [window], *_series(1, windows=1))
+        _passes.observer(psi, pi, 1.0, 0.1, ONE, (3,), [window], *_series(1, windows=1, traced=1))
     with pytest.raises(ValueError, match="must lie within the 7 nodes"):
         _passes.Metric(psi, pi, 1.0, 0.1, [(0, 7), window])
 
@@ -181,7 +211,7 @@ def test_the_form_binders_refuse_a_window_outside_the_nodes(window):
 def test_the_form_binders_refuse_arrays_of_unequal_length():
     psi, pi = np.zeros(7, complex), np.zeros(6, complex)
     message = "psi and pi as contiguous 1-d complex arrays of one length"
-    for bind in (lambda: _passes.observer(psi, pi, 1.0, 0.1, (), (), [], *_series(1)),
+    for bind in (lambda: _passes.observer(psi, pi, 1.0, 0.1, ONE, (3,), [], *_series(1, traced=1)),
                  lambda: _passes.Metric(psi, pi, 1.0, 0.1, [(0, 6)]), lambda: _passes.Wave(psi, pi),
                  lambda: _passes.Wave(psi, np.zeros(7)), lambda: _passes.Wave(psi, np.zeros(14, complex)[::2])):
         with pytest.raises(ValueError, match=message):
@@ -194,12 +224,63 @@ def test_the_form_binders_refuse_arrays_of_unequal_length():
     for blocks in ((series[:4], traces), (series, traces[:, :2]), (series, traces[:, :, :0]),
                    (series, traces.real.copy()), (series[:, ::2], traces[:, ::2])):
         with pytest.raises(ValueError, match="the series needs a writable contiguous"):
-            _passes.observer(psi, psi, 1.0, 0.1, (3,), ((0.0, 1.0),), [(0, 7)], *blocks)
+            _passes.observer(psi, psi, 1.0, 0.1, ONE, (3,), [(0, 7)], *blocks)
 
 
 def test_the_observer_binder_refuses_a_node_outside_the_state():
     psi, pi, _ = _buffers(7)
     with pytest.raises(ValueError, match=r"must lie in 0 ... 6"):
-        _passes.observer(psi, pi, 1.0, 0.1, (7,), ((0.0, 1.0),), [], *_series(1, traced=1))
-    with pytest.raises(ValueError, match="1 oscillator nodes but 0 potentials"):
-        _passes.observer(psi, pi, 1.0, 0.1, (3,), (), [], *_series(1, traced=1))
+        _passes.observer(psi, pi, 1.0, 0.1, ONE, (7,), [], *_series(1, traced=1))
+    with pytest.raises(ValueError, match="1 oscillator nodes but 2 oscillators"):
+        _passes.observer(psi, pi, 1.0, 0.1, TWO, (3,), [], *_series(1, traced=1))
+
+
+def test_alternating_models_each_step_sample_and_solve_on_their_own_coefficients():
+    # the block cache keeps only the model last packed: two models on one grid, every call switching between
+    # them, each step, energy and solve equal to its own model's reference, bit for bit
+    from test_simulator import _same_bits, reference_kdk, trapezoid_functionals
+    from test_solitary import _bits, reference_solve_profile
+
+    from kgpoint.simulator import FieldState, build_grid, hamiltonian, step
+    from kgpoint.solitary import solve_profile
+
+    models = (ModelSpec(1.0, (OscillatorSpec(0.0, (0.0, -2.0, 1.0)), OscillatorSpec(0.2, (0.0, -2.0, 1.0)))),
+              ModelSpec(1.0, (OscillatorSpec(0.0, (0.1, -3.0, 0.0, 1.5)), OscillatorSpec(0.2, (0.0, -1.0, 2.0)))))
+    grid = build_grid(models[0], -3.0, 3.0, 0.02)  # the grid depends on the positions alone
+    psi = 0.8 * np.exp(-grid.x**2) * np.exp(0.3j)
+    psi[[0, -1]] = 0.0
+    state = FieldState(psi, 0.4j * psi, 0.0)
+    references = [(reference_kdk(model, grid, state, 0.009, 1), trapezoid_functionals(model, grid, state)[0],
+                   _bits(reference_solve_profile(model, 0.4, [0.7, 0.7]))) for model in models]
+    (kdk_a, energy_a, wave_a), (kdk_b, energy_b, wave_b) = references
+    assert not _same_bits(kdk_a[1], kdk_b[1]) and energy_a != energy_b and wave_a != wave_b  # they differ in each
+    for _ in range(2):
+        for model, (kdk, energy, wave) in zip(models, references):
+            stepped = step(model, grid, state, 0.009)
+            assert _same_bits(stepped.psi, kdk[0]) and _same_bits(stepped.pi, kdk[1])
+        for model, (kdk, energy, wave) in zip(models, references):
+            assert hamiltonian(model, grid, state) == energy
+        for model, (kdk, energy, wave) in zip(models, references):
+            assert _bits(solve_profile(model, 0.4, [0.7, 0.7])) == wave
+
+
+def test_a_model_is_packed_once_for_its_steps_samples_and_solves(monkeypatch):
+    # one model object's evolve with samples, its ten energy norms and its branch share one block
+    from kgpoint.simulator import build_grid, energy_norm, evolve, perturbed_solitary_state
+    from kgpoint.solitary import continue_branch, solve_profile
+
+    packed, pack = [], _passes._pack
+
+    def counted(model):
+        packed.append(model)
+        return pack(model)
+
+    monkeypatch.setattr(_passes, "_pack", counted)
+    model = ModelSpec(1.0, (OscillatorSpec(0.0, (0.0, -2.0, 1.0)), OscillatorSpec(0.2, (0.0, -2.0, 1.0))))
+    grid = build_grid(model, -4.0, 4.0, 0.02)
+    state = perturbed_solitary_state(model, grid, solve_profile(model, 0.4, [0.7, 0.7]), 0.1, seed=1)
+    evolve(model, grid, state, 100 * 0.009, 0.009, observe_every=10, seminorm_radii=(1.0,))
+    for _ in range(10):
+        energy_norm(model, grid, state)
+    continue_branch(model, 0.3, 0.5, 0.05, [0.7, 0.7])
+    assert packed == [model]

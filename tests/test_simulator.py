@@ -698,21 +698,25 @@ def test_the_compiled_form_keeps_the_fixed_order_on_every_lane_tail(length):
     rng = np.random.default_rng(40 + length)
     count, m2, dx = 23, 1.3, 0.05
     psi, pi, wave_psi, wave_pi = (rng.normal(size=count) + 1j * rng.normal(size=count) for _ in range(4))
-    def one_row(windows):  # the columns t, H, Q, the energy norm and a seminorm per window; traces of no node
-        return np.zeros((4 + len(windows), 1)), np.zeros((2, 1, 0), complex)
+    # one oscillator of zero potential, which adds exactly 0.0 to H
+    free = ModelSpec(1.0, (OscillatorSpec(0.0, (0.0, 0.0)),))
 
-    # the whole-state sums, the charge's among them, on the nodes alone
+    def one_row(windows):  # the columns t, H, Q, the energy norm and a seminorm per window; the one node's traces
+        return np.zeros((4 + len(windows), 1)), np.zeros((2, 1, 1), complex)
+
+    # the whole-state sums, the charge's among them, on the nodes alone; a state of no nodes holds no oscillator
     u = (psi[:length], pi[:length])
-    series, traces = one_row([])
-    norm2 = _passes.observer(*u, m2, dx, (), (), [], series, traces)(0)
-    reference = fixed_order_form(m2, dx, u, u)[0]
-    assert norm2 == reference and series[1, 0] == 0.5 * reference and series[3, 0] == math.sqrt(reference)
-    assert series[2, 0] == -dx * fixed_order_dot(*u)[1]
+    if length:
+        series, traces = one_row([])
+        norm2 = _passes.observer(*u, m2, dx, free, (0,), [], series, traces)(0)
+        reference = fixed_order_form(m2, dx, u, u)[0]
+        assert norm2 == reference and series[1, 0] == 0.5 * reference and series[3, 0] == math.sqrt(reference)
+        assert series[2, 0] == -dx * fixed_order_dot(*u)[1]
 
     # seminorm windows of the nodes within a larger state; the first and the last hold an end node
     windows = [(start, start + length) for start in (0, 1, 6, count - length)]
     series, traces = one_row(windows)
-    _passes.observer(psi, pi, m2, dx, (), (), windows, series, traces)(0)
+    _passes.observer(psi, pi, m2, dx, free, (11,), windows, series, traces)(0)
     for (start, stop), value in zip(windows, series[4:, 0]):
         v = (psi[start:stop], pi[start:stop])
         assert value == math.sqrt(fixed_order_form(m2, dx, v, v)[0])

@@ -44,7 +44,7 @@ def compiled_residual(model, kap, c, coupling):
     """The compiled residual at c, a list of Python complex, and per J its slopes (fuu, fuv, fvv)."""
     n = model.count
     res, slopes = doubles([0.0] * (2 * n)), doubles([0.0] * (3 * n))
-    _passes.library().kgp_residual(solitary._solver(model).block, doubles(e for row in coupling for e in row),
+    _passes.library().kgp_residual(_passes.model_block(model), doubles(e for row in coupling for e in row),
                                    2.0 * kap, doubles(p for z in c for p in (z.real, z.imag)), res, slopes)
     return res[:], [tuple(slopes[3 * j:3 * j + 3]) for j in range(n)]
 
