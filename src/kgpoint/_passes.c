@@ -1,5 +1,6 @@
 /* The compiled passes: kick-drift-kick steps of the field, the energy form behind every observer, the
- * Newton solve of the solitary amplitude system, and the CSV text of float64 rows.
+ * Newton solve of the solitary amplitude system and its continuation in frequency, and the CSV text of
+ * float64 rows.
  *
  * Each expression of the steps and the solve is the one it transcribes,
  * operation for operation and operand for operand, and the build fuses and
@@ -8,7 +9,8 @@
  * views of the complex buffers and keep numpy's bits; the oscillator nodes'
  * forces and potentials are model._at_node's on numpy scalars.  The solve
  * keeps the bits of the damped Newton loop on Python floats that
- * solitary.solve_profile ran before it.
+ * solitary.solve_profile ran before it, and the branch those of the loop of
+ * solve_profile calls that solitary.continue_branch ran.
  *
  * The energy form sums in one fixed order of its own, written out below at
  * form_sums, with two-lane vectors of gcc's and clang's vector extensions (no
@@ -505,7 +507,13 @@ static double gauged_norm(ptrdiff_t w, const double *res, const double *c, doubl
     return sup_norm(g, w);
 }
 
-enum { KGP_SOLVED, KGP_ZERO, KGP_FAILED, KGP_NO_MEMORY = -1 };
+enum { KGP_SOLVED, KGP_ZERO, KGP_FAILED, KGP_OUT_OF_BAND, KGP_NOT_FINITE, KGP_NO_MEMORY = -1 };
+
+/* the doubles of newton's work for n oscillators */
+static size_t newton_work(ptrdiff_t n)
+{
+    return (size_t)(4 * n * n + 20 * n);
+}
 
 /* The damped Newton solve of model m's amplitude system from the finite amplitudes c (Re and Im
  * interleaved), k2 = 2 kappa > 0 and coupling the n x n rows exp(-kappa |X_J - X_K|), with the iteration
@@ -517,15 +525,12 @@ enum { KGP_SOLVED, KGP_ZERO, KGP_FAILED, KGP_NO_MEMORY = -1 };
  * *norm_out; KGP_ZERO when every |C| <= zero_tol; KGP_FAILED with the
  * residual's sup-norm in *norm_out after max_iter iterations, as soon as an
  * iterate's residual is not finite, at an exactly zero pivot, or when the
- * final residual exceeds tol; and KGP_NO_MEMORY.
+ * final residual exceeds tol.  work holds newton_work(n) doubles.
  */
-int kgp_solve(const struct kgp_model *m, const double *coupling, double k2, double *c, long max_iter, double tol,
-              double zero_tol, double *norm_out)
+static int newton(const struct kgp_model *m, const double *coupling, double k2, double *c, long max_iter,
+                  double tol, double zero_tol, double *norm_out, double *work)
 {
     const ptrdiff_t n = m->n, w = 2 * n;
-    double *work = malloc((size_t)(w * w + 7 * w + 6 * n) * sizeof(double));
-    if (!work)
-        return KGP_NO_MEMORY;
     double *jac = work, *cur = jac + w * w, *res = cur + w, *c_try = res + w, *res_try = c_try + w;
     double *g = res_try + w, *b = g + w, *delta = b + w, *slopes = delta + w, *slopes_try = slopes + 3 * n;
     double norm = 0.0;
@@ -584,7 +589,124 @@ int kgp_solve(const struct kgp_model *m, const double *coupling, double k2, doub
     status = top <= zero_tol ? KGP_ZERO : KGP_SOLVED;
 done:
     *norm_out = norm;
+    return status;
+}
+
+/* newton on work of its own: KGP_NO_MEMORY where there is none */
+int kgp_solve(const struct kgp_model *m, const double *coupling, double k2, double *c, long max_iter, double tol,
+              double zero_tol, double *norm_out)
+{
+    double *work = malloc(newton_work(m->n) * sizeof(double));
+    if (!work)
+        return KGP_NO_MEMORY;
+    const int status = newton(m, coupling, k2, c, max_iter, tol, zero_tol, norm_out, work);
     free(work);
+    return status;
+}
+
+/* A branch of solitary waves, continued in frequency: its fixed arguments, and its state from one block of
+ * frequencies to the next.  Frequency k is start + step k, step signed.  rows holds 2 + a block's rows of
+ * 2n + 3 floats, one per solved point: omega, kappa, Re and Im of each amplitude, and the residual's
+ * sup-norm.  Rows 0 and 1 carry the last two solved points from block to block (before any, row 1 holds the
+ * guess's amplitudes), and a block's solved points follow them.  solved counts the points solved so far;
+ * omega is the frequency where a block stopped short, residual the failed solve's there. */
+struct kgp_branch {
+    const struct kgp_model *model;
+    const double *positions;
+    double mass, start, step;
+    long max_iter;
+    double tol, zero_tol;
+    double *rows;
+    ptrdiff_t solved;
+    double omega, residual;
+};
+
+/* the w amplitude components at c are finite, as cmath.isfinite has each of them */
+static int all_finite(ptrdiff_t w, const double *c)
+{
+    for (ptrdiff_t j = 0; j < w; j++)
+        if (!isfinite(c[j]))
+            return 0;
+    return 1;
+}
+
+/* One point of the branch at frequency omega: its row, on the solved rows last and prev (prev NULL
+ * before two are solved).  The first start that neither fails nor collapses gives the row; once two
+ * points are solved the first is the secant start last + r (last - prev), r = (omega - omega_last) /
+ * (omega_last - omega_prev), with r as CPython 3.10-3.12 multiply a complex by a float, (r dr - 0.0 di,
+ * r di + 0.0 dr); the second, or the only one, is last's amplitudes.  The last start's status is the
+ * point's.  At |omega| = mass the zero wave is the row, unsolved; beyond it the point is
+ * KGP_OUT_OF_BAND, and a start that is not finite KGP_NOT_FINITE, as solve_profile refuses either. */
+static int branch_point(const struct kgp_branch *b, double omega, const double *last, const double *prev,
+                        double *row, double *coupling, double *work)
+{
+    const struct kgp_model *m = b->model;
+    const ptrdiff_t n = m->n, w = 2 * n;
+    const double *pos = b->positions;
+    double *c = row + 2;
+    if (!(fabs(omega) <= b->mass))
+        return KGP_OUT_OF_BAND;
+    const double d = b->mass * b->mass - omega * omega, kap = sqrt(0.0 > d ? 0.0 : d); /* Python's max(d, 0.0) */
+    row[0] = omega;
+    row[1] = kap;
+    if (fabs(omega) == b->mass) {
+        memset(c, 0, (w + 1) * sizeof(double)); /* the amplitudes and the residual */
+        return KGP_SOLVED;
+    }
+    for (ptrdiff_t j = 0; j < n; j++)
+        for (ptrdiff_t k = 0; k < n; k++)
+            coupling[j * n + k] = exp(-kap * fabs(pos[j] - pos[k]));
+    int status;
+    if (prev) {
+        const double r = (omega - last[0]) / (last[0] - prev[0]);
+        for (ptrdiff_t j = 2; j < w + 2; j += 2) {
+            const double dr = last[j] - prev[j], di = last[j + 1] - prev[j + 1];
+            c[j - 2] = last[j] + (r * dr - 0.0 * di);
+            c[j - 1] = last[j + 1] + (r * di + 0.0 * dr);
+        }
+        if (!all_finite(w, c))
+            return KGP_NOT_FINITE;
+        status = newton(m, coupling, 2.0 * kap, c, b->max_iter, b->tol, b->zero_tol, &row[w + 2], work);
+        if (status == KGP_SOLVED)
+            return status;
+    }
+    memcpy(c, last + 2, w * sizeof(double));
+    if (!all_finite(w, c))
+        return KGP_NOT_FINITE;
+    return newton(m, coupling, 2.0 * kap, c, b->max_iter, b->tol, b->zero_tol, &row[w + 2], work);
+}
+
+/* Continue branch b over its frequencies k ... k + count - 1, a row for each solved point from rows[2] on,
+ * then carry the last two solved rows into rows 0 and 1.  Returns KGP_SOLVED when every frequency is solved;
+ * else the status of the point where the block stopped, at b->omega, with its residual in b->residual: a
+ * collapse, a failure, a frequency outside the band, a start that is not finite, or KGP_NO_MEMORY. */
+int kgp_branch(struct kgp_branch *b, ptrdiff_t k, ptrdiff_t count)
+{
+    const ptrdiff_t n = b->model->n, cols = 2 * n + 3;
+    double *coupling = malloc((n * n + newton_work(n)) * sizeof(double));
+    if (!coupling)
+        return KGP_NO_MEMORY;
+    double *carry = b->rows, *row = carry + 2 * cols;
+    int status = KGP_SOLVED;
+    for (ptrdiff_t i = 0; i < count; i++, row += cols) { /* the last two solved rows are the two before row */
+        const double omega = b->start + b->step * (double)(k + i);
+        status = branch_point(b, omega, row - cols, b->solved > 1 ? row - 2 * cols : NULL, row, coupling,
+                              coupling + n * n);
+        if (status != KGP_SOLVED) {
+            b->omega = omega;
+            b->residual = row[2 * n + 2];
+            break;
+        }
+        b->solved++;
+    }
+    free(coupling);
+    const ptrdiff_t written = (row - carry) / cols - 2;
+    if (written >= 2)
+        memcpy(carry, row - 2 * cols, 2 * cols * sizeof(double));
+    else if (written == 1) {
+        memcpy(carry, carry + cols, cols * sizeof(double));
+        memcpy(carry + cols, carry + 2 * cols, cols * sizeof(double));
+    }
     return status;
 }
 

@@ -1,7 +1,8 @@
 """The compiled passes, built from ``_passes.c`` on first use and loaded with ctypes: the stepping loop, the
-energy form behind every observer, the Newton solve of the solitary amplitude system, and the CSV text of
-float64 rows.  The steps (``bind``), the samples (``observer``) and the solves (``solve``, ``residual``) share one
-block of a model's coefficients, packed once per model object (``model_block``).
+energy form behind every observer, the Newton solve of the solitary amplitude system and its continuation in
+frequency, and the CSV text of float64 rows.  The steps (``bind``), the samples (``observer``), the solves
+(``solve``, ``residual``) and the branches (``branch``) share one block of a model's coefficients, packed once per
+model object (``model_block``).
 
 The library is built by Python's own C compiler (sysconfig's ``CC``) with
 ``-O3 -ffp-contract=off -lm``: no fused multiply-add and no reassociation, so
@@ -79,6 +80,14 @@ class _Wave(ctypes.Structure):
     _fields_ = [("p", _POINTER), ("q", _POINTER), ("n", _SIZE)]
 
 
+class _Branch(ctypes.Structure):
+    """struct kgp_branch: a branch's model, frequencies and Newton limits, and its rows from block to block."""
+
+    _fields_ = [("model", ctypes.POINTER(_Model)), ("positions", _POINTER), ("mass", _DOUBLE), ("start", _DOUBLE),
+                ("step", _DOUBLE), ("max_iter", ctypes.c_long), ("tol", _DOUBLE), ("zero_tol", _DOUBLE),
+                ("rows", _POINTER), ("solved", _SIZE), ("omega", _DOUBLE), ("residual", _DOUBLE)]
+
+
 class _Pow10(ctypes.Structure):
     """struct kgp_pow10: 10^k as t 2^exp2 <= 10^k < (t + 1) 2^exp2, t = hi 2^64 + lo with 2^127 <= t < 2^128."""
 
@@ -91,6 +100,7 @@ _ENTRIES = {  # name: (argtypes, restype)
     "kgp_fit_dist": ((ctypes.POINTER(_Metric), ctypes.POINTER(_Wave)), _DOUBLE),
     "kgp_solve": ((ctypes.POINTER(_Model), _POINTER, _DOUBLE, _POINTER, ctypes.c_long, _DOUBLE, _DOUBLE, _POINTER),
                   _INT),
+    "kgp_branch": ((ctypes.POINTER(_Branch), _SIZE, _SIZE), _INT),
     "kgp_residual": ((ctypes.POINTER(_Model), _POINTER, _DOUBLE, _POINTER, _POINTER, _POINTER), None),
     "kgp_jacobian": ((_SIZE, _POINTER, _DOUBLE, _POINTER, _POINTER), None),
     "kgp_solve_linear": ((_SIZE, _POINTER, _POINTER, _POINTER), _INT),
@@ -305,7 +315,14 @@ class Metric:
         return self.fit(self.block, wave.block)
 
 
-SOLVED, ZERO, FAILED = 0, 1, 2  # kgp_solve's statuses
+SOLVED, ZERO, FAILED, OUT_OF_BAND, NOT_FINITE = range(5)  # the statuses of kgp_solve and kgp_branch
+BRANCH_ROWS = 256  # the frequencies of one kgp_branch call, so that a branch's buffer does not grow with its range
+
+
+def limits(max_iter: int, tol: float, zero_tol: float):
+    """The Newton limits, the iteration cap, the residual tolerance and the zero-branch bound, as solve and
+    branch take them: converted to ctypes once, not by argtypes on every call."""
+    return ctypes.c_long(max_iter), _DOUBLE(tol), _DOUBLE(zero_tol)
 
 
 def _amplitude_arrays(model, coupling, amps):
@@ -318,20 +335,59 @@ def _amplitude_arrays(model, coupling, amps):
     return model_block(model), rows, c
 
 
-def solve(model, coupling, k2: float, amps, max_iter: int, tol: float,
-          zero_tol: float) -> tuple[int, float, tuple[complex, ...]]:
-    """The damped Newton solve of model's amplitude system from the finite amps at k2 = 2 kappa > 0, with the
-    iteration cap max_iter, the residual tolerance tol and the zero-branch bound zero_tol.
+def solve(model, coupling, k2: float, amps, newton_limits) -> tuple[int, float, tuple[complex, ...]]:
+    """The damped Newton solve of model's amplitude system from the finite amps at k2 = 2 kappa > 0, within
+    newton_limits (from limits).
 
     Amplitudes go in and out as Python complex, the coupling as the n rows exp(-kappa |X_J - X_K|).  Returns
     (status, residual sup-norm, amplitudes): the status SOLVED, ZERO or FAILED, the amplitudes solved if SOLVED.
     """
     block, coupling, c = _amplitude_arrays(model, coupling, amps)
     norm = _DOUBLE()
-    status = library().kgp_solve(block, coupling, k2, c, max_iter, tol, zero_tol, ctypes.byref(norm))
+    status = library().kgp_solve(block, coupling, k2, c, *newton_limits, ctypes.byref(norm))
     if status < 0:
         raise MemoryError("no memory for the amplitude system's Newton solve")
     return status, norm.value, tuple(map(complex, c[0::2], c[1::2]))
+
+
+def branch(model, start: float, step: float, guess, newton_limits):
+    """Continuation of model's branch from the finite guess, frequency k at start + step k, within
+    newton_limits (from limits), as one call per block of frequencies.
+
+    Returns march(count), which solves the next count frequencies, count
+    at most BRANCH_ROWS, and returns (status, rows, omega, residual): rows
+    the bytes of a float64 row per point solved, omega, kappa, Re and Im of
+    each amplitude and the residual's sup-norm; the status SOLVED when every
+    frequency was solved, else the stopping point's, ZERO, FAILED,
+    OUT_OF_BAND or NOT_FINITE, at omega, with a failed solve's residual.
+    kgp_branch's comment gives the starts and the retry.
+    """
+    n = model.count
+    cols = 2 * n + 3
+    rows = (_DOUBLE * ((2 + BRANCH_ROWS) * cols))()
+    # before any point is solved, row 1 holds the guess; filled by slice, so that a wrong length is refused
+    rows[cols + 2:2 * cols - 1] = [p for z in guess for p in (z.real, z.imag)]
+    positions = (_DOUBLE * n)(*model.positions)
+    packed = model_block(model)
+    block = _Branch(packed, ctypes.addressof(positions), model.mass, start, step, *newton_limits,
+                    ctypes.addressof(rows), 0, 0.0, 0.0)
+    block.arrays = (packed, positions, rows)  # the block points into them
+    pointer, entry = ctypes.pointer(block), library().kgp_branch
+    first, reached = ctypes.addressof(rows) + 2 * cols * ctypes.sizeof(_DOUBLE), 0
+
+    def march(count: int):
+        nonlocal reached
+        if not 0 <= count <= BRANCH_ROWS:
+            raise ValueError(f"a block of {count} frequencies, not 0 ... {BRANCH_ROWS}")
+        solved = block.solved
+        status = entry(pointer, reached, count)
+        reached += count
+        if status < 0:
+            raise MemoryError("no memory for the amplitude system's Newton solve")
+        data = ctypes.string_at(first, (block.solved - solved) * cols * ctypes.sizeof(_DOUBLE))
+        return status, data, block.omega, block.residual
+
+    return march
 
 
 def residual(model, coupling, k2: float, amps) -> list[float]:

@@ -101,10 +101,8 @@ def cmd_solve(args) -> int:
         for j in range(cfg.model.count):
             header += [f"C{j + 1}_re", f"C{j + 1}_im"]
         header.append("residual_max")
-        # one float64 array, so that write_csv formats it in the compiled library
-        rows = np.array([[w.omega, w.kappa, *(p for c in w.amplitudes for p in (c.real, c.imag)), w.residual_max]
-                         for w in waves], dtype=float).reshape(-1, len(header))
-        kio.write_csv(out_dir / "branch.csv", header, rows)
+        # the branch's own float64 rows, which write_csv formats in the compiled library
+        kio.write_csv(out_dir / "branch.csv", header, np.frombuffer(waves.rows, dtype=float).reshape(-1, len(header)))
         summary = {
             "solved": len(waves),
             "last_good_omega": waves[-1].omega if waves else None,
@@ -399,7 +397,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     omega = p.add_mutually_exclusive_group(required=True)
     omega.add_argument("--omega", type=float)
-    omega.add_argument("--omega-range", dest="omega_range")
+    omega.add_argument("--omega-range", dest="omega_range", metavar="A:B:STEP",
+                       help="continue the branch from A to B in steps of STEP; a negative A needs the = form, "
+                            "as in --omega-range=-0.5:0.5:0.25")
     p.add_argument("--guess")
     p.add_argument("--out", default="out")
     p.set_defaults(func=cmd_solve)

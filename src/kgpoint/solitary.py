@@ -15,6 +15,8 @@ It runs in the compiled library (``kgp_solve`` in ``_passes.c``, which also
 holds the stepping loop), on the model's coefficient block that the steps
 and the observers share, packed once per model object; this module checks
 the arguments, forms the coupling, and makes the waves and the exceptions.
+A branch continued in frequency runs there whole, coupling included
+(``kgp_branch``).
 """
 
 from __future__ import annotations
@@ -52,6 +54,22 @@ def _newton_starts(model: ModelSpec) -> list[list[complex]]:
     return [[s + 0j] * model.count for s in _NEWTON_STARTS]
 
 
+class Branch(list):
+    """The solved waves of a branch, in frequency order.
+
+    collapsed_at is the frequency where the branch collapsed to the zero
+    wave, or None when it did not.  rows holds the waves as the bytes of
+    float64 rows, one a wave: omega, kappa, Re and Im of each amplitude, and
+    residual_max.
+    """
+
+    collapsed_at: float | None = None
+
+    def __init__(self):
+        super().__init__()
+        self.rows = bytearray()
+
+
 class NoConvergence(RuntimeError):
     """Newton failed; carries the frequency and any partial branch."""
 
@@ -59,7 +77,7 @@ class NoConvergence(RuntimeError):
         super().__init__(f"no convergence at omega={omega} (residual {residual:.3e})")
         self.omega = omega
         self.residual = residual
-        self.waves = list(waves) if waves is not None else []
+        self.waves = waves if isinstance(waves, Branch) else list(waves) if waves is not None else []
 
 
 class ConvergedToZero(RuntimeError):
@@ -118,6 +136,12 @@ def _compiled():
     return _passes
 
 
+@cache
+def _limits():
+    """MAX_ITER, RESIDUAL_TOL and ZERO_BRANCH_TOL as the compiled solve takes them, converted once."""
+    return _compiled().limits(MAX_ITER, RESIDUAL_TOL, ZERO_BRANCH_TOL)
+
+
 def amplitude_residual(model: ModelSpec, wave: SolitaryWave) -> np.ndarray:
     """Real/imaginary parts of 2 kappa C_J - F_J(phi(X_J)), interleaved per J: the solve's own residual."""
     kap = kappa(model, wave.omega)
@@ -128,6 +152,16 @@ def amplitude_residual(model: ModelSpec, wave: SolitaryWave) -> np.ndarray:
 def _zero_wave(model: ModelSpec, omega: float) -> SolitaryWave:
     # zero amplitudes solve 2 kappa C - alpha(0) C = 0 exactly
     return SolitaryWave(float(omega), kappa(model, omega), (0j,) * model.count, 0.0)
+
+
+def _start(model: ModelSpec, guess) -> list[complex]:
+    """guess as a Newton start: its amplitudes as complex; ValueError unless one an oscillator, each finite."""
+    c = [complex(z) for z in guess]
+    if len(c) != model.count:
+        raise ValueError(f"guess must have length {model.count}")
+    if not all(map(cmath.isfinite, c)):
+        raise ValueError("guess must be finite")
+    return c
 
 
 def solve_profile(model: ModelSpec, omega: float, guess) -> SolitaryWave:
@@ -151,15 +185,9 @@ def solve_profile(model: ModelSpec, omega: float, guess) -> SolitaryWave:
     kap = kappa(model, omega)  # refuses a frequency outside the band first
     if abs(omega) == model.mass:
         return _zero_wave(model, omega)
-    n = model.count
-    c = [complex(z) for z in guess]
-    if len(c) != n:
-        raise ValueError(f"guess must have length {n}")
-    if not all(map(cmath.isfinite, c)):
-        raise ValueError("guess must be finite")
     compiled = _compiled()
-    status, final, amps = compiled.solve(model, _coupling_matrix(model, kap), 2.0 * kap, c, MAX_ITER, RESIDUAL_TOL,
-                                         ZERO_BRANCH_TOL)
+    status, final, amps = compiled.solve(model, _coupling_matrix(model, kap), 2.0 * kap, _start(model, guess),
+                                         _limits())
     if status == compiled.FAILED:
         raise NoConvergence(omega, final)
     if status == compiled.ZERO:
@@ -178,66 +206,63 @@ def profile_eval(model: ModelSpec, wave: SolitaryWave, x):
     return out
 
 
-class Branch(list):
-    """The solved waves of a branch, in frequency order.
-
-    collapsed_at is the frequency where the branch collapsed to the zero
-    wave, or None when it did not.
-    """
-
-    collapsed_at: float | None = None
-
-
-def _solve_from(model: ModelSpec, omega: float, starts) -> SolitaryWave:
-    """solve_profile from the first start that neither fails nor collapses; the last one's failure propagates."""
-    for start in starts[:-1]:
-        try:
-            return solve_profile(model, omega, start)
-        except (NoConvergence, ConvergedToZero):
-            pass
-    return solve_profile(model, omega, starts[-1])
+def _waves(rows: bytes, n: int):
+    """The waves of float64 rows of n oscillators, each omega, kappa, Re and Im of each amplitude, residual_max."""
+    values, cols = memoryview(rows).cast("d").tolist(), 2 * n + 3
+    amps = zip(*(map(complex, values[2 * j + 2::cols], values[2 * j + 3::cols]) for j in range(n)))
+    return map(SolitaryWave, values[0::cols], values[1::cols], amps, values[cols - 1::cols])
 
 
 def continue_branch(model: ModelSpec, omega_start: float, omega_end: float, step: float, guess) -> Branch:
     """Natural-parameter continuation: march omega with a secant predictor and Newton corrector.
 
-    Once two points are solved, each solve starts on the line through the
-    last two solved amplitudes, C_k + r (C_k - C_{k-1}) with
+    Frequency k is omega_start + step k toward omega_end, formed as it is
+    reached, and the first solve starts at guess.  Once two points are
+    solved, each solve starts on the line through the last two solved
+    amplitudes, C_k + r (C_k - C_{k-1}) with
     r = (omega - omega_k) / (omega_k - omega_{k-1}); when that start fails or
     collapses it is retried from the last solved amplitudes, so the branch
     ends where a plain warm start ends it.  Stops at the last good frequency
     when the branch collapses to zero, and names the frequency that collapsed
-    in the returned Branch's collapsed_at; propagates NoConvergence (with the
-    partial branch attached) when Newton fails outright.  A step at or below
-    4 ulps of the larger endpoint modulus is a ValueError, before any solve.
+    in the returned Branch's collapsed_at; raises NoConvergence (with the
+    partial branch attached) when Newton fails outright.  A step that is not
+    positive, not finite, or at or below 4 ulps of the larger endpoint
+    modulus is a ValueError, before any solve.
+
+    The loop runs in the compiled library (kgp_branch in _passes.c), one
+    call per block of BRANCH_ROWS frequencies, so that its memory does not
+    grow with the range; each point is solved as solve_profile solves it, and
+    the waves are bit for bit those of the loop of solve_profile calls it
+    replaced.  The Branch holds them as rows too, for the CSV.
     """
     m = model.mass
     if not (abs(omega_start) < m and abs(omega_end) < m):
         raise ValueError("both endpoint frequencies must lie strictly inside (-m, m)")
     if not step > 0:  # a nan too
         raise ValueError("step must be positive")
+    if step == math.inf:  # the first frequency would be omega_start + 0 inf, a nan
+        raise ValueError(f"step {step} is not finite")
     floor = 4 * math.ulp(max(abs(omega_start), abs(omega_end)))
     if step <= floor:  # above it every formed frequency advances, and the count is finite
         raise ValueError(f"step {step:g} is at or below 4 ulps of the larger endpoint, {floor:g}")
     span = omega_end - omega_start
     direction = 1.0 if span >= 0 else -1.0
     k_max = math.floor(abs(span) / step + 1e-12)
+    compiled = _compiled()
+    march = compiled.branch(model, omega_start, direction * step, _start(model, guess), _limits())
+    block = compiled.BRANCH_ROWS
     waves = Branch()
-    current = list(guess)
-    for k in range(k_max + 1):
-        w = omega_start + direction * step * k  # formed as reached: a fine range is never held as a list
-        starts = [current]
-        if len(waves) >= 2:
-            prev, last = waves[-2], waves[-1]
-            r = (w - last.omega) / (last.omega - prev.omega)
-            starts.insert(0, [b + r * (b - a) for a, b in zip(prev.amplitudes, last.amplitudes)])
-        try:
-            wave = _solve_from(model, w, starts)
-        except ConvergedToZero:
-            waves.collapsed_at = w
+    for k in range(0, k_max + 1, block):
+        status, rows, omega, residual = march(min(block, k_max + 1 - k))
+        waves.rows += rows
+        waves.extend(_waves(rows, model.count))
+        if status == compiled.ZERO:
+            waves.collapsed_at = omega
             break
-        except NoConvergence as err:
-            raise NoConvergence(w, err.residual, waves) from err
-        waves.append(wave)
-        current = wave.amplitudes
+        if status == compiled.FAILED:
+            raise NoConvergence(omega, residual, waves)
+        if status == compiled.OUT_OF_BAND:
+            kappa(model, omega)  # raises the ValueError that names omega
+        if status == compiled.NOT_FINITE:
+            raise ValueError("guess must be finite")
     return waves

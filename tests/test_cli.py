@@ -244,7 +244,8 @@ def test_solve_no_convergence_exit_three(tmp_path):
 @pytest.mark.parametrize("argv, reason", [
     (["--omega", "nan"], "|omega|=nan exceeds the mass 1.0"),
     (["--omega-range", "0:0.5:nan"], "step must be positive"),
-], ids=["omega", "step"])
+    (["--omega-range", "0:0.5:inf"], "step inf is not finite"),
+], ids=["omega", "step", "infinite-step"])
 def test_solve_nan_frequency_or_step_exits_two(tmp_path, capsys, argv, reason):
     cfg = write_config(tmp_path, SINGLE_MODEL)
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")] + argv) == 2

@@ -89,8 +89,9 @@ def test_kappa_examples():
     (lambda: kappa(QUARTIC_MODEL, math.nan), "exceeds the mass"),
     (lambda: solve_profile(QUARTIC_MODEL, math.nan, [0.7]), "exceeds the mass"),
     (lambda: continue_branch(QUARTIC_MODEL, 0.1, 0.5, math.nan, [0.7]), "step must be positive"),
+    (lambda: continue_branch(QUARTIC_MODEL, 0.1, 0.5, math.inf, [0.7]), "^step inf is not finite$"),
     (lambda: continue_branch(QUARTIC_MODEL, math.nan, 0.5, 0.1, [0.7]), "strictly inside"),
-], ids=["kappa", "solve_profile", "continue_branch-step", "continue_branch-endpoint"])
+], ids=["kappa", "solve_profile", "continue_branch-step", "continue_branch-infinite-step", "continue_branch-endpoint"])
 def test_a_nan_frequency_or_step_is_a_domain_error(call, message):
     with pytest.raises(ValueError, match=message):
         call()
@@ -775,6 +776,52 @@ def plain_warm_start_branch(model, omegas, guess, solve=solve_profile):
     return waves, None
 
 
+def secant_start(prev, last, r):
+    """last + r (last - prev) for complex amplitudes and a float r, with r times a complex spelled out as
+    CPython 3.10-3.12 compute it, as the complex r + 0j: (r dr - 0.0 di, r di + 0.0 dr).  Python 3.14
+    multiplies each part by r alone, which can change the sign of a zero."""
+    out = []
+    for a, b in zip(prev, last):
+        dr, di = b.real - a.real, b.imag - a.imag
+        out.append(complex(b.real + (r * dr - 0.0 * di), b.imag + (r * di + 0.0 * dr)))
+    return out
+
+
+def reference_continue_branch(model, omega_start, omega_end, step, guess, solve=solve_profile):
+    """continue_branch's loop on Python floats, one solve call a start: the oracle of the compiled branch.
+
+    The arguments are continue_branch's, already checked.  Returns (waves,
+    collapsed_at, failed_at, residual), the last the failed solve's;
+    ValueError propagates.
+    """
+    span = omega_end - omega_start
+    direction = 1.0 if span >= 0 else -1.0
+    waves, current = [], list(guess)
+    for k in range(math.floor(abs(span) / step + 1e-12) + 1):
+        w = omega_start + direction * step * k
+        starts = [current]
+        if len(waves) >= 2:
+            prev, last = waves[-2], waves[-1]
+            starts.insert(0, secant_start(prev.amplitudes, last.amplitudes,
+                                          (w - last.omega) / (last.omega - prev.omega)))
+        try:
+            for start in starts[:-1]:
+                try:
+                    wave = solve(model, w, start)
+                    break
+                except (NoConvergence, ConvergedToZero):
+                    pass
+            else:
+                wave = solve(model, w, starts[-1])
+        except ConvergedToZero:
+            return waves, w, None, None
+        except NoConvergence as err:
+            return waves, None, w, err.residual
+        waves.append(wave)
+        current = wave.amplitudes
+    return waves, None, None, None
+
+
 def branch_outcome(model, a, b, step, guess):
     try:
         return continue_branch(model, a, b, step, guess), None
@@ -796,8 +843,8 @@ COLLAPSE_MODEL = ModelSpec(1.0, (OscillatorSpec(0.0, (0.0, -0.5, 1.0)),))
     (PAIR_MODEL, 0.0, 0.95, [0.7, 0.7], 0.5),  # from omega = 0.5 on every start fails
     (COLLAPSE_MODEL, 0.95, 0.5, [0.2], None),
 ], ids=["readme", "readme-fails", "collapse"])
-def test_a_failing_secant_start_falls_back_on_the_plain_warm_start(monkeypatch, failure, model, a, b, guess,
-                                                                   fail_from):
+def test_a_failing_secant_start_falls_back_on_the_plain_warm_start(failure, model, a, b, guess, fail_from):
+    # on the reference loop, which calls the solve it is given; the compiled branch matches it bit for bit
     solved = []
 
     def plain_starts_only(model, omega, start):
@@ -813,8 +860,7 @@ def test_a_failing_secant_start_falls_back_on_the_plain_warm_start(monkeypatch, 
 
     want_waves, want_failed = plain_warm_start_branch(model, branch_omegas(a, b, 0.01), guess, plain_starts_only)
     solved.clear()
-    monkeypatch.setattr(solitary, "solve_profile", plain_starts_only)
-    got_waves, got_failed = branch_outcome(model, a, b, 0.01, guess)
+    got_waves, _, got_failed, _ = reference_continue_branch(model, a, b, 0.01, guess, plain_starts_only)
     assert got_failed == want_failed and (got_failed is None) == (fail_from is None)
     assert [w.omega for w in got_waves] == [w.omega for w in want_waves]
     assert [_bits(w) for w in got_waves] == [_bits(w) for w in want_waves]
@@ -842,3 +888,78 @@ def test_secant_start_costs_at_most_3_1_residual_evaluations_per_point():
     waves = continue_branch(PAIR_MODEL, 0.0, 0.95, 0.001, [0.7, 0.7])
     assert len(waves) == 951
     assert (residual_evaluations() - before) / len(waves) <= 3.1
+
+
+ONE_WELL_MODEL = ModelSpec(1.0, (OscillatorSpec(0.0, (0.0, -1.0, 0.5)),))
+THREE_WELL_MODEL = ModelSpec(1.0, (
+    OscillatorSpec(0.0, (0.0, -1.066307450723016, 0.4696547583959826)),
+    OscillatorSpec(1.4969677216590898, (0.0, -2.1105434142980832, 1.4392946314338502)),
+    OscillatorSpec(2.6275900211909926, (0.0, -2.141119407128387, 0.37525600502653006)),
+))
+OCTIC_MODEL = ModelSpec(1.0, (OscillatorSpec(0.0, (0.0, 0.9865326091419453, -1.3967605490797737,
+                                                   -0.5892757772321628, 0.8943271169619827)),))
+Z, F = ConvergedToZero, NoConvergence
+
+
+@pytest.mark.parametrize("model, a, b, step, guess, solved, collapsed_at, failed_at, failures", [
+    (PAIR_MODEL, 0.0, 0.95, 0.001, [0.7, 0.7], 951, None, None, []),
+    (PAIR_MODEL, 0.5, -0.5, 0.01, [0.7, 0.7], 101, None, None, []),
+    # the secant start collapses at 0.866 and 0.865, and the warm start recovers, until both collapse
+    (COLLAPSE_MODEL, 0.95, 0.0, 0.001, [0.2], 86, 0.864, None, [(0.866, Z), (0.865, Z), (0.864, Z), (0.864, Z)]),
+    (ONE_WELL_MODEL, 0.0, 0.95, 0.001, [0.7], 36, 0.036000000000000004, None,
+     [(0.002, Z), (0.036000000000000004, Z), (0.036000000000000004, Z)]),
+    (THREE_WELL_MODEL, 0.99, 0.2, 0.2, [0.7] * 3, 4, None, None, [(0.59, F)]),
+    (OCTIC_MODEL, 0.99, 0.2, 0.05, [1.0], 4, None, 0.79, [(0.79, F), (0.79, F)]),
+    (PAIR_MODEL, 0.0, 0.95, 0.01, [0.0, 0.0], 0, 0.0, None, [(0.0, Z)]),  # kgpoint solve --guess 0,0
+    (QUARTIC_MODEL, 0.0, 0.5, 0.1, [1e150], 0, None, 0.0, [(0.0, F)]),  # kgpoint solve --guess 1e150
+    # the last frequency formed is the mass itself, whose zero wave solve_profile returns unsolved
+    (PAIR_MODEL, 0.0, math.nextafter(1.0, 0.0), 0.5, [0.7, 0.7], 3, None, None, []),
+], ids=["readme-up", "readme-down", "collapse", "one-well", "three-wells", "octic-fails", "first-collapse",
+        "first-failure", "band-edge"])
+def test_the_compiled_branch_matches_the_reference_loop_bit_for_bit(model, a, b, step, guess, solved, collapsed_at,
+                                                                     failed_at, failures):
+    failed = []
+
+    def recorded(model, omega, start):
+        try:
+            return solve_profile(model, omega, start)
+        except (NoConvergence, ConvergedToZero) as err:
+            failed.append((omega, type(err)))
+            raise
+
+    want_waves, *want = reference_continue_branch(model, a, b, step, guess, recorded)
+    assert (len(want_waves), want[0], want[1], failed) == (solved, collapsed_at, failed_at, failures)
+    try:
+        branch = continue_branch(model, a, b, step, guess)
+        got = [branch.collapsed_at, None, None]
+    except NoConvergence as err:
+        branch, got = err.waves, [None, err.omega, err.residual]
+    assert [[_word(w.omega), *_bits(w)] for w in branch] == [[_word(w.omega), *_bits(w)] for w in want_waves]
+    assert list(map(_word, got)) == list(map(_word, want))
+    # the rows the command writes, as it formed them from the waves before the branch carried them
+    assert bytes(branch.rows) == np.array(
+        [[w.omega, w.kappa, *(p for c in w.amplitudes for p in (c.real, c.imag)), w.residual_max] for w in want_waves],
+        dtype=float).tobytes()
+
+
+def _word(x):
+    """The float64 word of x, its sign of zero included; None for None."""
+    return None if x is None else int(np.array(x, dtype=float).view(np.int64))
+
+
+def test_a_frequency_past_the_mass_is_the_reference_loops_value_error():
+    # k_max rounds 2 - 2^-52 up to 2, whose frequency is a float above the mass
+    args = (PAIR_MODEL, 0.0, math.nextafter(1.0, 0.0), math.nextafter(0.5, 1.0), [0.7, 0.7])
+    with pytest.raises(ValueError) as want:
+        reference_continue_branch(*args)
+    with pytest.raises(ValueError) as got:
+        continue_branch(*args)
+    assert str(got.value) == str(want.value) == "|omega|=1.0000000000000002 exceeds the mass 1.0"
+
+
+def test_a_start_the_compiled_branch_finds_not_finite_is_the_guess_refusal(monkeypatch):
+    # solve_profile refused a secant start that overflowed as a guess that is not finite; test_passes checks that
+    # the compiled branch reports it
+    monkeypatch.setattr(_passes, "branch", lambda *args: lambda count: (_passes.NOT_FINITE, b"", 0.3, 0.0))
+    with pytest.raises(ValueError, match="^guess must be finite$"):
+        continue_branch(QUARTIC_MODEL, 0.1, 0.5, 0.1, [0.7])
