@@ -1,6 +1,6 @@
 /* The compiled passes: kick-drift-kick steps of the field, the energy form behind every observer, the
- * Newton solve of the solitary amplitude system and its continuation in frequency, and the CSV text of
- * float64 rows.
+ * Newton solve of the solitary amplitude system and its continuation in frequency, the solitary profile's
+ * sampler, the manifold distance's search after its frequency scan, and the CSV text of float64 rows.
  *
  * Each expression of the steps and the solve is the one it transcribes,
  * operation for operation and operand for operand, and the build fuses and
@@ -10,7 +10,10 @@
  * forces and potentials are model._at_node's on numpy scalars.  The solve
  * keeps the bits of the damped Newton loop on Python floats that
  * solitary.solve_profile ran before it, and the branch those of the loop of
- * solve_profile calls that solitary.continue_branch ran.
+ * solve_profile calls that solitary.continue_branch ran.  The sampler keeps
+ * the bits of numpy's complex arithmetic in solitary.profile_eval's loop, but
+ * takes libm's exp, and the search those of simulator.dist_to_manifold's
+ * Python loop over its scan and Brent's steps.
  *
  * The energy form sums in one fixed order of its own, written out below at
  * form_sums, with two-lane vectors of gcc's and clang's vector extensions (no
@@ -507,7 +510,7 @@ static double gauged_norm(ptrdiff_t w, const double *res, const double *c, doubl
     return sup_norm(g, w);
 }
 
-enum { KGP_SOLVED, KGP_ZERO, KGP_FAILED, KGP_OUT_OF_BAND, KGP_NOT_FINITE, KGP_NO_MEMORY = -1 };
+enum { KGP_SOLVED, KGP_ZERO, KGP_FAILED, KGP_OUT_OF_BAND, KGP_NOT_FINITE, KGP_NO_MEMORY = -1, KGP_UNSOLVED = -2 };
 
 /* the doubles of newton's work for n oscillators */
 static size_t newton_work(ptrdiff_t n)
@@ -630,6 +633,30 @@ static int all_finite(ptrdiff_t w, const double *c)
     return 1;
 }
 
+/* The row of the frequency omega up to its amplitudes, for model m's n oscillators at pos: omega and kappa
+ * = sqrt(max(mass^2 - omega^2, 0)), as solitary.kappa forms it.  Beyond the mass it is KGP_OUT_OF_BAND;
+ * at it the zero wave, amplitudes and residual 0, is the row, unsolved, as solve_profile returns it, and
+ * KGP_SOLVED; else KGP_UNSOLVED, with the coupling rows exp(-kappa |X_J - X_K|) of libm's exp, the
+ * function math.exp calls. */
+static int frequency_row(const struct kgp_model *m, const double *pos, double mass, double omega, double *row,
+                         double *coupling)
+{
+    const ptrdiff_t n = m->n;
+    if (!(fabs(omega) <= mass))
+        return KGP_OUT_OF_BAND;
+    const double d = mass * mass - omega * omega, kap = sqrt(0.0 > d ? 0.0 : d); /* Python's max(d, 0.0) */
+    row[0] = omega;
+    row[1] = kap;
+    if (fabs(omega) == mass) {
+        memset(row + 2, 0, (2 * n + 1) * sizeof(double)); /* the amplitudes and the residual */
+        return KGP_SOLVED;
+    }
+    for (ptrdiff_t j = 0; j < n; j++)
+        for (ptrdiff_t k = 0; k < n; k++)
+            coupling[j * n + k] = exp(-kap * fabs(pos[j] - pos[k]));
+    return KGP_UNSOLVED;
+}
+
 /* One point of the branch at frequency omega: its row, on the solved rows last and prev (prev NULL
  * before two are solved).  The first start that neither fails nor collapses gives the row; once two
  * points are solved the first is the secant start last + r (last - prev), r = (omega - omega_last) /
@@ -641,22 +668,12 @@ static int branch_point(const struct kgp_branch *b, double omega, const double *
                         double *row, double *coupling, double *work)
 {
     const struct kgp_model *m = b->model;
-    const ptrdiff_t n = m->n, w = 2 * n;
-    const double *pos = b->positions;
+    const ptrdiff_t w = 2 * m->n;
     double *c = row + 2;
-    if (!(fabs(omega) <= b->mass))
-        return KGP_OUT_OF_BAND;
-    const double d = b->mass * b->mass - omega * omega, kap = sqrt(0.0 > d ? 0.0 : d); /* Python's max(d, 0.0) */
-    row[0] = omega;
-    row[1] = kap;
-    if (fabs(omega) == b->mass) {
-        memset(c, 0, (w + 1) * sizeof(double)); /* the amplitudes and the residual */
-        return KGP_SOLVED;
-    }
-    for (ptrdiff_t j = 0; j < n; j++)
-        for (ptrdiff_t k = 0; k < n; k++)
-            coupling[j * n + k] = exp(-kap * fabs(pos[j] - pos[k]));
-    int status;
+    int status = frequency_row(m, b->positions, b->mass, omega, row, coupling);
+    if (status != KGP_UNSOLVED)
+        return status;
+    const double kap = row[1];
     if (prev) {
         const double r = (omega - last[0]) / (last[0] - prev[0]);
         for (ptrdiff_t j = 2; j < w + 2; j += 2) {
@@ -707,6 +724,305 @@ int kgp_branch(struct kgp_branch *b, ptrdiff_t k, ptrdiff_t count)
         memcpy(carry, carry + cols, cols * sizeof(double));
         memcpy(carry + cols, carry + 2 * cols, cols * sizeof(double));
     }
+    return status;
+}
+
+/* The profile phi = sum_J C_J exp(-kappa |x - X_J|) at the len points x, into the complex out: the n
+ * amplitudes c (Re and Im interleaved) at the positions pos, each term numpy's complex product of C_J by
+ * the float e = exp(-kappa |x - X_J|), (Re C e - Im C 0.0, Re C 0.0 + Im C e), added into phi from 0.0 one
+ * oscillator after another, as solitary.profile_eval summed it with numpy; exp is libm's, whatever numpy's
+ * SIMD dispatch would have picked. */
+void kgp_profile(const double *x, ptrdiff_t len, ptrdiff_t n, const double *pos, double kappa, const double *c,
+                 double *out)
+{
+    for (ptrdiff_t i = 0; i < len; i++) {
+        double re = 0.0, im = 0.0;
+        for (ptrdiff_t j = 0; j < n; j++) {
+            const double e = exp(-kappa * fabs(x[i] - pos[j]));
+            re = re + (c[2 * j] * e - c[2 * j + 1] * 0.0);
+            im = im + (c[2 * j] * 0.0 + c[2 * j + 1] * e);
+        }
+        out[2 * i] = re;
+        out[2 * i + 1] = im;
+    }
+}
+
+/* A wave's state (p, q) = (psi, pi) at the len points x: psi = phi phase, 0 at the points first and last
+ * (-1 for none), and pi = s psi, s = -1j omega as CPython 3.10-3.12 form it, (-0.0 omega - -1.0 0.0,
+ * -0.0 0.0 + -1.0 omega); each product numpy's complex one, (ar br - ai bi, ar bi + ai br), with a the
+ * left operand. */
+void kgp_wave(const double *x, ptrdiff_t len, ptrdiff_t n, const double *pos, double kappa, const double *c,
+              double omega, double phase_re, double phase_im, ptrdiff_t first, ptrdiff_t last, double *p, double *q)
+{
+    kgp_profile(x, len, n, pos, kappa, c, p);
+    for (ptrdiff_t j = 0; j < 2 * len; j += 2) {
+        const double re = p[j], im = p[j + 1];
+        p[j] = re * phase_re - im * phase_im;
+        p[j + 1] = re * phase_im + im * phase_re;
+    }
+    if (first >= 0)
+        p[2 * first] = p[2 * first + 1] = 0.0;
+    if (last >= 0)
+        p[2 * last] = p[2 * last + 1] = 0.0;
+    const double sr = -0.0 * omega - -1.0 * 0.0, si = -0.0 * 0.0 + -1.0 * omega;
+    for (ptrdiff_t j = 0; j < 2 * len; j += 2) {
+        q[j] = sr * p[j] - si * p[j + 1];
+        q[j + 1] = sr * p[j + 1] + si * p[j];
+    }
+}
+
+/* x = exp(x) at each of the len floats, libm's exp */
+void kgp_free(void *p)
+{
+    free(p);
+}
+
+void kgp_exp(double *x, ptrdiff_t len)
+{
+    for (ptrdiff_t i = 0; i < len; i++)
+        x[i] = exp(x[i]);
+}
+
+/* A frequency scan's solved waves on a metric's outer window, fixed for every search of the wave closest to a
+ * state: the model, its oscillators' positions and mass, and the Newton limits; the window's node coordinates
+ * x, one per metric node, and the window's Dirichlet end nodes first and last (-1 where it holds none); the
+ * count solved frequencies omegas, in the scan's order, their amplitudes amps (2n each, Re and Im
+ * interleaved) and their samples waves; and Brent's golden-section fraction, relative resolution sqrt_eps and
+ * tolerance, shrink times the bracket. */
+struct kgp_scan {
+    const struct kgp_model *model;
+    const double *positions;
+    double mass;
+    long max_iter;
+    double tol, zero_tol;
+    const double *x;
+    ptrdiff_t first, last, count;
+    const double *omegas, *amps;
+    const struct kgp_wave *waves;
+    double golden, sqrt_eps, shrink;
+};
+
+/* The wave closest to a state: its distance dist and frequency omega; best -1 for the zero wave, i < count
+ * for the scan's wave i, and count for a refinement's, whose kappa, amplitudes amps (2n) and residual are
+ * given.  The frequencies of the refinement's solves, solved of them, are in refined, which the search
+ * allocates and the caller frees with kgp_free. */
+struct kgp_nearest {
+    double dist, omega, kappa, residual;
+    ptrdiff_t best;
+    double *amps;
+    ptrdiff_t solved;
+    double *refined;
+};
+
+enum { REFINE_ROOM = 4 }; /* the refinement solves a search first makes room for, doubled as needed */
+
+/* The frequencies solved so far and their amplitudes, a dict in insertion order: entry i is a key and its w
+ * floats.  There is room for the scan's count keys and room refinement solves, and for as many frequencies
+ * in the list of the refinement's solves. */
+struct solved {
+    double *entries;
+    ptrdiff_t size, w, room;
+};
+
+/* Room for one more refinement solve, in r's list of their frequencies and among sv's keys, the room of both
+ * doubled when it is full: KGP_SOLVED, or KGP_NO_MEMORY */
+static int make_room(const struct kgp_scan *s, struct kgp_nearest *r, struct solved *sv)
+{
+    if (r->solved < sv->room)
+        return KGP_SOLVED;
+    const ptrdiff_t room = 2 * sv->room;
+    double *refined = realloc(r->refined, room * sizeof(double));
+    if (!refined)
+        return KGP_NO_MEMORY;
+    r->refined = refined;
+    double *entries = realloc(sv->entries, (s->count + room) * (1 + sv->w) * sizeof(double));
+    if (!entries)
+        return KGP_NO_MEMORY;
+    sv->entries = entries;
+    sv->room = room;
+    return KGP_SOLVED;
+}
+
+/* Set omega's amplitudes to c as a dict of floats sets them: in place where a key equals omega (-0.0 equals
+ * 0.0, and the key keeps its sign), else as a new last key */
+static void solved_put(struct solved *s, double omega, const double *c)
+{
+    const ptrdiff_t stride = 1 + s->w;
+    ptrdiff_t i = 0;
+    while (i < s->size && s->entries[i * stride] != omega)
+        i++;
+    if (i == s->size)
+        s->entries[s->size++ * stride] = omega;
+    memcpy(s->entries + i * stride + 1, c, s->w * sizeof(double));
+}
+
+/* The amplitudes of the first key of least |key - omega|, as Python's min over the dict picks it */
+static const double *solved_nearest(const struct solved *s, double omega)
+{
+    const ptrdiff_t stride = 1 + s->w;
+    ptrdiff_t best = 0;
+    double gap = fabs(s->entries[0] - omega);
+    for (ptrdiff_t i = 1; i < s->size; i++) {
+        const double g = fabs(s->entries[i * stride] - omega);
+        if (g < gap) {
+            best = i;
+            gap = g;
+        }
+    }
+    return s->entries + best * stride + 1;
+}
+
+/* One refinement solve of the search at u, warm-started from the nearest solved frequency's amplitudes, and
+ * its wave's distance in *fu.  A solved wave becomes u's entry of the solved frequencies and, if strictly
+ * closer, the best; a failed or collapsed solve is KGP_FAILED or KGP_ZERO, which ends the search.  u lies
+ * inside the bracket of two solved frequencies, so inside the band. */
+static int refine(const struct kgp_metric *m, const struct kgp_scan *s, struct kgp_nearest *r, struct solved *sv,
+                  double u, double *row, double *coupling, double *work, double *sample, double *fu)
+{
+    const ptrdiff_t n = s->model->n, w = 2 * n;
+    const struct kgp_wave wave = {sample, sample + 2 * m->n, m->n};
+    int status = make_room(s, r, sv);
+    if (status != KGP_SOLVED)
+        return status;
+    r->refined[r->solved++] = u;
+    status = frequency_row(s->model, s->positions, s->mass, u, row, coupling);
+    if (status == KGP_UNSOLVED) {
+        memcpy(row + 2, solved_nearest(sv, u), w * sizeof(double));
+        status = newton(s->model, coupling, 2.0 * row[1], row + 2, s->max_iter, s->tol, s->zero_tol, row + w + 2,
+                        work);
+    }
+    if (status != KGP_SOLVED)
+        return status;
+    solved_put(sv, u, row + 2);
+    kgp_wave(s->x, m->n, n, s->positions, row[1], row + 2, u, 1.0, 0.0, s->first, s->last, sample, sample + 2 * m->n);
+    *fu = kgp_fit_dist(m, &wave);
+    if (*fu < r->dist) {
+        r->dist = *fu;
+        r->omega = u;
+        r->best = s->count;
+        r->kappa = row[1];
+        memcpy(r->amps, row + 2, w * sizeof(double));
+        r->residual = row[w + 2];
+    }
+    return KGP_SOLVED;
+}
+
+/* Brent's minimization of the distance over [a, b] from x, at distance fx, until x is within 2 tol of both
+ * ends, each evaluation a refine; simulator.dist_to_manifold's Python loop operation for operation.  Each
+ * step fits a parabola through the three best points so far and takes its vertex, or, where the parabola
+ * is not trusted, a golden-section step into the larger part of the bracket (R. P. Brent, Algorithms for
+ * Minimization without Derivatives, 1973, ch. 5; tol gains sqrt(eps)|x| at each step against roundoff).
+ * A failed or collapsed solve ends the search as its convergence does, with KGP_SOLVED. */
+static int brent(const struct kgp_metric *m, const struct kgp_scan *s, struct kgp_nearest *r, struct solved *sv,
+                 double a, double b, double x, double fx, double *row, double *coupling, double *work,
+                 double *sample)
+{
+    const double tol = (b - a) * s->shrink;
+    double v = x, w = x, fv = fx, fw = fx, d = 0.0, e = 0.0;
+    for (;;) {
+        const double mid = 0.5 * (a + b);
+        const double tol1 = s->sqrt_eps * fabs(x) + tol / 3.0;
+        const double tol2 = 2.0 * tol1;
+        if (fabs(x - mid) <= tol2 - 0.5 * (b - a))
+            return KGP_SOLVED;
+        double p = 0.0, q = 0.0, t = 0.0;
+        if (fabs(e) > tol1) { /* the parabola through (v, fv), (w, fw), (x, fx): its vertex is x + p / q */
+            t = (x - w) * (fx - fv);
+            q = (x - v) * (fx - fw);
+            p = (x - v) * q - (x - w) * t;
+            q = 2.0 * (q - t);
+            if (q > 0.0)
+                p = -p;
+            q = fabs(q);
+            t = e;
+            e = d;
+        }
+        if (fabs(p) < fabs(0.5 * q * t) && q * (a - x) < p && p < q * (b - x)) { /* a shrinking step inside */
+            d = p / q;
+            if ((x + d) - a < tol2 || b - (x + d) < tol2)
+                d = x < mid ? tol1 : -tol1;
+        } else {
+            e = (x >= mid ? a : b) - x;
+            d = s->golden * e;
+        }
+        const double u = x + (fabs(d) >= tol1 ? d : copysign(tol1, d));
+        double fu;
+        const int status = refine(m, s, r, sv, u, row, coupling, work, sample, &fu);
+        if (status == KGP_FAILED || status == KGP_ZERO)
+            return KGP_SOLVED;
+        if (status != KGP_SOLVED)
+            return status;
+        if (fu <= fx) {
+            if (u < x)
+                b = x;
+            else
+                a = x;
+            v = w, fv = fw, w = x, fw = fx, x = u, fx = fu;
+        } else {
+            if (u < x)
+                a = u;
+            else
+                b = u;
+            if (fu <= fw || w == x)
+                v = w, fv = fw, w = u, fw = fu;
+            else if (fu <= fv || v == x || v == w)
+                v = u, fv = fu;
+        }
+    }
+}
+
+/* The wave closest to metric m's state among the zero wave, the scan s's waves and a refinement between the
+ * best scan wave's solved neighbours, into r: simulator.dist_to_manifold after its scan, operation for
+ * operation.  The zero wave's distance comes first, then each scan wave's in order, a strictly smaller one
+ * the best; where a scan wave is best and more than one frequency was solved, brent searches the bracket of
+ * the solved frequencies on either side of the best (the best's own where it has none), its tolerance
+ * shrink times the bracket.  Returns KGP_SOLVED, or KGP_NO_MEMORY with r->refined NULL. */
+int kgp_nearest(const struct kgp_metric *m, const struct kgp_scan *s, struct kgp_nearest *r)
+{
+    const ptrdiff_t n = s->model->n, w = 2 * n;
+    double *block = malloc(((w + 3) + n * n + newton_work(n) + 4 * m->n) * sizeof(double));
+    struct solved sv = {malloc((s->count + REFINE_ROOM) * (1 + w) * sizeof(double)), 0, w, REFINE_ROOM};
+    r->refined = malloc(REFINE_ROOM * sizeof(double));
+    r->solved = 0;
+    int status = block && sv.entries && r->refined ? KGP_SOLVED : KGP_NO_MEMORY;
+    if (status != KGP_SOLVED)
+        goto done;
+    double *row = block, *coupling = row + w + 3, *work = coupling + n * n, *sample = work + newton_work(n);
+    r->dist = kgp_fit_dist(m, NULL);
+    r->best = -1;
+    for (ptrdiff_t i = 0; i < s->count; i++) {
+        solved_put(&sv, s->omegas[i], s->amps + i * w);
+        const double dist = kgp_fit_dist(m, s->waves + i);
+        if (dist < r->dist) {
+            r->dist = dist;
+            r->omega = s->omegas[i];
+            r->best = i;
+        }
+    }
+    if (r->best >= 0 && sv.size > 1) {
+        const double x = r->omega, *keys = sv.entries;
+        const ptrdiff_t stride = 1 + w;
+        ptrdiff_t at = 0, below = -1, above = -1; /* the key equal to x, the largest below it, the least above */
+        for (ptrdiff_t i = 0; i < sv.size; i++) {
+            const double k = keys[i * stride];
+            if (k == x)
+                at = i;
+            else if (k < x && (below < 0 || k > keys[below * stride]))
+                below = i;
+            else if (k > x && (above < 0 || k < keys[above * stride]))
+                above = i;
+        }
+        const double lo = keys[(below < 0 ? at : below) * stride], hi = keys[(above < 0 ? at : above) * stride];
+        status = brent(m, s, r, &sv, lo, hi, x, r->dist, row, coupling, work, sample);
+    }
+done:
+    if (status < 0) {
+        free(r->refined);
+        r->refined = NULL;
+        r->solved = 0;
+    }
+    free(sv.entries);
+    free(block);
     return status;
 }
 

@@ -1,8 +1,9 @@
 """The compiled passes, built from ``_passes.c`` on first use and loaded with ctypes: the stepping loop, the
 energy form behind every observer, the Newton solve of the solitary amplitude system and its continuation in
-frequency, and the CSV text of float64 rows.  The steps (``bind``), the samples (``observer``), the solves
-(``solve``, ``residual``) and the branches (``branch``) share one block of a model's coefficients, packed once per
-model object (``model_block``).
+frequency, the solitary profile's sampler, the manifold distance's search after its frequency scan, and the CSV
+text of float64 rows.  The steps (``bind``), the samples (``observer``), the solves (``solve``, ``residual``), the
+branches (``branch``) and the searches (``Scan``) share one block of a model's coefficients, packed once per model
+object (``model_block``).
 
 The library is built by Python's own C compiler (sysconfig's ``CC``) with
 ``-O3 -ffp-contract=off -lm``: no fused multiply-add and no reassociation, so
@@ -88,6 +89,22 @@ class _Branch(ctypes.Structure):
                 ("rows", _POINTER), ("solved", _SIZE), ("omega", _DOUBLE), ("residual", _DOUBLE)]
 
 
+class _Scan(ctypes.Structure):
+    """struct kgp_scan: a frequency scan's solved waves on a metric's outer window, and the refinement's constants."""
+
+    _fields_ = [("model", ctypes.POINTER(_Model)), ("positions", _POINTER), ("mass", _DOUBLE),
+                ("max_iter", ctypes.c_long), ("tol", _DOUBLE), ("zero_tol", _DOUBLE), ("x", _POINTER),
+                ("first", _SIZE), ("last", _SIZE), ("count", _SIZE), ("omegas", _POINTER), ("amps", _POINTER),
+                ("waves", _POINTER), ("golden", _DOUBLE), ("sqrt_eps", _DOUBLE), ("shrink", _DOUBLE)]
+
+
+class _Nearest(ctypes.Structure):
+    """struct kgp_nearest: the wave closest to a state, and the frequencies of the refinement's solves."""
+
+    _fields_ = [("dist", _DOUBLE), ("omega", _DOUBLE), ("kappa", _DOUBLE), ("residual", _DOUBLE), ("best", _SIZE),
+                ("amps", _POINTER), ("solved", _SIZE), ("refined", _POINTER)]
+
+
 class _Pow10(ctypes.Structure):
     """struct kgp_pow10: 10^k as t 2^exp2 <= 10^k < (t + 1) 2^exp2, t = hi 2^64 + lo with 2^127 <= t < 2^128."""
 
@@ -101,6 +118,12 @@ _ENTRIES = {  # name: (argtypes, restype)
     "kgp_solve": ((ctypes.POINTER(_Model), _POINTER, _DOUBLE, _POINTER, ctypes.c_long, _DOUBLE, _DOUBLE, _POINTER),
                   _INT),
     "kgp_branch": ((ctypes.POINTER(_Branch), _SIZE, _SIZE), _INT),
+    "kgp_nearest": ((ctypes.POINTER(_Metric), ctypes.POINTER(_Scan), ctypes.POINTER(_Nearest)), _INT),
+    "kgp_profile": ((_POINTER, _SIZE, _SIZE, _POINTER, _DOUBLE, _POINTER, _POINTER), None),
+    "kgp_wave": ((_POINTER, _SIZE, _SIZE, _POINTER, _DOUBLE, _POINTER, _DOUBLE, _DOUBLE, _DOUBLE, _SIZE, _SIZE,
+                  _POINTER, _POINTER), None),
+    "kgp_free": ((_POINTER,), None),
+    "kgp_exp": ((_POINTER, _SIZE), None),
     "kgp_residual": ((ctypes.POINTER(_Model), _POINTER, _DOUBLE, _POINTER, _POINTER, _POINTER), None),
     "kgp_jacobian": ((_SIZE, _POINTER, _DOUBLE, _POINTER, _POINTER), None),
     "kgp_solve_linear": ((_SIZE, _POINTER, _POINTER, _POINTER), _INT),
@@ -315,7 +338,44 @@ class Metric:
         return self.fit(self.block, wave.block)
 
 
-SOLVED, ZERO, FAILED, OUT_OF_BAND, NOT_FINITE = range(5)  # the statuses of kgp_solve and kgp_branch
+def _oscillators(positions, amplitudes):
+    """The count of oscillators that zip pairs from positions and amplitudes, and their positions and amplitudes (Re
+    and Im interleaved) as ctypes arrays."""
+    n = min(len(positions), len(amplitudes))
+    return n, (_DOUBLE * n)(*positions[:n]), (_DOUBLE * (2 * n))(*(p for z in amplitudes[:n] for p in (z.real, z.imag)))
+
+
+def profile(x: np.ndarray, positions, kappa: float, amplitudes) -> np.ndarray:
+    """phi = sum_J C_J exp(-kappa |X - X_J|) at each float64 point X of x, a complex array of x's shape; the
+    amplitudes C_J pair with the positions X_J as zip pairs them, and exp is libm's (kgp_profile)."""
+    points, out = np.ascontiguousarray(x, dtype=float), np.empty(np.shape(x), dtype=complex)
+    n, pos, c = _oscillators(positions, amplitudes)
+    library().kgp_profile(points.ctypes.data, points.size, n, pos, kappa, c, out.ctypes.data)
+    return out
+
+
+def wave(x: np.ndarray, positions, kappa: float, amplitudes, omega: float, phase: complex, ends):
+    """The state (psi, pi) of a wave at the float64 points x, 1-d: psi = phi phase, phi profile's, 0 at the
+    points ends (first, last; -1 for none), and pi = -1j omega psi, each product numpy's (kgp_wave)."""
+    points = np.ascontiguousarray(x, dtype=float)
+    if points.ndim != 1:
+        raise ValueError(f"a wave's state is sampled at 1-d points, not {points.ndim}-d")
+    psi, pi = np.empty(points.size, dtype=complex), np.empty(points.size, dtype=complex)
+    phase, (n, pos, c) = complex(phase), _oscillators(positions, amplitudes)
+    library().kgp_wave(points.ctypes.data, points.size, n, pos, kappa, c, omega, phase.real, phase.imag, *ends,
+                       psi.ctypes.data, pi.ctypes.data)
+    return psi, pi
+
+
+def exp(values: np.ndarray) -> np.ndarray:
+    """values, a writable contiguous float64 array, with each replaced by libm's exp of it; returned."""
+    if values.dtype != float or not values.flags.c_contiguous or not values.flags.writeable:
+        raise ValueError("exp needs a writable contiguous float64 array")
+    library().kgp_exp(values.ctypes.data, values.size)
+    return values
+
+
+SOLVED, ZERO, FAILED, OUT_OF_BAND, NOT_FINITE = range(5)  # the statuses of kgp_solve, kgp_branch and kgp_nearest
 BRANCH_ROWS = 256  # the frequencies of one kgp_branch call, so that a branch's buffer does not grow with its range
 
 
@@ -388,6 +448,57 @@ def branch(model, start: float, step: float, guess, newton_limits):
         return status, data, block.omega, block.residual
 
     return march
+
+
+class Scan:
+    """A frequency scan's solved waves, each sampled on a metric's outer window, bound once for every search of the
+    wave closest to a state.
+
+    x holds the window's node coordinates and ends its Dirichlet end nodes
+    (first, last), -1 where it holds none.  candidates are (wave, sample)
+    pairs in the scan's order: the wave's omega and amplitudes, the sample a
+    Wave on the window's nodes.  newton_limits are limits', and brent is
+    Brent's golden-section fraction, relative resolution and tolerance as a
+    fraction of the bracket.
+    """
+
+    def __init__(self, model, x: np.ndarray, ends, candidates, newton_limits, brent):
+        self.candidates, self.n, n = tuple(candidates), x.size, model.count
+        if x.dtype != float or x.ndim != 1 or not x.flags.c_contiguous:
+            raise ValueError("a scan's window needs its node coordinates as a contiguous 1-d float64 array")
+        if any(c.sample.n != self.n for c in self.candidates):
+            raise ValueError(f"a scan's samples must each have the window's {self.n} nodes")
+        count = len(self.candidates)
+        positions, omegas = (_DOUBLE * n)(*model.positions), (_DOUBLE * count)(*(c.wave.omega for c in self.candidates))
+        amps = (_DOUBLE * (2 * n * count))()  # filled by slice: a wave of another length is refused
+        amps[:] = [p for c in self.candidates for z in c.wave.amplitudes for p in (z.real, z.imag)]
+        waves = (_Wave * count)(*(c.sample.block.contents for c in self.candidates))
+        packed = model_block(model)
+        block = _Scan(packed, ctypes.addressof(positions), model.mass, *newton_limits, x.ctypes.data, *ends, count,
+                      ctypes.addressof(omegas), ctypes.addressof(amps), ctypes.addressof(waves), *brent)
+        block.arrays = (packed, positions, x, omegas, amps, waves, self.candidates)  # the block points into them
+        self.block, self.library, self.width = ctypes.pointer(block), library(), 2 * n
+
+    def closest(self, metric: Metric):
+        """The wave closest to metric's state, in one kgp_nearest call: (found, amplitudes, refined).
+
+        found is the struct kgp_nearest, whose best is -1 for the zero wave,
+        i for candidate i, and the count of candidates for a refinement's
+        wave, whose amplitudes are given as Python complex; refined holds the
+        frequencies of the refinement's solves, in order.
+        """
+        if metric.n != self.n:
+            raise ValueError(f"a state on {metric.n} nodes, the scan's window has {self.n}")
+        amps = (_DOUBLE * self.width)()
+        found = _Nearest(0.0, 0.0, 0.0, 0.0, -1, ctypes.addressof(amps), 0, None)
+        status = self.library.kgp_nearest(metric.block, self.block, ctypes.byref(found))
+        if status < 0:
+            raise MemoryError("no memory for the manifold distance's refinement")
+        refined = ctypes.cast(found.refined, ctypes.POINTER(_DOUBLE))[:found.solved]
+        self.library.kgp_free(found.refined)
+        if status != SOLVED:  # each refinement frequency lies between two solved ones, inside the band
+            raise RuntimeError(f"the manifold distance's search ended with status {status}")
+        return found, tuple(map(complex, amps[0::2], amps[1::2])), refined
 
 
 def residual(model, coupling, k2: float, amps) -> list[float]:

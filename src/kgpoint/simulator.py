@@ -39,12 +39,17 @@ No state enters the manifold distance's frequency scan, so its solved waves,
 sampled on that window and bound for the phase fit, are kept in a memo of the
 8 most recent (model, grid, frequency bits, window, solver) keys: a call on a
 kept key makes about 7 profile solves, its refinement, against about 22 cold,
-with the same result bit for bit.
+with the same result bit for bit.  The rest of a call, the scan's fits and
+Brent's refinement with its solves, samples and fits, is one compiled call.
+The candidates, solitary_state and perturbed_solitary_state sample the
+profile in the library too, with libm's exp, so their bits do not depend on
+numpy's SIMD dispatch.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import os
 import sys
 import warnings
@@ -56,8 +61,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import ModelSpec, lower_bound_constants
-from .solitary import (ConvergedToZero, NoConvergence, SolitaryWave, _compiled, _newton_starts, profile_eval,
-                       solve_profile)
+from .solitary import ConvergedToZero, NoConvergence, SolitaryWave, _compiled, _limits, _newton_starts, solve_profile
 
 __all__ = [
     "Grid",
@@ -84,6 +88,9 @@ _NOISE_WIDTH_UNIT = 0.02  # perturbed_solitary_state's noise widths are 10 to 25
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # the bracket's shrink per golden-section step
 _GOLDEN_FRACTION = 1.0 - _INVPHI  # Brent's golden-section step, as a fraction of the larger part
 _SQRT_EPS = math.sqrt(np.finfo(float).eps)  # Brent's relative resolution floor
+# Brent's constants as the compiled refinement takes them: its tolerance is the last times the bracket, the
+# resolution of 24 golden-section steps
+_BRENT = (_GOLDEN_FRACTION, _SQRT_EPS, _INVPHI**24)
 
 
 class NoCommensurateGrid(ValueError):
@@ -112,13 +119,24 @@ class Grid:
         """The nodes with |x| <= R, a contiguous run of the sorted x, as a slice; R must be positive."""
         if not R > 0:  # a nan radius too
             raise ValueError("R must be positive")
-        if -R < self.x_min or R > self.x_max:
-            # the warning names the first caller outside this package, however deep the call
-            frame, level = sys._getframe(1), 2
-            while frame is not None and frame.f_code.co_filename.startswith(_PACKAGE_DIR):
-                frame, level = frame.f_back, level + 1
-            warnings.warn(f"seminorm window [-{R}, {R}] exceeds the grid; clipping", stacklevel=level)
+        if self._clips(R):
+            _warn_clipped(R)
+        return self._nodes(R)
+
+    def _clips(self, R: float) -> bool:
+        return -R < self.x_min or R > self.x_max
+
+    def _nodes(self, R: float) -> slice:
         return slice(int(np.searchsorted(self.x, -R, "left")), int(np.searchsorted(self.x, R, "right")))
+
+
+def _warn_clipped(R: float):
+    """Warn that the window of radius R exceeds the grid, naming the first caller outside this package, however deep
+    the call."""
+    frame, level = sys._getframe(1), 2
+    while frame is not None and frame.f_code.co_filename.startswith(_PACKAGE_DIR):
+        frame, level = frame.f_back, level + 1
+    warnings.warn(f"seminorm window [-{R}, {R}] exceeds the grid; clipping", stacklevel=level)
 
 
 @dataclass(frozen=True)
@@ -374,14 +392,26 @@ def local_seminorm(model: ModelSpec, grid: Grid, state: FieldState, R: float) ->
     return _functionals(model, grid, state, {R: grid.window(R)})[4]
 
 
-def _metric_windows(grid: Grid, r_max: int) -> tuple[slice, list[slice]]:
-    """The window of radius r_max and, as slices of its nodes, those of radii 1..r_max; a clipped one warns."""
+def _metric_windows(grid: Grid, r_max: int) -> tuple[slice, tuple[slice, ...]]:
+    """The window of radius r_max and, as slices of its nodes, those of radii 1..r_max; each clipped one warns, on
+    every call."""
     if r_max < 1:
         raise ValueError("r_max must be at least 1")
-    windows = [grid.window(float(R)) for R in range(1, r_max + 1)]
+    outer, windows, clipped = _window_nodes(grid, operator.index(r_max))
+    for R in clipped:
+        _warn_clipped(R)
+    return outer, windows
+
+
+@lru_cache(maxsize=16)
+def _window_nodes(grid: Grid, r_max: int) -> tuple[slice, tuple[slice, ...], tuple[float, ...]]:
+    """_metric_windows' slices, found once per (grid, r_max), and the radii whose windows the grid clips."""
+    radii = [float(R) for R in range(1, r_max + 1)]
+    windows = [grid._nodes(R) for R in radii]
     outer = windows[-1]
     # every window lies inside the outer one; an empty slice stays empty when shifted
-    return outer, [slice(w.start - outer.start, w.stop - outer.start) for w in windows]
+    return (outer, tuple(slice(w.start - outer.start, w.stop - outer.start) for w in windows),
+            tuple(R for R in radii if grid._clips(R)))
 
 
 def _bound_metric(model: ModelSpec, grid: Grid, u, windows: list[slice]):
@@ -400,13 +430,21 @@ def metric_dist(model: ModelSpec, grid: Grid, a: FieldState, b: FieldState, r_ma
     return _metric(model, grid, (a.psi[outer] - b.psi[outer], a.pi[outer] - b.pi[outer]), windows)
 
 
+def _end_nodes(grid: Grid, window: slice) -> list[int]:
+    """The Dirichlet end nodes 0 and count - 1 as indices among a window's nodes, each -1 where the window lacks it."""
+    start, stop, _ = window.indices(grid.count)
+    return [i - start if start <= i < stop else -1 for i in (0, grid.count - 1)]
+
+
 def _solitary_sample(model: ModelSpec, grid: Grid, wave: SolitaryWave, window: slice = slice(None),
                      phase: complex = 1.0 + 0j) -> tuple[np.ndarray, np.ndarray]:
-    """(phi, -i omega phi) rotated by a unit phase at the nodes of a window, 0 at the Dirichlet end nodes."""
-    phi = profile_eval(model, wave, grid.x[window]) * phase
-    start, stop, _ = window.indices(grid.count)
-    phi[[i - start for i in (0, grid.count - 1) if start <= i < stop]] = 0.0
-    return phi, -1j * wave.omega * phi
+    """(phi, -i omega phi) rotated by a unit phase at the nodes of a window, 0 at the Dirichlet end nodes.
+
+    One compiled call (kgp_wave), whose profile is profile_eval's: the manifold
+    distance's refinement samples its candidates with the same code.
+    """
+    return _compiled().wave(grid.x[window], model.positions, wave.kappa, wave.amplitudes, wave.omega, phase,
+                            _end_nodes(grid, window))
 
 
 def solitary_state(model: ModelSpec, grid: Grid, wave: SolitaryWave, phase: complex = 1.0 + 0j) -> FieldState:
@@ -425,7 +463,8 @@ def perturbed_solitary_state(model: ModelSpec, grid: Grid, wave: SolitaryWave, n
     The noise is a sum of five complex-amplitude Gaussians (widths 10 to 25
     times 0.02 in units of x, on any grid; centers near the oscillators) added
     to psi and scaled so its own energy norm squared is noise_amplitude times
-    that of the solitary state.
+    that of the solitary state.  The Gaussians take libm's exp, as the
+    profile does, so the state does not depend on numpy's SIMD dispatch.
     """
     base = solitary_state(model, grid, wave)
     rng = np.random.default_rng(seed)
@@ -436,7 +475,7 @@ def perturbed_solitary_state(model: ModelSpec, grid: Grid, wave: SolitaryWave, n
         center = rng.uniform(lo, hi)
         width = rng.uniform(10.0, 25.0) * _NOISE_WIDTH_UNIT
         amp = rng.normal() + 1j * rng.normal()
-        noise += amp * np.exp(-((x - center) ** 2) / (2.0 * width**2))
+        noise += amp * _compiled().exp(-((x - center) ** 2) / (2.0 * width**2))
     noise[0] = noise[-1] = 0.0
     carrier = FieldState(noise, np.zeros_like(noise), 0.0)
     n_norm = energy_norm(model, grid, carrier)
@@ -498,57 +537,6 @@ def _candidate_dist(model: ModelSpec, grid: Grid, u, wave: SolitaryWave, outer: 
     return _bound_metric(model, grid, u, windows).dist(_candidate(model, grid, wave, outer).sample)
 
 
-def _brent_minimize(f, a: float, b: float, x: float, fx: float, tol: float) -> None:
-    """Brent's minimization of f over [a, b] from x, f(x) = fx, until x is within 2 tol of both ends.
-
-    Each step fits a parabola through the three best points so far and takes
-    its vertex, or, where the parabola is not trusted, a golden-section step
-    into the larger part of the bracket (R. P. Brent, Algorithms for
-    Minimization without Derivatives, 1973, ch. 5; tol gains sqrt(eps)|x| at
-    each step against roundoff).  f(u) returns None to end the search; the
-    caller keeps the points it likes.
-    """
-    v = w = x
-    fv = fw = fx
-    d = e = 0.0
-    while True:
-        m = 0.5 * (a + b)
-        tol1 = _SQRT_EPS * abs(x) + tol / 3.0
-        tol2 = 2.0 * tol1
-        if abs(x - m) <= tol2 - 0.5 * (b - a):
-            return
-        p = q = r = 0.0
-        if abs(e) > tol1:  # the parabola through (v, fv), (w, fw), (x, fx): its vertex is x + p / q
-            r = (x - w) * (fx - fv)
-            q = (x - v) * (fx - fw)
-            p = (x - v) * q - (x - w) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r, e = e, d
-        if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):  # a shrinking step inside (a, b)
-            d = p / q
-            if (x + d) - a < tol2 or b - (x + d) < tol2:
-                d = tol1 if x < m else -tol1
-        else:
-            e = (a if x >= m else b) - x
-            d = _GOLDEN_FRACTION * e
-        u = x + (d if abs(d) >= tol1 else math.copysign(tol1, d))
-        fu = f(u)
-        if fu is None:
-            return
-        if fu <= fx:
-            a, b = (a, x) if u < x else (x, b)
-            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
-        else:
-            a, b = (u, b) if u < x else (a, u)
-            if fu <= fw or w == x:
-                v, fv, w, fw = w, fw, u, fu
-            elif fu <= fv or v == x or v == w:
-                v, fv = u, fu
-
-
 def _try_solve(solve, model: ModelSpec, omega: float, start) -> SolitaryWave | None:
     try:
         return solve(model, omega, start)
@@ -557,9 +545,9 @@ def _try_solve(solve, model: ModelSpec, omega: float, start) -> SolitaryWave | N
 
 
 @lru_cache(maxsize=8)
-def _frequency_scan(model: ModelSpec, grid: Grid, omega_bits: bytes, outer: tuple[int, int],
-                    solve) -> tuple[_Candidate, ...]:
-    """The half of dist_to_manifold that no state enters: the solved waves of its frequency scan.
+def _frequency_scan(model: ModelSpec, grid: Grid, omega_bits: bytes, outer: tuple[int, int], solve):
+    """The half of dist_to_manifold that no state enters: the solved waves of its frequency scan, sampled on the
+    metric's outer window and bound for the search of the closest wave, as a _passes.Scan.
 
     omega_bits is the frequency grid as float64 bytes, so -0.0 and 0.0 key
     apart; outer is the (start, stop) of the metric's outer window; solve is
@@ -569,14 +557,14 @@ def _frequency_scan(model: ModelSpec, grid: Grid, omega_bits: bytes, outer: tupl
     distances by about 1e-12, so results would depend on the cache's state.
     """
     default_guesses = _newton_starts(model)  # for models with several branches
-    scan, warm = [], None
+    window, scan, warm = slice(*outer), [], None
     for w in np.frombuffer(omega_bits).tolist():
         starts = ([warm] if warm is not None else []) + default_guesses
         wave = next(filter(None, (_try_solve(solve, model, w, s) for s in starts)), None)
         if wave is not None:
             warm = wave.amplitudes
-            scan.append(_candidate(model, grid, wave, slice(*outer)))
-    return tuple(scan)
+            scan.append(_candidate(model, grid, wave, window))
+    return _compiled().Scan(model, grid.x[window], _end_nodes(grid, window), scan, _limits(), _BRENT)
 
 
 def dist_to_manifold(model: ModelSpec, grid: Grid, state: FieldState, omega_grid,
@@ -597,7 +585,10 @@ def dist_to_manifold(model: ModelSpec, grid: Grid, state: FieldState, omega_grid
     most recent (model, grid, frequency grid, window, solver) keys, the
     frequencies by their float64 bits: a call on a kept key solves only its
     refinement, about 7 profile solves against about 22 cold, with results
-    equal bit for bit.
+    equal bit for bit.  Everything after the scan, its fits, Brent's steps and
+    their solves, samples and fits, runs in one compiled call (kgp_nearest),
+    on the Newton core and the sampler that solve_profile and profile_eval
+    use, so a refinement solve is made there and not by solve_profile.
     """
     omegas = [float(w) for w in omega_grid]
     if not omegas:
@@ -608,33 +599,14 @@ def dist_to_manifold(model: ModelSpec, grid: Grid, state: FieldState, omega_grid
 
     outer, windows = _metric_windows(grid, r_max)
     metric = _bound_metric(model, grid, (state.psi[outer], state.pi[outer]), windows)
-    best = ManifoldDistance(metric.dist(), float("nan"), None)  # the zero wave
     scan = _frequency_scan(model, grid, np.array(omegas).tobytes(), (outer.start, outer.stop), solve_profile)
-    if not scan:
+    if not scan.candidates:
         raise NoConvergence(omegas[0], float("inf"))
-
-    solved: dict[float, tuple[complex, ...]] = {}  # amplitudes by frequency, the refinement's warm starts
-    for candidate in scan:
-        solved[candidate.wave.omega] = candidate.wave.amplitudes
-        dist = metric.dist(candidate.sample)
-        if dist < best.dist:
-            best = ManifoldDistance(dist, candidate.wave.omega, candidate.wave)
-
-    ordered = sorted(solved)
-    if best.wave is not None and len(ordered) > 1:
-        idx = ordered.index(best.best_omega)
-        lo, hi = ordered[max(idx - 1, 0)], ordered[min(idx + 1, len(ordered) - 1)]
-
-        def refine(w: float) -> float | None:
-            nonlocal best
-            wave = _try_solve(solve_profile, model, w, solved[min(solved, key=lambda s: abs(s - w))])
-            if wave is None:
-                return None
-            solved[w] = wave.amplitudes
-            dist = metric.dist(_candidate(model, grid, wave, outer).sample)
-            if dist < best.dist:
-                best = ManifoldDistance(dist, w, wave)
-            return dist
-
-        _brent_minimize(refine, lo, hi, best.best_omega, best.dist, (hi - lo) * _INVPHI**24)
-    return best
+    found, amplitudes, _ = scan.closest(metric)
+    if found.best < 0:
+        return ManifoldDistance(found.dist, float("nan"), None)  # the zero wave
+    if found.best < len(scan.candidates):
+        wave = scan.candidates[found.best].wave
+    else:
+        wave = SolitaryWave(found.omega, found.kappa, amplitudes, found.residual)
+    return ManifoldDistance(found.dist, wave.omega, wave)

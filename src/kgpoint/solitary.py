@@ -16,7 +16,7 @@ holds the stepping loop), on the model's coefficient block that the steps
 and the observers share, packed once per model object; this module checks
 the arguments, forms the coupling, and makes the waves and the exceptions.
 A branch continued in frequency runs there whole, coupling included
-(``kgp_branch``).
+(``kgp_branch``), and so does the profile's sampler (``kgp_profile``).
 """
 
 from __future__ import annotations
@@ -196,11 +196,15 @@ def solve_profile(model: ModelSpec, omega: float, guess) -> SolitaryWave:
 
 
 def profile_eval(model: ModelSpec, wave: SolitaryWave, x):
-    """phi(x) = sum_J C_J exp(-kappa |x - X_J|); works on scalars and arrays."""
+    """phi(x) = sum_J C_J exp(-kappa |x - X_J|); works on scalars and arrays.
+
+    The sum runs in the compiled library (kgp_profile in _passes.c): each term
+    numpy's complex product of C_J by the float exp, added from 0.0 one
+    oscillator after another, as the numpy loop it replaced, but with libm's
+    exp, so the bits do not depend on numpy's SIMD dispatch.
+    """
     xs = np.asarray(x, dtype=float)
-    out = np.zeros(xs.shape, dtype=complex)
-    for c, pos in zip(wave.amplitudes, model.positions):
-        out += c * np.exp(-wave.kappa * np.abs(xs - pos))
+    out = _compiled().profile(xs, model.positions, wave.kappa, wave.amplitudes)
     if np.isscalar(x) or xs.ndim == 0:
         return complex(out)
     return out

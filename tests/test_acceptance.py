@@ -390,21 +390,30 @@ def test_criterion_11_gradient_consistency_of_forces():
 
 
 def test_manifold_refinement_solves_on_the_criterion_6_datum(attraction_run, monkeypatch):
-    # the frequency scan is 15 solves; the golden-section refinement added 26 more
-    from kgpoint import simulator
+    # the frequency scan is 15 solves; the golden-section refinement added 26 more.  The refinement's solves run in
+    # the compiled search, which reports their frequencies
+    from kgpoint import _passes, simulator
 
-    solves = []
+    solves, refinements, closest = [], [], _passes.Scan.closest
 
     def counted(*args):
         solves.append(args[1])
         return kg.solve_profile(*args)
 
+    def reported(scan, metric, *args):
+        result = closest(scan, metric, *args)
+        solves.extend(result[2])
+        refinements.append(len(result[2]))
+        return result
+
     monkeypatch.setattr(simulator, "solve_profile", counted)
+    monkeypatch.setattr(_passes.Scan, "closest", reported)
     for key, state in attraction_run["states"].items():
         solves.clear()
         again = kg.dist_to_manifold(PAIR, attraction_run["grid"], state, np.linspace(0.1, 0.8, 15), 5)
         print(f"\n[refinement] {key}: {len(solves)} profile solves (<= 28)")
         assert again == attraction_run[key] and len(solves) <= 28
+        assert refinements.pop() > 0  # the compiled refinement's solves are among those counted
 
 
 def test_attraction_figures_converge_under_refinement(attraction_run):

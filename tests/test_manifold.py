@@ -1,18 +1,25 @@
-"""The manifold distance's frequency refinement against the golden-section search it replaced."""
+"""The manifold distance's frequency refinement: the compiled search against the Python loop it replaced, and
+against the golden-section search before that."""
 
 import math
+import struct
+import warnings
+from functools import partial
 
 import numpy as np
 import pytest
 
-from kgpoint import simulator
+from kgpoint import _passes, simulator
 from kgpoint.model import ModelSpec, OscillatorSpec
 from kgpoint.simulator import (
     FieldState,
     ManifoldDistance,
+    _bound_metric,
+    _candidate,
     _candidate_dist,
     _metric,
     _metric_windows,
+    _try_solve,
     build_grid,
     dist_to_manifold,
     perturbed_solitary_state,
@@ -84,6 +91,92 @@ def golden_section_dist(model, grid, state, omega_grid, r_max):
     return best
 
 
+def reference_brent_minimize(f, a, b, x, fx, tol):
+    """Brent's minimization of f over [a, b] from x, f(x) = fx, until x is within 2 tol of both ends, as the Python
+    loop that the compiled search transcribes ran it; f(u) returns None to end the search."""
+    v = w = x
+    fv = fw = fx
+    d = e = 0.0
+    while True:
+        m = 0.5 * (a + b)
+        tol1 = simulator._SQRT_EPS * abs(x) + tol / 3.0
+        tol2 = 2.0 * tol1
+        if abs(x - m) <= tol2 - 0.5 * (b - a):
+            return
+        p = q = r = 0.0
+        if abs(e) > tol1:  # the parabola through (v, fv), (w, fw), (x, fx): its vertex is x + p / q
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, d
+        if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):  # a shrinking step inside (a, b)
+            d = p / q
+            if (x + d) - a < tol2 or b - (x + d) < tol2:
+                d = tol1 if x < m else -tol1
+        else:
+            e = (a if x >= m else b) - x
+            d = simulator._GOLDEN_FRACTION * e
+        u = x + (d if abs(d) >= tol1 else math.copysign(tol1, d))
+        fu = f(u)
+        if fu is None:
+            return
+        if fu <= fx:
+            a, b = (a, x) if u < x else (x, b)
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            a, b = (u, b) if u < x else (a, u)
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+
+
+def reference_dist_to_manifold(model, grid, state, omega_grid, r_max, refined=None):
+    """dist_to_manifold as its Python loop ran it before the compiled search: the scan's fits, then Brent's
+    refinement, each refinement solve by simulator.solve_profile, looked up when called, so that a test may patch
+    it.  The frequencies of the refinement's solves are appended to refined, if given."""
+    omegas = [float(w) for w in omega_grid]
+    outer, windows = _metric_windows(grid, r_max)
+    metric = _bound_metric(model, grid, (state.psi[outer], state.pi[outer]), windows)
+    best = ManifoldDistance(metric.dist(), float("nan"), None)  # the zero wave
+    scan = simulator._frequency_scan(model, grid, np.array(omegas).tobytes(), (outer.start, outer.stop),
+                                     simulator.solve_profile)
+    if not scan.candidates:
+        raise NoConvergence(omegas[0], float("inf"))
+
+    solved = {}  # amplitudes by frequency, the refinement's warm starts
+    for candidate in scan.candidates:
+        solved[candidate.wave.omega] = candidate.wave.amplitudes
+        dist = metric.dist(candidate.sample)
+        if dist < best.dist:
+            best = ManifoldDistance(dist, candidate.wave.omega, candidate.wave)
+
+    ordered = sorted(solved)
+    if best.wave is not None and len(ordered) > 1:
+        idx = ordered.index(best.best_omega)
+        lo, hi = ordered[max(idx - 1, 0)], ordered[min(idx + 1, len(ordered) - 1)]
+
+        def refine(w):
+            nonlocal best
+            if refined is not None:
+                refined.append(w)
+            wave = _try_solve(simulator.solve_profile, model, w, solved[min(solved, key=lambda s: abs(s - w))])
+            if wave is None:
+                return None
+            solved[w] = wave.amplitudes
+            dist = metric.dist(_candidate(model, grid, wave, outer).sample)
+            if dist < best.dist:
+                best = ManifoldDistance(dist, w, wave)
+            return dist
+
+        reference_brent_minimize(refine, lo, hi, best.best_omega, best.dist, (hi - lo) * simulator._INVPHI**24)
+    return best
+
+
 def benchmark_states(seed, count):
     """Perturbed solitary states drawn as the manifold_scan benchmark draws them."""
     grid = build_grid(PAIR, -50.0, 50.0, 0.02)
@@ -104,9 +197,22 @@ def assert_matches_reference(grid, state, omegas):
     return new
 
 
+def log_refinement_solves(monkeypatch, log):
+    """Append to log the frequencies of the profile solves that each compiled search reports, in order."""
+    closest = _passes.Scan.closest
+
+    def reported(scan, metric, *args):
+        result = closest(scan, metric, *args)
+        log.extend(result[2])
+        return result
+
+    monkeypatch.setattr(_passes.Scan, "closest", reported)
+
+
 @pytest.fixture
 def solve_log(monkeypatch):
-    """The frequencies of every profile solve dist_to_manifold makes, in order."""
+    """The frequencies of every profile solve dist_to_manifold makes, in order: the scan's, through
+    simulator.solve_profile, and the refinement's, as the compiled search reports them."""
     log = []
 
     def logged(model, omega, guess):
@@ -114,6 +220,7 @@ def solve_log(monkeypatch):
         return solve_profile(model, omega, guess)
 
     monkeypatch.setattr(simulator, "solve_profile", logged)
+    log_refinement_solves(monkeypatch, log)
     return log
 
 
@@ -126,7 +233,7 @@ def test_refinement_matches_the_golden_section_reference():
 
 
 def scan_only(monkeypatch, grid, state, omegas):
-    """dist_to_manifold with every refinement solve failing: the best scan point."""
+    """The reference with every refinement solve failing: the best scan point."""
     def scan_solves_only(model, omega, guess):
         if omega not in omegas:
             raise NoConvergence(omega, 1.0)
@@ -134,7 +241,7 @@ def scan_only(monkeypatch, grid, state, omegas):
 
     with monkeypatch.context() as patch:
         patch.setattr(simulator, "solve_profile", scan_solves_only)
-        return dist_to_manifold(PAIR, grid, state, omegas, 5)
+        return reference_dist_to_manifold(PAIR, grid, state, omegas, 5)
 
 
 @pytest.mark.parametrize("omega, end", [(0.25, 0.3), (0.65, 0.6)], ids=["first", "last"])
@@ -161,11 +268,115 @@ def test_a_failed_refinement_solve_ends_the_refinement(monkeypatch):
         return solve_profile(model, omega, guess)
 
     monkeypatch.setattr(simulator, "solve_profile", failing_fourth)
-    found = dist_to_manifold(PAIR, grid, state, OMEGAS, 5)
+    found = reference_dist_to_manifold(PAIR, grid, state, OMEGAS, 5)
     refined = [w for w in log if w not in OMEGAS]
     assert len(refined) == 4  # nothing is solved after the failed fourth refinement solve
     assert found.dist <= scanned.dist
     assert found.best_omega in refined[:3] or found.best_omega == scanned.best_omega
+
+
+THREE = ModelSpec(1.0, (OscillatorSpec(-0.3, (0.0, -2.0, 1.0)), OscillatorSpec(0.0, (0.0, -1.5, 1.0)),
+                       OscillatorSpec(0.4, (0.0, -2.5, 1.0))))
+EDGE = ModelSpec(1.0, (OscillatorSpec(0.0, (0.0, -0.8, 1.0)),))  # its branch exists only for |omega| > 0.6
+# alpha(s) = 1.33 + 4 s - 6 s^2 peaks at 1.997 = 2 kappa(0.058): no wave for |omega| < 0.058, where Newton, started
+# from a wave outside that gap, can fail to converge rather than reach the zero wave
+FOLD = ModelSpec(1.0, (OscillatorSpec(0.0, (0.0, -0.665, -1.0, 1.0)),))
+
+
+def benchmark_case(i, count=12, omegas=OMEGAS):
+    grid, states = benchmark_states(1, count)
+    return PAIR, grid, states[i], omegas, 5
+
+
+def end_of_grid_case(omega):
+    grid = build_grid(PAIR, -10.0, 10.0, 0.02)
+    return PAIR, grid, solitary_state(PAIR, grid, solve_profile(PAIR, omega, [0.7, 0.7])), np.linspace(0.3, 0.6, 7), 5
+
+
+def zero_case():
+    grid = build_grid(PAIR, -10.0, 10.0, 0.05)
+    return PAIR, grid, FieldState(np.zeros(grid.count, complex), np.zeros(grid.count, complex), 0.0), OMEGAS, 5
+
+
+def clipped_case():
+    # on [-4.3, 4.1] the radius 5 window exceeds the grid and holds both Dirichlet end nodes
+    grid = build_grid(PAIR, -4.3, 4.1, 0.02)
+    state = perturbed_solitary_state(PAIR, grid, solve_profile(PAIR, 0.4, [0.7, 0.7]), 0.1, seed=1)
+    return PAIR, grid, state, OMEGAS, 5
+
+
+def three_oscillator_case():
+    grid = build_grid(THREE, -12.0, 12.0, 0.02)
+    state = perturbed_solitary_state(THREE, grid, solve_profile(THREE, 0.45, [0.7] * 3), 0.05, seed=5)
+    return THREE, grid, state, OMEGAS, 5
+
+
+def collapsing_refinement_case():
+    # the refinement's first solve, at 0.6076, collapses onto the zero wave and ends the refinement
+    grid = build_grid(EDGE, -20.0, 20.0, 0.02)
+    return EDGE, grid, solitary_state(EDGE, grid, solve_profile(EDGE, 0.6005, [0.7])), np.linspace(0.58, 0.64, 4), 5
+
+
+def failing_refinement_case():
+    # the scan solves -0.1 and 0.1 only; the refinement's first solve, at -0.0236 inside the gap, fails to converge
+    grid = build_grid(FOLD, -20.0, 20.0, 0.05)
+    return FOLD, grid, solitary_state(FOLD, grid, solve_profile(FOLD, -0.08, [1.0])), np.linspace(-0.1, 0.1, 3), 5
+
+
+SEARCH_CASES = {
+    **{f"benchmark-{i}": partial(benchmark_case, i) for i in range(12)},
+    "first-end": lambda: end_of_grid_case(0.25),
+    "last-end": lambda: end_of_grid_case(0.65),
+    "one-frequency": partial(benchmark_case, 0, 1, [0.4]),
+    "zero-state": zero_case,
+    "clipped-window": clipped_case,
+    "three-oscillators": three_oscillator_case,
+    "collapsing-refinement": collapsing_refinement_case,
+    "failing-refinement": failing_refinement_case,
+}
+# the other cases' refinements take 7 to 13 solves, so the compiled search's room for them, 4 at first, grows in each
+SEARCH_REFINEMENTS = {"one-frequency": 0, "zero-state": 0, "collapsing-refinement": 1,
+                      "failing-refinement": 1}  # solves, where pinned
+
+
+def words(found):
+    """A ManifoldDistance as the bytes of its floats: dist, best_omega and the wave's omega, kappa, amplitudes and
+    residual_max."""
+    wave = found.wave
+    values = [found.dist, found.best_omega]
+    if wave is not None:
+        values += [wave.omega, wave.kappa, *(p for z in wave.amplitudes for p in (z.real, z.imag)), wave.residual_max]
+    return struct.pack(f"<{len(values)}d", *values), wave is None
+
+
+@pytest.mark.parametrize("case", sorted(SEARCH_CASES))
+def test_the_compiled_search_matches_the_python_loop_word_for_word(monkeypatch, case):
+    model, grid, state, omegas, r_max = SEARCH_CASES[case]()
+    reported, refined = [], []
+    log_refinement_solves(monkeypatch, reported)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the clipped window's
+        found = dist_to_manifold(model, grid, state, omegas, r_max)
+        expected = reference_dist_to_manifold(model, grid, state, omegas, r_max, refined)
+    assert words(found) == words(expected)
+    assert struct.pack(f"<{len(reported)}d", *reported) == struct.pack(f"<{len(refined)}d", *refined)
+    if case in SEARCH_REFINEMENTS:
+        assert len(refined) == SEARCH_REFINEMENTS[case]
+    else:
+        assert refined
+
+
+@pytest.mark.parametrize("case, error", [("collapsing-refinement", ConvergedToZero),
+                                         ("failing-refinement", NoConvergence)])
+def test_the_pinned_refinements_end_on_the_solve_they_name(case, error):
+    # what ends each pinned one-solve refinement above: its solve from the best scan wave, the solved wave nearest to
+    # it, as solve_profile makes it
+    model, grid, state, omegas, r_max = SEARCH_CASES[case]()
+    refined = []
+    found = reference_dist_to_manifold(model, grid, state, omegas, r_max, refined)
+    (omega,) = refined
+    with pytest.raises(error):
+        solve_profile(model, omega, found.wave.amplitudes)
 
 
 def test_a_one_frequency_grid_is_not_refined(solve_log):

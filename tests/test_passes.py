@@ -123,7 +123,7 @@ def test_a_warm_cache_loads_without_compiling(cold_cache, compiler_calls):
 
 LAYOUTS = {"kgp_field": _passes._Field, "kgp_model": _passes._Model, "kgp_observer": _passes._Observer,
            "kgp_metric": _passes._Metric, "kgp_wave": _passes._Wave, "kgp_pow10": _passes._Pow10,
-           "kgp_branch": _passes._Branch}
+           "kgp_branch": _passes._Branch, "kgp_scan": _passes._Scan, "kgp_nearest": _passes._Nearest}
 
 
 def test_the_ctypes_declarations_mirror_the_c_structs(tmp_path):

@@ -1,5 +1,10 @@
 import math
+import os
+import platform
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +19,7 @@ from kgpoint.simulator import (
     _candidate_dist,
     _kdk,
     _metric_windows,
+    _window_nodes,
     apriori_bound,
     build_grid,
     charge,
@@ -540,6 +546,24 @@ def test_whole_grid_functionals_equal_the_trapezoid_rule_bit_for_bit():
             assert charge(model, g, s) == pytest.approx(q, rel=0.0, abs=1e-13 * norm**2)
 
 
+def test_solitary_state_matches_its_python_float_transcription_word_for_word():
+    # psi = phi phase and pi = s psi, s = -1j omega as CPython 3.10-3.12 form it, each product numpy's complex one
+    # with the left operand first, and both 0 at the Dirichlet end nodes; phi is profile_eval's, checked on its own
+    grid = build_grid(TRIPLE, -3.0, 3.0, 0.02)
+    wave = solve_profile(TRIPLE, 0.45, [0.7] * 3)
+    s = (-0.0 * wave.omega - -1.0 * 0.0, -0.0 * 0.0 + -1.0 * wave.omega)
+    for phase in (1.0 + 0j, complex(math.cos(0.3), math.sin(0.3)), -1j):
+        state = solitary_state(TRIPLE, grid, wave, phase)
+        psi, pi = [], []
+        for i, phi in enumerate(profile_eval(TRIPLE, wave, grid.x).tolist()):
+            p = (phi.real * phase.real - phi.imag * phase.imag, phi.real * phase.imag + phi.imag * phase.real)
+            p = (0.0, 0.0) if i in (0, grid.count - 1) else p
+            psi += p
+            pi += (s[0] * p[0] - s[1] * p[1], s[0] * p[1] + s[1] * p[0])
+        assert state.psi.view(np.uint64).tolist() == np.array(psi).view(np.uint64).tolist()
+        assert state.pi.view(np.uint64).tolist() == np.array(pi).view(np.uint64).tolist()
+
+
 def test_perturbed_state_does_not_change_with_the_grid():
     # the README pair at omega = 0.4, seed 1: the noise widths are lengths in x, not multiples of dx
     wave = solve_profile(PAIR, 0.4, [0.7, 0.7])
@@ -550,6 +574,54 @@ def test_perturbed_state_does_not_change_with_the_grid():
     peak = np.max(np.abs(a.psi))
     assert np.max(np.abs(b.psi[::2] - a.psi)) <= 1e-3 * peak
     assert np.max(np.abs(b.pi[::2] - a.pi)) <= 1e-3 * np.max(np.abs(a.pi))
+
+
+def avx512_targets():
+    """The AVX-512 targets numpy dispatches on this CPU, named as the running numpy names them."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1
+        from numpy.core import _multiarray_umath as umath
+    return [name for name in umath.__cpu_dispatch__
+            if (name.startswith("AVX512") or name == "X86_V4") and umath.__cpu_features__.get(name)]
+
+
+DISPATCH_PROBE = """
+import hashlib, struct, sys
+import numpy as np
+from kgpoint.model import ModelSpec, OscillatorSpec
+from kgpoint.simulator import build_grid, dist_to_manifold, perturbed_solitary_state
+from kgpoint.solitary import profile_eval, solve_profile
+model = ModelSpec(1.0, (OscillatorSpec(0.0, (0.0, -2.0, 1.0)), OscillatorSpec(0.2, (0.0, -2.0, 1.0))))
+grid = build_grid(model, -50.0, 50.0, 0.02)
+wave = solve_profile(model, 0.4, [0.7, 0.7])
+state = perturbed_solitary_state(model, grid, wave, 0.1, seed=1)
+found = dist_to_manifold(model, grid, state, np.linspace(0.1, 0.8, 15), 5)
+for data in (profile_eval(model, wave, grid.x).tobytes(), state.psi.tobytes() + state.pi.tobytes(),
+             struct.pack("<3d", found.dist, found.best_omega, found.wave.kappa)):
+    print(hashlib.sha256(data).hexdigest())
+"""
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="numpy's AVX-512 targets are x86-64's")
+def test_samples_do_not_depend_on_numpys_simd_dispatch():
+    # numpy's AVX-512 exp rounds apart from libm's; the profile, the noise and the manifold distance's candidates take
+    # libm's, so the README grid's profile, its perturbed state and a distance keep their bytes without those targets
+    targets = avx512_targets()
+    if not targets:
+        pytest.skip("numpy dispatches no AVX-512 target on this CPU")
+    src = str(Path(__file__).parents[1] / "src")
+    outputs = []
+    for disabled in (None, " ".join(targets)):
+        env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        if disabled:
+            env["NPY_DISABLE_CPU_FEATURES"] = disabled
+        done = subprocess.run([sys.executable, "-c", DISPATCH_PROBE], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout.split())
+    assert len(outputs[0]) == 3 and outputs[0] == outputs[1]
 
 
 def test_local_seminorm_basics():
@@ -798,6 +870,20 @@ def test_clipped_radius_warns_once_per_call():
             warnings.simplefilter("always")
             call()
         assert [str(w.message) for w in caught] == ["seminorm window [-5.0, 5.0] exceeds the grid; clipping"]
+
+
+def test_metric_windows_are_found_once_per_key_and_a_clipped_one_warns_on_every_call():
+    grid = build_grid(PAIR, -4.3, 4.1, 0.02)
+    state = perturbed_solitary_state(PAIR, grid, solve_profile(PAIR, 0.4, [0.7, 0.7]), 0.1, seed=1)
+    _window_nodes.cache_clear()
+    for _ in range(3):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            metric_dist(PAIR, grid, state, state, 5)
+        assert [(str(w.message), w.filename) for w in caught] == [
+            ("seminorm window [-5.0, 5.0] exceeds the grid; clipping", __file__)]
+    info = _window_nodes.cache_info()
+    assert (info.hits, info.misses) == (2, 1)
 
 
 @pytest.mark.parametrize("call", ["local_seminorm", "metric_dist", "dist_to_manifold", "evolve"])

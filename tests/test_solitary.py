@@ -182,6 +182,46 @@ def test_profile_eval_examples():
     assert profile_eval(PAIR_MODEL, wave, 0.0) == pytest.approx(expected, abs=1e-12)
 
 
+def reference_profile(model, wave, x):
+    """profile_eval at the float x on Python floats: each term numpy's complex product of C_J by the float
+    math.exp(-kappa |x - X_J|), (Re C e - Im C 0.0, Re C 0.0 + Im C e), added from 0.0 one oscillator after another."""
+    re = im = 0.0
+    for c, pos in zip(wave.amplitudes, model.positions):
+        c, e = complex(c), math.exp(-wave.kappa * abs(x - pos))
+        re, im = re + (c.real * e - c.imag * 0.0), im + (c.real * 0.0 + c.imag * e)
+    return re, im
+
+
+PROFILE_MODELS = {
+    "one": ModelSpec(1.0, (OscillatorSpec(0.0, (0.0, -2.0, 1.0)),)),
+    "one-at-minus-zero": ModelSpec(1.0, (OscillatorSpec(-0.0, (0.0, -2.0, 1.0)),)),
+    "pair": PAIR_MODEL,
+    "three": ModelSpec(1.0, (OscillatorSpec(-0.3, (0.0, -2.0, 1.0)), OscillatorSpec(-0.0, (0.0, -1.5, 1.0)),
+                             OscillatorSpec(0.4, (0.0, -2.5, 1.0)))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROFILE_MODELS))
+def test_profile_eval_matches_its_python_float_transcription_word_for_word(name):
+    # the compiled sum with libm's exp (the function math.exp calls), on the scalars and arrays profile_eval takes
+    model = PROFILE_MODELS[name]
+    n = model.count
+    waves = [solve_profile(model, 0.4, [0.7] * n), SolitaryWave(0.4, kappa(model, 0.4), (0j,) * n),
+             SolitaryWave(0.3, 0.7, tuple(complex(0.5 - j, (-1) ** j * 0.25) for j in range(n)))]
+    x = np.concatenate([np.linspace(-3.0, 3.0, 601), [0.0, -0.0, 0.2, -0.3, 0.4, 1e-300, -1e300]])
+    for wave in waves:
+        for points in (x, x.reshape(-1, 2)[:, ::-1].T, x[::3]):  # 1-d, 2-d and strided
+            got = profile_eval(model, wave, points)
+            assert got.shape == points.shape and got.dtype == complex
+            order = [p for v in np.asarray(points).ravel().tolist() for p in reference_profile(model, wave, v)]
+            assert got.ravel().view(np.uint64).tolist() == np.array(order).view(np.uint64).tolist()
+        for scalar in (0.0, -0.0, 0.2, -1.7, 3, np.float64(0.25), np.array(-0.0), np.array(0.4)):
+            got = profile_eval(model, wave, scalar)
+            assert type(got) is complex
+            assert np.array([got.real, got.imag]).view(np.uint64).tolist() == \
+                np.array(reference_profile(model, wave, float(scalar))).view(np.uint64).tolist()
+
+
 def test_profile_decay_bound():
     wave = solve_profile(PAIR_MODEL, 0.4, [0.7, 0.7])
     total = sum(abs(c) for c in wave.amplitudes)
