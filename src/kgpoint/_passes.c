@@ -1,6 +1,7 @@
 /* The compiled passes: kick-drift-kick steps of the field, the energy form behind every observer, the
- * Newton solve of the solitary amplitude system and its continuation in frequency, the solitary profile's
- * sampler, the manifold distance's search after its frequency scan, and the CSV text of float64 rows.
+ * Newton solve of the solitary amplitude system at one frequency (solve_point) behind the single solve, the
+ * continuation in frequency and the manifold distance's frequency scan and search, the solitary profile's
+ * sampler, and the CSV text of float64 rows.
  *
  * Each expression of the steps and the solve is the one it transcribes,
  * operation for operation and operand for operand, and the build fuses and
@@ -9,11 +10,12 @@
  * views of the complex buffers and keep numpy's bits; the oscillator nodes'
  * forces and potentials are model._at_node's on numpy scalars.  The solve
  * keeps the bits of the damped Newton loop on Python floats that
- * solitary.solve_profile ran before it, and the branch those of the loop of
- * solve_profile calls that solitary.continue_branch ran.  The sampler keeps
- * the bits of numpy's complex arithmetic in solitary.profile_eval's loop, but
- * takes libm's exp, and the search those of simulator.dist_to_manifold's
- * Python loop over its scan and Brent's steps.
+ * solitary.solve_profile ran before it, and the branch and the scan those of
+ * the loops of solve_profile calls that solitary.continue_branch and
+ * simulator._frequency_scan ran.  The sampler keeps the bits of numpy's
+ * complex arithmetic in solitary.profile_eval's loop, but takes libm's exp,
+ * and the search those of simulator.dist_to_manifold's Python loop over its
+ * scan and Brent's steps.
  *
  * The energy form sums in one fixed order of its own, written out below at
  * form_sums, with two-lane vectors of gcc's and clang's vector extensions (no
@@ -92,9 +94,10 @@ static inline void sweep(double *restrict p, double *restrict q, double *restric
         stencil(p, k, j, c, scale);
 }
 
-/* One model's oscillators, packed once and shared by the steps, the samples and the solves: n oscillators,
- * and per oscillator the count of the coefficients of its potential u(s), of u'(s) (at least 1) and of
- * u''(s) (0 at degree 1), each list one oscillator after another, highest degree first */
+/* One model, packed once and shared by the steps, the samples and the solves: n oscillators, and per
+ * oscillator the count of the coefficients of its potential u(s), of u'(s) (at least 1) and of u''(s) (0 at
+ * degree 1), each list one oscillator after another, highest degree first; the oscillators' positions; and
+ * the mass */
 struct kgp_model {
     ptrdiff_t n;
     const int *ncoef;
@@ -103,6 +106,14 @@ struct kgp_model {
     const double *slope;
     const int *ncurv;
     const double *curv;
+    const double *positions;
+    double mass;
+};
+
+/* The Newton limits of every solve: the iteration cap, the residual tolerance and the zero-branch bound */
+struct kgp_limits {
+    long max_iter;
+    double tol, zero_tol;
 };
 
 /* run's arguments but the last two, fixed for a run: the buffers p (psi), q (pi) and k (the kick), n floats
@@ -519,8 +530,8 @@ static size_t newton_work(ptrdiff_t n)
 }
 
 /* The damped Newton solve of model m's amplitude system from the finite amplitudes c (Re and Im
- * interleaved), k2 = 2 kappa > 0 and coupling the n x n rows exp(-kappa |X_J - X_K|), with the iteration
- * cap max_iter, the residual tolerance tol and the zero-branch bound zero_tol.
+ * interleaved), k2 = 2 kappa > 0 and coupling the n x n rows exp(-kappa |X_J - X_K|), within the limits l:
+ * the iteration cap max_iter, the residual tolerance tol and the zero-branch bound zero_tol.
  *
  * The phase gauge Im C_1 = 0 replaces residual equation 1 and Jacobian row
  * 1; on residual increase the step is halved up to 8 times.  Returns
@@ -530,8 +541,8 @@ static size_t newton_work(ptrdiff_t n)
  * iterate's residual is not finite, at an exactly zero pivot, or when the
  * final residual exceeds tol.  work holds newton_work(n) doubles.
  */
-static int newton(const struct kgp_model *m, const double *coupling, double k2, double *c, long max_iter,
-                  double tol, double zero_tol, double *norm_out, double *work)
+static int newton(const struct kgp_model *m, const struct kgp_limits *l, const double *coupling, double k2, double *c,
+                  double *norm_out, double *work)
 {
     const ptrdiff_t n = m->n, w = 2 * n;
     double *jac = work, *cur = jac + w * w, *res = cur + w, *c_try = res + w, *res_try = c_try + w;
@@ -543,9 +554,9 @@ static int newton(const struct kgp_model *m, const double *coupling, double k2, 
     memcpy(cur, c, w * sizeof(double));
     gauge_rotate(n, cur);
     residual(m, coupling, k2, cur, res, slopes);
-    for (it = 0; it < max_iter; it++) {
+    for (it = 0; it < l->max_iter; it++) {
         norm = sup_norm(res, w);
-        if (norm <= tol)
+        if (norm <= l->tol)
             break;
         if (!isfinite(norm)) /* an overflowed iterate never recovers */
             goto done;
@@ -572,7 +583,7 @@ static int newton(const struct kgp_model *m, const double *coupling, double k2, 
         swap = res, res = res_try, res_try = swap;
         swap = slopes, slopes = slopes_try, slopes_try = swap;
     }
-    if (it == max_iter) {
+    if (it == l->max_iter) {
         norm = sup_norm(res, w);
         goto done;
     }
@@ -580,7 +591,7 @@ static int newton(const struct kgp_model *m, const double *coupling, double k2, 
     gauge_rotate(n, cur);
     residual(m, coupling, k2, cur, res, slopes);
     norm = sup_norm(res, w);
-    if (norm > tol)
+    if (norm > l->tol)
         goto done;
     memcpy(c, cur, w * sizeof(double));
     double top = hypot(cur[0], cur[1]); /* max of the moduli as Python's max takes it */
@@ -589,59 +600,20 @@ static int newton(const struct kgp_model *m, const double *coupling, double k2, 
         if (r > top)
             top = r;
     }
-    status = top <= zero_tol ? KGP_ZERO : KGP_SOLVED;
+    status = top <= l->zero_tol ? KGP_ZERO : KGP_SOLVED;
 done:
     *norm_out = norm;
     return status;
 }
 
-/* newton on work of its own: KGP_NO_MEMORY where there is none */
-int kgp_solve(const struct kgp_model *m, const double *coupling, double k2, double *c, long max_iter, double tol,
-              double zero_tol, double *norm_out)
-{
-    double *work = malloc(newton_work(m->n) * sizeof(double));
-    if (!work)
-        return KGP_NO_MEMORY;
-    const int status = newton(m, coupling, k2, c, max_iter, tol, zero_tol, norm_out, work);
-    free(work);
-    return status;
-}
-
-/* A branch of solitary waves, continued in frequency: its fixed arguments, and its state from one block of
- * frequencies to the next.  Frequency k is start + step k, step signed.  rows holds 2 + a block's rows of
- * 2n + 3 floats, one per solved point: omega, kappa, Re and Im of each amplitude, and the residual's
- * sup-norm.  Rows 0 and 1 carry the last two solved points from block to block (before any, row 1 holds the
- * guess's amplitudes), and a block's solved points follow them.  solved counts the points solved so far;
- * omega is the frequency where a block stopped short, residual the failed solve's there. */
-struct kgp_branch {
-    const struct kgp_model *model;
-    const double *positions;
-    double mass, start, step;
-    long max_iter;
-    double tol, zero_tol;
-    double *rows;
-    ptrdiff_t solved;
-    double omega, residual;
-};
-
-/* the w amplitude components at c are finite, as cmath.isfinite has each of them */
-static int all_finite(ptrdiff_t w, const double *c)
-{
-    for (ptrdiff_t j = 0; j < w; j++)
-        if (!isfinite(c[j]))
-            return 0;
-    return 1;
-}
-
-/* The row of the frequency omega up to its amplitudes, for model m's n oscillators at pos: omega and kappa
- * = sqrt(max(mass^2 - omega^2, 0)), as solitary.kappa forms it.  Beyond the mass it is KGP_OUT_OF_BAND;
- * at it the zero wave, amplitudes and residual 0, is the row, unsolved, as solve_profile returns it, and
- * KGP_SOLVED; else KGP_UNSOLVED, with the coupling rows exp(-kappa |X_J - X_K|) of libm's exp, the
- * function math.exp calls. */
-static int frequency_row(const struct kgp_model *m, const double *pos, double mass, double omega, double *row,
-                         double *coupling)
+/* The row of the frequency omega up to its amplitudes, for model m: omega and kappa = sqrt(max(mass^2 -
+ * omega^2, 0)), as solitary.kappa forms it.  Beyond the mass it is KGP_OUT_OF_BAND; at it the zero wave,
+ * amplitudes and residual 0, is the row, unsolved, as solve_profile returns it, and KGP_SOLVED; else
+ * KGP_UNSOLVED, with the coupling rows exp(-kappa |X_J - X_K|) of libm's exp, the function math.exp calls. */
+static int frequency_row(const struct kgp_model *m, double omega, double *row, double *coupling)
 {
     const ptrdiff_t n = m->n;
+    const double mass = m->mass, *pos = m->positions;
     if (!(fabs(omega) <= mass))
         return KGP_OUT_OF_BAND;
     const double d = mass * mass - omega * omega, kap = sqrt(0.0 > d ? 0.0 : d); /* Python's max(d, 0.0) */
@@ -657,40 +629,76 @@ static int frequency_row(const struct kgp_model *m, const double *pos, double ma
     return KGP_UNSOLVED;
 }
 
-/* One point of the branch at frequency omega: its row, on the solved rows last and prev (prev NULL
- * before two are solved).  The first start that neither fails nor collapses gives the row; once two
- * points are solved the first is the secant start last + r (last - prev), r = (omega - omega_last) /
- * (omega_last - omega_prev), with r as CPython 3.10-3.12 multiply a complex by a float, (r dr - 0.0 di,
- * r di + 0.0 dr); the second, or the only one, is last's amplitudes.  The last start's status is the
- * point's.  At |omega| = mass the zero wave is the row, unsolved; beyond it the point is
- * KGP_OUT_OF_BAND, and a start that is not finite KGP_NOT_FINITE, as solve_profile refuses either. */
-static int branch_point(const struct kgp_branch *b, double omega, const double *last, const double *prev,
-                        double *row, double *coupling, double *work)
+/* The solitary wave of model m at the frequency omega within the limits l, as its row of 2n + 3 floats: omega,
+ * kappa, Re and Im of each amplitude, and the residual's sup-norm.  frequency_row forms the row and the
+ * coupling (n x n doubles); then newton (work newton_work(n) doubles) runs from each of the nstarts starts, 2n
+ * floats each, in order until one is KGP_SOLVED, and the last start's status is the point's.  A start that is
+ * not finite is KGP_NOT_FINITE, as solve_profile refuses it. */
+static int solve_point(const struct kgp_model *m, const struct kgp_limits *l, double omega, const double *starts,
+                       ptrdiff_t nstarts, double *row, double *coupling, double *work)
 {
-    const struct kgp_model *m = b->model;
     const ptrdiff_t w = 2 * m->n;
-    double *c = row + 2;
-    int status = frequency_row(m, b->positions, b->mass, omega, row, coupling);
+    int status = frequency_row(m, omega, row, coupling);
     if (status != KGP_UNSOLVED)
         return status;
-    const double kap = row[1];
-    if (prev) {
-        const double r = (omega - last[0]) / (last[0] - prev[0]);
-        for (ptrdiff_t j = 2; j < w + 2; j += 2) {
-            const double dr = last[j] - prev[j], di = last[j + 1] - prev[j + 1];
-            c[j - 2] = last[j] + (r * dr - 0.0 * di);
-            c[j - 1] = last[j + 1] + (r * di + 0.0 * dr);
-        }
-        if (!all_finite(w, c))
-            return KGP_NOT_FINITE;
-        status = newton(m, coupling, 2.0 * kap, c, b->max_iter, b->tol, b->zero_tol, &row[w + 2], work);
+    for (ptrdiff_t i = 0; i < nstarts; i++, starts += w) {
+        for (ptrdiff_t j = 0; j < w; j++) /* each component finite, as cmath.isfinite has it */
+            if (!isfinite(starts[j]))
+                return KGP_NOT_FINITE;
+        memcpy(row + 2, starts, w * sizeof(double));
+        status = newton(m, l, coupling, 2.0 * row[1], row + 2, row + w + 2, work);
         if (status == KGP_SOLVED)
-            return status;
+            break;
     }
-    memcpy(c, last + 2, w * sizeof(double));
-    if (!all_finite(w, c))
-        return KGP_NOT_FINITE;
-    return newton(m, coupling, 2.0 * kap, c, b->max_iter, b->tol, b->zero_tol, &row[w + 2], work);
+    return status;
+}
+
+/* solve_point from the one start c, on work of its own: KGP_NO_MEMORY where there is none */
+int kgp_solve(const struct kgp_model *m, const struct kgp_limits *l, double omega, const double *c, double *row)
+{
+    const ptrdiff_t n = m->n;
+    double *coupling = malloc((n * n + newton_work(n)) * sizeof(double));
+    if (!coupling)
+        return KGP_NO_MEMORY;
+    const int status = solve_point(m, l, omega, c, 1, row, coupling, coupling + n * n);
+    free(coupling);
+    return status;
+}
+
+/* A branch of solitary waves, continued in frequency: its fixed arguments, and its state from one block of
+ * frequencies to the next.  Frequency k is start + step k, step signed.  rows holds 2 + a block's rows of
+ * 2n + 3 floats, one per solved point, solve_point's.  Rows 0 and 1 carry the last two solved points from
+ * block to block (before any, row 1 holds the guess's amplitudes), and a block's solved points follow them.
+ * solved counts the points solved so far; omega is the frequency where a block stopped short, residual the
+ * failed solve's there. */
+struct kgp_branch {
+    const struct kgp_model *model;
+    const struct kgp_limits *limits;
+    double start, step;
+    double *rows;
+    ptrdiff_t solved;
+    double omega, residual;
+};
+
+/* One point of the branch at frequency omega: its row, on the solved rows last and prev (prev NULL before
+ * two are solved).  Once two points are solved the first start is the secant start last + r (last - prev),
+ * r = (omega - omega_last) / (omega_last - omega_prev), with r as CPython 3.10-3.12 multiply a complex by a
+ * float, (r dr - 0.0 di, r di + 0.0 dr); the second, or the only one, is last's amplitudes.  starts holds
+ * the two starts, 4n doubles. */
+static int branch_point(const struct kgp_branch *b, double omega, const double *last, const double *prev,
+                        double *row, double *starts, double *coupling, double *work)
+{
+    const ptrdiff_t w = 2 * b->model->n;
+    if (!prev)
+        return solve_point(b->model, b->limits, omega, last + 2, 1, row, coupling, work);
+    const double r = (omega - last[0]) / (last[0] - prev[0]);
+    for (ptrdiff_t j = 2; j < w + 2; j += 2) {
+        const double dr = last[j] - prev[j], di = last[j + 1] - prev[j + 1];
+        starts[j - 2] = last[j] + (r * dr - 0.0 * di);
+        starts[j - 1] = last[j + 1] + (r * di + 0.0 * dr);
+    }
+    memcpy(starts + w, last + 2, w * sizeof(double));
+    return solve_point(b->model, b->limits, omega, starts, 2, row, coupling, work);
 }
 
 /* Continue branch b over its frequencies k ... k + count - 1, a row for each solved point from rows[2] on,
@@ -700,14 +708,14 @@ static int branch_point(const struct kgp_branch *b, double omega, const double *
 int kgp_branch(struct kgp_branch *b, ptrdiff_t k, ptrdiff_t count)
 {
     const ptrdiff_t n = b->model->n, cols = 2 * n + 3;
-    double *coupling = malloc((n * n + newton_work(n)) * sizeof(double));
-    if (!coupling)
+    double *starts = malloc((4 * n + n * n + newton_work(n)) * sizeof(double));
+    if (!starts)
         return KGP_NO_MEMORY;
-    double *carry = b->rows, *row = carry + 2 * cols;
+    double *coupling = starts + 4 * n, *carry = b->rows, *row = carry + 2 * cols;
     int status = KGP_SOLVED;
     for (ptrdiff_t i = 0; i < count; i++, row += cols) { /* the last two solved rows are the two before row */
         const double omega = b->start + b->step * (double)(k + i);
-        status = branch_point(b, omega, row - cols, b->solved > 1 ? row - 2 * cols : NULL, row, coupling,
+        status = branch_point(b, omega, row - cols, b->solved > 1 ? row - 2 * cols : NULL, row, starts, coupling,
                               coupling + n * n);
         if (status != KGP_SOLVED) {
             b->omega = omega;
@@ -716,7 +724,7 @@ int kgp_branch(struct kgp_branch *b, ptrdiff_t k, ptrdiff_t count)
         }
         b->solved++;
     }
-    free(coupling);
+    free(starts);
     const ptrdiff_t written = (row - carry) / cols - 2;
     if (written >= 2)
         memcpy(carry, row - 2 * cols, 2 * cols * sizeof(double));
@@ -771,45 +779,74 @@ void kgp_wave(const double *x, ptrdiff_t len, ptrdiff_t n, const double *pos, do
     }
 }
 
-/* x = exp(x) at each of the len floats, libm's exp */
 void kgp_free(void *p)
 {
     free(p);
 }
 
+/* x = exp(x) at each of the len floats, libm's exp */
 void kgp_exp(double *x, ptrdiff_t len)
 {
     for (ptrdiff_t i = 0; i < len; i++)
         x[i] = exp(x[i]);
 }
 
-/* A frequency scan's solved waves on a metric's outer window, fixed for every search of the wave closest to a
- * state: the model, its oscillators' positions and mass, and the Newton limits; the window's node coordinates
- * x, one per metric node, and the window's Dirichlet end nodes first and last (-1 where it holds none); the
- * count solved frequencies omegas, in the scan's order, their amplitudes amps (2n each, Re and Im
- * interleaved) and their samples waves; and Brent's golden-section fraction, relative resolution sqrt_eps and
- * tolerance, shrink times the bracket. */
+/* A frequency scan's solved waves, each sampled on a metric's outer window, fixed for every search of the wave
+ * closest to a state: the model and the Newton limits; the window's nodes, their coordinates x and the
+ * window's Dirichlet end nodes first and last (-1 where it holds none); the shared Newton starts, nstarts of
+ * 2n floats one after another; the count solved frequencies' rows, laid out as the branch's, and their
+ * samples, psi and then pi on the window's nodes; and Brent's golden-section fraction, relative resolution
+ * sqrt_eps and tolerance, shrink times the bracket. */
 struct kgp_scan {
     const struct kgp_model *model;
-    const double *positions;
-    double mass;
-    long max_iter;
-    double tol, zero_tol;
+    const struct kgp_limits *limits;
+    ptrdiff_t nodes;
     const double *x;
-    ptrdiff_t first, last, count;
-    const double *omegas, *amps;
-    const struct kgp_wave *waves;
+    ptrdiff_t first, last, nstarts;
+    const double *starts;
+    ptrdiff_t count;
+    double *rows, *samples;
     double golden, sqrt_eps, shrink;
 };
 
-/* The wave closest to a state: its distance dist and frequency omega; best -1 for the zero wave, i < count
- * for the scan's wave i, and count for a refinement's, whose kappa, amplitudes amps (2n) and residual are
- * given.  The frequencies of the refinement's solves, solved of them, are in refined, which the search
- * allocates and the caller frees with kgp_free. */
+/* Scan the len frequencies omegas in order into s, whose rows and samples have room for len: each solved by
+ * solve_point from the last solved wave's amplitudes, then from each of the shared starts (any other chain
+ * would move the distances by about 1e-12).  A solved frequency's row and its sample (kgp_wave's, of phase 1)
+ * are s's next, counted in s->count; one where every start fails is skipped.  KGP_SOLVED, or KGP_NO_MEMORY. */
+int kgp_scan(struct kgp_scan *s, const double *omegas, ptrdiff_t len)
+{
+    const struct kgp_model *m = s->model;
+    const ptrdiff_t n = m->n, w = 2 * n, cols = w + 3;
+    double *starts = malloc(((1 + s->nstarts) * w + n * n + newton_work(n)) * sizeof(double));
+    if (!starts)
+        return KGP_NO_MEMORY;
+    double *coupling = starts + (1 + s->nstarts) * w;
+    memcpy(starts + w, s->starts, s->nstarts * w * sizeof(double)); /* after room for the warm start */
+    s->count = 0;
+    for (ptrdiff_t i = 0; i < len; i++) {
+        double *row = s->rows + s->count * cols, *sample = s->samples + 4 * s->nodes * s->count;
+        const int warm = s->count > 0;
+        if (warm)
+            memcpy(starts, row - cols + 2, w * sizeof(double));
+        if (solve_point(m, s->limits, omegas[i], starts + (warm ? 0 : w), s->nstarts + warm, row, coupling,
+                        coupling + n * n) != KGP_SOLVED)
+            continue;
+        kgp_wave(s->x, s->nodes, n, m->positions, row[1], row + 2, row[0], 1.0, 0.0, s->first, s->last, sample,
+                 sample + 2 * s->nodes);
+        s->count++;
+    }
+    free(starts);
+    return KGP_SOLVED;
+}
+
+/* The wave closest to a state: its distance dist; best -1 for the zero wave, i < count for the scan's wave i,
+ * and count for a refinement's; and, unless it is the zero wave, its row (2n + 3 floats, the scan's layout) in
+ * row.  The frequencies of the refinement's solves, solved of them, are in refined, which the search allocates
+ * and the caller frees with kgp_free. */
 struct kgp_nearest {
-    double dist, omega, kappa, residual;
+    double dist;
     ptrdiff_t best;
-    double *amps;
+    double *row;
     ptrdiff_t solved;
     double *refined;
 };
@@ -872,37 +909,30 @@ static const double *solved_nearest(const struct solved *s, double omega)
     return s->entries + best * stride + 1;
 }
 
-/* One refinement solve of the search at u, warm-started from the nearest solved frequency's amplitudes, and
+/* One refinement solve of the search at u, solve_point's from the nearest solved frequency's amplitudes, and
  * its wave's distance in *fu.  A solved wave becomes u's entry of the solved frequencies and, if strictly
  * closer, the best; a failed or collapsed solve is KGP_FAILED or KGP_ZERO, which ends the search.  u lies
  * inside the bracket of two solved frequencies, so inside the band. */
 static int refine(const struct kgp_metric *m, const struct kgp_scan *s, struct kgp_nearest *r, struct solved *sv,
                   double u, double *row, double *coupling, double *work, double *sample, double *fu)
 {
-    const ptrdiff_t n = s->model->n, w = 2 * n;
-    const struct kgp_wave wave = {sample, sample + 2 * m->n, m->n};
+    const ptrdiff_t w = 2 * s->model->n;
+    const struct kgp_wave wave = {sample, sample + 2 * s->nodes, s->nodes};
     int status = make_room(s, r, sv);
     if (status != KGP_SOLVED)
         return status;
     r->refined[r->solved++] = u;
-    status = frequency_row(s->model, s->positions, s->mass, u, row, coupling);
-    if (status == KGP_UNSOLVED) {
-        memcpy(row + 2, solved_nearest(sv, u), w * sizeof(double));
-        status = newton(s->model, coupling, 2.0 * row[1], row + 2, s->max_iter, s->tol, s->zero_tol, row + w + 2,
-                        work);
-    }
+    status = solve_point(s->model, s->limits, u, solved_nearest(sv, u), 1, row, coupling, work);
     if (status != KGP_SOLVED)
         return status;
     solved_put(sv, u, row + 2);
-    kgp_wave(s->x, m->n, n, s->positions, row[1], row + 2, u, 1.0, 0.0, s->first, s->last, sample, sample + 2 * m->n);
+    kgp_wave(s->x, s->nodes, s->model->n, s->model->positions, row[1], row + 2, u, 1.0, 0.0, s->first, s->last,
+             sample, sample + 2 * s->nodes);
     *fu = kgp_fit_dist(m, &wave);
     if (*fu < r->dist) {
         r->dist = *fu;
-        r->omega = u;
         r->best = s->count;
-        r->kappa = row[1];
-        memcpy(r->amps, row + 2, w * sizeof(double));
-        r->residual = row[w + 2];
+        memcpy(r->row, row, (w + 3) * sizeof(double));
     }
     return KGP_SOLVED;
 }
@@ -979,28 +1009,31 @@ static int brent(const struct kgp_metric *m, const struct kgp_scan *s, struct kg
  * shrink times the bracket.  Returns KGP_SOLVED, or KGP_NO_MEMORY with r->refined NULL. */
 int kgp_nearest(const struct kgp_metric *m, const struct kgp_scan *s, struct kgp_nearest *r)
 {
-    const ptrdiff_t n = s->model->n, w = 2 * n;
-    double *block = malloc(((w + 3) + n * n + newton_work(n) + 4 * m->n) * sizeof(double));
+    const ptrdiff_t n = s->model->n, w = 2 * n, cols = w + 3;
+    double *block = malloc((cols + n * n + newton_work(n) + 4 * s->nodes) * sizeof(double));
     struct solved sv = {malloc((s->count + REFINE_ROOM) * (1 + w) * sizeof(double)), 0, w, REFINE_ROOM};
     r->refined = malloc(REFINE_ROOM * sizeof(double));
     r->solved = 0;
     int status = block && sv.entries && r->refined ? KGP_SOLVED : KGP_NO_MEMORY;
     if (status != KGP_SOLVED)
         goto done;
-    double *row = block, *coupling = row + w + 3, *work = coupling + n * n, *sample = work + newton_work(n);
+    double *row = block, *coupling = row + cols, *work = coupling + n * n, *sample = work + newton_work(n);
     r->dist = kgp_fit_dist(m, NULL);
     r->best = -1;
     for (ptrdiff_t i = 0; i < s->count; i++) {
-        solved_put(&sv, s->omegas[i], s->amps + i * w);
-        const double dist = kgp_fit_dist(m, s->waves + i);
+        const double *scanned = s->rows + i * cols, *p = s->samples + 4 * s->nodes * i;
+        const struct kgp_wave wave = {p, p + 2 * s->nodes, s->nodes};
+        solved_put(&sv, scanned[0], scanned + 2);
+        const double dist = kgp_fit_dist(m, &wave);
         if (dist < r->dist) {
             r->dist = dist;
-            r->omega = s->omegas[i];
             r->best = i;
         }
     }
+    if (r->best >= 0)
+        memcpy(r->row, s->rows + r->best * cols, cols * sizeof(double));
     if (r->best >= 0 && sv.size > 1) {
-        const double x = r->omega, *keys = sv.entries;
+        const double x = r->row[0], *keys = sv.entries;
         const ptrdiff_t stride = 1 + w;
         ptrdiff_t at = 0, below = -1, above = -1; /* the key equal to x, the largest below it, the least above */
         for (ptrdiff_t i = 0; i < sv.size; i++) {

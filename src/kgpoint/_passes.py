@@ -1,9 +1,10 @@
 """The compiled passes, built from ``_passes.c`` on first use and loaded with ctypes: the stepping loop, the
-energy form behind every observer, the Newton solve of the solitary amplitude system and its continuation in
-frequency, the solitary profile's sampler, the manifold distance's search after its frequency scan, and the CSV
-text of float64 rows.  The steps (``bind``), the samples (``observer``), the solves (``solve``, ``residual``), the
-branches (``branch``) and the searches (``Scan``) share one block of a model's coefficients, packed once per model
-object (``model_block``).
+energy form behind every observer, the Newton solve of the solitary amplitude system, the solitary profile's
+sampler, and the CSV text of float64 rows.  One compiled point solve (``solve_point`` in the source) is behind
+every solitary solve: the single solve (``solve``), the branch continued in frequency (``branch``), and the manifold
+distance's frequency scan and the refinement of its search (``Scan``).  The steps (``bind``), the samples
+(``observer``) and the solves share one block of a model's coefficients, positions and mass, packed once per model
+object (``model_block``), and the solves one block of Newton limits (``limits``).
 
 The library is built by Python's own C compiler (sysconfig's ``CC``) with
 ``-O3 -ffp-contract=off -lm``: no fused multiply-add and no reassociation, so
@@ -45,10 +46,17 @@ _POINTER, _SIZE, _DOUBLE, _INT = ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_dou
 
 
 class _Model(ctypes.Structure):
-    """struct kgp_model: one model's oscillators, the coefficients of u, u' and u'' of each."""
+    """struct kgp_model: one model's oscillators, the coefficients of u, u' and u'' of each, their positions, and the
+    mass."""
 
     _fields_ = [("n", _SIZE), ("ncoef", _POINTER), ("coef", _POINTER), ("nslope", _POINTER), ("slope", _POINTER),
-                ("ncurv", _POINTER), ("curv", _POINTER)]
+                ("ncurv", _POINTER), ("curv", _POINTER), ("positions", _POINTER), ("mass", _DOUBLE)]
+
+
+class _Limits(ctypes.Structure):
+    """struct kgp_limits: the Newton limits of every solve."""
+
+    _fields_ = [("max_iter", ctypes.c_long), ("tol", _DOUBLE), ("zero_tol", _DOUBLE)]
 
 
 class _Field(ctypes.Structure):
@@ -82,27 +90,26 @@ class _Wave(ctypes.Structure):
 
 
 class _Branch(ctypes.Structure):
-    """struct kgp_branch: a branch's model, frequencies and Newton limits, and its rows from block to block."""
+    """struct kgp_branch: a branch's model, Newton limits and frequencies, and its rows from block to block."""
 
-    _fields_ = [("model", ctypes.POINTER(_Model)), ("positions", _POINTER), ("mass", _DOUBLE), ("start", _DOUBLE),
-                ("step", _DOUBLE), ("max_iter", ctypes.c_long), ("tol", _DOUBLE), ("zero_tol", _DOUBLE),
-                ("rows", _POINTER), ("solved", _SIZE), ("omega", _DOUBLE), ("residual", _DOUBLE)]
+    _fields_ = [("model", ctypes.POINTER(_Model)), ("limits", ctypes.POINTER(_Limits)), ("start", _DOUBLE),
+                ("step", _DOUBLE), ("rows", _POINTER), ("solved", _SIZE), ("omega", _DOUBLE), ("residual", _DOUBLE)]
 
 
 class _Scan(ctypes.Structure):
-    """struct kgp_scan: a frequency scan's solved waves on a metric's outer window, and the refinement's constants."""
+    """struct kgp_scan: a frequency scan's solved waves and their samples on a metric's outer window, and the
+    refinement's constants."""
 
-    _fields_ = [("model", ctypes.POINTER(_Model)), ("positions", _POINTER), ("mass", _DOUBLE),
-                ("max_iter", ctypes.c_long), ("tol", _DOUBLE), ("zero_tol", _DOUBLE), ("x", _POINTER),
-                ("first", _SIZE), ("last", _SIZE), ("count", _SIZE), ("omegas", _POINTER), ("amps", _POINTER),
-                ("waves", _POINTER), ("golden", _DOUBLE), ("sqrt_eps", _DOUBLE), ("shrink", _DOUBLE)]
+    _fields_ = [("model", ctypes.POINTER(_Model)), ("limits", ctypes.POINTER(_Limits)), ("nodes", _SIZE),
+                ("x", _POINTER), ("first", _SIZE), ("last", _SIZE), ("nstarts", _SIZE), ("starts", _POINTER),
+                ("count", _SIZE), ("rows", _POINTER), ("samples", _POINTER), ("golden", _DOUBLE),
+                ("sqrt_eps", _DOUBLE), ("shrink", _DOUBLE)]
 
 
 class _Nearest(ctypes.Structure):
     """struct kgp_nearest: the wave closest to a state, and the frequencies of the refinement's solves."""
 
-    _fields_ = [("dist", _DOUBLE), ("omega", _DOUBLE), ("kappa", _DOUBLE), ("residual", _DOUBLE), ("best", _SIZE),
-                ("amps", _POINTER), ("solved", _SIZE), ("refined", _POINTER)]
+    _fields_ = [("dist", _DOUBLE), ("best", _SIZE), ("row", _POINTER), ("solved", _SIZE), ("refined", _POINTER)]
 
 
 class _Pow10(ctypes.Structure):
@@ -115,9 +122,9 @@ _ENTRIES = {  # name: (argtypes, restype)
     "kgp_run": ((ctypes.POINTER(_Field), _INT, _SIZE), None),
     "kgp_sample": ((ctypes.POINTER(_Observer), _SIZE), _DOUBLE),
     "kgp_fit_dist": ((ctypes.POINTER(_Metric), ctypes.POINTER(_Wave)), _DOUBLE),
-    "kgp_solve": ((ctypes.POINTER(_Model), _POINTER, _DOUBLE, _POINTER, ctypes.c_long, _DOUBLE, _DOUBLE, _POINTER),
-                  _INT),
+    "kgp_solve": ((ctypes.POINTER(_Model), ctypes.POINTER(_Limits), _DOUBLE, _POINTER, _POINTER), _INT),
     "kgp_branch": ((ctypes.POINTER(_Branch), _SIZE, _SIZE), _INT),
+    "kgp_scan": ((ctypes.POINTER(_Scan), _POINTER, _SIZE), _INT),
     "kgp_nearest": ((ctypes.POINTER(_Metric), ctypes.POINTER(_Scan), ctypes.POINTER(_Nearest)), _INT),
     "kgp_profile": ((_POINTER, _SIZE, _SIZE, _POINTER, _DOUBLE, _POINTER, _POINTER), None),
     "kgp_wave": ((_POINTER, _SIZE, _SIZE, _POINTER, _DOUBLE, _POINTER, _DOUBLE, _DOUBLE, _DOUBLE, _SIZE, _SIZE,
@@ -195,12 +202,14 @@ def library() -> ctypes.CDLL:
 
 
 def _pack(model):
-    """struct kgp_model of a ModelSpec: of u, u' and u'' the counts and the coefficients, highest degree first."""
+    """struct kgp_model of a ModelSpec: of u, u' and u'' the counts and the coefficients, highest degree first, the
+    positions and the mass."""
     arrays = []
     for lists in zip(*((o.coefficients, o.slope_coefficients, o._curvature_coefficients) for o in model.oscillators)):
         arrays.append((_INT * len(lists))(*map(len, lists)))
         arrays.append((_DOUBLE * sum(map(len, lists)))(*(v for u in lists for v in u[::-1])))
-    block = _Model(model.count, *map(ctypes.addressof, arrays))
+    arrays.append((_DOUBLE * model.count)(*model.positions))
+    block = _Model(model.count, *map(ctypes.addressof, arrays), model.mass)
     block.arrays = arrays  # the block points into them and holds them
     return ctypes.pointer(block)
 
@@ -380,34 +389,28 @@ BRANCH_ROWS = 256  # the frequencies of one kgp_branch call, so that a branch's 
 
 
 def limits(max_iter: int, tol: float, zero_tol: float):
-    """The Newton limits, the iteration cap, the residual tolerance and the zero-branch bound, as solve and
-    branch take them: converted to ctypes once, not by argtypes on every call."""
-    return ctypes.c_long(max_iter), _DOUBLE(tol), _DOUBLE(zero_tol)
+    """The Newton limits, the iteration cap, the residual tolerance and the zero-branch bound, as every solve takes
+    them: one struct kgp_limits, packed once."""
+    return ctypes.pointer(_Limits(max_iter, tol, zero_tol))
 
 
-def _amplitude_arrays(model, coupling, amps):
-    """model's block, and the coupling rows and the amplitudes (Re and Im interleaved) as ctypes arrays."""
-    n = model.count
-    if len(amps) != n:
-        raise ValueError(f"the amplitude system has {n} oscillators, not {len(amps)}")
-    rows, c = (_DOUBLE * (n * n))(), (_DOUBLE * (2 * n))()  # filled by slice: a wrong length is refused
-    rows[:], c[:] = list(chain.from_iterable(coupling)), [p for z in amps for p in (z.real, z.imag)]
-    return model_block(model), rows, c
+def _amplitudes(model, amps):
+    """The amplitudes, one per oscillator of model, as a ctypes array, Re and Im interleaved."""
+    if len(amps) != model.count:
+        raise ValueError(f"the amplitude system has {model.count} oscillators, not {len(amps)}")
+    return (_DOUBLE * (2 * model.count))(*(p for z in amps for p in (z.real, z.imag)))
 
 
-def solve(model, coupling, k2: float, amps, newton_limits) -> tuple[int, float, tuple[complex, ...]]:
-    """The damped Newton solve of model's amplitude system from the finite amps at k2 = 2 kappa > 0, within
-    newton_limits (from limits).
-
-    Amplitudes go in and out as Python complex, the coupling as the n rows exp(-kappa |X_J - X_K|).  Returns
-    (status, residual sup-norm, amplitudes): the status SOLVED, ZERO or FAILED, the amplitudes solved if SOLVED.
-    """
-    block, coupling, c = _amplitude_arrays(model, coupling, amps)
-    norm = _DOUBLE()
-    status = library().kgp_solve(block, coupling, k2, c, *newton_limits, ctypes.byref(norm))
+def solve(model, omega: float, amps, newton_limits) -> tuple[int, list[float]]:
+    """The damped Newton solve of model's amplitude system at omega from the finite amps (Python complex), within
+    newton_limits (from limits), in one kgp_solve call: (status, row), the status SOLVED, ZERO, FAILED or
+    OUT_OF_BAND, and row the list of floats omega, kappa, Re and Im of each amplitude and the residual's sup-norm,
+    the amplitudes solved if SOLVED."""
+    row = (_DOUBLE * (2 * model.count + 3))()
+    status = library().kgp_solve(model_block(model), newton_limits, omega, _amplitudes(model, amps), row)
     if status < 0:
         raise MemoryError("no memory for the amplitude system's Newton solve")
-    return status, norm.value, tuple(map(complex, c[0::2], c[1::2]))
+    return status, row[:]
 
 
 def branch(model, start: float, step: float, guess, newton_limits):
@@ -416,22 +419,20 @@ def branch(model, start: float, step: float, guess, newton_limits):
 
     Returns march(count), which solves the next count frequencies, count
     at most BRANCH_ROWS, and returns (status, rows, omega, residual): rows
-    the bytes of a float64 row per point solved, omega, kappa, Re and Im of
-    each amplitude and the residual's sup-norm; the status SOLVED when every
-    frequency was solved, else the stopping point's, ZERO, FAILED,
-    OUT_OF_BAND or NOT_FINITE, at omega, with a failed solve's residual.
-    kgp_branch's comment gives the starts and the retry.
+    the bytes of a float64 row per point solved, laid out as solve's; the
+    status SOLVED when every frequency was solved, else the stopping
+    point's, ZERO, FAILED, OUT_OF_BAND or NOT_FINITE, at omega, with a
+    failed solve's residual.  kgp_branch's comment gives the starts and the
+    retry.
     """
     n = model.count
     cols = 2 * n + 3
     rows = (_DOUBLE * ((2 + BRANCH_ROWS) * cols))()
     # before any point is solved, row 1 holds the guess; filled by slice, so that a wrong length is refused
     rows[cols + 2:2 * cols - 1] = [p for z in guess for p in (z.real, z.imag)]
-    positions = (_DOUBLE * n)(*model.positions)
     packed = model_block(model)
-    block = _Branch(packed, ctypes.addressof(positions), model.mass, start, step, *newton_limits,
-                    ctypes.addressof(rows), 0, 0.0, 0.0)
-    block.arrays = (packed, positions, rows)  # the block points into them
+    block = _Branch(packed, newton_limits, start, step, ctypes.addressof(rows), 0, 0.0, 0.0)
+    block.arrays = (packed, newton_limits, rows)  # the block points into them
     pointer, entry = ctypes.pointer(block), library().kgp_branch
     first, reached = ctypes.addressof(rows) + 2 * cols * ctypes.sizeof(_DOUBLE), 0
 
@@ -451,46 +452,47 @@ def branch(model, start: float, step: float, guess, newton_limits):
 
 
 class Scan:
-    """A frequency scan's solved waves, each sampled on a metric's outer window, bound once for every search of the
-    wave closest to a state.
+    """A frequency scan of model's solitary waves, each solved and sampled on a metric's outer window once, in one
+    kgp_scan call, and bound for every search of the wave closest to a state.
 
-    x holds the window's node coordinates and ends its Dirichlet end nodes
-    (first, last), -1 where it holds none.  candidates are (wave, sample)
-    pairs in the scan's order: the wave's omega and amplitudes, the sample a
-    Wave on the window's nodes.  newton_limits are limits', and brent is
-    Brent's golden-section fraction, relative resolution and tolerance as a
-    fraction of the bracket.
+    omegas are the frequencies in order, inside the band, and starts the
+    shared Newton starts, tried after the last solved wave's amplitudes.  x
+    holds the window's node coordinates and ends its Dirichlet end nodes
+    (first, last), -1 where it holds none.  brent is Brent's golden-section
+    fraction, relative resolution and tolerance as a fraction of the bracket.
+    rows holds solve's row of each solved frequency, samples its (psi, pi).
     """
 
-    def __init__(self, model, x: np.ndarray, ends, candidates, newton_limits, brent):
-        self.candidates, self.n, n = tuple(candidates), x.size, model.count
+    def __init__(self, model, omegas, starts, x: np.ndarray, ends, newton_limits, brent):
         if x.dtype != float or x.ndim != 1 or not x.flags.c_contiguous:
             raise ValueError("a scan's window needs its node coordinates as a contiguous 1-d float64 array")
-        if any(c.sample.n != self.n for c in self.candidates):
-            raise ValueError(f"a scan's samples must each have the window's {self.n} nodes")
-        count = len(self.candidates)
-        positions, omegas = (_DOUBLE * n)(*model.positions), (_DOUBLE * count)(*(c.wave.omega for c in self.candidates))
-        amps = (_DOUBLE * (2 * n * count))()  # filled by slice: a wave of another length is refused
-        amps[:] = [p for c in self.candidates for z in c.wave.amplitudes for p in (z.real, z.imag)]
-        waves = (_Wave * count)(*(c.sample.block.contents for c in self.candidates))
+        frequencies, self.n, self.cols = np.ascontiguousarray(omegas, dtype=float), x.size, 2 * model.count + 3
+        guesses = (_DOUBLE * (2 * model.count * len(starts)))()  # filled by slice: a start of another length is refused
+        guesses[:] = [p for start in starts for z in start for p in (z.real, z.imag)]
+        rows, samples = np.empty((frequencies.size, self.cols)), np.empty((frequencies.size, 2, x.size), dtype=complex)
         packed = model_block(model)
-        block = _Scan(packed, ctypes.addressof(positions), model.mass, *newton_limits, x.ctypes.data, *ends, count,
-                      ctypes.addressof(omegas), ctypes.addressof(amps), ctypes.addressof(waves), *brent)
-        block.arrays = (packed, positions, x, omegas, amps, waves, self.candidates)  # the block points into them
-        self.block, self.library, self.width = ctypes.pointer(block), library(), 2 * n
+        block = _Scan(packed, newton_limits, x.size, x.ctypes.data, *ends, len(starts), ctypes.addressof(guesses), 0,
+                      rows.ctypes.data, samples.ctypes.data, *brent)
+        block.arrays = (packed, newton_limits, x, guesses, rows, samples)  # the block points into them
+        self.block, self.library = ctypes.pointer(block), library()
+        if self.library.kgp_scan(self.block, frequencies.ctypes.data, frequencies.size) < 0:
+            raise MemoryError("no memory for the manifold distance's frequency scan")
+        self.rows, self.samples = rows[:block.count], samples[:block.count]
+        for array in (self.rows, self.samples):
+            array.setflags(write=False)
 
     def closest(self, metric: Metric):
-        """The wave closest to metric's state, in one kgp_nearest call: (found, amplitudes, refined).
+        """The wave closest to metric's state, in one kgp_nearest call: (dist, row, refined).
 
-        found is the struct kgp_nearest, whose best is -1 for the zero wave,
-        i for candidate i, and the count of candidates for a refinement's
-        wave, whose amplitudes are given as Python complex; refined holds the
-        frequencies of the refinement's solves, in order.
+        row is the closest wave's row as a list of floats, laid out as rows',
+        whether the wave is the scan's or a refinement's, and is None for the
+        zero wave; refined holds the frequencies of the refinement's solves,
+        in order.
         """
         if metric.n != self.n:
             raise ValueError(f"a state on {metric.n} nodes, the scan's window has {self.n}")
-        amps = (_DOUBLE * self.width)()
-        found = _Nearest(0.0, 0.0, 0.0, 0.0, -1, ctypes.addressof(amps), 0, None)
+        row = (_DOUBLE * self.cols)()
+        found = _Nearest(0.0, -1, ctypes.addressof(row), 0, None)
         status = self.library.kgp_nearest(metric.block, self.block, ctypes.byref(found))
         if status < 0:
             raise MemoryError("no memory for the manifold distance's refinement")
@@ -498,14 +500,16 @@ class Scan:
         self.library.kgp_free(found.refined)
         if status != SOLVED:  # each refinement frequency lies between two solved ones, inside the band
             raise RuntimeError(f"the manifold distance's search ended with status {status}")
-        return found, tuple(map(complex, amps[0::2], amps[1::2])), refined
+        return found.dist, None if found.best < 0 else row[:], refined
 
 
 def residual(model, coupling, k2: float, amps) -> list[float]:
-    """Re and Im of 2 kappa C_J - F_J(psi_J), interleaved per J, at k2 = 2 kappa: the solve's own residual."""
-    block, coupling, c = _amplitude_arrays(model, coupling, amps)
+    """Re and Im of 2 kappa C_J - F_J(psi_J), interleaved per J, at k2 = 2 kappa and the coupling rows exp(-kappa
+    |X_J - X_K|): the solve's own residual."""
+    c, rows = _amplitudes(model, amps), (_DOUBLE * (model.count**2))()
+    rows[:] = list(chain.from_iterable(coupling))  # filled by slice: a wrong length is refused
     res = (_DOUBLE * len(c))()
-    library().kgp_residual(block, coupling, k2, c, res, (_DOUBLE * (3 * len(amps)))())
+    library().kgp_residual(model_block(model), rows, k2, c, res, (_DOUBLE * (3 * len(amps)))())
     return res[:]
 
 

@@ -35,15 +35,11 @@ coefficients, packed once per model object.  The metric reads only the nodes
 with |x| <= r_max, so it, the phase fit and the manifold distance's candidate
 waves are evaluated there alone, a phase-fit distance in one call.
 
-No state enters the manifold distance's frequency scan, so its solved waves,
-sampled on that window and bound for the phase fit, are kept in a memo of the
-8 most recent (model, grid, frequency bits, window, solver) keys: a call on a
-kept key makes about 7 profile solves, its refinement, against about 22 cold,
-with the same result bit for bit.  The rest of a call, the scan's fits and
-Brent's refinement with its solves, samples and fits, is one compiled call.
-The candidates, solitary_state and perturbed_solitary_state sample the
-profile in the library too, with libm's exp, so their bits do not depend on
-numpy's SIMD dispatch.
+The manifold distance's frequency scan, solved and sampled on that window in
+one compiled call and kept per (model, grid, frequencies, window), and its
+search are ``dist_to_manifold``'s.  The candidates, solitary_state and
+perturbed_solitary_state sample the profile in the library, with libm's exp,
+so their bits do not depend on numpy's SIMD dispatch.
 """
 
 from __future__ import annotations
@@ -56,12 +52,11 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
 from .model import ModelSpec, lower_bound_constants
-from .solitary import ConvergedToZero, NoConvergence, SolitaryWave, _compiled, _limits, _newton_starts, solve_profile
+from .solitary import NoConvergence, SolitaryWave, _compiled, _limits, _newton_starts, _wave
 
 __all__ = [
     "Grid",
@@ -441,7 +436,7 @@ def _solitary_sample(model: ModelSpec, grid: Grid, wave: SolitaryWave, window: s
     """(phi, -i omega phi) rotated by a unit phase at the nodes of a window, 0 at the Dirichlet end nodes.
 
     One compiled call (kgp_wave), whose profile is profile_eval's: the manifold
-    distance's refinement samples its candidates with the same code.
+    distance's scan and refinement sample their candidates with the same code.
     """
     return _compiled().wave(grid.x[window], model.positions, wave.kappa, wave.amplitudes, wave.omega, phase,
                             _end_nodes(grid, window))
@@ -515,56 +510,15 @@ class ManifoldDistance:
     wave: SolitaryWave | None
 
 
-class _Candidate(NamedTuple):
-    """A solved wave and its sample on the nodes of the metric's outer window, bound for the phase fit."""
-
-    wave: SolitaryWave
-    sample: object  # a _passes.Wave
-
-
-def _candidate(model: ModelSpec, grid: Grid, wave: SolitaryWave, outer: slice) -> _Candidate:
-    psi, pi = _solitary_sample(model, grid, wave, outer)
-    for array in (psi, pi):
-        array.setflags(write=False)
-    return _Candidate(wave, _compiled().Wave(psi, pi))
-
-
-def _candidate_dist(model: ModelSpec, grid: Grid, u, wave: SolitaryWave, outer: slice, windows: list[slice]) -> float:
-    """Metric distance from u, a (psi, pi) pair on the nodes of the outer window, to the closest phase of a wave.
-
-    The phase is the unit minimizing |u - e^{i theta} (psi, pi)|_E, in closed form.
-    """
-    return _bound_metric(model, grid, u, windows).dist(_candidate(model, grid, wave, outer).sample)
-
-
-def _try_solve(solve, model: ModelSpec, omega: float, start) -> SolitaryWave | None:
-    try:
-        return solve(model, omega, start)
-    except (NoConvergence, ConvergedToZero):
-        return None
-
-
 @lru_cache(maxsize=8)
-def _frequency_scan(model: ModelSpec, grid: Grid, omega_bits: bytes, outer: tuple[int, int], solve):
+def _frequency_scan(model: ModelSpec, grid: Grid, omega_bits: bytes, outer: tuple[int, int]):
     """The half of dist_to_manifold that no state enters: the solved waves of its frequency scan, sampled on the
-    metric's outer window and bound for the search of the closest wave, as a _passes.Scan.
-
-    omega_bits is the frequency grid as float64 bytes, so -0.0 and 0.0 key
-    apart; outer is the (start, stop) of the metric's outer window; solve is
-    the profile solver the call would use.  Each solve warm-starts from the
-    last solved wave, then tries the shared Newton starts; a frequency where
-    all fail is skipped.  Any other chain of starts would move candidate
-    distances by about 1e-12, so results would depend on the cache's state.
-    """
-    default_guesses = _newton_starts(model)  # for models with several branches
-    window, scan, warm = slice(*outer), [], None
-    for w in np.frombuffer(omega_bits).tolist():
-        starts = ([warm] if warm is not None else []) + default_guesses
-        wave = next(filter(None, (_try_solve(solve, model, w, s) for s in starts)), None)
-        if wave is not None:
-            warm = wave.amplitudes
-            scan.append(_candidate(model, grid, wave, window))
-    return _compiled().Scan(model, grid.x[window], _end_nodes(grid, window), scan, _limits(), _BRENT)
+    metric's outer window and bound for the search of the closest wave, as a _passes.Scan (kgp_scan's comment
+    gives the starts).  omega_bits is the frequency grid as float64 bytes, so -0.0 and 0.0 key apart; outer is the
+    (start, stop) of the metric's outer window."""
+    window = slice(*outer)
+    return _compiled().Scan(model, np.frombuffer(omega_bits), _newton_starts(model), grid.x[window],
+                            _end_nodes(grid, window), _limits(), _BRENT)
 
 
 def dist_to_manifold(model: ModelSpec, grid: Grid, state: FieldState, omega_grid,
@@ -582,13 +536,12 @@ def dist_to_manifold(model: ModelSpec, grid: Grid, state: FieldState, omega_grid
     skipped; it is an error only if every frequency fails.
 
     No state enters the scan's solves and samples, so they are kept for the 8
-    most recent (model, grid, frequency grid, window, solver) keys, the
-    frequencies by their float64 bits: a call on a kept key solves only its
-    refinement, about 7 profile solves against about 22 cold, with results
-    equal bit for bit.  Everything after the scan, its fits, Brent's steps and
-    their solves, samples and fits, runs in one compiled call (kgp_nearest),
-    on the Newton core and the sampler that solve_profile and profile_eval
-    use, so a refinement solve is made there and not by solve_profile.
+    most recent (model, grid, frequency grid, window) keys, the frequencies by
+    their float64 bits: a call on a kept key solves only its refinement, about
+    7 profile solves against about 22 cold, with results equal bit for bit.
+    The scan is one compiled call (kgp_scan), and the rest another
+    (kgp_nearest), each on the point solve and the sampler behind
+    solve_profile and profile_eval.
     """
     omegas = [float(w) for w in omega_grid]
     if not omegas:
@@ -599,14 +552,11 @@ def dist_to_manifold(model: ModelSpec, grid: Grid, state: FieldState, omega_grid
 
     outer, windows = _metric_windows(grid, r_max)
     metric = _bound_metric(model, grid, (state.psi[outer], state.pi[outer]), windows)
-    scan = _frequency_scan(model, grid, np.array(omegas).tobytes(), (outer.start, outer.stop), solve_profile)
-    if not scan.candidates:
+    scan = _frequency_scan(model, grid, np.array(omegas).tobytes(), (outer.start, outer.stop))
+    if not len(scan.rows):
         raise NoConvergence(omegas[0], float("inf"))
-    found, amplitudes, _ = scan.closest(metric)
-    if found.best < 0:
-        return ManifoldDistance(found.dist, float("nan"), None)  # the zero wave
-    if found.best < len(scan.candidates):
-        wave = scan.candidates[found.best].wave
-    else:
-        wave = SolitaryWave(found.omega, found.kappa, amplitudes, found.residual)
-    return ManifoldDistance(found.dist, wave.omega, wave)
+    dist, row, _ = scan.closest(metric)
+    if row is None:
+        return ManifoldDistance(dist, float("nan"), None)  # the zero wave
+    wave = _wave(row)
+    return ManifoldDistance(dist, wave.omega, wave)

@@ -11,12 +11,12 @@ and the complex amplitudes C_J solve the derivative-jump system
 The solver is a damped Newton iteration in the 2N real amplitude components
 with the global phase fixed by Im C_1 = 0 (the system is invariant under a
 common phase rotation, which would otherwise make the Jacobian singular).
-It runs in the compiled library (``kgp_solve`` in ``_passes.c``, which also
-holds the stepping loop), on the model's coefficient block that the steps
-and the observers share, packed once per model object; this module checks
-the arguments, forms the coupling, and makes the waves and the exceptions.
-A branch continued in frequency runs there whole, coupling included
-(``kgp_branch``), and so does the profile's sampler (``kgp_profile``).
+It runs in the compiled library (``_passes.c``, which also holds the
+stepping loop), whose point solve forms kappa and the coupling and runs
+Newton from a list of starts in order until one converges: a single solve
+(``kgp_solve``) passes one, and a branch continued in frequency runs there
+whole (``kgp_branch``), as does the profile's sampler (``kgp_profile``).
+This module checks the arguments and makes the waves and the exceptions.
 """
 
 from __future__ import annotations
@@ -123,7 +123,7 @@ def kappa(model: ModelSpec, omega: float) -> float:
 
 
 def _coupling_matrix(model: ModelSpec, kap: float) -> list[list[float]]:
-    """The rows exp(-kappa |X_J - X_K|), K = 1..N, as lists of floats."""
+    """The rows exp(-kappa |X_J - X_K|), K = 1..N, as lists of floats, for amplitude_residual."""
     pos = model.positions
     return [[math.exp(-kap * abs(xj - xk)) for xk in pos] for xj in pos]
 
@@ -138,7 +138,7 @@ def _compiled():
 
 @cache
 def _limits():
-    """MAX_ITER, RESIDUAL_TOL and ZERO_BRANCH_TOL as the compiled solve takes them, converted once."""
+    """MAX_ITER, RESIDUAL_TOL and ZERO_BRANCH_TOL as every compiled solve takes them, packed once."""
     return _compiled().limits(MAX_ITER, RESIDUAL_TOL, ZERO_BRANCH_TOL)
 
 
@@ -177,22 +177,22 @@ def solve_profile(model: ModelSpec, omega: float, guess) -> SolitaryWave:
     zero wave decays, and it is returned directly.
 
     The solve runs in the compiled library (kgp_solve in _passes.c), with no
-    numpy call: the coupling from math.exp goes in as the rows of floats, and
-    the Newton loop, the gauged linear system by Gaussian elimination with
-    partial pivoting and the gauge rotations run there, operation for
+    numpy call: kappa, the coupling with libm's exp (the function math.exp
+    calls), the Newton loop, the gauged linear system by Gaussian elimination
+    with partial pivoting and the gauge rotations run there, operation for
     operation those of the Python-float loop they replaced, bit for bit.
     """
-    kap = kappa(model, omega)  # refuses a frequency outside the band first
+    kappa(model, omega)  # refuses a frequency outside the band first
     if abs(omega) == model.mass:
         return _zero_wave(model, omega)
     compiled = _compiled()
-    status, final, amps = compiled.solve(model, _coupling_matrix(model, kap), 2.0 * kap, _start(model, guess),
-                                         _limits())
+    status, row = compiled.solve(model, float(omega), _start(model, guess), _limits())
+    wave = _wave(row)
     if status == compiled.FAILED:
-        raise NoConvergence(omega, final)
+        raise NoConvergence(omega, wave.residual_max)
     if status == compiled.ZERO:
         raise ConvergedToZero(_zero_wave(model, omega))
-    return SolitaryWave(float(omega), kap, amps, final)
+    return wave
 
 
 def profile_eval(model: ModelSpec, wave: SolitaryWave, x):
@@ -210,8 +210,14 @@ def profile_eval(model: ModelSpec, wave: SolitaryWave, x):
     return out
 
 
+def _wave(row: list[float]) -> SolitaryWave:
+    """The wave of one compiled solve's row: omega, kappa, Re and Im of each amplitude, residual_max."""
+    return SolitaryWave(row[0], row[1], tuple(map(complex, row[2:-1:2], row[3:-1:2])), row[-1])
+
+
 def _waves(rows: bytes, n: int):
-    """The waves of float64 rows of n oscillators, each omega, kappa, Re and Im of each amplitude, residual_max."""
+    """The waves of the compiled solves' float64 rows of n oscillators: omega, kappa, Re and Im of each amplitude,
+    residual_max."""
     values, cols = memoryview(rows).cast("d").tolist(), 2 * n + 3
     amps = zip(*(map(complex, values[2 * j + 2::cols], values[2 * j + 3::cols]) for j in range(n)))
     return map(SolitaryWave, values[0::cols], values[1::cols], amps, values[cols - 1::cols])

@@ -15,3 +15,11 @@ def node_values():
     moduli = np.concatenate([10.0 ** rng.uniform(-3.0, 3.0, 3000), 10.0 ** rng.uniform(153.8, 154.4, 200),
                              [1e160, 1e200, 1e308]])
     return [*(moduli * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, moduli.size))), np.complex128(1.5e308 + 1.5e308j)]
+
+
+@pytest.fixture(scope="session", autouse=True)
+def compiled_passes():
+    """The compiled library, built before the first test, so that no test's clock includes a cold build."""
+    from kgpoint import _passes
+
+    return _passes.library()

@@ -390,15 +390,11 @@ def test_criterion_11_gradient_consistency_of_forces():
 
 
 def test_manifold_refinement_solves_on_the_criterion_6_datum(attraction_run, monkeypatch):
-    # the frequency scan is 15 solves; the golden-section refinement added 26 more.  The refinement's solves run in
-    # the compiled search, which reports their frequencies
+    # the frequency scan is 15 solves; the golden-section refinement added 26 more.  Each call below finds the run's
+    # scan in the memo, so the solves it makes are the refinement's, which the compiled search reports
     from kgpoint import _passes, simulator
 
     solves, refinements, closest = [], [], _passes.Scan.closest
-
-    def counted(*args):
-        solves.append(args[1])
-        return kg.solve_profile(*args)
 
     def reported(scan, metric, *args):
         result = closest(scan, metric, *args)
@@ -406,11 +402,12 @@ def test_manifold_refinement_solves_on_the_criterion_6_datum(attraction_run, mon
         refinements.append(len(result[2]))
         return result
 
-    monkeypatch.setattr(simulator, "solve_profile", counted)
     monkeypatch.setattr(_passes.Scan, "closest", reported)
     for key, state in attraction_run["states"].items():
         solves.clear()
+        hits = simulator._frequency_scan.cache_info().hits
         again = kg.dist_to_manifold(PAIR, attraction_run["grid"], state, np.linspace(0.1, 0.8, 15), 5)
+        assert simulator._frequency_scan.cache_info().hits == hits + 1  # no scan solved
         print(f"\n[refinement] {key}: {len(solves)} profile solves (<= 28)")
         assert again == attraction_run[key] and len(solves) <= 28
         assert refinements.pop() > 0  # the compiled refinement's solves are among those counted

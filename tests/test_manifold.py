@@ -8,6 +8,7 @@ from functools import partial
 
 import numpy as np
 import pytest
+from test_simulator import candidate_dist
 
 from kgpoint import _passes, simulator
 from kgpoint.model import ModelSpec, OscillatorSpec
@@ -15,17 +16,15 @@ from kgpoint.simulator import (
     FieldState,
     ManifoldDistance,
     _bound_metric,
-    _candidate,
-    _candidate_dist,
     _metric,
     _metric_windows,
-    _try_solve,
+    _solitary_sample,
     build_grid,
     dist_to_manifold,
     perturbed_solitary_state,
     solitary_state,
 )
-from kgpoint.solitary import _NEWTON_STARTS, ConvergedToZero, NoConvergence, solve_profile
+from kgpoint.solitary import _NEWTON_STARTS, ConvergedToZero, NoConvergence, _newton_starts, solve_profile
 
 PAIR = ModelSpec(
     1.0,
@@ -49,7 +48,7 @@ def golden_section_dist(model, grid, state, omega_grid, r_max):
             wave = solve_profile(model, w, start)
         except (NoConvergence, ConvergedToZero):
             return None
-        return _candidate_dist(model, grid, u, wave, outer, windows), wave
+        return candidate_dist(model, grid, u, wave, outer, windows), wave
 
     default_guesses = [[s + 0j] * model.count for s in _NEWTON_STARTS]
     warm = None
@@ -135,25 +134,59 @@ def reference_brent_minimize(f, a, b, x, fx, tol):
                 v, fv = u, fu
 
 
-def reference_dist_to_manifold(model, grid, state, omega_grid, r_max, refined=None):
-    """dist_to_manifold as its Python loop ran it before the compiled search: the scan's fits, then Brent's
-    refinement, each refinement solve by simulator.solve_profile, looked up when called, so that a test may patch
-    it.  The frequencies of the refinement's solves are appended to refined, if given."""
+def try_solve(solve, model, omega, start):
+    """solve's wave at omega from start, or None where it fails or collapses."""
+    try:
+        return solve(model, omega, start)
+    except (NoConvergence, ConvergedToZero):
+        return None
+
+
+def reference_frequency_scan(model, grid, omegas, outer, solve=solve_profile):
+    """The frequency scan as simulator._frequency_scan's Python loop ran it before the compiled scan: (wave, sample)
+    pairs in order, each wave solved by solve, warm-started from the last solved wave and then from the shared Newton
+    starts, a frequency where all fail skipped, and sampled on the outer window."""
+    default_guesses = _newton_starts(model)  # for models with several branches
+    scan, warm = [], None
+    for w in omegas:
+        starts = ([warm] if warm is not None else []) + default_guesses
+        wave = next(filter(None, (try_solve(solve, model, w, s) for s in starts)), None)
+        if wave is not None:
+            warm = wave.amplitudes
+            scan.append((wave, _solitary_sample(model, grid, wave, outer)))
+    return scan
+
+
+def compiled_and_reference_scans(model, grid, omega_grid, r_max):
+    """The bytes of the compiled scan's rows and samples on the metric's outer window, and those of the reference's."""
+    omegas = [float(w) for w in omega_grid]
+    outer, _ = _metric_windows(grid, r_max)
+    scan = simulator._frequency_scan(model, grid, np.array(omegas).tobytes(), (outer.start, outer.stop))
+    reference = reference_frequency_scan(model, grid, omegas, outer)
+    rows = [[w.omega, w.kappa, *(p for z in w.amplitudes for p in (z.real, z.imag)), w.residual_max]
+            for w, _ in reference]
+    return ((scan.rows.tobytes(), scan.samples.tobytes()),
+            (np.array(rows, dtype=float).tobytes(), np.array([sample for _, sample in reference]).tobytes()))
+
+
+def reference_dist_to_manifold(model, grid, state, omega_grid, r_max, refined=None, solve=solve_profile):
+    """dist_to_manifold as its Python loops ran it before the compiled scan and search: the scan, its fits, then
+    Brent's refinement, each solve by solve, so that a test may pass a patched one.  The frequencies of the
+    refinement's solves are appended to refined, if given."""
     omegas = [float(w) for w in omega_grid]
     outer, windows = _metric_windows(grid, r_max)
     metric = _bound_metric(model, grid, (state.psi[outer], state.pi[outer]), windows)
     best = ManifoldDistance(metric.dist(), float("nan"), None)  # the zero wave
-    scan = simulator._frequency_scan(model, grid, np.array(omegas).tobytes(), (outer.start, outer.stop),
-                                     simulator.solve_profile)
-    if not scan.candidates:
+    scan = reference_frequency_scan(model, grid, omegas, outer, solve)
+    if not scan:
         raise NoConvergence(omegas[0], float("inf"))
 
     solved = {}  # amplitudes by frequency, the refinement's warm starts
-    for candidate in scan.candidates:
-        solved[candidate.wave.omega] = candidate.wave.amplitudes
-        dist = metric.dist(candidate.sample)
+    for wave, sample in scan:
+        solved[wave.omega] = wave.amplitudes
+        dist = metric.dist(_passes.Wave(*sample))
         if dist < best.dist:
-            best = ManifoldDistance(dist, candidate.wave.omega, candidate.wave)
+            best = ManifoldDistance(dist, wave.omega, wave)
 
     ordered = sorted(solved)
     if best.wave is not None and len(ordered) > 1:
@@ -164,11 +197,11 @@ def reference_dist_to_manifold(model, grid, state, omega_grid, r_max, refined=No
             nonlocal best
             if refined is not None:
                 refined.append(w)
-            wave = _try_solve(simulator.solve_profile, model, w, solved[min(solved, key=lambda s: abs(s - w))])
+            wave = try_solve(solve, model, w, solved[min(solved, key=lambda s: abs(s - w))])
             if wave is None:
                 return None
             solved[w] = wave.amplitudes
-            dist = metric.dist(_candidate(model, grid, wave, outer).sample)
+            dist = metric.dist(_passes.Wave(*_solitary_sample(model, grid, wave, outer)))
             if dist < best.dist:
                 best = ManifoldDistance(dist, w, wave)
             return dist
@@ -211,16 +244,22 @@ def log_refinement_solves(monkeypatch, log):
 
 @pytest.fixture
 def solve_log(monkeypatch):
-    """The frequencies of every profile solve dist_to_manifold makes, in order: the scan's, through
-    simulator.solve_profile, and the refinement's, as the compiled search reports them."""
-    log = []
+    """The frequencies of the waves each dist_to_manifold call solves, in order: the scan's solved rows where the call
+    made the scan, a miss of the memo (cleared here, so that the first call makes it), then the refinement's solves,
+    as the compiled search reports them."""
+    simulator._frequency_scan.cache_clear()
+    log, misses, closest = [], [0], _passes.Scan.closest
 
-    def logged(model, omega, guess):
-        log.append(omega)
-        return solve_profile(model, omega, guess)
+    def reported(scan, metric, *args):
+        made = simulator._frequency_scan.cache_info().misses
+        if made > misses[0]:
+            misses[0] = made
+            log.extend(scan.rows[:, 0].tolist())
+        result = closest(scan, metric, *args)
+        log.extend(result[2])
+        return result
 
-    monkeypatch.setattr(simulator, "solve_profile", logged)
-    log_refinement_solves(monkeypatch, log)
+    monkeypatch.setattr(_passes.Scan, "closest", reported)
     return log
 
 
@@ -232,33 +271,31 @@ def test_refinement_matches_the_golden_section_reference():
         assert_matches_reference(grid, state, OMEGAS)
 
 
-def scan_only(monkeypatch, grid, state, omegas):
+def scan_only(grid, state, omegas):
     """The reference with every refinement solve failing: the best scan point."""
     def scan_solves_only(model, omega, guess):
         if omega not in omegas:
             raise NoConvergence(omega, 1.0)
         return solve_profile(model, omega, guess)
 
-    with monkeypatch.context() as patch:
-        patch.setattr(simulator, "solve_profile", scan_solves_only)
-        return reference_dist_to_manifold(PAIR, grid, state, omegas, 5)
+    return reference_dist_to_manifold(PAIR, grid, state, omegas, 5, solve=scan_solves_only)
 
 
 @pytest.mark.parametrize("omega, end", [(0.25, 0.3), (0.65, 0.6)], ids=["first", "last"])
-def test_refinement_from_a_best_scan_point_at_an_end_of_the_grid(monkeypatch, omega, end):
+def test_refinement_from_a_best_scan_point_at_an_end_of_the_grid(omega, end):
     # a wave just outside the scanned range: the closest scanned frequency is the end nearest to it
     grid = build_grid(PAIR, -10.0, 10.0, 0.02)
     state = solitary_state(PAIR, grid, solve_profile(PAIR, omega, [0.7, 0.7]))
     omegas = np.linspace(0.3, 0.6, 7)
-    scanned = scan_only(monkeypatch, grid, state, omegas)
+    scanned = scan_only(grid, state, omegas)
     assert scanned.best_omega == end
     found = assert_matches_reference(grid, state, omegas)
     assert abs(found.best_omega - end) <= 0.05 and found.dist <= scanned.dist
 
 
-def test_a_failed_refinement_solve_ends_the_refinement(monkeypatch):
+def test_a_failed_refinement_solve_ends_the_refinement():
     grid, (state,) = benchmark_states(1, 1)
-    scanned = scan_only(monkeypatch, grid, state, OMEGAS)
+    scanned = scan_only(grid, state, OMEGAS)
     log = []
 
     def failing_fourth(model, omega, guess):
@@ -267,8 +304,7 @@ def test_a_failed_refinement_solve_ends_the_refinement(monkeypatch):
             raise NoConvergence(omega, 1.0)
         return solve_profile(model, omega, guess)
 
-    monkeypatch.setattr(simulator, "solve_profile", failing_fourth)
-    found = reference_dist_to_manifold(PAIR, grid, state, OMEGAS, 5)
+    found = reference_dist_to_manifold(PAIR, grid, state, OMEGAS, 5, solve=failing_fourth)
     refined = [w for w in log if w not in OMEGAS]
     assert len(refined) == 4  # nothing is solved after the failed fourth refinement solve
     assert found.dist <= scanned.dist
@@ -358,6 +394,8 @@ def test_the_compiled_search_matches_the_python_loop_word_for_word(monkeypatch, 
         warnings.simplefilter("ignore")  # the clipped window's
         found = dist_to_manifold(model, grid, state, omegas, r_max)
         expected = reference_dist_to_manifold(model, grid, state, omegas, r_max, refined)
+        compiled_scan, reference_scan = compiled_and_reference_scans(model, grid, omegas, r_max)
+    assert compiled_scan == reference_scan  # the rows and the samples
     assert words(found) == words(expected)
     assert struct.pack(f"<{len(reported)}d", *reported) == struct.pack(f"<{len(refined)}d", *refined)
     if case in SEARCH_REFINEMENTS:
@@ -385,7 +423,7 @@ def test_a_one_frequency_grid_is_not_refined(solve_log):
     assert solve_log == [0.4] and found.best_omega == 0.4
     outer, windows = _metric_windows(grid, 5)
     u = (state.psi[outer], state.pi[outer])
-    assert found.dist == _candidate_dist(PAIR, grid, u, found.wave, outer, windows)
+    assert found.dist == candidate_dist(PAIR, grid, u, found.wave, outer, windows)
 
 
 def test_the_zero_state_is_not_refined(solve_log):
@@ -393,7 +431,7 @@ def test_the_zero_state_is_not_refined(solve_log):
     zero = FieldState(np.zeros(grid.count, complex), np.zeros(grid.count, complex), 0.0)
     found = dist_to_manifold(PAIR, grid, zero, OMEGAS, 5)
     assert found.dist == 0.0 and math.isnan(found.best_omega)
-    assert solve_log == list(OMEGAS)  # the scan alone, one solve a frequency
+    assert solve_log == list(OMEGAS)  # the scan alone, every frequency solved
 
 
 # ------------------------------------------------------------ the cached frequency scan
@@ -452,9 +490,10 @@ def test_equal_models_share_one_entry_and_the_cache_stays_bounded():
     assert info.currsize == 8
 
 
-def test_the_scan_warm_starts_each_solve_from_the_last_solved_wave(monkeypatch):
-    # any other chain of starts moves candidate distances by about 1e-12 (see CHANGES.md)
-    grid, (state,) = benchmark_states(1, 1)
+def test_the_scan_warm_starts_each_solve_from_the_last_solved_wave():
+    # any other chain of starts moves candidate distances by about 1e-12 (see CHANGES.md): the reference loop's
+    # chain is this one, and the compiled scan makes the reference's rows and samples word for word
+    grid, _ = benchmark_states(1, 1)
     calls = []
 
     def logged(model, omega, guess):
@@ -462,11 +501,12 @@ def test_the_scan_warm_starts_each_solve_from_the_last_solved_wave(monkeypatch):
         calls.append((tuple(guess), wave.amplitudes))
         return wave
 
-    monkeypatch.setattr(simulator, "solve_profile", logged)
-    dist_to_manifold(PAIR, grid, state, OMEGAS, 5)
+    reference_frequency_scan(PAIR, grid, OMEGAS, _metric_windows(grid, 5)[0], logged)
     scan = calls[:len(OMEGAS)]
     assert scan[0][0] == (_NEWTON_STARTS[0] + 0j,) * PAIR.count
     assert all(guess == previous for (guess, _), (_, previous) in zip(scan[1:], scan))
+    compiled, reference = compiled_and_reference_scans(PAIR, grid, OMEGAS, 5)
+    assert compiled == reference
 
 
 def test_a_warm_call_solves_only_its_refinement(solve_log):
@@ -477,24 +517,3 @@ def test_a_warm_call_solves_only_its_refinement(solve_log):
     solve_log.clear()
     assert dist_to_manifold(PAIR, grid, state, OMEGAS, 5) == first
     assert solve_log == refinement
-
-
-def test_a_patched_solver_neither_sees_nor_leaves_cached_scans(monkeypatch):
-    grid, (state,) = benchmark_states(1, 1)
-    expected = cold(PAIR, grid, state, OMEGAS, 5)  # the real solver's scan is now cached
-    log = []
-
-    def every_other(model, omega, guess):
-        log.append(omega)
-        if omega in OMEGAS[::2]:
-            raise NoConvergence(omega, 1.0)
-        return solve_profile(model, omega, guess)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(simulator, "solve_profile", every_other)
-        patched = dist_to_manifold(PAIR, grid, state, OMEGAS, 5)
-    assert set(OMEGAS) <= set(log)  # it solved the scan itself
-    assert patched.best_omega not in OMEGAS[::2]
-    misses = simulator._frequency_scan.cache_info().misses
-    assert dist_to_manifold(PAIR, grid, state, OMEGAS, 5) == expected
-    assert simulator._frequency_scan.cache_info().misses == misses  # the real solver's scan, kept as it was

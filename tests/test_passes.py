@@ -123,7 +123,8 @@ def test_a_warm_cache_loads_without_compiling(cold_cache, compiler_calls):
 
 LAYOUTS = {"kgp_field": _passes._Field, "kgp_model": _passes._Model, "kgp_observer": _passes._Observer,
            "kgp_metric": _passes._Metric, "kgp_wave": _passes._Wave, "kgp_pow10": _passes._Pow10,
-           "kgp_branch": _passes._Branch, "kgp_scan": _passes._Scan, "kgp_nearest": _passes._Nearest}
+           "kgp_limits": _passes._Limits, "kgp_branch": _passes._Branch, "kgp_scan": _passes._Scan,
+           "kgp_nearest": _passes._Nearest}
 
 
 def test_the_ctypes_declarations_mirror_the_c_structs(tmp_path):
@@ -168,9 +169,8 @@ def test_a_secant_start_that_overflows_stops_the_branch_as_not_finite():
     # two solved rows carried in, amplitudes -1.7e308 and 1.7e308: the secant start 1.7e308 + 1 (3.4e308) is inf
     cols = 2 * ONE.count + 3
     rows = (ctypes.c_double * (3 * cols))(0.1, 0.0, -1.7e308, 0.0, 0.0, 0.2, 0.0, 1.7e308, 0.0, 0.0)
-    positions = (ctypes.c_double * 1)(0.0)
-    block = _passes._Branch(_passes.model_block(ONE), ctypes.addressof(positions), 1.0, 0.3, 0.1,
-                            *_passes.limits(100, 1e-11, 1e-9), ctypes.addressof(rows), 2, 0.0, 0.0)
+    block = _passes._Branch(_passes.model_block(ONE), _passes.limits(100, 1e-11, 1e-9), 0.3, 0.1,
+                            ctypes.addressof(rows), 2, 0.0, 0.0)
     assert _passes.library().kgp_branch(ctypes.byref(block), 0, 1) == _passes.NOT_FINITE
     assert block.omega == 0.3 and block.solved == 2 and rows[:2 * cols] == [0.1, 0.0, -1.7e308, 0.0, 0.0, 0.2, 0.0,
                                                                                1.7e308, 0.0, 0.0]

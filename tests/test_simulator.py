@@ -11,14 +11,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kgpoint import _passes
 from kgpoint.counterexamples import init_from, wide_gap_construct
 from kgpoint.model import ModelSpec, OscillatorSpec, force, potential
 from kgpoint.simulator import (
     FieldState,
     NoCommensurateGrid,
-    _candidate_dist,
+    _bound_metric,
     _kdk,
     _metric_windows,
+    _solitary_sample,
     _window_nodes,
     apriori_bound,
     build_grid,
@@ -679,6 +681,12 @@ def test_metric_dist_axioms():
     assert dab <= energy_norm(QUARTIC, grid, diff) + 1e-12
 
 
+def candidate_dist(model, grid, u, wave, outer, windows):
+    """The metric distance from u, a (psi, pi) pair on the nodes of the outer window, to the closest phase of a wave,
+    as the manifold distance's search takes it: the wave sampled on the outer window alone, the phase in closed form."""
+    return _bound_metric(model, grid, u, windows).dist(_passes.Wave(*_solitary_sample(model, grid, wave, outer)))
+
+
 def full_grid_candidate_dist(model, grid, state, wave, r_max):
     """A candidate's distance as the whole-grid path computes it: the reference for the window path.
 
@@ -743,7 +751,7 @@ def test_window_candidates_equal_the_full_grid_path_bit_for_bit(x_min, x_max):
         u = (state.psi[outer], state.pi[outer])
         for omega in np.linspace(0.1, 0.8, 15):
             wave = solve_profile(PAIR, float(omega), [0.7, 0.7])
-            dist = _candidate_dist(PAIR, grid, u, wave, outer, windows)
+            dist = candidate_dist(PAIR, grid, u, wave, outer, windows)
             assert dist == full_grid_candidate_dist(PAIR, grid, state, wave, 5)
             assert dist == pytest.approx(vdot_candidate_dist(PAIR, grid, state, wave, 5), rel=1e-13, abs=0.0)
 
