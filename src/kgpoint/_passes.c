@@ -23,7 +23,11 @@
  *
  * The CSV text is Python's '%.17g' of each value, computed with integers
  * from a table of powers of ten, at kgp_format_rows.
+ *
+ * A call passes only what varies: the Newton limits (at newton) and Brent's
+ * constants (at brent) are this file's, and a branch allocates its own rows.
  */
+#include <float.h>
 #include <math.h>
 #include <stddef.h>
 #include <stdint.h>
@@ -33,7 +37,8 @@
 
 /* libm's pow, called through a pointer the compiler cannot see through: it
  * would turn pow(x, 2.0) into x * x, which rounds apart from numpy's and
- * Python's |z| ** 2 */
+ * Python's |z| ** 2, and work out brent's pow(invphi, 24.0) itself, where
+ * the Python loop that brent transcribes called libm */
 static double (*volatile libm_pow)(double, double) = pow;
 
 /* k = ((p[+1] - c p) + p[-1]) scale at float j */
@@ -108,12 +113,6 @@ struct kgp_model {
     const double *curv;
     const double *positions;
     double mass;
-};
-
-/* The Newton limits of every solve: the iteration cap, the residual tolerance and the zero-branch bound */
-struct kgp_limits {
-    long max_iter;
-    double tol, zero_tol;
 };
 
 /* run's arguments but the last two, fixed for a run: the buffers p (psi), q (pi) and k (the kick), n floats
@@ -523,6 +522,10 @@ static double gauged_norm(ptrdiff_t w, const double *res, const double *c, doubl
 
 enum { KGP_SOLVED, KGP_ZERO, KGP_FAILED, KGP_OUT_OF_BAND, KGP_NOT_FINITE, KGP_NO_MEMORY = -1, KGP_UNSOLVED = -2 };
 
+/* The Newton limits of every solve: the iteration cap, the residual tolerance and the zero-branch bound */
+enum { MAX_ITER = 100 };
+static const double RESIDUAL_TOL = 1e-11, ZERO_TOL = 1e-9;
+
 /* the doubles of newton's work for n oscillators */
 static size_t newton_work(ptrdiff_t n)
 {
@@ -530,33 +533,33 @@ static size_t newton_work(ptrdiff_t n)
 }
 
 /* The damped Newton solve of model m's amplitude system from the finite amplitudes c (Re and Im
- * interleaved), k2 = 2 kappa > 0 and coupling the n x n rows exp(-kappa |X_J - X_K|), within the limits l:
- * the iteration cap max_iter, the residual tolerance tol and the zero-branch bound zero_tol.
+ * interleaved), k2 = 2 kappa > 0 and coupling the n x n rows exp(-kappa |X_J - X_K|).
  *
  * The phase gauge Im C_1 = 0 replaces residual equation 1 and Jacobian row
  * 1; on residual increase the step is halved up to 8 times.  Returns
  * KGP_SOLVED with the solved amplitudes in c and their residual's sup-norm in
- * *norm_out; KGP_ZERO when every |C| <= zero_tol; KGP_FAILED with the
- * residual's sup-norm in *norm_out after max_iter iterations, as soon as an
- * iterate's residual is not finite, at an exactly zero pivot, or when the
- * final residual exceeds tol.  work holds newton_work(n) doubles.
+ * *norm_out once it is at most RESIDUAL_TOL; KGP_ZERO when every |C| <=
+ * ZERO_TOL; KGP_FAILED with the residual's sup-norm in *norm_out after
+ * MAX_ITER iterations, as soon as an iterate's residual is not finite, at an
+ * exactly zero pivot, or when the final residual exceeds RESIDUAL_TOL.  work
+ * holds newton_work(n) doubles.
  */
-static int newton(const struct kgp_model *m, const struct kgp_limits *l, const double *coupling, double k2, double *c,
-                  double *norm_out, double *work)
+static int newton(const struct kgp_model *m, const double *coupling, double k2, double *c, double *norm_out,
+                  double *work)
 {
     const ptrdiff_t n = m->n, w = 2 * n;
     double *jac = work, *cur = jac + w * w, *res = cur + w, *c_try = res + w, *res_try = c_try + w;
     double *g = res_try + w, *b = g + w, *delta = b + w, *slopes = delta + w, *slopes_try = slopes + 3 * n;
     double norm = 0.0;
     int status = KGP_FAILED;
-    long it;
+    int it;
 
     memcpy(cur, c, w * sizeof(double));
     gauge_rotate(n, cur);
     residual(m, coupling, k2, cur, res, slopes);
-    for (it = 0; it < l->max_iter; it++) {
+    for (it = 0; it < MAX_ITER; it++) {
         norm = sup_norm(res, w);
-        if (norm <= l->tol)
+        if (norm <= RESIDUAL_TOL)
             break;
         if (!isfinite(norm)) /* an overflowed iterate never recovers */
             goto done;
@@ -583,7 +586,7 @@ static int newton(const struct kgp_model *m, const struct kgp_limits *l, const d
         swap = res, res = res_try, res_try = swap;
         swap = slopes, slopes = slopes_try, slopes_try = swap;
     }
-    if (it == l->max_iter) {
+    if (it == MAX_ITER) {
         norm = sup_norm(res, w);
         goto done;
     }
@@ -591,7 +594,7 @@ static int newton(const struct kgp_model *m, const struct kgp_limits *l, const d
     gauge_rotate(n, cur);
     residual(m, coupling, k2, cur, res, slopes);
     norm = sup_norm(res, w);
-    if (norm > l->tol)
+    if (norm > RESIDUAL_TOL)
         goto done;
     memcpy(c, cur, w * sizeof(double));
     double top = hypot(cur[0], cur[1]); /* max of the moduli as Python's max takes it */
@@ -600,7 +603,7 @@ static int newton(const struct kgp_model *m, const struct kgp_limits *l, const d
         if (r > top)
             top = r;
     }
-    status = top <= l->zero_tol ? KGP_ZERO : KGP_SOLVED;
+    status = top <= ZERO_TOL ? KGP_ZERO : KGP_SOLVED;
 done:
     *norm_out = norm;
     return status;
@@ -629,13 +632,13 @@ static int frequency_row(const struct kgp_model *m, double omega, double *row, d
     return KGP_UNSOLVED;
 }
 
-/* The solitary wave of model m at the frequency omega within the limits l, as its row of 2n + 3 floats: omega,
+/* The solitary wave of model m at the frequency omega, as its row of 2n + 3 floats: omega,
  * kappa, Re and Im of each amplitude, and the residual's sup-norm.  frequency_row forms the row and the
  * coupling (n x n doubles); then newton (work newton_work(n) doubles) runs from each of the nstarts starts, 2n
  * floats each, in order until one is KGP_SOLVED, and the last start's status is the point's.  A start that is
  * not finite is KGP_NOT_FINITE, as solve_profile refuses it. */
-static int solve_point(const struct kgp_model *m, const struct kgp_limits *l, double omega, const double *starts,
-                       ptrdiff_t nstarts, double *row, double *coupling, double *work)
+static int solve_point(const struct kgp_model *m, double omega, const double *starts, ptrdiff_t nstarts, double *row,
+                       double *coupling, double *work)
 {
     const ptrdiff_t w = 2 * m->n;
     int status = frequency_row(m, omega, row, coupling);
@@ -646,7 +649,7 @@ static int solve_point(const struct kgp_model *m, const struct kgp_limits *l, do
             if (!isfinite(starts[j]))
                 return KGP_NOT_FINITE;
         memcpy(row + 2, starts, w * sizeof(double));
-        status = newton(m, l, coupling, 2.0 * row[1], row + 2, row + w + 2, work);
+        status = newton(m, coupling, 2.0 * row[1], row + 2, row + w + 2, work);
         if (status == KGP_SOLVED)
             break;
     }
@@ -654,43 +657,47 @@ static int solve_point(const struct kgp_model *m, const struct kgp_limits *l, do
 }
 
 /* solve_point from the one start c, on work of its own: KGP_NO_MEMORY where there is none */
-int kgp_solve(const struct kgp_model *m, const struct kgp_limits *l, double omega, const double *c, double *row)
+int kgp_solve(const struct kgp_model *m, double omega, const double *c, double *row)
 {
     const ptrdiff_t n = m->n;
     double *coupling = malloc((n * n + newton_work(n)) * sizeof(double));
     if (!coupling)
         return KGP_NO_MEMORY;
-    const int status = solve_point(m, l, omega, c, 1, row, coupling, coupling + n * n);
+    const int status = solve_point(m, omega, c, 1, row, coupling, coupling + n * n);
     free(coupling);
     return status;
 }
 
-/* A branch of solitary waves, continued in frequency: its fixed arguments, and its state from one block of
- * frequencies to the next.  Frequency k is start + step k, step signed.  rows holds 2 + a block's rows of
- * 2n + 3 floats, one per solved point, solve_point's.  Rows 0 and 1 carry the last two solved points from
- * block to block (before any, row 1 holds the guess's amplitudes), and a block's solved points follow them.
- * solved counts the points solved so far; omega is the frequency where a block stopped short, residual the
- * failed solve's there. */
-struct kgp_branch {
-    const struct kgp_model *model;
-    const struct kgp_limits *limits;
-    double start, step;
-    double *rows;
-    ptrdiff_t solved;
-    double omega, residual;
-};
+enum { ROOM = 4 }; /* the entries a growing list first has room for, doubled as needed */
 
-/* One point of the branch at frequency omega: its row, on the solved rows last and prev (prev NULL before
- * two are solved).  Once two points are solved the first start is the secant start last + r (last - prev),
- * r = (omega - omega_last) / (omega_last - omega_prev), with r as CPython 3.10-3.12 multiply a complex by a
- * float, (r dr - 0.0 di, r di + 0.0 dr); the second, or the only one, is last's amplitudes.  starts holds
- * the two starts, 4n doubles. */
-static int branch_point(const struct kgp_branch *b, double omega, const double *last, const double *prev,
-                        double *row, double *starts, double *coupling, double *work)
+/* Room for entry used of the list *list of *room entries, each of size doubles, its room doubled when it is
+ * full: KGP_SOLVED, or KGP_NO_MEMORY with the list as it was */
+static int grow(double **list, ptrdiff_t *room, ptrdiff_t used, ptrdiff_t size)
 {
-    const ptrdiff_t w = 2 * b->model->n;
-    if (!prev)
-        return solve_point(b->model, b->limits, omega, last + 2, 1, row, coupling, work);
+    if (used < *room)
+        return KGP_SOLVED;
+    double *more = realloc(*list, 2 * *room * size * sizeof(double));
+    if (!more)
+        return KGP_NO_MEMORY;
+    *list = more;
+    *room *= 2;
+    return KGP_SOLVED;
+}
+
+/* Point k of model m's branch at frequency omega into row, the k rows before it solved: the first from the guess,
+ * the second from the first's amplitudes.  From the third on the first start is the secant start last + r (last
+ * - prev) on the last two solved rows, r = (omega - omega_last) / (omega_last - omega_prev), with r as CPython
+ * 3.10-3.12 multiply a complex by a float, (r dr - 0.0 di, r di + 0.0 dr); the second is last's amplitudes.
+ * starts holds the two starts, 4n doubles. */
+static int branch_point(const struct kgp_model *m, double omega, const double *guess, ptrdiff_t k, double *row,
+                        double *starts, double *coupling, double *work)
+{
+    const ptrdiff_t w = 2 * m->n;
+    if (k == 0)
+        return solve_point(m, omega, guess, 1, row, coupling, work);
+    const double *last = row - (w + 3), *prev = last - (w + 3);
+    if (k == 1)
+        return solve_point(m, omega, last + 2, 1, row, coupling, work);
     const double r = (omega - last[0]) / (last[0] - prev[0]);
     for (ptrdiff_t j = 2; j < w + 2; j += 2) {
         const double dr = last[j] - prev[j], di = last[j + 1] - prev[j + 1];
@@ -698,39 +705,38 @@ static int branch_point(const struct kgp_branch *b, double omega, const double *
         starts[j - 1] = last[j + 1] + (r * di + 0.0 * dr);
     }
     memcpy(starts + w, last + 2, w * sizeof(double));
-    return solve_point(b->model, b->limits, omega, starts, 2, row, coupling, work);
+    return solve_point(m, omega, starts, 2, row, coupling, work);
 }
 
-/* Continue branch b over its frequencies k ... k + count - 1, a row for each solved point from rows[2] on,
- * then carry the last two solved rows into rows 0 and 1.  Returns KGP_SOLVED when every frequency is solved;
- * else the status of the point where the block stopped, at b->omega, with its residual in b->residual: a
- * collapse, a failure, a frequency outside the band, a start that is not finite, or KGP_NO_MEMORY. */
-int kgp_branch(struct kgp_branch *b, ptrdiff_t k, ptrdiff_t count)
+/* Continue model m's branch from the guess (2n floats) over the count frequencies start + step k, step signed,
+ * into *rows, which the call allocates and grows as it solves and the caller frees with kgp_free: solve_point's
+ * row of 2n + 3 floats for each of the *solved points solved.  Returns KGP_SOLVED when every frequency is solved;
+ * else the status of the point where the branch stopped, whose row follows the last solved one and holds its
+ * frequency first and a failed solve's residual last: a collapse, a failure, a frequency outside the band or a
+ * start that is not finite.  KGP_NO_MEMORY with *rows NULL. */
+int kgp_branch(const struct kgp_model *m, double start, double step, ptrdiff_t count, const double *guess,
+               double **rows, ptrdiff_t *solved)
 {
-    const ptrdiff_t n = b->model->n, cols = 2 * n + 3;
+    const ptrdiff_t n = m->n, cols = 2 * n + 3;
+    ptrdiff_t room = ROOM, k = 0;
     double *starts = malloc((4 * n + n * n + newton_work(n)) * sizeof(double));
-    if (!starts)
-        return KGP_NO_MEMORY;
-    double *coupling = starts + 4 * n, *carry = b->rows, *row = carry + 2 * cols;
-    int status = KGP_SOLVED;
-    for (ptrdiff_t i = 0; i < count; i++, row += cols) { /* the last two solved rows are the two before row */
-        const double omega = b->start + b->step * (double)(k + i);
-        status = branch_point(b, omega, row - cols, b->solved > 1 ? row - 2 * cols : NULL, row, starts, coupling,
-                              coupling + n * n);
-        if (status != KGP_SOLVED) {
-            b->omega = omega;
-            b->residual = row[2 * n + 2];
+    *rows = malloc(room * cols * sizeof(double));
+    int status = starts && *rows ? KGP_SOLVED : KGP_NO_MEMORY;
+    for (; status == KGP_SOLVED && k < count; k++) {
+        status = grow(rows, &room, k, cols);
+        if (status != KGP_SOLVED)
             break;
-        }
-        b->solved++;
+        double *row = *rows + k * cols;
+        row[0] = start + step * (double)k; /* the frequency, also where it lies outside the band */
+        status = branch_point(m, row[0], guess, k, row, starts, starts + 4 * n, starts + 4 * n + n * n);
+        if (status != KGP_SOLVED)
+            break;
     }
     free(starts);
-    const ptrdiff_t written = (row - carry) / cols - 2;
-    if (written >= 2)
-        memcpy(carry, row - 2 * cols, 2 * cols * sizeof(double));
-    else if (written == 1) {
-        memcpy(carry, carry + cols, cols * sizeof(double));
-        memcpy(carry + cols, carry + 2 * cols, cols * sizeof(double));
+    *solved = k;
+    if (status == KGP_NO_MEMORY) {
+        free(*rows);
+        *rows = NULL;
     }
     return status;
 }
@@ -792,21 +798,18 @@ void kgp_exp(double *x, ptrdiff_t len)
 }
 
 /* A frequency scan's solved waves, each sampled on a metric's outer window, fixed for every search of the wave
- * closest to a state: the model and the Newton limits; the window's nodes, their coordinates x and the
- * window's Dirichlet end nodes first and last (-1 where it holds none); the shared Newton starts, nstarts of
- * 2n floats one after another; the count solved frequencies' rows, laid out as the branch's, and their
- * samples, psi and then pi on the window's nodes; and Brent's golden-section fraction, relative resolution
- * sqrt_eps and tolerance, shrink times the bracket. */
+ * closest to a state: the model; the window's nodes, their coordinates x and the window's Dirichlet end nodes
+ * first and last (-1 where it holds none); the shared Newton starts, nstarts of 2n floats one after another; and
+ * the count solved frequencies' rows, laid out as the branch's, and their samples, psi and then pi on the
+ * window's nodes. */
 struct kgp_scan {
     const struct kgp_model *model;
-    const struct kgp_limits *limits;
     ptrdiff_t nodes;
     const double *x;
     ptrdiff_t first, last, nstarts;
     const double *starts;
     ptrdiff_t count;
     double *rows, *samples;
-    double golden, sqrt_eps, shrink;
 };
 
 /* Scan the len frequencies omegas in order into s, whose rows and samples have room for len: each solved by
@@ -828,8 +831,8 @@ int kgp_scan(struct kgp_scan *s, const double *omegas, ptrdiff_t len)
         const int warm = s->count > 0;
         if (warm)
             memcpy(starts, row - cols + 2, w * sizeof(double));
-        if (solve_point(m, s->limits, omegas[i], starts + (warm ? 0 : w), s->nstarts + warm, row, coupling,
-                        coupling + n * n) != KGP_SOLVED)
+        if (solve_point(m, omegas[i], starts + (warm ? 0 : w), s->nstarts + warm, row, coupling, coupling + n * n) !=
+            KGP_SOLVED)
             continue;
         kgp_wave(s->x, s->nodes, n, m->positions, row[1], row + 2, row[0], 1.0, 0.0, s->first, s->last, sample,
                  sample + 2 * s->nodes);
@@ -851,33 +854,19 @@ struct kgp_nearest {
     double *refined;
 };
 
-enum { REFINE_ROOM = 4 }; /* the refinement solves a search first makes room for, doubled as needed */
-
 /* The frequencies solved so far and their amplitudes, a dict in insertion order: entry i is a key and its w
- * floats.  There is room for the scan's count keys and room refinement solves, and for as many frequencies
- * in the list of the refinement's solves. */
+ * floats, with room for room entries; and the room of the list of the refinement's solves. */
 struct solved {
     double *entries;
-    ptrdiff_t size, w, room;
+    ptrdiff_t size, w, room, refining;
 };
 
-/* Room for one more refinement solve, in r's list of their frequencies and among sv's keys, the room of both
- * doubled when it is full: KGP_SOLVED, or KGP_NO_MEMORY */
-static int make_room(const struct kgp_scan *s, struct kgp_nearest *r, struct solved *sv)
+/* Room for one more refinement solve, in r's list of their frequencies and among sv's keys: KGP_SOLVED, or
+ * KGP_NO_MEMORY */
+static int make_room(struct kgp_nearest *r, struct solved *sv)
 {
-    if (r->solved < sv->room)
-        return KGP_SOLVED;
-    const ptrdiff_t room = 2 * sv->room;
-    double *refined = realloc(r->refined, room * sizeof(double));
-    if (!refined)
-        return KGP_NO_MEMORY;
-    r->refined = refined;
-    double *entries = realloc(sv->entries, (s->count + room) * (1 + sv->w) * sizeof(double));
-    if (!entries)
-        return KGP_NO_MEMORY;
-    sv->entries = entries;
-    sv->room = room;
-    return KGP_SOLVED;
+    const int status = grow(&r->refined, &sv->refining, r->solved, 1);
+    return status != KGP_SOLVED ? status : grow(&sv->entries, &sv->room, sv->size, 1 + sv->w);
 }
 
 /* Set omega's amplitudes to c as a dict of floats sets them: in place where a key equals omega (-0.0 equals
@@ -918,11 +907,11 @@ static int refine(const struct kgp_metric *m, const struct kgp_scan *s, struct k
 {
     const ptrdiff_t w = 2 * s->model->n;
     const struct kgp_wave wave = {sample, sample + 2 * s->nodes, s->nodes};
-    int status = make_room(s, r, sv);
+    int status = make_room(r, sv);
     if (status != KGP_SOLVED)
         return status;
     r->refined[r->solved++] = u;
-    status = solve_point(s->model, s->limits, u, solved_nearest(sv, u), 1, row, coupling, work);
+    status = solve_point(s->model, u, solved_nearest(sv, u), 1, row, coupling, work);
     if (status != KGP_SOLVED)
         return status;
     solved_put(sv, u, row + 2);
@@ -941,17 +930,20 @@ static int refine(const struct kgp_metric *m, const struct kgp_scan *s, struct k
  * ends, each evaluation a refine; simulator.dist_to_manifold's Python loop operation for operation.  Each
  * step fits a parabola through the three best points so far and takes its vertex, or, where the parabola
  * is not trusted, a golden-section step into the larger part of the bracket (R. P. Brent, Algorithms for
- * Minimization without Derivatives, 1973, ch. 5; tol gains sqrt(eps)|x| at each step against roundoff).
- * A failed or collapsed solve ends the search as its convergence does, with KGP_SOLVED. */
+ * Minimization without Derivatives, 1973, ch. 5; tol gains sqrt(eps)|x| at each step against roundoff).  The
+ * golden-section step is 1 - invphi of the larger part, invphi = (sqrt 5 - 1) / 2, and tol is invphi^24 of the
+ * bracket, the resolution of 24 golden-section steps.  A failed or collapsed solve ends the search as its
+ * convergence does, with KGP_SOLVED. */
 static int brent(const struct kgp_metric *m, const struct kgp_scan *s, struct kgp_nearest *r, struct solved *sv,
                  double a, double b, double x, double fx, double *row, double *coupling, double *work,
                  double *sample)
 {
-    const double tol = (b - a) * s->shrink;
+    const double invphi = (sqrt(5.0) - 1.0) / 2.0, golden = 1.0 - invphi, sqrt_eps = sqrt(DBL_EPSILON);
+    const double tol = (b - a) * libm_pow(invphi, 24.0);
     double v = x, w = x, fv = fx, fw = fx, d = 0.0, e = 0.0;
     for (;;) {
         const double mid = 0.5 * (a + b);
-        const double tol1 = s->sqrt_eps * fabs(x) + tol / 3.0;
+        const double tol1 = sqrt_eps * fabs(x) + tol / 3.0;
         const double tol2 = 2.0 * tol1;
         if (fabs(x - mid) <= tol2 - 0.5 * (b - a))
             return KGP_SOLVED;
@@ -973,7 +965,7 @@ static int brent(const struct kgp_metric *m, const struct kgp_scan *s, struct kg
                 d = x < mid ? tol1 : -tol1;
         } else {
             e = (x >= mid ? a : b) - x;
-            d = s->golden * e;
+            d = golden * e;
         }
         const double u = x + (fabs(d) >= tol1 ? d : copysign(tol1, d));
         double fu;
@@ -1005,14 +997,14 @@ static int brent(const struct kgp_metric *m, const struct kgp_scan *s, struct kg
  * best scan wave's solved neighbours, into r: simulator.dist_to_manifold after its scan, operation for
  * operation.  The zero wave's distance comes first, then each scan wave's in order, a strictly smaller one
  * the best; where a scan wave is best and more than one frequency was solved, brent searches the bracket of
- * the solved frequencies on either side of the best (the best's own where it has none), its tolerance
- * shrink times the bracket.  Returns KGP_SOLVED, or KGP_NO_MEMORY with r->refined NULL. */
+ * the solved frequencies on either side of the best (the best's own where it has none).  Returns KGP_SOLVED, or
+ * KGP_NO_MEMORY with r->refined NULL. */
 int kgp_nearest(const struct kgp_metric *m, const struct kgp_scan *s, struct kgp_nearest *r)
 {
     const ptrdiff_t n = s->model->n, w = 2 * n, cols = w + 3;
     double *block = malloc((cols + n * n + newton_work(n) + 4 * s->nodes) * sizeof(double));
-    struct solved sv = {malloc((s->count + REFINE_ROOM) * (1 + w) * sizeof(double)), 0, w, REFINE_ROOM};
-    r->refined = malloc(REFINE_ROOM * sizeof(double));
+    struct solved sv = {malloc((s->count + ROOM) * (1 + w) * sizeof(double)), 0, w, s->count + ROOM, ROOM};
+    r->refined = malloc(ROOM * sizeof(double));
     r->solved = 0;
     int status = block && sv.entries && r->refined ? KGP_SOLVED : KGP_NO_MEMORY;
     if (status != KGP_SOLVED)

@@ -4,7 +4,8 @@ sampler, and the CSV text of float64 rows.  One compiled point solve (``solve_po
 every solitary solve: the single solve (``solve``), the branch continued in frequency (``branch``), and the manifold
 distance's frequency scan and the refinement of its search (``Scan``).  The steps (``bind``), the samples
 (``observer``) and the solves share one block of a model's coefficients, positions and mass, packed once per model
-object (``model_block``), and the solves one block of Newton limits (``limits``).
+object (``model_block``).  The Newton limits and Brent's constants are constants of the source, so a call passes
+only what varies; a branch's rows, which grow as it is solved, are allocated by the library and copied out.
 
 The library is built by Python's own C compiler (sysconfig's ``CC``) with
 ``-O3 -ffp-contract=off -lm``: no fused multiply-add and no reassociation, so
@@ -53,12 +54,6 @@ class _Model(ctypes.Structure):
                 ("ncurv", _POINTER), ("curv", _POINTER), ("positions", _POINTER), ("mass", _DOUBLE)]
 
 
-class _Limits(ctypes.Structure):
-    """struct kgp_limits: the Newton limits of every solve."""
-
-    _fields_ = [("max_iter", ctypes.c_long), ("tol", _DOUBLE), ("zero_tol", _DOUBLE)]
-
-
 class _Field(ctypes.Structure):
     """struct kgp_field: one run's buffers and constants, its model and the model's nodes."""
 
@@ -89,21 +84,12 @@ class _Wave(ctypes.Structure):
     _fields_ = [("p", _POINTER), ("q", _POINTER), ("n", _SIZE)]
 
 
-class _Branch(ctypes.Structure):
-    """struct kgp_branch: a branch's model, Newton limits and frequencies, and its rows from block to block."""
-
-    _fields_ = [("model", ctypes.POINTER(_Model)), ("limits", ctypes.POINTER(_Limits)), ("start", _DOUBLE),
-                ("step", _DOUBLE), ("rows", _POINTER), ("solved", _SIZE), ("omega", _DOUBLE), ("residual", _DOUBLE)]
-
-
 class _Scan(ctypes.Structure):
-    """struct kgp_scan: a frequency scan's solved waves and their samples on a metric's outer window, and the
-    refinement's constants."""
+    """struct kgp_scan: a frequency scan's solved waves and their samples on a metric's outer window."""
 
-    _fields_ = [("model", ctypes.POINTER(_Model)), ("limits", ctypes.POINTER(_Limits)), ("nodes", _SIZE),
-                ("x", _POINTER), ("first", _SIZE), ("last", _SIZE), ("nstarts", _SIZE), ("starts", _POINTER),
-                ("count", _SIZE), ("rows", _POINTER), ("samples", _POINTER), ("golden", _DOUBLE),
-                ("sqrt_eps", _DOUBLE), ("shrink", _DOUBLE)]
+    _fields_ = [("model", ctypes.POINTER(_Model)), ("nodes", _SIZE), ("x", _POINTER), ("first", _SIZE),
+                ("last", _SIZE), ("nstarts", _SIZE), ("starts", _POINTER), ("count", _SIZE), ("rows", _POINTER),
+                ("samples", _POINTER)]
 
 
 class _Nearest(ctypes.Structure):
@@ -122,8 +108,8 @@ _ENTRIES = {  # name: (argtypes, restype)
     "kgp_run": ((ctypes.POINTER(_Field), _INT, _SIZE), None),
     "kgp_sample": ((ctypes.POINTER(_Observer), _SIZE), _DOUBLE),
     "kgp_fit_dist": ((ctypes.POINTER(_Metric), ctypes.POINTER(_Wave)), _DOUBLE),
-    "kgp_solve": ((ctypes.POINTER(_Model), ctypes.POINTER(_Limits), _DOUBLE, _POINTER, _POINTER), _INT),
-    "kgp_branch": ((ctypes.POINTER(_Branch), _SIZE, _SIZE), _INT),
+    "kgp_solve": ((ctypes.POINTER(_Model), _DOUBLE, _POINTER, _POINTER), _INT),
+    "kgp_branch": ((ctypes.POINTER(_Model), _DOUBLE, _DOUBLE, _SIZE, _POINTER, _POINTER, _POINTER), _INT),
     "kgp_scan": ((ctypes.POINTER(_Scan), _POINTER, _SIZE), _INT),
     "kgp_nearest": ((ctypes.POINTER(_Metric), ctypes.POINTER(_Scan), ctypes.POINTER(_Nearest)), _INT),
     "kgp_profile": ((_POINTER, _SIZE, _SIZE, _POINTER, _DOUBLE, _POINTER, _POINTER), None),
@@ -385,13 +371,6 @@ def exp(values: np.ndarray) -> np.ndarray:
 
 
 SOLVED, ZERO, FAILED, OUT_OF_BAND, NOT_FINITE = range(5)  # the statuses of kgp_solve, kgp_branch and kgp_nearest
-BRANCH_ROWS = 256  # the frequencies of one kgp_branch call, so that a branch's buffer does not grow with its range
-
-
-def limits(max_iter: int, tol: float, zero_tol: float):
-    """The Newton limits, the iteration cap, the residual tolerance and the zero-branch bound, as every solve takes
-    them: one struct kgp_limits, packed once."""
-    return ctypes.pointer(_Limits(max_iter, tol, zero_tol))
 
 
 def _amplitudes(model, amps):
@@ -401,54 +380,40 @@ def _amplitudes(model, amps):
     return (_DOUBLE * (2 * model.count))(*(p for z in amps for p in (z.real, z.imag)))
 
 
-def solve(model, omega: float, amps, newton_limits) -> tuple[int, list[float]]:
-    """The damped Newton solve of model's amplitude system at omega from the finite amps (Python complex), within
-    newton_limits (from limits), in one kgp_solve call: (status, row), the status SOLVED, ZERO, FAILED or
-    OUT_OF_BAND, and row the list of floats omega, kappa, Re and Im of each amplitude and the residual's sup-norm,
-    the amplitudes solved if SOLVED."""
+def solve(model, omega: float, amps) -> tuple[int, list[float]]:
+    """The damped Newton solve of model's amplitude system at omega from the finite amps (Python complex), in one
+    kgp_solve call: (status, row), the status SOLVED, ZERO, FAILED or OUT_OF_BAND, and row the list of floats omega,
+    kappa, Re and Im of each amplitude and the residual's sup-norm, the amplitudes solved if SOLVED."""
     row = (_DOUBLE * (2 * model.count + 3))()
-    status = library().kgp_solve(model_block(model), newton_limits, omega, _amplitudes(model, amps), row)
+    status = library().kgp_solve(model_block(model), omega, _amplitudes(model, amps), row)
     if status < 0:
         raise MemoryError("no memory for the amplitude system's Newton solve")
     return status, row[:]
 
 
-def branch(model, start: float, step: float, guess, newton_limits):
-    """Continuation of model's branch from the finite guess, frequency k at start + step k, within
-    newton_limits (from limits), as one call per block of frequencies.
+def branch(model, start: float, step: float, count: int, guess):
+    """Continuation of model's branch from the finite guess over the count frequencies start + step k, in one
+    kgp_branch call: (status, rows, omega, residual).
 
-    Returns march(count), which solves the next count frequencies, count
-    at most BRANCH_ROWS, and returns (status, rows, omega, residual): rows
-    the bytes of a float64 row per point solved, laid out as solve's; the
-    status SOLVED when every frequency was solved, else the stopping
-    point's, ZERO, FAILED, OUT_OF_BAND or NOT_FINITE, at omega, with a
-    failed solve's residual.  kgp_branch's comment gives the starts and the
-    retry.
+    rows is a read-only float64 array of a row per point solved, laid out
+    as solve's; the status SOLVED when every frequency was solved, else the
+    stopping point's, ZERO, FAILED, OUT_OF_BAND or NOT_FINITE, at omega,
+    with a failed solve's residual (both None after SOLVED).  kgp_branch's
+    comment gives the starts and the retry.
     """
-    n = model.count
-    cols = 2 * n + 3
-    rows = (_DOUBLE * ((2 + BRANCH_ROWS) * cols))()
-    # before any point is solved, row 1 holds the guess; filled by slice, so that a wrong length is refused
-    rows[cols + 2:2 * cols - 1] = [p for z in guess for p in (z.real, z.imag)]
-    packed = model_block(model)
-    block = _Branch(packed, newton_limits, start, step, ctypes.addressof(rows), 0, 0.0, 0.0)
-    block.arrays = (packed, newton_limits, rows)  # the block points into them
-    pointer, entry = ctypes.pointer(block), library().kgp_branch
-    first, reached = ctypes.addressof(rows) + 2 * cols * ctypes.sizeof(_DOUBLE), 0
-
-    def march(count: int):
-        nonlocal reached
-        if not 0 <= count <= BRANCH_ROWS:
-            raise ValueError(f"a block of {count} frequencies, not 0 ... {BRANCH_ROWS}")
-        solved = block.solved
-        status = entry(pointer, reached, count)
-        reached += count
-        if status < 0:
-            raise MemoryError("no memory for the amplitude system's Newton solve")
-        data = ctypes.string_at(first, (block.solved - solved) * cols * ctypes.sizeof(_DOUBLE))
-        return status, data, block.omega, block.residual
-
-    return march
+    cols = 2 * model.count + 3
+    rows, solved = ctypes.POINTER(_DOUBLE)(), _SIZE()
+    status = library().kgp_branch(model_block(model), start, step, count, _amplitudes(model, guess),
+                                  ctypes.byref(rows), ctypes.byref(solved))
+    if status < 0:
+        raise MemoryError("no memory for the amplitude system's Newton solve")
+    try:
+        size = solved.value * cols
+        data = np.frombuffer(ctypes.string_at(rows, size * ctypes.sizeof(_DOUBLE))).reshape(solved.value, cols)
+        omega, residual = (None, None) if status == SOLVED else (rows[size], rows[size + cols - 1])
+    finally:
+        library().kgp_free(rows)
+    return status, data, omega, residual
 
 
 class Scan:
@@ -458,12 +423,11 @@ class Scan:
     omegas are the frequencies in order, inside the band, and starts the
     shared Newton starts, tried after the last solved wave's amplitudes.  x
     holds the window's node coordinates and ends its Dirichlet end nodes
-    (first, last), -1 where it holds none.  brent is Brent's golden-section
-    fraction, relative resolution and tolerance as a fraction of the bracket.
-    rows holds solve's row of each solved frequency, samples its (psi, pi).
+    (first, last), -1 where it holds none.  rows holds solve's row of each
+    solved frequency, samples its (psi, pi).
     """
 
-    def __init__(self, model, omegas, starts, x: np.ndarray, ends, newton_limits, brent):
+    def __init__(self, model, omegas, starts, x: np.ndarray, ends):
         if x.dtype != float or x.ndim != 1 or not x.flags.c_contiguous:
             raise ValueError("a scan's window needs its node coordinates as a contiguous 1-d float64 array")
         frequencies, self.n, self.cols = np.ascontiguousarray(omegas, dtype=float), x.size, 2 * model.count + 3
@@ -471,9 +435,9 @@ class Scan:
         guesses[:] = [p for start in starts for z in start for p in (z.real, z.imag)]
         rows, samples = np.empty((frequencies.size, self.cols)), np.empty((frequencies.size, 2, x.size), dtype=complex)
         packed = model_block(model)
-        block = _Scan(packed, newton_limits, x.size, x.ctypes.data, *ends, len(starts), ctypes.addressof(guesses), 0,
-                      rows.ctypes.data, samples.ctypes.data, *brent)
-        block.arrays = (packed, newton_limits, x, guesses, rows, samples)  # the block points into them
+        block = _Scan(packed, x.size, x.ctypes.data, *ends, len(starts), ctypes.addressof(guesses), 0, rows.ctypes.data,
+                      samples.ctypes.data)
+        block.arrays = (packed, x, guesses, rows, samples)  # the block points into them
         self.block, self.library = ctypes.pointer(block), library()
         if self.library.kgp_scan(self.block, frequencies.ctypes.data, frequencies.size) < 0:
             raise MemoryError("no memory for the manifold distance's frequency scan")

@@ -102,7 +102,7 @@ def cmd_solve(args) -> int:
             header += [f"C{j + 1}_re", f"C{j + 1}_im"]
         header.append("residual_max")
         # the branch's own float64 rows, which write_csv formats in the compiled library
-        kio.write_csv(out_dir / "branch.csv", header, np.frombuffer(waves.rows, dtype=float).reshape(-1, len(header)))
+        kio.write_csv(out_dir / "branch.csv", header, waves.rows)
         summary = {
             "solved": len(waves),
             "last_good_omega": waves[-1].omega if waves else None,

@@ -155,9 +155,9 @@ def _at_node(horner: tuple[float, ...], z, force: bool = False):
     """p(|z|^2) = sum_n c_n |z|^{2n}, the c_n in horner highest degree first; -2 p(|z|^2) z if force.
 
     With an oscillator's coefficients this is U(z), with its slope
-    coefficients F(z): ``potential``, ``force`` and the observer evaluate both
-    here, one call per node, and the compiled stepping loop transcribes the
-    force.  z is a Python or numpy
+    coefficients F(z): ``potential`` and ``force`` evaluate them here, one
+    call per node, and the compiled library transcribes both, the force in
+    the stepping loop and U in the observer's sample.  z is a Python or numpy
     scalar or a numpy array.  Where |z|^2 overflows (|z| above about 1.3e154)
     Python floats raise OverflowError and numpy gives inf; s is inf for both,
     so their bits agree, nan included.  The sum is _horner's, written out.

@@ -37,7 +37,8 @@ waves are evaluated there alone, a phase-fit distance in one call.
 
 The manifold distance's frequency scan, solved and sampled on that window in
 one compiled call and kept per (model, grid, frequencies, window), and its
-search are ``dist_to_manifold``'s.  The candidates, solitary_state and
+search, another call whose Brent constants are the library's, are
+``dist_to_manifold``'s.  The candidates, solitary_state and
 perturbed_solitary_state sample the profile in the library, with libm's exp,
 so their bits do not depend on numpy's SIMD dispatch.
 """
@@ -56,7 +57,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .model import ModelSpec, lower_bound_constants
-from .solitary import NoConvergence, SolitaryWave, _compiled, _limits, _newton_starts, _wave
+from .solitary import NoConvergence, SolitaryWave, _compiled, _newton_starts, _wave
 
 __all__ = [
     "Grid",
@@ -80,12 +81,6 @@ __all__ = [
 
 _PACKAGE_DIR = os.path.dirname(__file__) + os.sep
 _NOISE_WIDTH_UNIT = 0.02  # perturbed_solitary_state's noise widths are 10 to 25 of it, whatever the dx
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # the bracket's shrink per golden-section step
-_GOLDEN_FRACTION = 1.0 - _INVPHI  # Brent's golden-section step, as a fraction of the larger part
-_SQRT_EPS = math.sqrt(np.finfo(float).eps)  # Brent's relative resolution floor
-# Brent's constants as the compiled refinement takes them: its tolerance is the last times the bracket, the
-# resolution of 24 golden-section steps
-_BRENT = (_GOLDEN_FRACTION, _SQRT_EPS, _INVPHI**24)
 
 
 class NoCommensurateGrid(ValueError):
@@ -518,7 +513,7 @@ def _frequency_scan(model: ModelSpec, grid: Grid, omega_bits: bytes, outer: tupl
     (start, stop) of the metric's outer window."""
     window = slice(*outer)
     return _compiled().Scan(model, np.frombuffer(omega_bits), _newton_starts(model), grid.x[window],
-                            _end_nodes(grid, window), _limits(), _BRENT)
+                            _end_nodes(grid, window))
 
 
 def dist_to_manifold(model: ModelSpec, grid: Grid, state: FieldState, omega_grid,

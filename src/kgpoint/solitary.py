@@ -15,14 +15,17 @@ It runs in the compiled library (``_passes.c``, which also holds the
 stepping loop), whose point solve forms kappa and the coupling and runs
 Newton from a list of starts in order until one converges: a single solve
 (``kgp_solve``) passes one, and a branch continued in frequency runs there
-whole (``kgp_branch``), as does the profile's sampler (``kgp_profile``).
-This module checks the arguments and makes the waves and the exceptions.
+whole in one call (``kgp_branch``), as does the profile's sampler
+(``kgp_profile``).  The Newton limits are constants of that library.  This
+module checks the arguments and makes the waves and the exceptions; a
+branch's waves are made from its rows as they are read.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cache
 
@@ -41,9 +44,6 @@ __all__ = [
     "continue_branch",
 ]
 
-RESIDUAL_TOL = 1e-11
-ZERO_BRANCH_TOL = 1e-9
-MAX_ITER = 100
 # Newton starts in the order tried, each the same amplitude at every oscillator: the CLI
 # solves from the first; dist_to_manifold falls back on all of them after its warm start
 _NEWTON_STARTS = (0.7, 1.0, 0.3)
@@ -54,20 +54,30 @@ def _newton_starts(model: ModelSpec) -> list[list[complex]]:
     return [[s + 0j] * model.count for s in _NEWTON_STARTS]
 
 
-class Branch(list):
-    """The solved waves of a branch, in frequency order.
+class Branch(Sequence):
+    """The solved waves of a branch, in frequency order, each decoded from its row as it is read.
 
-    collapsed_at is the frequency where the branch collapsed to the zero
-    wave, or None when it did not.  rows holds the waves as the bytes of
-    float64 rows, one a wave: omega, kappa, Re and Im of each amplitude, and
-    residual_max.
+    rows is the read-only float64 array of the waves, one row a wave: omega,
+    kappa, Re and Im of each amplitude, and residual_max.  collapsed_at is
+    the frequency where the branch collapsed to the zero wave, or None when
+    it did not.
     """
 
     collapsed_at: float | None = None
 
-    def __init__(self):
-        super().__init__()
-        self.rows = bytearray()
+    def __init__(self, rows):
+        self.rows = rows
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(map(_wave, self.rows[index].tolist()))
+        return _wave(self.rows[index].tolist())
+
+    def __iter__(self):
+        return map(_wave, self.rows.tolist())
 
 
 class NoConvergence(RuntimeError):
@@ -136,12 +146,6 @@ def _compiled():
     return _passes
 
 
-@cache
-def _limits():
-    """MAX_ITER, RESIDUAL_TOL and ZERO_BRANCH_TOL as every compiled solve takes them, packed once."""
-    return _compiled().limits(MAX_ITER, RESIDUAL_TOL, ZERO_BRANCH_TOL)
-
-
 def amplitude_residual(model: ModelSpec, wave: SolitaryWave) -> np.ndarray:
     """Real/imaginary parts of 2 kappa C_J - F_J(phi(X_J)), interleaved per J: the solve's own residual."""
     kap = kappa(model, wave.omega)
@@ -168,11 +172,13 @@ def solve_profile(model: ModelSpec, omega: float, guess) -> SolitaryWave:
     """Newton-solve the amplitude system at fixed frequency.
 
     The phase gauge Im C_1 = 0 replaces the corresponding residual equation;
-    on residual increase the step is halved up to 8 times.  Raises
-    NoConvergence after 100 iterations, as soon as an iterate's residual is
-    not finite, or when the gauged Jacobian has an exactly zero pivot, and
-    ConvergedToZero when the iteration lands on the zero branch
-    (|C| <= 1e-9), so callers can tell the trivial wave from a genuine one.
+    on residual increase the step is halved up to 8 times, and the solve
+    stops once the residual's sup-norm is at most RESIDUAL_TOL.  Raises
+    NoConvergence after MAX_ITER iterations, as soon as an iterate's residual
+    is not finite, or when the gauged Jacobian has an exactly zero pivot, and
+    ConvergedToZero when the iteration lands on the zero branch (every
+    |C| <= ZERO_TOL), so callers can tell the trivial wave from a genuine
+    one; the three limits are constants of _passes.c.
     A guess that is not finite is a ValueError.  At omega = +-m only the
     zero wave decays, and it is returned directly.
 
@@ -186,7 +192,7 @@ def solve_profile(model: ModelSpec, omega: float, guess) -> SolitaryWave:
     if abs(omega) == model.mass:
         return _zero_wave(model, omega)
     compiled = _compiled()
-    status, row = compiled.solve(model, float(omega), _start(model, guess), _limits())
+    status, row = compiled.solve(model, float(omega), _start(model, guess))
     wave = _wave(row)
     if status == compiled.FAILED:
         raise NoConvergence(omega, wave.residual_max)
@@ -212,15 +218,8 @@ def profile_eval(model: ModelSpec, wave: SolitaryWave, x):
 
 def _wave(row: list[float]) -> SolitaryWave:
     """The wave of one compiled solve's row: omega, kappa, Re and Im of each amplitude, residual_max."""
-    return SolitaryWave(row[0], row[1], tuple(map(complex, row[2:-1:2], row[3:-1:2])), row[-1])
-
-
-def _waves(rows: bytes, n: int):
-    """The waves of the compiled solves' float64 rows of n oscillators: omega, kappa, Re and Im of each amplitude,
-    residual_max."""
-    values, cols = memoryview(rows).cast("d").tolist(), 2 * n + 3
-    amps = zip(*(map(complex, values[2 * j + 2::cols], values[2 * j + 3::cols]) for j in range(n)))
-    return map(SolitaryWave, values[0::cols], values[1::cols], amps, values[cols - 1::cols])
+    parts = iter(row[2:-1])  # Re and Im of each amplitude, taken in pairs
+    return SolitaryWave(row[0], row[1], tuple(map(complex, parts, parts)), row[-1])
 
 
 def continue_branch(model: ModelSpec, omega_start: float, omega_end: float, step: float, guess) -> Branch:
@@ -239,11 +238,13 @@ def continue_branch(model: ModelSpec, omega_start: float, omega_end: float, step
     positive, not finite, or at or below 4 ulps of the larger endpoint
     modulus is a ValueError, before any solve.
 
-    The loop runs in the compiled library (kgp_branch in _passes.c), one
-    call per block of BRANCH_ROWS frequencies, so that its memory does not
-    grow with the range; each point is solved as solve_profile solves it, and
+    The loop runs in the compiled library in one call (kgp_branch in
+    _passes.c), which forms each frequency as it reaches it and grows its
+    rows as it solves, so that its memory grows with the points solved and
+    not with the range; each point is solved as solve_profile solves it, and
     the waves are bit for bit those of the loop of solve_profile calls it
-    replaced.  The Branch holds them as rows too, for the CSV.
+    replaced.  The Branch holds their rows and makes a wave of a row only
+    when it is read.
     """
     m = model.mass
     if not (abs(omega_start) < m and abs(omega_end) < m):
@@ -259,20 +260,15 @@ def continue_branch(model: ModelSpec, omega_start: float, omega_end: float, step
     direction = 1.0 if span >= 0 else -1.0
     k_max = math.floor(abs(span) / step + 1e-12)
     compiled = _compiled()
-    march = compiled.branch(model, omega_start, direction * step, _start(model, guess), _limits())
-    block = compiled.BRANCH_ROWS
-    waves = Branch()
-    for k in range(0, k_max + 1, block):
-        status, rows, omega, residual = march(min(block, k_max + 1 - k))
-        waves.rows += rows
-        waves.extend(_waves(rows, model.count))
-        if status == compiled.ZERO:
-            waves.collapsed_at = omega
-            break
-        if status == compiled.FAILED:
-            raise NoConvergence(omega, residual, waves)
-        if status == compiled.OUT_OF_BAND:
-            kappa(model, omega)  # raises the ValueError that names omega
-        if status == compiled.NOT_FINITE:
-            raise ValueError("guess must be finite")
+    status, rows, omega, residual = compiled.branch(model, omega_start, direction * step, k_max + 1,
+                                                    _start(model, guess))
+    waves = Branch(rows)
+    if status == compiled.ZERO:
+        waves.collapsed_at = omega
+    if status == compiled.FAILED:
+        raise NoConvergence(omega, residual, waves)
+    if status == compiled.OUT_OF_BAND:
+        kappa(model, omega)  # raises the ValueError that names omega
+    if status == compiled.NOT_FINITE:
+        raise ValueError("guess must be finite")
     return waves

@@ -26,6 +26,12 @@ from kgpoint.simulator import (
 )
 from kgpoint.solitary import _NEWTON_STARTS, ConvergedToZero, NoConvergence, _newton_starts, solve_profile
 
+# Brent's constants, those of the compiled search (brent in _passes.c): the golden-section step as a fraction of the
+# larger part, the relative resolution floor, and the bracket's shrink per golden-section step
+INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+GOLDEN_FRACTION = 1.0 - INVPHI
+SQRT_EPS = math.sqrt(np.finfo(float).eps)
+
 PAIR = ModelSpec(
     1.0,
     (OscillatorSpec(0.0, (0.0, -2.0, 1.0)), OscillatorSpec(0.2, (0.0, -2.0, 1.0))),
@@ -98,7 +104,7 @@ def reference_brent_minimize(f, a, b, x, fx, tol):
     d = e = 0.0
     while True:
         m = 0.5 * (a + b)
-        tol1 = simulator._SQRT_EPS * abs(x) + tol / 3.0
+        tol1 = SQRT_EPS * abs(x) + tol / 3.0
         tol2 = 2.0 * tol1
         if abs(x - m) <= tol2 - 0.5 * (b - a):
             return
@@ -118,7 +124,7 @@ def reference_brent_minimize(f, a, b, x, fx, tol):
                 d = tol1 if x < m else -tol1
         else:
             e = (a if x >= m else b) - x
-            d = simulator._GOLDEN_FRACTION * e
+            d = GOLDEN_FRACTION * e
         u = x + (d if abs(d) >= tol1 else math.copysign(tol1, d))
         fu = f(u)
         if fu is None:
@@ -206,7 +212,7 @@ def reference_dist_to_manifold(model, grid, state, omega_grid, r_max, refined=No
                 best = ManifoldDistance(dist, w, wave)
             return dist
 
-        reference_brent_minimize(refine, lo, hi, best.best_omega, best.dist, (hi - lo) * simulator._INVPHI**24)
+        reference_brent_minimize(refine, lo, hi, best.best_omega, best.dist, (hi - lo) * INVPHI**24)
     return best
 
 

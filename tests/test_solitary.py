@@ -9,9 +9,6 @@ import pytest
 from kgpoint import _passes, solitary
 from kgpoint.model import ModelSpec, OscillatorSpec, _horner, force
 from kgpoint.solitary import (
-    MAX_ITER,
-    RESIDUAL_TOL,
-    ZERO_BRANCH_TOL,
     _coupling_matrix,
     ConvergedToZero,
     NoConvergence,
@@ -28,6 +25,10 @@ PAIR_MODEL = ModelSpec(
     1.0,
     (OscillatorSpec(0.0, (0.0, -2.0, 1.0)), OscillatorSpec(0.2, (0.0, -2.0, 1.0))),
 )
+# the reference loops' Newton limits, those of the compiled solve (MAX_ITER, RESIDUAL_TOL and ZERO_TOL in _passes.c)
+MAX_ITER = 100
+RESIDUAL_TOL = 1e-11
+ZERO_BRANCH_TOL = 1e-9
 
 
 def doubles(values):
@@ -281,7 +282,7 @@ def test_continue_branch_forms_each_frequency_as_it_reaches_it():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert waves == [] and peak < 100_000  # a list of the frequencies would take 64 MB
+    assert len(waves) == 0 and peak < 100_000  # a list of the frequencies would take 64 MB
 
 
 def test_no_convergence_carries_partial_branch():
@@ -763,6 +764,19 @@ def test_solve_profile_matches_the_python_float_newton_loop_bit_for_bit():
     assert outcomes["wave"] >= 100 and outcomes["ConvergedToZero"] >= 10 and outcomes["NoConvergence"] >= 30, outcomes
 
 
+def test_a_solve_that_reaches_the_iteration_cap_fails_with_the_reference_loops_residual():
+    # these oracle cases neither converge nor overflow: each runs all MAX_ITER iterations and fails with the last
+    # iterate's residual, which a cap of one iteration fewer changes in every case
+    capped = (27, 186, 219, 231, 249)
+    for case, model, omega, guess in oracle_cases():
+        if case in capped:
+            with pytest.raises(NoConvergence) as got:
+                solve_profile(model, omega, guess)
+            with pytest.raises(NoConvergence) as want:
+                reference_solve_profile(model, omega, guess)
+            assert _word(got.value.residual) == _word(want.value.residual), case
+
+
 # Set before the solve left numpy: two solves that both stop at residual <= 1e-11 may differ by about
 # |J^-1| 1e-11 in their amplitudes, so 1e-10 (relative to max(1, max |C|)) allows |J^-1| up to 5.
 ARRAY_LOOP_TOL = 1e-10
@@ -1000,6 +1014,6 @@ def test_a_frequency_past_the_mass_is_the_reference_loops_value_error():
 def test_a_start_the_compiled_branch_finds_not_finite_is_the_guess_refusal(monkeypatch):
     # solve_profile refused a secant start that overflowed as a guess that is not finite; test_passes checks that
     # the compiled branch reports it
-    monkeypatch.setattr(_passes, "branch", lambda *args: lambda count: (_passes.NOT_FINITE, b"", 0.3, 0.0))
+    monkeypatch.setattr(_passes, "branch", lambda *args: (_passes.NOT_FINITE, np.empty((0, 3)), 0.3, 0.0))
     with pytest.raises(ValueError, match="^guess must be finite$"):
         continue_branch(QUARTIC_MODEL, 0.1, 0.5, 0.1, [0.7])
