@@ -1,30 +1,34 @@
-"""The compiled passes, built from ``_passes.c`` on first use and loaded with ctypes: the stepping loop, the
-energy form behind every observer, the Newton solve of the solitary amplitude system, the solitary profile's
-sampler, and the CSV text of float64 rows.  One compiled point solve (``solve_point`` in the source) is behind
-every solitary solve: the single solve (``solve``), the branch continued in frequency (``branch``), and the manifold
-distance's frequency scan and the refinement of its search (``Scan``).  The steps (``bind``), the samples
-(``observer``) and the solves share one block of a model's coefficients, positions and mass, packed once per model
-object (``model_block``).  The Newton limits and Brent's constants are constants of the source, so a call passes
-only what varies; a branch's rows, which grow as it is solved, are allocated by the library and copied out.
+"""The compiled passes, built on first use into one library from their C sources and loaded with ctypes.
+
+The sources (``SOURCES``) hold one concept each: the stepping loop, the energy form behind every observer, the Newton
+solve of the solitary amplitude system, the solitary profile's sampler with the manifold distance's scan and search,
+and the CSV text of float64 rows.  What one source calls in another is declared in the header they share (``HEADER``)
+and hidden, so the library exports only the entries that ``_ENTRIES`` binds.  One compiled point solve
+(``solve_point``) is behind every solitary solve: the single solve (``solve``), the branch continued in frequency
+(``branch``), and the manifold distance's frequency scan and the refinement of its search (``Scan``).  The steps
+(``bind``), the samples (``observer``) and the solves share one block of a model's coefficients, positions and mass,
+packed once per model object (``model_block``).  The Newton limits and Brent's constants are constants of the sources,
+so a call passes only what varies; a branch's rows, which grow as it is solved, are allocated by the library and
+copied out.
 
 The library is built by Python's own C compiler (sysconfig's ``CC``) with
 ``-O3 -ffp-contract=off -lm``: no fused multiply-add and no reassociation, so
 each step keeps numpy's bits and each solve the bits of the Python-float
 Newton loop it transcribes, and no ``-march``, so a cached build runs on any
 CPU of its architecture.  The energy form sums in one fixed order of its own
-(``form_sums`` in the source), so H, Q, the energy norm, the seminorms, the
-metric and the phase fit have the same bits whatever the CPU or BLAS.  Two
-entries evaluate it, each bound once to its arrays: ``observer``, a whole
-observer sample, and ``Metric``, the metric distance to phase-fitted
-candidate waves.  ``csv_writer`` prints float64 rows as Python's ``'%.17g'``,
-by integer arithmetic on a table of powers of ten (``_powers_of_ten``), built
+(``form_sums``), so H, Q, the energy norm, the seminorms, the metric and the
+phase fit have the same bits whatever the CPU or BLAS.  Two entries evaluate
+it, each bound once to its arrays: ``observer``, a whole observer sample, and
+``Metric``, a state's own metric, which a ``Scan`` fits to its candidate
+waves.  ``csv_writer`` prints float64 rows as Python's ``'%.17g'``, by
+integer arithmetic on a table of powers of ten (``_powers_of_ten``), built
 with Python ints on the first float write.  The library is cached in
 ``$XDG_CACHE_HOME/kgpoint`` (by default ``~/.cache/kgpoint``), or where that
 is not writable in a private directory under the temp directory, named by the
-SHA-256 of the source and the compile command.  A build is compiled to a
-temporary name and renamed into place, so processes that build at once do not
-race.  A build that fails raises OSError with a one-line reason.  Loading a
-cached build imports no ``subprocess``.
+SHA-256 of every source, the header and the compile command.  A build is
+compiled to a temporary name and renamed into place, so processes that build
+at once do not race.  A build that fails raises OSError with a one-line
+reason.  Loading a cached build imports no ``subprocess``.
 """
 
 from __future__ import annotations
@@ -36,13 +40,16 @@ import shlex
 import sysconfig
 import tempfile
 from functools import cache, partial
-from itertools import chain
 
 import numpy as np
 
-SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_passes.c")
+_HERE = os.path.dirname(os.path.abspath(__file__))
+# compiled in this order by one command: the stepping loop, the energy form, the amplitude solve, the profile sampler
+# with the manifold distance's scan and search, and the CSV formatter
+SOURCES = tuple(os.path.join(_HERE, f"_passes_{part}.c") for part in ("step", "form", "solve", "search", "csv"))
+HEADER = os.path.join(_HERE, "_passes.h")
 _FLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
-_LIBS = ("-lm",)  # after the source, or a linker that drops unneeded libraries drops libm
+_LIBS = ("-lm",)  # after the sources, or a linker that drops unneeded libraries drops libm
 _POINTER, _SIZE, _DOUBLE, _INT = ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_double, ctypes.c_int
 
 
@@ -78,12 +85,6 @@ class _Metric(ctypes.Structure):
                 ("dp", _POINTER), ("dq", _POINTER), ("r_max", _SIZE), ("windows", _POINTER)]
 
 
-class _Wave(ctypes.Structure):
-    """struct kgp_wave: a candidate wave on a metric's outer window."""
-
-    _fields_ = [("p", _POINTER), ("q", _POINTER), ("n", _SIZE)]
-
-
 class _Scan(ctypes.Structure):
     """struct kgp_scan: a frequency scan's solved waves and their samples on a metric's outer window."""
 
@@ -107,7 +108,7 @@ class _Pow10(ctypes.Structure):
 _ENTRIES = {  # name: (argtypes, restype)
     "kgp_run": ((ctypes.POINTER(_Field), _INT, _SIZE), None),
     "kgp_sample": ((ctypes.POINTER(_Observer), _SIZE), _DOUBLE),
-    "kgp_fit_dist": ((ctypes.POINTER(_Metric), ctypes.POINTER(_Wave)), _DOUBLE),
+    "kgp_metric_sum": ((ctypes.POINTER(_Metric),), _DOUBLE),
     "kgp_solve": ((ctypes.POINTER(_Model), _DOUBLE, _POINTER, _POINTER), _INT),
     "kgp_branch": ((ctypes.POINTER(_Model), _DOUBLE, _DOUBLE, _SIZE, _POINTER, _POINTER, _POINTER), _INT),
     "kgp_scan": ((ctypes.POINTER(_Scan), _POINTER, _SIZE), _INT),
@@ -117,10 +118,7 @@ _ENTRIES = {  # name: (argtypes, restype)
                   _POINTER, _POINTER), None),
     "kgp_free": ((_POINTER,), None),
     "kgp_exp": ((_POINTER, _SIZE), None),
-    "kgp_residual": ((ctypes.POINTER(_Model), _POINTER, _DOUBLE, _POINTER, _POINTER, _POINTER), None),
-    "kgp_jacobian": ((_SIZE, _POINTER, _DOUBLE, _POINTER, _POINTER), None),
-    "kgp_solve_linear": ((_SIZE, _POINTER, _POINTER, _POINTER), _INT),
-    "kgp_sup_norm": ((_POINTER, _SIZE), _DOUBLE),
+    "kgp_residual": ((ctypes.POINTER(_Model), _DOUBLE, _POINTER, _POINTER), _INT),
     "kgp_format_rows": ((_POINTER, _SIZE, _SIZE, _POINTER, _POINTER), _SIZE),
 }
 POW10_K = range(-292, 341)  # the powers of ten that 17-digit printing of a float64 multiplies by
@@ -158,7 +156,7 @@ def _build(command: list[str], path: str):
     os.close(fd)
     try:
         try:
-            done = subprocess.run([*command, "-o", building, SOURCE, *_LIBS], capture_output=True, text=True,
+            done = subprocess.run([*command, "-o", building, *SOURCES, *_LIBS], capture_output=True, text=True,
                                   errors="replace")
         except OSError as err:
             raise OSError(f"cannot build the compiled passes: {command[0]}: {err.strerror or err}") from err
@@ -173,10 +171,13 @@ def _build(command: list[str], path: str):
 
 @cache
 def library() -> ctypes.CDLL:
-    """The compiled passes, built into the cache unless a build of this source and command is there."""
+    """The compiled passes, built into the cache unless a build of these sources, header and command is there."""
     command = _compile_command()
-    with open(SOURCE, "rb") as fh:
-        digest = hashlib.sha256(fh.read() + b"\0" + shlex.join([*command, *_LIBS]).encode())
+    digest = hashlib.sha256()
+    for path in (*SOURCES, HEADER):
+        with open(path, "rb") as fh:
+            digest.update(hashlib.sha256(fh.read()).digest())
+    digest.update(shlex.join([*command, *_LIBS]).encode())
     path = os.path.join(_cache_dir(), f"passes-{digest.hexdigest()}.so")
     if not os.path.exists(path):
         _build(command, path)
@@ -298,22 +299,12 @@ def observer(psi: np.ndarray, pi: np.ndarray, m2: float, dx: float, model, nodes
     return partial(library().kgp_sample, ctypes.pointer(block))
 
 
-class Wave:
-    """A candidate wave (psi, pi) on a metric's outer window, bound once for every distance to it."""
-
-    def __init__(self, psi: np.ndarray, pi: np.ndarray):
-        self.n = _pair(psi, pi)
-        block = _Wave(psi.ctypes.data, pi.ctypes.data, self.n)
-        block.arrays = (psi, pi)
-        self.block = ctypes.pointer(block)
-
-
 class Metric:
     """The metric sum 2^-R |.|_{E,R} over R = 1 ... r_max of one state (psi, pi) on the outer window's nodes.
 
     windows are the (start, stop) nodes of radius 1 ... r_max within the
-    outer window.  dist(wave) is the metric distance to the closest phase of
-    a Wave on the same nodes, and dist() the state's own metric.
+    outer window.  dist() is the state's own metric, its distance to the zero
+    wave; a Scan's closest fits the phase of each candidate wave to it.
     """
 
     def __init__(self, psi: np.ndarray, pi: np.ndarray, m2: float, dx: float, windows):
@@ -323,14 +314,10 @@ class Metric:
         block = _Metric(psi.ctypes.data, pi.ctypes.data, self.n, m2, dx, scratch[0].ctypes.data,
                         scratch[1].ctypes.data, len(windows), ctypes.addressof(ranges))
         block.arrays = (psi, pi, ranges, scratch)
-        self.block, self.fit = ctypes.pointer(block), library().kgp_fit_dist
+        self.block = ctypes.pointer(block)
 
-    def dist(self, wave: Wave | None = None) -> float:
-        if wave is None:
-            return self.fit(self.block, None)
-        if wave.n != self.n:
-            raise ValueError(f"a wave on {wave.n} nodes, the metric's window has {self.n}")
-        return self.fit(self.block, wave.block)
+    def dist(self) -> float:
+        return library().kgp_metric_sum(self.block)
 
 
 def _oscillators(positions, amplitudes):
@@ -467,13 +454,16 @@ class Scan:
         return found.dist, None if found.best < 0 else row[:], refined
 
 
-def residual(model, coupling, k2: float, amps) -> list[float]:
-    """Re and Im of 2 kappa C_J - F_J(psi_J), interleaved per J, at k2 = 2 kappa and the coupling rows exp(-kappa
-    |X_J - X_K|): the solve's own residual."""
-    c, rows = _amplitudes(model, amps), (_DOUBLE * (model.count**2))()
-    rows[:] = list(chain.from_iterable(coupling))  # filled by slice: a wrong length is refused
+def residual(model, omega: float, amps) -> list[float]:
+    """Re and Im of 2 kappa C_J - F_J(psi_J), interleaved per J, at omega, with kappa and the coupling formed as
+    every solve forms them, in one kgp_residual call: the solve's own residual.  ValueError beyond the band."""
+    c = _amplitudes(model, amps)
     res = (_DOUBLE * len(c))()
-    library().kgp_residual(model_block(model), rows, k2, c, res, (_DOUBLE * (3 * len(amps)))())
+    status = library().kgp_residual(model_block(model), omega, c, res)
+    if status < 0:
+        raise MemoryError("no memory for the amplitude system's residual")
+    if status == OUT_OF_BAND:
+        raise ValueError(f"|omega|={abs(omega)} exceeds the mass {model.mass}")
     return res[:]
 
 

@@ -17,7 +17,7 @@ One loop, ``_kdk``, steps in place on three buffers cut from one block at fixed
 offsets; its observer is bound to the live buffers once per run and must copy
 what it keeps.  The mass term sits in the stencil diagonal and the half kick
 dt/2 acc is one pre-scaled stencil.  The steps run in a small C library,
-``_passes.c``, compiled on first use and cached: one call per sample interval,
+``_passes``, compiled on first use and cached: one call per sample interval,
 or per run when nothing observes, each step one fused sweep over the field
 and then the oscillator nodes' forces, each float's arithmetic numpy's bit for
 bit.
@@ -405,7 +405,7 @@ def _window_nodes(grid: Grid, r_max: int) -> tuple[slice, tuple[slice, ...], tup
 
 
 def _bound_metric(model: ModelSpec, grid: Grid, u, windows: list[slice]):
-    """The compiled metric of u, a (psi, pi) pair on the nodes of the outer window, and its phase-fit distances."""
+    """The compiled metric of u, a (psi, pi) pair on the nodes of the outer window, which a scan fits to its waves."""
     return _compiled().Metric(*u, model.mass**2, grid.dx, [(w.start, w.stop) for w in windows])
 
 

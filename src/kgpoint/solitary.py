@@ -11,14 +11,15 @@ and the complex amplitudes C_J solve the derivative-jump system
 The solver is a damped Newton iteration in the 2N real amplitude components
 with the global phase fixed by Im C_1 = 0 (the system is invariant under a
 common phase rotation, which would otherwise make the Jacobian singular).
-It runs in the compiled library (``_passes.c``, which also holds the
+It runs in the compiled library (``_passes``, which also holds the
 stepping loop), whose point solve forms kappa and the coupling and runs
 Newton from a list of starts in order until one converges: a single solve
 (``kgp_solve``) passes one, and a branch continued in frequency runs there
 whole in one call (``kgp_branch``), as does the profile's sampler
-(``kgp_profile``).  The Newton limits are constants of that library.  This
-module checks the arguments and makes the waves and the exceptions; a
-branch's waves are made from its rows as they are read.
+(``kgp_profile``).  The residual (``kgp_residual``) forms kappa and the
+coupling as the solve does.  The Newton limits are constants of that
+library.  This module checks the arguments and makes the waves and the
+exceptions; a branch's waves are made from its rows as they are read.
 """
 
 from __future__ import annotations
@@ -132,12 +133,6 @@ def kappa(model: ModelSpec, omega: float) -> float:
     return math.sqrt(max(m * m - omega * omega, 0.0))
 
 
-def _coupling_matrix(model: ModelSpec, kap: float) -> list[list[float]]:
-    """The rows exp(-kappa |X_J - X_K|), K = 1..N, as lists of floats, for amplitude_residual."""
-    pos = model.positions
-    return [[math.exp(-kap * abs(xj - xk)) for xk in pos] for xj in pos]
-
-
 @cache
 def _compiled():
     """The compiled passes, imported on first use: not with the package, nor by a relative import per call."""
@@ -147,10 +142,9 @@ def _compiled():
 
 
 def amplitude_residual(model: ModelSpec, wave: SolitaryWave) -> np.ndarray:
-    """Real/imaginary parts of 2 kappa C_J - F_J(phi(X_J)), interleaved per J: the solve's own residual."""
-    kap = kappa(model, wave.omega)
-    c = [complex(z) for z in wave.amplitudes]
-    return np.array(_compiled().residual(model, _coupling_matrix(model, kap), 2.0 * kap, c))
+    """Real/imaginary parts of 2 kappa C_J - F_J(phi(X_J)), interleaved per J: the solve's own residual, kappa and
+    the coupling formed from wave.omega as the solve forms them; ValueError beyond the band."""
+    return np.array(_compiled().residual(model, float(wave.omega), [complex(z) for z in wave.amplitudes]))
 
 
 def _zero_wave(model: ModelSpec, omega: float) -> SolitaryWave:
@@ -178,15 +172,16 @@ def solve_profile(model: ModelSpec, omega: float, guess) -> SolitaryWave:
     is not finite, or when the gauged Jacobian has an exactly zero pivot, and
     ConvergedToZero when the iteration lands on the zero branch (every
     |C| <= ZERO_TOL), so callers can tell the trivial wave from a genuine
-    one; the three limits are constants of _passes.c.
+    one; the three limits are constants of the compiled solve.
     A guess that is not finite is a ValueError.  At omega = +-m only the
     zero wave decays, and it is returned directly.
 
-    The solve runs in the compiled library (kgp_solve in _passes.c), with no
-    numpy call: kappa, the coupling with libm's exp (the function math.exp
-    calls), the Newton loop, the gauged linear system by Gaussian elimination
-    with partial pivoting and the gauge rotations run there, operation for
-    operation those of the Python-float loop they replaced, bit for bit.
+    The solve runs in the compiled library (kgp_solve in _passes_solve.c),
+    with no numpy call: kappa, the coupling with libm's exp (the function
+    math.exp calls), the Newton loop, the gauged linear system by Gaussian
+    elimination with partial pivoting and the gauge rotations run there,
+    operation for operation those of the Python-float loop they replaced, bit
+    for bit.
     """
     kappa(model, omega)  # refuses a frequency outside the band first
     if abs(omega) == model.mass:
@@ -204,10 +199,10 @@ def solve_profile(model: ModelSpec, omega: float, guess) -> SolitaryWave:
 def profile_eval(model: ModelSpec, wave: SolitaryWave, x):
     """phi(x) = sum_J C_J exp(-kappa |x - X_J|); works on scalars and arrays.
 
-    The sum runs in the compiled library (kgp_profile in _passes.c): each term
-    numpy's complex product of C_J by the float exp, added from 0.0 one
-    oscillator after another, as the numpy loop it replaced, but with libm's
-    exp, so the bits do not depend on numpy's SIMD dispatch.
+    The sum runs in the compiled library (kgp_profile in _passes_search.c):
+    each term numpy's complex product of C_J by the float exp, added from 0.0
+    one oscillator after another, as the numpy loop it replaced, but with
+    libm's exp, so the bits do not depend on numpy's SIMD dispatch.
     """
     xs = np.asarray(x, dtype=float)
     out = _compiled().profile(xs, model.positions, wave.kappa, wave.amplitudes)
@@ -239,7 +234,7 @@ def continue_branch(model: ModelSpec, omega_start: float, omega_end: float, step
     modulus is a ValueError, before any solve.
 
     The loop runs in the compiled library in one call (kgp_branch in
-    _passes.c), which forms each frequency as it reaches it and grows its
+    _passes_solve.c), which forms each frequency as it reaches it and grows its
     rows as it solves, so that its memory grows with the points solved and
     not with the range; each point is solved as solve_profile solves it, and
     the waves are bit for bit those of the loop of solve_profile calls it

@@ -26,8 +26,8 @@ from kgpoint.simulator import (
 )
 from kgpoint.solitary import _NEWTON_STARTS, ConvergedToZero, NoConvergence, _newton_starts, solve_profile
 
-# Brent's constants, those of the compiled search (brent in _passes.c): the golden-section step as a fraction of the
-# larger part, the relative resolution floor, and the bracket's shrink per golden-section step
+# Brent's constants, those of the compiled search (brent in _passes_search.c): the golden-section step as a fraction
+# of the larger part, the relative resolution floor, and the bracket's shrink per golden-section step
 INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 GOLDEN_FRACTION = 1.0 - INVPHI
 SQRT_EPS = math.sqrt(np.finfo(float).eps)
@@ -39,7 +39,7 @@ PAIR = ModelSpec(
 OMEGAS = np.linspace(0.1, 0.8, 15)
 
 
-def golden_section_dist(model, grid, state, omega_grid, r_max):
+def golden_section_dist(probe, model, grid, state, omega_grid, r_max):
     """dist_to_manifold as it was before Brent's method: the same scan, then 24 golden-section steps.
 
     Every refinement solve starts from the best scan point's amplitudes.
@@ -54,7 +54,7 @@ def golden_section_dist(model, grid, state, omega_grid, r_max):
             wave = solve_profile(model, w, start)
         except (NoConvergence, ConvergedToZero):
             return None
-        return candidate_dist(model, grid, u, wave, outer, windows), wave
+        return candidate_dist(probe, model, grid, u, wave, outer, windows), wave
 
     default_guesses = [[s + 0j] * model.count for s in _NEWTON_STARTS]
     warm = None
@@ -175,7 +175,7 @@ def compiled_and_reference_scans(model, grid, omega_grid, r_max):
             (np.array(rows, dtype=float).tobytes(), np.array([sample for _, sample in reference]).tobytes()))
 
 
-def reference_dist_to_manifold(model, grid, state, omega_grid, r_max, refined=None, solve=solve_profile):
+def reference_dist_to_manifold(probe, model, grid, state, omega_grid, r_max, refined=None, solve=solve_profile):
     """dist_to_manifold as its Python loops ran it before the compiled scan and search: the scan, its fits, then
     Brent's refinement, each solve by solve, so that a test may pass a patched one.  The frequencies of the
     refinement's solves are appended to refined, if given."""
@@ -190,7 +190,7 @@ def reference_dist_to_manifold(model, grid, state, omega_grid, r_max, refined=No
     solved = {}  # amplitudes by frequency, the refinement's warm starts
     for wave, sample in scan:
         solved[wave.omega] = wave.amplitudes
-        dist = metric.dist(_passes.Wave(*sample))
+        dist = probe.fit_dist(metric, *sample)
         if dist < best.dist:
             best = ManifoldDistance(dist, wave.omega, wave)
 
@@ -207,7 +207,7 @@ def reference_dist_to_manifold(model, grid, state, omega_grid, r_max, refined=No
             if wave is None:
                 return None
             solved[w] = wave.amplitudes
-            dist = metric.dist(_passes.Wave(*_solitary_sample(model, grid, wave, outer)))
+            dist = probe.fit_dist(metric, *_solitary_sample(model, grid, wave, outer))
             if dist < best.dist:
                 best = ManifoldDistance(dist, w, wave)
             return dist
@@ -228,9 +228,9 @@ def benchmark_states(seed, count):
     return grid, states
 
 
-def assert_matches_reference(grid, state, omegas):
+def assert_matches_reference(probe, grid, state, omegas):
     new = dist_to_manifold(PAIR, grid, state, omegas, 5)
-    ref = golden_section_dist(PAIR, grid, state, omegas, 5)
+    ref = golden_section_dist(probe, PAIR, grid, state, omegas, 5)
     assert new.dist <= ref.dist * (1.0 + 1e-12)
     assert abs(new.best_omega - ref.best_omega) <= 2e-6
     return new
@@ -269,39 +269,39 @@ def solve_log(monkeypatch):
     return log
 
 
-def test_refinement_matches_the_golden_section_reference():
+def test_refinement_matches_the_golden_section_reference(probe):
     # the benchmark's default seed; the bound sits at the noise of the reference's own readings,
     # whose solves stop anywhere below the 1e-11 residual tolerance (see CHANGES.md)
     grid, states = benchmark_states(1, 12)
     for state in states:
-        assert_matches_reference(grid, state, OMEGAS)
+        assert_matches_reference(probe, grid, state, OMEGAS)
 
 
-def scan_only(grid, state, omegas):
+def scan_only(probe, grid, state, omegas):
     """The reference with every refinement solve failing: the best scan point."""
     def scan_solves_only(model, omega, guess):
         if omega not in omegas:
             raise NoConvergence(omega, 1.0)
         return solve_profile(model, omega, guess)
 
-    return reference_dist_to_manifold(PAIR, grid, state, omegas, 5, solve=scan_solves_only)
+    return reference_dist_to_manifold(probe, PAIR, grid, state, omegas, 5, solve=scan_solves_only)
 
 
 @pytest.mark.parametrize("omega, end", [(0.25, 0.3), (0.65, 0.6)], ids=["first", "last"])
-def test_refinement_from_a_best_scan_point_at_an_end_of_the_grid(omega, end):
+def test_refinement_from_a_best_scan_point_at_an_end_of_the_grid(probe, omega, end):
     # a wave just outside the scanned range: the closest scanned frequency is the end nearest to it
     grid = build_grid(PAIR, -10.0, 10.0, 0.02)
     state = solitary_state(PAIR, grid, solve_profile(PAIR, omega, [0.7, 0.7]))
     omegas = np.linspace(0.3, 0.6, 7)
-    scanned = scan_only(grid, state, omegas)
+    scanned = scan_only(probe, grid, state, omegas)
     assert scanned.best_omega == end
-    found = assert_matches_reference(grid, state, omegas)
+    found = assert_matches_reference(probe, grid, state, omegas)
     assert abs(found.best_omega - end) <= 0.05 and found.dist <= scanned.dist
 
 
-def test_a_failed_refinement_solve_ends_the_refinement():
+def test_a_failed_refinement_solve_ends_the_refinement(probe):
     grid, (state,) = benchmark_states(1, 1)
-    scanned = scan_only(grid, state, OMEGAS)
+    scanned = scan_only(probe, grid, state, OMEGAS)
     log = []
 
     def failing_fourth(model, omega, guess):
@@ -310,7 +310,7 @@ def test_a_failed_refinement_solve_ends_the_refinement():
             raise NoConvergence(omega, 1.0)
         return solve_profile(model, omega, guess)
 
-    found = reference_dist_to_manifold(PAIR, grid, state, OMEGAS, 5, solve=failing_fourth)
+    found = reference_dist_to_manifold(probe, PAIR, grid, state, OMEGAS, 5, solve=failing_fourth)
     refined = [w for w in log if w not in OMEGAS]
     assert len(refined) == 4  # nothing is solved after the failed fourth refinement solve
     assert found.dist <= scanned.dist
@@ -392,14 +392,14 @@ def words(found):
 
 
 @pytest.mark.parametrize("case", sorted(SEARCH_CASES))
-def test_the_compiled_search_matches_the_python_loop_word_for_word(monkeypatch, case):
+def test_the_compiled_search_matches_the_python_loop_word_for_word(probe, monkeypatch, case):
     model, grid, state, omegas, r_max = SEARCH_CASES[case]()
     reported, refined = [], []
     log_refinement_solves(monkeypatch, reported)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the clipped window's
         found = dist_to_manifold(model, grid, state, omegas, r_max)
-        expected = reference_dist_to_manifold(model, grid, state, omegas, r_max, refined)
+        expected = reference_dist_to_manifold(probe, model, grid, state, omegas, r_max, refined)
         compiled_scan, reference_scan = compiled_and_reference_scans(model, grid, omegas, r_max)
     assert compiled_scan == reference_scan  # the rows and the samples
     assert words(found) == words(expected)
@@ -412,24 +412,24 @@ def test_the_compiled_search_matches_the_python_loop_word_for_word(monkeypatch, 
 
 @pytest.mark.parametrize("case, error", [("collapsing-refinement", ConvergedToZero),
                                          ("failing-refinement", NoConvergence)])
-def test_the_pinned_refinements_end_on_the_solve_they_name(case, error):
+def test_the_pinned_refinements_end_on_the_solve_they_name(probe, case, error):
     # what ends each pinned one-solve refinement above: its solve from the best scan wave, the solved wave nearest to
     # it, as solve_profile makes it
     model, grid, state, omegas, r_max = SEARCH_CASES[case]()
     refined = []
-    found = reference_dist_to_manifold(model, grid, state, omegas, r_max, refined)
+    found = reference_dist_to_manifold(probe, model, grid, state, omegas, r_max, refined)
     (omega,) = refined
     with pytest.raises(error):
         solve_profile(model, omega, found.wave.amplitudes)
 
 
-def test_a_one_frequency_grid_is_not_refined(solve_log):
+def test_a_one_frequency_grid_is_not_refined(probe, solve_log):
     grid, (state,) = benchmark_states(1, 1)
     found = dist_to_manifold(PAIR, grid, state, [0.4], 5)
     assert solve_log == [0.4] and found.best_omega == 0.4
     outer, windows = _metric_windows(grid, 5)
     u = (state.psi[outer], state.pi[outer])
-    assert found.dist == candidate_dist(PAIR, grid, u, found.wave, outer, windows)
+    assert found.dist == candidate_dist(probe, PAIR, grid, u, found.wave, outer, windows)
 
 
 def test_the_zero_state_is_not_refined(solve_log):

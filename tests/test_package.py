@@ -25,10 +25,13 @@ def test_the_namespace_is_the_modules_public_lists():
 
 
 def test_the_kernel_source_ships_as_package_data():
-    # the stepping loop and the profile solve compile _passes.c on first use, so an installed package must carry it
+    # the stepping loop and the profile solve compile the sources and their header on first use, so an installed
+    # package must carry each of them
     pyproject = tomllib.loads((Path(__file__).parents[1] / "pyproject.toml").read_text())
-    assert os.path.dirname(_passes.SOURCE) == os.path.dirname(kgpoint.__file__)
-    assert os.path.basename(_passes.SOURCE) in pyproject["tool"]["setuptools"]["package-data"]["kgpoint"]
+    shipped = pyproject["tool"]["setuptools"]["package-data"]["kgpoint"]
+    for path in (*_passes.SOURCES, _passes.HEADER):
+        assert os.path.dirname(path) == os.path.dirname(kgpoint.__file__)
+        assert os.path.basename(path) in shipped, path
 
 
 IMPORT_FACTS = """

@@ -1,8 +1,10 @@
+import ast
 import ctypes
 import gc
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 
@@ -123,38 +125,64 @@ def test_a_warm_cache_loads_without_compiling(cold_cache, compiler_calls):
     assert len(compiler_calls) == 1 and os.listdir(cold_cache) == built
 
 
-LAYOUTS = {"kgp_field": _passes._Field, "kgp_model": _passes._Model, "kgp_observer": _passes._Observer,
-           "kgp_metric": _passes._Metric, "kgp_wave": _passes._Wave, "kgp_pow10": _passes._Pow10,
-           "kgp_scan": _passes._Scan, "kgp_nearest": _passes._Nearest}
-
-
-def test_the_ctypes_declarations_mirror_the_c_structs(tmp_path):
-    # a field out of order or of another width reads the wrong memory: a probe built from the library's source
-    # with its compile command reports sizeof and each field's offsetof and sizeof, named as ctypes names them
-    terms, expected = [], []
-    for name, declaration in LAYOUTS.items():
-        terms.append(f"sizeof(struct {name})")
+def test_the_ctypes_declarations_mirror_the_c_structs(probe):
+    # a field out of order or of another width reads the wrong memory: the probe, built from the library's sources
+    # with its compile command, reports sizeof and each field's offsetof and sizeof, named as ctypes names them
+    expected = []
+    for declaration in probe.mirrors.values():
         expected.append(ctypes.sizeof(declaration))
         for field, _ in declaration._fields_:
-            terms += [f"offsetof(struct {name}, {field})", f"sizeof(((struct {name} *)0)->{field})"]
             expected += [getattr(declaration, field).offset, getattr(declaration, field).size]
-    probe = tmp_path / "probe.c"
-    probe.write_text(f'#include "{_passes.SOURCE}"\nconst long long kgp_layout[] = {{{", ".join(terms)}}};\n')
-    built = subprocess.run([*_passes._compile_command(), "-o", str(tmp_path / "probe.so"), str(probe), *_passes._LIBS],
-                           capture_output=True, text=True)
-    assert built.returncode == 0, built.stderr
-    layout = (ctypes.c_longlong * len(terms)).in_dll(ctypes.CDLL(str(tmp_path / "probe.so")), "kgp_layout")
-    assert list(zip(terms, layout)) == list(zip(terms, expected))
+    assert probe.layout() == list(zip(probe.terms, expected))
 
 
-def test_each_entry_takes_as_many_arguments_as_its_ctypes_declaration():
+def test_each_entry_takes_as_many_arguments_as_its_ctypes_declaration(probe):
     # ctypes checks neither: an entry declared with an argument too few leaves the last one unset, and one declared
-    # nowhere is never bound; the exported functions are the source's definitions not declared static
-    with open(_passes.SOURCE) as fh:
-        definitions = re.findall(r"^(?!static\b)\w[\w *]*?\b(kgp_\w+)\(([^)]*)\)\s*\{", fh.read(), re.MULTILINE)
+    # nowhere is never bound; the exported functions are the definitions of every source not declared static
+    definitions = re.findall(r"^(?!static\b)\w[\w *]*?\b(kgp_\w+)\(([^)]*)\)\s*\{", probe.text, re.MULTILINE)
     arity = {name: 0 if params.strip() in ("", "void") else params.count(",") + 1 for name, params in definitions}
     assert sorted(arity) == sorted(_passes._ENTRIES)
     assert arity == {name: len(argtypes) for name, (argtypes, _) in _passes._ENTRIES.items()}
+
+
+@pytest.mark.skipif(shutil.which("nm") is None, reason="no nm to list the library's dynamic symbols")
+def test_the_library_exports_its_entries_and_its_residual_count_alone():
+    # what one source calls in another is hidden; the test-only parts are the probe's, not the library's
+    listed = subprocess.run(["nm", "-D", "--defined-only", _passes.library()._name], capture_output=True, text=True,
+                            check=True).stdout
+    assert sorted(line.split()[-1] for line in listed.splitlines()) == sorted([*_passes._ENTRIES, "kgp_residuals"])
+
+
+def test_every_entry_is_called_from_the_package():
+    # an entry that only the tests call belongs in the probe: each name of _ENTRIES is an attribute some module of
+    # the package reads (the library's, as library().kgp_run or a bound entry's)
+    package = os.path.dirname(_passes.__file__)
+    read = set()
+    for name in os.listdir(package):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name)) as fh:
+                read |= {node.attr for node in ast.walk(ast.parse(fh.read())) if isinstance(node, ast.Attribute)}
+    assert sorted(set(_passes._ENTRIES) - read) == []
+
+
+def test_a_byte_of_any_source_is_a_new_cache_key(tmp_path, monkeypatch):
+    # two copies of the sources that differ in one byte of the last source are built under two names
+    built = []
+    for copy, comment in (("a", b"/* a */\n"), ("b", b"/* b */\n")):
+        (tmp_path / copy).mkdir()
+        for path in (*_passes.SOURCES, _passes.HEADER):
+            with open(path, "rb") as fh:
+                text = fh.read()
+            (tmp_path / copy / os.path.basename(path)).write_bytes(text + comment * (path == _passes.SOURCES[-1]))
+        monkeypatch.setattr(_passes, "SOURCES", tuple(str(tmp_path / copy / os.path.basename(p))
+                                                      for p in _passes.SOURCES))
+        monkeypatch.setattr(_passes, "HEADER", str(tmp_path / copy / os.path.basename(_passes.HEADER)))
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        _passes.library.cache_clear()
+        built.append(os.path.basename(_passes.library()._name))
+    monkeypatch.undo()
+    _passes.library.cache_clear()
+    assert built[0] != built[1] and sorted(os.listdir(tmp_path / "cache" / "kgpoint")) == sorted(built)
 
 
 def _buffers(count):
@@ -270,17 +298,18 @@ def test_the_form_binders_refuse_a_window_outside_the_nodes(window):
         _passes.Metric(psi, pi, 1.0, 0.1, [(0, 7), window])
 
 
-def test_the_form_binders_refuse_arrays_of_unequal_length():
+def test_the_form_binders_refuse_arrays_of_unequal_length(probe):
     psi, pi = np.zeros(7, complex), np.zeros(6, complex)
     message = "psi and pi as contiguous 1-d complex arrays of one length"
+    metric = _passes.Metric(psi, psi, 1.0, 0.1, [(0, 7)])
     for bind in (lambda: _passes.observer(psi, pi, 1.0, 0.1, ONE, (3,), [], *_series(1, traced=1)),
-                 lambda: _passes.Metric(psi, pi, 1.0, 0.1, [(0, 6)]), lambda: _passes.Wave(psi, pi),
-                 lambda: _passes.Wave(psi, np.zeros(7)), lambda: _passes.Wave(psi, np.zeros(14, complex)[::2])):
+                 lambda: _passes.Metric(psi, pi, 1.0, 0.1, [(0, 6)]), lambda: probe.fit_dist(metric, psi, pi),
+                 lambda: probe.fit_dist(metric, psi, np.zeros(7)),
+                 lambda: probe.fit_dist(metric, psi, np.zeros(14, complex)[::2])):
         with pytest.raises(ValueError, match=message):
             bind()
-    metric = _passes.Metric(psi, psi, 1.0, 0.1, [(0, 7)])
     with pytest.raises(ValueError, match="a wave on 6 nodes, the metric's window has 7"):
-        metric.dist(_passes.Wave(pi, pi))
+        probe.fit_dist(metric, pi, pi)
     # the series: a column per observable and window, a trace per oscillator node, the same rows in both
     series, traces = _series(3, windows=1, traced=1)
     for blocks in ((series[:4], traces), (series, traces[:, :2]), (series, traces[:, :, :0]),

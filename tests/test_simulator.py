@@ -681,10 +681,10 @@ def test_metric_dist_axioms():
     assert dab <= energy_norm(QUARTIC, grid, diff) + 1e-12
 
 
-def candidate_dist(model, grid, u, wave, outer, windows):
+def candidate_dist(probe, model, grid, u, wave, outer, windows):
     """The metric distance from u, a (psi, pi) pair on the nodes of the outer window, to the closest phase of a wave,
     as the manifold distance's search takes it: the wave sampled on the outer window alone, the phase in closed form."""
-    return _bound_metric(model, grid, u, windows).dist(_passes.Wave(*_solitary_sample(model, grid, wave, outer)))
+    return probe.fit_dist(_bound_metric(model, grid, u, windows), *_solitary_sample(model, grid, wave, outer))
 
 
 def full_grid_candidate_dist(model, grid, state, wave, r_max):
@@ -742,7 +742,7 @@ METRIC_GRIDS = [(-50.0, 50.0), (-30.0, 12.0), (-4.3, 4.1)]
 
 
 @pytest.mark.parametrize("x_min, x_max", METRIC_GRIDS)
-def test_window_candidates_equal_the_full_grid_path_bit_for_bit(x_min, x_max):
+def test_window_candidates_equal_the_full_grid_path_bit_for_bit(probe, x_min, x_max):
     grid = build_grid(PAIR, x_min, x_max, 0.02)
     state = perturbed_solitary_state(PAIR, grid, solve_profile(PAIR, 0.4, [0.7, 0.7]), 0.1, seed=1)
     with warnings.catch_warnings():
@@ -751,7 +751,7 @@ def test_window_candidates_equal_the_full_grid_path_bit_for_bit(x_min, x_max):
         u = (state.psi[outer], state.pi[outer])
         for omega in np.linspace(0.1, 0.8, 15):
             wave = solve_profile(PAIR, float(omega), [0.7, 0.7])
-            dist = candidate_dist(PAIR, grid, u, wave, outer, windows)
+            dist = candidate_dist(probe, PAIR, grid, u, wave, outer, windows)
             assert dist == full_grid_candidate_dist(PAIR, grid, state, wave, 5)
             assert dist == pytest.approx(vdot_candidate_dist(PAIR, grid, state, wave, 5), rel=1e-13, abs=0.0)
 
@@ -771,7 +771,7 @@ def test_metric_dist_equals_the_full_grid_sum_bit_for_bit(x_min, x_max):
 
 
 @pytest.mark.parametrize("length", range(10))
-def test_the_compiled_form_keeps_the_fixed_order_on_every_lane_tail(length):
+def test_the_compiled_form_keeps_the_fixed_order_on_every_lane_tail(probe, length):
     # 0 to 9 nodes: after the last whole group of four, 0 to 3 nodes (and one cell fewer) fill the accumulators
     from kgpoint import _passes
 
@@ -808,11 +808,12 @@ def test_the_compiled_form_keeps_the_fixed_order_on_every_lane_tail(length):
     zr, zi = fixed_order_form(m2, dx, u, w)
     r = math.hypot(zr, zi)
     phase = complex(zr / r, -zi / r) if r != 0.0 else 1.0 + 0j
-    for wave, (d_psi, d_pi) in ((None, u), (_passes.Wave(*w), (u[0] - w[0] * phase, u[1] - w[1] * phase))):
+    for dist, (d_psi, d_pi) in ((metric.dist(), u),
+                                (probe.fit_dist(metric, *w), (u[0] - w[0] * phase, u[1] - w[1] * phase))):
         expected = left_to_right(0.5**R * math.sqrt(fixed_order_form(m2, dx, (d_psi[a:b], d_pi[a:b]),
                                                                      (d_psi[a:b], d_pi[a:b]))[0])
                                  for R, (a, b) in enumerate(radii, 1))
-        assert metric.dist(wave) == expected
+        assert dist == expected
 
 
 def test_the_compiled_form_keeps_the_fixed_order_on_clipped_and_edge_windows():

@@ -9,7 +9,6 @@ import pytest
 from kgpoint import _passes, solitary
 from kgpoint.model import ModelSpec, OscillatorSpec, _horner, force
 from kgpoint.solitary import (
-    _coupling_matrix,
     ConvergedToZero,
     NoConvergence,
     SolitaryWave,
@@ -25,15 +24,11 @@ PAIR_MODEL = ModelSpec(
     1.0,
     (OscillatorSpec(0.0, (0.0, -2.0, 1.0)), OscillatorSpec(0.2, (0.0, -2.0, 1.0))),
 )
-# the reference loops' Newton limits, those of the compiled solve (MAX_ITER, RESIDUAL_TOL and ZERO_TOL in _passes.c)
+# the reference loops' Newton limits, those of the compiled solve (MAX_ITER, RESIDUAL_TOL and ZERO_TOL in
+# _passes_solve.c)
 MAX_ITER = 100
 RESIDUAL_TOL = 1e-11
 ZERO_BRANCH_TOL = 1e-9
-
-
-def doubles(values):
-    values = list(values)
-    return (ctypes.c_double * len(values))(*values)
 
 
 def residual_evaluations():
@@ -41,35 +36,11 @@ def residual_evaluations():
     return ctypes.c_long.in_dll(_passes.library(), "kgp_residuals").value
 
 
-def compiled_residual(model, kap, c, coupling):
-    """The compiled residual at c, a list of Python complex, and per J its slopes (fuu, fuv, fvv)."""
-    n = model.count
-    res, slopes = doubles([0.0] * (2 * n)), doubles([0.0] * (3 * n))
-    _passes.library().kgp_residual(_passes.model_block(model), doubles(e for row in coupling for e in row),
-                                   2.0 * kap, doubles(p for z in c for p in (z.real, z.imag)), res, slopes)
-    return res[:], [tuple(slopes[3 * j:3 * j + 3]) for j in range(n)]
-
-
-def compiled_jacobian(kap, coupling, slopes):
-    """The compiled Jacobian, as a list of row lists."""
-    w = 2 * len(coupling)
-    jac = doubles([0.0] * (w * w))
-    _passes.library().kgp_jacobian(len(coupling), doubles(e for row in coupling for e in row), 2.0 * kap,
-                                   doubles(v for abc in slopes for v in abc), jac)
-    return [jac[i * w:(i + 1) * w] for i in range(w)]
-
-
-def compiled_solve_linear(a, b):
-    """The compiled elimination on copies of a (a list of row lists) and b; a zero pivot raises ZeroDivisionError."""
-    x = doubles([0.0] * len(b))
-    if _passes.library().kgp_solve_linear(len(b), doubles(e for row in a for e in row), doubles(b), x):
-        raise ZeroDivisionError("singular matrix")
-    return x[:]
-
-
-def compiled_sup_norm(x):
-    """The compiled sup-norm of the floats x."""
-    return _passes.library().kgp_sup_norm(doubles(x), len(x))
+def reference_coupling(model, kap):
+    """The rows exp(-kappa |X_J - X_K|), K = 1..N, as lists of floats: the Python coupling amplitude_residual once
+    passed to the compiled residual."""
+    pos = model.positions
+    return [[math.exp(-kap * abs(xj - xk)) for xk in pos] for xj in pos]
 
 
 def closed_form_amp_sq(omega):
@@ -354,13 +325,13 @@ def numpy_scalar_residual_and_jacobian(model, kap, c, coupling, values=None):
     return res, jac
 
 
-def residual_and_jacobian(model, kap, c, coupling):
+def residual_and_jacobian(probe, model, kap, c, coupling):
     """The solver's residual and Jacobian, composed from its two halves, as arrays."""
-    res, slopes = compiled_residual(model, kap, [complex(z) for z in c], coupling)
-    return np.array(res), np.array(compiled_jacobian(kap, coupling, slopes))
+    res, slopes = probe.residual(model, kap, [complex(z) for z in c], coupling)
+    return np.array(res), np.array(probe.jacobian(kap, coupling, slopes))
 
 
-def test_residual_and_jacobian_match_the_numpy_scalar_loop():
+def test_residual_and_jacobian_match_the_numpy_scalar_loop(probe):
     rng = np.random.default_rng(5)
     for _ in range(300):
         n = int(rng.integers(1, 5))
@@ -368,18 +339,18 @@ def test_residual_and_jacobian_match_the_numpy_scalar_loop():
         model = ModelSpec(1.0, tuple(OscillatorSpec(float(x), tuple(rng.normal(size=int(rng.integers(2, 8)))))
                                      for x in positions))
         kap = float(rng.uniform(0.0, 1.0))
-        coupling = _coupling_matrix(model, kap)
+        coupling = reference_coupling(model, kap)
         # 1e150 makes runaway iterates: overflow to inf and nan, which the caller must see
         c = (rng.normal(size=n) + 1j * rng.normal(size=n)) * rng.choice([1e-3, 1.0, 1e3, 1e150])
         with np.errstate(over="ignore", invalid="ignore"):
             expected = numpy_scalar_residual_and_jacobian(model, kap, c, coupling)
-        for got, want in zip(residual_and_jacobian(model, kap, c, coupling), expected):
+        for got, want in zip(residual_and_jacobian(probe, model, kap, c, coupling), expected):
             assert np.array_equal(got, want, equal_nan=True)
             finite = np.isfinite(want)
             assert np.array_equal(np.signbit(got[finite]), np.signbit(want[finite]))
 
 
-def test_sup_norm_matches_numpy_bit_for_bit():
+def test_sup_norm_matches_numpy_bit_for_bit(probe):
     rng = np.random.default_rng(7)
     cases = [np.array([-0.0, -0.0]), np.array([0.0, -0.0, 0.0, -0.0]),
              np.array([np.inf, np.nan]), np.array([np.nan, -np.inf]), np.array([1.0, -np.inf, np.nan, 2.0])]
@@ -392,15 +363,35 @@ def test_sup_norm_matches_numpy_bit_for_bit():
                 y[i] = special
                 cases.append(y)
     for x in cases:
-        assert np.float64(compiled_sup_norm(x)).tobytes() == np.max(np.abs(x)).tobytes(), x
+        assert np.float64(probe.sup_norm(x)).tobytes() == np.max(np.abs(x)).tobytes(), x
 
 
 @pytest.mark.parametrize("model, omega", [(QUARTIC_MODEL, 0.5), (PAIR_MODEL, 0.4), (PAIR_MODEL, -0.9)])
-def test_amplitude_residual_is_the_newton_residual(model, omega):
+def test_amplitude_residual_is_the_newton_residual(probe, model, omega):
     wave = solve_profile(model, omega, [0.7] * model.count)
-    res, _ = residual_and_jacobian(model, wave.kappa, wave.amplitudes, _coupling_matrix(model, wave.kappa))
+    res, _ = residual_and_jacobian(probe, model, wave.kappa, wave.amplitudes, reference_coupling(model, wave.kappa))
     assert np.array_equal(amplitude_residual(model, wave), res)
     assert wave.residual_max == float(np.max(np.abs(res)))  # what the solve found at its last amplitudes
+
+
+@pytest.mark.parametrize("model", [QUARTIC_MODEL, PAIR_MODEL], ids=["one", "two"])
+@pytest.mark.parametrize("omega", [0.0, 0.3, 0.95, 1.0, -1.0])
+def test_amplitude_residual_forms_the_coupling_as_the_python_coupling_did(probe, model, omega):
+    # amplitude_residual once passed Python's coupling rows and 2 kappa to the compiled residual; it now forms both
+    # as the solve does, at the band's edges too, where the solve itself stops before the coupling
+    amps = [complex(0.7 - 0.4 * j, 0.2 + 0.1 * j) for j in range(model.count)]
+    kap = kappa(model, omega)
+    want, _ = probe.residual(model, kap, amps, reference_coupling(model, kap))
+    got = amplitude_residual(model, SolitaryWave(omega, kap, tuple(amps)))
+    assert np.array_equal(got.view(np.int64), np.array(want).view(np.int64))
+
+
+def test_amplitude_residual_refuses_a_frequency_beyond_the_band():
+    wave = SolitaryWave(1.0000000000000002, 0.0, (0.7 + 0j,))
+    with pytest.raises(ValueError, match="^[|]omega[|]=1.0000000000000002 exceeds the mass 1.0$"):
+        amplitude_residual(QUARTIC_MODEL, wave)
+    with pytest.raises(ValueError, match="exceeds the mass"):
+        _passes.residual(QUARTIC_MODEL, math.nan, [0.7 + 0j])
 
 
 def test_overflowing_amplitudes_give_non_finite_residuals_without_a_warning():
@@ -441,7 +432,7 @@ def system_tolerance(a, x):
 
 
 @pytest.mark.parametrize("n", range(1, 5))
-def test_elimination_matches_numpy_solve_on_gauged_systems(n):
+def test_elimination_matches_numpy_solve_on_gauged_systems(probe, n):
     rng = np.random.default_rng(40 + n)
     for case in range(60):
         positions = np.cumsum(rng.uniform(0.05, 1.0, size=n))
@@ -450,26 +441,26 @@ def test_elimination_matches_numpy_solve_on_gauged_systems(n):
         slopes = [tuple(rng.normal(size=3) * rng.choice([0.1, 1.0, 10.0])) for _ in range(n)]
         if case % 3 == 0 and n > 1:  # fuu_1 = 2 kappa: Jacobian entry (0, 0) is exactly 0 and a row swap is forced
             slopes[0] = (2.0 * kap, *slopes[0][1:])
-        jac = compiled_jacobian(kap, _coupling_matrix(model, kap), slopes)
+        jac = probe.jacobian(kap, reference_coupling(model, kap), slopes)
         jac[1] = [0.0] * (2 * n)
         jac[1][1] = 1.0
         if case % 3 == 0 and n > 1:
             assert jac[0][0] == 0.0
         b = list(rng.normal(size=2 * n))
         want = np.linalg.solve(jac, b)
-        got = compiled_solve_linear([row.copy() for row in jac], b.copy())
+        got = probe.solve_linear([row.copy() for row in jac], b.copy())
         assert np.max(np.abs(np.array(got) - want)) <= system_tolerance(np.array(jac), want), (n, case)
 
 
-def test_elimination_swaps_rows_and_refuses_a_singular_matrix():
-    assert compiled_solve_linear([[0.0, 2.0], [3.0, 0.0]], [4.0, 6.0]) == [2.0, 2.0]
+def test_elimination_swaps_rows_and_refuses_a_singular_matrix(probe):
+    assert probe.solve_linear([[0.0, 2.0], [3.0, 0.0]], [4.0, 6.0]) == [2.0, 2.0]
     with pytest.raises(ZeroDivisionError):
-        compiled_solve_linear([[0.0, 1.0], [0.0, 2.0]], [1.0, 1.0])
+        probe.solve_linear([[0.0, 1.0], [0.0, 2.0]], [1.0, 1.0])
     with pytest.raises(ZeroDivisionError):
-        compiled_solve_linear([[1.0, 2.0], [2.0, 4.0]], [1.0, 1.0])
+        probe.solve_linear([[1.0, 2.0], [2.0, 4.0]], [1.0, 1.0])
 
 
-def test_elimination_matches_the_python_float_reference_bit_for_bit():
+def test_elimination_matches_the_python_float_reference_bit_for_bit(probe):
     # ties in a pivot column must pick the first largest entry, as the Python-float loop did
     rng = np.random.default_rng(44)
     for case in range(400):
@@ -480,7 +471,7 @@ def test_elimination_matches_the_python_float_reference_bit_for_bit():
             a[int(rng.integers(k + 1, w)), k] = -a[k, k] if rng.random() < 0.5 else a[k, k]
         b = list(rng.normal(size=w))
         want = reference_solve_linear(a.tolist(), b)
-        assert np.array_equal(np.array(compiled_solve_linear(a.tolist(), b)).view(np.int64),
+        assert np.array_equal(np.array(probe.solve_linear(a.tolist(), b)).view(np.int64),
                               np.array(want).view(np.int64)), case
 
 
