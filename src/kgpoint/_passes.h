@@ -1,5 +1,5 @@
 /* The declarations that the sources of the compiled passes share: the node law (libm_pow, horner), the model
- * block, the statuses, a state's metric and a candidate wave, and the functions that one source calls in another.
+ * block, the statuses, a run, a state's metric and a candidate wave, and what one source calls in another.
  *
  * Each expression of the steps and the solve is the one it transcribes,
  * operation for operation and operand for operand, and the build fuses and
@@ -49,6 +49,25 @@ enum { KGP_SOLVED, KGP_ZERO, KGP_FAILED, KGP_OUT_OF_BAND, KGP_NOT_FINITE, KGP_NO
 
 enum { ROOM = 4 }; /* the entries a growing list first has room for, doubled as needed */
 
+/* One run, stepped and sampled in one call (kgp_evolve): the buffers p (psi), q (pi) and k (the kick), of n
+ * complex values each; dx and the step dt; the model and the node of each of its oscillators; and the samples, row
+ * k / every of the series at step k, at time t0 + k dt.  The series has rows samples: its columns t, H, Q, the
+ * energy norm and each of the nwindows seminorm windows, (start, stop) node pairs, one after another; then the
+ * traces, rows of a complex value per oscillator, p's and then q's.  k is NULL when the run takes no steps. */
+struct kgp_run {
+    double *p, *q, *k;
+    ptrdiff_t n;
+    double dx, dt;
+    const struct kgp_model *model;
+    const ptrdiff_t *sites;
+    ptrdiff_t every;
+    double t0;
+    ptrdiff_t nwindows;
+    const ptrdiff_t *windows;
+    ptrdiff_t rows;
+    double *series, *traces;
+};
+
 /* One state's metric: the state p (psi) and q (pi) on the n nodes of the outer window; the form's m2 and dx;
  * scratch dp and dq of n complex values each; and the windows of radius R = 1 ... r_max as (start, stop) node
  * pairs within the outer window */
@@ -74,6 +93,7 @@ static inline size_t newton_work(ptrdiff_t n)
 }
 
 /* _passes_form.c */
+KGP_HIDDEN double sample(const struct kgp_run *r, double m2, ptrdiff_t k);
 KGP_HIDDEN double fit_dist(const struct kgp_metric *m, const struct kgp_wave *w);
 double kgp_metric_sum(const struct kgp_metric *m);
 

@@ -5,11 +5,11 @@ solve of the solitary amplitude system, the solitary profile's sampler with the 
 and the CSV text of float64 rows.  What one source calls in another is declared in the header they share (``HEADER``)
 and hidden, so the library exports only the entries that ``_ENTRIES`` binds.  One compiled point solve
 (``solve_point``) is behind every solitary solve: the single solve (``solve``), the branch continued in frequency
-(``branch``), and the manifold distance's frequency scan and the refinement of its search (``Scan``).  The steps
-(``bind``), the samples (``observer``) and the solves share one block of a model's coefficients, positions and mass,
-packed once per model object (``model_block``).  The Newton limits and Brent's constants are constants of the sources,
-so a call passes only what varies; a branch's rows, which grow as it is solved, are allocated by the library and
-copied out.
+(``branch``), and the manifold distance's frequency scan and the refinement of its search (``Scan``).  A whole run,
+its steps and its samples, is one call on one block (``bind``); the runs and the solves share one block of a model's
+coefficients, positions and mass, packed once per model object (``model_block``).  The Newton limits and Brent's
+constants are constants of the sources, so a call passes only what varies; a branch's rows, which grow as it is
+solved, are allocated by the library and copied out.
 
 The library is built by Python's own C compiler (sysconfig's ``CC``) with
 ``-O3 -ffp-contract=off -lm``: no fused multiply-add and no reassociation, so
@@ -18,14 +18,15 @@ Newton loop it transcribes, and no ``-march``, so a cached build runs on any
 CPU of its architecture.  The energy form sums in one fixed order of its own
 (``form_sums``), so H, Q, the energy norm, the seminorms, the metric and the
 phase fit have the same bits whatever the CPU or BLAS.  Two entries evaluate
-it, each bound once to its arrays: ``observer``, a whole observer sample, and
-``Metric``, a state's own metric, which a ``Scan`` fits to its candidate
-waves.  ``csv_writer`` prints float64 rows as Python's ``'%.17g'``, by
-integer arithmetic on a table of powers of ten (``_powers_of_ten``), built
-with Python ints on the first float write.  The library is cached in
-``$XDG_CACHE_HOME/kgpoint`` (by default ``~/.cache/kgpoint``), or where that
-is not writable in a private directory under the temp directory, named by the
-SHA-256 of every source, the header and the compile command.  A build is
+it, each bound once to its arrays: ``bind``'s run, whose samples are whole
+rows of observers, and ``Metric``, a state's own metric, which a ``Scan``
+fits to its candidate waves.  ``csv_writer`` prints float64 rows as
+Python's ``'%.17g'``, by integer arithmetic on a table of powers of ten
+(``_powers_of_ten``), built with Python ints on the first float write.  The
+library is cached in ``$XDG_CACHE_HOME/kgpoint`` (by default
+``~/.cache/kgpoint``), or where that is not writable in a private directory
+under the temp directory, named by the SHA-256 of every source, the header
+and the compile command.  A build is
 compiled to a temporary name and renamed into place, so processes that build
 at once do not race.  A build that fails raises OSError with a one-line
 reason.  Loading a cached build imports no ``subprocess``.
@@ -39,7 +40,7 @@ import os
 import shlex
 import sysconfig
 import tempfile
-from functools import cache, partial
+from functools import cache
 
 import numpy as np
 
@@ -61,19 +62,12 @@ class _Model(ctypes.Structure):
                 ("ncurv", _POINTER), ("curv", _POINTER), ("positions", _POINTER), ("mass", _DOUBLE)]
 
 
-class _Field(ctypes.Structure):
-    """struct kgp_field: one run's buffers and constants, its model and the model's nodes."""
+class _Run(ctypes.Structure):
+    """struct kgp_run: one run's buffers, dx and dt, its model and the model's nodes, and its samples' cadence, windows
+    and series."""
 
-    _fields_ = [("p", _POINTER), ("q", _POINTER), ("k", _POINTER), ("n", _SIZE), ("dt", _DOUBLE),
-                ("c", _DOUBLE), ("scale", _DOUBLE), ("model", ctypes.POINTER(_Model)), ("sites", _POINTER),
-                ("force_scale", _DOUBLE)]
-
-
-class _Observer(ctypes.Structure):
-    """struct kgp_observer: one observer's state, constants, model and nodes, windows and series."""
-
-    _fields_ = [("p", _POINTER), ("q", _POINTER), ("n", _SIZE), ("m2", _DOUBLE), ("dx", _DOUBLE), ("every", _SIZE),
-                ("t0", _DOUBLE), ("dt", _DOUBLE), ("model", ctypes.POINTER(_Model)), ("sites", _POINTER),
+    _fields_ = [("p", _POINTER), ("q", _POINTER), ("k", _POINTER), ("n", _SIZE), ("dx", _DOUBLE), ("dt", _DOUBLE),
+                ("model", ctypes.POINTER(_Model)), ("sites", _POINTER), ("every", _SIZE), ("t0", _DOUBLE),
                 ("nwindows", _SIZE), ("windows", _POINTER), ("rows", _SIZE), ("series", _POINTER),
                 ("traces", _POINTER)]
 
@@ -106,8 +100,7 @@ class _Pow10(ctypes.Structure):
 
 
 _ENTRIES = {  # name: (argtypes, restype)
-    "kgp_run": ((ctypes.POINTER(_Field), _INT, _SIZE), None),
-    "kgp_sample": ((ctypes.POINTER(_Observer), _SIZE), _DOUBLE),
+    "kgp_evolve": ((ctypes.POINTER(_Run), _SIZE), _SIZE),
     "kgp_metric_sum": ((ctypes.POINTER(_Metric),), _DOUBLE),
     "kgp_solve": ((ctypes.POINTER(_Model), _DOUBLE, _POINTER, _POINTER), _INT),
     "kgp_branch": ((ctypes.POINTER(_Model), _DOUBLE, _DOUBLE, _SIZE, _POINTER, _POINTER, _POINTER), _INT),
@@ -227,32 +220,6 @@ def _sites(model, nodes, first: int, last: int):
     return (_SIZE * len(nodes))(*nodes)
 
 
-def bind(psi: np.ndarray, pi: np.ndarray, kick: np.ndarray, dt: float, c: float, scale: float, model, nodes,
-         force_scale: float):
-    """The loop over three complex buffers of one length, as one call on one block of its fixed arguments.
-
-    kick's end nodes must be 0.  nodes are the nodes of model's oscillators,
-    each in 1 ... count - 2; the force at a node is added to the stencil's
-    kick times force_scale.
-
-    Returns run(primed, steps), which makes steps kick-drift-kick steps and
-    applies the last one's second half kick; kick must hold psi's kick if
-    primed, and holds it after.  The call keeps every array it points into
-    alive.
-    """
-    for a in (psi, pi, kick):
-        if a.dtype != complex or not a.flags.c_contiguous or not a.flags.writeable or a.shape != psi.shape:
-            raise ValueError("the loop needs writable contiguous complex buffers of one length")
-    count = psi.size
-    if count < 3:
-        raise ValueError(f"the loop needs at least 3 nodes, got {count}")
-    sites, packed, lib = _sites(model, nodes, 1, count - 2), model_block(model), library()
-    field = _Field(psi.ctypes.data, pi.ctypes.data, kick.ctypes.data, 2 * count, dt, c, scale, packed,
-                   ctypes.addressof(sites), force_scale)
-    field.arrays = (psi, pi, kick, packed, sites)  # the block points into them; the call holds the block
-    return partial(lib.kgp_run, ctypes.pointer(field))
-
-
 def _pair(psi: np.ndarray, pi: np.ndarray) -> int:
     """The length of a (psi, pi) pair of contiguous 1-d complex arrays of one length; ValueError otherwise."""
     for a in (psi, pi):
@@ -274,29 +241,53 @@ def _block(a: np.ndarray, dtype, shape) -> int:
     return a.ctypes.data
 
 
-def observer(psi: np.ndarray, pi: np.ndarray, m2: float, dx: float, model, nodes, windows, series, traces,
-             every: int = 1, t0: float = 0.0, dt: float = 0.0):
-    """One observer sample of (psi, pi) as one call on one block of its fixed arguments.
+def bind(psi: np.ndarray, pi: np.ndarray, kick, model, nodes, dx: float, dt: float, windows, series, traces,
+         every: int = 1, t0: float = 0.0):
+    """A run of (psi, pi), stepped and sampled in one call on one block of its fixed arguments.
 
-    nodes are the nodes of model's oscillators, whose potentials H sums;
-    windows are (start, stop) node ranges.  series holds a column per
-    observable, a row per sample: t, H, Q, the energy norm and each window's
-    seminorm; traces the rows of psi and of pi at the nodes, shape
-    (2, rows, len(nodes)).  Returns sample(k), which writes row k // every,
-    that at time t0 + k dt, and returns the squared energy norm; k // every
-    must be a row.  The call keeps every array it points into alive.
+    kick, a third complex buffer whose end nodes are 0, holds the kick of the
+    steps, which update psi and pi in place; None binds a run of no steps,
+    which only reads psi and pi.  nodes are the nodes of model's oscillators,
+    each in 1 ... len - 2 for steps (0 ... len - 1 otherwise): their forces
+    join the steps, their potentials H.  windows are (start, stop) node
+    ranges.  series holds a column per observable, a row per sample: t, H, Q,
+    the energy norm and each window's seminorm; traces the rows of psi and of
+    pi at the nodes, shape (2, rows, len(nodes)).
+
+    Returns evolve(steps), which samples step 0 into row 0, makes steps
+    kick-drift-kick steps of dt, each run of every steps followed by the
+    sample at time t0 + k dt into row k // every, and returns the first
+    sampled step past 0 whose psi is not finite, where the run stopped, or
+    -1.  steps // every must be a row.  The call keeps every array it points
+    into alive.
     """
-    count = _pair(psi, pi)
-    sites = _sites(model, nodes, 0, count - 1)
+    count, end = _pair(psi, pi), 0
+    if kick is not None:
+        for a in (psi, pi, kick):
+            if a.dtype != complex or not a.flags.c_contiguous or not a.flags.writeable or a.shape != psi.shape:
+                raise ValueError("the loop needs writable contiguous complex buffers of one length")
+        if count < 3:
+            raise ValueError(f"the loop needs at least 3 nodes, got {count}")
+        end = 1  # a step reads each site's neighbours, and the kick at the end nodes stays 0
+    sites = _sites(model, nodes, end, count - 1 - end)
     if every < 1:
         raise ValueError("every must be at least 1")
     rows = series.shape[-1]
     blocks = _block(series, float, (4 + len(windows), rows)), _block(traces, complex, (2, rows, len(nodes)))
     ranges, packed = _ranges(windows, count), model_block(model)
-    block = _Observer(psi.ctypes.data, pi.ctypes.data, count, m2, dx, every, t0, dt, packed, ctypes.addressof(sites),
-                      len(windows), ctypes.addressof(ranges), rows, *blocks)
-    block.arrays = (psi, pi, packed, sites, ranges, series, traces)  # the block points into them
-    return partial(library().kgp_sample, ctypes.pointer(block))
+    block = _Run(psi.ctypes.data, pi.ctypes.data, None if kick is None else kick.ctypes.data, count, dx, dt, packed,
+                 ctypes.addressof(sites), every, t0, len(windows), ctypes.addressof(ranges), rows, *blocks)
+    block.arrays = (psi, pi, kick, packed, sites, ranges, series, traces)  # the block points into them
+    entry, pointer = library().kgp_evolve, ctypes.pointer(block)
+
+    def evolve(steps: int) -> int:
+        if steps and kick is None:
+            raise ValueError("a run bound with no kick takes no steps")
+        if not 0 <= steps // every < rows:
+            raise ValueError(f"{steps} steps: the series has {rows} rows, a sample every {every} steps")
+        return entry(pointer, steps)
+
+    return evolve
 
 
 class Metric:

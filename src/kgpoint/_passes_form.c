@@ -1,5 +1,5 @@
-/* The energy form behind every observer: an observer sample, and a state's metric and its phase fit to a
- * candidate wave.
+/* The energy form behind every observer: a run's sample, and a state's metric and its phase fit to a candidate
+ * wave.
  *
  * The energy form sums in one fixed order of its own, written out below at
  * form_sums, with two-lane vectors of gcc's and clang's vector extensions (no
@@ -112,55 +112,36 @@ static inline double seminorm(const double *p, const double *q, ptrdiff_t len, d
     return sqrt(form_value(re, m2, dx));
 }
 
-/* One observer's fixed arguments: the state p (psi) and q (pi), n nodes; the form's m2 and dx; row k / every
- * of the series at step k, at time t0 + k dt; the model and the node of each of its oscillators; the seminorm
- * windows as (start, stop) node pairs; and the series of rows samples: its columns t, H, Q, the energy norm
- * and each window's seminorm one after another, then the traces, rows of a complex value per oscillator, p's
- * and then q's. */
-struct kgp_observer {
-    const double *p, *q;
-    ptrdiff_t n;
-    double m2, dx;
-    ptrdiff_t every;
-    double t0, dt;
-    const struct kgp_model *model;
-    const ptrdiff_t *sites;
-    ptrdiff_t nwindows;
-    const ptrdiff_t *windows;
-    ptrdiff_t rows;
-    double *series, *traces;
-};
-
-/* Sample o's state at step k into row k / every: t, H, Q, the energy norm, each window's seminorm and the
- * traces.  H is half the form plus the potentials, each model._at_node's (pow of hypot, Horner from 0.0),
- * summed left to right from 0.0; Q = -dx Im sum conj(psi) pi.  Returns the squared energy norm, finite
- * only if the whole state is. */
-double kgp_sample(const struct kgp_observer *o, ptrdiff_t k)
+/* Sample r's state at step k into row k / every: t, H, Q, the energy norm, each window's seminorm and the
+ * traces, m2 the form's.  H is half the form plus the potentials, each model._at_node's (pow of hypot, Horner from
+ * 0.0), summed left to right from 0.0; Q = -dx Im sum conj(psi) pi.  Returns the squared energy norm, finite only
+ * if the whole state is. */
+double sample(const struct kgp_run *r, double m2, ptrdiff_t k)
 {
-    const struct kgp_model *m = o->model;
-    const ptrdiff_t row = k / o->every, rows = o->rows;
-    double *column = o->series + row, *trace_p = o->traces + 2 * row * m->n;
+    const struct kgp_model *m = r->model;
+    const ptrdiff_t row = k / r->every, rows = r->rows;
+    double *column = r->series + row, *trace_p = r->traces + 2 * row * m->n;
     double *trace_q = trace_p + 2 * rows * m->n;
     double re[SUMS], im[SUMS];
-    form_sums(o->p, o->q, o->p, o->q, o->n, 0, 1, re, im);
-    const double norm2 = form_value(re, o->m2, o->dx);
+    form_sums(r->p, r->q, r->p, r->q, r->n, 0, 1, re, im);
+    const double norm2 = form_value(re, m2, r->dx);
     double u = 0.0;
     const double *coef = m->coef;
     for (ptrdiff_t i = 0; i < m->n; i++) {
-        const ptrdiff_t j = 2 * o->sites[i];
-        u = u + horner(coef, m->ncoef[i], libm_pow(hypot(o->p[j], o->p[j + 1]), 2.0));
+        const ptrdiff_t j = 2 * r->sites[i];
+        u = u + horner(coef, m->ncoef[i], libm_pow(hypot(r->p[j], r->p[j + 1]), 2.0));
         coef += m->ncoef[i];
-        memcpy(trace_p + 2 * i, o->p + j, 2 * sizeof(double));
-        memcpy(trace_q + 2 * i, o->q + j, 2 * sizeof(double));
+        memcpy(trace_p + 2 * i, r->p + j, 2 * sizeof(double));
+        memcpy(trace_q + 2 * i, r->q + j, 2 * sizeof(double));
     }
-    column[0] = o->t0 + (double)k * o->dt;
+    column[0] = r->t0 + (double)k * r->dt;
     column[rows] = 0.5 * norm2 + u;
-    column[2 * rows] = -o->dx * im[PI];
+    column[2 * rows] = -r->dx * im[PI];
     column[3 * rows] = sqrt(norm2);
-    for (ptrdiff_t w = 0; w < o->nwindows; w++) {
-        const ptrdiff_t start = o->windows[2 * w];
-        column[(4 + w) * rows] = seminorm(o->p + 2 * start, o->q + 2 * start, o->windows[2 * w + 1] - start, o->m2,
-                                          o->dx);
+    for (ptrdiff_t w = 0; w < r->nwindows; w++) {
+        const ptrdiff_t start = r->windows[2 * w];
+        column[(4 + w) * rows] = seminorm(r->p + 2 * start, r->q + 2 * start, r->windows[2 * w + 1] - start, m2,
+                                          r->dx);
     }
     return norm2;
 }

@@ -1,5 +1,5 @@
-/* The stepping loop: kick-drift-kick steps of the field on float64 views of the complex buffers, which keep
- * numpy's bits; the oscillator nodes' forces are model._at_node's on numpy scalars.
+/* A whole run: kick-drift-kick steps of the field on float64 views of the complex buffers, which keep numpy's bits,
+ * the nodes' forces model._at_node's on numpy scalars, and the energy form's samples between them (_passes_form.c).
  */
 #include <math.h>
 
@@ -57,24 +57,13 @@ static inline void sweep(double *restrict p, double *restrict q, double *restric
         stencil(p, k, j, c, scale);
 }
 
-/* run's arguments but the last two, fixed for a run: the buffers p (psi), q (pi) and k (the kick), n floats
- * each; the stencil's c and scale; the model and the node of each of its oscillators */
-struct kgp_field {
-    double *p, *q, *k;
-    ptrdiff_t n;
-    double dt, c, scale;
-    const struct kgp_model *model;
-    const ptrdiff_t *sites;
-    double force_scale;
-};
-
 /* steps kick-drift-kick steps of p (psi) and q (pi), the kick k = dt/2 acceleration; n >= 6 (3 nodes).
  *
  * k holds p's kick when primed, and is computed first otherwise; its two end
  * nodes are 0 and stay so.  Each step after the first applies the last one's
  * second half kick with its own first in one sweep; the last step's second
  * is applied before the call returns, so k holds p's kick again.  Kept out of
- * line so that the buffers stay restrict parameters: inlined into kgp_run,
+ * line so that the buffers stay restrict parameters: inlined into kgp_evolve,
  * with the pointers read from the block, gcc 12 compiles a step 7 % slower (x86-64).
  */
 static __attribute__((noinline)) void run(double *restrict p, double *restrict q, double *restrict k, ptrdiff_t n,
@@ -99,9 +88,26 @@ static __attribute__((noinline)) void run(double *restrict p, double *restrict q
         q[j] = q[j] + k[j];
 }
 
-/* steps kick-drift-kick steps of the field f (run's) */
-void kgp_run(const struct kgp_field *f, int primed, ptrdiff_t steps)
+/* The run r of steps kick-drift-kick steps, sampled at step 0 and every r->every steps: one run per sample
+ * interval, k primed from the second on, and one for the steps past the last sample.  c, scale, force_scale and
+ * m2 are Python's 2.0 + mass**2 * dx**2, 0.5 * dt / dx**2, 0.5 * dt / dx and mass**2, ** libm's pow as Python's.
+ * A sample's squared energy norm is finite only if the whole state is, so p is checked past step 0 only when it is
+ * not.  Returns the first sampled step at which p is not finite, where the run stops, or -1. */
+ptrdiff_t kgp_evolve(const struct kgp_run *r, ptrdiff_t steps)
 {
-    run(f->p, f->q, f->k, f->n, f->dt, f->c, f->scale, f->model->n, f->sites, f->model->nslope, f->model->slope,
-        f->force_scale, primed, steps);
+    const struct kgp_model *m = r->model;
+    const double m2 = libm_pow(m->mass, 2.0), dx2 = libm_pow(r->dx, 2.0);
+    const double c = 2.0 + m2 * dx2, scale = 0.5 * r->dt / dx2, force_scale = 0.5 * r->dt / r->dx;
+    const ptrdiff_t every = r->every, n = 2 * r->n;
+    sample(r, m2, 0);
+    for (ptrdiff_t k = 0; k < steps;) {
+        const ptrdiff_t interval = steps - k < every ? steps - k : every;
+        run(r->p, r->q, r->k, n, r->dt, c, scale, m->n, r->sites, m->nslope, m->slope, force_scale, k > 0, interval);
+        k += interval;
+        if (interval == every && !isfinite(sample(r, m2, k)))
+            for (ptrdiff_t j = 0; j < n; j++)
+                if (!isfinite(r->p[j]))
+                    return k;
+    }
+    return -1;
 }

@@ -234,7 +234,7 @@ def _record_run(run: RunConfig, out_dir: Path, model, grid, state: FieldState, s
     except UnboundedPotentialError:
         bound = None
     scale = max(abs(h0), 1.0)
-    steps = int(round(run.T / abs(run.dt)))
+    steps = _check_run(model, grid, run.dt, run.T, run.observe_every)
     checked = list(series.energy_norm) + ([energy_norm(model, grid, final)] if steps % run.observe_every else [])
     summary = {
         "grid": {"dx": grid.dx, "count": grid.count, "x_min": grid.x_min, "x_max": grid.x_max},
@@ -273,7 +273,7 @@ def _prepare_run(cfg: ExperimentConfig, seed=None) -> tuple:
     if model is None:
         raise ConfigError("simulate requires a [model] section or counterexample initial data")
     grid = build_grid(model, cfg.grid.x_min, cfg.grid.x_max, cfg.grid.dx_target)
-    steps = _check_run(model, grid, cfg.run.dt, cfg.run.T, cfg.run.observe_every)
+    steps = _check_run(model, grid, cfg.run.dt, cfg.run.T, cfg.run.observe_every, cfg.run.seminorm_radii)
     _sample_arrays(steps, cfg.run.observe_every, cfg.run.seminorm_radii, model.count)
     from . import _passes  # here, so that importing the command line loads no library
 

@@ -14,23 +14,22 @@ homogeneous Dirichlet on a domain sized so that radiation cannot return
 during an experiment.
 
 One loop, ``_kdk``, steps in place on three buffers cut from one block at fixed
-offsets; its observer is bound to the live buffers once per run and must copy
-what it keeps.  The mass term sits in the stencil diagonal and the half kick
-dt/2 acc is one pre-scaled stencil.  The steps run in a small C library,
-``_passes``, compiled on first use and cached: one call per sample interval,
-or per run when nothing observes, each step one fused sweep over the field
-and then the oscillator nodes' forces, each float's arithmetic numpy's bit for
-bit.
+offsets.  The mass term sits in the stencil diagonal and the half kick dt/2
+acc is one pre-scaled stencil.  A whole run, its steps and its samples, is
+one call of a small C library, ``_passes``, compiled on first use and cached,
+on one block of the run's buffers, model and series: each step one fused
+sweep over the field and then the oscillator nodes' forces, each float's
+arithmetic numpy's bit for bit.  ``step`` is a run of one step.
 
 H, Q, the energy norm, the local seminorms, the metric and the phase fit all
 evaluate one energy form, in the same library and in one fixed order of its
 own, so their bits depend on neither the CPU nor a BLAS.  Two entries reach
-it, each bound once to its arrays.  An observer sample is one call: it writes
-a whole row of the series (t, H, Q, the energy norm, each seminorm and the
-traces), the potentials ``model._at_node``'s at each oscillator node, and
-``hamiltonian``, ``charge``, ``energy_norm`` and ``local_seminorm`` are such a
-sample of one row; it doubles as the check that the field is finite.  The
-steps, the samples and the profile solves share one block of the model's
+it, each bound once to its arrays.  A sample writes a whole row of the
+series (t, H, Q, the energy norm, each seminorm and the traces), the
+potentials ``model._at_node``'s at each oscillator node, and
+``hamiltonian``, ``charge``, ``energy_norm`` and ``local_seminorm`` are the
+one sample of a run of no steps; it doubles as the check that the field is
+finite.  The runs and the profile solves share one block of the model's
 coefficients, packed once per model object.  The metric reads only the nodes
 with |x| <= r_max, so it, the phase fit and the manifold distance's candidate
 waves are evaluated there alone, a phase-fit distance in one call.
@@ -218,8 +217,10 @@ def build_grid(model: ModelSpec, x_min: float, x_max: float, dx_target: float) -
     return grid
 
 
-def _check_run(model: ModelSpec, grid: Grid, dt: float, T: float = 0.0, observe_every: int = 1) -> int:
-    """Refuse, before it starts, a run of duration T in steps of dt sampled every observe_every; return its steps.
+def _check_run(model: ModelSpec, grid: Grid, dt: float, T: float = 0.0, observe_every: int = 1,
+               radii: tuple[float, ...] = ()) -> int:
+    """Refuse, before it starts, a run of duration T in steps of dt sampled every observe_every, with the seminorm
+    of each of radii; return its steps.
 
     The step must satisfy the leapfrog stability (CFL) condition of the
     massive lattice field, |dt| < 2/sqrt(m^2 + 4/dx^2), which lies below dx
@@ -236,6 +237,8 @@ def _check_run(model: ModelSpec, grid: Grid, dt: float, T: float = 0.0, observe_
         raise ValueError(f"CFL violated: |dt|={abs(dt)} must be below 2/sqrt(m^2 + 4/dx^2)={limit} (dx={grid.dx})")
     if dt == 0.0:
         raise ValueError("dt must be nonzero")
+    if not all(R > 0 for R in radii):  # a nan too
+        raise ValueError("R must be positive")
     return int(round(T / abs(dt)))
 
 
@@ -263,30 +266,31 @@ def _require_finite(t: float, *fields: np.ndarray):
         raise FloatingPointError(f"non-finite field detected at t={t}")
 
 
-def _kdk(model: ModelSpec, grid: Grid, state: FieldState, dt: float, n_steps: int,
-         observe_every: int = 1, bind=None) -> FieldState:
-    """n_steps kick-drift-kick steps of size dt from state, in place on private buffers.
+def _kdk(model: ModelSpec, grid: Grid, state: FieldState, dt: float, n_steps: int, observe_every: int,
+         windows: dict) -> tuple[tuple[np.ndarray, np.ndarray], FieldState]:
+    """n_steps kick-drift-kick steps of size dt from state, in place on private buffers, and their samples.
 
-    bind(psi, pi), if given, is called once with the live buffers and returns
-    observe(k).  That samples them at step 0 and every observe_every steps
-    and returns the squared energy norm of (psi, pi).  The norm is finite only if
-    every psi and pi is, so psi is checked at a sample past step 0 only when
-    it is not; a non-finite psi there, or psi or pi at the end, raises
-    FloatingPointError, and a finite field whose energy overflows runs on.
+    Returns the series, _sample_arrays' pair, sampled at step 0 and every
+    observe_every steps with the seminorm of each of windows (radii to node
+    slices), and the final state.  The squared energy norm of a sample is
+    finite only if every psi and pi is, so psi is checked at a sample past
+    step 0 only when it is not; a non-finite psi there, or psi or pi at the
+    end, raises FloatingPointError, and a finite field whose energy overflows
+    runs on.
 
     A step is pi += kick; psi += pi dt; kick = ((psi[+1] - c psi) + psi[-1])
     dt/(2 dx^2), c = 2 + m^2 dx^2, plus F_J dt/(2 dx) at the oscillator nodes;
     pi += kick.  It reads (psi, pi) alone, so a restart continues bit for bit.
-    The steps run in the compiled ``_passes`` library, on float64 views of the
-    complex buffers (a real multiply per float is numpy's complex-by-real
-    product up to the sign of an exact zero), one call per sample interval of
-    observe_every steps, and one for the whole run when nothing observes.  In
-    a call, each step is one sweep, which applies the last step's second half
-    kick with this one's first, drifts and takes the stencil, and then the node
-    forces; the call applies its last step's second half kick before it
-    returns, so a sample sees the stepped field.  The three buffers are slices
-    of one page-aligned block, 1 KB apart modulo 4 KB whatever the heap held
-    before, so their streams alias in the cache alike.
+    The whole run, its steps and its samples, is one call of the compiled
+    ``_passes`` library (kgp_evolve), on float64 views of the complex buffers
+    (a real multiply per float is numpy's complex-by-real product up to the
+    sign of an exact zero).  It steps each sample interval of observe_every
+    steps as one loop, in which each step is one sweep, which applies the last
+    step's second half kick with this one's first, drifts and takes the
+    stencil, and then the node forces; the loop applies its last step's second
+    half kick before the sample, so a sample sees the stepped field.  The three
+    buffers are slices of one page-aligned block, 1 KB apart modulo 4 KB
+    whatever the heap held before, so their streams alias in the cache alike.
 
     The node forces are ``model._at_node``'s arithmetic on numpy's scalars,
     transcribed to C: |psi|^2 as libm's pow(hypot(re, im), 2).  Where |psi|^2
@@ -294,51 +298,34 @@ def _kdk(model: ModelSpec, grid: Grid, state: FieldState, dt: float, n_steps: in
     scalars, and the run raises FloatingPointError at a later sample or at the
     end.  A library that cannot be built raises OSError before the first step.
     """
+    series = _sample_arrays(n_steps, observe_every, windows, len(grid.oscillator_nodes))
     stride = -(-16 * grid.count // 4096) * 4096 + 1024  # bytes from one buffer to the next
     raw = np.empty(3 * stride + 4096, dtype=np.uint8)
     start = -raw.ctypes.data % 4096
     psi, pi, kick = (raw[start + j * stride:][:16 * grid.count].view(complex) for j in range(3))
     psi[:], pi[:], kick[0], kick[-1] = state.psi, state.pi, 0.0, 0.0  # kick's end nodes stay 0
-    run = _compiled().bind(psi, pi, kick, dt, 2.0 + model.mass**2 * grid.dx**2, 0.5 * dt / grid.dx**2, model,
-                           grid.oscillator_nodes, 0.5 * dt / grid.dx)
-    observe = None if bind is None else bind(psi, pi)
-    if observe is None:
-        run(0, n_steps)
-    else:
-        observe(0)
-        for k in range(observe_every, n_steps + 1, observe_every):
-            run(k > observe_every, observe_every)
-            if not math.isfinite(observe(k)):
-                _require_finite(state.t + k * dt, psi)
-        if n_steps % observe_every:
-            run(n_steps >= observe_every, n_steps % observe_every)
+    k = _compiled().bind(psi, pi, kick, model, grid.oscillator_nodes, grid.dx, dt,
+                         [(w.start, w.stop) for w in windows.values()], *series, observe_every, state.t)(n_steps)
+    if k >= 0:
+        raise FloatingPointError(f"non-finite field detected at t={state.t + k * dt}")
     t = state.t + n_steps * dt
     _require_finite(t, psi, pi)
-    return FieldState(psi, pi, t)
+    return series, FieldState(psi, pi, t)
 
 
 def step(model: ModelSpec, grid: Grid, state: FieldState, dt: float) -> FieldState:
     """One kick-drift-kick step; dt < 0 steps backwards (the flow is reversible)."""
     _check_run(model, grid, dt)
     _check_state(grid, state)
-    return _kdk(model, grid, state, dt, 1)
-
-
-def _observer(model: ModelSpec, grid: Grid, psi: np.ndarray, pi: np.ndarray, series: tuple, windows: dict,
-              every: int = 1, t0: float = 0.0, dt: float = 0.0):
-    """The compiled observer sample bound to (psi, pi): observe(k) writes row k // every of series and returns |.|_E^2.
-
-    series is _sample_arrays' pair and windows maps its seminorm radii to their node slices.
-    """
-    return _compiled().observer(psi, pi, model.mass**2, grid.dx, model, grid.oscillator_nodes,
-                                [(w.start, w.stop) for w in windows.values()], *series, every, t0, dt)
+    return _kdk(model, grid, state, dt, 1, 1, {})[1]
 
 
 def _functionals(model: ModelSpec, grid: Grid, state: FieldState, windows: dict | None = None) -> list[float]:
-    """[t, H, Q, energy norm, the seminorm of each window] of a state: one observer sample, of one row."""
+    """[t, H, Q, energy norm, the seminorm of each window] of a state: the one sample of a run of no steps."""
     windows = windows or {}
     series = _sample_arrays(0, 1, windows, len(grid.oscillator_nodes))
-    _observer(model, grid, state.psi, state.pi, series, windows)(0)
+    _compiled().bind(state.psi, state.pi, None, model, grid.oscillator_nodes, grid.dx, 0.0,
+                     [(w.start, w.stop) for w in windows.values()], *series)(0)
     return series[0][:, 0].tolist()
 
 
@@ -484,15 +471,10 @@ def evolve(model: ModelSpec, grid: Grid, state: FieldState, T: float, dt: float,
     2*observe_every, ...; the final state is returned even when it does not
     fall on a sample.  Traces are recorded at the oscillator nodes.
     """
-    n_steps = _check_run(model, grid, dt, T, observe_every)
+    n_steps = _check_run(model, grid, dt, T, observe_every, seminorm_radii)
     _check_state(grid, state)
     windows = {float(r): grid.window(float(r)) for r in seminorm_radii}
-    series = _sample_arrays(n_steps, observe_every, windows, len(grid.oscillator_nodes))
-
-    def bind(psi, pi):
-        return _observer(model, grid, psi, pi, series, windows, observe_every, state.t, dt)
-
-    final = _kdk(model, grid, state, dt, n_steps, observe_every, bind)
+    series, final = _kdk(model, grid, state, dt, n_steps, observe_every, windows)
     (times, energy, charges, norms, *seminorms), traces = series
     return ObserverSeries(times, energy, charges, norms, dict(zip(windows, seminorms)), *traces,
                           dt * observe_every), final

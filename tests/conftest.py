@@ -30,8 +30,8 @@ def compiled_passes():
 
 
 # the ctypes mirror of each struct of the library, by the struct's name: the probe reports each one's C layout
-LAYOUTS = {"kgp_field": "_Field", "kgp_model": "_Model", "kgp_observer": "_Observer", "kgp_metric": "_Metric",
-           "kgp_pow10": "_Pow10", "kgp_scan": "_Scan", "kgp_nearest": "_Nearest"}
+LAYOUTS = {"kgp_run": "_Run", "kgp_model": "_Model", "kgp_metric": "_Metric", "kgp_pow10": "_Pow10",
+           "kgp_scan": "_Scan", "kgp_nearest": "_Nearest"}
 
 # entries on the library's own parts that it does not export: the solve's residual at given coupling rows, its
 # Jacobian, elimination and sup-norm, and the phase fit to a candidate wave

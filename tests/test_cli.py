@@ -495,6 +495,22 @@ def test_simulate_refuses_a_non_finite_duration_or_step_before_writing(tmp_path,
     _assert_refused_before_output(capsys, out)
 
 
+@pytest.mark.parametrize("radii", ["1 -2", "0", "nan 1"], ids=["negative", "zero", "nan"])
+def test_simulate_refuses_a_seminorm_radius_before_solving_the_initial_data(tmp_path, capsys, monkeypatch, radii):
+    from kgpoint import cli
+
+    solves, solve = [], cli.solve_profile
+    monkeypatch.setattr(cli, "solve_profile", lambda *args: solves.append(args) or solve(*args))
+    out = tmp_path / "out"
+    for line, code in ((f"seminorm_radii = {radii}", 2), ("seminorm_radii = 1 2", 0)):
+        text = SINGLE_MODEL + RUN_SECTIONS.replace("seminorm_radii = 1 2", line) + PERTURBED_DATA
+        assert main(["simulate", "--config", write_config(tmp_path, text), "--out", str(out)]) == code
+        if code:
+            _assert_refused_before_output(capsys, out)
+            assert solves == []
+    assert len(solves) == 1  # the run with good radii solves its initial data
+
+
 # 1.4 EiB of node positions, 280 PiB of observer samples: beyond any address space, so numpy refuses them at
 # once without touching memory
 @pytest.mark.parametrize("line, value, warnings", [

@@ -155,7 +155,7 @@ def test_the_library_exports_its_entries_and_its_residual_count_alone():
 
 def test_every_entry_is_called_from_the_package():
     # an entry that only the tests call belongs in the probe: each name of _ENTRIES is an attribute some module of
-    # the package reads (the library's, as library().kgp_run or a bound entry's)
+    # the package reads (the library's, as library().kgp_evolve or a bound entry's)
     package = os.path.dirname(_passes.__file__)
     read = set()
     for name in os.listdir(package):
@@ -189,6 +189,10 @@ def _buffers(count):
     return [np.zeros(count, complex) for _ in range(3)]
 
 
+def _series(rows, windows=0, traced=0):
+    return np.zeros((4 + windows, rows)), np.zeros((2, rows, traced), complex)
+
+
 ONE = ModelSpec(1.0, (OscillatorSpec(0.0, (0.0, -1.0, 1.0)),))
 TWO = ModelSpec(1.0, (OscillatorSpec(0.0, (0.0, -1.0, 1.0)), OscillatorSpec(0.5, (0.0, 1.0))))
 
@@ -201,7 +205,7 @@ def test_bind_refuses_a_site_outside_the_grid_or_an_empty_slope(model, nodes, me
     # the kernel reads and writes the node of each of the model's oscillators, with no bounds check; a ModelSpec
     # cannot hold an empty slope list
     with pytest.raises(ValueError, match=message):
-        _passes.bind(*_buffers(7), 0.1, 2.0, 1.0, model, nodes, 1.0)
+        _passes.bind(*_buffers(7), model, nodes, 0.1, 0.02, [], *_series(1, traced=len(nodes)))
 
 
 def test_a_secant_start_that_overflows_stops_the_branch_as_not_finite():
@@ -255,12 +259,25 @@ def test_the_memory_the_library_hands_to_python_is_freed():
 
 def test_bind_refuses_fewer_than_three_nodes():
     with pytest.raises(ValueError, match="at least 3 nodes"):
-        _passes.bind(*_buffers(2), 0.1, 2.0, 1.0, ONE, (1,), 1.0)
+        _passes.bind(*_buffers(2), ONE, (1,), 0.1, 0.02, [], *_series(1, traced=1))
+
+
+@pytest.mark.parametrize("kick, steps, message", [
+    (True, 4, "4 steps: the series has 2 rows, a sample every 2 steps"),
+    (True, -1, "-1 steps: the series has 2 rows"), (False, 1, "a run bound with no kick takes no steps"),
+], ids=["past-the-last-row", "negative", "no-kick"])
+def test_a_bound_run_refuses_steps_it_cannot_take(kick, steps, message):
+    # the run writes row k // every of the series at each sample and steps with the kick, with no bounds check
+    psi, pi, buffer = _buffers(7)
+    run = _passes.bind(psi, pi, buffer if kick else None, ONE, (3,), 0.1, 0.02, [], *_series(2, traced=1), every=2)
+    with pytest.raises(ValueError, match=message):
+        run(steps)
+    assert run(1 if kick else 0) == -1
 
 
 def test_the_bound_call_keeps_its_arrays_alive():
-    # bind makes the site array it passes and holds the model's block; only the call holds them, and packing
-    # another model in between neither frees nor replaces the block the call was bound to
+    # bind makes the site and window arrays it passes and holds the model's block; only the call holds them, and
+    # packing another model in between neither frees nor replaces the block the call was bound to
     from kgpoint.simulator import FieldState, build_grid, step
 
     model = ModelSpec(1.0, (OscillatorSpec(0.0, (0.0, -2.0, 1.0)), OscillatorSpec(0.5, (0.1, -1.0, 0.0, 0.5))))
@@ -271,20 +288,17 @@ def test_the_bound_call_keeps_its_arrays_alive():
     expected = step(model, grid, state, 0.02)
     dx = grid.dx
     psi, pi, kick = np.array(state.psi), np.array(state.pi), np.zeros(grid.count, complex)
-    run = _passes.bind(psi, pi, kick, 0.02, 2.0 + dx**2, 0.01 / dx**2, ModelSpec(1.0, model.oscillators),
-                       list(grid.oscillator_nodes), 0.01 / dx)
+    series, traces = _series(2, windows=1, traced=2)
+    run = _passes.bind(psi, pi, kick, ModelSpec(1.0, model.oscillators), list(grid.oscillator_nodes), dx, 0.02,
+                       [(0, grid.count)], series, traces)
     other = ModelSpec(1.0, (OscillatorSpec(0.0, (5.0, 3.0, -7.0)), OscillatorSpec(0.5, (1.0, 9.0))))
     _passes.model_block(other)
     gc.collect()
     litter = [np.full(n, 10**6, dtype=dtype) for n in (2, 5) for dtype in (np.intp, np.intc, float) for _ in range(50)]
-    run(0, 1)
+    assert run(1) == -1
     assert len(litter) == 300
     assert np.array_equal(psi.view(np.int64), expected.psi.view(np.int64))
     assert np.array_equal(pi.view(np.int64), expected.pi.view(np.int64))
-
-
-def _series(rows, windows=0, traced=0):
-    return np.zeros((4 + windows, rows)), np.zeros((2, rows, traced), complex)
 
 
 @pytest.mark.parametrize("window", [(0, 8), (-1, 3), (5, 4), (7, 8)], ids=["past-the-end", "negative", "reversed",
@@ -293,7 +307,7 @@ def test_the_form_binders_refuse_a_window_outside_the_nodes(window):
     # the form reads every node of each window, with no bounds check
     psi, pi, _ = _buffers(7)
     with pytest.raises(ValueError, match="must lie within the 7 nodes"):
-        _passes.observer(psi, pi, 1.0, 0.1, ONE, (3,), [window], *_series(1, windows=1, traced=1))
+        _passes.bind(psi, pi, None, ONE, (3,), 0.1, 0.0, [window], *_series(1, windows=1, traced=1))
     with pytest.raises(ValueError, match="must lie within the 7 nodes"):
         _passes.Metric(psi, pi, 1.0, 0.1, [(0, 7), window])
 
@@ -302,7 +316,7 @@ def test_the_form_binders_refuse_arrays_of_unequal_length(probe):
     psi, pi = np.zeros(7, complex), np.zeros(6, complex)
     message = "psi and pi as contiguous 1-d complex arrays of one length"
     metric = _passes.Metric(psi, psi, 1.0, 0.1, [(0, 7)])
-    for bind in (lambda: _passes.observer(psi, pi, 1.0, 0.1, ONE, (3,), [], *_series(1, traced=1)),
+    for bind in (lambda: _passes.bind(psi, pi, None, ONE, (3,), 0.1, 0.0, [], *_series(1, traced=1)),
                  lambda: _passes.Metric(psi, pi, 1.0, 0.1, [(0, 6)]), lambda: probe.fit_dist(metric, psi, pi),
                  lambda: probe.fit_dist(metric, psi, np.zeros(7)),
                  lambda: probe.fit_dist(metric, psi, np.zeros(14, complex)[::2])):
@@ -315,15 +329,15 @@ def test_the_form_binders_refuse_arrays_of_unequal_length(probe):
     for blocks in ((series[:4], traces), (series, traces[:, :2]), (series, traces[:, :, :0]),
                    (series, traces.real.copy()), (series[:, ::2], traces[:, ::2])):
         with pytest.raises(ValueError, match="the series needs a writable contiguous"):
-            _passes.observer(psi, psi, 1.0, 0.1, ONE, (3,), [(0, 7)], *blocks)
+            _passes.bind(psi, psi, None, ONE, (3,), 0.1, 0.0, [(0, 7)], *blocks)
 
 
 def test_the_observer_binder_refuses_a_node_outside_the_state():
     psi, pi, _ = _buffers(7)
     with pytest.raises(ValueError, match=r"must lie in 0 ... 6"):
-        _passes.observer(psi, pi, 1.0, 0.1, ONE, (7,), [], *_series(1, traced=1))
+        _passes.bind(psi, pi, None, ONE, (7,), 0.1, 0.0, [], *_series(1, traced=1))
     with pytest.raises(ValueError, match="1 oscillator nodes but 2 oscillators"):
-        _passes.observer(psi, pi, 1.0, 0.1, TWO, (3,), [], *_series(1, traced=1))
+        _passes.bind(psi, pi, None, TWO, (3,), 0.1, 0.0, [], *_series(1, traced=1))
 
 
 def test_alternating_models_each_step_sample_and_solve_on_their_own_coefficients():

@@ -287,7 +287,7 @@ def test_finite_field_with_overflowing_energy_runs_on():
 
 @pytest.mark.parametrize("model", [QUARTIC, PAIR], ids=["quartic", "pair"])
 @pytest.mark.parametrize("modulus", [1e160, 1e200])
-def test_stepping_keeps_the_reference_bits_where_a_node_force_overflows(model, modulus):
+def test_stepping_keeps_the_reference_bits_where_a_node_force_overflows(monkeypatch, model, modulus):
     # |psi|^2 at the first oscillator node overflows, which raises OverflowError on the Python scalars the loop
     # reads and gives inf on the numpy scalars reference_kdk reads; the field then turns nan node by node
     grid = build_grid(model, -1.0, 1.2, 0.05)
@@ -295,13 +295,9 @@ def test_stepping_keeps_the_reference_bits_where_a_node_force_overflows(model, m
     psi[grid.oscillator_nodes[0]] = modulus * np.exp(0.3j)
     state = FieldState(psi, 0.5j * psi, 0.0)
     buffers = []
-
-    def bind(psi, pi):
-        buffers.extend((psi, pi))
-        return lambda k: 0.0  # no sample flags the field: the loop runs to the end, which raises
-
+    monkeypatch.setattr(_passes, "bind", _recording_bind(buffers))
     with pytest.raises(FloatingPointError):
-        _kdk(model, grid, state, 0.02, 6, 1, bind)
+        _kdk(model, grid, state, 0.02, 6, 7, {})  # no sample past step 0 flags the field: the run ends, which raises
     with np.errstate(over="ignore", invalid="ignore"):
         expected = reference_kdk(model, grid, state, 0.02, 6)
     assert not np.all(np.isfinite(expected[1]))
@@ -309,18 +305,27 @@ def test_stepping_keeps_the_reference_bits_where_a_node_force_overflows(model, m
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
-def _kdk_buffers(model, grid, state, dt, n_steps, observe_every):
-    """The final (psi, pi) buffers of _kdk with an observer that samples nothing, non-finite ones included."""
-    buffers = []
+def _recording_bind(buffers):
+    """_passes.bind, which also puts the (psi, pi) buffers of each run it binds in buffers."""
+    bind = _passes.bind
 
-    def bind(psi, pi):
+    def recording(psi, pi, *args):
         buffers.extend((psi, pi))
-        return lambda k: 0.0
+        return bind(psi, pi, *args)
 
-    try:
-        _kdk(model, grid, state, dt, n_steps, observe_every, bind)
-    except FloatingPointError:
-        pass
+    return recording
+
+
+def _kdk_buffers(model, grid, state, dt, n_steps):
+    """The final (psi, pi) buffers of _kdk sampled at step 0 alone, so that its loop runs to the end, non-finite
+    buffers included."""
+    buffers = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_passes, "bind", _recording_bind(buffers))
+        try:
+            _kdk(model, grid, state, dt, n_steps, n_steps + 1, {})
+        except FloatingPointError:
+            pass
     return buffers
 
 
@@ -345,7 +350,7 @@ def test_a_step_squares_node_moduli_with_libm_pow(node_values):
             state = FieldState(psi, 0.5j * psi, 0.0)
             with np.errstate(over="ignore", invalid="ignore"):
                 expected = reference_kdk(model, grid, state, 0.1, 1)
-            for got, want in zip(_kdk_buffers(model, grid, state, 0.1, 1, 1), expected):
+            for got, want in zip(_kdk_buffers(model, grid, state, 0.1, 1), expected):
                 assert np.array_equal(got.view(np.int64), want.view(np.int64)), (osc, z)
 
 
@@ -778,8 +783,9 @@ def test_the_compiled_form_keeps_the_fixed_order_on_every_lane_tail(probe, lengt
     rng = np.random.default_rng(40 + length)
     count, m2, dx = 23, 1.3, 0.05
     psi, pi, wave_psi, wave_pi = (rng.normal(size=count) + 1j * rng.normal(size=count) for _ in range(4))
-    # one oscillator of zero potential, which adds exactly 0.0 to H
-    free = ModelSpec(1.0, (OscillatorSpec(0.0, (0.0, 0.0)),))
+    # one oscillator of zero potential, which adds exactly 0.0 to H; a run's form takes its m2 as mass**2
+    free = ModelSpec(1.3, (OscillatorSpec(0.0, (0.0, 0.0)),))
+    run_m2 = free.mass**2
 
     def one_row(windows):  # the columns t, H, Q, the energy norm and a seminorm per window; the one node's traces
         return np.zeros((4 + len(windows), 1)), np.zeros((2, 1, 1), complex)
@@ -788,18 +794,19 @@ def test_the_compiled_form_keeps_the_fixed_order_on_every_lane_tail(probe, lengt
     u = (psi[:length], pi[:length])
     if length:
         series, traces = one_row([])
-        norm2 = _passes.observer(*u, m2, dx, free, (0,), [], series, traces)(0)
-        reference = fixed_order_form(m2, dx, u, u)[0]
-        assert norm2 == reference and series[1, 0] == 0.5 * reference and series[3, 0] == math.sqrt(reference)
+        assert _passes.bind(*u, None, free, (0,), dx, 0.0, [], series, traces)(0) == -1
+        reference = fixed_order_form(run_m2, dx, u, u)[0]
+        # H is half the squared norm plus 0.0, so twice H is the squared norm, exactly
+        assert 2.0 * series[1, 0] == reference and series[3, 0] == math.sqrt(reference)
         assert series[2, 0] == -dx * fixed_order_dot(*u)[1]
 
     # seminorm windows of the nodes within a larger state; the first and the last hold an end node
     windows = [(start, start + length) for start in (0, 1, 6, count - length)]
     series, traces = one_row(windows)
-    _passes.observer(psi, pi, m2, dx, free, (11,), windows, series, traces)(0)
+    _passes.bind(psi, pi, None, free, (11,), dx, 0.0, windows, series, traces)(0)
     for (start, stop), value in zip(windows, series[4:, 0]):
         v = (psi[start:stop], pi[start:stop])
-        assert value == math.sqrt(fixed_order_form(m2, dx, v, v)[0])
+        assert value == math.sqrt(fixed_order_form(run_m2, dx, v, v)[0])
 
     # the metric of the nodes and its phase fit to a wave on them, whose inner product sums the Im lanes too
     radii = [(0, length), (length // 2, length), (0, 0)]
@@ -1028,7 +1035,7 @@ def _same_bits(a, b):
     return np.array_equal(np.asarray(a).view(np.int64), np.asarray(b).view(np.int64))
 
 
-# the kernel runs a sample interval per call: intervals of 1 and 4 steps, one interval of all 1000 steps, and
+# the run steps each sample interval as one loop: intervals of 1 and 4 steps, one interval of all 1000 steps, and
 # 1000 steps with no sample after step 0; then runs of one step and of none
 @pytest.mark.parametrize("observe_every", [1, 4, 1000, 1001])
 @pytest.mark.parametrize("n_steps", [0, 1, 1000])
@@ -1048,30 +1055,25 @@ def test_sample_cadence_keeps_the_reference_bits(observe_every, n_steps, dt):
     assert _same_bits(final.psi, psi) and _same_bits(final.pi, pi)
 
 
-def test_a_run_makes_one_kernel_call_per_sample_interval(monkeypatch):
-    from kgpoint import _passes
+def test_evolve_and_step_each_make_one_library_call(monkeypatch):
+    # a run's steps and samples, its intervals and its tail, are one call of the library, whatever the cadence
+    lib, calls = _passes.library(), []
 
-    calls, bind = [], _passes.bind
+    def counted(name, entry):
+        def call(*args):
+            calls.append((name, args[1:]))
+            return entry(*args)
+        return call
 
-    def counted(*args):
-        run = bind(*args)
-
-        def counted_run(primed, steps):
-            calls.append((primed, steps))
-            run(primed, steps)
-
-        return counted_run
-
-    monkeypatch.setattr(_passes, "bind", counted)
+    for name in _passes._ENTRIES:
+        monkeypatch.setattr(lib, name, counted(name, getattr(lib, name)))
     grid = build_grid(PAIR, -6.0, 6.0, 0.02)
     state = gaussian_data(grid, 0.8 * np.exp(0.3j), 0.1, 0.7, 0.4)
-    _, final = evolve(PAIR, grid, state, 1000 * 0.009, 0.009, observe_every=7)
-    # 142 intervals of 7 steps and the 6-step tail; only the first call computes the kick it starts from
-    assert [steps for _, steps in calls] == [7] * 142 + [6]
-    assert [bool(primed) for primed, _ in calls] == [False] + [True] * 142
+    series, final = evolve(PAIR, grid, state, 1000 * 0.009, 0.009, observe_every=7, seminorm_radii=(1.0, 2.0))
+    assert calls == [("kgp_evolve", (1000,))] and len(series.times) == 143  # 142 intervals of 7 steps, a tail of 6
     calls.clear()
     assert _same_bits(step(PAIR, grid, final, 0.009).psi, reference_kdk(PAIR, grid, final, 0.009, 1)[0])
-    assert calls == [(0, 1)]  # nothing observes: one call for the whole run
+    assert calls == [("kgp_evolve", (1,))]
 
 
 @pytest.mark.parametrize("dt", [0.009, -0.009], ids=["forward", "backward"])
