@@ -3,13 +3,14 @@
 The sources (``SOURCES``) hold one concept each: the stepping loop, the energy form behind every observer, the Newton
 solve of the solitary amplitude system, the solitary profile's sampler with the manifold distance's scan and search,
 and the CSV text of float64 rows.  What one source calls in another is declared in the header they share (``HEADER``)
-and hidden, so the library exports only the entries that ``_ENTRIES`` binds.  One compiled point solve
-(``solve_point``) is behind every solitary solve: the single solve (``solve``), the branch continued in frequency
-(``branch``), and the manifold distance's frequency scan and the refinement of its search (``Scan``).  A whole run,
-its steps and its samples, is one call on one block (``bind``); the runs and the solves share one block of a model's
-coefficients, positions and mass, packed once per model object (``model_block``).  The Newton limits and Brent's
-constants are constants of the sources, so a call passes only what varies; a branch's rows, which grow as it is
-solved, are allocated by the library and copied out.
+and hidden, so the library exports only its ``kgp_`` entries.  Their ctypes declarations (``entries``) and the
+structures of their blocks (``structures``) are read from the sources, and a block is built by field name.  One
+compiled point solve (``solve_point``) is behind every solitary solve: the single solve (``solve``), the branch
+continued in frequency (``branch``), and the manifold distance's frequency scan and the refinement of its search
+(``Scan``).  A whole run, its steps and its samples, is one call on one block (``bind``); the runs and the solves
+share one block of a model's coefficients, positions and mass, packed once per model object (``model_block``).  The
+Newton limits and Brent's constants are constants of the sources, so a call passes only what varies; a branch's rows,
+which grow as it is solved, are allocated by the library and copied out.
 
 The library is built by Python's own C compiler (sysconfig's ``CC``) with
 ``-O3 -ffp-contract=off -lm``: no fused multiply-add and no reassociation, so
@@ -22,7 +23,7 @@ it, each bound once to its arrays: ``bind``'s run, whose samples are whole
 rows of observers, and ``Metric``, a state's own metric, which a ``Scan``
 fits to its candidate waves.  ``csv_writer`` prints float64 rows as
 Python's ``'%.17g'``, by integer arithmetic on a table of powers of ten
-(``_powers_of_ten``), built with Python ints on the first float write.  The
+(``_powers_of_ten``), built with Python ints on the first CSV write.  The
 library is cached in ``$XDG_CACHE_HOME/kgpoint`` (by default
 ``~/.cache/kgpoint``), or where that is not writable in a private directory
 under the temp directory, named by the SHA-256 of every source, the header
@@ -37,6 +38,7 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import os
+import re
 import shlex
 import sysconfig
 import tempfile
@@ -51,72 +53,63 @@ SOURCES = tuple(os.path.join(_HERE, f"_passes_{part}.c") for part in ("step", "f
 HEADER = os.path.join(_HERE, "_passes.h")
 _FLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
 _LIBS = ("-lm",)  # after the sources, or a linker that drops unneeded libraries drops libm
-_POINTER, _SIZE, _DOUBLE, _INT = ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_double, ctypes.c_int
-
-
-class _Model(ctypes.Structure):
-    """struct kgp_model: one model's oscillators, the coefficients of u, u' and u'' of each, their positions, and the
-    mass."""
-
-    _fields_ = [("n", _SIZE), ("ncoef", _POINTER), ("coef", _POINTER), ("nslope", _POINTER), ("slope", _POINTER),
-                ("ncurv", _POINTER), ("curv", _POINTER), ("positions", _POINTER), ("mass", _DOUBLE)]
-
-
-class _Run(ctypes.Structure):
-    """struct kgp_run: one run's buffers, dx and dt, its model and the model's nodes, and its samples' cadence, windows
-    and series."""
-
-    _fields_ = [("p", _POINTER), ("q", _POINTER), ("k", _POINTER), ("n", _SIZE), ("dx", _DOUBLE), ("dt", _DOUBLE),
-                ("model", ctypes.POINTER(_Model)), ("sites", _POINTER), ("every", _SIZE), ("t0", _DOUBLE),
-                ("nwindows", _SIZE), ("windows", _POINTER), ("rows", _SIZE), ("series", _POINTER),
-                ("traces", _POINTER)]
-
-
-class _Metric(ctypes.Structure):
-    """struct kgp_metric: one state on the metric's outer window, its windows and its scratch."""
-
-    _fields_ = [("p", _POINTER), ("q", _POINTER), ("n", _SIZE), ("m2", _DOUBLE), ("dx", _DOUBLE),
-                ("dp", _POINTER), ("dq", _POINTER), ("r_max", _SIZE), ("windows", _POINTER)]
-
-
-class _Scan(ctypes.Structure):
-    """struct kgp_scan: a frequency scan's solved waves and their samples on a metric's outer window."""
-
-    _fields_ = [("model", ctypes.POINTER(_Model)), ("nodes", _SIZE), ("x", _POINTER), ("first", _SIZE),
-                ("last", _SIZE), ("nstarts", _SIZE), ("starts", _POINTER), ("count", _SIZE), ("rows", _POINTER),
-                ("samples", _POINTER)]
-
-
-class _Nearest(ctypes.Structure):
-    """struct kgp_nearest: the wave closest to a state, and the frequencies of the refinement's solves."""
-
-    _fields_ = [("dist", _DOUBLE), ("best", _SIZE), ("row", _POINTER), ("solved", _SIZE), ("refined", _POINTER)]
-
-
-class _Pow10(ctypes.Structure):
-    """struct kgp_pow10: 10^k as t 2^exp2 <= 10^k < (t + 1) 2^exp2, t = hi 2^64 + lo with 2^127 <= t < 2^128."""
-
-    _fields_ = [("hi", ctypes.c_uint64), ("lo", ctypes.c_uint64), ("exp2", ctypes.c_int64)]
-
-
-_ENTRIES = {  # name: (argtypes, restype)
-    "kgp_evolve": ((ctypes.POINTER(_Run), _SIZE), _SIZE),
-    "kgp_metric_sum": ((ctypes.POINTER(_Metric),), _DOUBLE),
-    "kgp_solve": ((ctypes.POINTER(_Model), _DOUBLE, _POINTER, _POINTER), _INT),
-    "kgp_branch": ((ctypes.POINTER(_Model), _DOUBLE, _DOUBLE, _SIZE, _POINTER, _POINTER, _POINTER), _INT),
-    "kgp_scan": ((ctypes.POINTER(_Scan), _POINTER, _SIZE), _INT),
-    "kgp_nearest": ((ctypes.POINTER(_Metric), ctypes.POINTER(_Scan), ctypes.POINTER(_Nearest)), _INT),
-    "kgp_profile": ((_POINTER, _SIZE, _SIZE, _POINTER, _DOUBLE, _POINTER, _POINTER), None),
-    "kgp_wave": ((_POINTER, _SIZE, _SIZE, _POINTER, _DOUBLE, _POINTER, _DOUBLE, _DOUBLE, _DOUBLE, _SIZE, _SIZE,
-                  _POINTER, _POINTER), None),
-    "kgp_free": ((_POINTER,), None),
-    "kgp_exp": ((_POINTER, _SIZE), None),
-    "kgp_residual": ((ctypes.POINTER(_Model), _DOUBLE, _POINTER, _POINTER), _INT),
-    "kgp_format_rows": ((_POINTER, _SIZE, _SIZE, _POINTER, _POINTER), _SIZE),
-}
+_SIZE, _DOUBLE, _INT = ctypes.c_ssize_t, ctypes.c_double, ctypes.c_int
+# the C types that the structs and the entries pass by value, and void, an entry's return of nothing
+_SCALARS = {"double": _DOUBLE, "ptrdiff_t": _SIZE, "int": _INT, "uint64_t": ctypes.c_uint64, "int64_t": ctypes.c_int64,
+            "void": None}
+_COMMENT = re.compile(r"/\*[^*]*\*+(?:[^/*][^*]*\*+)*/|//[^\n]*")  # a /* */ comment unrolled, which re scans fast
+# a struct's definition and a function's, each matched from its literal start, which re finds fast
+_STRUCT = re.compile(r"struct\s+(kgp_\w+)\s*\{([^}]*)\}")
+_ENTRY = re.compile(r"(kgp_\w+)\s*\(([^)]*)\)\s*\{")
 POW10_K = range(-292, 341)  # the powers of ten that 17-digit printing of a float64 multiplies by
 _VALUE_BYTES, _ROW_BYTES = 25, 2  # kgp_format_rows's room for a value and for a row's line end
 _BLOCK_BYTES = 1 << 16  # the buffer a block of rows is formatted into
+
+
+def _declaration(text: str, structs, owner: str):
+    """(name, ctypes type) of one C declaration such as 'const double *x' in owner (a struct or an entry): a pointer
+    to a struct of structs is a pointer to its structure, any other pointer c_void_p; OSError for another type."""
+    text = " ".join(text.split())
+    kind = [t for t in re.findall(r"\*|\w+", text) if t not in ("const", "restrict")]  # e.g. double, *, x
+    name = kind.pop() if kind else ""
+    if re.fullmatch(r"[\w *]+", text) and kind:
+        if len(kind) == 3 and kind[0] == "struct" and kind[1] in structs and kind[2] == "*":
+            return name, ctypes.POINTER(structs[kind[1]])
+        if "*" in kind:
+            return name, ctypes.c_void_p
+        if " ".join(kind) in _SCALARS:
+            return name, _SCALARS[" ".join(kind)]
+    raise OSError(f"cannot bind the compiled passes: {owner} declares '{text}', a C type with no ctypes type here")
+
+
+@cache
+def structures(text: str) -> dict:
+    """A ctypes Structure for each struct kgp_* that the C text defines, by name, its fields named and ordered as in C.
+
+    Cached by text, so that a reload of the same sources keeps the types of
+    the blocks packed before it, which the entries' argtypes check.
+    """
+    bodies = dict(_STRUCT.findall(_COMMENT.sub(" ", text)))
+    structs = {name: type(name, (ctypes.Structure,), {}) for name in bodies}
+    for name, body in bodies.items():
+        fields = []
+        for declaration in filter(str.strip, body.split(";")):  # a type, then its declarators: double *p, *q
+            base, rest = re.match(r"\s*((?:const\s+)?(?:struct\s+)?\w*)(.*)", declaration, re.DOTALL).groups()
+            fields += [_declaration(f"{base} {each}", structs, f"struct {name}") for each in rest.split(",")]
+        structs[name]._fields_ = fields
+    return structs
+
+
+def entries(text: str, structs) -> dict:
+    """(argtypes, restype) of each function kgp_* that the C text defines and does not declare static, by name."""
+    text, found = _COMMENT.sub(" ", text), {}
+    for match in _ENTRY.finditer(text):
+        head, params = text[text.rfind("\n", 0, match.start()) + 1:match.end(1)], match[2]  # its type on its line
+        if head.split()[0] != "static":
+            name, restype = _declaration(head, structs, head.split()[-1])
+            args = params.split(",") if params.strip() not in ("", "void") else []
+            found[name] = tuple(_declaration(arg, structs, name)[1] for arg in args), restype
+    return found
 
 
 def _compile_command() -> list[str]:
@@ -164,20 +157,25 @@ def _build(command: list[str], path: str):
 
 @cache
 def library() -> ctypes.CDLL:
-    """The compiled passes, built into the cache unless a build of these sources, header and command is there."""
-    command = _compile_command()
-    digest = hashlib.sha256()
+    """The compiled passes, built into the cache unless a build of these sources, header and command is there, with
+    the entries declared as the sources define them (entries) and the structures of their structs (structs)."""
+    command, texts, digest = _compile_command(), [], hashlib.sha256()
     for path in (*SOURCES, HEADER):
         with open(path, "rb") as fh:
-            digest.update(hashlib.sha256(fh.read()).digest())
+            texts.append(fh.read())
+        digest.update(hashlib.sha256(texts[-1]).digest())
+    text = b"".join(texts).decode()
+    structs = structures(text)
+    declared = entries(text, structs)  # before a build: a type with no ctypes type is refused first
     digest.update(shlex.join([*command, *_LIBS]).encode())
     path = os.path.join(_cache_dir(), f"passes-{digest.hexdigest()}.so")
     if not os.path.exists(path):
         _build(command, path)
     lib = ctypes.CDLL(path)
-    for name, (argtypes, restype) in _ENTRIES.items():
+    for name, (argtypes, restype) in declared.items():
         entry = getattr(lib, name)
         entry.argtypes, entry.restype = argtypes, restype
+    lib.structs, lib.entries = structs, declared
     return lib
 
 
@@ -189,7 +187,8 @@ def _pack(model):
         arrays.append((_INT * len(lists))(*map(len, lists)))
         arrays.append((_DOUBLE * sum(map(len, lists)))(*(v for u in lists for v in u[::-1])))
     arrays.append((_DOUBLE * model.count)(*model.positions))
-    block = _Model(model.count, *map(ctypes.addressof, arrays), model.mass)
+    fields = zip(("ncoef", "coef", "nslope", "slope", "ncurv", "curv", "positions"), map(ctypes.addressof, arrays))
+    block = library().structs["kgp_model"](n=model.count, mass=model.mass, **dict(fields))
     block.arrays = arrays  # the block points into them and holds them
     return ctypes.pointer(block)
 
@@ -274,11 +273,13 @@ def bind(psi: np.ndarray, pi: np.ndarray, kick, model, nodes, dx: float, dt: flo
         raise ValueError("every must be at least 1")
     rows = series.shape[-1]
     blocks = _block(series, float, (4 + len(windows), rows)), _block(traces, complex, (2, rows, len(nodes)))
-    ranges, packed = _ranges(windows, count), model_block(model)
-    block = _Run(psi.ctypes.data, pi.ctypes.data, None if kick is None else kick.ctypes.data, count, dx, dt, packed,
-                 ctypes.addressof(sites), every, t0, len(windows), ctypes.addressof(ranges), rows, *blocks)
+    ranges, packed, lib = _ranges(windows, count), model_block(model), library()
+    block = lib.structs["kgp_run"](p=psi.ctypes.data, q=pi.ctypes.data, k=None if kick is None else kick.ctypes.data,
+                                   n=count, dx=dx, dt=dt, model=packed, sites=ctypes.addressof(sites), every=every,
+                                   t0=t0, nwindows=len(windows), windows=ctypes.addressof(ranges), rows=rows,
+                                   series=blocks[0], traces=blocks[1])
     block.arrays = (psi, pi, kick, packed, sites, ranges, series, traces)  # the block points into them
-    entry, pointer = library().kgp_evolve, ctypes.pointer(block)
+    entry, pointer = lib.kgp_evolve, ctypes.pointer(block)
 
     def evolve(steps: int) -> int:
         if steps and kick is None:
@@ -302,8 +303,9 @@ class Metric:
         self.n = _pair(psi, pi)
         ranges = _ranges(windows, self.n)
         scratch = np.empty((2, self.n), dtype=complex)
-        block = _Metric(psi.ctypes.data, pi.ctypes.data, self.n, m2, dx, scratch[0].ctypes.data,
-                        scratch[1].ctypes.data, len(windows), ctypes.addressof(ranges))
+        block = library().structs["kgp_metric"](p=psi.ctypes.data, q=pi.ctypes.data, n=self.n, m2=m2, dx=dx,
+                                                dp=scratch[0].ctypes.data, dq=scratch[1].ctypes.data,
+                                                r_max=len(windows), windows=ctypes.addressof(ranges))
         block.arrays = (psi, pi, ranges, scratch)
         self.block = ctypes.pointer(block)
 
@@ -412,11 +414,12 @@ class Scan:
         guesses = (_DOUBLE * (2 * model.count * len(starts)))()  # filled by slice: a start of another length is refused
         guesses[:] = [p for start in starts for z in start for p in (z.real, z.imag)]
         rows, samples = np.empty((frequencies.size, self.cols)), np.empty((frequencies.size, 2, x.size), dtype=complex)
-        packed = model_block(model)
-        block = _Scan(packed, x.size, x.ctypes.data, *ends, len(starts), ctypes.addressof(guesses), 0, rows.ctypes.data,
-                      samples.ctypes.data)
+        packed, self.library = model_block(model), library()
+        block = self.library.structs["kgp_scan"](model=packed, nodes=x.size, x=x.ctypes.data, first=ends[0],
+                                                 last=ends[1], nstarts=len(starts), starts=ctypes.addressof(guesses),
+                                                 rows=rows.ctypes.data, samples=samples.ctypes.data)
         block.arrays = (packed, x, guesses, rows, samples)  # the block points into them
-        self.block, self.library = ctypes.pointer(block), library()
+        self.block = ctypes.pointer(block)
         if self.library.kgp_scan(self.block, frequencies.ctypes.data, frequencies.size) < 0:
             raise MemoryError("no memory for the manifold distance's frequency scan")
         self.rows, self.samples = rows[:block.count], samples[:block.count]
@@ -434,7 +437,7 @@ class Scan:
         if metric.n != self.n:
             raise ValueError(f"a state on {metric.n} nodes, the scan's window has {self.n}")
         row = (_DOUBLE * self.cols)()
-        found = _Nearest(0.0, -1, ctypes.addressof(row), 0, None)
+        found = self.library.structs["kgp_nearest"](row=ctypes.addressof(row))
         status = self.library.kgp_nearest(metric.block, self.block, ctypes.byref(found))
         if status < 0:
             raise MemoryError("no memory for the manifold distance's refinement")
@@ -461,6 +464,7 @@ def residual(model, omega: float, amps) -> list[float]:
 @cache
 def _powers_of_ten():
     """struct kgp_pow10 of 10^k for each k of POW10_K, in order, from exact Python ints."""
+    pow10 = library().structs["kgp_pow10"]
 
     def entry(k):
         power = 10**abs(k)
@@ -470,9 +474,9 @@ def _powers_of_ten():
         else:  # 2^-exp2 / 10^-k lies in (2^127, 2^128)
             exp2 = -127 - power.bit_length()
             t = (1 << -exp2) // power
-        return t >> 64, t & (2**64 - 1), exp2
+        return pow10(hi=t >> 64, lo=t & (2**64 - 1), exp2=exp2)
 
-    return (_Pow10 * len(POW10_K))(*map(entry, POW10_K))
+    return (pow10 * len(POW10_K))(*map(entry, POW10_K))
 
 
 def csv_writer(rows: np.ndarray):
@@ -483,14 +487,16 @@ def csv_writer(rows: np.ndarray):
     built, before write is returned.  write formats blocks of rows into one
     buffer of about _BLOCK_BYTES, so its memory does not grow with the rows.
     """
-    if rows.dtype != float or rows.ndim != 2:
-        raise ValueError(f"the CSV formatter needs a 2-d float64 array, not {rows.ndim}-d {rows.dtype}")
+    if not isinstance(rows, np.ndarray) or rows.dtype != float or rows.ndim != 2:
+        kind = f"{rows.ndim}-d {rows.dtype}" if isinstance(rows, np.ndarray) else type(rows).__name__
+        raise ValueError(f"the CSV formatter needs a 2-d float64 array, not {kind}")
     entry, table = library().kgp_format_rows, _powers_of_ten()
+    pow10 = ctypes.cast(ctypes.addressof(table) - POW10_K.start * ctypes.sizeof(table._type_),  # the entry of 10^0
+                        ctypes.POINTER(table._type_))
     cols = rows.shape[1]
     block = max(1, _BLOCK_BYTES // (cols * _VALUE_BYTES + _ROW_BYTES))
 
     def write(fh):
-        pow10 = ctypes.addressof(table) - POW10_K.start * ctypes.sizeof(_Pow10)  # the entry of 10^0
         buffer = np.empty(block * (cols * _VALUE_BYTES + _ROW_BYTES), dtype=np.uint8)
         for start in range(0, len(rows), block):
             part = np.ascontiguousarray(rows[start:start + block])

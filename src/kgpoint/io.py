@@ -4,13 +4,11 @@ All floats are printed with 17 significant digits so every emitted value
 round-trips exactly through text, making runs reproducible across tools.
 
 Byte contract: ``write_csv`` writes the bytes of ``csv.writer`` fed with
-``fmt`` of every value (integers in decimal, other numbers as ``%.17g``,
-CRLF line ends).  The rows of a 2-d float64 array are formatted in the
-compiled library (``_passes.csv_writer``), which loads before the file or its
-directory is made; other rows one at a time, each with one ``%`` string
-instead of a call per value.  The readers parse with ``np.loadtxt`` to the
-values ``float()`` gives, and reject a row whose length differs from the
-header's.
+``fmt`` of every value (``%.17g``, CRLF line ends).  Its rows are a 2-d
+float64 array, formatted in the compiled library (``_passes.csv_writer``),
+which loads before the file or its directory is made.  The readers parse
+with ``np.loadtxt`` to the values ``float()`` gives, and reject a row whose
+length differs from the header's.
 """
 
 from __future__ import annotations
@@ -44,32 +42,22 @@ def fmt(value) -> str:
     return format(float(value), ".17g")
 
 
-def _row_format(row) -> str:
-    """The ``%`` format of one row: ``fmt``'s text for each value, comma-separated, CRLF-ended."""
-    return ",".join("%d" if isinstance(v, (int, np.integer)) else "%.17g" for v in row) + "\r\n"
-
-
 def write_csv(path, header, rows):
-    """Header, then one line per row; rows is an iterable of number sequences or a 2-d array.
+    """Header, then one line per row of rows, a 2-d float64 array such as the column stacks below.
 
-    A 2-d float64 array, such as the column stacks below, is formatted in the
-    compiled library; a library that cannot be built raises OSError before
+    The rows are formatted in the compiled library; other rows are a
+    ValueError, and a library that cannot be built an OSError, before
     anything is written.
     """
-    path = Path(path)
-    write_floats = None
-    if isinstance(rows, np.ndarray) and rows.dtype == float and rows.ndim == 2:
-        from . import _passes  # on the first float write, so importing io loads no library
+    from . import _passes  # on the first write, so importing io loads no library
 
-        write_floats = _passes.csv_writer(rows)
+    write_floats = _passes.csv_writer(rows)
+    path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(header)
-        if write_floats is None:
-            fh.writelines(_row_format(row) % tuple(row) for row in rows)
-        else:
-            fh.flush()
-            write_floats(fh.buffer)
+        fh.flush()
+        write_floats(fh.buffer)
 
 
 def write_json(path, obj):

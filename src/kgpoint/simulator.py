@@ -442,7 +442,10 @@ def perturbed_solitary_state(model: ModelSpec, grid: Grid, wave: SolitaryWave, n
     to psi and scaled so its own energy norm squared is noise_amplitude times
     that of the solitary state.  The Gaussians take libm's exp, as the
     profile does, so the state does not depend on numpy's SIMD dispatch.
+    A noise_amplitude that is negative or not finite is a ValueError.
     """
+    if not 0.0 <= noise_amplitude < math.inf:  # a nan too
+        raise ValueError(f"noise_amplitude must be finite and at least 0, got {noise_amplitude}")
     base = solitary_state(model, grid, wave)
     rng = np.random.default_rng(seed)
     x = grid.x

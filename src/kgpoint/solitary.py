@@ -173,8 +173,8 @@ def solve_profile(model: ModelSpec, omega: float, guess) -> SolitaryWave:
     ConvergedToZero when the iteration lands on the zero branch (every
     |C| <= ZERO_TOL), so callers can tell the trivial wave from a genuine
     one; the three limits are constants of the compiled solve.
-    A guess that is not finite is a ValueError.  At omega = +-m only the
-    zero wave decays, and it is returned directly.
+    A guess of another length or not finite is a ValueError, at omega = +-m
+    too, where only the zero wave decays and the compiled solve returns it.
 
     The solve runs in the compiled library (kgp_solve in _passes_solve.c),
     with no numpy call: kappa, the coupling with libm's exp (the function
@@ -184,8 +184,6 @@ def solve_profile(model: ModelSpec, omega: float, guess) -> SolitaryWave:
     for bit.
     """
     kappa(model, omega)  # refuses a frequency outside the band first
-    if abs(omega) == model.mass:
-        return _zero_wave(model, omega)
     compiled = _compiled()
     status, row = compiled.solve(model, float(omega), _start(model, guess))
     wave = _wave(row)

@@ -1,6 +1,5 @@
 import ctypes
 import subprocess
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,40 +28,43 @@ def compiled_passes():
     return _passes.library()
 
 
-# the ctypes mirror of each struct of the library, by the struct's name: the probe reports each one's C layout
-LAYOUTS = {"kgp_run": "_Run", "kgp_model": "_Model", "kgp_metric": "_Metric", "kgp_pow10": "_Pow10",
-           "kgp_scan": "_Scan", "kgp_nearest": "_Nearest"}
-
 # entries on the library's own parts that it does not export: the solve's residual at given coupling rows, its
-# Jacobian, elimination and sup-norm, and the phase fit to a candidate wave
+# Jacobian, elimination and sup-norm, and the phase fit to a candidate wave; declared by the library's reader
 PROBE_ENTRIES = """
-void probe_residual(const struct kgp_model *m, const double *coupling, double k2, const double *c, double *res,
-                    double *slopes)
+void kgp_probe_residual(const struct kgp_model *m, const double *coupling, double k2, const double *c, double *res,
+                        double *slopes)
 {
     residual(m, coupling, k2, c, res, slopes);
 }
 
-void probe_jacobian(ptrdiff_t n, const double *coupling, double k2, const double *slopes, double *jac)
+void kgp_probe_jacobian(ptrdiff_t n, const double *coupling, double k2, const double *slopes, double *jac)
 {
     jacobian(n, coupling, k2, slopes, jac);
 }
 
-int probe_solve_linear(ptrdiff_t w, double *a, double *b, double *x)
+int kgp_probe_solve_linear(ptrdiff_t w, double *a, double *b, double *x)
 {
     return solve_linear(w, a, b, x);
 }
 
-double probe_sup_norm(const double *x, ptrdiff_t len)
+double kgp_probe_sup_norm(const double *x, ptrdiff_t len)
 {
     return sup_norm(x, len);
 }
 
-double probe_fit_dist(const struct kgp_metric *m, const double *p, const double *q, ptrdiff_t n)
+double kgp_probe_fit_dist(const struct kgp_metric *m, const double *p, const double *q, ptrdiff_t n)
 {
     const struct kgp_wave w = {p, q, n};
     return fit_dist(m, &w);
 }
 """
+
+
+def probe_source() -> str:
+    """The probe's one translation unit: every source of the compiled passes, then PROBE_ENTRIES."""
+    from kgpoint import _passes
+
+    return "".join(f'#include "{path}"\n' for path in _passes.SOURCES) + PROBE_ENTRIES
 
 
 def _doubles(values):
@@ -72,40 +74,32 @@ def _doubles(values):
 
 class Probe:
     """A library built from every source of the compiled passes in one translation unit, with the library's compile
-    command: its static and hidden parts called one by one (PROBE_ENTRIES), and the layout of each struct of
-    LAYOUTS.  text is the sources' text, whose non-static definitions the library exports."""
+    command: its static and hidden parts called one by one (PROBE_ENTRIES), and the C layout of each structure that
+    the library reads from the sources (structs)."""
 
     def __init__(self, directory):
         from kgpoint import _passes
 
-        self.mirrors = {name: getattr(_passes, mirror) for name, mirror in LAYOUTS.items()}
+        self.structs = _passes.library().structs
         self.terms = []
-        for name, declaration in self.mirrors.items():
+        for name, structure in self.structs.items():
             self.terms.append(f"sizeof(struct {name})")
-            for field, _ in declaration._fields_:
+            for field, _ in structure._fields_:
                 self.terms += [f"offsetof(struct {name}, {field})", f"sizeof(((struct {name} *)0)->{field})"]
-        self.text = "".join(Path(path).read_text() for path in _passes.SOURCES)
         source = directory / "probe.c"
-        source.write_text("".join(f'#include "{path}"\n' for path in _passes.SOURCES) + PROBE_ENTRIES
-                          + f"const long long kgp_layout[] = {{{', '.join(self.terms)}}};\n")
+        source.write_text(probe_source() + f"const long long kgp_layout[] = {{{', '.join(self.terms)}}};\n")
         built = subprocess.run([*_passes._compile_command(), "-o", str(directory / "probe.so"), str(source),
                                 *_passes._LIBS], capture_output=True, text=True)
         assert built.returncode == 0, built.stderr
         self.lib = ctypes.CDLL(str(directory / "probe.so"))
         self.model_block, self.pair = _passes.model_block, _passes._pair
-        pointer, size, double = ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_double
-        for name, argtypes, restype in (
-                ("probe_residual", (ctypes.POINTER(_passes._Model), pointer, double, pointer, pointer, pointer), None),
-                ("probe_jacobian", (size, pointer, double, pointer, pointer), None),
-                ("probe_solve_linear", (size, pointer, pointer, pointer), ctypes.c_int),
-                ("probe_sup_norm", (pointer, size), double),
-                ("probe_fit_dist", (ctypes.POINTER(_passes._Metric), pointer, pointer, size), double)):
+        for name, (argtypes, restype) in _passes.entries(PROBE_ENTRIES, self.structs).items():
             entry = getattr(self.lib, name)
             entry.argtypes, entry.restype = argtypes, restype
 
     def layout(self):
-        """(term, value) of each sizeof and offsetof the probe reports, in the order of LAYOUTS and of each
-        mirror's fields."""
+        """(term, value) of each sizeof and offsetof the probe reports, in the order of structs and of each
+        structure's fields."""
         return list(zip(self.terms, (ctypes.c_longlong * len(self.terms)).in_dll(self.lib, "kgp_layout")))
 
     def residual(self, model, kap, c, coupling):
@@ -113,29 +107,29 @@ class Probe:
         slopes (fuu, fuv, fvv)."""
         n = model.count
         res, slopes = _doubles([0.0] * (2 * n)), _doubles([0.0] * (3 * n))
-        self.lib.probe_residual(self.model_block(model), _doubles(e for row in coupling for e in row), 2.0 * kap,
-                                _doubles(p for z in c for p in (z.real, z.imag)), res, slopes)
+        self.lib.kgp_probe_residual(self.model_block(model), _doubles(e for row in coupling for e in row), 2.0 * kap,
+                                    _doubles(p for z in c for p in (z.real, z.imag)), res, slopes)
         return res[:], [tuple(slopes[3 * j:3 * j + 3]) for j in range(n)]
 
     def jacobian(self, kap, coupling, slopes):
         """The solve's Jacobian, as a list of row lists."""
         w = 2 * len(coupling)
         jac = _doubles([0.0] * (w * w))
-        self.lib.probe_jacobian(len(coupling), _doubles(e for row in coupling for e in row), 2.0 * kap,
-                                _doubles(v for abc in slopes for v in abc), jac)
+        self.lib.kgp_probe_jacobian(len(coupling), _doubles(e for row in coupling for e in row), 2.0 * kap,
+                                    _doubles(v for abc in slopes for v in abc), jac)
         return [jac[i * w:(i + 1) * w] for i in range(w)]
 
     def solve_linear(self, a, b):
         """The solve's elimination on copies of a (a list of row lists) and b; a zero pivot raises
         ZeroDivisionError."""
         x = _doubles([0.0] * len(b))
-        if self.lib.probe_solve_linear(len(b), _doubles(e for row in a for e in row), _doubles(b), x):
+        if self.lib.kgp_probe_solve_linear(len(b), _doubles(e for row in a for e in row), _doubles(b), x):
             raise ZeroDivisionError("singular matrix")
         return x[:]
 
     def sup_norm(self, x):
         """The solve's sup-norm of the floats x."""
-        return self.lib.probe_sup_norm(_doubles(x), len(x))
+        return self.lib.kgp_probe_sup_norm(_doubles(x), len(x))
 
     def fit_dist(self, metric, psi, pi):
         """The metric distance from a Metric's state to the closest phase of the candidate wave (psi, pi) on the
@@ -143,7 +137,7 @@ class Probe:
         n = self.pair(psi, pi)
         if n != metric.n:
             raise ValueError(f"a wave on {n} nodes, the metric's window has {metric.n}")
-        return self.lib.probe_fit_dist(metric.block, psi.ctypes.data, pi.ctypes.data, n)
+        return self.lib.kgp_probe_fit_dist(metric.block, psi.ctypes.data, pi.ctypes.data, n)
 
 
 @pytest.fixture(scope="session")

@@ -266,11 +266,21 @@ def test_solve_step_below_the_float_spacing_exits_two(tmp_path, capsys, span):
     ["--omega", "0.4", "--guess", "nan,nan"],
     ["--omega", "0.4", "--guess", "0.7,inf"],
     ["--omega-range", "0:0.5:0.1", "--guess", "nan,0.7"],
-], ids=["nan", "inf", "branch"])
+    ["--omega", "1", "--guess", "nan,nan"],
+], ids=["nan", "inf", "branch", "band-edge"])
 def test_solve_non_finite_guess_exits_two(tmp_path, capsys, argv):
     cfg = write_config(tmp_path, BASE_MODEL)
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")] + argv) == 2
     assert capsys.readouterr().err == "domain error: guess must be finite\n"
+
+
+@pytest.mark.parametrize("omega", ["0.5", "1", "-1"])
+def test_solve_guess_of_another_length_exits_two_at_the_band_edge_too(tmp_path, capsys, omega):
+    cfg = write_config(tmp_path, BASE_MODEL)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, f"--omega={omega}", "--guess", "1", "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", "domain error: guess must have length 2\n")
+    assert not out.exists()
 
 
 def test_solve_branch_failure_reports_last_good(tmp_path, capsys):
@@ -402,6 +412,17 @@ def test_only_perturbed_data_converts_its_seed_and_noise_keys(tmp_path, capsys, 
         assert err.startswith("config error:") and err.count("\n") == 1
     else:
         assert err == SOLITARY_CLIP_WARNING
+
+
+@pytest.mark.parametrize("noise", ["-0.1", "nan", "inf"])
+def test_simulate_refuses_a_negative_or_non_finite_noise_amplitude(tmp_path, capsys, noise):
+    initial = f"\n[initial_data]\nkind = perturbed_solitary\nomega = 0.5\nnoise_amplitude = {noise}\n"
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", write_config(tmp_path, SINGLE_MODEL + RUN_SECTIONS + initial),
+                 "--out", str(out)]) == 2
+    message = f"noise_amplitude must be finite and at least 0, got {float(noise)}"
+    assert capsys.readouterr() == ("", f"domain error: {message}\n")
+    assert not out.exists()
 
 
 @pytest.mark.filterwarnings("default::UserWarning")  # the filter a command-line user runs under
@@ -606,7 +627,7 @@ def test_spectrum_pure_tone(tmp_path, capsys):
     t = np.arange(4000) * dt
     trace = np.exp(-1j * 0.5 * t)
     path = tmp_path / "trace.csv"
-    write_csv(path, ["t", "psi1_re", "psi1_im"], zip(t, trace.real, trace.imag))
+    write_csv(path, ["t", "psi1_re", "psi1_im"], np.column_stack((t, trace.real, trace.imag)))
     out = tmp_path / "spec"
     code = main(["spectrum", "--trace", str(path), "--windows", "10:80,100:80", "--out", str(out)])
     assert code == 0
@@ -636,7 +657,7 @@ def test_spectrum_of_a_backward_run(tmp_path, capsys):
     trace = np.exp(-1j * 0.5 * t)
     for name, order in (("down", slice(None)), ("up", slice(None, None, -1))):
         write_csv(tmp_path / f"{name}.csv", ["t", "psi1_re", "psi1_im"],
-                  zip(t[order], trace.real[order], trace.imag[order]))
+                  np.column_stack((t[order], trace.real[order], trace.imag[order])))
         assert main(["spectrum", "--trace", str(tmp_path / f"{name}.csv"), "--windows=-150:80",
                      "--out", str(tmp_path / name)]) == 0
     capsys.readouterr()
@@ -648,7 +669,7 @@ def test_spectrum_two_tone_reports_both_peaks(tmp_path, capsys):
     t = np.arange(4000) * dt
     trace = np.sin(0.5 * t) + 0.4 * np.sin(1.5 * t)
     path = tmp_path / "trace.csv"
-    write_csv(path, ["t", "psi1_re", "psi1_im"], zip(t, trace, np.zeros_like(t)))
+    write_csv(path, ["t", "psi1_re", "psi1_im"], np.column_stack((t, trace, np.zeros_like(t))))
     out = tmp_path / "spec"
     assert main(["spectrum", "--trace", str(path), "--windows", "10:150", "--out", str(out)]) == 0
     capsys.readouterr()
@@ -664,7 +685,7 @@ def test_spectrum_short_window_exit_two(tmp_path):
     dt = 0.05
     t = np.arange(200) * dt
     path = tmp_path / "trace.csv"
-    write_csv(path, ["t", "psi1_re", "psi1_im"], zip(t, np.cos(t), np.sin(t)))
+    write_csv(path, ["t", "psi1_re", "psi1_im"], np.column_stack((t, np.cos(t), np.sin(t))))
     assert main(["spectrum", "--trace", str(path), "--windows", "0:1", "--out", str(tmp_path / "s")]) == 2
 
 
@@ -902,7 +923,7 @@ def test_model_config_round_trip(tmp_path):
 def test_csv_json_round_trip_precision(tmp_path):
     values = [1.0 / 3.0, math.pi, 1e-17, 123456.789012345678]
     path = tmp_path / "t.csv"
-    write_csv(path, ["t", "psi1_re", "psi1_im"], [(v, v, v) for v in values])
+    write_csv(path, ["t", "psi1_re", "psi1_im"], np.column_stack((values, values, values)))
     times, trace = read_trace_csv(path)
     assert list(times) == values
     assert list(trace.real) == values

@@ -7,6 +7,7 @@ import re
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -127,22 +128,73 @@ def test_a_warm_cache_loads_without_compiling(cold_cache, compiler_calls):
 
 def test_the_ctypes_declarations_mirror_the_c_structs(probe):
     # a field out of order or of another width reads the wrong memory: the probe, built from the library's sources
-    # with its compile command, reports sizeof and each field's offsetof and sizeof, named as ctypes names them
+    # with its compile command, reports sizeof and each field's offsetof and sizeof of every struct kgp_* the sources
+    # define, named as the structures read from them name them
+    text = "".join(Path(path).read_text() for path in (*_passes.SOURCES, _passes.HEADER))
+    assert sorted(probe.structs) == sorted(set(re.findall(r"\bstruct (kgp_\w+) \{", text))) != []
     expected = []
-    for declaration in probe.mirrors.values():
-        expected.append(ctypes.sizeof(declaration))
-        for field, _ in declaration._fields_:
-            expected += [getattr(declaration, field).offset, getattr(declaration, field).size]
+    for structure in probe.structs.values():
+        expected.append(ctypes.sizeof(structure))
+        for field, _ in structure._fields_:
+            expected += [getattr(structure, field).offset, getattr(structure, field).size]
     assert probe.layout() == list(zip(probe.terms, expected))
 
 
-def test_each_entry_takes_as_many_arguments_as_its_ctypes_declaration(probe):
-    # ctypes checks neither: an entry declared with an argument too few leaves the last one unset, and one declared
-    # nowhere is never bound; the exported functions are the definitions of every source not declared static
-    definitions = re.findall(r"^(?!static\b)\w[\w *]*?\b(kgp_\w+)\(([^)]*)\)\s*\{", probe.text, re.MULTILINE)
-    arity = {name: 0 if params.strip() in ("", "void") else params.count(",") + 1 for name, params in definitions}
-    assert sorted(arity) == sorted(_passes._ENTRIES)
-    assert arity == {name: len(argtypes) for name, (argtypes, _) in _passes._ENTRIES.items()}
+def test_the_entries_are_declared_as_the_sources_define_them():
+    lib = _passes.library()
+    model, metric, scan, nearest = (ctypes.POINTER(lib.structs[f"kgp_{name}"])
+                                    for name in ("model", "metric", "scan", "nearest"))
+    size, double, pointer = ctypes.c_ssize_t, ctypes.c_double, ctypes.c_void_p
+    # double ** and ptrdiff_t * are pointers to no struct; a const struct pointer is its structure's
+    assert lib.entries["kgp_branch"] == ((model, double, double, size, pointer, pointer, pointer), ctypes.c_int)
+    assert lib.entries["kgp_free"] == ((pointer,), None)  # void *, and a void return
+    assert lib.entries["kgp_nearest"] == ((metric, scan, nearest), ctypes.c_int)
+    assert lib.entries["kgp_format_rows"] == ((pointer, size, size, ctypes.POINTER(lib.structs["kgp_pow10"]),
+                                               pointer), size)
+    assert lib.kgp_evolve.argtypes == (ctypes.POINTER(lib.structs["kgp_run"]), size)
+
+
+READER_TEXT = """
+/* struct kgp_commented { float x; }; */
+struct kgp_pair { const double *p, *q; uint64_t hi, lo; int64_t e; struct kgp_pair *next; int n; };
+static double kgp_hidden(float x) { return x; }
+// void kgp_commented(float x) {}
+int64_t kgp_first(const struct kgp_pair *pair,
+                  struct other *o, void **out)
+{
+    return kgp_hidden(0.0f); /* a call is no definition: kgp_hidden(float) { */
+}
+double kgp_declared(float x);
+uint64_t kgp_count(void) { return 0; }
+"""
+
+
+def test_the_reader_takes_every_declarator_drops_comments_and_skips_statics():
+    structs = _passes.structures(READER_TEXT)
+    pair = structs["kgp_pair"]
+    assert list(structs) == ["kgp_pair"]
+    assert [(name, kind.__name__) for name, kind in pair._fields_] == [
+        ("p", "c_void_p"), ("q", "c_void_p"), ("hi", ctypes.c_uint64.__name__), ("lo", ctypes.c_uint64.__name__),
+        ("e", ctypes.c_int64.__name__), ("next", "LP_kgp_pair"), ("n", "c_int")]
+    assert pair._fields_[5][1]._type_ is pair
+    assert _passes.entries(READER_TEXT, structs) == {
+        "kgp_first": ((ctypes.POINTER(pair), ctypes.c_void_p, ctypes.c_void_p), ctypes.c_int64),
+        "kgp_count": ((), ctypes.c_uint64)}
+
+
+@pytest.mark.parametrize("text, owner, declaration", [
+    ("struct kgp_s {\n    double dx;\n    float m2;\n};\n", "struct kgp_s", "float m2"),
+    ("struct kgp_s {\n    struct kgp_t inner;\n};\nstruct kgp_t {\n    int n;\n};\n", "struct kgp_s",
+     "struct kgp_t inner"),
+    ("double kgp_f(double x[], ptrdiff_t n)\n{\n    return x[n];\n}\n", "kgp_f", "double x[]"),
+    ("long kgp_h(int n)\n{\n    return n;\n}\n", "kgp_h", "long kgp_h"),
+    ("unsigned long\nkgp_g(void)\n{\n    return 0;\n}\n", "kgp_g", "kgp_g"),  # its type on the line before
+], ids=["float-field", "struct-by-value", "array-parameter", "long-return", "split-return"])
+def test_a_c_type_with_no_ctypes_type_is_refused_in_one_line(text, owner, declaration):
+    with pytest.raises(OSError) as err:
+        _passes.entries(text, _passes.structures(text))
+    assert str(err.value) == (f"cannot bind the compiled passes: {owner} declares '{declaration}', a C type with no "
+                              f"ctypes type here")
 
 
 @pytest.mark.skipif(shutil.which("nm") is None, reason="no nm to list the library's dynamic symbols")
@@ -150,11 +202,12 @@ def test_the_library_exports_its_entries_and_its_residual_count_alone():
     # what one source calls in another is hidden; the test-only parts are the probe's, not the library's
     listed = subprocess.run(["nm", "-D", "--defined-only", _passes.library()._name], capture_output=True, text=True,
                             check=True).stdout
-    assert sorted(line.split()[-1] for line in listed.splitlines()) == sorted([*_passes._ENTRIES, "kgp_residuals"])
+    assert sorted(line.split()[-1] for line in listed.splitlines()) == sorted([*_passes.library().entries,
+                                                                              "kgp_residuals"])
 
 
 def test_every_entry_is_called_from_the_package():
-    # an entry that only the tests call belongs in the probe: each name of _ENTRIES is an attribute some module of
+    # an entry that only the tests call belongs in the probe: each entry's name is an attribute some module of
     # the package reads (the library's, as library().kgp_evolve or a bound entry's)
     package = os.path.dirname(_passes.__file__)
     read = set()
@@ -162,7 +215,25 @@ def test_every_entry_is_called_from_the_package():
         if name.endswith(".py"):
             with open(os.path.join(package, name)) as fh:
                 read |= {node.attr for node in ast.walk(ast.parse(fh.read())) if isinstance(node, ast.Attribute)}
-    assert sorted(set(_passes._ENTRIES) - read) == []
+    assert sorted(set(_passes.library().entries) - read) == []
+
+
+def test_a_field_with_no_ctypes_type_is_one_file_error_line_before_a_build(cold_cache, compiler_calls, tmp_path,
+                                                                           monkeypatch, capsys):
+    for path in (*_passes.SOURCES, _passes.HEADER):
+        text = Path(path).read_text()
+        if path == _passes.HEADER:
+            assert text.count("    double m2, dx;\n") == 1
+            text = text.replace("    double m2, dx;\n", "    float m2;\n    double dx;\n")
+        (tmp_path / os.path.basename(path)).write_text(text)
+    monkeypatch.setattr(_passes, "SOURCES", tuple(str(tmp_path / os.path.basename(p)) for p in _passes.SOURCES))
+    monkeypatch.setattr(_passes, "HEADER", str(tmp_path / os.path.basename(_passes.HEADER)))
+    (tmp_path / "run.ini").write_text(CONFIG)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(tmp_path / "run.ini"), "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", "file error: cannot bind the compiled passes: struct kgp_metric declares "
+                                       "'float m2', a C type with no ctypes type here\n")
+    assert compiler_calls == [] and not cold_cache.exists() and not out.exists()
 
 
 def test_a_byte_of_any_source_is_a_new_cache_key(tmp_path, monkeypatch):

@@ -781,11 +781,12 @@ def test_the_compiled_form_keeps_the_fixed_order_on_every_lane_tail(probe, lengt
     from kgpoint import _passes
 
     rng = np.random.default_rng(40 + length)
-    count, m2, dx = 23, 1.3, 0.05
+    count, dx = 23, 0.05
     psi, pi, wave_psi, wave_pi = (rng.normal(size=count) + 1j * rng.normal(size=count) for _ in range(4))
-    # one oscillator of zero potential, which adds exactly 0.0 to H; a run's form takes its m2 as mass**2
+    # one oscillator of zero potential, which adds exactly 0.0 to H; a run's form takes its m2 as mass**2, and the
+    # metric's is the same
     free = ModelSpec(1.3, (OscillatorSpec(0.0, (0.0, 0.0)),))
-    run_m2 = free.mass**2
+    m2 = free.mass**2
 
     def one_row(windows):  # the columns t, H, Q, the energy norm and a seminorm per window; the one node's traces
         return np.zeros((4 + len(windows), 1)), np.zeros((2, 1, 1), complex)
@@ -795,7 +796,7 @@ def test_the_compiled_form_keeps_the_fixed_order_on_every_lane_tail(probe, lengt
     if length:
         series, traces = one_row([])
         assert _passes.bind(*u, None, free, (0,), dx, 0.0, [], series, traces)(0) == -1
-        reference = fixed_order_form(run_m2, dx, u, u)[0]
+        reference = fixed_order_form(m2, dx, u, u)[0]
         # H is half the squared norm plus 0.0, so twice H is the squared norm, exactly
         assert 2.0 * series[1, 0] == reference and series[3, 0] == math.sqrt(reference)
         assert series[2, 0] == -dx * fixed_order_dot(*u)[1]
@@ -806,7 +807,7 @@ def test_the_compiled_form_keeps_the_fixed_order_on_every_lane_tail(probe, lengt
     _passes.bind(psi, pi, None, free, (11,), dx, 0.0, windows, series, traces)(0)
     for (start, stop), value in zip(windows, series[4:, 0]):
         v = (psi[start:stop], pi[start:stop])
-        assert value == math.sqrt(fixed_order_form(run_m2, dx, v, v)[0])
+        assert value == math.sqrt(fixed_order_form(m2, dx, v, v)[0])
 
     # the metric of the nodes and its phase fit to a wave on them, whose inner product sums the Im lanes too
     radii = [(0, length), (length // 2, length), (0, 0)]
@@ -814,9 +815,15 @@ def test_the_compiled_form_keeps_the_fixed_order_on_every_lane_tail(probe, lengt
     w = (wave_psi[:length], wave_pi[:length])
     zr, zi = fixed_order_form(m2, dx, u, w)
     r = math.hypot(zr, zi)
-    phase = complex(zr / r, -zi / r) if r != 0.0 else 1.0 + 0j
-    for dist, (d_psi, d_pi) in ((metric.dist(), u),
-                                (probe.fit_dist(metric, *w), (u[0] - w[0] * phase, u[1] - w[1] * phase))):
+    er, ei = (zr / r, -zi / r) if r != 0.0 else (1.0, 0.0)
+
+    def phased(z):  # the unfused product (wr er - wi ei, wr ei + wi er) that the fit computes, not numpy's
+        out = np.empty_like(z)
+        out.real, out.imag = z.real * er - z.imag * ei, z.real * ei + z.imag * er
+        return out
+
+    for dist, (d_psi, d_pi) in ((metric.dist(), u), (probe.fit_dist(metric, *w), (u[0] - phased(w[0]),
+                                                                                   u[1] - phased(w[1])))):
         expected = left_to_right(0.5**R * math.sqrt(fixed_order_form(m2, dx, (d_psi[a:b], d_pi[a:b]),
                                                                      (d_psi[a:b], d_pi[a:b]))[0])
                                  for R, (a, b) in enumerate(radii, 1))
@@ -1065,7 +1072,7 @@ def test_evolve_and_step_each_make_one_library_call(monkeypatch):
             return entry(*args)
         return call
 
-    for name in _passes._ENTRIES:
+    for name in lib.entries:
         monkeypatch.setattr(lib, name, counted(name, getattr(lib, name)))
     grid = build_grid(PAIR, -6.0, 6.0, 0.02)
     state = gaussian_data(grid, 0.8 * np.exp(0.3j), 0.1, 0.7, 0.4)
@@ -1074,6 +1081,13 @@ def test_evolve_and_step_each_make_one_library_call(monkeypatch):
     calls.clear()
     assert _same_bits(step(PAIR, grid, final, 0.009).psi, reference_kdk(PAIR, grid, final, 0.009, 1)[0])
     assert calls == [("kgp_evolve", (1,))]
+
+
+@pytest.mark.parametrize("noise", [-0.1, math.nan, math.inf])
+def test_perturbed_solitary_state_refuses_a_negative_or_non_finite_noise_amplitude(noise):
+    grid = build_grid(PAIR, -6.0, 6.0, 0.02)
+    with pytest.raises(ValueError, match=f"^noise_amplitude must be finite and at least 0, got {noise}$"):
+        perturbed_solitary_state(PAIR, grid, solve_profile(PAIR, 0.4, [0.7, 0.7]), noise, seed=8)
 
 
 @pytest.mark.parametrize("dt", [0.009, -0.009], ids=["forward", "backward"])

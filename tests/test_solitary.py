@@ -105,10 +105,22 @@ def test_solve_profile_closed_form(omega):
 
 
 def test_solve_profile_band_edge_returns_zero_wave():
-    for omega in (1.0, -1.0):
-        wave = solve_profile(QUARTIC_MODEL, omega, [0.7])
-        assert wave.amplitudes == (0j,)
-        assert wave.kappa == 0.0
+    for model in (QUARTIC_MODEL, PAIR_MODEL):
+        for omega in (1.0, -1.0):
+            wave = solve_profile(model, omega, [0.7] * model.count)
+            assert wave.amplitudes == (0j,) * model.count
+            assert wave.kappa == 0.0
+            # the compiled solve's zero row, word for word the wave formed in Python before
+            parts = [wave.omega, wave.kappa, *(p for z in wave.amplitudes for p in (z.real, z.imag)), wave.residual_max]
+            assert list(map(float.hex, parts)) == [omega.hex()] + ["0x0.0p+0"] * (2 * model.count + 2)
+
+
+@pytest.mark.parametrize("omega", [1.0, -1.0])
+@pytest.mark.parametrize("guess, message", [([math.nan, math.nan], "guess must be finite"),
+                                            ([0.7], "guess must have length 2")], ids=["nan", "length"])
+def test_solve_profile_checks_its_guess_at_the_band_edge(omega, guess, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        solve_profile(PAIR_MODEL, omega, guess)
 
 
 def test_solve_profile_zero_guess_flags_zero_branch():
