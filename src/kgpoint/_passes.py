@@ -15,10 +15,14 @@ which grow as it is solved, are allocated by the library and copied out.
 The library is built by Python's own C compiler (sysconfig's ``CC``) with
 ``-O3 -ffp-contract=off -lm``: no fused multiply-add and no reassociation, so
 each step keeps numpy's bits and each solve the bits of the Python-float
-Newton loop it transcribes, and no ``-march``, so a cached build runs on any
-CPU of its architecture.  The energy form sums in one fixed order of its own
-(``form_sums``), so H, Q, the energy norm, the seminorms, the metric and the
-phase fit have the same bits whatever the CPU or BLAS.  Two entries evaluate
+Newton loop it transcribes.  There is no ``-march``: the stepping loop alone
+is compiled three times, plain and, on x86-64, for AVX2 and for AVX-512F by
+target attributes, and the library picks the widest build that the CPU runs
+(``__builtin_cpu_supports``) when it loads, so a cached library runs on any
+CPU of its architecture, and every build keeps the same bits.  The energy
+form sums in one fixed order of its own (``form_sums``), so H, Q, the energy
+norm, the seminorms, the metric and the phase fit have the same bits
+whatever the CPU or BLAS.  Two entries evaluate
 it, each bound once to its arrays: ``bind``'s run, whose samples are whole
 rows of observers, and ``Metric``, a state's own metric, which a ``Scan``
 fits to its candidate waves.  ``csv_writer`` prints float64 rows as
@@ -247,9 +251,9 @@ def bind(psi: np.ndarray, pi: np.ndarray, kick, model, nodes, dx: float, dt: flo
     kick, a third complex buffer whose end nodes are 0, holds the kick of the
     steps, which update psi and pi in place; None binds a run of no steps,
     which only reads psi and pi.  nodes are the nodes of model's oscillators,
-    each in 1 ... len - 2 for steps (0 ... len - 1 otherwise): their forces
-    join the steps, their potentials H.  windows are (start, stop) node
-    ranges.  series holds a column per observable, a row per sample: t, H, Q,
+    ascending and each in 1 ... len - 2 for steps (any order in 0 ... len - 1
+    otherwise): their forces join the steps, their potentials H.  windows are
+    (start, stop) node ranges.  series holds a column per observable, a row per sample: t, H, Q,
     the energy norm and each window's seminorm; traces the rows of psi and of
     pi at the nodes, shape (2, rows, len(nodes)).
 
@@ -269,6 +273,8 @@ def bind(psi: np.ndarray, pi: np.ndarray, kick, model, nodes, dx: float, dt: flo
             raise ValueError(f"the loop needs at least 3 nodes, got {count}")
         end = 1  # a step reads each site's neighbours, and the kick at the end nodes stays 0
     sites = _sites(model, nodes, end, count - 1 - end)
+    if kick is not None and list(nodes) != sorted(nodes):  # the steps take each site's force in a scan up the grid
+        raise ValueError(f"oscillator nodes {tuple(nodes)} must ascend for steps")
     if every < 1:
         raise ValueError("every must be at least 1")
     rows = series.shape[-1]

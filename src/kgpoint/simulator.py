@@ -17,9 +17,10 @@ One loop, ``_kdk``, steps in place on three buffers cut from one block at fixed
 offsets.  The mass term sits in the stencil diagonal and the half kick dt/2
 acc is one pre-scaled stencil.  A whole run, its steps and its samples, is
 one call of a small C library, ``_passes``, compiled on first use and cached,
-on one block of the run's buffers, model and series: each step one fused
-sweep over the field and then the oscillator nodes' forces, each float's
-arithmetic numpy's bit for bit.  ``step`` is a run of one step.
+on one block of the run's buffers, model and series: each sample interval's
+steps a wavefront over cache-sized chunks of the field, the oscillator
+nodes' forces taken in their chunks, each float's arithmetic numpy's bit for
+bit.  ``step`` is a run of one step.
 
 H, Q, the energy norm, the local seminorms, the metric and the phase fit all
 evaluate one energy form, in the same library and in one fixed order of its
@@ -285,12 +286,15 @@ def _kdk(model: ModelSpec, grid: Grid, state: FieldState, dt: float, n_steps: in
     ``_passes`` library (kgp_evolve), on float64 views of the complex buffers
     (a real multiply per float is numpy's complex-by-real product up to the
     sign of an exact zero).  It steps each sample interval of observe_every
-    steps as one loop, in which each step is one sweep, which applies the last
-    step's second half kick with this one's first, drifts and takes the
-    stencil, and then the node forces; the loop applies its last step's second
-    half kick before the sample, so a sample sees the stepped field.  The three
-    buffers are slices of one page-aligned block, 1 KB apart modulo 4 KB
-    whatever the heap held before, so their streams alias in the cache alike.
+    steps as a wavefront over chunks of the field (_passes_step.c's run), in
+    which each step applies the last step's second half kick with its own
+    first, drifts, and takes the stencil and the node forces; the interval's
+    last step's second half kick is applied before the sample, so a sample
+    sees the stepped field.  The three buffers are slices of one page-aligned
+    block, 1 KB apart modulo 4 KB whatever the heap held before, so their
+    streams alias in the cache alike: on a 2-core AVX-512 x86-64 VM the
+    README run's evolve took 50-61 ms so, and 65-71 ms on three separate
+    copies of the state's arrays (6 alternating rounds).
 
     The node forces are ``model._at_node``'s arithmetic on numpy's scalars,
     transcribed to C: |psi|^2 as libm's pow(hypot(re, im), 2).  Where |psi|^2

@@ -28,9 +28,25 @@ def compiled_passes():
     return _passes.library()
 
 
-# entries on the library's own parts that it does not export: the solve's residual at given coupling rows, its
-# Jacobian, elimination and sup-norm, and the phase fit to a candidate wave; declared by the library's reader
+# entries on the library's own parts that it does not export: each build of the stepping loop and the wavefront's
+# shape, the solve's residual at given coupling rows, its Jacobian, elimination and sup-norm, and the phase fit to a
+# candidate wave; declared by the library's reader
 PROBE_ENTRIES = """
+int kgp_probe_run(int build, double *p, double *q, double *k, ptrdiff_t n, double dt, double c, double scale,
+                  ptrdiff_t nsites, const ptrdiff_t *sites, const int *ncoef, const double *coef, double force_scale,
+                  int primed, ptrdiff_t steps)
+{
+    if (build < 0 || build >= BUILDS || !builds[build] || !supported(build))
+        return -1;
+    builds[build](p, q, k, n, dt, c, scale, nsites, sites, ncoef, coef, force_scale, primed, steps);
+    return 0;
+}
+
+ptrdiff_t kgp_probe_wavefront(int chunk)
+{
+    return chunk ? CHUNK : DEPTH;
+}
+
 void kgp_probe_residual(const struct kgp_model *m, const double *coupling, double k2, const double *c, double *res,
                         double *slopes)
 {
@@ -101,6 +117,23 @@ class Probe:
         """(term, value) of each sizeof and offsetof the probe reports, in the order of structs and of each
         structure's fields."""
         return list(zip(self.terms, (ctypes.c_longlong * len(self.terms)).in_dll(self.lib, "kgp_layout")))
+
+    BUILDS = ("plain", "avx2", "avx512f")  # the stepping loop's builds, by their index in the library
+
+    def wavefront(self):
+        """(DEPTH, CHUNK): the most steps of a group of the stepping loop, and the floats of its chunks."""
+        return self.lib.kgp_probe_wavefront(0), self.lib.kgp_probe_wavefront(1)
+
+    def run(self, build, model, nodes, dx, dt, psi, pi, kick, primed, steps):
+        """steps kick-drift-kick steps of (psi, pi) in place by the named build of the stepping loop, kick p's kick
+        when primed, as kgp_evolve takes a sample interval; False, touching nothing, where this CPU or this
+        architecture has no such build."""
+        block = self.model_block(model).contents
+        c, scale, force_scale = 2.0 + model.mass**2 * dx**2, 0.5 * dt / dx**2, 0.5 * dt / dx
+        sites = (ctypes.c_ssize_t * len(nodes))(*nodes)
+        return self.lib.kgp_probe_run(self.BUILDS.index(build), psi.ctypes.data, pi.ctypes.data, kick.ctypes.data,
+                                      2 * psi.size, dt, c, scale, len(nodes), sites, block.nslope, block.slope,
+                                      force_scale, primed, steps) == 0
 
     def residual(self, model, kap, c, coupling):
         """The solve's residual at c, a list of Python complex, k2 = 2 kap and the coupling rows, and per J its

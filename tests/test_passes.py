@@ -271,10 +271,11 @@ TWO = ModelSpec(1.0, (OscillatorSpec(0.0, (0.0, -1.0, 1.0)), OscillatorSpec(0.5,
 @pytest.mark.parametrize("model, nodes, message", [
     (ONE, (0,), "must lie in 1 ... 5"), (ONE, (6,), "must lie in 1 ... 5"), (ONE, (-1,), "must lie in 1 ... 5"),
     (TWO, (2, 7), "must lie in 1 ... 5"), (TWO, (3,), "1 oscillator nodes but 2 oscillators"),
-], ids=["first-node", "last-node", "negative", "past-the-end", "unpaired"])
+    (TWO, (3, 2), r"\(3, 2\) must ascend for steps"),
+], ids=["first-node", "last-node", "negative", "past-the-end", "unpaired", "descending"])
 def test_bind_refuses_a_site_outside_the_grid_or_an_empty_slope(model, nodes, message):
-    # the kernel reads and writes the node of each of the model's oscillators, with no bounds check; a ModelSpec
-    # cannot hold an empty slope list
+    # the kernel reads and writes the node of each of the model's oscillators, with no bounds check, in a scan up
+    # the grid; a ModelSpec cannot hold an empty slope list
     with pytest.raises(ValueError, match=message):
         _passes.bind(*_buffers(7), model, nodes, 0.1, 0.02, [], *_series(1, traced=len(nodes)))
 
@@ -409,6 +410,45 @@ def test_the_observer_binder_refuses_a_node_outside_the_state():
         _passes.bind(psi, pi, None, ONE, (7,), 0.1, 0.0, [], *_series(1, traced=1))
     with pytest.raises(ValueError, match="1 oscillator nodes but 2 oscillators"):
         _passes.bind(psi, pi, None, TWO, (3,), 0.1, 0.0, [], *_series(1, traced=1))
+
+
+# 3 nodes, one chunk; and a node short of and past one and two chunks' nodes
+@pytest.mark.parametrize("nodes", ["3", "1-chunk-1", "1-chunk+1", "2-chunks-1", "2-chunks+1"])
+@pytest.mark.parametrize("build", ["plain", "avx2", "avx512f"])
+def test_every_build_of_the_wavefront_keeps_the_plain_build_and_the_reference_bits(probe, build, nodes):
+    # each build of the stepping loop on seeded data, with oscillators at the first and last interior node and on
+    # each side of a chunk's last float pair and of its edge, for 1, DEPTH - 1, DEPTH, DEPTH + 1 and 2 DEPTH + 3
+    # steps, fresh and primed: its p, q and k the plain build's byte for byte, and its p and q reference_kdk's
+    from types import SimpleNamespace
+
+    from test_simulator import _same_bits, reference_kdk
+
+    from kgpoint.simulator import FieldState
+
+    depth, chunk = probe.wavefront()
+    count = 3 if nodes == "3" else int(nodes[0]) * chunk // 2 + (1 if nodes.endswith("+1") else -1)
+    sites = sorted({i for i in (1, chunk // 2 - 2, chunk // 2 - 1, chunk // 2, count - 2) if 1 <= i <= count - 2})
+    coefficients = ((0.0, -2.0, 1.0), (0.1, 1.0), (0.3, -1.0, 0.0, 0.5), (0.0, -0.5), (0.2, 0.0, 1.5))
+    model = ModelSpec(1.0, tuple(OscillatorSpec(0.1 * i, coefficients[j]) for j, i in enumerate(sites)))
+    grid, dt = SimpleNamespace(dx=0.1, oscillator_nodes=sites), 0.02
+    if not probe.run(build, model, sites, grid.dx, dt, *np.zeros((3, count), complex), False, 0):
+        pytest.skip(f"this CPU does not run the {build} build")
+    rng = np.random.default_rng(3400 + count)
+    psi, pi = (0.5 * (rng.normal(size=count) + 1j * rng.normal(size=count)) for _ in range(2))
+    psi[[0, -1]] = pi[[0, -1]] = 0.0
+    for steps in (1, depth - 1, depth, depth + 1, 2 * depth + 3):
+        for primed in (False, True):
+            runs = []
+            for name in ("plain", build):
+                p, q, k = psi.copy(), pi.copy(), np.zeros(count, complex)
+                if primed:  # k holds p's kick after a run, as kgp_evolve primes each interval after the first
+                    probe.run(name, model, sites, grid.dx, dt, p, q, k, False, 1)
+                probe.run(name, model, sites, grid.dx, dt, p, q, k, primed, steps)
+                runs.append((p, q, k))
+            psi_ref, pi_ref = reference_kdk(model, grid, FieldState(psi, pi, 0.0), dt, steps + primed)
+            assert np.all(np.isfinite(psi_ref)) and np.all(np.isfinite(pi_ref))
+            assert all(map(_same_bits, *runs)), (steps, primed)
+            assert _same_bits(runs[1][0], psi_ref) and _same_bits(runs[1][1], pi_ref), (steps, primed)
 
 
 def test_alternating_models_each_step_sample_and_solve_on_their_own_coefficients():
