@@ -1,11 +1,12 @@
 /* The declarations that the sources of the compiled passes share: the node law (libm_pow, horner), the model
- * block, the statuses, a run, a state's metric and a candidate wave, and what one source calls in another.
+ * block and its m2, the statuses, a run, a scan and a state's view of its metric, and what one source calls in another.
  *
  * Each expression of the steps and the solve is the one it transcribes,
  * operation for operation and operand for operand, and the build fuses and
  * reassociates nothing (-ffp-contract=off, no -ffast-math), so the results
- * are bit for bit those of the code it transcribes.  The library exports its
- * kgp_ entries alone: what one source calls in another is hidden (KGP_HIDDEN).
+ * are bit for bit those of the references that the tests keep, such as
+ * tests/test_manifold.py::reference_dist_to_manifold.  The library exports
+ * its kgp_ entries alone: what one source calls in another is hidden.
  */
 #ifndef KGP_PASSES_H
 #define KGP_PASSES_H
@@ -17,7 +18,7 @@
 /* libm's pow, called through a pointer the compiler cannot see through: it
  * would turn pow(x, 2.0) into x * x, which rounds apart from numpy's and
  * Python's |z| ** 2, and work out brent's pow(invphi, 24.0) itself, where
- * the Python loop that brent transcribes called libm */
+ * the reference loop that brent transcribes (tests/test_manifold.py) calls libm */
 extern KGP_HIDDEN double (*volatile libm_pow)(double, double);
 
 /* sum_d coef[d] s^(n - 1 - d) by Horner from 0.0, the coefficients highest degree first */
@@ -45,6 +46,12 @@ struct kgp_model {
     double mass;
 };
 
+/* The energy form's m2 of model m: Python's mass**2, libm's pow */
+static inline double form_m2(const struct kgp_model *m)
+{
+    return libm_pow(m->mass, 2.0);
+}
+
 enum { KGP_SOLVED, KGP_ZERO, KGP_FAILED, KGP_OUT_OF_BAND, KGP_NOT_FINITE, KGP_NO_MEMORY = -1, KGP_UNSOLVED = -2 };
 
 enum { ROOM = 4 }; /* the entries a growing list first has room for, doubled as needed */
@@ -68,22 +75,31 @@ struct kgp_run {
     double *series, *traces;
 };
 
-/* One state's metric: the state p (psi) and q (pi) on the n nodes of the outer window; the form's m2 and dx;
- * scratch dp and dq of n complex values each; and the windows of radius R = 1 ... r_max as (start, stop) node
- * pairs within the outer window */
-struct kgp_metric {
-    const double *p, *q;
-    ptrdiff_t n;
-    double m2, dx;
-    double *dp, *dq;
+/* A frequency scan's solved waves and their metric, fixed for every search of the wave closest to a state, and
+ * holding nothing of one: the model; the metric's outer window's nodes, their coordinates x and its Dirichlet end
+ * nodes first and last (-1 where it holds none); dx and the windows of radius R = 1 ... r_max as (start, stop) node
+ * pairs within the outer window; the shared Newton starts, nstarts of 2n floats one after another; and the count
+ * solved frequencies' rows, laid out as the branch's, and their samples, psi and then pi on the window's nodes. */
+struct kgp_scan {
+    const struct kgp_model *model;
+    ptrdiff_t nodes;
+    const double *x;
+    ptrdiff_t first, last;
+    double dx;
     ptrdiff_t r_max;
     const ptrdiff_t *windows;
+    ptrdiff_t nstarts;
+    const double *starts;
+    ptrdiff_t count;
+    double *rows, *samples;
 };
 
-/* A candidate wave on the n nodes of a metric's outer window */
-struct kgp_wave {
+/* One state's metric, built for one call: the scan s, whose windows, dx and model it takes; the state p (psi) and
+ * q (pi) on s's nodes; and scratch dp and dq of as many complex values each */
+struct metric_view {
+    const struct kgp_scan *s;
     const double *p, *q;
-    ptrdiff_t n;
+    double *dp, *dq;
 };
 
 /* the doubles of newton's work for n oscillators */
@@ -94,8 +110,8 @@ static inline size_t newton_work(ptrdiff_t n)
 
 /* _passes_form.c */
 KGP_HIDDEN double sample(const struct kgp_run *r, double m2, ptrdiff_t k);
-KGP_HIDDEN double fit_dist(const struct kgp_metric *m, const struct kgp_wave *w);
-double kgp_metric_sum(const struct kgp_metric *m);
+KGP_HIDDEN double fit_dist(const struct metric_view *m, const double *wp, const double *wq);
+double kgp_metric_sum(const struct kgp_scan *s, const double *p, const double *q);
 
 /* _passes_solve.c */
 KGP_HIDDEN int solve_point(const struct kgp_model *m, double omega, const double *starts, ptrdiff_t nstarts,

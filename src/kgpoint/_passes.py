@@ -14,27 +14,26 @@ which grow as it is solved, are allocated by the library and copied out.
 
 The library is built by Python's own C compiler (sysconfig's ``CC``) with
 ``-O3 -ffp-contract=off -lm``: no fused multiply-add and no reassociation, so
-each step keeps numpy's bits and each solve the bits of the Python-float
-Newton loop it transcribes.  There is no ``-march``: the stepping loop alone
-is compiled three times, plain and, on x86-64, for AVX2 and for AVX-512F by
-target attributes, and the library picks the widest build that the CPU runs
-(``__builtin_cpu_supports``) when it loads, so a cached library runs on any
-CPU of its architecture, and every build keeps the same bits.  The energy
-form sums in one fixed order of its own (``form_sums``), so H, Q, the energy
-norm, the seminorms, the metric and the phase fit have the same bits
-whatever the CPU or BLAS.  Two entries evaluate
-it, each bound once to its arrays: ``bind``'s run, whose samples are whole
-rows of observers, and ``Metric``, a state's own metric, which a ``Scan``
-fits to its candidate waves.  ``csv_writer`` prints float64 rows as
-Python's ``'%.17g'``, by integer arithmetic on a table of powers of ten
-(``_powers_of_ten``), built with Python ints on the first CSV write.  The
-library is cached in ``$XDG_CACHE_HOME/kgpoint`` (by default
-``~/.cache/kgpoint``), or where that is not writable in a private directory
-under the temp directory, named by the SHA-256 of every source, the header
-and the compile command.  A build is
-compiled to a temporary name and renamed into place, so processes that build
-at once do not race.  A build that fails raises OSError with a one-line
-reason.  Loading a cached build imports no ``subprocess``.
+each step keeps numpy's bits and each solve the bits of a Python-float Newton
+loop (tests/test_solitary.py::reference_solve_profile).  There is no
+``-march``: the stepping loop alone is compiled three times, plain and, on
+x86-64, for AVX2 and for AVX-512F by target attributes, and the library picks
+the widest build that the CPU runs (``__builtin_cpu_supports``) when it loads,
+so a cached library runs on any CPU of its architecture, and every build keeps
+the same bits.  The energy form sums in one fixed order of its own
+(``form_sums``), so H, Q, the energy norm, the seminorms, the metric and the
+phase fit have the same bits whatever the CPU or BLAS.  Two blocks evaluate it:
+``bind``'s run, whose samples are whole rows of observers, and a ``Scan``,
+which holds the metric's windows and fits its candidate waves to any state
+passed to it.  ``csv_writer`` prints float64 rows as Python's ``'%.17g'``, by
+integer arithmetic on a table of powers of ten (``_powers_of_ten``), built with
+Python ints on the first CSV write.  The library is cached in
+``$XDG_CACHE_HOME/kgpoint`` (by default ``~/.cache/kgpoint``), or where that is
+not writable in a private directory under the temp directory, named by the
+SHA-256 of every source, the header and the compile command.  A build is
+compiled to a temporary name and renamed into place, so processes that build at
+once do not race.  A build that fails raises OSError with a one-line reason.
+Loading a cached build imports no ``subprocess``.
 """
 
 from __future__ import annotations
@@ -297,54 +296,24 @@ def bind(psi: np.ndarray, pi: np.ndarray, kick, model, nodes, dx: float, dt: flo
     return evolve
 
 
-class Metric:
-    """The metric sum 2^-R |.|_{E,R} over R = 1 ... r_max of one state (psi, pi) on the outer window's nodes.
-
-    windows are the (start, stop) nodes of radius 1 ... r_max within the
-    outer window.  dist() is the state's own metric, its distance to the zero
-    wave; a Scan's closest fits the phase of each candidate wave to it.
-    """
-
-    def __init__(self, psi: np.ndarray, pi: np.ndarray, m2: float, dx: float, windows):
-        self.n = _pair(psi, pi)
-        ranges = _ranges(windows, self.n)
-        scratch = np.empty((2, self.n), dtype=complex)
-        block = library().structs["kgp_metric"](p=psi.ctypes.data, q=pi.ctypes.data, n=self.n, m2=m2, dx=dx,
-                                                dp=scratch[0].ctypes.data, dq=scratch[1].ctypes.data,
-                                                r_max=len(windows), windows=ctypes.addressof(ranges))
-        block.arrays = (psi, pi, ranges, scratch)
-        self.block = ctypes.pointer(block)
-
-    def dist(self) -> float:
-        return library().kgp_metric_sum(self.block)
-
-
-def _oscillators(positions, amplitudes):
-    """The count of oscillators that zip pairs from positions and amplitudes, and their positions and amplitudes (Re
-    and Im interleaved) as ctypes arrays."""
-    n = min(len(positions), len(amplitudes))
-    return n, (_DOUBLE * n)(*positions[:n]), (_DOUBLE * (2 * n))(*(p for z in amplitudes[:n] for p in (z.real, z.imag)))
-
-
-def profile(x: np.ndarray, positions, kappa: float, amplitudes) -> np.ndarray:
-    """phi = sum_J C_J exp(-kappa |X - X_J|) at each float64 point X of x, a complex array of x's shape; the
-    amplitudes C_J pair with the positions X_J as zip pairs them, and exp is libm's (kgp_profile)."""
+def profile(model, x: np.ndarray, kappa: float, amplitudes) -> np.ndarray:
+    """phi = sum_J C_J exp(-kappa |X - X_J|) at each float64 point X of x, a complex array of x's shape, for model's
+    positions X_J and an amplitude C_J per oscillator (ValueError otherwise); exp is libm's (kgp_profile)."""
     points, out = np.ascontiguousarray(x, dtype=float), np.empty(np.shape(x), dtype=complex)
-    n, pos, c = _oscillators(positions, amplitudes)
-    library().kgp_profile(points.ctypes.data, points.size, n, pos, kappa, c, out.ctypes.data)
+    library().kgp_profile(model_block(model), points.ctypes.data, points.size, kappa, _amplitudes(model, amplitudes),
+                          out.ctypes.data)
     return out
 
 
-def wave(x: np.ndarray, positions, kappa: float, amplitudes, omega: float, phase: complex, ends):
+def wave(model, x: np.ndarray, kappa: float, amplitudes, omega: float, phase: complex, ends):
     """The state (psi, pi) of a wave at the float64 points x, 1-d: psi = phi phase, phi profile's, 0 at the
     points ends (first, last; -1 for none), and pi = -1j omega psi, each product numpy's (kgp_wave)."""
     points = np.ascontiguousarray(x, dtype=float)
     if points.ndim != 1:
         raise ValueError(f"a wave's state is sampled at 1-d points, not {points.ndim}-d")
-    psi, pi = np.empty(points.size, dtype=complex), np.empty(points.size, dtype=complex)
-    phase, (n, pos, c) = complex(phase), _oscillators(positions, amplitudes)
-    library().kgp_wave(points.ctypes.data, points.size, n, pos, kappa, c, omega, phase.real, phase.imag, *ends,
-                       psi.ctypes.data, pi.ctypes.data)
+    psi, pi, phase = np.empty(points.size, dtype=complex), np.empty(points.size, dtype=complex), complex(phase)
+    library().kgp_wave(model_block(model), points.ctypes.data, points.size, kappa, _amplitudes(model, amplitudes),
+                       omega, phase.real, phase.imag, *ends, psi.ctypes.data, pi.ctypes.data)
     return psi, pi
 
 
@@ -404,27 +373,32 @@ def branch(model, start: float, step: float, count: int, guess):
 
 class Scan:
     """A frequency scan of model's solitary waves, each solved and sampled on a metric's outer window once, in one
-    kgp_scan call, and bound for every search of the wave closest to a state.
+    kgp_scan call, and bound with the metric for every search of the wave closest to a state.
 
     omegas are the frequencies in order, inside the band, and starts the
     shared Newton starts, tried after the last solved wave's amplitudes.  x
     holds the window's node coordinates and ends its Dirichlet end nodes
-    (first, last), -1 where it holds none.  rows holds solve's row of each
-    solved frequency, samples its (psi, pi).
+    (first, last), -1 where it holds none; windows are the (start, stop)
+    nodes of radius 1 ... r_max within it, and dx the grid's.  rows holds
+    solve's row of each solved frequency, samples its (psi, pi).  A scan of no
+    frequencies binds the metric alone.  The block holds no state, so threads
+    may call one scan at once.
     """
 
-    def __init__(self, model, omegas, starts, x: np.ndarray, ends):
+    def __init__(self, model, omegas, starts, x: np.ndarray, ends, dx: float, windows):
         if x.dtype != float or x.ndim != 1 or not x.flags.c_contiguous:
             raise ValueError("a scan's window needs its node coordinates as a contiguous 1-d float64 array")
         frequencies, self.n, self.cols = np.ascontiguousarray(omegas, dtype=float), x.size, 2 * model.count + 3
         guesses = (_DOUBLE * (2 * model.count * len(starts)))()  # filled by slice: a start of another length is refused
         guesses[:] = [p for start in starts for z in start for p in (z.real, z.imag)]
         rows, samples = np.empty((frequencies.size, self.cols)), np.empty((frequencies.size, 2, x.size), dtype=complex)
-        packed, self.library = model_block(model), library()
+        ranges, packed, self.library = _ranges(windows, x.size), model_block(model), library()
         block = self.library.structs["kgp_scan"](model=packed, nodes=x.size, x=x.ctypes.data, first=ends[0],
-                                                 last=ends[1], nstarts=len(starts), starts=ctypes.addressof(guesses),
-                                                 rows=rows.ctypes.data, samples=samples.ctypes.data)
-        block.arrays = (packed, x, guesses, rows, samples)  # the block points into them
+                                                 last=ends[1], dx=dx, r_max=len(windows),
+                                                 windows=ctypes.addressof(ranges), nstarts=len(starts),
+                                                 starts=ctypes.addressof(guesses), rows=rows.ctypes.data,
+                                                 samples=samples.ctypes.data)
+        block.arrays = (packed, x, ranges, guesses, rows, samples)  # the block points into them
         self.block = ctypes.pointer(block)
         if self.library.kgp_scan(self.block, frequencies.ctypes.data, frequencies.size) < 0:
             raise MemoryError("no memory for the manifold distance's frequency scan")
@@ -432,19 +406,30 @@ class Scan:
         for array in (self.rows, self.samples):
             array.setflags(write=False)
 
-    def closest(self, metric: Metric):
-        """The wave closest to metric's state, in one kgp_nearest call: (dist, row, refined).
+    def _state(self, psi: np.ndarray, pi: np.ndarray):
+        """psi's and pi's addresses; ValueError unless they are a pair (_pair) on the window's nodes."""
+        n = _pair(psi, pi)
+        if n != self.n:
+            raise ValueError(f"a state on {n} nodes, the scan's window has {self.n}")
+        return psi.ctypes.data, pi.ctypes.data
+
+    def dist(self, psi: np.ndarray, pi: np.ndarray) -> float:
+        """The metric sum 2^-R |.|_{E,R} over R = 1 ... r_max of the state (psi, pi) on the window's nodes, its
+        distance to the zero wave (kgp_metric_sum)."""
+        return self.library.kgp_metric_sum(self.block, *self._state(psi, pi))
+
+    def closest(self, psi: np.ndarray, pi: np.ndarray):
+        """The wave closest to the state (psi, pi) on the window's nodes, in one kgp_nearest call: (dist, row,
+        refined).
 
         row is the closest wave's row as a list of floats, laid out as rows',
         whether the wave is the scan's or a refinement's, and is None for the
         zero wave; refined holds the frequencies of the refinement's solves,
         in order.
         """
-        if metric.n != self.n:
-            raise ValueError(f"a state on {metric.n} nodes, the scan's window has {self.n}")
-        row = (_DOUBLE * self.cols)()
+        state, row = self._state(psi, pi), (_DOUBLE * self.cols)()
         found = self.library.structs["kgp_nearest"](row=ctypes.addressof(row))
-        status = self.library.kgp_nearest(metric.block, self.block, ctypes.byref(found))
+        status = self.library.kgp_nearest(self.block, *state, ctypes.byref(found))
         if status < 0:
             raise MemoryError("no memory for the manifold distance's refinement")
         refined = ctypes.cast(found.refined, ctypes.POINTER(_DOUBLE))[:found.solved]

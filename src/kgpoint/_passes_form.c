@@ -1,5 +1,5 @@
-/* The energy form behind every observer: a run's sample, and a state's metric and its phase fit to a candidate
- * wave.
+/* The energy form behind every observer: a run's sample, and a state's metric on a scan's windows and its phase fit
+ * to a candidate wave.
  *
  * The energy form sums in one fixed order of its own, written out below at
  * form_sums, with two-lane vectors of gcc's and clang's vector extensions (no
@@ -146,45 +146,47 @@ double sample(const struct kgp_run *r, double m2, ptrdiff_t k)
     return norm2;
 }
 
-/* sum 2^-R |(p, q)|_{E,R} over R = 1 ... r_max, left to right from 0.0 */
-static double metric(const struct kgp_metric *m, const double *p, const double *q)
+/* sum 2^-R |(p, q)|_{E,R} over the windows R = 1 ... r_max of scan s, left to right from 0.0 */
+static double metric(const struct kgp_scan *s, double m2, const double *p, const double *q)
 {
     double total = 0.0, weight = 1.0;
-    for (ptrdiff_t r = 0; r < m->r_max; r++) {
-        const ptrdiff_t start = m->windows[2 * r];
+    for (ptrdiff_t r = 0; r < s->r_max; r++) {
+        const ptrdiff_t start = s->windows[2 * r];
         weight = weight * 0.5;
-        total = total + weight * seminorm(p + 2 * start, q + 2 * start, m->windows[2 * r + 1] - start, m->m2, m->dx);
+        total = total + weight * seminorm(p + 2 * start, q + 2 * start, s->windows[2 * r + 1] - start, m2, s->dx);
     }
     return total;
 }
 
-/* The metric of m's state u itself: its distance to the zero wave */
-double kgp_metric_sum(const struct kgp_metric *m)
+/* The metric of the state (p, q) on the nodes of scan s: its distance to the zero wave */
+double kgp_metric_sum(const struct kgp_scan *s, const double *p, const double *q)
 {
-    return metric(m, m->p, m->q);
+    return metric(s, form_m2(s->model), p, q);
 }
 
-/* The metric distance from m's state u to the closest phase of the wave w.
+/* The metric distance from m's state u to the closest phase of the wave (wp, wq) on the same nodes.
  *
  * The phase is the unit e = conj(z) / |z| of the form z = <u, w> (1 where z
  * is 0), |z| hypot's; each entry of the difference is u - w e in the complex
  * product (wr er - wi ei, wr ei + wi er), and its metric is metric's.
  */
-double fit_dist(const struct kgp_metric *m, const struct kgp_wave *w)
+double fit_dist(const struct metric_view *m, const double *wp, const double *wq)
 {
+    const struct kgp_scan *s = m->s;
+    const double m2 = form_m2(s->model);
     double re[SUMS], im[SUMS];
-    form_sums(m->p, m->q, w->p, w->q, m->n, 1, 0, re, im);
-    const double zr = form_value(re, m->m2, m->dx), zi = form_value(im, m->m2, m->dx), r = hypot(zr, zi);
+    form_sums(m->p, m->q, wp, wq, s->nodes, 1, 0, re, im);
+    const double zr = form_value(re, m2, s->dx), zi = form_value(im, m2, s->dx), r = hypot(zr, zi);
     double er = 1.0, ei = 0.0;
     if (r != 0.0) {
         er = zr / r;
         ei = -zi / r;
     }
-    for (ptrdiff_t j = 0; j < 2 * m->n; j += 2) {
-        m->dp[j] = m->p[j] - (w->p[j] * er - w->p[j + 1] * ei);
-        m->dp[j + 1] = m->p[j + 1] - (w->p[j] * ei + w->p[j + 1] * er);
-        m->dq[j] = m->q[j] - (w->q[j] * er - w->q[j + 1] * ei);
-        m->dq[j + 1] = m->q[j + 1] - (w->q[j] * ei + w->q[j + 1] * er);
+    for (ptrdiff_t j = 0; j < 2 * s->nodes; j += 2) {
+        m->dp[j] = m->p[j] - (wp[j] * er - wp[j + 1] * ei);
+        m->dp[j + 1] = m->p[j + 1] - (wp[j] * ei + wp[j + 1] * er);
+        m->dq[j] = m->q[j] - (wq[j] * er - wq[j + 1] * ei);
+        m->dq[j + 1] = m->q[j + 1] - (wq[j] * ei + wq[j + 1] * er);
     }
-    return metric(m, m->dp, m->dq);
+    return metric(s, m2, m->dp, m->dq);
 }

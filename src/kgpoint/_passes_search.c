@@ -1,11 +1,10 @@
 /* The solitary profile's sampler, and the manifold distance's frequency scan and its search for the wave
  * closest to a state.
  *
- * The sampler keeps the bits of numpy's complex arithmetic in
- * solitary.profile_eval's loop, but takes libm's exp.  The scan keeps the
- * bits of the loop of solve_profile calls that simulator._frequency_scan
- * ran, and the search those of simulator.dist_to_manifold's Python loop over
- * its scan and Brent's steps, whose constants (at brent) are this file's.
+ * The sampler keeps the bits of numpy's complex arithmetic with libm's exp
+ * (tests/test_solitary.py::reference_profile), and the scan and the search
+ * those of tests/test_manifold.py::reference_dist_to_manifold, whose Brent
+ * constants (at brent) are this file's.
  */
 #include <float.h>
 #include <math.h>
@@ -14,18 +13,17 @@
 
 #include "_passes.h"
 
-/* The profile phi = sum_J C_J exp(-kappa |x - X_J|) at the len points x, into the complex out: the n
- * amplitudes c (Re and Im interleaved) at the positions pos, each term numpy's complex product of C_J by
- * the float e = exp(-kappa |x - X_J|), (Re C e - Im C 0.0, Re C 0.0 + Im C e), added into phi from 0.0 one
- * oscillator after another, as solitary.profile_eval summed it with numpy; exp is libm's, whatever numpy's
- * SIMD dispatch would have picked. */
-void kgp_profile(const double *x, ptrdiff_t len, ptrdiff_t n, const double *pos, double kappa, const double *c,
+/* The profile phi = sum_J C_J exp(-kappa |x - X_J|) of model m at the len points x, into the complex out: an
+ * amplitude of c (Re and Im interleaved) at each oscillator's position, each term numpy's complex product of C_J
+ * by the float e = exp(-kappa |x - X_J|), (Re C e - Im C 0.0, Re C 0.0 + Im C e), added into phi from 0.0 one
+ * oscillator after another; exp is libm's, whatever numpy's SIMD dispatch would have picked. */
+void kgp_profile(const struct kgp_model *m, const double *x, ptrdiff_t len, double kappa, const double *c,
                  double *out)
 {
     for (ptrdiff_t i = 0; i < len; i++) {
         double re = 0.0, im = 0.0;
-        for (ptrdiff_t j = 0; j < n; j++) {
-            const double e = exp(-kappa * fabs(x[i] - pos[j]));
+        for (ptrdiff_t j = 0; j < m->n; j++) {
+            const double e = exp(-kappa * fabs(x[i] - m->positions[j]));
             re = re + (c[2 * j] * e - c[2 * j + 1] * 0.0);
             im = im + (c[2 * j] * 0.0 + c[2 * j + 1] * e);
         }
@@ -34,14 +32,14 @@ void kgp_profile(const double *x, ptrdiff_t len, ptrdiff_t n, const double *pos,
     }
 }
 
-/* A wave's state (p, q) = (psi, pi) at the len points x: psi = phi phase, 0 at the points first and last
+/* A wave's state (p, q) = (psi, pi) of model m at the len points x: psi = phi phase, 0 at the points first and last
  * (-1 for none), and pi = s psi, s = -1j omega as CPython 3.10-3.12 form it, (-0.0 omega - -1.0 0.0,
  * -0.0 0.0 + -1.0 omega); each product numpy's complex one, (ar br - ai bi, ar bi + ai br), with a the
  * left operand. */
-void kgp_wave(const double *x, ptrdiff_t len, ptrdiff_t n, const double *pos, double kappa, const double *c,
-              double omega, double phase_re, double phase_im, ptrdiff_t first, ptrdiff_t last, double *p, double *q)
+void kgp_wave(const struct kgp_model *m, const double *x, ptrdiff_t len, double kappa, const double *c, double omega,
+              double phase_re, double phase_im, ptrdiff_t first, ptrdiff_t last, double *p, double *q)
 {
-    kgp_profile(x, len, n, pos, kappa, c, p);
+    kgp_profile(m, x, len, kappa, c, p);
     for (ptrdiff_t j = 0; j < 2 * len; j += 2) {
         const double re = p[j], im = p[j + 1];
         p[j] = re * phase_re - im * phase_im;
@@ -65,21 +63,6 @@ void kgp_exp(double *x, ptrdiff_t len)
         x[i] = exp(x[i]);
 }
 
-/* A frequency scan's solved waves, each sampled on a metric's outer window, fixed for every search of the wave
- * closest to a state: the model; the window's nodes, their coordinates x and the window's Dirichlet end nodes
- * first and last (-1 where it holds none); the shared Newton starts, nstarts of 2n floats one after another; and
- * the count solved frequencies' rows, laid out as the branch's, and their samples, psi and then pi on the
- * window's nodes. */
-struct kgp_scan {
-    const struct kgp_model *model;
-    ptrdiff_t nodes;
-    const double *x;
-    ptrdiff_t first, last, nstarts;
-    const double *starts;
-    ptrdiff_t count;
-    double *rows, *samples;
-};
-
 /* Scan the len frequencies omegas in order into s, whose rows and samples have room for len: each solved by
  * solve_point from the last solved wave's amplitudes, then from each of the shared starts (any other chain
  * would move the distances by about 1e-12).  A solved frequency's row and its sample (kgp_wave's, of phase 1)
@@ -102,7 +85,7 @@ int kgp_scan(struct kgp_scan *s, const double *omegas, ptrdiff_t len)
         if (solve_point(m, omegas[i], starts + (warm ? 0 : w), s->nstarts + warm, row, coupling, coupling + n * n) !=
             KGP_SOLVED)
             continue;
-        kgp_wave(s->x, s->nodes, n, m->positions, row[1], row + 2, row[0], 1.0, 0.0, s->first, s->last, sample,
+        kgp_wave(m, s->x, s->nodes, row[1], row + 2, row[0], 1.0, 0.0, s->first, s->last, sample,
                  sample + 2 * s->nodes);
         s->count++;
     }
@@ -170,11 +153,11 @@ static const double *solved_nearest(const struct solved *s, double omega)
  * its wave's distance in *fu.  A solved wave becomes u's entry of the solved frequencies and, if strictly
  * closer, the best; a failed or collapsed solve is KGP_FAILED or KGP_ZERO, which ends the search.  u lies
  * inside the bracket of two solved frequencies, so inside the band. */
-static int refine(const struct kgp_metric *m, const struct kgp_scan *s, struct kgp_nearest *r, struct solved *sv,
-                  double u, double *row, double *coupling, double *work, double *sample, double *fu)
+static int refine(const struct metric_view *m, struct kgp_nearest *r, struct solved *sv, double u, double *row,
+                  double *coupling, double *work, double *sample, double *fu)
 {
+    const struct kgp_scan *s = m->s;
     const ptrdiff_t w = 2 * s->model->n;
-    const struct kgp_wave wave = {sample, sample + 2 * s->nodes, s->nodes};
     int status = make_room(r, sv);
     if (status != KGP_SOLVED)
         return status;
@@ -183,9 +166,9 @@ static int refine(const struct kgp_metric *m, const struct kgp_scan *s, struct k
     if (status != KGP_SOLVED)
         return status;
     solved_put(sv, u, row + 2);
-    kgp_wave(s->x, s->nodes, s->model->n, s->model->positions, row[1], row + 2, u, 1.0, 0.0, s->first, s->last,
-             sample, sample + 2 * s->nodes);
-    *fu = fit_dist(m, &wave);
+    kgp_wave(s->model, s->x, s->nodes, row[1], row + 2, u, 1.0, 0.0, s->first, s->last, sample,
+             sample + 2 * s->nodes);
+    *fu = fit_dist(m, sample, sample + 2 * s->nodes);
     if (*fu < r->dist) {
         r->dist = *fu;
         r->best = s->count;
@@ -195,16 +178,15 @@ static int refine(const struct kgp_metric *m, const struct kgp_scan *s, struct k
 }
 
 /* Brent's minimization of the distance over [a, b] from x, at distance fx, until x is within 2 tol of both
- * ends, each evaluation a refine; simulator.dist_to_manifold's Python loop operation for operation.  Each
+ * ends, each evaluation a refine; tests/test_manifold.py::reference_brent_minimize operation for operation.  Each
  * step fits a parabola through the three best points so far and takes its vertex, or, where the parabola
  * is not trusted, a golden-section step into the larger part of the bracket (R. P. Brent, Algorithms for
  * Minimization without Derivatives, 1973, ch. 5; tol gains sqrt(eps)|x| at each step against roundoff).  The
  * golden-section step is 1 - invphi of the larger part, invphi = (sqrt 5 - 1) / 2, and tol is invphi^24 of the
  * bracket, the resolution of 24 golden-section steps.  A failed or collapsed solve ends the search as its
  * convergence does, with KGP_SOLVED. */
-static int brent(const struct kgp_metric *m, const struct kgp_scan *s, struct kgp_nearest *r, struct solved *sv,
-                 double a, double b, double x, double fx, double *row, double *coupling, double *work,
-                 double *sample)
+static int brent(const struct metric_view *m, struct kgp_nearest *r, struct solved *sv, double a, double b, double x,
+                 double fx, double *row, double *coupling, double *work, double *sample)
 {
     const double invphi = (sqrt(5.0) - 1.0) / 2.0, golden = 1.0 - invphi, sqrt_eps = sqrt(DBL_EPSILON);
     const double tol = (b - a) * libm_pow(invphi, 24.0);
@@ -237,7 +219,7 @@ static int brent(const struct kgp_metric *m, const struct kgp_scan *s, struct kg
         }
         const double u = x + (fabs(d) >= tol1 ? d : copysign(tol1, d));
         double fu;
-        const int status = refine(m, s, r, sv, u, row, coupling, work, sample, &fu);
+        const int status = refine(m, r, sv, u, row, coupling, work, sample, &fu);
         if (status == KGP_FAILED || status == KGP_ZERO)
             return KGP_SOLVED;
         if (status != KGP_SOLVED)
@@ -261,16 +243,16 @@ static int brent(const struct kgp_metric *m, const struct kgp_scan *s, struct kg
     }
 }
 
-/* The wave closest to metric m's state among the zero wave, the scan s's waves and a refinement between the
- * best scan wave's solved neighbours, into r: simulator.dist_to_manifold after its scan, operation for
- * operation.  The zero wave's distance comes first, then each scan wave's in order, a strictly smaller one
- * the best; where a scan wave is best and more than one frequency was solved, brent searches the bracket of
- * the solved frequencies on either side of the best (the best's own where it has none).  Returns KGP_SOLVED, or
- * KGP_NO_MEMORY with r->refined NULL. */
-int kgp_nearest(const struct kgp_metric *m, const struct kgp_scan *s, struct kgp_nearest *r)
+/* The wave closest to the state (p, q) on scan s's nodes among the zero wave, s's waves and a refinement between
+ * the best scan wave's solved neighbours, into r, with scratch of the call's own: reference_dist_to_manifold after
+ * its scan, operation for operation.  The zero wave's distance comes first, then each scan wave's in order, a
+ * strictly smaller one the best; where a scan wave is best and more than one frequency was solved, brent searches
+ * the bracket of the solved frequencies on either side of the best (the best's own where it has none).  Returns
+ * KGP_SOLVED, or KGP_NO_MEMORY with r->refined NULL. */
+int kgp_nearest(const struct kgp_scan *s, const double *p, const double *q, struct kgp_nearest *r)
 {
     const ptrdiff_t n = s->model->n, w = 2 * n, cols = w + 3;
-    double *block = malloc((cols + n * n + newton_work(n) + 4 * s->nodes) * sizeof(double));
+    double *block = malloc((cols + n * n + newton_work(n) + 8 * s->nodes) * sizeof(double));
     struct solved sv = {malloc((s->count + ROOM) * (1 + w) * sizeof(double)), 0, w, s->count + ROOM, ROOM};
     r->refined = malloc(ROOM * sizeof(double));
     r->solved = 0;
@@ -278,13 +260,13 @@ int kgp_nearest(const struct kgp_metric *m, const struct kgp_scan *s, struct kgp
     if (status != KGP_SOLVED)
         goto done;
     double *row = block, *coupling = row + cols, *work = coupling + n * n, *sample = work + newton_work(n);
-    r->dist = kgp_metric_sum(m);
+    const struct metric_view m = {s, p, q, sample + 4 * s->nodes, sample + 6 * s->nodes};
+    r->dist = kgp_metric_sum(s, p, q);
     r->best = -1;
     for (ptrdiff_t i = 0; i < s->count; i++) {
-        const double *scanned = s->rows + i * cols, *p = s->samples + 4 * s->nodes * i;
-        const struct kgp_wave wave = {p, p + 2 * s->nodes, s->nodes};
+        const double *scanned = s->rows + i * cols, *wave = s->samples + 4 * s->nodes * i;
         solved_put(&sv, scanned[0], scanned + 2);
-        const double dist = fit_dist(m, &wave);
+        const double dist = fit_dist(&m, wave, wave + 2 * s->nodes);
         if (dist < r->dist) {
             r->dist = dist;
             r->best = i;
@@ -306,7 +288,7 @@ int kgp_nearest(const struct kgp_metric *m, const struct kgp_scan *s, struct kgp
                 above = i;
         }
         const double lo = keys[(below < 0 ? at : below) * stride], hi = keys[(above < 0 ? at : above) * stride];
-        status = brent(m, s, r, &sv, lo, hi, x, r->dist, row, coupling, work, sample);
+        status = brent(&m, r, &sv, lo, hi, x, r->dist, row, coupling, work, sample);
     }
 done:
     if (status < 0) {

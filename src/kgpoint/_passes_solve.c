@@ -1,11 +1,11 @@
 /* The Newton solve of the solitary amplitude system at one frequency (solve_point), behind the single solve, the
  * continuation in frequency and the manifold distance's frequency scan and search.
  *
- * The solve keeps the bits of the damped Newton loop on Python floats that
- * solitary.solve_profile ran before it, and the branch those of the loop of
- * solve_profile calls that solitary.continue_branch ran.  A call passes only
- * what varies: the Newton limits (at newton) are this file's, and a branch
- * allocates its own rows.
+ * The solve keeps the bits of a damped Newton loop on Python floats
+ * (tests/test_solitary.py::reference_solve_profile), and the branch those of
+ * a loop of solve_profile calls (reference_continue_branch there).  A call
+ * passes only what varies: the Newton limits (at newton) are this file's, and
+ * a branch allocates its own rows.
  */
 #include <math.h>
 #include <stdlib.h>

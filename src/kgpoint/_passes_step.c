@@ -169,13 +169,13 @@ static __attribute__((constructor)) void pick(void)
 
 /* The run r of steps kick-drift-kick steps, sampled at step 0 and every r->every steps: one run per sample
  * interval, k primed from the second on, and one for the steps past the last sample.  c, scale, force_scale and
- * m2 are Python's 2.0 + mass**2 * dx**2, 0.5 * dt / dx**2, 0.5 * dt / dx and mass**2, ** libm's pow as Python's.
- * A sample's squared energy norm is finite only if the whole state is, so p is checked past step 0 only when it is
- * not.  Returns the first sampled step at which p is not finite, where the run stops, or -1. */
+ * m2 are Python's 2.0 + mass**2 * dx**2, 0.5 * dt / dx**2, 0.5 * dt / dx and mass**2 (form_m2), ** libm's pow as
+ * Python's.  A sample's squared energy norm is finite only if the whole state is, so p is checked past step 0 only
+ * when it is not.  Returns the first sampled step at which p is not finite, where the run stops, or -1. */
 ptrdiff_t kgp_evolve(const struct kgp_run *r, ptrdiff_t steps)
 {
     const struct kgp_model *m = r->model;
-    const double m2 = libm_pow(m->mass, 2.0), dx2 = libm_pow(r->dx, 2.0);
+    const double m2 = form_m2(m), dx2 = libm_pow(r->dx, 2.0);
     const double c = 2.0 + m2 * dx2, scale = 0.5 * r->dt / dx2, force_scale = 0.5 * r->dt / r->dx;
     const ptrdiff_t every = r->every, n = 2 * r->n;
     sample(r, m2, 0);

@@ -24,21 +24,23 @@ bit.  ``step`` is a run of one step.
 
 H, Q, the energy norm, the local seminorms, the metric and the phase fit all
 evaluate one energy form, in the same library and in one fixed order of its
-own, so their bits depend on neither the CPU nor a BLAS.  Two entries reach
-it, each bound once to its arrays.  A sample writes a whole row of the
+own, so their bits depend on neither the CPU nor a BLAS.  Two blocks reach
+it, a run's and a scan's.  A sample writes a whole row of the
 series (t, H, Q, the energy norm, each seminorm and the traces), the
 potentials ``model._at_node``'s at each oscillator node, and
 ``hamiltonian``, ``charge``, ``energy_norm`` and ``local_seminorm`` are the
 one sample of a run of no steps; it doubles as the check that the field is
-finite.  The runs and the profile solves share one block of the model's
-coefficients, packed once per model object.  The metric reads only the nodes
-with |x| <= r_max, so it, the phase fit and the manifold distance's candidate
-waves are evaluated there alone, a phase-fit distance in one call.
+finite.  The runs, the profile solves and the samplers share one block of the
+model's coefficients, positions and mass, packed once per model object, and
+the form's m^2 is the library's, from that block.  The metric reads only the
+nodes with |x| <= r_max, so it, the phase fit and the manifold distance's
+candidate waves are evaluated there alone, a phase-fit distance in one call.
 
 The manifold distance's frequency scan, solved and sampled on that window in
-one compiled call and kept per (model, grid, frequencies, window), and its
-search, another call whose Brent constants are the library's, are
-``dist_to_manifold``'s.  The candidates, solitary_state and
+one compiled call and kept with the metric's windows and dx per (model, grid,
+frequencies, r_max), and its search, another call whose Brent constants are
+the library's, are ``dist_to_manifold``'s; ``metric_dist`` takes the kept
+block of no frequencies.  The candidates, solitary_state and
 perturbed_solitary_state sample the profile in the library, with libm's exp,
 so their bits do not depend on numpy's SIMD dispatch.
 """
@@ -253,10 +255,15 @@ def _sample_arrays(n_steps: int, observe_every: int, radii, traced: int) -> tupl
     return np.empty((4 + len(radii), n)), np.empty((2, n, traced), dtype=complex)
 
 
-def _check_state(grid: Grid, state: FieldState):
-    """A state on grid is 0 at both Dirichlet end nodes, where plain node sums are the trapezoid rule."""
+def _check_nodes(grid: Grid, state: FieldState):
+    """A state on grid has a value at each of its nodes."""
     if len(state.psi) != grid.count:
         raise ValueError(f"state has {len(state.psi)} nodes, grid has {grid.count}")
+
+
+def _check_state(grid: Grid, state: FieldState):
+    """A state on grid is 0 at both Dirichlet end nodes, where plain node sums are the trapezoid rule."""
+    _check_nodes(grid, state)
     for i in (0, grid.count - 1):
         if state.psi[i] != 0 or state.pi[i] != 0:
             raise ValueError(f"Dirichlet end node {i} must be 0, has psi={state.psi[i]:g}, pi={state.pi[i]:g}")
@@ -370,6 +377,7 @@ def _energy_norm_bound(model: ModelSpec, h0: float) -> float:
 
 def local_seminorm(model: ModelSpec, grid: Grid, state: FieldState, R: float) -> float:
     """Energy seminorm over the window [-R, R] (clipped to the grid with a warning)."""
+    _check_nodes(grid, state)
     return _functionals(model, grid, state, {R: grid.window(R)})[4]
 
 
@@ -395,20 +403,13 @@ def _window_nodes(grid: Grid, r_max: int) -> tuple[slice, tuple[slice, ...], tup
             tuple(R for R in radii if grid._clips(R)))
 
 
-def _bound_metric(model: ModelSpec, grid: Grid, u, windows: list[slice]):
-    """The compiled metric of u, a (psi, pi) pair on the nodes of the outer window, which a scan fits to its waves."""
-    return _compiled().Metric(*u, model.mass**2, grid.dx, [(w.start, w.stop) for w in windows])
-
-
-def _metric(model: ModelSpec, grid: Grid, u, windows: list[slice]) -> float:
-    """sum 2^-R |u|_{E,R} over R = 1..r_max, left to right, u a (psi, pi) pair on the nodes of the outer window."""
-    return _bound_metric(model, grid, u, windows).dist()
-
-
 def metric_dist(model: ModelSpec, grid: Grid, a: FieldState, b: FieldState, r_max: int) -> float:
     """Weighted sum 2^-R |A - B|_{E,R} over R = 1..r_max (a metric on states)."""
-    outer, windows = _metric_windows(grid, r_max)
-    return _metric(model, grid, (a.psi[outer] - b.psi[outer], a.pi[outer] - b.pi[outer]), windows)
+    _check_nodes(grid, a)
+    _check_nodes(grid, b)
+    outer, _ = _metric_windows(grid, r_max)
+    metric = _frequency_scan(model, grid, b"", r_max)  # a scan of no frequencies binds the metric alone
+    return metric.dist(a.psi[outer] - b.psi[outer], a.pi[outer] - b.pi[outer])
 
 
 def _end_nodes(grid: Grid, window: slice) -> list[int]:
@@ -424,7 +425,7 @@ def _solitary_sample(model: ModelSpec, grid: Grid, wave: SolitaryWave, window: s
     One compiled call (kgp_wave), whose profile is profile_eval's: the manifold
     distance's scan and refinement sample their candidates with the same code.
     """
-    return _compiled().wave(grid.x[window], model.positions, wave.kappa, wave.amplitudes, wave.omega, phase,
+    return _compiled().wave(model, grid.x[window], wave.kappa, wave.amplitudes, wave.omega, phase,
                             _end_nodes(grid, window))
 
 
@@ -495,14 +496,14 @@ class ManifoldDistance:
 
 
 @lru_cache(maxsize=8)
-def _frequency_scan(model: ModelSpec, grid: Grid, omega_bits: bytes, outer: tuple[int, int]):
+def _frequency_scan(model: ModelSpec, grid: Grid, omega_bits: bytes, r_max: int):
     """The half of dist_to_manifold that no state enters: the solved waves of its frequency scan, sampled on the
-    metric's outer window and bound for the search of the closest wave, as a _passes.Scan (kgp_scan's comment
-    gives the starts).  omega_bits is the frequency grid as float64 bytes, so -0.0 and 0.0 key apart; outer is the
-    (start, stop) of the metric's outer window."""
-    window = slice(*outer)
-    return _compiled().Scan(model, np.frombuffer(omega_bits), _newton_starts(model), grid.x[window],
-                            _end_nodes(grid, window))
+    metric's outer window and bound with the metric of radii 1..r_max for the search of the closest wave, as a
+    _passes.Scan (kgp_scan's comment gives the starts).  omega_bits is the frequency grid as float64 bytes, so -0.0
+    and 0.0 key apart."""
+    outer, windows, _ = _window_nodes.__wrapped__(grid, r_max)  # once per key: the caller's lookup is the only one
+    return _compiled().Scan(model, np.frombuffer(omega_bits), _newton_starts(model), grid.x[outer],
+                            _end_nodes(grid, outer), grid.dx, [(w.start, w.stop) for w in windows])
 
 
 def dist_to_manifold(model: ModelSpec, grid: Grid, state: FieldState, omega_grid,
@@ -520,7 +521,7 @@ def dist_to_manifold(model: ModelSpec, grid: Grid, state: FieldState, omega_grid
     skipped; it is an error only if every frequency fails.
 
     No state enters the scan's solves and samples, so they are kept for the 8
-    most recent (model, grid, frequency grid, window) keys, the frequencies by
+    most recent (model, grid, frequency grid, r_max) keys, the frequencies by
     their float64 bits: a call on a kept key solves only its refinement, about
     7 profile solves against about 22 cold, with results equal bit for bit.
     The scan is one compiled call (kgp_scan), and the rest another
@@ -534,12 +535,12 @@ def dist_to_manifold(model: ModelSpec, grid: Grid, state: FieldState, omega_grid
     if not all(abs(w) < m for w in omegas):  # a nan too
         raise ValueError("omega_grid must lie strictly inside (-m, m)")
 
-    outer, windows = _metric_windows(grid, r_max)
-    metric = _bound_metric(model, grid, (state.psi[outer], state.pi[outer]), windows)
-    scan = _frequency_scan(model, grid, np.array(omegas).tobytes(), (outer.start, outer.stop))
+    _check_nodes(grid, state)
+    outer, _ = _metric_windows(grid, r_max)
+    scan = _frequency_scan(model, grid, np.array(omegas).tobytes(), r_max)
     if not len(scan.rows):
         raise NoConvergence(omegas[0], float("inf"))
-    dist, row, _ = scan.closest(metric)
+    dist, row, _ = scan.closest(state.psi[outer], state.pi[outer])
     if row is None:
         return ManifoldDistance(dist, float("nan"), None)  # the zero wave
     wave = _wave(row)

@@ -180,8 +180,8 @@ def solve_profile(model: ModelSpec, omega: float, guess) -> SolitaryWave:
     with no numpy call: kappa, the coupling with libm's exp (the function
     math.exp calls), the Newton loop, the gauged linear system by Gaussian
     elimination with partial pivoting and the gauge rotations run there,
-    operation for operation those of the Python-float loop they replaced, bit
-    for bit.
+    operation for operation those of a Python-float loop, bit for bit
+    (tests/test_solitary.py::reference_solve_profile).
     """
     kappa(model, omega)  # refuses a frequency outside the band first
     compiled = _compiled()
@@ -199,11 +199,13 @@ def profile_eval(model: ModelSpec, wave: SolitaryWave, x):
 
     The sum runs in the compiled library (kgp_profile in _passes_search.c):
     each term numpy's complex product of C_J by the float exp, added from 0.0
-    one oscillator after another, as the numpy loop it replaced, but with
-    libm's exp, so the bits do not depend on numpy's SIMD dispatch.
+    one oscillator after another (tests/test_solitary.py::reference_profile),
+    with libm's exp, so the bits do not depend on numpy's SIMD dispatch.  A
+    wave with another count of amplitudes than model's oscillators is a
+    ValueError.
     """
     xs = np.asarray(x, dtype=float)
-    out = _compiled().profile(xs, model.positions, wave.kappa, wave.amplitudes)
+    out = _compiled().profile(model, xs, wave.kappa, wave.amplitudes)
     if np.isscalar(x) or xs.ndim == 0:
         return complex(out)
     return out
@@ -235,9 +237,9 @@ def continue_branch(model: ModelSpec, omega_start: float, omega_end: float, step
     _passes_solve.c), which forms each frequency as it reaches it and grows its
     rows as it solves, so that its memory grows with the points solved and
     not with the range; each point is solved as solve_profile solves it, and
-    the waves are bit for bit those of the loop of solve_profile calls it
-    replaced.  The Branch holds their rows and makes a wave of a row only
-    when it is read.
+    the waves are bit for bit those of a loop of solve_profile calls
+    (tests/test_solitary.py::reference_continue_branch).  The Branch holds
+    their rows and makes a wave of a row only when it is read.
     """
     m = model.mass
     if not (abs(omega_start) < m and abs(omega_end) < m):

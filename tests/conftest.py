@@ -68,10 +68,11 @@ double kgp_probe_sup_norm(const double *x, ptrdiff_t len)
     return sup_norm(x, len);
 }
 
-double kgp_probe_fit_dist(const struct kgp_metric *m, const double *p, const double *q, ptrdiff_t n)
+double kgp_probe_fit_dist(const struct kgp_scan *s, const double *p, const double *q, const double *wp,
+                          const double *wq, double *scratch)
 {
-    const struct kgp_wave w = {p, q, n};
-    return fit_dist(m, &w);
+    const struct metric_view m = {s, p, q, scratch, scratch + 2 * s->nodes};
+    return fit_dist(&m, wp, wq);
 }
 """
 
@@ -164,13 +165,16 @@ class Probe:
         """The solve's sup-norm of the floats x."""
         return self.lib.kgp_probe_sup_norm(_doubles(x), len(x))
 
-    def fit_dist(self, metric, psi, pi):
-        """The metric distance from a Metric's state to the closest phase of the candidate wave (psi, pi) on the
-        same nodes."""
+    def fit_dist(self, metric, u, psi, pi):
+        """The metric distance from the state u, a (psi, pi) pair on the nodes of a Scan's window, to the closest
+        phase of the candidate wave (psi, pi) on the same nodes, in the Scan's metric."""
+        state = metric._state(*u)
         n = self.pair(psi, pi)
         if n != metric.n:
             raise ValueError(f"a wave on {n} nodes, the metric's window has {metric.n}")
-        return self.lib.kgp_probe_fit_dist(metric.block, psi.ctypes.data, pi.ctypes.data, n)
+        scratch = np.empty(2 * n, dtype=complex)
+        return self.lib.kgp_probe_fit_dist(metric.block, *state, psi.ctypes.data, pi.ctypes.data,
+                                           scratch.ctypes.data)
 
 
 @pytest.fixture(scope="session")

@@ -403,8 +403,8 @@ def test_manifold_refinement_solves_on_the_criterion_6_datum(attraction_run, mon
 
     solves, refinements, closest = [], [], _passes.Scan.closest
 
-    def reported(scan, metric, *args):
-        result = closest(scan, metric, *args)
+    def reported(scan, *args):
+        result = closest(scan, *args)
         solves.extend(result[2])
         refinements.append(len(result[2]))
         return result

@@ -3,20 +3,20 @@ against the golden-section search before that."""
 
 import math
 import struct
+import sys
+import threading
 import warnings
 from functools import partial
 
 import numpy as np
 import pytest
-from test_simulator import candidate_dist
+from test_simulator import bound_metric, candidate_dist
 
 from kgpoint import _passes, simulator
 from kgpoint.model import ModelSpec, OscillatorSpec
 from kgpoint.simulator import (
     FieldState,
     ManifoldDistance,
-    _bound_metric,
-    _metric,
     _metric_windows,
     _solitary_sample,
     build_grid,
@@ -45,16 +45,16 @@ def golden_section_dist(probe, model, grid, state, omega_grid, r_max):
     Every refinement solve starts from the best scan point's amplitudes.
     """
     omegas = [float(w) for w in omega_grid]
-    outer, windows = _metric_windows(grid, r_max)
+    outer, _ = _metric_windows(grid, r_max)
     u = (state.psi[outer], state.pi[outer])
-    best = ManifoldDistance(_metric(model, grid, u, windows), float("nan"), None)
+    best = ManifoldDistance(bound_metric(model, grid, r_max).dist(*u), float("nan"), None)
 
     def try_omega(w, start):
         try:
             wave = solve_profile(model, w, start)
         except (NoConvergence, ConvergedToZero):
             return None
-        return candidate_dist(probe, model, grid, u, wave, outer, windows), wave
+        return candidate_dist(probe, model, grid, u, wave, outer, r_max), wave
 
     default_guesses = [[s + 0j] * model.count for s in _NEWTON_STARTS]
     warm = None
@@ -167,7 +167,7 @@ def compiled_and_reference_scans(model, grid, omega_grid, r_max):
     """The bytes of the compiled scan's rows and samples on the metric's outer window, and those of the reference's."""
     omegas = [float(w) for w in omega_grid]
     outer, _ = _metric_windows(grid, r_max)
-    scan = simulator._frequency_scan(model, grid, np.array(omegas).tobytes(), (outer.start, outer.stop))
+    scan = simulator._frequency_scan(model, grid, np.array(omegas).tobytes(), r_max)
     reference = reference_frequency_scan(model, grid, omegas, outer)
     rows = [[w.omega, w.kappa, *(p for z in w.amplitudes for p in (z.real, z.imag)), w.residual_max]
             for w, _ in reference]
@@ -180,9 +180,9 @@ def reference_dist_to_manifold(probe, model, grid, state, omega_grid, r_max, ref
     Brent's refinement, each solve by solve, so that a test may pass a patched one.  The frequencies of the
     refinement's solves are appended to refined, if given."""
     omegas = [float(w) for w in omega_grid]
-    outer, windows = _metric_windows(grid, r_max)
-    metric = _bound_metric(model, grid, (state.psi[outer], state.pi[outer]), windows)
-    best = ManifoldDistance(metric.dist(), float("nan"), None)  # the zero wave
+    outer, _ = _metric_windows(grid, r_max)
+    u, metric = (state.psi[outer], state.pi[outer]), bound_metric(model, grid, r_max)
+    best = ManifoldDistance(metric.dist(*u), float("nan"), None)  # the zero wave
     scan = reference_frequency_scan(model, grid, omegas, outer, solve)
     if not scan:
         raise NoConvergence(omegas[0], float("inf"))
@@ -190,7 +190,7 @@ def reference_dist_to_manifold(probe, model, grid, state, omega_grid, r_max, ref
     solved = {}  # amplitudes by frequency, the refinement's warm starts
     for wave, sample in scan:
         solved[wave.omega] = wave.amplitudes
-        dist = probe.fit_dist(metric, *sample)
+        dist = probe.fit_dist(metric, u, *sample)
         if dist < best.dist:
             best = ManifoldDistance(dist, wave.omega, wave)
 
@@ -207,7 +207,7 @@ def reference_dist_to_manifold(probe, model, grid, state, omega_grid, r_max, ref
             if wave is None:
                 return None
             solved[w] = wave.amplitudes
-            dist = probe.fit_dist(metric, *_solitary_sample(model, grid, wave, outer))
+            dist = probe.fit_dist(metric, u, *_solitary_sample(model, grid, wave, outer))
             if dist < best.dist:
                 best = ManifoldDistance(dist, w, wave)
             return dist
@@ -240,8 +240,8 @@ def log_refinement_solves(monkeypatch, log):
     """Append to log the frequencies of the profile solves that each compiled search reports, in order."""
     closest = _passes.Scan.closest
 
-    def reported(scan, metric, *args):
-        result = closest(scan, metric, *args)
+    def reported(scan, *args):
+        result = closest(scan, *args)
         log.extend(result[2])
         return result
 
@@ -256,12 +256,12 @@ def solve_log(monkeypatch):
     simulator._frequency_scan.cache_clear()
     log, misses, closest = [], [0], _passes.Scan.closest
 
-    def reported(scan, metric, *args):
+    def reported(scan, *args):
         made = simulator._frequency_scan.cache_info().misses
         if made > misses[0]:
             misses[0] = made
             log.extend(scan.rows[:, 0].tolist())
-        result = closest(scan, metric, *args)
+        result = closest(scan, *args)
         log.extend(result[2])
         return result
 
@@ -427,9 +427,9 @@ def test_a_one_frequency_grid_is_not_refined(probe, solve_log):
     grid, (state,) = benchmark_states(1, 1)
     found = dist_to_manifold(PAIR, grid, state, [0.4], 5)
     assert solve_log == [0.4] and found.best_omega == 0.4
-    outer, windows = _metric_windows(grid, 5)
+    outer, _ = _metric_windows(grid, 5)
     u = (state.psi[outer], state.pi[outer])
-    assert found.dist == candidate_dist(probe, PAIR, grid, u, found.wave, outer, windows)
+    assert found.dist == candidate_dist(probe, PAIR, grid, u, found.wave, outer, 5)
 
 
 def test_the_zero_state_is_not_refined(solve_log):
@@ -494,6 +494,33 @@ def test_equal_models_share_one_entry_and_the_cache_stays_bounded():
         info = simulator._frequency_scan.cache_info()
         assert info.currsize <= info.maxsize == 8
     assert info.currsize == 8
+
+
+def test_threads_searching_one_cached_scan_keep_their_serial_results():
+    # ctypes releases the GIL for each compiled search, so these run on one scan block at once, more threads than
+    # cores: the block holds nothing of a state, so each search returns its serial result, bit for bit
+    grid, states = benchmark_states(1, 4)
+    serial = [words(dist_to_manifold(PAIR, grid, state, OMEGAS, 5)) for state in states]
+    rounds, start = 50, threading.Barrier(len(states))
+    results = [[] for _ in states]
+
+    def search(i):
+        start.wait(timeout=60)
+        for _ in range(rounds):
+            results[i].append(words(dist_to_manifold(PAIR, grid, states[i], OMEGAS, 5)))
+
+    threads = [threading.Thread(target=search, args=(i,)) for i in range(len(states))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == [[expected] * rounds for expected in serial]
 
 
 def test_the_scan_warm_starts_each_solve_from_the_last_solved_wave():

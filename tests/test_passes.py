@@ -142,13 +142,12 @@ def test_the_ctypes_declarations_mirror_the_c_structs(probe):
 
 def test_the_entries_are_declared_as_the_sources_define_them():
     lib = _passes.library()
-    model, metric, scan, nearest = (ctypes.POINTER(lib.structs[f"kgp_{name}"])
-                                    for name in ("model", "metric", "scan", "nearest"))
+    model, scan, nearest = (ctypes.POINTER(lib.structs[f"kgp_{name}"]) for name in ("model", "scan", "nearest"))
     size, double, pointer = ctypes.c_ssize_t, ctypes.c_double, ctypes.c_void_p
     # double ** and ptrdiff_t * are pointers to no struct; a const struct pointer is its structure's
     assert lib.entries["kgp_branch"] == ((model, double, double, size, pointer, pointer, pointer), ctypes.c_int)
     assert lib.entries["kgp_free"] == ((pointer,), None)  # void *, and a void return
-    assert lib.entries["kgp_nearest"] == ((metric, scan, nearest), ctypes.c_int)
+    assert lib.entries["kgp_nearest"] == ((scan, pointer, pointer, nearest), ctypes.c_int)
     assert lib.entries["kgp_format_rows"] == ((pointer, size, size, ctypes.POINTER(lib.structs["kgp_pow10"]),
                                                pointer), size)
     assert lib.kgp_evolve.argtypes == (ctypes.POINTER(lib.structs["kgp_run"]), size)
@@ -223,16 +222,16 @@ def test_a_field_with_no_ctypes_type_is_one_file_error_line_before_a_build(cold_
     for path in (*_passes.SOURCES, _passes.HEADER):
         text = Path(path).read_text()
         if path == _passes.HEADER:
-            assert text.count("    double m2, dx;\n") == 1
-            text = text.replace("    double m2, dx;\n", "    float m2;\n    double dx;\n")
+            assert text.count("    double dx;\n") == 1
+            text = text.replace("    double dx;\n", "    float dx;\n")
         (tmp_path / os.path.basename(path)).write_text(text)
     monkeypatch.setattr(_passes, "SOURCES", tuple(str(tmp_path / os.path.basename(p)) for p in _passes.SOURCES))
     monkeypatch.setattr(_passes, "HEADER", str(tmp_path / os.path.basename(_passes.HEADER)))
     (tmp_path / "run.ini").write_text(CONFIG)
     out = tmp_path / "out"
     assert main(["simulate", "--config", str(tmp_path / "run.ini"), "--out", str(out)]) == 1
-    assert capsys.readouterr() == ("", "file error: cannot bind the compiled passes: struct kgp_metric declares "
-                                       "'float m2', a C type with no ctypes type here\n")
+    assert capsys.readouterr() == ("", "file error: cannot bind the compiled passes: struct kgp_scan declares "
+                                       "'float dx', a C type with no ctypes type here\n")
     assert compiler_calls == [] and not cold_cache.exists() and not out.exists()
 
 
@@ -381,21 +380,21 @@ def test_the_form_binders_refuse_a_window_outside_the_nodes(window):
     with pytest.raises(ValueError, match="must lie within the 7 nodes"):
         _passes.bind(psi, pi, None, ONE, (3,), 0.1, 0.0, [window], *_series(1, windows=1, traced=1))
     with pytest.raises(ValueError, match="must lie within the 7 nodes"):
-        _passes.Metric(psi, pi, 1.0, 0.1, [(0, 7), window])
+        _passes.Scan(ONE, [], [], np.zeros(7), (-1, -1), 0.1, [(0, 7), window])
 
 
 def test_the_form_binders_refuse_arrays_of_unequal_length(probe):
     psi, pi = np.zeros(7, complex), np.zeros(6, complex)
     message = "psi and pi as contiguous 1-d complex arrays of one length"
-    metric = _passes.Metric(psi, psi, 1.0, 0.1, [(0, 7)])
+    metric, u = _passes.Scan(ONE, [], [], np.zeros(7), (-1, -1), 0.1, [(0, 7)]), (psi, psi)
     for bind in (lambda: _passes.bind(psi, pi, None, ONE, (3,), 0.1, 0.0, [], *_series(1, traced=1)),
-                 lambda: _passes.Metric(psi, pi, 1.0, 0.1, [(0, 6)]), lambda: probe.fit_dist(metric, psi, pi),
-                 lambda: probe.fit_dist(metric, psi, np.zeros(7)),
-                 lambda: probe.fit_dist(metric, psi, np.zeros(14, complex)[::2])):
+                 lambda: metric.dist(psi, pi), lambda: metric.closest(psi, pi),
+                 lambda: probe.fit_dist(metric, u, psi, pi), lambda: probe.fit_dist(metric, u, psi, np.zeros(7)),
+                 lambda: probe.fit_dist(metric, u, psi, np.zeros(14, complex)[::2])):
         with pytest.raises(ValueError, match=message):
             bind()
     with pytest.raises(ValueError, match="a wave on 6 nodes, the metric's window has 7"):
-        probe.fit_dist(metric, pi, pi)
+        probe.fit_dist(metric, u, pi, pi)
     # the series: a column per observable and window, a trace per oscillator node, the same rows in both
     series, traces = _series(3, windows=1, traced=1)
     for blocks in ((series[:4], traces), (series, traces[:, :2]), (series, traces[:, :, :0]),

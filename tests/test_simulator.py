@@ -4,6 +4,7 @@ import platform
 import subprocess
 import sys
 import warnings
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -11,13 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kgpoint import _passes
+from kgpoint import _passes, simulator
 from kgpoint.counterexamples import init_from, wide_gap_construct
 from kgpoint.model import ModelSpec, OscillatorSpec, force, potential
 from kgpoint.simulator import (
     FieldState,
     NoCommensurateGrid,
-    _bound_metric,
     _kdk,
     _metric_windows,
     _solitary_sample,
@@ -35,7 +35,7 @@ from kgpoint.simulator import (
     solitary_state,
     step,
 )
-from kgpoint.solitary import NoConvergence, profile_eval, solve_profile
+from kgpoint.solitary import NoConvergence, SolitaryWave, profile_eval, solve_profile
 
 QUARTIC = ModelSpec(1.0, (OscillatorSpec(0.0, (0.0, -2.0, 1.0)),))
 PAIR = ModelSpec(
@@ -667,6 +667,45 @@ def test_local_seminorm_empty_window():
         assert metric_dist(model, far, ones, ones, 1) == 0.0
 
 
+def on_another_grid():
+    """The README pair's 1001-node grid on [-10, 10], a state on it, and a state on the 1301 nodes of [-13, 13]."""
+    wave = solve_profile(PAIR, 0.4, [0.7, 0.7])
+    grid, wider = build_grid(PAIR, -10.0, 10.0, 0.02), build_grid(PAIR, -13.0, 13.0, 0.02)
+    return grid, solitary_state(PAIR, grid, wave), perturbed_solitary_state(PAIR, wider, wave, 0.1, seed=1)
+
+
+ANOTHER_GRID = "^state has 1301 nodes, grid has 1001$"
+
+
+def test_local_seminorm_refuses_a_state_on_another_grid():
+    grid, _, state = on_another_grid()
+    with pytest.raises(ValueError, match=ANOTHER_GRID):
+        local_seminorm(PAIR, grid, state, 5.0)
+
+
+def test_metric_dist_refuses_a_state_on_another_grid():
+    grid, fits, state = on_another_grid()
+    for a, b in ((state, fits), (fits, state)):
+        with pytest.raises(ValueError, match=ANOTHER_GRID):
+            metric_dist(PAIR, grid, a, b, 5)
+
+
+def test_dist_to_manifold_refuses_a_state_on_another_grid():
+    grid, _, state = on_another_grid()
+    with pytest.raises(ValueError, match=ANOTHER_GRID):
+        dist_to_manifold(PAIR, grid, state, np.linspace(0.1, 0.8, 15), 5)
+
+
+@pytest.mark.parametrize("count", [1, 3])
+@pytest.mark.parametrize("make", [solitary_state, partial(perturbed_solitary_state, noise_amplitude=0.1, seed=8)],
+                         ids=["solitary_state", "perturbed_solitary_state"])
+def test_solitary_states_refuse_a_wave_with_another_count_of_amplitudes(make, count):
+    # the README pair has two oscillators: each takes an amplitude, and none is dropped
+    grid = build_grid(PAIR, -6.0, 6.0, 0.02)
+    with pytest.raises(ValueError, match=f"^the amplitude system has 2 oscillators, not {count}$"):
+        make(PAIR, grid, SolitaryWave(0.4, 0.9, (0.5 + 0.1j,) * count))
+
+
 def test_metric_dist_axioms():
     grid = build_grid(QUARTIC, -10.0, 10.0, 0.05)
     rng = np.random.default_rng(11)
@@ -686,10 +725,15 @@ def test_metric_dist_axioms():
     assert dab <= energy_norm(QUARTIC, grid, diff) + 1e-12
 
 
-def candidate_dist(probe, model, grid, u, wave, outer, windows):
+def bound_metric(model, grid, r_max):
+    """The compiled metric of radii 1..r_max on grid, bound as metric_dist binds it: a scan of no frequencies."""
+    return simulator._frequency_scan(model, grid, b"", r_max)
+
+
+def candidate_dist(probe, model, grid, u, wave, outer, r_max):
     """The metric distance from u, a (psi, pi) pair on the nodes of the outer window, to the closest phase of a wave,
     as the manifold distance's search takes it: the wave sampled on the outer window alone, the phase in closed form."""
-    return probe.fit_dist(_bound_metric(model, grid, u, windows), *_solitary_sample(model, grid, wave, outer))
+    return probe.fit_dist(bound_metric(model, grid, r_max), u, *_solitary_sample(model, grid, wave, outer))
 
 
 def full_grid_candidate_dist(model, grid, state, wave, r_max):
@@ -752,11 +796,11 @@ def test_window_candidates_equal_the_full_grid_path_bit_for_bit(probe, x_min, x_
     state = perturbed_solitary_state(PAIR, grid, solve_profile(PAIR, 0.4, [0.7, 0.7]), 0.1, seed=1)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the clipped grid warns of its r_max window
-        outer, windows = _metric_windows(grid, 5)
+        outer, _ = _metric_windows(grid, 5)
         u = (state.psi[outer], state.pi[outer])
         for omega in np.linspace(0.1, 0.8, 15):
             wave = solve_profile(PAIR, float(omega), [0.7, 0.7])
-            dist = candidate_dist(probe, PAIR, grid, u, wave, outer, windows)
+            dist = candidate_dist(probe, PAIR, grid, u, wave, outer, 5)
             assert dist == full_grid_candidate_dist(PAIR, grid, state, wave, 5)
             assert dist == pytest.approx(vdot_candidate_dist(PAIR, grid, state, wave, 5), rel=1e-13, abs=0.0)
 
@@ -811,7 +855,7 @@ def test_the_compiled_form_keeps_the_fixed_order_on_every_lane_tail(probe, lengt
 
     # the metric of the nodes and its phase fit to a wave on them, whose inner product sums the Im lanes too
     radii = [(0, length), (length // 2, length), (0, 0)]
-    metric = _passes.Metric(*u, m2, dx, radii)
+    metric = _passes.Scan(free, [], [], np.zeros(length), (-1, -1), dx, radii)
     w = (wave_psi[:length], wave_pi[:length])
     zr, zi = fixed_order_form(m2, dx, u, w)
     r = math.hypot(zr, zi)
@@ -822,7 +866,7 @@ def test_the_compiled_form_keeps_the_fixed_order_on_every_lane_tail(probe, lengt
         out.real, out.imag = z.real * er - z.imag * ei, z.real * ei + z.imag * er
         return out
 
-    for dist, (d_psi, d_pi) in ((metric.dist(), u), (probe.fit_dist(metric, *w), (u[0] - phased(w[0]),
+    for dist, (d_psi, d_pi) in ((metric.dist(*u), u), (probe.fit_dist(metric, u, *w), (u[0] - phased(w[0]),
                                                                                    u[1] - phased(w[1])))):
         expected = left_to_right(0.5**R * math.sqrt(fixed_order_form(m2, dx, (d_psi[a:b], d_pi[a:b]),
                                                                      (d_psi[a:b], d_pi[a:b]))[0])

@@ -166,6 +166,14 @@ def test_profile_eval_examples():
     assert profile_eval(PAIR_MODEL, wave, 0.0) == pytest.approx(expected, abs=1e-12)
 
 
+@pytest.mark.parametrize("count", [1, 3])
+def test_profile_eval_refuses_a_wave_with_another_count_of_amplitudes(count):
+    # the README pair has two oscillators: each takes an amplitude, and none is dropped
+    wave = SolitaryWave(0.4, kappa(PAIR_MODEL, 0.4), (0.5 + 0.1j,) * count)
+    with pytest.raises(ValueError, match=f"^the amplitude system has 2 oscillators, not {count}$"):
+        profile_eval(PAIR_MODEL, wave, 0.1)
+
+
 def reference_profile(model, wave, x):
     """profile_eval at the float x on Python floats: each term numpy's complex product of C_J by the float
     math.exp(-kappa |x - X_J|), (Re C e - Im C 0.0, Re C 0.0 + Im C e), added from 0.0 one oscillator after another."""
