@@ -14,6 +14,13 @@
 #include <stddef.h>
 
 #define KGP_HIDDEN __attribute__((visibility("hidden")))
+#define ALWAYS_INLINE static inline __attribute__((always_inline))
+
+/* The builds of the stepping loop and of the energy form's whole groups, each one body compiled for a vector width:
+ * plain, and on x86-64 for AVX2 and for AVX-512F by target attributes.  picked is the one build that both run, the
+ * widest this CPU runs, picked when the library loads (kgp_pick, _passes_step.c). */
+enum { PLAIN, AVX2, AVX512F, BUILDS };
+extern KGP_HIDDEN int picked;
 
 /* libm's pow, called through a pointer the compiler cannot see through: it
  * would turn pow(x, 2.0) into x * x, which rounds apart from numpy's and

@@ -16,13 +16,14 @@ The library is built by Python's own C compiler (sysconfig's ``CC``) with
 ``-O3 -ffp-contract=off -lm``: no fused multiply-add and no reassociation, so
 each step keeps numpy's bits and each solve the bits of a Python-float Newton
 loop (tests/test_solitary.py::reference_solve_profile).  There is no
-``-march``: the stepping loop alone is compiled three times, plain and, on
-x86-64, for AVX2 and for AVX-512F by target attributes, and the library picks
-the widest build that the CPU runs (``__builtin_cpu_supports``) when it loads,
-so a cached library runs on any CPU of its architecture, and every build keeps
-the same bits.  The energy form sums in one fixed order of its own
+``-march``: the stepping loop and the energy form's sums are each compiled
+three times, plain and, on x86-64, for AVX2 and for AVX-512F by target
+attributes, and one pick (``kgp_pick``) runs the widest build that the CPU
+runs (``__builtin_cpu_supports``) for both, made when the library loads, so a
+cached library runs on any CPU of its architecture, and every build keeps the
+same bits.  The energy form sums in one fixed order of its own
 (``form_sums``), so H, Q, the energy norm, the seminorms, the metric and the
-phase fit have the same bits whatever the CPU or BLAS.  Two blocks evaluate it:
+phase fit have the same bits whatever the CPU, build or BLAS.  Two blocks evaluate it:
 ``bind``'s run, whose samples are whole rows of observers, and a ``Scan``,
 which holds the metric's windows and fits its candidate waves to any state
 passed to it.  ``csv_writer`` prints float64 rows as Python's ``'%.17g'``, by
@@ -32,8 +33,12 @@ Python ints on the first CSV write.  The library is cached in
 not writable in a private directory under the temp directory, named by the
 SHA-256 of every source, the header and the compile command.  A build is
 compiled to a temporary name and renamed into place, so processes that build at
-once do not race.  A build that fails raises OSError with a one-line reason.
-Loading a cached build imports no ``subprocess``.
+once do not race.  Before the rename, a fresh build must give the known
+answers (``KNOWN_CASE``, ``KNOWN_ANSWERS``) on each of its builds that the CPU
+runs, so a compiler that fuses, reassociates or folds what the sources keep
+apart is caught there.  A build that fails raises OSError with a one-line
+reason and leaves no library in the cache.  Loading a cached build runs no
+check and imports no ``subprocess``.
 """
 
 from __future__ import annotations
@@ -138,7 +143,7 @@ def _cache_dir() -> str:
                   f"or {tempfile.gettempdir()}")
 
 
-def _build(command: list[str], path: str):
+def _build(command: list[str], path: str, declared: dict, structs: dict):
     import subprocess  # here alone, so that loading a cached build does not import it
 
     fd, building = tempfile.mkstemp(suffix=".so.partial", dir=os.path.dirname(path))
@@ -152,16 +157,27 @@ def _build(command: list[str], path: str):
         if done.returncode != 0:
             reason = next((line for line in done.stderr.splitlines() if line.strip()), "no message")
             raise OSError(f"cannot build the compiled passes: {command[0]} exited {done.returncode}: {reason}")
+        _check(_load(building, declared, structs))
         os.replace(building, path)
     finally:
         if os.path.exists(building):
             os.remove(building)
 
 
+def _load(path: str, declared: dict, structs: dict) -> ctypes.CDLL:
+    lib = ctypes.CDLL(path)
+    for name, (argtypes, restype) in declared.items():
+        entry = getattr(lib, name)
+        entry.argtypes, entry.restype = argtypes, restype
+    lib.structs, lib.entries = structs, declared
+    return lib
+
+
 @cache
 def library() -> ctypes.CDLL:
     """The compiled passes, built into the cache unless a build of these sources, header and command is there, with
-    the entries declared as the sources define them (entries) and the structures of their structs (structs)."""
+    the entries declared as the sources define them (entries) and the structures of their structs (structs).  A
+    fresh build is cached only once it gives the known answers (_check)."""
     command, texts, digest = _compile_command(), [], hashlib.sha256()
     for path in (*SOURCES, HEADER):
         with open(path, "rb") as fh:
@@ -173,25 +189,20 @@ def library() -> ctypes.CDLL:
     digest.update(shlex.join([*command, *_LIBS]).encode())
     path = os.path.join(_cache_dir(), f"passes-{digest.hexdigest()}.so")
     if not os.path.exists(path):
-        _build(command, path)
-    lib = ctypes.CDLL(path)
-    for name, (argtypes, restype) in declared.items():
-        entry = getattr(lib, name)
-        entry.argtypes, entry.restype = argtypes, restype
-    lib.structs, lib.entries = structs, declared
-    return lib
+        _build(command, path, declared, structs)
+    return _load(path, declared, structs)
 
 
-def _pack(model):
-    """struct kgp_model of a ModelSpec: of u, u' and u'' the counts and the coefficients, highest degree first, the
-    positions and the mass."""
+def _pack(model, structs=None):
+    """struct kgp_model of a ModelSpec, of the library's structs unless others are given: of u, u' and u'' the counts
+    and the coefficients, highest degree first, the positions and the mass."""
     arrays = []
     for lists in zip(*((o.coefficients, o.slope_coefficients, o._curvature_coefficients) for o in model.oscillators)):
         arrays.append((_INT * len(lists))(*map(len, lists)))
         arrays.append((_DOUBLE * sum(map(len, lists)))(*(v for u in lists for v in u[::-1])))
     arrays.append((_DOUBLE * model.count)(*model.positions))
     fields = zip(("ncoef", "coef", "nslope", "slope", "ncurv", "curv", "positions"), map(ctypes.addressof, arrays))
-    block = library().structs["kgp_model"](n=model.count, mass=model.mass, **dict(fields))
+    block = (structs or library().structs)["kgp_model"](n=model.count, mass=model.mass, **dict(fields))
     block.arrays = arrays  # the block points into them and holds them
     return ctypes.pointer(block)
 
@@ -455,8 +466,10 @@ def residual(model, omega: float, amps) -> list[float]:
 @cache
 def _powers_of_ten():
     """struct kgp_pow10 of 10^k for each k of POW10_K, in order, from exact Python ints."""
-    pow10 = library().structs["kgp_pow10"]
+    return _power_table(library().structs["kgp_pow10"])
 
+
+def _power_table(pow10):
     def entry(k):
         power = 10**abs(k)
         if k >= 0:
@@ -470,6 +483,12 @@ def _powers_of_ten():
     return (pow10 * len(POW10_K))(*map(entry, POW10_K))
 
 
+def _ten_to_the_zero(table):
+    """A pointer to the entry of 10^0 of a power table, which kgp_format_rows indexes by k."""
+    return ctypes.cast(ctypes.addressof(table) - POW10_K.start * ctypes.sizeof(table._type_),
+                       ctypes.POINTER(table._type_))
+
+
 def csv_writer(rows: np.ndarray):
     """write(fh), which writes the 2-d float64 rows to the binary file fh as CSV lines: each value as Python's
     '%.17g' ('nan' for a NaN of either sign), comma-separated, each row CRLF-ended.
@@ -481,9 +500,7 @@ def csv_writer(rows: np.ndarray):
     if not isinstance(rows, np.ndarray) or rows.dtype != float or rows.ndim != 2:
         kind = f"{rows.ndim}-d {rows.dtype}" if isinstance(rows, np.ndarray) else type(rows).__name__
         raise ValueError(f"the CSV formatter needs a 2-d float64 array, not {kind}")
-    entry, table = library().kgp_format_rows, _powers_of_ten()
-    pow10 = ctypes.cast(ctypes.addressof(table) - POW10_K.start * ctypes.sizeof(table._type_),  # the entry of 10^0
-                        ctypes.POINTER(table._type_))
+    entry, pow10 = library().kgp_format_rows, _ten_to_the_zero(_powers_of_ten())
     cols = rows.shape[1]
     block = max(1, _BLOCK_BYTES // (cols * _VALUE_BYTES + _ROW_BYTES))
 
@@ -494,3 +511,76 @@ def csv_writer(rows: np.ndarray):
             fh.write(buffer[:entry(part.ctypes.data, len(part), cols, pow10, buffer.ctypes.data)])
 
     return write
+
+
+BUILDS = ("plain", "avx2", "avx512f")  # the builds of the stepping loop and the energy form, by index (kgp_pick)
+
+# The known-answer case that a fresh build runs before it is cached (_check): steps kick-drift-kick steps of dt from
+# (psi, pi) on 7 nodes dx apart, with one oscillator of u(s) = s^2 - 2 s at node 3 and mass 1, sampled at step 0 and
+# after the steps with the seminorm of the nodes [1, 6); the solve at omega from the amplitude 0.7; and a CSV row of
+# values that are hard to format.
+KNOWN_CASE = {
+    "psi": (0j, 0.25 + 0.5j, 0.5 - 0.25j, 0.75 + 0.125j, -0.5 + 0.375j, 0.125 - 0.625j, 0j),
+    "pi": (0j, -0.125 + 0.25j, 0.375 + 0j, 0.5j, -0.25 - 0.125j, 0.625 + 0.25j, 0j),
+    "dx": 0.25, "dt": 0.125, "steps": 4, "omega": 0.5,
+    "row": (5e-324, 2.225073858507201e-308, 2.2250738585072014e-308, 1.7976931348623157e308, 1e23, 0.1, 1 / 3,
+            -0.0, 9007199254740993.0, 1e-7, float("nan"), -float("nan"), float("inf"), -float("inf")),
+}
+# Its answers as float hex, regenerated from the references by tests/test_passes.py::
+# test_the_known_answers_are_the_references: psi and pi after the steps, Re and Im interleaved; the samples' columns
+# t, H, Q, the energy norm and the seminorm, each at step 0 and after the steps; and the solve's row.  The CSV row's
+# answer is Python's '%.17g'.
+KNOWN_ANSWERS = {
+    "psi": ("0x0.0p+0", "0x0.0p+0", "0x1.ae8eefa5dc000p-3", "-0x1.40564679c3000p-2", "0x1.5c9ac8559042cp-4",
+            "0x1.f0a84b460d0b9p-2", "0x1.f81a186923456p-4", "0x1.2d5e97001f55ap-3", "0x1.a0b2ea0ab2086p-1",
+            "-0x1.6a1bfef3e5e8ep-3", "0x1.fd7ffc9770000p-5", "0x1.22a143a31e800p-1", "0x0.0p+0", "0x0.0p+0"),
+    "pi": ("0x0.0p+0", "0x0.0p+0", "-0x1.25abfb3b1b67ap-1", "0x1.b65504698b9dcp-1", "-0x1.f33b2ac461c2ep+0",
+           "-0x1.4658b33459782p+0", "0x1.11efad3bf8e17p+0", "-0x1.c146673373908p-6", "-0x1.6378a4b8c385cp-1",
+           "0x1.1cfbc4a35343fp+1", "0x1.016e6a31b9262p+1", "-0x1.b2debe2474624p-1", "0x0.0p+0", "0x0.0p+0"),
+    "samples": ("0x0.0p+0", "0x1.0000000000000p-1", "0x1.15b2000000000p+3", "0x1.06cde2b03d239p+3",
+                "-0x1.2c00000000000p-2", "-0x1.2bfffffffffffp-2", "0x1.16f8334644df9p+2", "0x1.0484a8e311e9dp+2",
+                "0x1.00ff807f60debp+2", "0x1.eab671ed2935dp+1"),
+    "solve": ("0x1.0000000000000p-1", "0x1.bb67ae8584caap-1", "0x1.818753c32b355p-1", "0x0.0p+0",
+              "0x1.0000000000000p-49"),
+}
+
+
+def _known_results(lib) -> dict:
+    """The known-answer case's steps, samples and solve on lib's picked build, as KNOWN_ANSWERS lays them out."""
+    from .model import ModelSpec, OscillatorSpec
+
+    case, structs = KNOWN_CASE, lib.structs
+    model = _pack(ModelSpec(1.0, (OscillatorSpec(0.0, (0.0, -2.0, 1.0)),)), structs)
+    psi, pi, kick = np.array(case["psi"]), np.array(case["pi"]), np.zeros(7, complex)
+    sites, window = (_SIZE * 1)(3), (_SIZE * 2)(1, 6)
+    series, traces = np.zeros((5, 2)), np.zeros((2, 2, 1), complex)
+    run = structs["kgp_run"](p=psi.ctypes.data, q=pi.ctypes.data, k=kick.ctypes.data, n=psi.size, dx=case["dx"],
+                             dt=case["dt"], model=model, sites=ctypes.addressof(sites), every=case["steps"], t0=0.0,
+                             nwindows=1, windows=ctypes.addressof(window), rows=2, series=series.ctypes.data,
+                             traces=traces.ctypes.data)
+    lib.kgp_evolve(ctypes.byref(run), case["steps"])
+    row = (_DOUBLE * 5)()
+    lib.kgp_solve(model, case["omega"], (_DOUBLE * 2)(0.7, 0.0), row)
+    return {name: tuple(map(float.hex, values)) for name, values in
+            (("psi", psi.view(float)), ("pi", pi.view(float)), ("samples", series.ravel()), ("solve", row))}
+
+
+def _check(lib):
+    """The known-answer case (KNOWN_CASE) on lib, a fresh build: its steps, samples and solve on each build of the
+    stepping loop and the energy form that this CPU runs (kgp_pick), and its CSV row.  OSError names the first
+    result that differs from KNOWN_ANSWERS, or from Python's '%.17g'.  The widest build is picked again after."""
+    failure = "cannot build the compiled passes: the build fails its known-answer check, at {}"
+    try:
+        for build, name in enumerate(BUILDS):
+            if lib.kgp_pick(build) == build:
+                found = _known_results(lib)
+                for part, answer in KNOWN_ANSWERS.items():
+                    if found[part] != answer:
+                        raise OSError(failure.format(f"the {name} build's {part}"))
+    finally:
+        lib.kgp_pick(-1)
+    values, table = np.array(KNOWN_CASE["row"]), _power_table(lib.structs["kgp_pow10"])
+    text = np.empty(values.size * _VALUE_BYTES + _ROW_BYTES, dtype=np.uint8)
+    size = lib.kgp_format_rows(values.ctypes.data, 1, values.size, _ten_to_the_zero(table), text.ctypes.data)
+    if text[:size].tobytes() != (",".join("%.17g" % v for v in values.tolist()) + "\r\n").encode():
+        raise OSError(failure.format("the CSV row"))

@@ -2,99 +2,150 @@
  * to a candidate wave.
  *
  * The energy form sums in one fixed order of its own, written out below at
- * form_sums, with two-lane vectors of gcc's and clang's vector extensions (no
- * intrinsics, no -march), so its bits depend on neither the CPU nor a BLAS.
+ * form_sums, on gcc's and clang's vector extensions (no intrinsics), so its
+ * bits depend on neither the CPU nor a BLAS.  Its whole groups of entries are
+ * one body built at each vector width of the stepping loop's builds (FORM):
+ * two lanes plain, four for AVX2 and eight for AVX-512F, each holding a sum's
+ * eight accumulator lanes in as few vectors.  They run the build picked with
+ * the stepping loop's (picked, _passes_step.c), and every build keeps the
+ * same bits.
  */
 #include <math.h>
 #include <string.h>
 
 #include "_passes.h"
 
-/* Two doubles as one value, lane by lane (gcc's and clang's vector extension) */
-typedef double v2 __attribute__((vector_size(16)));
-
-/* the complex entry at x as the lanes (Re, Im), and swapped as (Im, Re) */
-static inline v2 load(const double *x)
-{
-    v2 v;
-    memcpy(&v, x, sizeof v);
-    return v;
-}
-
-static inline v2 load_swapped(const double *x)
-{
-    return (v2){x[1], x[0]};
-}
-
 enum { PI, PSI, CELLS, SUMS }; /* the energy form's three sums */
+enum { SET = 8 };              /* one sum's accumulators: four of two lanes, accumulator k in doubles 2k and 2k + 1 */
+enum { NORM, CHARGE, FIT };    /* the sums of a state with itself, also with its charge, and of two states */
 
-/* every sum's four accumulators */
+/* every sum's accumulators, Re and Im */
 struct form_acc {
-    v2 re[SUMS][4], im[SUMS][4];
+    double re[SUMS][SET], im[SUMS][SET];
 };
 
-/* Entry i of the sums into accumulator k: the node products at node i, and the cell product at cell i
- * when cell; with im, also the products with b's lanes swapped; with charge, conj(p_a) q_a's. */
-static inline __attribute__((always_inline)) void form_entry(struct form_acc *s, const double *ap, const double *aq,
-                                                             const double *bp, const double *bq, ptrdiff_t i,
-                                                             const int k, const int cell, const int im,
-                                                             const int charge)
+/* The entries of lanes [0, w) from double j on into s, each lane into its own accumulator lane: the node products,
+ * and the cell products of lanes [0, cells); with FIT, also the products with b's lanes swapped, (Re_a Im_b,
+ * Im_a Re_b); with CHARGE, conj(p_a) q_a's. */
+ALWAYS_INLINE void form_lanes(struct form_acc *s, const double *ap, const double *aq, const double *bp,
+                              const double *bq, ptrdiff_t j, ptrdiff_t w, ptrdiff_t cells, const int kind)
 {
-    const ptrdiff_t j = 2 * i;
-    const v2 pa = load(ap + j), qa = load(aq + j);
-    s->re[PI][k] = s->re[PI][k] + qa * load(bq + j);
-    s->re[PSI][k] = s->re[PSI][k] + pa * load(bp + j);
-    if (cell)
-        s->re[CELLS][k] = s->re[CELLS][k] + (load(ap + j + 2) - pa) * (load(bp + j + 2) - load(bp + j));
-    if (im) {
-        s->im[PI][k] = s->im[PI][k] + qa * load_swapped(bq + j);
-        s->im[PSI][k] = s->im[PSI][k] + pa * load_swapped(bp + j);
-        if (cell)
-            s->im[CELLS][k] =
-                s->im[CELLS][k] + (load(ap + j + 2) - pa) * (load_swapped(bp + j + 2) - load_swapped(bp + j));
+    for (ptrdiff_t l = 0; l < w; l++) {
+        const ptrdiff_t i = j + l, k = i ^ 1; /* k: i's lane swapped */
+        s->re[PI][l] = s->re[PI][l] + aq[i] * bq[i];
+        s->re[PSI][l] = s->re[PSI][l] + ap[i] * bp[i];
+        if (l < cells)
+            s->re[CELLS][l] = s->re[CELLS][l] + (ap[i + 2] - ap[i]) * (bp[i + 2] - bp[i]);
+        if (kind == FIT) {
+            s->im[PI][l] = s->im[PI][l] + aq[i] * bq[k];
+            s->im[PSI][l] = s->im[PSI][l] + ap[i] * bp[k];
+            if (l < cells)
+                s->im[CELLS][l] = s->im[CELLS][l] + (ap[i + 2] - ap[i]) * (bp[k + 2] - bp[k]);
+        }
+        if (kind == CHARGE)
+            s->im[PI][l] = s->im[PI][l] + ap[i] * aq[k];
     }
-    if (charge)
-        s->im[PI][k] = s->im[PI][k] + pa * load_swapped(aq + j);
 }
 
+/* the vector of type at x, and the vector v of type with each entry's two lanes swapped */
+#define LOAD(type, x) ({ type v_; memcpy(&v_, (x), sizeof v_); v_; })
+#define SWAPPED(type, v)                                                                                               \
+    ({                                                                                                                 \
+        type w_;                                                                                                       \
+        for (unsigned l_ = 0; l_ < sizeof w_ / sizeof w_[0]; l_++)                                                     \
+            w_[l_] = (v)[l_ ^ 1];                                                                                      \
+        w_;                                                                                                            \
+    })
+
+/* The build name of the form's whole groups, at lanes doubles a vector: the entries of the groups of four nodes in
+ * [0, end / 2) into s, as form_lanes adds them, the SET lanes of each accumulator set as SET / lanes vectors.  Vector
+ * v of a group from double j holds the lanes [v lanes, (v + 1) lanes), whose products are those of the doubles from
+ * j + v lanes on.  Each width is its own type: one wider type, lowered by the compiler at a narrower target, runs
+ * slower than the narrower body. */
+#define FORM(name, lanes, ...)                                                                                         \
+    typedef double name##_vec __attribute__((vector_size(8 * (lanes))));                                               \
+    __VA_ARGS__ ALWAYS_INLINE void name##_groups(struct form_acc *s, const double *ap, const double *aq,               \
+                                                 const double *bp, const double *bq, ptrdiff_t end, const int kind)    \
+    {                                                                                                                  \
+        name##_vec re[SUMS][SET / (lanes)], im[SUMS][SET / (lanes)];                                                   \
+        memcpy(re, s->re, sizeof re);                                                                                  \
+        memcpy(im, s->im, sizeof im);                                                                                  \
+        for (ptrdiff_t j = 0; j < end; j += SET)                                                                       \
+            for (int v = 0; v < SET / (lanes); v++) {                                                                  \
+                const ptrdiff_t i = j + v * (lanes);                                                                   \
+                const name##_vec pa = LOAD(name##_vec, ap + i), qa = LOAD(name##_vec, aq + i);                         \
+                const name##_vec pb = LOAD(name##_vec, bp + i), qb = LOAD(name##_vec, bq + i);                         \
+                const name##_vec da = LOAD(name##_vec, ap + i + 2) - pa, db = LOAD(name##_vec, bp + i + 2) - pb;       \
+                re[PI][v] = re[PI][v] + qa * qb;                                                                       \
+                re[PSI][v] = re[PSI][v] + pa * pb;                                                                     \
+                re[CELLS][v] = re[CELLS][v] + da * db;                                                                 \
+                if (kind == FIT) {                                                                                     \
+                    im[PI][v] = im[PI][v] + qa * SWAPPED(name##_vec, qb);                                              \
+                    im[PSI][v] = im[PSI][v] + pa * SWAPPED(name##_vec, pb);                                            \
+                    im[CELLS][v] = im[CELLS][v] + da * SWAPPED(name##_vec, db);                                        \
+                }                                                                                                      \
+                if (kind == CHARGE)                                                                                    \
+                    im[PI][v] = im[PI][v] + pa * SWAPPED(name##_vec, qa);                                              \
+            }                                                                                                          \
+        memcpy(s->re, re, sizeof re);                                                                                  \
+        memcpy(s->im, im, sizeof im);                                                                                  \
+    }                                                                                                                  \
+    static __VA_ARGS__ __attribute__((noinline)) void name(struct form_acc *s, const double *ap, const double *aq,     \
+                                                           const double *bp, const double *bq, ptrdiff_t end,          \
+                                                           int kind)                                                   \
+    {                                                                                                                  \
+        if (kind == FIT)                                                                                               \
+            name##_groups(s, ap, aq, bp, bq, end, FIT);                                                                \
+        else if (kind == CHARGE)                                                                                       \
+            name##_groups(s, ap, aq, bp, bq, end, CHARGE);                                                             \
+        else                                                                                                           \
+            name##_groups(s, ap, aq, bp, bq, end, NORM);                                                               \
+    }
+
+FORM(form_plain, 2)
+#if defined(__x86_64__)
+FORM(form_avx2, 4, __attribute__((target("avx2"))))
+FORM(form_avx512f, 8, __attribute__((target("avx512f"))))
+#endif
+
+typedef __typeof__(form_plain) form_fn;
+
+static form_fn *const forms[BUILDS] = {
+    [PLAIN] = form_plain,
+#if defined(__x86_64__)
+    [AVX2] = form_avx2,
+    [AVX512F] = form_avx512f,
+#endif
+};
+
 /* The sums of the energy form of two states a and b on the same len nodes, (p, q) = (psi, pi) as
- * interleaved complex: over the nodes i in [0, len) conj(q_a) q_b and conj(p_a) p_b, and over the cells
- * i in [0, len - 1) conj(dp_a) dp_b, dp_i = p_{i+1} - p_i taken here, lane by lane.
+ * interleaved complex, by the build groups of forms: over the nodes i in [0, len) conj(q_a) q_b and
+ * conj(p_a) p_b, and over the cells i in [0, len - 1) conj(dp_a) dp_b, dp_i = p_{i+1} - p_i taken here,
+ * lane by lane.
  *
  * The one fixed order: each sum has four accumulators of two lanes, each
  * from 0.0; entry i adds its lane products (Re_a Re_b, Im_a Im_b) into
  * accumulator i mod 4, in the order of i; the accumulators combine as
  * ((s0 + s1) + (s2 + s3)), and re[t] is lane 0 + lane 1, Re conj(a) b.
- * With im, b's lanes are also taken swapped, (Re_a Im_b, Im_a Re_b), and
- * im[t] is lane 0 - lane 1, Im conj(a) b; with charge, im[PI] is instead
- * that of conj(p_a) q_a.  A window [s, e) of a larger state is the state
- * from node s on, with len = e - s, so its sums do not depend on where it lies.
+ * With FIT, b's lanes are also taken swapped, (Re_a Im_b, Im_a Re_b), and
+ * im[t] is lane 0 - lane 1, Im conj(a) b; with CHARGE, im[PI] is instead
+ * that of conj(p_a) q_a.  The entries of whole groups of four, before the
+ * group that holds the last node, whose cell lies outside, run at the
+ * build's vector width; the rest lane by lane.  A window [s, e) of a larger
+ * state is the state from node s on, with len = e - s, so its sums do not
+ * depend on where it lies.
  */
-static inline __attribute__((always_inline)) void form_sums(const double *ap, const double *aq, const double *bp,
-                                                            const double *bq, ptrdiff_t len, const int im,
-                                                            const int charge, double re[SUMS], double imag[SUMS])
+ALWAYS_INLINE void form_sums(int build, const double *ap, const double *aq, const double *bp, const double *bq,
+                             ptrdiff_t len, const int kind, double re[SUMS], double imag[SUMS])
 {
     struct form_acc s = {0};
-    ptrdiff_t i = 0;
-    for (; i + 4 < len; i += 4) { /* entries whose cells all lie inside */
-        form_entry(&s, ap, aq, bp, bq, i, 0, 1, im, charge);
-        form_entry(&s, ap, aq, bp, bq, i + 1, 1, 1, im, charge);
-        form_entry(&s, ap, aq, bp, bq, i + 2, 2, 1, im, charge);
-        form_entry(&s, ap, aq, bp, bq, i + 3, 3, 1, im, charge);
-    }
-    if (i < len)
-        form_entry(&s, ap, aq, bp, bq, i, 0, i + 1 < len, im, charge);
-    if (i + 1 < len)
-        form_entry(&s, ap, aq, bp, bq, i + 1, 1, i + 2 < len, im, charge);
-    if (i + 2 < len)
-        form_entry(&s, ap, aq, bp, bq, i + 2, 2, i + 3 < len, im, charge);
-    if (i + 3 < len)
-        form_entry(&s, ap, aq, bp, bq, i + 3, 3, 0, im, charge);
-    for (int t = 0; t < SUMS; t++) {
-        const v2 r = (s.re[t][0] + s.re[t][1]) + (s.re[t][2] + s.re[t][3]);
-        const v2 u = (s.im[t][0] + s.im[t][1]) + (s.im[t][2] + s.im[t][3]);
-        re[t] = r[0] + r[1];
-        imag[t] = u[0] - u[1];
+    const ptrdiff_t whole = len > 0 ? (len - 1) / 4 * 4 : 0, j = 2 * whole;
+    forms[build](&s, ap, aq, bp, bq, j, kind);
+    form_lanes(&s, ap, aq, bp, bq, j, 2 * (len - whole), 2 * (len - whole - 1), kind);
+    for (int t = 0; t < SUMS; t++) { /* lanes 0 and 1 of ((s0 + s1) + (s2 + s3)) */
+        const double *r = s.re[t], *u = s.im[t];
+        re[t] = ((r[0] + r[2]) + (r[4] + r[6])) + ((r[1] + r[3]) + (r[5] + r[7]));
+        imag[t] = ((u[0] + u[2]) + (u[4] + u[6])) - ((u[1] + u[3]) + (u[5] + u[7]));
     }
 }
 
@@ -108,7 +159,7 @@ static inline double form_value(const double sum[SUMS], double m2, double dx)
 static inline double seminorm(const double *p, const double *q, ptrdiff_t len, double m2, double dx)
 {
     double re[SUMS], im[SUMS];
-    form_sums(p, q, p, q, len, 0, 0, re, im);
+    form_sums(picked, p, q, p, q, len, NORM, re, im);
     return sqrt(form_value(re, m2, dx));
 }
 
@@ -123,7 +174,7 @@ double sample(const struct kgp_run *r, double m2, ptrdiff_t k)
     double *column = r->series + row, *trace_p = r->traces + 2 * row * m->n;
     double *trace_q = trace_p + 2 * rows * m->n;
     double re[SUMS], im[SUMS];
-    form_sums(r->p, r->q, r->p, r->q, r->n, 0, 1, re, im);
+    form_sums(picked, r->p, r->q, r->p, r->q, r->n, CHARGE, re, im);
     const double norm2 = form_value(re, m2, r->dx);
     double u = 0.0;
     const double *coef = m->coef;
@@ -175,7 +226,7 @@ double fit_dist(const struct metric_view *m, const double *wp, const double *wq)
     const struct kgp_scan *s = m->s;
     const double m2 = form_m2(s->model);
     double re[SUMS], im[SUMS];
-    form_sums(m->p, m->q, wp, wq, s->nodes, 1, 0, re, im);
+    form_sums(picked, m->p, m->q, wp, wq, s->nodes, FIT, re, im);
     const double zr = form_value(re, m2, s->dx), zi = form_value(im, m2, s->dx), r = hypot(zr, zi);
     double er = 1.0, ei = 0.0;
     if (r != 0.0) {

@@ -6,9 +6,11 @@
  * chunk behind the one before, so that a group's chunks of the three buffers
  * stay in L1 while it takes its steps there.  Each chunk's update and its
  * stencil are separate loops, which vectorize at any width, and the one body
- * is built three times, plain, for AVX2 and for AVX-512F (run), the widest
- * this CPU runs picked once, when the library loads.  Each float still gets
- * the same operations in the same order, so every build keeps the bits.
+ * is built three times, plain, for AVX2 and for AVX-512F (builds).  One pick,
+ * the widest build this CPU runs, made once when the library loads, chooses
+ * the stepping loop's build and the energy form's together (kgp_pick).  Each
+ * float still gets the same operations in the same order, so every build
+ * keeps the bits.
  */
 #include <math.h>
 
@@ -20,8 +22,6 @@ double (*volatile libm_pow)(double, double) = pow;
 /* a group's steps at most, and a chunk's floats (64 nodes): a group's DEPTH + 1 chunks of p, q and k, 3 KB a chunk,
  * stay in L1 */
 enum { DEPTH = 8, CHUNK = 128 };
-
-#define ALWAYS_INLINE static inline __attribute__((always_inline))
 
 /* q += k, twice when the last step's second half kick is pending, then p += q dt, at the floats [a, e) */
 ALWAYS_INLINE void update(double *restrict p, double *restrict q, const double *restrict k, ptrdiff_t a, ptrdiff_t e,
@@ -131,8 +131,6 @@ RUN(run_avx2, __attribute__((target("avx2"))))
 RUN(run_avx512f, __attribute__((target("avx512f"))))
 #endif
 
-enum { PLAIN, AVX2, AVX512F, BUILDS };
-
 typedef __typeof__(run_plain) run_fn;
 
 static run_fn *const builds[BUILDS] = {
@@ -156,15 +154,26 @@ static int supported(int build)
     return build == PLAIN;
 }
 
-/* the widest build this CPU runs, picked when the library loads */
-static run_fn *run;
+int picked;
+
+/* Picks build, of the stepping loop and the energy form both, where this CPU runs it, and for -1 the widest it runs;
+ * returns the build picked.  The library picks the widest when it loads; a fresh build's known-answer check
+ * (_passes.py) picks each in turn. */
+int kgp_pick(int build)
+{
+    if (build < 0) {
+        build = BUILDS - 1;
+        while (!supported(build))
+            build--;
+    }
+    if (build < BUILDS && supported(build))
+        picked = build;
+    return picked;
+}
 
 static __attribute__((constructor)) void pick(void)
 {
-    int build = BUILDS - 1;
-    while (!supported(build))
-        build--;
-    run = builds[build];
+    kgp_pick(-1);
 }
 
 /* The run r of steps kick-drift-kick steps, sampled at step 0 and every r->every steps: one run per sample
@@ -181,7 +190,8 @@ ptrdiff_t kgp_evolve(const struct kgp_run *r, ptrdiff_t steps)
     sample(r, m2, 0);
     for (ptrdiff_t k = 0; k < steps;) {
         const ptrdiff_t interval = steps - k < every ? steps - k : every;
-        run(r->p, r->q, r->k, n, r->dt, c, scale, m->n, r->sites, m->nslope, m->slope, force_scale, k > 0, interval);
+        builds[picked](r->p, r->q, r->k, n, r->dt, c, scale, m->n, r->sites, m->nslope, m->slope, force_scale, k > 0,
+                       interval);
         k += interval;
         if (interval == every && !isfinite(sample(r, m2, k)))
             for (ptrdiff_t j = 0; j < n; j++)

@@ -29,8 +29,8 @@ def compiled_passes():
 
 
 # entries on the library's own parts that it does not export: each build of the stepping loop and the wavefront's
-# shape, the solve's residual at given coupling rows, its Jacobian, elimination and sup-norm, and the phase fit to a
-# candidate wave; declared by the library's reader
+# shape, each build of the energy form's sums, the solve's residual at given coupling rows, its Jacobian, elimination
+# and sup-norm, and the phase fit to a candidate wave; declared by the library's reader
 PROBE_ENTRIES = """
 int kgp_probe_run(int build, double *p, double *q, double *k, ptrdiff_t n, double dt, double c, double scale,
                   ptrdiff_t nsites, const ptrdiff_t *sites, const int *ncoef, const double *coef, double force_scale,
@@ -39,6 +39,15 @@ int kgp_probe_run(int build, double *p, double *q, double *k, ptrdiff_t n, doubl
     if (build < 0 || build >= BUILDS || !builds[build] || !supported(build))
         return -1;
     builds[build](p, q, k, n, dt, c, scale, nsites, sites, ncoef, coef, force_scale, primed, steps);
+    return 0;
+}
+
+int kgp_probe_form(int build, const double *ap, const double *aq, const double *bp, const double *bq, ptrdiff_t len,
+                   int kind, double *re, double *im)
+{
+    if (build < 0 || build >= BUILDS || !forms[build] || !supported(build))
+        return -1;
+    form_sums(build, ap, aq, bp, bq, len, kind, re, im);
     return 0;
 }
 
@@ -119,7 +128,8 @@ class Probe:
         structure's fields."""
         return list(zip(self.terms, (ctypes.c_longlong * len(self.terms)).in_dll(self.lib, "kgp_layout")))
 
-    BUILDS = ("plain", "avx2", "avx512f")  # the stepping loop's builds, by their index in the library
+    BUILDS = ("plain", "avx2", "avx512f")  # the builds of the stepping loop and the energy form, by their index
+    KINDS = ("norm", "charge", "fit")  # the energy form's sums of a state with itself, with its charge, of two states
 
     def wavefront(self):
         """(DEPTH, CHUNK): the most steps of a group of the stepping loop, and the floats of its chunks."""
@@ -135,6 +145,18 @@ class Probe:
         return self.lib.kgp_probe_run(self.BUILDS.index(build), psi.ctypes.data, pi.ctypes.data, kick.ctypes.data,
                                       2 * psi.size, dt, c, scale, len(nodes), sites, block.nslope, block.slope,
                                       force_scale, primed, steps) == 0
+
+    def form(self, build, a, b, kind):
+        """(re, im) of the energy form's sums (pi, psi, cells) of the (psi, pi) pairs a and b on the same nodes by the
+        named build, of the named kind; None where this CPU or this architecture has no such build."""
+        (ap, aq), (bp, bq) = a, b
+        n = self.pair(ap, aq)
+        assert self.pair(bp, bq) == n
+        re, im = _doubles([0.0] * 3), _doubles([0.0] * 3)
+        if self.lib.kgp_probe_form(self.BUILDS.index(build), ap.ctypes.data, aq.ctypes.data, bp.ctypes.data,
+                                   bq.ctypes.data, n, self.KINDS.index(kind), re, im):
+            return None
+        return re[:], im[:]
 
     def residual(self, model, kap, c, coupling):
         """The solve's residual at c, a list of Python complex, k2 = 2 kap and the coupling rows, and per J its

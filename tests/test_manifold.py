@@ -550,3 +550,18 @@ def test_a_warm_call_solves_only_its_refinement(solve_log):
     solve_log.clear()
     assert dist_to_manifold(PAIR, grid, state, OMEGAS, 5) == first
     assert solve_log == refinement
+
+
+@pytest.mark.parametrize("omegas, message", [([], "omega_grid must be nonempty"),
+                                             ([0.2, 1.0], r"omega_grid must lie strictly inside \(-m, m\)"),
+                                             ([-1.5, 0.2], r"omega_grid must lie strictly inside \(-m, m\)"),
+                                             ([0.2, float("nan")], r"omega_grid must lie strictly inside \(-m, m\)")])
+def test_a_frequency_grid_is_refused_with_its_message_before_any_scan(omegas, message):
+    # the grid is checked as one float64 array, from a list or from an array, before the state or a scan
+    grid = simulator.build_grid(PAIR, -10.0, 10.0, 0.02)
+    state = solitary_state(PAIR, grid, solve_profile(PAIR, 0.4, [0.7, 0.7]))
+    misses = simulator._frequency_scan.cache_info().misses
+    for grid_of in (list, np.array):
+        with pytest.raises(ValueError, match=message):
+            dist_to_manifold(PAIR, grid, state, grid_of(omegas), 5)
+    assert simulator._frequency_scan.cache_info().misses == misses

@@ -499,3 +499,49 @@ def test_a_model_is_packed_once_for_its_steps_samples_and_solves(monkeypatch):
         energy_norm(model, grid, state)
     continue_branch(model, 0.3, 0.5, 0.05, [0.7, 0.7])
     assert packed == [model]
+
+
+def test_the_known_answers_are_the_references():
+    # a fresh build's known-answer case, regenerated from the references: the steps reference_kdk's, the samples the
+    # fixed-order form's plus the potential, and the solve reference_solve_profile's; and this build gives them on
+    # each of its builds that this CPU runs
+    from types import SimpleNamespace
+
+    from test_simulator import fixed_order_dot, fixed_order_form, reference_kdk
+    from test_solitary import reference_solve_profile
+
+    from kgpoint.model import potential
+    from kgpoint.simulator import FieldState
+
+    case = _passes.KNOWN_CASE
+    model = ModelSpec(1.0, (OscillatorSpec(0.0, (0.0, -2.0, 1.0)),))
+    grid, dx, dt, steps = SimpleNamespace(dx=case["dx"], oscillator_nodes=(3,)), case["dx"], case["dt"], case["steps"]
+    start = (np.array(case["psi"]), np.array(case["pi"]))
+    end = reference_kdk(model, grid, FieldState(*start, 0.0), dt, steps)
+    samples = []
+    for k, (psi, pi) in ((0, start), (steps, end)):
+        norm2 = fixed_order_form(1.0, dx, (psi, pi), (psi, pi))[0]
+        window = (psi[1:6], pi[1:6])
+        samples.append((0.0 + k * dt, 0.5 * norm2 + potential(model.oscillators[0], psi[3]),
+                        -dx * fixed_order_dot(psi, pi)[1], math.sqrt(norm2),
+                        math.sqrt(fixed_order_form(1.0, dx, window, window)[0])))
+    wave = reference_solve_profile(model, case["omega"], [0.7])
+    solve = (wave.omega, wave.kappa, wave.amplitudes[0].real, wave.amplitudes[0].imag, wave.residual_max)
+    regenerated = {"psi": end[0].view(float), "pi": end[1].view(float), "samples": np.array(samples).T.ravel(),
+                   "solve": solve}
+    assert {name: tuple(map(float.hex, values)) for name, values in regenerated.items()} == _passes.KNOWN_ANSWERS
+    _passes._check(_passes.library())
+    assert _passes.library().kgp_pick(-1) == _passes.library().kgp_pick(len(_passes.BUILDS))  # the widest, kept
+
+
+def test_a_build_that_fails_its_known_answer_check_is_not_cached(tmp_path):
+    # -ffast-math reassociates and drops the finite-math checks: the fresh build gives other answers, so it raises
+    # one OSError line and leaves nothing in the cache
+    script = ("import sys\nfrom kgpoint import _passes\n_passes._FLAGS += ('-ffast-math',)\n"
+              "try:\n    _passes.library()\nexcept OSError as err:\n    sys.exit(str(err))\n")
+    env = {**os.environ, "XDG_CACHE_HOME": str(tmp_path), "PYTHONPATH": str(Path(_passes.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert done.returncode == 1
+    assert done.stderr.splitlines() == [
+        "cannot build the compiled passes: the build fails its known-answer check, at the plain build's psi"]
+    assert os.listdir(tmp_path / "kgpoint") == []

@@ -820,13 +820,28 @@ def test_metric_dist_equals_the_full_grid_sum_bit_for_bit(x_min, x_max):
 
 
 @pytest.mark.parametrize("length", range(10))
-def test_the_compiled_form_keeps_the_fixed_order_on_every_lane_tail(probe, length):
-    # 0 to 9 nodes: after the last whole group of four, 0 to 3 nodes (and one cell fewer) fill the accumulators
+@pytest.mark.parametrize("build", ["plain", "avx2", "avx512f"])
+def test_the_compiled_form_keeps_the_fixed_order_on_every_lane_tail(probe, build, length):
+    # 0 to 9 nodes: after the last whole group of four, 0 to 3 nodes (and one cell fewer) fill the accumulators; the
+    # named build's sums of each kind, then the library's observers, metric and phase fit on the build it picked
     from kgpoint import _passes
 
     rng = np.random.default_rng(40 + length)
     count, dx = 23, 0.05
     psi, pi, wave_psi, wave_pi = (rng.normal(size=count) + 1j * rng.normal(size=count) for _ in range(4))
+    if probe.form(build, (psi, pi), (psi, pi), "norm") is None:
+        pytest.skip(f"this CPU does not run the {build} build of the energy form")
+    # the build's sums on the windows of length nodes starting at 0, 1, 6 and the end, each with itself, with its
+    # charge, and with the wave, whose Im lanes take the wave's lanes swapped
+    for start in (0, 1, 6, count - length):
+        a = tuple(np.ascontiguousarray(z[start:start + length]) for z in (psi, pi))
+        w = tuple(np.ascontiguousarray(z[start:start + length]) for z in (wave_psi, wave_pi))
+        for kind, b in (("norm", a), ("charge", a), ("fit", w)):
+            dots = [fixed_order_dot(a[1], b[1]), fixed_order_dot(a[0], b[0]),
+                    fixed_order_dot(np.diff(a[0]), np.diff(b[0]))]
+            im = [d[1] for d in dots] if kind == "fit" else [fixed_order_dot(*a)[1] if kind == "charge" else 0.0,
+                                                                0.0, 0.0]
+            assert probe.form(build, a, b, kind) == ([d[0] for d in dots], im), (start, kind)
     # one oscillator of zero potential, which adds exactly 0.0 to H; a run's form takes its m2 as mass**2, and the
     # metric's is the same
     free = ModelSpec(1.3, (OscillatorSpec(0.0, (0.0, 0.0)),))
