@@ -1,7 +1,7 @@
 """The compiled passes, built on first use into one library from their C sources and loaded with ctypes.
 
 The sources (``SOURCES``) hold one concept each: the stepping loop, the energy form behind every observer, the Newton
-solve of the solitary amplitude system, the solitary profile's sampler with the manifold distance's scan and search,
+solve of the solitary amplitude system, the pinned profile's sampler with the manifold distance's scan and search,
 and the CSV text of float64 rows.  What one source calls in another is declared in the header they share (``HEADER``)
 and hidden, so the library exports only its ``kgp_`` entries.  Their ctypes declarations (``entries``) and the
 structures of their blocks (``structures``) are read from the sources, and a block is built by field name.  One
@@ -307,12 +307,13 @@ def bind(psi: np.ndarray, pi: np.ndarray, kick, model, nodes, dx: float, dt: flo
     return evolve
 
 
-def profile(model, x: np.ndarray, kappa: float, amplitudes) -> np.ndarray:
-    """phi = sum_J C_J exp(-kappa |X - X_J|) at each float64 point X of x, a complex array of x's shape, for model's
-    positions X_J and an amplitude C_J per oscillator (ValueError otherwise); exp is libm's (kgp_profile)."""
+def profile(model, x: np.ndarray, rate: float, amplitudes, sine: bool = False) -> np.ndarray:
+    """phi = sum_J C_J g(|X - X_J|) at each float64 point X of x, a complex array of x's shape, for model's positions
+    X_J and an amplitude C_J per oscillator (ValueError otherwise), with g(r) = exp(-rate r), or sin(rate r) if sine;
+    exp and sin are libm's (kgp_profile)."""
     points, out = np.ascontiguousarray(x, dtype=float), np.empty(np.shape(x), dtype=complex)
-    library().kgp_profile(model_block(model), points.ctypes.data, points.size, kappa, _amplitudes(model, amplitudes),
-                          out.ctypes.data)
+    library().kgp_profile(model_block(model), points.ctypes.data, points.size, rate, _amplitudes(model, amplitudes),
+                          sine, out.ctypes.data)
     return out
 
 

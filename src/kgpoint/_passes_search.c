@@ -1,5 +1,5 @@
-/* The solitary profile's sampler, and the manifold distance's frequency scan and its search for the wave
- * closest to a state.
+/* The pinned profile's sampler, of the solitary waves and of each harmonic of the counterexamples, and the manifold
+ * distance's frequency scan and its search for the wave closest to a state.
  *
  * The sampler keeps the bits of numpy's complex arithmetic with libm's exp
  * (tests/test_solitary.py::reference_profile), and the scan and the search
@@ -13,23 +13,33 @@
 
 #include "_passes.h"
 
-/* The profile phi = sum_J C_J exp(-kappa |x - X_J|) of model m at the len points x, into the complex out: an
- * amplitude of c (Re and Im interleaved) at each oscillator's position, each term numpy's complex product of C_J
- * by the float e = exp(-kappa |x - X_J|), (Re C e - Im C 0.0, Re C 0.0 + Im C e), added into phi from 0.0 one
- * oscillator after another; exp is libm's, whatever numpy's SIMD dispatch would have picked. */
-void kgp_profile(const struct kgp_model *m, const double *x, ptrdiff_t len, double kappa, const double *c,
-                 double *out)
+/* The pinned profile phi = sum_J C_J g(|x - X_J|) of model m at the len points x, into the complex out: g(r) =
+ * exp(-rate r), or sin(rate r) if sine; an amplitude of c (Re and Im interleaved) at each oscillator's position, each
+ * term numpy's complex product of C_J by the float e = g(|x - X_J|), (Re C e - Im C 0.0, Re C 0.0 + Im C e), added
+ * into phi from 0.0 one oscillator after another; exp and sin are libm's, whatever numpy's SIMD dispatch would have
+ * picked.  Inlined into kgp_profile and kgp_wave, so that kgp_wave calls no export through the library's PLT. */
+ALWAYS_INLINE void profile(const struct kgp_model *m, const double *x, ptrdiff_t len, double rate, const double *c,
+                           int sine, double *out)
 {
     for (ptrdiff_t i = 0; i < len; i++) {
         double re = 0.0, im = 0.0;
         for (ptrdiff_t j = 0; j < m->n; j++) {
-            const double e = exp(-kappa * fabs(x[i] - m->positions[j]));
+            const double r = fabs(x[i] - m->positions[j]), e = sine ? sin(rate * r) : exp(-rate * r);
             re = re + (c[2 * j] * e - c[2 * j + 1] * 0.0);
             im = im + (c[2 * j] * 0.0 + c[2 * j + 1] * e);
         }
         out[2 * i] = re;
         out[2 * i + 1] = im;
     }
+}
+
+void kgp_profile(const struct kgp_model *m, const double *x, ptrdiff_t len, double rate, const double *c, int sine,
+                 double *out)
+{
+    if (sine) /* a loop for each g, with no test in it */
+        profile(m, x, len, rate, c, 1, out);
+    else
+        profile(m, x, len, rate, c, 0, out);
 }
 
 /* A wave's state (p, q) = (psi, pi) of model m at the len points x: psi = phi phase, 0 at the points first and last
@@ -39,7 +49,7 @@ void kgp_profile(const struct kgp_model *m, const double *x, ptrdiff_t len, doub
 void kgp_wave(const struct kgp_model *m, const double *x, ptrdiff_t len, double kappa, const double *c, double omega,
               double phase_re, double phase_im, ptrdiff_t first, ptrdiff_t last, double *p, double *q)
 {
-    kgp_profile(m, x, len, kappa, c, p);
+    profile(m, x, len, kappa, c, 0, p);
     for (ptrdiff_t j = 0; j < 2 * len; j += 2) {
         const double re = p[j], im = p[j + 1];
         p[j] = re * phase_re - im * phase_im;

@@ -168,7 +168,7 @@ def build_initial_state(cfg: ExperimentConfig, grid, model, seed,
         z = np.zeros(grid.count, dtype=complex)
         return FieldState(z, z.copy(), 0.0), None
     if initial.kind == "counterexample":
-        return cx.init_from(solution, grid), cx.wall_clip(*solution.eval(grid.x, 0.0))
+        return cx.initial_state(solution, grid)
     if initial.kind in ("solitary", "perturbed_solitary"):
         wave = solve_profile(model, initial.omega, _newton_starts(model)[0])
         phi = profile_eval(model, wave, grid.x)

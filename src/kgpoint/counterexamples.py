@@ -10,17 +10,16 @@ fundamental tone sin(omega t) with sin(3 omega t):
 * linear degeneration: oscillator 2 is linear, F_2(psi) = gamma psi, and the
   high harmonic is evanescent (omega < m/3).  Works for every gap width.
 
-Amplitudes come from matching the derivative jump at each oscillator
-harmonic by harmonic via sin^3 t = (3 sin t - sin 3t)/4.  The verifier
-recomputes the jump residuals from closed-form one-sided derivatives, never
-from numerical differentiation, with the forces of ``to_model()``, the model
-the simulator steps, so a wrong parameter or oscillator law shows up directly.
-
-Note on the linear-degeneration tail: for x > L the high harmonic is taken
-with amplitude C / sinh(kappa3 L), the choice consistent with the four
-coefficient equations; its interface value at x = L is read from the
-interior branch.  The 3-omega component therefore has a branch mismatch
-across x = L, recorded by the verifier as `continuity_gap`.
+Each harmonic h omega of a wave is written in the solitary wave's pinned form,
+sum_J D_J g(|x - X_J|) with g(r) = exp(-lambda r), or sin(lambda r) for the
+wide gap's standing mode, and sampled by the solitary profile's sampler
+(kgp_profile) with libm's exp and sin; its time factors are libm's too.  So a
+wave is continuous, and only its J = j terms kink at X_j: harmonic h jumps
+there by 2 D_j g'(0) sin(h omega t).  Amplitudes come from matching that jump
+at each oscillator harmonic by harmonic via sin^3 t = (3 sin t - sin 3t)/4.
+The verifier recomputes the jump residuals with the forces of ``to_model()``,
+the model the simulator steps, so a wrong parameter or oscillator law shows up
+directly.
 """
 
 from __future__ import annotations
@@ -32,6 +31,7 @@ import numpy as np
 
 from .model import ModelSpec, OscillatorSpec, force
 from .simulator import FieldState, Grid
+from .solitary import _compiled
 
 __all__ = [
     "WideGapParams",
@@ -46,6 +46,7 @@ __all__ = [
     "linear_deg_eval",
     "verify_exact",
     "init_from",
+    "initial_state",
     "wall_clip",
 ]
 
@@ -69,8 +70,18 @@ def _cubic_oscillator(position: float, alpha: float, beta: float) -> OscillatorS
     return OscillatorSpec(position, (0.0, -alpha / 2.0, -beta / 4.0))
 
 
+def _libm(f, values: np.ndarray) -> np.ndarray:
+    """The math function f at each of the float values, an array of their shape."""
+    return np.fromiter(map(f, values.ravel().tolist()), float, values.size).reshape(values.shape)
+
+
 class _TwoFrequencyWave:
-    """What both families share: oscillators at 0 and L, fundamental frequency omega."""
+    """What both families share: oscillators at 0 and L, fundamental frequency omega, and harmonics in pinned form.
+
+    Each of harmonics is (h, sine, rate, D): the harmonic h omega has the
+    profile sum_J D_J g(|x - X_J|), g(r) = sin(rate r) if sine, else
+    exp(-rate r).
+    """
 
     @property
     def positions(self) -> tuple[float, float]:
@@ -79,6 +90,17 @@ class _TwoFrequencyWave:
     @property
     def period(self) -> float:
         return 2.0 * math.pi / self.omega
+
+    def eval(self, x, t):
+        """(psi, psi_t), real-valued, at the points x and times t, which broadcast."""
+        x, t = np.asarray(x, dtype=float), np.asarray(t, dtype=float)
+        model, psi, psi_t = self.to_model(), 0.0, 0.0
+        for h, sine, rate, amplitudes in self.harmonics:
+            shape = _compiled().profile(model, x, rate, amplitudes, sine).real
+            w = h * self.omega
+            psi = psi + shape * _libm(math.sin, w * t)
+            psi_t = psi_t + w * shape * _libm(math.cos, w * t)
+        return psi, psi_t
 
 
 @dataclass(frozen=True)
@@ -99,23 +121,10 @@ class WideGapParams(_TwoFrequencyWave):
             _cubic_oscillator(self.L, self.alpha, self.beta),
         ))
 
-    def eval(self, x, t):
-        return wide_gap_eval(self, x, t)
-
-    def one_sided_derivatives(self, j: int, t):
-        """(psi'(X_j - 0, t), psi'(X_j + 0, t)) in closed form."""
-        t = np.asarray(t, dtype=float)
-        E = math.exp(-self.kappa * self.L)
-        s1, s3 = np.sin(self.omega * t), np.sin(3.0 * self.omega * t)
-        if j == 0:
-            left = self.kappa * self.A * (1.0 + E) * s1
-            right = self.kappa * self.A * (E - 1.0) * s1 + self.B * self.k3 * s3
-        elif j == 1:
-            left = self.kappa * self.A * (1.0 - E) * s1 - self.B * self.k3 * s3
-            right = -self.kappa * self.A * (1.0 + E) * s1
-        else:
-            raise IndexError(j)
-        return left, right
+    @property
+    def harmonics(self):
+        # k3 L = pi, so (B/2)(sin k3|x| + sin k3|x - L|) is B sin(k3 x) between the oscillators and 0 outside
+        return ((1, False, self.kappa, (self.A, self.A)), (3, True, self.k3, (self.B / 2.0, self.B / 2.0)))
 
     def equation_residuals(self) -> dict[str, float]:
         E = math.exp(-self.kappa * self.L)
@@ -164,14 +173,7 @@ def wide_gap_construct(m: float, L: float, alpha: float, beta: float) -> WideGap
 
 def wide_gap_eval(params: WideGapParams, x, t):
     """(psi, psi_t) of the wide-gap wave; real-valued, broadcasts over x and t."""
-    x = np.asarray(x, dtype=float)
-    t = np.asarray(t, dtype=float)
-    p = params
-    envelope = p.A * (np.exp(-p.kappa * np.abs(x)) + np.exp(-p.kappa * np.abs(x - p.L)))
-    interior = np.where((x >= 0.0) & (x <= p.L), p.B * np.sin(p.k3 * x), 0.0)
-    psi = envelope * np.sin(p.omega * t) + interior * np.sin(3.0 * p.omega * t)
-    psi_t = p.omega * envelope * np.cos(p.omega * t) + 3.0 * p.omega * interior * np.cos(3.0 * p.omega * t)
-    return psi, psi_t
+    return params.eval(x, t)
 
 
 @dataclass(frozen=True)
@@ -194,34 +196,21 @@ class LinearDegParams(_TwoFrequencyWave):
             OscillatorSpec(self.L, (0.0, -self.gamma / 2.0)),
         ))
 
-    def eval(self, x, t):
-        return linear_deg_eval(self, x, t)
-
-    def one_sided_derivatives(self, j: int, t):
-        t = np.asarray(t, dtype=float)
-        p = self
-        s1, s3 = np.sin(p.omega * t), np.sin(3.0 * p.omega * t)
-        if j == 0:
-            left = p.kappa * (p.A + p.B) * s1
-            right = p.kappa * (p.B - p.A) * s1 + p.kappa3 * p.C * s3
-        elif j == 1:
-            eL, emL = math.exp(p.kappa * p.L), math.exp(-p.kappa * p.L)
-            left = p.kappa * (-p.A * emL + p.B * eL) * s1 + p.kappa3 * p.C * math.cosh(p.kappa3 * p.L) * s3
-            right = p.kappa * (-p.A * emL - p.B * eL) * s1 - p.kappa3 * p.C / math.sinh(p.kappa3 * p.L) * s3
-        else:
-            raise IndexError(j)
-        return left, right
+    @property
+    def harmonics(self):
+        # A e^{-kappa x} + B e^{kappa x} and C sinh(kappa3 x) between the oscillators, and 0 for x < 0 at 3 omega
+        return ((1, False, self.kappa, (self.A, self.B * math.exp(self.kappa * self.L))),
+                (3, False, self.kappa3, (-self.C / 2.0, self.C * math.exp(self.kappa3 * self.L) / 2.0)))
 
     def equation_residuals(self) -> dict[str, float]:
         p = self
-        sh, ch = math.sinh(p.kappa3 * p.L), math.cosh(p.kappa3 * p.L)
         cube = p.beta * (p.A + p.B) ** 3
         return {
             "c01": 2.0 * p.kappa * p.A - p.alpha * (p.A + p.B) - 0.75 * cube,
             "c03": p.kappa3 * p.C - 0.25 * cube,
             "cl1": 2.0 * p.B * p.kappa * math.exp(p.kappa * p.L)
             - p.gamma * (p.A * math.exp(-p.kappa * p.L) + p.B * math.exp(p.kappa * p.L)),
-            "cl3": p.kappa3 * p.C / sh + p.kappa3 * p.C * ch - p.gamma * p.C * sh,
+            "cl3": p.kappa3 * p.C * math.exp(p.kappa3 * p.L) - p.gamma * p.C * math.sinh(p.kappa3 * p.L),
         }
 
     def identity_residuals(self) -> dict[str, float]:
@@ -234,9 +223,9 @@ class LinearDegParams(_TwoFrequencyWave):
 def linear_deg_construct(m: float, L: float, omega: float, alpha: float, beta: float) -> LinearDegParams:
     """Two-frequency wave with a linear second oscillator; any gap L > 0 works.
 
-    gamma is forced by the high-harmonic jump at x = L, the amplitude ratio
-    B/A by the fundamental jump there, A by the fundamental jump at x = 0,
-    and C by the high-harmonic jump at x = 0.
+    gamma = kappa3 (1 + coth kappa3 L) is forced by the high-harmonic jump at
+    x = L, the amplitude ratio B/A by the fundamental jump there, A by the
+    fundamental jump at x = 0, and C by the high-harmonic jump at x = 0.
     """
     if m <= 0 or L <= 0:
         raise ValueError("mass and gap must be positive")
@@ -246,8 +235,7 @@ def linear_deg_construct(m: float, L: float, omega: float, alpha: float, beta: f
         raise ValueError("beta must be nonzero")
     kappa = math.sqrt(m**2 - omega**2)
     kappa3 = math.sqrt(m**2 - 9.0 * omega**2)
-    sh, ch = math.sinh(kappa3 * L), math.cosh(kappa3 * L)
-    gamma = kappa3 * (1.0 / sh + ch) / sh
+    gamma = kappa3 * (1.0 + 1.0 / math.tanh(kappa3 * L))
     if abs(2.0 * kappa - gamma) < 1e-14 * max(1.0, kappa, gamma):
         raise Degenerate("2 kappa equals gamma; the amplitude ratio is undefined")
     r = gamma * math.exp(-2.0 * kappa * L) / (2.0 * kappa - gamma)
@@ -263,21 +251,8 @@ def linear_deg_construct(m: float, L: float, omega: float, alpha: float, beta: f
 
 
 def linear_deg_eval(params: LinearDegParams, x, t):
-    """(psi, psi_t), real-valued; x = L takes the interior branch."""
-    x = np.asarray(x, dtype=float)
-    t = np.asarray(t, dtype=float)
-    p = params
-    base_left = (p.A + p.B) * np.exp(p.kappa * x)
-    base_mid = p.A * np.exp(-p.kappa * x) + p.B * np.exp(p.kappa * x)
-    base_right = p.A * np.exp(-p.kappa * x) + p.B * np.exp(p.kappa * (2.0 * p.L - x))
-    high_mid = p.C * np.sinh(p.kappa3 * np.minimum(x, p.L))
-    high_right = p.C / math.sinh(p.kappa3 * p.L) * np.exp(-p.kappa3 * (x - p.L))
-
-    base = np.where(x <= 0.0, base_left, np.where(x <= p.L, base_mid, base_right))
-    high = np.where(x <= 0.0, 0.0, np.where(x <= p.L, high_mid, high_right))
-    psi = base * np.sin(p.omega * t) + high * np.sin(3.0 * p.omega * t)
-    psi_t = p.omega * base * np.cos(p.omega * t) + 3.0 * p.omega * high * np.cos(3.0 * p.omega * t)
-    return psi, psi_t
+    """(psi, psi_t) of the linear-degeneration wave; real-valued, broadcasts over x and t."""
+    return params.eval(x, t)
 
 
 @dataclass(frozen=True)
@@ -293,24 +268,25 @@ def verify_exact(solution) -> VerificationReport:
     """Check the derivative-jump conditions of an exact two-frequency wave.
 
     At 50 times over one period the residual
-    -psi'(X_j+0) + psi'(X_j-0) - F_j(psi(X_j)) is evaluated from the
-    closed-form one-sided derivatives, psi(X_j) from ``solution.eval`` and F_j
-    the force of oscillator j of ``solution.to_model()``.  The report also
-    carries the coefficient-equation and parameter-identity residuals and the
-    value gap across each oscillator, measured at X_j -+ 1e-7 (a construction
-    diagnostic).
+    -psi'(X_j+0) + psi'(X_j-0) - F_j(psi(X_j)) is evaluated: the derivatives
+    in closed form, harmonic by harmonic -2 D_j g'(0) sin(h omega t), psi(X_j)
+    from ``solution.eval`` and F_j the force of oscillator j of
+    ``solution.to_model()``.  The report also carries the coefficient-equation
+    and parameter-identity residuals and the value gap across each
+    oscillator, measured at X_j -+ 1e-7 (a construction diagnostic).
     """
     ts = np.linspace(0.0, solution.period, 50, endpoint=False)
     jumps: dict[int, float] = {}
     gaps: dict[int, float] = {}
-    for j, osc in enumerate(solution.to_model().oscillators):
-        pos = osc.position
-        left, right = solution.one_sided_derivatives(j, ts)
-        value, _ = solution.eval(pos, ts)
-        residual = -right + left - force(osc, value)
+    model = solution.to_model()
+    psi, _ = solution.eval(np.add.outer(model.positions, [-1e-7, 0.0, 1e-7])[..., None], ts)
+    for j, osc in enumerate(model.oscillators):
+        below, value, above = psi[j]
+        residual = -force(osc, value)
+        for h, sine, rate, amplitudes in solution.harmonics:
+            slope = rate if sine else -rate  # g'(0)
+            residual = residual - 2.0 * amplitudes[j] * slope * _libm(math.sin, h * solution.omega * ts)
         jumps[j] = float(np.max(np.abs(residual)))
-        below, _ = solution.eval(pos - 1e-7, ts)
-        above, _ = solution.eval(pos + 1e-7, ts)
         gaps[j] = float(np.max(np.abs(above - below)))
     return VerificationReport(
         max_jump_residual=max(jumps.values()),
@@ -322,22 +298,27 @@ def verify_exact(solution) -> VerificationReport:
 
 
 def init_from(solution, grid: Grid) -> FieldState:
-    """Sample the exact wave at t = 0 as simulator initial data.
+    """Sample the exact wave at t = 0 as simulator initial data (initial_state's state)."""
+    return initial_state(solution, grid)[0]
+
+
+def initial_state(solution, grid: Grid) -> tuple[FieldState, float]:
+    """The exact wave sampled once at t = 0 as simulator initial data, and what the walls cut from it (wall_clip).
 
     psi(., 0) vanishes (pure sine time factors) and pi(., 0) is the exact
-    time derivative.  The oscillators must already sit on grid nodes.
+    time derivative, both 0 at the two end nodes.  The oscillators must
+    already sit on grid nodes.
     """
     x = grid.x
     for j, pos in enumerate(solution.positions):
         i = int(round((pos - grid.x_min) / grid.dx))
         if not (0 <= i < grid.count) or abs(x[i] - pos) > 1e-9 * max(1.0, abs(pos)):
             raise ValueError(f"grid misalignment: oscillator {j} at {pos} is not on a node")
-    psi, pi = solution.eval(x, 0.0)
-    psi = np.asarray(psi, dtype=complex).copy()
-    pi = np.asarray(pi, dtype=complex).copy()
+    psi, pi = (np.asarray(f, dtype=complex) for f in solution.eval(x, 0.0))
+    clip = wall_clip(psi, pi)
     psi[0] = psi[-1] = 0.0
     pi[0] = pi[-1] = 0.0
-    return FieldState(psi, pi, 0.0)
+    return FieldState(psi, pi, 0.0), clip
 
 
 def wall_clip(psi, pi) -> float:
@@ -345,7 +326,7 @@ def wall_clip(psi, pi) -> float:
 
     psi and pi sample the wave on the whole grid; the result is the largest
     |psi| or |pi| on the two end nodes, over the largest on the grid (0 for
-    a zero wave).  init_from drops this from a counterexample's exact wave.
+    a zero wave).  initial_state takes this from a counterexample's exact wave.
     """
     psi, pi = (np.abs(np.asarray(f)) for f in (psi, pi))
     peak = max(psi.max(), pi.max())

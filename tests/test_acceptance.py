@@ -314,14 +314,15 @@ def test_criterion_8_linear_degeneration_counterexample():
     sol = kg.linear_deg_construct(1.0, 1.0, 0.3, 0.0, 10.0)
     rep = kg.verify_exact(sol)
     eq_worst = max(abs(v) for v in rep.equation_residuals.values())
+    gap = max(rep.continuity_gap.values())
     elapsed = time.time() - start
-    ok = eq_worst <= 1e-12 and rep.max_jump_residual <= 1e-10 and elapsed < 1.0
+    ok = eq_worst <= 1e-12 and rep.max_jump_residual <= 1e-10 and gap <= 1e-6 and elapsed < 1.0
     report(
         8,
         "linear-degeneration counterexample",
         ok,
         f"coefficient equations {eq_worst:.2e} (tol 1e-12), jump residual "
-        f"{rep.max_jump_residual:.2e} (tol 1e-10), {elapsed:.2f}s",
+        f"{rep.max_jump_residual:.2e} (tol 1e-10), continuity gap {gap:.2e} (tol 1e-6), {elapsed:.2f}s",
     )
 
 

@@ -897,12 +897,29 @@ def test_record_reads_the_energy_figures_from_the_observer_series(tmp_path, monk
     assert summary["bound_checked_samples"] == samples + final_evaluations
 
 
-def test_linear_deg_default_family_blows_up_in_the_simulator(tmp_path, capsys):
-    # at its defaults gamma = 3.22 > 2m, so the linear oscillator alone carries
-    # a bound state growing at rate sqrt(gamma^2/4 - m^2) = 1.26
-    argv = ["counterexample", "--kind", "linear_deg", "--simulate",
-            "--T", "2", "--half-width", "6", "--dx-target", "0.05", "--out", str(tmp_path / "ld")]
-    assert main(argv) == 3
+def test_linear_deg_default_family_stays_finite_in_the_simulator(tmp_path, capsys):
+    # at its defaults gamma = 1.50 < 2m, so the linear oscillator carries no bound state: the default run, to
+    # T = 60, ends finite
+    out = tmp_path / "ld"
+    assert main(["counterexample", "--kind", "linear_deg", "--simulate", "--out", str(out)]) == 0
+    assert "numerical failure" not in capsys.readouterr().err
+    x, psi, pi = read_state_csv(out / "final_state.csv")
+    assert np.isfinite(psi).all() and np.isfinite(pi).all()
+    assert json.loads((out / "summary.json").read_text())["steps"] == 6667
+
+
+def test_simulate_exits_3_when_a_node_force_overflows(tmp_path, capsys):
+    # |psi| = 1e155 at the oscillator node: |psi|^2 overflows, the node force is nan, and the run fails in one line
+    from kgpoint import build_grid
+    from kgpoint.model import ModelSpec, OscillatorSpec
+
+    grid = build_grid(ModelSpec(1.0, (OscillatorSpec(0.0, (0, -2, 1)),)), -8.0, 8.0, 0.05)
+    psi, zero = np.zeros(grid.count), np.zeros(grid.count)
+    psi[grid.oscillator_nodes[0]] = 1e155
+    state = tmp_path / "state.csv"
+    write_csv(state, ["x", "psi_re", "psi_im", "pi_re", "pi_im"], np.column_stack((grid.x, psi, zero, zero, zero)))
+    cfg = write_config(tmp_path, SINGLE_MODEL + RUN_SECTIONS + f"\n[initial_data]\nkind = file\npath = {state}\n")
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
     err = capsys.readouterr().err
     assert err.startswith("numerical failure:") and " t=" in err and err.count("\n") == 1
 

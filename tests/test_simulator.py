@@ -618,17 +618,42 @@ def test_samples_do_not_depend_on_numpys_simd_dispatch():
     targets = avx512_targets()
     if not targets:
         pytest.skip("numpy dispatches no AVX-512 target on this CPU")
-    src = str(Path(__file__).parents[1] / "src")
     outputs = []
     for disabled in (None, " ".join(targets)):
-        env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-        if disabled:
-            env["NPY_DISABLE_CPU_FEATURES"] = disabled
-        done = subprocess.run([sys.executable, "-c", DISPATCH_PROBE], env=env, capture_output=True, text=True)
+        done = subprocess.run([sys.executable, "-c", DISPATCH_PROBE], env=dispatch_env(disabled), capture_output=True,
+                              text=True)
         assert done.returncode == 0, done.stderr
         outputs.append(done.stdout.split())
     assert len(outputs[0]) == 3 and outputs[0] == outputs[1]
+
+
+def dispatch_env(disabled):
+    """This process's environment with the package's sources on the path, and numpy's targets disabled (None: none)."""
+    env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
+    src = str(Path(__file__).parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    if disabled:
+        env["NPY_DISABLE_CPU_FEATURES"] = disabled
+    return env
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="numpy's AVX-512 targets are x86-64's")
+@pytest.mark.parametrize("kind", ["wide_gap", "linear_deg"])
+def test_counterexample_runs_do_not_depend_on_numpys_simd_dispatch(kind, tmp_path):
+    # each harmonic's profile takes libm's exp or sin, and its time factors libm's sin and cos, so a simulated
+    # counterexample writes the same bytes in every file, and on stdout and stderr, without numpy's AVX-512 targets
+    targets = avx512_targets()
+    if not targets:
+        pytest.skip("numpy dispatches no AVX-512 target on this CPU")
+    outputs = []
+    for disabled in (None, " ".join(targets)):
+        out = tmp_path / ("without" if disabled else "with")
+        argv = ["-m", "kgpoint", "counterexample", "--kind", kind, "--simulate", "--T", "2", "--out", str(out)]
+        done = subprocess.run([sys.executable, *argv], env=dispatch_env(disabled), capture_output=True)
+        assert done.returncode == 0, done.stderr
+        outputs.append([done.stdout, done.stderr] + [(f.name, f.read_bytes()) for f in sorted(out.iterdir())])
+    assert len(outputs[0]) == 7 and outputs[0] == outputs[1]
 
 
 def test_local_seminorm_basics():
