@@ -118,7 +118,7 @@ static inline size_t newton_work(ptrdiff_t n)
 /* _passes_form.c */
 KGP_HIDDEN double sample(const struct kgp_run *r, double m2, ptrdiff_t k);
 KGP_HIDDEN double fit_dist(const struct metric_view *m, const double *wp, const double *wq);
-double kgp_metric_sum(const struct kgp_scan *s, const double *p, const double *q);
+KGP_HIDDEN double metric_sum(const struct kgp_scan *s, const double *p, const double *q);
 
 /* _passes_solve.c */
 KGP_HIDDEN int solve_point(const struct kgp_model *m, double omega, const double *starts, ptrdiff_t nstarts,

@@ -5,12 +5,12 @@ solve of the solitary amplitude system, the pinned profile's sampler with the ma
 and the CSV text of float64 rows.  What one source calls in another is declared in the header they share (``HEADER``)
 and hidden, so the library exports only its ``kgp_`` entries.  Their ctypes declarations (``entries``) and the
 structures of their blocks (``structures``) are read from the sources, and a block is built by field name.  One
-compiled point solve (``solve_point``) is behind every solitary solve: the single solve (``solve``), the branch
-continued in frequency (``branch``), and the manifold distance's frequency scan and the refinement of its search
-(``Scan``).  A whole run, its steps and its samples, is one call on one block (``bind``); the runs and the solves
-share one block of a model's coefficients, positions and mass, packed once per model object (``model_block``).  The
-Newton limits and Brent's constants are constants of the sources, so a call passes only what varies; a branch's rows,
-which grow as it is solved, are allocated by the library and copied out.
+compiled point solve (``solve_point``) is behind every solitary solve: the branch continued in frequency
+(``branch``), whose branch of one frequency is the single solve, and the manifold distance's frequency scan and the
+refinement of its search (``Scan``).  A whole run, its steps and its samples, is one call on one block (``bind``); the
+runs and the solves share one block of a model's coefficients, positions and mass, packed once per model object
+(``model_block``).  The Newton limits and Brent's constants are constants of the sources, so a call passes only what
+varies; a branch's rows, which grow as it is solved, are allocated by the library and copied out.
 
 The library is built by Python's own C compiler (sysconfig's ``CC``) with
 ``-O3 -ffp-contract=off -lm``: no fused multiply-add and no reassociation, so
@@ -26,9 +26,10 @@ same bits.  The energy form sums in one fixed order of its own
 phase fit have the same bits whatever the CPU, build or BLAS.  Two blocks evaluate it:
 ``bind``'s run, whose samples are whole rows of observers, and a ``Scan``,
 which holds the metric's windows and fits its candidate waves to any state
-passed to it.  ``csv_writer`` prints float64 rows as Python's ``'%.17g'``, by
-integer arithmetic on a table of powers of ten (``_powers_of_ten``), built with
-Python ints on the first CSV write.  The library is cached in
+passed to it: the metric alone is a scan of no frequencies, whose one
+candidate is the zero wave.  ``csv_writer`` prints float64 rows as Python's
+``'%.17g'``, by integer arithmetic on a table of powers of ten
+(``_powers_of_ten``), built with Python ints on the first CSV write.  The library is cached in
 ``$XDG_CACHE_HOME/kgpoint`` (by default ``~/.cache/kgpoint``), or where that is
 not writable in a private directory under the temp directory, named by the
 SHA-256 of every source, the header and the compile command.  A build is
@@ -337,7 +338,7 @@ def exp(values: np.ndarray) -> np.ndarray:
     return values
 
 
-SOLVED, ZERO, FAILED, OUT_OF_BAND, NOT_FINITE = range(5)  # the statuses of kgp_solve, kgp_branch and kgp_nearest
+SOLVED, ZERO, FAILED, OUT_OF_BAND, NOT_FINITE = range(5)  # the statuses of kgp_branch and kgp_nearest
 
 
 def _amplitudes(model, amps):
@@ -347,26 +348,14 @@ def _amplitudes(model, amps):
     return (_DOUBLE * (2 * model.count))(*(p for z in amps for p in (z.real, z.imag)))
 
 
-def solve(model, omega: float, amps) -> tuple[int, list[float]]:
-    """The damped Newton solve of model's amplitude system at omega from the finite amps (Python complex), in one
-    kgp_solve call: (status, row), the status SOLVED, ZERO, FAILED or OUT_OF_BAND, and row the list of floats omega,
-    kappa, Re and Im of each amplitude and the residual's sup-norm, the amplitudes solved if SOLVED."""
-    row = (_DOUBLE * (2 * model.count + 3))()
-    status = library().kgp_solve(model_block(model), omega, _amplitudes(model, amps), row)
-    if status < 0:
-        raise MemoryError("no memory for the amplitude system's Newton solve")
-    return status, row[:]
-
-
 def branch(model, start: float, step: float, count: int, guess):
     """Continuation of model's branch from the finite guess over the count frequencies start + step k, in one
     kgp_branch call: (status, rows, omega, residual).
 
-    rows is a read-only float64 array of a row per point solved, laid out
-    as solve's; the status SOLVED when every frequency was solved, else the
-    stopping point's, ZERO, FAILED, OUT_OF_BAND or NOT_FINITE, at omega,
-    with a failed solve's residual (both None after SOLVED).  kgp_branch's
-    comment gives the starts and the retry.
+    rows is a read-only float64 array of a row per point solved: omega, kappa, Re and Im of each amplitude and the
+    residual's sup-norm.  The status is SOLVED when every frequency was solved, else the stopping point's, ZERO,
+    FAILED, OUT_OF_BAND or NOT_FINITE, at omega, with a failed solve's residual (both None after SOLVED).
+    kgp_branch's comment gives the starts and the retry.
     """
     cols = 2 * model.count + 3
     rows, solved = ctypes.POINTER(_DOUBLE)(), _SIZE()
@@ -392,7 +381,7 @@ class Scan:
     holds the window's node coordinates and ends its Dirichlet end nodes
     (first, last), -1 where it holds none; windows are the (start, stop)
     nodes of radius 1 ... r_max within it, and dx the grid's.  rows holds
-    solve's row of each solved frequency, samples its (psi, pi).  A scan of no
+    branch's row of each solved frequency, samples its (psi, pi).  A scan of no
     frequencies binds the metric alone.  The block holds no state, so threads
     may call one scan at once.
     """
@@ -425,19 +414,13 @@ class Scan:
             raise ValueError(f"a state on {n} nodes, the scan's window has {self.n}")
         return psi.ctypes.data, pi.ctypes.data
 
-    def dist(self, psi: np.ndarray, pi: np.ndarray) -> float:
-        """The metric sum 2^-R |.|_{E,R} over R = 1 ... r_max of the state (psi, pi) on the window's nodes, its
-        distance to the zero wave (kgp_metric_sum)."""
-        return self.library.kgp_metric_sum(self.block, *self._state(psi, pi))
-
     def closest(self, psi: np.ndarray, pi: np.ndarray):
         """The wave closest to the state (psi, pi) on the window's nodes, in one kgp_nearest call: (dist, row,
-        refined).
+        refined), dist the metric sum 2^-R |.|_{E,R} over R = 1 ... r_max of the state's difference from the wave.
 
-        row is the closest wave's row as a list of floats, laid out as rows',
-        whether the wave is the scan's or a refinement's, and is None for the
-        zero wave; refined holds the frequencies of the refinement's solves,
-        in order.
+        row is the closest wave's row as a list of floats, laid out as rows', whether the wave is the scan's or a
+        refinement's, and is None for the zero wave, a scan of no frequencies' one candidate; refined holds the
+        frequencies of the refinement's solves, in order.
         """
         state, row = self._state(psi, pi), (_DOUBLE * self.cols)()
         found = self.library.structs["kgp_nearest"](row=ctypes.addressof(row))
@@ -560,8 +543,10 @@ def _known_results(lib) -> dict:
                              nwindows=1, windows=ctypes.addressof(window), rows=2, series=series.ctypes.data,
                              traces=traces.ctypes.data)
     lib.kgp_evolve(ctypes.byref(run), case["steps"])
-    row = (_DOUBLE * 5)()
-    lib.kgp_solve(model, case["omega"], (_DOUBLE * 2)(0.7, 0.0), row)
+    rows = ctypes.POINTER(_DOUBLE)()
+    lib.kgp_branch(model, case["omega"], -0.0, 1, (_DOUBLE * 2)(0.7, 0.0), ctypes.byref(rows), ctypes.byref(_SIZE()))
+    row = rows[:5] if rows else []  # no row where the branch had no memory
+    lib.kgp_free(rows)
     return {name: tuple(map(float.hex, values)) for name, values in
             (("psi", psi.view(float)), ("pi", pi.view(float)), ("samples", series.ravel()), ("solve", row))}
 

@@ -210,7 +210,7 @@ static double metric(const struct kgp_scan *s, double m2, const double *p, const
 }
 
 /* The metric of the state (p, q) on the nodes of scan s: its distance to the zero wave */
-double kgp_metric_sum(const struct kgp_scan *s, const double *p, const double *q)
+double metric_sum(const struct kgp_scan *s, const double *p, const double *q)
 {
     return metric(s, form_m2(s->model), p, q);
 }

@@ -271,7 +271,7 @@ int kgp_nearest(const struct kgp_scan *s, const double *p, const double *q, stru
         goto done;
     double *row = block, *coupling = row + cols, *work = coupling + n * n, *sample = work + newton_work(n);
     const struct metric_view m = {s, p, q, sample + 4 * s->nodes, sample + 6 * s->nodes};
-    r->dist = kgp_metric_sum(s, p, q);
+    r->dist = metric_sum(s, p, q);
     r->best = -1;
     for (ptrdiff_t i = 0; i < s->count; i++) {
         const double *scanned = s->rows + i * cols, *wave = s->samples + 4 * s->nodes * i;

@@ -1,5 +1,5 @@
-/* The Newton solve of the solitary amplitude system at one frequency (solve_point), behind the single solve, the
- * continuation in frequency and the manifold distance's frequency scan and search.
+/* The Newton solve of the solitary amplitude system at one frequency (solve_point), behind the continuation in
+ * frequency, whose branch of one frequency is the single solve, and the manifold distance's frequency scan and search.
  *
  * The solve keeps the bits of a damped Newton loop on Python floats
  * (tests/test_solitary.py::reference_solve_profile), and the branch those of
@@ -285,18 +285,6 @@ int solve_point(const struct kgp_model *m, double omega, const double *starts, p
     return status;
 }
 
-/* solve_point from the one start c, on work of its own: KGP_NO_MEMORY where there is none */
-int kgp_solve(const struct kgp_model *m, double omega, const double *c, double *row)
-{
-    const ptrdiff_t n = m->n;
-    double *coupling = malloc((n * n + newton_work(n)) * sizeof(double));
-    if (!coupling)
-        return KGP_NO_MEMORY;
-    const int status = solve_point(m, omega, c, 1, row, coupling, coupling + n * n);
-    free(coupling);
-    return status;
-}
-
 /* Room for entry used of the list *list of *room entries, each of size doubles, its room doubled when it is
  * full: KGP_SOLVED, or KGP_NO_MEMORY with the list as it was */
 int grow(double **list, ptrdiff_t *room, ptrdiff_t used, ptrdiff_t size)
@@ -335,7 +323,8 @@ static int branch_point(const struct kgp_model *m, double omega, const double *g
     return solve_point(m, omega, starts, 2, row, coupling, work);
 }
 
-/* Continue model m's branch from the guess (2n floats) over the count frequencies start + step k, step signed,
+/* Continue model m's branch from the guess (2n floats) over the count frequencies start + step k, step signed
+ * (a single solve is count 1 and step -0.0, whose frequency start + -0.0 is start bit for bit, -0.0 included),
  * into *rows, which the call allocates and grows as it solves and the caller frees with kgp_free: solve_point's
  * row of 2n + 3 floats for each of the *solved points solved.  Returns KGP_SOLVED when every frequency is solved;
  * else the status of the point where the branch stopped, whose row follows the last solved one and holds its

@@ -132,11 +132,12 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-# each family's constructor and its parameters in call order, with defaults
+# each family's constructor and its parameters in call order, with defaults, and the default half-width of its
+# simulated domain, wide enough that the walls cut less than WALL_CLIP_WARN of the default wave
 _COUNTEREXAMPLES = {
-    "wide_gap": (cx.wide_gap_construct, {"mass": 1.0, "l": math.pi, "alpha": 2.0, "beta": -1.0}),
+    "wide_gap": (cx.wide_gap_construct, {"mass": 1.0, "l": math.pi, "alpha": 2.0, "beta": -1.0}, 30.0),
     "linear_deg": (cx.linear_deg_construct,
-                   {"mass": 1.0, "l": 1.0, "omega": 0.3, "alpha": 0.0, "beta": 10.0}),
+                   {"mass": 1.0, "l": 1.0, "omega": 0.3, "alpha": 0.0, "beta": 10.0}, 35.0),
 }
 
 
@@ -147,7 +148,7 @@ def _counterexample_solution(family: str, params: dict):
     """
     if family not in _COUNTEREXAMPLES:
         raise ConfigError(f"unknown counterexample family {family!r}")
-    construct, defaults = _COUNTEREXAMPLES[family]
+    construct, defaults, _ = _COUNTEREXAMPLES[family]
     unknown = sorted(set(params) - set(defaults))
     if unknown:
         raise ConfigError(f"counterexample family {family!r} takes no parameter {unknown[0]!r}; "
@@ -257,17 +258,18 @@ def _record_run(run: RunConfig, out_dir: Path, model, grid, state: FieldState, s
     return summary
 
 
-def _prepare_run(cfg: ExperimentConfig, seed=None) -> tuple:
+def _prepare_run(cfg: ExperimentConfig, seed=None, solution=None) -> tuple:
     """(model, grid, initial state, seed, wall clip) of a configured run; a run evolve would refuse fails first.
 
+    Counterexample data's exact wave is solution, or built from the config.
     A run too large to hold is refused here too, before anything is printed:
     its sample arrays are allocated once, untouched, and dropped.  So is a run
     whose compiled library, which steps it and writes its CSVs, cannot be built.
     """
     if cfg.grid is None or cfg.run is None:
         raise ConfigError("simulate requires [grid] and [run] sections")
-    initial, solution = cfg.initial, None
-    if initial is not None and initial.kind == "counterexample":  # the exact wave brings its model
+    initial = cfg.initial
+    if solution is None and initial is not None and initial.kind == "counterexample":  # it brings its model
         solution = _counterexample_solution(initial.family, initial.params)
     model = cfg.model if solution is None else solution.to_model()
     if model is None:
@@ -370,11 +372,12 @@ def cmd_counterexample(args) -> int:
     sol = _counterexample_solution(args.kind, params)
     verification = asdict(cx.verify_exact(sol))
     if args.simulate:  # the experiment the flags describe (dt = 0.45 dx on its grid), built before any output
-        grid = GridConfig(-args.half_width, sol.L + args.half_width, args.dx_target)
+        half = _COUNTEREXAMPLES[args.kind][2] if args.half_width is None else args.half_width
+        grid = GridConfig(-half, sol.L + half, args.dx_target)
         dx = build_grid(sol.to_model(), grid.x_min, grid.x_max, grid.dx_target).dx
         run = RunConfig(args.T, 0.45 * dx, args.observe_every)
         prepared = _prepare_run(ExperimentConfig(None, grid, run, InitialDataConfig(
-            "counterexample", family=args.kind, params=params)))
+            "counterexample", family=args.kind, params=params)), solution=sol)
     params_doc = asdict(sol)
     kio.write_json(out_dir / "params.json", params_doc)
     kio.write_json(out_dir / "verification.json", verification)
@@ -432,7 +435,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="out")
     p.add_argument("--simulate", action="store_true", help="also evolve from the exact initial data")
     p.add_argument("--T", type=float, default=60.0)
-    p.add_argument("--half-width", dest="half_width", type=float, default=30.0)
+    p.add_argument("--half-width", dest="half_width", type=float,
+                   help="the domain beyond each oscillator (default: 30 for wide_gap, 35 for linear_deg)")
     p.add_argument("--dx-target", dest="dx_target", type=float, default=0.02)
     p.add_argument("--observe-every", dest="observe_every", type=int, default=5)
     p.set_defaults(func=cmd_counterexample)

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -91,6 +92,10 @@ class _TwoFrequencyWave:
     def period(self) -> float:
         return 2.0 * math.pi / self.omega
 
+    def to_model(self) -> ModelSpec:
+        """The model the wave solves, built once: the same object on every call, so its packed block is kept."""
+        return self._model
+
     def eval(self, x, t):
         """(psi, psi_t), real-valued, at the points x and times t, which broadcast."""
         x, t = np.asarray(x, dtype=float), np.asarray(t, dtype=float)
@@ -115,7 +120,8 @@ class WideGapParams(_TwoFrequencyWave):
     A: float
     B: float
 
-    def to_model(self) -> ModelSpec:
+    @cached_property
+    def _model(self) -> ModelSpec:
         return ModelSpec(self.m, (
             _cubic_oscillator(0.0, self.alpha, self.beta),
             _cubic_oscillator(self.L, self.alpha, self.beta),
@@ -190,7 +196,8 @@ class LinearDegParams(_TwoFrequencyWave):
     B: float
     C: float
 
-    def to_model(self) -> ModelSpec:
+    @cached_property
+    def _model(self) -> ModelSpec:
         return ModelSpec(self.m, (
             _cubic_oscillator(0.0, self.alpha, self.beta),
             OscillatorSpec(self.L, (0.0, -self.gamma / 2.0)),

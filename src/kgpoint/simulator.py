@@ -37,12 +37,13 @@ nodes with |x| <= r_max, so it, the phase fit and the manifold distance's
 candidate waves are evaluated there alone, a phase-fit distance in one call.
 
 The manifold distance's frequency scan, solved and sampled on that window in
-one compiled call and kept with the metric's windows and dx per (model, grid,
-frequencies, r_max), and its search, another call whose Brent constants are
-the library's, are ``dist_to_manifold``'s; ``metric_dist`` takes the kept
-block of no frequencies.  The candidates, solitary_state and
-perturbed_solitary_state sample the profile in the library, with libm's exp,
-so their bits do not depend on numpy's SIMD dispatch.
+one compiled call, is kept with the metric's windows and dx, their one cache,
+per (model, grid, frequencies, r_max).  Its search, another call whose Brent
+constants are the library's, is ``dist_to_manifold``'s; ``metric_dist`` is
+the search of a scan of no frequencies, whose one candidate is the zero wave.
+The candidates, solitary_state and perturbed_solitary_state sample the
+profile in the library, with libm's exp, so their bits do not depend on
+numpy's SIMD dispatch.
 """
 
 from __future__ import annotations
@@ -383,61 +384,24 @@ def local_seminorm(model: ModelSpec, grid: Grid, state: FieldState, R: float) ->
     return _functionals(model, grid, state, {R: grid.window(R)})[4]
 
 
-def _metric_windows(grid: Grid, r_max: int) -> tuple[slice, tuple[slice, ...]]:
-    """The window of radius r_max and, as slices of its nodes, those of radii 1..r_max; each clipped one warns, on
-    every call."""
-    if r_max < 1:
-        raise ValueError("r_max must be at least 1")
-    outer, windows, clipped = _window_nodes(grid, operator.index(r_max))
-    for R in clipped:
-        _warn_clipped(R)
-    return outer, windows
-
-
-@lru_cache(maxsize=16)
-def _window_nodes(grid: Grid, r_max: int) -> tuple[slice, tuple[slice, ...], tuple[float, ...]]:
-    """_metric_windows' slices, found once per (grid, r_max), and the radii whose windows the grid clips."""
-    radii = [float(R) for R in range(1, r_max + 1)]
-    windows = [grid._nodes(R) for R in radii]
-    outer = windows[-1]
-    # every window lies inside the outer one; an empty slice stays empty when shifted
-    return (outer, tuple(slice(w.start - outer.start, w.stop - outer.start) for w in windows),
-            tuple(R for R in radii if grid._clips(R)))
-
-
 def metric_dist(model: ModelSpec, grid: Grid, a: FieldState, b: FieldState, r_max: int) -> float:
     """Weighted sum 2^-R |A - B|_{E,R} over R = 1..r_max (a metric on states)."""
     _check_nodes(grid, a)
     _check_nodes(grid, b)
-    outer, _ = _metric_windows(grid, r_max)
-    metric = _frequency_scan(model, grid, b"", r_max)  # a scan of no frequencies binds the metric alone
-    return metric.dist(a.psi[outer] - b.psi[outer], a.pi[outer] - b.pi[outer])
-
-
-def _end_nodes(grid: Grid, window: slice) -> list[int]:
-    """The Dirichlet end nodes 0 and count - 1 as indices among a window's nodes, each -1 where the window lacks it."""
-    start, stop, _ = window.indices(grid.count)
-    return [i - start if start <= i < stop else -1 for i in (0, grid.count - 1)]
-
-
-def _solitary_sample(model: ModelSpec, grid: Grid, wave: SolitaryWave, window: slice = slice(None),
-                     phase: complex = 1.0 + 0j) -> tuple[np.ndarray, np.ndarray]:
-    """(phi, -i omega phi) rotated by a unit phase at the nodes of a window, 0 at the Dirichlet end nodes.
-
-    One compiled call (kgp_wave), whose profile is profile_eval's: the manifold
-    distance's scan and refinement sample their candidates with the same code.
-    """
-    return _compiled().wave(model, grid.x[window], wave.kappa, wave.amplitudes, wave.omega, phase,
-                            _end_nodes(grid, window))
+    metric, outer = _scan(model, grid, b"", r_max)  # a scan of no frequencies: the zero wave is its one candidate
+    return metric.closest(a.psi[outer] - b.psi[outer], a.pi[outer] - b.pi[outer])[0]
 
 
 def solitary_state(model: ModelSpec, grid: Grid, wave: SolitaryWave, phase: complex = 1.0 + 0j) -> FieldState:
     """Sample (phi, -i omega phi), optionally rotated by a unit phase.
 
     The Dirichlet nodes are zeroed exactly so they stay zero under the flow;
-    a simulate run reports what that cuts as initial_wall_clip.
+    a simulate run reports what that cuts as initial_wall_clip.  One compiled
+    call (kgp_wave), whose profile is profile_eval's: the manifold distance's
+    scan and refinement sample their candidates with the same code.
     """
-    return FieldState(*_solitary_sample(model, grid, wave, phase=phase), 0.0)
+    psi, pi = _compiled().wave(model, grid.x, wave.kappa, wave.amplitudes, wave.omega, phase, (0, grid.count - 1))
+    return FieldState(psi, pi, 0.0)
 
 
 def perturbed_solitary_state(model: ModelSpec, grid: Grid, wave: SolitaryWave, noise_amplitude: float,
@@ -501,11 +465,29 @@ class ManifoldDistance:
 def _frequency_scan(model: ModelSpec, grid: Grid, omega_bits: bytes, r_max: int):
     """The half of dist_to_manifold that no state enters: the solved waves of its frequency scan, sampled on the
     metric's outer window and bound with the metric of radii 1..r_max for the search of the closest wave, as a
-    _passes.Scan (kgp_scan's comment gives the starts).  omega_bits is the frequency grid as float64 bytes, so -0.0
-    and 0.0 key apart."""
-    outer, windows, _ = _window_nodes.__wrapped__(grid, r_max)  # once per key: the caller's lookup is the only one
-    return _compiled().Scan(model, np.frombuffer(omega_bits), _newton_starts(model), grid.x[outer],
-                            _end_nodes(grid, outer), grid.dx, [(w.start, w.stop) for w in windows])
+    _passes.Scan (kgp_scan's comment gives the starts); with the outer window, the nodes with |x| <= r_max, and the
+    radii whose windows the grid clips.  omega_bits is the frequency grid as float64 bytes, so -0.0 and 0.0 key
+    apart."""
+    radii = [float(R) for R in range(1, r_max + 1)]
+    windows = [grid._nodes(R) for R in radii]
+    outer = windows[-1]
+    # the Dirichlet end nodes 0 and count - 1 as indices among the outer window's nodes, -1 where it lacks one
+    ends = [i - outer.start if outer.start <= i < outer.stop else -1 for i in (0, grid.count - 1)]
+    # every window lies inside the outer one; an empty window stays empty when shifted
+    scan = _compiled().Scan(model, np.frombuffer(omega_bits), _newton_starts(model), grid.x[outer], ends, grid.dx,
+                            [(w.start - outer.start, w.stop - outer.start) for w in windows])
+    return scan, outer, tuple(R for R in radii if grid._clips(R))
+
+
+def _scan(model: ModelSpec, grid: Grid, omega_bits: bytes, r_max: int):
+    """_frequency_scan's scan and outer window, r_max checked first; each window the grid clips warns, on every
+    call."""
+    if r_max < 1:
+        raise ValueError("r_max must be at least 1")
+    scan, outer, clipped = _frequency_scan(model, grid, omega_bits, operator.index(r_max))
+    for R in clipped:
+        _warn_clipped(R)
+    return scan, outer
 
 
 def dist_to_manifold(model: ModelSpec, grid: Grid, state: FieldState, omega_grid,
@@ -537,8 +519,7 @@ def dist_to_manifold(model: ModelSpec, grid: Grid, state: FieldState, omega_grid
         raise ValueError("omega_grid must lie strictly inside (-m, m)")
 
     _check_nodes(grid, state)
-    outer, _ = _metric_windows(grid, r_max)
-    scan = _frequency_scan(model, grid, omegas.tobytes(), r_max)
+    scan, outer = _scan(model, grid, omegas.tobytes(), r_max)
     if not len(scan.rows):
         raise NoConvergence(float(omegas.flat[0]), float("inf"))
     dist, row, _ = scan.closest(state.psi[outer], state.pi[outer])

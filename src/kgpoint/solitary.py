@@ -13,11 +13,11 @@ with the global phase fixed by Im C_1 = 0 (the system is invariant under a
 common phase rotation, which would otherwise make the Jacobian singular).
 It runs in the compiled library (``_passes``, which also holds the
 stepping loop), whose point solve forms kappa and the coupling and runs
-Newton from a list of starts in order until one converges: a single solve
-(``kgp_solve``) passes one, and a branch continued in frequency runs there
-whole in one call (``kgp_branch``), as does the profile's sampler
-(``kgp_profile``).  The residual (``kgp_residual``) forms kappa and the
-coupling as the solve does.  The Newton limits are constants of that
+Newton from a list of starts in order until one converges.  A branch
+continued in frequency runs there whole in one call (``kgp_branch``), and a
+single solve is its branch of one frequency; the profile's sampler is one
+call too (``kgp_profile``).  The residual (``kgp_residual``) forms kappa and
+the coupling as the solve does.  The Newton limits are constants of that
 library.  This module checks the arguments and makes the waves and the
 exceptions; a branch's waves are made from its rows as they are read.
 """
@@ -176,22 +176,22 @@ def solve_profile(model: ModelSpec, omega: float, guess) -> SolitaryWave:
     A guess of another length or not finite is a ValueError, at omega = +-m
     too, where only the zero wave decays and the compiled solve returns it.
 
-    The solve runs in the compiled library (kgp_solve in _passes_solve.c),
-    with no numpy call: kappa, the coupling with libm's exp (the function
-    math.exp calls), the Newton loop, the gauged linear system by Gaussian
-    elimination with partial pivoting and the gauge rotations run there,
-    operation for operation those of a Python-float loop, bit for bit
+    The solve is a branch of one frequency in the compiled library
+    (kgp_branch in _passes_solve.c, of step -0.0, so that omega keeps its
+    sign), with no numpy call: kappa, the coupling with libm's exp (the
+    function math.exp calls), the Newton loop, the gauged linear system by
+    Gaussian elimination with partial pivoting and the gauge rotations run
+    there, operation for operation those of a Python-float loop, bit for bit
     (tests/test_solitary.py::reference_solve_profile).
     """
     kappa(model, omega)  # refuses a frequency outside the band first
     compiled = _compiled()
-    status, row = compiled.solve(model, float(omega), _start(model, guess))
-    wave = _wave(row)
+    status, rows, _, residual = compiled.branch(model, float(omega), -0.0, 1, _start(model, guess))
     if status == compiled.FAILED:
-        raise NoConvergence(omega, wave.residual_max)
+        raise NoConvergence(omega, residual)
     if status == compiled.ZERO:
         raise ConvergedToZero(_zero_wave(model, omega))
-    return wave
+    return _wave(rows[0].tolist())
 
 
 def profile_eval(model: ModelSpec, wave: SolitaryWave, x):

@@ -908,6 +908,16 @@ def test_linear_deg_default_family_stays_finite_in_the_simulator(tmp_path, capsy
     assert json.loads((out / "summary.json").read_text())["steps"] == 6667
 
 
+@pytest.mark.parametrize("family", ["wide_gap", "linear_deg"])
+def test_a_default_counterexample_run_prints_nothing_on_stderr(tmp_path, capsys, family):
+    # each family's default half-width keeps the walls' cut under WALL_CLIP_WARN: linear_deg's 3 omega tail decays
+    # at kappa3 = 0.436 only, and needs 35 where wide_gap needs 30
+    out = tmp_path / family
+    assert main(["counterexample", "--kind", family, "--simulate", "--T", "2", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert json.loads((out / "summary.json").read_text())["initial_wall_clip"] <= 1e-6
+
+
 def test_simulate_exits_3_when_a_node_force_overflows(tmp_path, capsys):
     # |psi| = 1e155 at the oscillator node: |psi|^2 overflows, the node force is nan, and the run fails in one line
     from kgpoint import build_grid

@@ -76,8 +76,9 @@ def test_wide_gap_sensitivity_to_amplitude(family, change, request):
 @pytest.mark.parametrize("family", ["wide_gap", "lin_deg"])
 def test_verifier_checks_the_simulated_model(family, request, monkeypatch):
     # the forces come from to_model(), so a sign slip in the cubic law of the
-    # model the simulator steps must break the jump conditions
-    solution = request.getfixturevalue(family)
+    # model the simulator steps must break the jump conditions; a fresh copy of
+    # the wave builds its one model under the slip
+    solution = replace(request.getfixturevalue(family))
     cubic = counterexamples._cubic_oscillator
     monkeypatch.setattr(counterexamples, "_cubic_oscillator",
                         lambda position, alpha, beta: cubic(position, alpha, -beta))

@@ -17,8 +17,6 @@ from kgpoint.model import ModelSpec, OscillatorSpec
 from kgpoint.simulator import (
     FieldState,
     ManifoldDistance,
-    _metric_windows,
-    _solitary_sample,
     build_grid,
     dist_to_manifold,
     perturbed_solitary_state,
@@ -45,9 +43,9 @@ def golden_section_dist(probe, model, grid, state, omega_grid, r_max):
     Every refinement solve starts from the best scan point's amplitudes.
     """
     omegas = [float(w) for w in omega_grid]
-    outer, _ = _metric_windows(grid, r_max)
+    metric, outer = bound_metric(model, grid, r_max)
     u = (state.psi[outer], state.pi[outer])
-    best = ManifoldDistance(bound_metric(model, grid, r_max).dist(*u), float("nan"), None)
+    best = ManifoldDistance(metric.closest(*u)[0], float("nan"), None)  # the zero wave
 
     def try_omega(w, start):
         try:
@@ -159,15 +157,15 @@ def reference_frequency_scan(model, grid, omegas, outer, solve=solve_profile):
         wave = next(filter(None, (try_solve(solve, model, w, s) for s in starts)), None)
         if wave is not None:
             warm = wave.amplitudes
-            scan.append((wave, _solitary_sample(model, grid, wave, outer)))
+            sample = solitary_state(model, grid, wave)  # each node's value a function of its x alone
+            scan.append((wave, (sample.psi[outer], sample.pi[outer])))
     return scan
 
 
 def compiled_and_reference_scans(model, grid, omega_grid, r_max):
     """The bytes of the compiled scan's rows and samples on the metric's outer window, and those of the reference's."""
     omegas = [float(w) for w in omega_grid]
-    outer, _ = _metric_windows(grid, r_max)
-    scan = simulator._frequency_scan(model, grid, np.array(omegas).tobytes(), r_max)
+    scan, outer, _ = simulator._frequency_scan(model, grid, np.array(omegas).tobytes(), r_max)
     reference = reference_frequency_scan(model, grid, omegas, outer)
     rows = [[w.omega, w.kappa, *(p for z in w.amplitudes for p in (z.real, z.imag)), w.residual_max]
             for w, _ in reference]
@@ -180,9 +178,9 @@ def reference_dist_to_manifold(probe, model, grid, state, omega_grid, r_max, ref
     Brent's refinement, each solve by solve, so that a test may pass a patched one.  The frequencies of the
     refinement's solves are appended to refined, if given."""
     omegas = [float(w) for w in omega_grid]
-    outer, _ = _metric_windows(grid, r_max)
-    u, metric = (state.psi[outer], state.pi[outer]), bound_metric(model, grid, r_max)
-    best = ManifoldDistance(metric.dist(*u), float("nan"), None)  # the zero wave
+    metric, outer = bound_metric(model, grid, r_max)
+    u = (state.psi[outer], state.pi[outer])
+    best = ManifoldDistance(metric.closest(*u)[0], float("nan"), None)  # the zero wave
     scan = reference_frequency_scan(model, grid, omegas, outer, solve)
     if not scan:
         raise NoConvergence(omegas[0], float("inf"))
@@ -207,7 +205,7 @@ def reference_dist_to_manifold(probe, model, grid, state, omega_grid, r_max, ref
             if wave is None:
                 return None
             solved[w] = wave.amplitudes
-            dist = probe.fit_dist(metric, u, *_solitary_sample(model, grid, wave, outer))
+            dist = candidate_dist(probe, model, grid, u, wave, outer, r_max)
             if dist < best.dist:
                 best = ManifoldDistance(dist, w, wave)
             return dist
@@ -427,7 +425,7 @@ def test_a_one_frequency_grid_is_not_refined(probe, solve_log):
     grid, (state,) = benchmark_states(1, 1)
     found = dist_to_manifold(PAIR, grid, state, [0.4], 5)
     assert solve_log == [0.4] and found.best_omega == 0.4
-    outer, _ = _metric_windows(grid, 5)
+    _, outer = bound_metric(PAIR, grid, 5)
     u = (state.psi[outer], state.pi[outer])
     assert found.dist == candidate_dist(probe, PAIR, grid, u, found.wave, outer, 5)
 
@@ -534,7 +532,7 @@ def test_the_scan_warm_starts_each_solve_from_the_last_solved_wave():
         calls.append((tuple(guess), wave.amplitudes))
         return wave
 
-    reference_frequency_scan(PAIR, grid, OMEGAS, _metric_windows(grid, 5)[0], logged)
+    reference_frequency_scan(PAIR, grid, OMEGAS, bound_metric(PAIR, grid, 5)[1], logged)
     scan = calls[:len(OMEGAS)]
     assert scan[0][0] == (_NEWTON_STARTS[0] + 0j,) * PAIR.count
     assert all(guess == previous for (guess, _), (_, previous) in zip(scan[1:], scan))

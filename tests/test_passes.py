@@ -285,7 +285,7 @@ def test_a_secant_start_that_overflows_stops_the_branch_as_not_finite():
     # their equal rows makes the secant start nan.  continue_branch refuses such a step; the entry does not.
     status, rows, omega, residual = _passes.branch(ONE, 0.5, 0.4 * math.ulp(0.5), 3, [0.7 + 0j])
     assert status == _passes.NOT_FINITE and omega == math.nextafter(0.5, 1.0) and len(rows) == 2
-    assert rows.tolist() == [_passes.solve(ONE, 0.5, [0.7 + 0j])[1]] * 2
+    assert rows.tolist() == _passes.branch(ONE, 0.5, -0.0, 1, [0.7 + 0j])[1].tolist() * 2  # the solve at 0.5
 
 
 def test_the_memory_the_library_hands_to_python_is_freed():
@@ -388,7 +388,7 @@ def test_the_form_binders_refuse_arrays_of_unequal_length(probe):
     message = "psi and pi as contiguous 1-d complex arrays of one length"
     metric, u = _passes.Scan(ONE, [], [], np.zeros(7), (-1, -1), 0.1, [(0, 7)]), (psi, psi)
     for bind in (lambda: _passes.bind(psi, pi, None, ONE, (3,), 0.1, 0.0, [], *_series(1, traced=1)),
-                 lambda: metric.dist(psi, pi), lambda: metric.closest(psi, pi),
+                 lambda: metric.closest(psi, pi),
                  lambda: probe.fit_dist(metric, u, psi, pi), lambda: probe.fit_dist(metric, u, psi, np.zeros(7)),
                  lambda: probe.fit_dist(metric, u, psi, np.zeros(14, complex)[::2])):
         with pytest.raises(ValueError, match=message):
@@ -499,6 +499,23 @@ def test_a_model_is_packed_once_for_its_steps_samples_and_solves(monkeypatch):
         energy_norm(model, grid, state)
     continue_branch(model, 0.3, 0.5, 0.05, [0.7, 0.7])
     assert packed == [model]
+
+
+def test_a_counterexample_run_packs_its_model_once(tmp_path, capsys, monkeypatch):
+    # the exact wave keeps one model object, which its verification, its initial data and its run share
+    from kgpoint.cli import main
+
+    packed, pack = [], _passes._pack
+
+    def counted(model):
+        packed.append(model)
+        return pack(model)
+
+    monkeypatch.setattr(_passes, "_pack", counted)
+    argv = ["counterexample", "--kind", "wide_gap", "--simulate", "--T", "0.1", "--out", str(tmp_path / "wg")]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert len(packed) == 1
 
 
 def test_the_known_answers_are_the_references():

@@ -19,9 +19,6 @@ from kgpoint.simulator import (
     FieldState,
     NoCommensurateGrid,
     _kdk,
-    _metric_windows,
-    _solitary_sample,
-    _window_nodes,
     apriori_bound,
     build_grid,
     charge,
@@ -751,14 +748,18 @@ def test_metric_dist_axioms():
 
 
 def bound_metric(model, grid, r_max):
-    """The compiled metric of radii 1..r_max on grid, bound as metric_dist binds it: a scan of no frequencies."""
-    return simulator._frequency_scan(model, grid, b"", r_max)
+    """The compiled metric of radii 1..r_max on grid, bound as metric_dist binds it: a scan of no frequencies, and
+    the scan's outer window, the nodes with |x| <= r_max."""
+    metric, outer, _ = simulator._frequency_scan(model, grid, b"", r_max)
+    return metric, outer
 
 
 def candidate_dist(probe, model, grid, u, wave, outer, r_max):
     """The metric distance from u, a (psi, pi) pair on the nodes of the outer window, to the closest phase of a wave,
-    as the manifold distance's search takes it: the wave sampled on the outer window alone, the phase in closed form."""
-    return probe.fit_dist(bound_metric(model, grid, r_max), u, *_solitary_sample(model, grid, wave, outer))
+    as the manifold distance's search takes it: the wave's solitary state on the outer window, each node's value a
+    function of its x alone, the phase in closed form."""
+    sample = solitary_state(model, grid, wave)
+    return probe.fit_dist(bound_metric(model, grid, r_max)[0], u, sample.psi[outer], sample.pi[outer])
 
 
 def full_grid_candidate_dist(model, grid, state, wave, r_max):
@@ -821,7 +822,7 @@ def test_window_candidates_equal_the_full_grid_path_bit_for_bit(probe, x_min, x_
     state = perturbed_solitary_state(PAIR, grid, solve_profile(PAIR, 0.4, [0.7, 0.7]), 0.1, seed=1)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the clipped grid warns of its r_max window
-        outer, _ = _metric_windows(grid, 5)
+        _, outer = bound_metric(PAIR, grid, 5)
         u = (state.psi[outer], state.pi[outer])
         for omega in np.linspace(0.1, 0.8, 15):
             wave = solve_profile(PAIR, float(omega), [0.7, 0.7])
@@ -906,8 +907,9 @@ def test_the_compiled_form_keeps_the_fixed_order_on_every_lane_tail(probe, build
         out.real, out.imag = z.real * er - z.imag * ei, z.real * ei + z.imag * er
         return out
 
-    for dist, (d_psi, d_pi) in ((metric.dist(*u), u), (probe.fit_dist(metric, u, *w), (u[0] - phased(w[0]),
-                                                                                   u[1] - phased(w[1])))):
+    # the metric alone is the search of a scan of no frequencies, whose one candidate is the zero wave
+    for dist, (d_psi, d_pi) in ((metric.closest(*u)[0], u), (probe.fit_dist(metric, u, *w), (u[0] - phased(w[0]),
+                                                                                           u[1] - phased(w[1])))):
         expected = left_to_right(0.5**R * math.sqrt(fixed_order_form(m2, dx, (d_psi[a:b], d_pi[a:b]),
                                                                      (d_psi[a:b], d_pi[a:b]))[0])
                                  for R, (a, b) in enumerate(radii, 1))
@@ -982,14 +984,15 @@ def test_clipped_radius_warns_once_per_call():
 def test_metric_windows_are_found_once_per_key_and_a_clipped_one_warns_on_every_call():
     grid = build_grid(PAIR, -4.3, 4.1, 0.02)
     state = perturbed_solitary_state(PAIR, grid, solve_profile(PAIR, 0.4, [0.7, 0.7]), 0.1, seed=1)
-    _window_nodes.cache_clear()
+    # the frequency scan is the one cache of the metric's windows: a scan of no frequencies here
+    simulator._frequency_scan.cache_clear()
     for _ in range(3):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             metric_dist(PAIR, grid, state, state, 5)
         assert [(str(w.message), w.filename) for w in caught] == [
             ("seminorm window [-5.0, 5.0] exceeds the grid; clipping", __file__)]
-    info = _window_nodes.cache_info()
+    info = simulator._frequency_scan.cache_info()
     assert (info.hits, info.misses) == (2, 1)
 
 

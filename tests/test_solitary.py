@@ -96,9 +96,11 @@ def test_amplitude_residual_closed_form():
     assert np.max(np.abs(amplitude_residual(QUARTIC_MODEL, off))) == pytest.approx(2.0, abs=1e-14)
 
 
-@pytest.mark.parametrize("omega", [0.0, 0.3, 0.5, 0.8])
+@pytest.mark.parametrize("omega", [-0.0, 0.0, 0.3, 0.5, 0.8])
 def test_solve_profile_closed_form(omega):
     wave = solve_profile(QUARTIC_MODEL, omega, [0.7])
+    # a solve is a branch of one frequency, omega + -0.0 0: omega keeps its sign, -0.0 too
+    assert math.copysign(1.0, wave.omega) == math.copysign(1.0, omega)
     assert abs(wave.amplitudes[0]) ** 2 == pytest.approx(closed_form_amp_sq(omega), abs=1e-10)
     assert np.max(np.abs(amplitude_residual(QUARTIC_MODEL, wave))) <= 1e-11
     assert wave.kappa**2 + wave.omega**2 == pytest.approx(1.0, rel=1e-12)
